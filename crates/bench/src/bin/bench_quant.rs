@@ -11,8 +11,13 @@
 //!    beats the blocked f32 GEMM by ≥ 2× in its best available kernel
 //!    mode — VNNI `vpdpbusd` where the host has it, AVX2 `vpmaddwd`
 //!    otherwise. Every mode's time is recorded so the dispatch trajectory
-//!    is visible. Correctness (bit-exactness across modes and threads) is
-//!    proved by the determinism suite, not here.
+//!    is visible, each beside the micro-kernel it dispatched
+//!    (`scalar|avx2|vnni`). Next to the 256³ row sits one row per conv/FC
+//!    GEMM of the served reduced VGG-16 at batch 8, run the way the
+//!    compiled plan runs it in the default kernel mode — so the headline
+//!    ratio can never again be for a kernel the server does not call.
+//!    Correctness (bit-exactness across modes and threads) is proved by
+//!    the determinism suite, not here.
 //! 2. **Lanes**: pricing the reduced VGG-16 at int8 instead of f32
 //!    shrinks every SEAL cost-model lane's encrypted bytes ~4× and its
 //!    makespan accordingly — the serving-side payoff of quantization in
@@ -21,12 +26,14 @@
 use std::io::Write as _;
 
 use seal_bench::timing::measure_ns;
-use seal_nn::models::vgg16_topology;
+use seal_nn::layers::{Conv2d, Linear};
+use seal_nn::models::{vgg16, vgg16_topology, VggConfig};
 use seal_pool::{with_pool, Pool};
 use seal_serve::{CostModel, ServerConfig, COSTED_SCHEMES};
 use seal_tensor::ops::{
-    gemm_i8, matmul, quantize_rows_u8, quantized_row_len, reset_kernel_mode, set_kernel_mode,
-    KernelMode, PackedBI8,
+    gemm_i8, gemm_prepacked, i8_kernel_name, kernel_mode, matmul, quantize_rows_u8,
+    quantized_row_len, reset_kernel_mode, set_kernel_mode, ConvPlanDims, KernelMode, PackedB,
+    PackedBI8,
 };
 use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::SeedableRng;
@@ -110,6 +117,121 @@ fn bench_gemm(threads: usize) -> GemmBench {
         quantize_ns,
         int8,
     }
+}
+
+/// Batch the served-shape rows run at (the serving smoke's `max_batch`).
+const SERVED_BATCH: usize = 8;
+
+/// One GEMM of the served reduced VGG-16, timed at [`SERVED_BATCH`] the
+/// way the compiled plan issues it.
+struct ServedShape {
+    layer: String,
+    /// Output channels (conv) or output features (FC).
+    c_out: usize,
+    /// Reduction depth: `c_in·k·k` (conv) or input features (FC).
+    kdim: usize,
+    /// Output positions per image (`1` for FC).
+    s: usize,
+    f32_ns: f64,
+    int8_ns: f64,
+}
+
+/// Times `calls` back-to-back GEMMs of reduction depth `kdim` in f32
+/// (`[m × kdim]·[kdim × n]`, B pre-packed) and in int8 (`[m × kdim]` u8
+/// activations against `n` packed weight columns), each with its own
+/// `(m, n)`: a conv keeps its weights on the left in f32 and packs them
+/// on the right in int8, so the two orientations are transposes.
+fn time_pair(
+    kdim: usize,
+    calls: usize,
+    f32_mn: (usize, usize),
+    i8_mn: (usize, usize),
+) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(92);
+    let mode = kernel_mode();
+    let (m, n) = f32_mn;
+    let a = uniform(&mut rng, Shape::matrix(m, kdim), -1.0, 1.0);
+    let b = PackedB::pack(&uniform(&mut rng, Shape::matrix(kdim, n), -1.0, 1.0))
+        .expect("rank-2 operand");
+    let mut out = vec![0.0f32; m * n];
+    let f32_ns = measure_ns(|| {
+        for _ in 0..calls {
+            out.fill(0.0); // the plan's bias fill
+            gemm_prepacked(a.as_slice(), &b, &mut out, m, mode, false);
+        }
+        std::hint::black_box(out[0])
+    });
+    let (m, n) = i8_mn;
+    let packed = PackedBI8::pack(&uniform(&mut rng, Shape::matrix(kdim, n), -1.0, 1.0))
+        .expect("kdim is far below MAX_QGEMM_K");
+    let qa = vec![131u8; m * quantized_row_len(kdim)];
+    let mut acc = vec![0i32; m * n];
+    let int8_ns = measure_ns(|| {
+        for _ in 0..calls {
+            gemm_i8(&qa, &packed, &mut acc, m, mode);
+        }
+        std::hint::black_box(acc[0])
+    });
+    (f32_ns, int8_ns)
+}
+
+/// Walks the reduced VGG-16 the serving smoke loads and times every
+/// conv/FC GEMM at [`SERVED_BATCH`], single-threaded like one worker.
+fn bench_served_shapes() -> Vec<ServedShape> {
+    let cfg = VggConfig::reduced();
+    let model = vgg16(&mut StdRng::seed_from_u64(7), &cfg).expect("reduced VGG-16 builds");
+    let mut shape = Shape::nchw(1, cfg.input_channels, cfg.input_hw, cfg.input_hw);
+    let mut rows = Vec::new();
+    reset_kernel_mode();
+    let pool = Pool::new(1);
+    for layer in model.layers() {
+        let out = layer.output_shape(&shape).expect("model shape-checks");
+        let any = layer.as_any();
+        if let Some(conv) = any.and_then(|a| a.downcast_ref::<Conv2d>()) {
+            let dims = ConvPlanDims {
+                c_in: shape.dim(1),
+                h: shape.dim(2),
+                w: shape.dim(3),
+                c_out: out.dim(1),
+                oh: out.dim(2),
+                ow: out.dim(3),
+                geom: *conv.geometry(),
+            };
+            let s = dims.oh * dims.ow;
+            let kdim = dims.c_in * dims.geom.kernel * dims.geom.kernel;
+            // One GEMM per image, or one for the batch when the shape folds.
+            let (cols, calls) = if dims.folds_batch() {
+                (SERVED_BATCH * s, 1)
+            } else {
+                (s, SERVED_BATCH)
+            };
+            let (f32_ns, int8_ns) = with_pool(&pool, || {
+                time_pair(kdim, calls, (dims.c_out, cols), (cols, dims.c_out))
+            });
+            rows.push(ServedShape {
+                layer: layer.name().to_string(),
+                c_out: dims.c_out,
+                kdim,
+                s,
+                f32_ns,
+                int8_ns,
+            });
+        } else if let Some(fc) = any.and_then(|a| a.downcast_ref::<Linear>()) {
+            let (in_f, out_f) = (fc.in_features(), fc.out_features());
+            let mn = (SERVED_BATCH, out_f);
+            let (f32_ns, int8_ns) = with_pool(&pool, || time_pair(in_f, 1, mn, mn));
+            rows.push(ServedShape {
+                layer: layer.name().to_string(),
+                c_out: out_f,
+                kdim: in_f,
+                s: 1,
+                f32_ns,
+                int8_ns,
+            });
+        }
+        shape = out;
+    }
+    rows
 }
 
 struct LaneDelta {
@@ -204,6 +326,24 @@ fn main() {
         gemm.int8_steady_x_f32()
     );
 
+    let served = bench_served_shapes();
+    let (mode_name, int8_kernel) = (kernel_mode().name(), i8_kernel_name(kernel_mode()));
+    println!(
+        "served reduced VGG-16 GEMMs at batch {SERVED_BATCH}, kernel_mode {mode_name} (int8 {int8_kernel}):"
+    );
+    for r in &served {
+        println!(
+            "  {:<10} c_out {:>3} kdim {:>4} s {:>3}: f32 {:>8.1}us int8 {:>8.1}us ({:.2}x)",
+            r.layer,
+            r.c_out,
+            r.kdim,
+            r.s,
+            r.f32_ns / 1e3,
+            r.int8_ns / 1e3,
+            r.f32_ns / r.int8_ns
+        );
+    }
+
     let lanes = bench_lanes();
     for l in &lanes {
         println!(
@@ -219,6 +359,9 @@ fn main() {
     json.push_str("  \"bench\": \"quant\",\n");
     json.push_str(&format!("  \"detected_cores\": {cores},\n"));
     json.push_str(&format!("  \"pool_threads\": {threads},\n"));
+    json.push_str(&format!(
+        "  \"kernel_mode\": \"{mode_name}\",\n  \"int8_kernel\": \"{int8_kernel}\",\n"
+    ));
     json.push_str(
         "  \"note\": \"int8_best_x_f32 is the pure GEMM-vs-GEMM kernel ratio; \
          int8_steady_x_f32 additionally charges the int8 side its per-call \
@@ -247,10 +390,11 @@ fn main() {
         .iter()
         .map(|t| {
             format!(
-                "      \"{}\": {{ \"ns\": {:.0}, \"gops\": {:.4} }}",
+                "      \"{}\": {{ \"ns\": {:.0}, \"gops\": {:.4}, \"int8_kernel\": \"{}\" }}",
                 t.mode.name(),
                 t.ns,
-                gemm.ops() / t.ns
+                gemm.ops() / t.ns,
+                i8_kernel_name(t.mode)
             )
         })
         .collect();
@@ -269,6 +413,27 @@ fn main() {
         gemm.int8_steady_x_f32()
     ));
     json.push_str("  },\n");
+    json.push_str(&format!(
+        "  \"served_shapes\": {{\n    \"model\": \"vgg16-reduced\",\n    \"batch\": {SERVED_BATCH},\n    \"rows\": [\n"
+    ));
+    let rows: Vec<String> = served
+        .iter()
+        .map(|r| {
+            format!(
+                "      {{ \"layer\": \"{}\", \"c_out\": {}, \"kdim\": {}, \"s\": {}, \
+                 \"f32_ns\": {:.0}, \"int8_ns\": {:.0}, \"int8_x_f32\": {:.3} }}",
+                r.layer,
+                r.c_out,
+                r.kdim,
+                r.s,
+                r.f32_ns,
+                r.int8_ns,
+                r.f32_ns / r.int8_ns
+            )
+        })
+        .collect();
+    json.push_str(&rows.join(",\n"));
+    json.push_str("\n    ]\n  },\n");
     json.push_str("  \"lanes\": {\n");
     json.push_str("    \"model\": \"vgg16\",\n");
     json.push_str("    \"per_scheme\": {\n");

@@ -1,6 +1,7 @@
 //! Determinism probe: hashes the bitwise output of every parallelized
-//! hot path (matmul, conv2d forward/backward, a full training step) on
-//! the **global** seal-pool, which resolves its width from the
+//! hot path (matmul, conv2d forward/backward, a full training step, and
+//! the ragged shapes whose last column strip is zero-padded) on the
+//! **global** seal-pool, which resolves its width from the
 //! `SEAL_THREADS` environment variable.
 //!
 //! The determinism suite (`crates/bench/tests/determinism.rs`) runs this
@@ -10,7 +11,10 @@
 
 use seal_nn::layers::{Conv2d, Flatten, Linear, ReLU};
 use seal_nn::{fit, FitConfig, Sequential, Sgd};
-use seal_tensor::ops::{conv2d, conv2d_backward, matmul, Conv2dGeometry};
+use seal_tensor::ops::{
+    conv2d, conv2d_backward, conv2d_infer_packed, kernel_mode, matmul, matmul_i8, Conv2dGeometry,
+    ConvPlanDims, Im2colGather,
+};
 use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::SeedableRng;
 use seal_tensor::{uniform, Shape, Tensor};
@@ -79,6 +83,55 @@ fn probe_training_step() -> u64 {
     fnv1a(&[state, logits.as_slice().to_vec()].concat())
 }
 
+/// Ragged shapes: every column count across one-and-a-bit strips of the
+/// f32 and int8 GEMMs (tall enough to take the row-block parallel path
+/// once a few columns are in), and planned convolutions on images
+/// narrower than one strip, which fold the batch into one GEMM.
+fn probe_ragged() -> (u64, u64, u64) {
+    let mut rng = StdRng::seed_from_u64(15);
+    let (mut f32_out, mut i8_out, mut conv_out) = (Vec::new(), Vec::new(), Vec::new());
+    for n in 1..=17 {
+        let a = uniform(&mut rng, Shape::matrix(300, 130), -1.0, 1.0);
+        let b = uniform(&mut rng, Shape::matrix(130, n), -1.0, 1.0);
+        f32_out.extend_from_slice(matmul(&a, &b).expect("shapes are valid").as_slice());
+    }
+    for n in 1..=33 {
+        let a = uniform(&mut rng, Shape::matrix(640, 54), -1.0, 1.0);
+        let b = uniform(&mut rng, Shape::matrix(54, n), -1.0, 1.0);
+        i8_out.extend_from_slice(matmul_i8(&a, &b).expect("shapes are valid").as_slice());
+    }
+    let geom = Conv2dGeometry::same3x3();
+    for (c, hw, n) in [(5, 1, 3), (5, 2, 3), (48, 2, 8)] {
+        let dims = ConvPlanDims {
+            c_in: c,
+            h: hw,
+            w: hw,
+            c_out: c,
+            oh: hw,
+            ow: hw,
+            geom,
+        };
+        let x = uniform(&mut rng, Shape::nchw(n, c, hw, hw), -1.0, 1.0);
+        let w = uniform(&mut rng, Shape::nchw(c, c, 3, 3), -0.5, 0.5);
+        let bias = uniform(&mut rng, Shape::vector(c), -0.1, 0.1);
+        let mut out = vec![0.0f32; n * c * hw * hw];
+        conv2d_infer_packed(
+            x.as_slice(),
+            n,
+            &dims,
+            &Im2colGather::compile(&dims),
+            w.as_slice(),
+            bias.as_slice(),
+            &mut out,
+            false,
+            kernel_mode(),
+        )
+        .expect("dims are consistent");
+        conv_out.extend_from_slice(&out);
+    }
+    (fnv1a(&f32_out), fnv1a(&i8_out), fnv1a(&conv_out))
+}
+
 fn probe_elementwise() -> u64 {
     let mut rng = StdRng::seed_from_u64(14);
     let x = uniform(&mut rng, Shape::vector(20_000), -2.0, 2.0);
@@ -93,4 +146,8 @@ fn main() {
     println!("conv2d_backward {bwd:#018x}");
     println!("training_step   {:#018x}", probe_training_step());
     println!("elementwise     {:#018x}", probe_elementwise());
+    let (gemm, gemm_i8, conv) = probe_ragged();
+    println!("ragged_gemm     {gemm:#018x}");
+    println!("ragged_gemm_i8  {gemm_i8:#018x}");
+    println!("ragged_planned  {conv:#018x}");
 }

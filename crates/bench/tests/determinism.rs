@@ -166,7 +166,9 @@ fn kernel_probe_stdout_is_identical_under_seal_threads_env() {
         outputs.join("---\n")
     );
     assert!(
-        outputs[0].contains("matmul") && outputs[0].contains("training_step"),
+        ["matmul", "training_step", "ragged_gemm_i8", "ragged_planned"]
+            .iter()
+            .all(|section| outputs[0].contains(section)),
         "probe output missing expected sections:\n{}",
         outputs[0]
     );

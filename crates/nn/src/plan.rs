@@ -223,12 +223,13 @@ impl Arena {
 struct QuantScratch {
     /// One quantized input image, offset-binary u8 (conv path).
     q_img: Vec<u8>,
-    /// The quantized A operand: a patch-major im2col matrix (conv, one
-    /// image at a time) or the whole activation batch (linear).
+    /// The quantized A operand: a patch-major im2col matrix (conv: one
+    /// image, or the whole batch stacked when the shape folds) or the
+    /// whole activation batch (linear).
     qa: Vec<u8>,
     /// The exact i32 GEMM accumulator.
     acc: Vec<i32>,
-    /// Per-row activation scales (linear path).
+    /// Activation scales: per row (linear) or per image of one conv GEMM.
     a_scales: Vec<f32>,
 }
 
@@ -517,24 +518,36 @@ fn run_plain<'a>(
             let in_vol = dims.c_in * dims.h * dims.w;
             let s = gather.spatial();
             let out_vol = dims.c_out * s;
-            // One image at a time: per-image symmetric activation scale,
-            // patch-major gather, exact-i32 GEMM (internally parallel and
+            let patch_bytes = gather.patch_bytes();
+            // Per-image symmetric activation scale and patch-major
+            // gather, exact-i32 GEMM (internally parallel and
             // deterministic), transpose back to NCHW during dequantize.
-            for img in 0..n {
-                let x = &cur[img * in_vol..(img + 1) * in_vol];
-                let a_scale = quantize_slice_u8(x, &mut quant.q_img[..in_vol]);
-                gather_patches_u8(&quant.q_img[..in_vol], gather, &mut quant.qa);
-                gemm_i8(&quant.qa, packed, &mut quant.acc, s, mode);
-                dequantize_transpose_bias_relu(
-                    &quant.acc,
-                    a_scale,
-                    packed.scales(),
-                    Some(bias),
-                    &mut nxt[img * out_vol..(img + 1) * out_vol],
-                    s,
-                    dims.c_out,
-                    *relu,
-                );
+            // One GEMM per image — or, when an image is narrower than a
+            // GEMM strip, one over the whole batch's stacked patch rows.
+            let group = if dims.folds_batch() { n } else { 1 };
+            for g0 in (0..n).step_by(group) {
+                for j in 0..group {
+                    let x = &cur[(g0 + j) * in_vol..(g0 + j + 1) * in_vol];
+                    quant.a_scales[j] = quantize_slice_u8(x, &mut quant.q_img[..in_vol]);
+                    gather_patches_u8(
+                        &quant.q_img[..in_vol],
+                        gather,
+                        &mut quant.qa[j * patch_bytes..(j + 1) * patch_bytes],
+                    );
+                }
+                gemm_i8(&quant.qa, packed, &mut quant.acc, group * s, mode);
+                for j in 0..group {
+                    dequantize_transpose_bias_relu(
+                        &quant.acc[j * out_vol..(j + 1) * out_vol],
+                        quant.a_scales[j],
+                        packed.scales(),
+                        Some(bias),
+                        &mut nxt[(g0 + j) * out_vol..(g0 + j + 1) * out_vol],
+                        s,
+                        dims.c_out,
+                        *relu,
+                    );
+                }
             }
         }
         Step::QLinear {
@@ -970,9 +983,12 @@ fn quant_sizes(steps: &[Step], max_batch: usize, sz: &mut QuantSizes) {
     for step in steps {
         match step {
             Step::QConv { dims, gather, .. } => {
+                // Images per GEMM: the whole batch when the shape folds.
+                let group = if dims.folds_batch() { max_batch } else { 1 };
                 sz.q_img = sz.q_img.max(dims.c_in * dims.h * dims.w);
-                sz.qa = sz.qa.max(gather.patch_bytes());
-                sz.acc = sz.acc.max(gather.spatial() * dims.c_out);
+                sz.qa = sz.qa.max(group * gather.patch_bytes());
+                sz.acc = sz.acc.max(group * gather.spatial() * dims.c_out);
+                sz.a_scales = sz.a_scales.max(group);
             }
             Step::QLinear { in_f, out_f, .. } => {
                 sz.qa = sz.qa.max(max_batch * quantized_row_len(*in_f));

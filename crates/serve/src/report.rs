@@ -167,6 +167,11 @@ impl ServeReport {
             out.push_str("  },\n");
         }
 
+        // Which kernels ran: stated in the `quant` and `server` blocks.
+        let kernel = format!(
+            "    \"kernel_mode\": \"{}\",\n    \"int8_kernel\": \"{}\",\n",
+            self.stats.kernel_mode, self.stats.int8_kernel
+        );
         if let Some(q) = &self.quant_comparison {
             out.push_str("  \"quant\": {\n");
             out.push_str(&format!(
@@ -178,6 +183,7 @@ impl ServeReport {
                 q.int8_rps
             ));
             out.push_str(&format!("    \"speedup\": {:.3},\n", q.speedup()));
+            out.push_str(&kernel);
             out.push_str("    \"lanes\": [\n");
             for (i, lane) in q.lanes.iter().enumerate() {
                 out.push_str("      {\n");
@@ -228,6 +234,7 @@ impl ServeReport {
         out.push_str("  },\n");
 
         out.push_str("  \"server\": {\n");
+        out.push_str(&kernel);
         out.push_str("    \"latency_us\": ");
         out.push_str(&latency_json(&mut self.stats.latency, "    "));
         out.push_str(",\n");
@@ -710,6 +717,8 @@ mod tests {
             "\"prefetch_hits\"",
             "\"prefetch_fills\"",
             "\"ro_hits\"",
+            "\"kernel_mode\"",
+            "\"int8_kernel\"",
         ] {
             assert!(json.contains(needle), "missing {needle} in:\n{json}");
         }
@@ -808,6 +817,7 @@ mod tests {
             "\"int8_throughput_rps\"",
             "\"enc_bytes_ratio\"",
             "\"makespan_ratio\"",
+            "\"int8_kernel\"",
         ] {
             assert!(json.contains(needle), "missing {needle}");
         }

@@ -161,6 +161,12 @@ pub struct ServeStats {
     /// Injected-fault and recovery accounting from the cost model's chaos
     /// schedule (`None` when the server ran without fault injection).
     pub faults: Option<FaultStats>,
+    /// The GEMM kernel mode this process resolves (`SEAL_KERNEL`
+    /// spelling: `scalar|avx2|avx512|fma`).
+    pub kernel_mode: &'static str,
+    /// The int8 micro-kernel that mode dispatches to on this host
+    /// (`scalar|avx2|vnni`).
+    pub int8_kernel: &'static str,
 }
 
 /// A running inference server.
@@ -351,6 +357,7 @@ impl Server {
         let faults = cost.fault_stats();
         drop(cost);
         let worker_errors = std::mem::take(&mut *locked(&self.shared.errors));
+        let mode = seal_tensor::ops::kernel_mode();
         Ok(ServeStats {
             latency,
             batches,
@@ -363,6 +370,8 @@ impl Server {
             supervision,
             breaker: locked(&self.shared.breaker).stats(),
             faults,
+            kernel_mode: mode.name(),
+            int8_kernel: seal_tensor::ops::i8_kernel_name(mode),
         })
     }
 }

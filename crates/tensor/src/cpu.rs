@@ -8,12 +8,16 @@
 //! process and is cached in a [`std::sync::OnceLock`]; the answers are
 //! immutable afterwards.
 //!
-//! The `SEAL_KERNEL` override (`avx512` | `fma` | `avx2` | `scalar`) is
-//! honoured one layer above, by [`crate::ops::KernelMode`]: a requested
-//! mode is *degraded* against these cached features (`avx512 → avx2 →
-//! scalar` within the multiply-then-add rounding class, `fma → avx2 →
-//! scalar` for the contracted class), so an unavailable request can never
-//! select an illegal instruction.
+//! Mode selection happens one layer above, in [`crate::ops::KernelMode`],
+//! always against these cached features. With `SEAL_KERNEL` unset (or
+//! unknown) the mode is the widest *bit-identical* one the host offers:
+//! `avx512` → `avx2` → `scalar`, which all evaluate the same
+//! multiply-then-add tree — and on the int8 side select `vpdpbusd`
+//! wherever VNNI exists. `fma` rounds differently and is therefore never
+//! picked implicitly, only by `SEAL_KERNEL=fma`. An explicit request the
+//! CPU cannot run *degrades* (`avx512 → avx2 → scalar` within the
+//! multiply-then-add rounding class, `fma → avx2 → scalar` for the
+//! contracted class), so it can never select an illegal instruction.
 
 use std::sync::OnceLock;
 

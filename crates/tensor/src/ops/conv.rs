@@ -9,7 +9,7 @@
 //! in the same sequential order as the serial loops, so results are
 //! bitwise identical for any `SEAL_THREADS`.
 
-use super::matmul::{gemm, gemm_consume, gemm_shared_pack, kernel_mode, KernelMode, TailB, KC, NR};
+use super::matmul::{gemm, gemm_consume, gemm_shared_pack, kernel_mode, KernelMode, KC, NR};
 use crate::{Shape, Tensor, TensorError};
 use std::cell::RefCell;
 
@@ -22,12 +22,10 @@ thread_local! {
     /// shrunk) so steady-state convolutions allocate nothing.
     // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
     static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed-im2col panel scratch for the planned path.
+    /// Per-thread packed-im2col panel scratch for the planned path (the
+    /// folded-batch path stages its GEMM output behind the panel).
     // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
     static PACKED_COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed-im2col column-tail scratch for the planned path.
-    // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
-    static PACKED_TAIL: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Geometry of a 2-D convolution: kernel size, stride and zero padding
@@ -295,30 +293,38 @@ pub struct ConvPlanDims {
     pub geom: Conv2dGeometry,
 }
 
-/// Compile-time im2col gather tables for a planned convolution: for each
-/// cell of the packed-panel (and column-tail) im2col representation, the
-/// source offset inside one image's `c_in·h·w` block, or `-1` where the
-/// receptive field falls in the zero padding.
+impl ConvPlanDims {
+    /// True when one image has fewer output positions than one GEMM
+    /// column strip. The planned convolutions then run a batch as **one**
+    /// GEMM over every image's positions side by side instead of one
+    /// mostly-padding strip per image. A shape-only rule, so the choice
+    /// can never depend on the thread count or the kernel mode.
+    pub fn folds_batch(&self) -> bool {
+        self.oh * self.ow < NR
+    }
+}
+
+/// Compile-time im2col gather table for a planned convolution: for each
+/// cell of the packed-panel im2col representation, the source offset
+/// inside one image's `c_in·h·w` block, or `-1` where the receptive field
+/// falls in the zero padding (and in the pad lanes of the last strip).
 ///
-/// The tables depend only on the shape, so compiled-plan callers build
-/// them **once at plan-compile time** and the steady-state fill
+/// The table depends only on the shape, so compiled-plan callers build
+/// it **once at plan-compile time** and the steady-state fill
 /// degenerates to a branch-light gather — no per-element index
 /// arithmetic on the hot path at all.
 ///
 /// Layout matches `pack_b_full` applied to the im2col matrix
-/// (`[c_in·k·k] × [oh·ow]`): panel `p` at offset `p·KC·strips·NR`,
-/// strip-major inside; the `s % NR` rightmost output positions go to
-/// `tail` column-major (`tail[tj·kdim + q]`).
+/// (`[c_in·k·k] × [oh·ow]`): `strips = ceil(oh·ow / NR)`, panel `p` at
+/// offset `p·KC·strips·NR`, strip-major inside, the last strip padded.
 #[derive(Debug, Clone)]
 pub struct Im2colGather {
-    /// Source offsets for the packed panel region (`strips·kdim·NR`).
+    /// Source offsets for the packed panels (`strips·kdim·NR`).
     panels: Vec<i32>,
-    /// Source offsets for the column-major tail (`tn·kdim`).
-    tail: Vec<i32>,
 }
 
 impl Im2colGather {
-    /// Builds the gather tables for `dims`. This allocates and runs the
+    /// Builds the gather table for `dims`. This allocates and runs the
     /// full index arithmetic — call it at plan-compile time, never per
     /// batch.
     // seal-lint: allow(panic-freedom) — precomputed gather indices are built from the same validated geometry they will be used under
@@ -335,95 +341,138 @@ impl Im2colGather {
         let (k, stride, pad) = (geom.kernel, geom.stride, geom.padding);
         let s = oh * ow;
         let kdim = c_in * k * k;
-        let strips = s / NR;
-        let tn = s - strips * NR;
-        let src = |q: usize, p: usize| -> i32 {
-            let kx = q % k;
-            let ky = (q / k) % k;
-            let ci = q / (k * k);
-            let (oy, ox) = (p / ow, p % ow);
-            let iy = (oy * stride + ky) as isize - pad as isize;
-            let ix = (ox * stride + kx) as isize - pad as isize;
-            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                (ci * h * w + iy as usize * w + ix as usize) as i32
-            } else {
-                -1
-            }
-        };
-        // One-time compile-step allocations, mirrored on the packed layout.
+        let strips = s.div_ceil(NR);
+        // Top-left input coordinate of every output position's receptive
+        // field, computed once. One-time compile-step allocations.
+        let origin: Vec<(isize, isize)> = (0..s)
+            .map(|p| {
+                (
+                    (p / ow * stride) as isize - pad as isize,
+                    (p % ow * stride) as isize - pad as isize,
+                )
+            })
+            .collect(); // seal-lint: allow(hot-path-alloc)
         let mut panels = vec![0i32; strips * kdim * NR]; // seal-lint: allow(hot-path-alloc)
-        let mut tail = vec![0i32; tn * kdim]; // seal-lint: allow(hot-path-alloc)
         let mut k0 = 0;
         while k0 < kdim {
             let kc = KC.min(kdim - k0);
             let base = k0 * strips * NR;
             for sidx in 0..strips {
                 let dst = &mut panels[base + sidx * kc * NR..base + (sidx + 1) * kc * NR];
-                for kk in 0..kc {
-                    for c in 0..NR {
-                        dst[kk * NR + c] = src(k0 + kk, sidx * NR + c);
+                for (kk, drow) in dst.chunks_exact_mut(NR).enumerate() {
+                    let q = k0 + kk;
+                    let (ci, ky, kx) = (q / (k * k), (q / k % k) as isize, (q % k) as isize);
+                    for (c, d) in drow.iter_mut().enumerate() {
+                        // Positions past `s` are the pad lanes of the
+                        // last strip: they gather the explicit zero too.
+                        *d = match origin.get(sidx * NR + c) {
+                            Some(&(y0, x0))
+                                if (0..h as isize).contains(&(y0 + ky))
+                                    && (0..w as isize).contains(&(x0 + kx)) =>
+                            {
+                                (ci * h * w) as i32 + ((y0 + ky) * w as isize + x0 + kx) as i32
+                            }
+                            _ => -1,
+                        };
                     }
                 }
             }
             k0 += KC;
         }
-        for tj in 0..tn {
-            for (q, t) in tail[tj * kdim..(tj + 1) * kdim].iter_mut().enumerate() {
-                *t = src(q, strips * NR + tj);
-            }
-        }
-        Im2colGather { panels, tail }
+        Im2colGather { panels }
     }
 
     /// Total number of gather cells (diagnostic/size accounting).
     pub fn len(&self) -> usize {
-        self.panels.len() + self.tail.len()
+        self.panels.len()
     }
 
-    /// Whether the tables are empty (degenerate zero-volume shapes).
+    /// Whether the table is empty (degenerate zero-volume shapes).
     pub fn is_empty(&self) -> bool {
-        self.panels.is_empty() && self.tail.is_empty()
+        self.panels.is_empty()
     }
 }
 
-/// Fills the packed-panel + column-tail im2col representation of one
-/// image directly from its `c_in·h·w` block via the precompiled gather
-/// tables. The destination buffers are grown once and never cleared
-/// (every live element is overwritten), so steady-state execution
-/// performs no allocation — and no index arithmetic: each cell is a
-/// bounds-folded load (`-1` padding offsets wrap past the image length
-/// and yield the explicit `0.0` the GEMM reduction expects).
-fn fill_im2col_packed(
-    panels: &mut Vec<f32>,
-    tail: &mut Vec<f32>,
-    img: &[f32],
+/// The first `len` floats of a per-thread scratch buffer, grown on first
+/// need and never shrunk or cleared.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Loads one gather cell: `-1` padding offsets wrap past the image length
+/// and yield the explicit `0.0` the GEMM reduction expects.
+#[inline(always)]
+fn gather_cell(img: &[f32], g: i32) -> f32 {
+    img.get(g as u32 as usize).copied().unwrap_or(0.0)
+}
+
+/// Fills the packed-panel im2col representation of one image directly
+/// from its `c_in·h·w` block via the precompiled gather table. Every live
+/// element of `panels` (pad lanes included) is overwritten, and there is
+/// no index arithmetic: each cell is a bounds-folded load.
+fn fill_im2col_packed(panels: &mut [f32], img: &[f32], gather: &Im2colGather) {
+    for (d, &g) in panels.iter_mut().zip(&gather.panels) {
+        *d = gather_cell(img, g);
+    }
+}
+
+/// Fills the packed-panel im2col representation of a whole batch of a
+/// [`ConvPlanDims::folds_batch`] shape: folded column `img·s + p` holds
+/// output position `p` of image `img`, so the `n·s` columns fill
+/// `ceil(n·s / NR)` strips instead of `n` mostly-padding ones. The
+/// per-image table has a single strip, so row `q`'s source offsets are
+/// `gather.panels[q·NR ..][..s]`.
+// seal-lint: allow(panic-freedom) — `panels` is sized `ceil(n·s/NR)·kdim·NR` by the caller and every index below is `< (k0+kc)·strips·NR`; the table holds `kdim·NR` cells (checked on entry to `conv2d_infer_packed`)
+fn fill_im2col_folded(
+    panels: &mut [f32],
+    x: &[f32],
+    n: usize,
+    s: usize,
+    kdim: usize,
     gather: &Im2colGather,
 ) {
-    if panels.len() < gather.panels.len() {
-        panels.resize(gather.panels.len(), 0.0);
-    }
-    if tail.len() < gather.tail.len() {
-        tail.resize(gather.tail.len(), 0.0);
-    }
-    for (d, &g) in panels.iter_mut().zip(&gather.panels) {
-        *d = img.get(g as u32 as usize).copied().unwrap_or(0.0);
-    }
-    for (d, &g) in tail.iter_mut().zip(&gather.tail) {
-        *d = img.get(g as u32 as usize).copied().unwrap_or(0.0);
+    let (plane, cols) = (x.len() / n, n * s);
+    let strips = cols.div_ceil(NR);
+    let mut k0 = 0;
+    while k0 < kdim {
+        let kc = KC.min(kdim - k0);
+        let panel = &mut panels[k0 * strips * NR..(k0 + kc) * strips * NR];
+        for kk in 0..kc {
+            let offs = &gather.panels[(k0 + kk) * NR..(k0 + kk) * NR + s];
+            let mut cell = |j: usize, v: f32| panel[(j / NR * kc + kk) * NR + j % NR] = v;
+            let mut j = 0;
+            for i in 0..n {
+                let img = &x[i * plane..(i + 1) * plane];
+                for &g in offs {
+                    cell(j, gather_cell(img, g));
+                    j += 1;
+                }
+            }
+            for j in cols..strips * NR {
+                cell(j, 0.0);
+            }
+        }
+        k0 += KC;
     }
 }
 
 /// Planned convolution forward pass into a caller-owned output buffer —
 /// the compiled-plan hot path. Builds each image's im2col expansion
 /// *directly in packed panel layout* (per-thread scratch, grown once)
-/// through the precompiled [`Im2colGather`] tables, so both the per-call
+/// through the precompiled [`Im2colGather`] table, so both the per-call
 /// `pack_b_panel` step of the generic GEMM *and* the per-element im2col
 /// index arithmetic disappear, and writes `n · c_out · oh · ow`
 /// activations into `out` without any heap allocation.
 ///
 /// Parallelism: a single image parallelises over `MC`-row blocks of the
 /// shared packed panel; a batch runs one task per image, each with its
-/// own thread-local packed scratch. Either way every output element
+/// own thread-local packed scratch — unless the shape
+/// [folds](ConvPlanDims::folds_batch), in which case the whole batch is
+/// one GEMM `[c_out × kdim]·[kdim × n·s]` over a shared pack, staged
+/// channel-major and copied out to NCHW. Either way every output element
 /// accumulates bias-first then ascending `(ci, ky, kx)` products inside
 /// one task — the exact order of [`conv2d`] — so the result is bitwise
 /// identical to the unplanned kernel (and therefore to `forward_infer`)
@@ -435,7 +484,7 @@ fn fill_im2col_packed(
 /// # Errors
 ///
 /// [`TensorError::LengthMismatch`] / [`TensorError::InvalidGeometry`] if
-/// the buffers or `gather` tables disagree with `dims` (the plan
+/// the buffers or `gather` table disagree with `dims` (the plan
 /// compiler guarantees they never do).
 #[allow(clippy::too_many_arguments)]
 // seal-lint: allow(panic-freedom) — panel and column offsets derive from the validated geometry and the packed panel's own extents
@@ -468,15 +517,13 @@ pub fn conv2d_infer_packed(
     }
     let s = oh * ow;
     let kdim = c_in * geom.kernel * geom.kernel;
-    let strips = s / NR;
-    let tn = s - strips * NR;
+    let packed_len = s.div_ceil(NR) * kdim * NR;
     for (expected, actual) in [
         (n * c_in * h * w, x.len()),
         (c_out * kdim, wt.len()),
         (c_out, bias.len()),
         (n * c_out * s, out.len()),
-        (strips * kdim * NR, gather.panels.len()),
-        (tn * kdim, gather.tail.len()),
+        (packed_len, gather.panels.len()),
     ] {
         if expected != actual {
             return Err(TensorError::LengthMismatch { expected, actual });
@@ -486,29 +533,40 @@ pub fn conv2d_infer_packed(
         return Ok(());
     }
     let plane = c_in * h * w;
+    if n > 1 && dims.folds_batch() {
+        // Folded batch: one shared pack of all images' columns, one GEMM
+        // (row-block parallel like the single-image path) into a
+        // channel-major stage `[c_out × n·s]`, then a copy-out to NCHW.
+        let cols = n * s;
+        let folded_len = cols.div_ceil(NR) * kdim * NR;
+        PACKED_COLS.with(|pc| {
+            let mut scratch = pc.borrow_mut();
+            let (panels, stage) =
+                grown(&mut scratch, folded_len + c_out * cols).split_at_mut(folded_len);
+            fill_im2col_folded(panels, x, n, s, kdim, gather);
+            for (row, &b) in stage.chunks_exact_mut(cols).zip(bias) {
+                row.fill(b);
+            }
+            gemm_shared_pack(wt, panels, stage, c_out, kdim, cols, mode, relu);
+            for (co, row) in stage.chunks_exact(cols).enumerate() {
+                for (img, px) in row.chunks_exact(s).enumerate() {
+                    out[(img * c_out + co) * s..][..s].copy_from_slice(px);
+                }
+            }
+        });
+        return Ok(());
+    }
     if n == 1 {
         // Single image: pack once on the caller, parallelise the consume
         // over MC-row (output-channel) blocks of the shared pack.
         PACKED_COLS.with(|pc| {
-            PACKED_TAIL.with(|pt| {
-                let mut panels = pc.borrow_mut();
-                let mut tail = pt.borrow_mut();
-                fill_im2col_packed(&mut panels, &mut tail, x, gather);
-                for (row, &b) in out.chunks_exact_mut(s).zip(bias) {
-                    row.fill(b);
-                }
-                gemm_shared_pack(
-                    wt,
-                    &panels,
-                    &TailB::Cols(&tail[..tn * kdim]),
-                    out,
-                    c_out,
-                    kdim,
-                    s,
-                    mode,
-                    relu,
-                );
-            });
+            let mut scratch = pc.borrow_mut();
+            let panels = grown(&mut scratch, packed_len);
+            fill_im2col_packed(panels, x, gather);
+            for (row, &b) in out.chunks_exact_mut(s).zip(bias) {
+                row.fill(b);
+            }
+            gemm_shared_pack(wt, panels, out, c_out, kdim, s, mode, relu);
         });
         return Ok(());
     }
@@ -516,34 +574,18 @@ pub fn conv2d_infer_packed(
     // per-thread scratch — boundaries depend only on the shape.
     seal_pool::par_chunks_mut(out, c_out * s, |img, slab| {
         PACKED_COLS.with(|pc| {
-            PACKED_TAIL.with(|pt| {
-                let mut panels = pc.borrow_mut();
-                let mut tail = pt.borrow_mut();
-                fill_im2col_packed(
-                    &mut panels,
-                    &mut tail,
-                    &x[img * plane..(img + 1) * plane],
-                    gather,
-                );
-                for (row, &b) in slab.chunks_exact_mut(s).zip(bias) {
-                    row.fill(b);
+            let mut scratch = pc.borrow_mut();
+            let panels = grown(&mut scratch, packed_len);
+            fill_im2col_packed(panels, &x[img * plane..(img + 1) * plane], gather);
+            for (row, &b) in slab.chunks_exact_mut(s).zip(bias) {
+                row.fill(b);
+            }
+            gemm_consume(wt, panels, slab, c_out, kdim, s, mode);
+            if relu {
+                for v in slab.iter_mut() {
+                    *v = v.max(0.0);
                 }
-                gemm_consume(
-                    wt,
-                    &panels,
-                    &TailB::Cols(&tail[..tn * kdim]),
-                    slab,
-                    c_out,
-                    kdim,
-                    s,
-                    mode,
-                );
-                if relu {
-                    for v in slab.iter_mut() {
-                        *v = v.max(0.0);
-                    }
-                }
-            });
+            }
         });
     });
     Ok(())

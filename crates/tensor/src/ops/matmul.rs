@@ -8,18 +8,25 @@
 //! GEMM call into per-thread scratch (grown, never cleared) and every
 //! parallel row-block task consumes that one shared pack.
 //!
+//! One tail rule: B is packed into `ceil(n / NR)` strips, the last one
+//! zero-padded to full width, and every strip — padded or not — goes
+//! through the same register micro-kernel; only the valid columns of the
+//! last strip are loaded from and stored to the output. Pad lanes are
+//! computed and thrown away, so no column ever takes a scalar path.
+//!
 //! Determinism contract: every output element accumulates its `k`
 //! products in strictly ascending `k` order within exactly one task (the
 //! accumulator is re-loaded from the output buffer at each k-panel
 //! boundary, which is exact for `f32`), so the result is bitwise
 //! identical for any thread count. The micro-kernel implementation is
 //! selected per calling thread by [`KernelMode`] (`SEAL_KERNEL`
-//! environment variable, default auto): `scalar`, `avx2` and `avx512`
-//! evaluate the same multiply-then-add expression tree and are bitwise
-//! identical to [`matmul_naive`]; `fma` contracts each step into a fused
-//! multiply-add and is bitwise identical to its own reference,
-//! [`matmul_naive_fma`], again for any thread count. Feature availability
-//! comes from the shared cached-CPUID module [`crate::cpu`].
+//! environment variable; unset resolves to the widest of `avx512` →
+//! `avx2` → `scalar` the host offers): those three evaluate the same
+//! multiply-then-add expression tree and are bitwise identical to
+//! [`matmul_naive`]; `fma` — selected only on request — contracts each
+//! step into a fused multiply-add and is bitwise identical to its own
+//! reference, [`matmul_naive_fma`], again for any thread count. Feature
+//! availability comes from the shared cached-CPUID module [`crate::cpu`].
 
 use crate::{Shape, Tensor, TensorError};
 use std::cell::{Cell, RefCell};
@@ -39,13 +46,16 @@ pub(crate) const PAR_FLOP_THRESHOLD: usize = 1_000_000;
 /// Which micro-kernel implementation a GEMM uses.
 ///
 /// Selected once per calling thread from the `SEAL_KERNEL` environment
-/// variable (`scalar` | `avx2` | `avx512` | `fma`); unset or unavailable
-/// choices degrade to the widest available non-fused kernel. `Scalar`,
-/// `Avx2` and `Avx512` evaluate identical multiply-then-add expression
-/// trees, so switching between them never changes output bits. `Fma`
-/// fuses each multiply-add step (one rounding instead of two) and
-/// therefore has its own bitwise reference, [`matmul_naive_fma`]. Within
-/// any one mode the result is bitwise identical for any thread count.
+/// variable (`scalar` | `avx2` | `avx512` | `fma`). Unset (or an unknown
+/// value) resolves to the widest *bit-identical* mode the host offers —
+/// `avx512`, else `avx2`, else `scalar` — and an explicit request the
+/// CPU cannot run degrades along the same chain. `Scalar`, `Avx2` and
+/// `Avx512` evaluate identical multiply-then-add expression trees, so
+/// switching between them never changes output bits. `Fma` fuses each
+/// multiply-add step (one rounding instead of two), therefore has its
+/// own bitwise reference, [`matmul_naive_fma`], and is never chosen
+/// unless asked for by name. Within any one mode the result is bitwise
+/// identical for any thread count.
 /// Availability is answered by the shared cached-CPUID module,
 /// [`crate::cpu::cpu_features`], so no kernel family can disagree with
 /// another about the host.
@@ -56,11 +66,13 @@ pub enum KernelMode {
     /// The scalar expression tree compiled with 256-bit vectors enabled
     /// (bitwise identical to `Scalar`).
     Avx2,
-    /// The scalar expression tree compiled with AVX-512 codegen enabled
-    /// — still multiply-then-add, so bitwise identical to `Scalar` and
-    /// `Avx2` for `f32`. Its real payoff is the int8 path: this mode
-    /// selects the VNNI `vpdpbusd` quantized GEMM kernel when the CPU
-    /// has it (`ops::quant`).
+    /// The widest kernels of an AVX-512 host. The payoff is the int8
+    /// path: this mode selects the VNNI `vpdpbusd` quantized GEMM kernel
+    /// when the CPU has it (`ops::quant`). The `f32` register tile is
+    /// only eight lanes wide, so for `f32` this mode runs the same
+    /// 256-bit tile as `Avx2` (bitwise identical to `Scalar` either
+    /// way); 512-bit codegen could only pair two rows per register,
+    /// which measured 8% slower end to end.
     Avx512,
     /// Fused multiply-add kernel (`f32::mul_add` / `vfmadd`): faster and
     /// more accurate, but rounds differently from `Scalar`/`Avx2`.
@@ -75,7 +87,7 @@ impl KernelMode {
         match self {
             KernelMode::Scalar => true,
             KernelMode::Avx2 => f.avx2,
-            KernelMode::Avx512 => f.avx512(),
+            KernelMode::Avx512 => f.avx2 && f.avx512(),
             KernelMode::Fma => f.avx2 && f.fma,
         }
     }
@@ -105,13 +117,16 @@ impl KernelMode {
         }
     }
 
-    fn from_env() -> KernelMode {
-        let requested = match std::env::var("SEAL_KERNEL").ok().as_deref() {
+    /// The mode a `SEAL_KERNEL` value (or its absence) selects on this
+    /// host.
+    fn resolve(request: Option<&str>) -> KernelMode {
+        let requested = match request {
             Some("scalar") => KernelMode::Scalar,
+            Some("avx2") => KernelMode::Avx2,
             Some("fma") => KernelMode::Fma,
-            Some("avx512") => KernelMode::Avx512,
-            // `avx2`, unset, or an unknown value: the historical default.
-            _ => KernelMode::Avx2,
+            // `avx512`, unset, or an unknown value: the widest mode of
+            // the multiply-then-add rounding class the host offers.
+            _ => KernelMode::Avx512,
         };
         requested.degrade()
     }
@@ -134,7 +149,7 @@ pub fn kernel_mode() -> KernelMode {
     MODE.with(|m| match m.get() {
         Some(mode) => mode,
         None => {
-            let mode = KernelMode::from_env();
+            let mode = KernelMode::resolve(std::env::var("SEAL_KERNEL").ok().as_deref());
             m.set(Some(mode));
             mode
         }
@@ -266,17 +281,6 @@ pub fn matmul_naive_fma(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor, TensorErro
     Tensor::from_vec(out, Shape::matrix(m, n))
 }
 
-/// How the consume core reads the `n % NR` column tail that is not
-/// covered by packed strips.
-pub(crate) enum TailB<'a> {
-    /// The full row-major `k×n` B matrix is at hand: read the tail
-    /// straight out of it (`b[kk*n + j]`).
-    Raw(&'a [f32]),
-    /// Only a pre-extracted tail is at hand: `n % NR` columns stored
-    /// column-major (`cols[tj*k + kk]`), as built by pack-time code.
-    Cols(&'a [f32]),
-}
-
 /// `out[m×n] += a[m×k] · b[k×n]` with deterministic row-block
 /// parallelism. `out` may be pre-initialised (e.g. with a bias); each
 /// element's products are added in ascending `k` order on top of it.
@@ -296,11 +300,10 @@ pub(crate) fn gemm(
     if m == 0 || n == 0 {
         return;
     }
-    let strips = n / NR;
     PACK.with(|pack| {
         let mut pack = pack.borrow_mut();
-        pack_b_full(b, &mut pack, k, n, strips);
-        gemm_shared_pack(a, &pack, &TailB::Raw(b), out, m, k, n, mode, false);
+        pack_b_full(b, &mut pack, k, n);
+        gemm_shared_pack(a, &pack, out, m, k, n, mode, false);
     });
 }
 
@@ -314,7 +317,6 @@ pub(crate) fn gemm(
 pub(crate) fn gemm_shared_pack(
     a: &[f32],
     pack: &[f32],
-    tail: &TailB<'_>,
     out: &mut [f32],
     m: usize,
     k: usize,
@@ -327,7 +329,7 @@ pub(crate) fn gemm_shared_pack(
     }
     let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
     if flops < PAR_FLOP_THRESHOLD || m <= MC {
-        gemm_consume(a, pack, tail, out, m, k, n, mode);
+        gemm_consume(a, pack, out, m, k, n, mode);
         if epilogue_relu {
             for v in out.iter_mut() {
                 *v = v.max(0.0);
@@ -341,7 +343,6 @@ pub(crate) fn gemm_shared_pack(
         gemm_consume(
             &a[row0 * k..(row0 + rows) * k],
             pack,
-            tail,
             out_block,
             rows,
             k,
@@ -358,8 +359,9 @@ pub(crate) fn gemm_shared_pack(
 
 /// Serial cache-blocked consume over a row range: walks the k-panels of
 /// an already-packed B (strip-major panels laid out back to back, panel
-/// `p` at offset `p·KC·strips·NR`), feeding each strip to the MR×NR
-/// micro-kernel, then finishes the `n % NR` column tail. Accumulation
+/// `p` at offset `p·KC·strips·NR` with `strips = ceil(n / NR)`), feeding
+/// each strip — the zero-padded last one included — to the MR×NR
+/// micro-kernel together with its count of valid columns. Accumulation
 /// order per output element is ascending `k`, carried through `out`
 /// across k-panels.
 #[allow(clippy::too_many_arguments)]
@@ -367,184 +369,46 @@ pub(crate) fn gemm_shared_pack(
 pub(crate) fn gemm_consume(
     a: &[f32],
     pack: &[f32],
-    tail: &TailB<'_>,
     out: &mut [f32],
     rows: usize,
     k: usize,
     n: usize,
     mode: KernelMode,
 ) {
-    let strips = n / NR; // full NR-wide column strips
-    if strips > 0 {
-        let mut k0 = 0;
-        while k0 < k {
-            let kc = KC.min(k - k0);
-            let base = k0 * strips * NR;
-            let mut i0 = 0;
-            while i0 < rows {
-                let mr = MR.min(rows - i0);
+    let strips = n.div_ceil(NR);
+    let mut k0 = 0;
+    while k0 < k {
+        let kc = KC.min(k - k0);
+        let base = k0 * strips * NR;
+        let mut i0 = 0;
+        while i0 < rows {
+            let mr = MR.min(rows - i0);
+            for s in 0..strips {
+                let bp = &pack[base + s * kc * NR..base + (s + 1) * kc * NR];
+                let nc = NR.min(n - s * NR);
                 if mr == MR {
-                    for s in 0..strips {
-                        let bp = &pack[base + s * kc * NR..base + (s + 1) * kc * NR];
-                        micro_kernel(mode, a, bp, out, i0, k0, k, n, s);
-                    }
+                    micro_kernel(mode, a, bp, out, i0, k0, k, n, s, nc);
                 } else {
-                    for s in 0..strips {
-                        let bp = &pack[base + s * kc * NR..base + (s + 1) * kc * NR];
-                        edge_rows(mode, a, bp, out, i0, mr, k0, k, n, s);
-                    }
+                    edge_rows(mode, a, bp, out, i0, mr, k0, k, n, s, nc);
                 }
-                i0 += MR;
             }
-            k0 += KC;
+            i0 += MR;
         }
-    }
-    // Column tail (n % NR): scalar, full-k ascending order.
-    if strips * NR < n {
-        match (tail, mode) {
-            (TailB::Raw(b), KernelMode::Fma) => {
-                // SAFETY: `Fma` is only ever installed when the CPU
-                // reports avx2+fma (see `KernelMode::degrade`).
-                #[cfg(target_arch = "x86_64")]
-                unsafe {
-                    tail_raw_fma(a, b, out, rows, k, n, strips)
-                };
-                #[cfg(not(target_arch = "x86_64"))]
-                tail_raw_fma_body(a, b, out, rows, k, n, strips);
-            }
-            (TailB::Raw(b), _) => tail_raw(a, b, out, rows, k, n, strips),
-            (TailB::Cols(cols), KernelMode::Fma) => {
-                // SAFETY: as above — `Fma` implies avx2+fma.
-                #[cfg(target_arch = "x86_64")]
-                unsafe {
-                    tail_cols_fma(a, cols, out, rows, k, n, strips)
-                };
-                #[cfg(not(target_arch = "x86_64"))]
-                tail_cols_fma_body(a, cols, out, rows, k, n, strips);
-            }
-            (TailB::Cols(cols), _) => tail_cols(a, cols, out, rows, k, n, strips),
-        }
+        k0 += KC;
     }
 }
 
-// seal-lint: allow(panic-freedom) — tail extents are the remainders of the blocking scheme, always within the panel
-fn tail_raw(a: &[f32], b: &[f32], out: &mut [f32], rows: usize, k: usize, n: usize, strips: usize) {
-    for i in 0..rows {
-        for j in (strips * NR)..n {
-            let mut acc = out[i * n + j];
-            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-                acc += av * b[kk * n + j];
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tail_raw_fma(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    strips: usize,
-) {
-    tail_raw_fma_body(a, b, out, rows, k, n, strips);
-}
-
-#[inline(always)]
-// seal-lint: allow(panic-freedom) — tail extents are the remainders of the blocking scheme, always within the panel
-fn tail_raw_fma_body(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    strips: usize,
-) {
-    for i in 0..rows {
-        for j in (strips * NR)..n {
-            let mut acc = out[i * n + j];
-            for (kk, &av) in a[i * k..(i + 1) * k].iter().enumerate() {
-                acc = av.mul_add(b[kk * n + j], acc);
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-// seal-lint: allow(panic-freedom) — column-tail offsets stay inside the packed panel by the blocking invariant
-fn tail_cols(
-    a: &[f32],
-    cols: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    strips: usize,
-) {
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        for (tj, col) in cols.chunks_exact(k).enumerate() {
-            let j = strips * NR + tj;
-            let mut acc = out[i * n + j];
-            for (av, bv) in arow.iter().zip(col) {
-                acc += av * bv;
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tail_cols_fma(
-    a: &[f32],
-    cols: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    strips: usize,
-) {
-    tail_cols_fma_body(a, cols, out, rows, k, n, strips);
-}
-
-#[inline(always)]
-// seal-lint: allow(panic-freedom) — column-tail offsets stay inside the packed panel by the blocking invariant
-fn tail_cols_fma_body(
-    a: &[f32],
-    cols: &[f32],
-    out: &mut [f32],
-    rows: usize,
-    k: usize,
-    n: usize,
-    strips: usize,
-) {
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        for (tj, col) in cols.chunks_exact(k).enumerate() {
-            let j = strips * NR + tj;
-            let mut acc = out[i * n + j];
-            for (av, bv) in arow.iter().zip(col) {
-                acc = av.mul_add(*bv, acc);
-            }
-            out[i * n + j] = acc;
-        }
-    }
-}
-
-/// Packs all `k` rows of B into back-to-back k-panels of `strips`
-/// NR-wide strip-major panels: panel `p` (rows `p·KC ..`) lives at offset
-/// `p·KC·strips·NR`, and within it
-/// `pack[s][kk][c] = b[(p·KC+kk)·n + s·NR+c]`. The destination is grown
-/// once and never cleared — every live element is overwritten — so
-/// steady-state packing performs no allocation and no redundant zeroing.
+/// Packs all `k` rows of B into back-to-back k-panels of
+/// `strips = ceil(n / NR)` NR-wide strip-major panels: panel `p` (rows
+/// `p·KC ..`) lives at offset `p·KC·strips·NR`, and within it
+/// `pack[s][kk][c] = b[(p·KC+kk)·n + s·NR+c]`, with `0.0` in the pad
+/// lanes (`s·NR+c ≥ n`) of the last strip. The destination is grown once
+/// and never cleared — every live element, pad lanes included, is
+/// overwritten — so steady-state packing performs no allocation and no
+/// redundant zeroing.
 // seal-lint: allow(panic-freedom) — pack offsets enumerate `k x n` exactly once; the destination is sized for the padded panel
-pub(crate) fn pack_b_full(b: &[f32], pack: &mut Vec<f32>, k: usize, n: usize, strips: usize) {
+pub(crate) fn pack_b_full(b: &[f32], pack: &mut Vec<f32>, k: usize, n: usize) {
+    let strips = n.div_ceil(NR);
     let need = strips * k * NR;
     if pack.len() < need {
         pack.resize(need, 0.0);
@@ -554,20 +418,61 @@ pub(crate) fn pack_b_full(b: &[f32], pack: &mut Vec<f32>, k: usize, n: usize, st
         let kc = KC.min(k - k0);
         let base = k0 * strips * NR;
         for s in 0..strips {
+            let nc = NR.min(n - s * NR);
             let dst = &mut pack[base + s * kc * NR..base + (s + 1) * kc * NR];
             for (kk, drow) in dst.chunks_exact_mut(NR).enumerate() {
-                let src = &b[(k0 + kk) * n + s * NR..(k0 + kk) * n + s * NR + NR];
-                drow.copy_from_slice(src);
+                let src = &b[(k0 + kk) * n + s * NR..(k0 + kk) * n + s * NR + nc];
+                if nc == NR {
+                    drow.copy_from_slice(src); // fixed-width copy
+                } else {
+                    drow[..nc].copy_from_slice(src);
+                    drow[nc..].fill(0.0);
+                }
             }
         }
         k0 += KC;
     }
 }
 
+/// Loads the `src.len() ≤ NR` valid columns of one output-row segment
+/// into a register-tile row whose pad lanes stay `0.0`. A full strip
+/// takes the fixed-width copy.
+#[inline(always)]
+// seal-lint: allow(panic-freedom) — `src` is the `nc ≤ NR` valid columns `gemm_consume` sliced for this strip
+fn load_lanes(dst: &mut [f32; NR], src: &[f32]) {
+    match <&[f32; NR]>::try_from(src) {
+        Ok(full) => *dst = *full,
+        Err(_) => dst[..src.len()].copy_from_slice(src),
+    }
+}
+
+/// Stores the `dst.len() ≤ NR` valid columns of a register-tile row; the
+/// pad lanes never reach memory.
+#[inline(always)]
+// seal-lint: allow(panic-freedom) — `dst` is the `nc ≤ NR` valid columns `gemm_consume` sliced for this strip
+fn store_lanes(dst: &mut [f32], src: &[f32; NR]) {
+    match <&mut [f32; NR]>::try_from(&mut *dst) {
+        Ok(full) => *full = *src,
+        Err(_) => dst.copy_from_slice(&src[..dst.len()]),
+    }
+}
+
+/// One accumulation step: multiply-then-add (two roundings), or the
+/// contracted `mul_add` (one rounding) of [`KernelMode::Fma`].
+#[inline(always)]
+fn step<const FMA: bool>(acc: f32, a: f32, b: f32) -> f32 {
+    if FMA {
+        a.mul_add(b, acc)
+    } else {
+        acc + a * b
+    }
+}
+
 /// MR×NR register tile dispatcher for the thread's selected kernel.
-/// `Scalar` and `Avx2` run the same multiply-then-add expression tree
-/// (the choice only changes how many lanes the autovectorizer uses);
-/// `Fma` contracts each step with `mul_add`.
+/// `Scalar`, `Avx2` and `Avx512` run the same multiply-then-add
+/// expression tree (the choice only changes how many lanes the
+/// autovectorizer may use); `Fma` contracts each step with `mul_add`.
+/// `nc` is the number of valid columns in strip `s`.
 #[allow(clippy::too_many_arguments)]
 fn micro_kernel(
     mode: KernelMode,
@@ -579,28 +484,31 @@ fn micro_kernel(
     k: usize,
     n: usize,
     s: usize,
+    nc: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
     match mode {
-        KernelMode::Scalar => micro_kernel_generic(a, bp, out, i0, k0, k, n, s),
-        // SAFETY: `Avx2`/`Fma` are only installed when detected
-        // (`KernelMode::degrade`).
-        KernelMode::Avx2 => unsafe { micro_kernel_avx2(a, bp, out, i0, k0, k, n, s) },
-        // SAFETY: `Avx512` is only installed when `cpu_features().avx512()`
-        // holds (`KernelMode::degrade`), so avx512f codegen is sound here.
-        KernelMode::Avx512 => unsafe { micro_kernel_avx512(a, bp, out, i0, k0, k, n, s) },
+        KernelMode::Scalar => micro_kernel_body::<false>(a, bp, out, i0, k0, k, n, s, nc),
+        // The tile is NR = 8 lanes wide, so `Avx512` runs the 256-bit
+        // tile too: 512-bit codegen can only pair two rows per register,
+        // which measured slower.
+        // SAFETY: `Avx2` and `Avx512` are only installed when the CPU
+        // reports avx2 (`KernelMode::is_available` via `degrade`).
+        KernelMode::Avx2 | KernelMode::Avx512 => unsafe {
+            micro_kernel_avx2(a, bp, out, i0, k0, k, n, s, nc)
+        },
         // SAFETY: `Fma` likewise — `KernelMode::degrade` clears it on any
         // CPU that lacks the feature, so the target-feature fn is sound.
-        KernelMode::Fma => unsafe { micro_kernel_fma(a, bp, out, i0, k0, k, n, s) },
+        KernelMode::Fma => unsafe { micro_kernel_fma(a, bp, out, i0, k0, k, n, s, nc) },
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = mode;
-        micro_kernel_generic(a, bp, out, i0, k0, k, n, s);
+    match mode {
+        KernelMode::Fma => micro_kernel_body::<true>(a, bp, out, i0, k0, k, n, s, nc),
+        _ => micro_kernel_body::<false>(a, bp, out, i0, k0, k, n, s, nc),
     }
 }
 
-/// [`micro_kernel_generic`] compiled with 256-bit vectors enabled. The
+/// The multiply-then-add tile compiled with 256-bit vectors enabled. The
 /// body is identical — no FMA contraction is enabled, so `mul` + `add`
 /// round exactly like the baseline build and results stay bitwise equal.
 #[cfg(target_arch = "x86_64")]
@@ -615,32 +523,13 @@ unsafe fn micro_kernel_avx2(
     k: usize,
     n: usize,
     s: usize,
+    nc: usize,
 ) {
-    micro_kernel_generic(a, bp, out, i0, k0, k, n, s);
+    micro_kernel_body::<false>(a, bp, out, i0, k0, k, n, s, nc);
 }
 
-/// [`micro_kernel_generic`] compiled with AVX-512 codegen enabled. The
-/// body is the same multiply-then-add expression tree — no FMA
-/// contraction — so results stay bitwise equal to `Scalar`/`Avx2`; the
-/// wider registers only change how the autovectorizer schedules it.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn micro_kernel_avx512(
-    a: &[f32],
-    bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
-) {
-    micro_kernel_generic(a, bp, out, i0, k0, k, n, s);
-}
-
-/// [`micro_kernel_fma_body`] compiled with 256-bit vectors and FMA
-/// enabled, so each `mul_add` lowers to one `vfmadd` instruction.
+/// The contracted tile compiled with 256-bit vectors and FMA enabled, so
+/// each `mul_add` lowers to one `vfmadd` instruction.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 #[allow(clippy::too_many_arguments)]
@@ -653,17 +542,19 @@ unsafe fn micro_kernel_fma(
     k: usize,
     n: usize,
     s: usize,
+    nc: usize,
 ) {
-    micro_kernel_fma_body(a, bp, out, i0, k0, k, n, s);
+    micro_kernel_body::<true>(a, bp, out, i0, k0, k, n, s, nc);
 }
 
-/// MR×NR register tile: loads accumulators from `out`, streams `kc`
-/// packed B rows against MR rows of A, stores back. `bp` is one packed
-/// strip (`kc × NR`).
+/// MR×NR register tile: loads the `nc` valid columns of its accumulators
+/// from `out` (pad lanes start at `0.0`), streams `kc` packed B rows
+/// against MR rows of A, stores the `nc` valid columns back. `bp` is one
+/// packed strip (`kc × NR`).
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 // seal-lint: allow(panic-freedom) — register-tile offsets are bounded by `MR`/`NR` and the asserted panel extents
-fn micro_kernel_generic(
+fn micro_kernel_body<const FMA: bool>(
     a: &[f32],
     bp: &[f32],
     out: &mut [f32],
@@ -672,11 +563,12 @@ fn micro_kernel_generic(
     k: usize,
     n: usize,
     s: usize,
+    nc: usize,
 ) {
     let mut acc = [[0.0f32; NR]; MR];
     for (r, acc_r) in acc.iter_mut().enumerate() {
         let o = (i0 + r) * n + s * NR;
-        acc_r.copy_from_slice(&out[o..o + NR]);
+        load_lanes(acc_r, &out[o..o + nc]);
     }
     let a0 = &a[i0 * k + k0..];
     let a1 = &a[(i0 + 1) * k + k0..];
@@ -686,58 +578,20 @@ fn micro_kernel_generic(
         let avs = [a0[kk], a1[kk], a2[kk], a3[kk]];
         for (acc_r, &av) in acc.iter_mut().zip(&avs) {
             for (o, &bvv) in acc_r.iter_mut().zip(bv) {
-                *o += av * bvv;
+                *o = step::<FMA>(*o, av, bvv);
             }
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
         let o = (i0 + r) * n + s * NR;
-        out[o..o + NR].copy_from_slice(acc_r);
-    }
-}
-
-/// The fused-multiply-add register tile: identical structure to
-/// [`micro_kernel_generic`] with each update contracted via `mul_add`.
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-// seal-lint: allow(panic-freedom) — register-tile offsets are bounded by `MR`/`NR` and the asserted panel extents
-fn micro_kernel_fma_body(
-    a: &[f32],
-    bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
-) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, acc_r) in acc.iter_mut().enumerate() {
-        let o = (i0 + r) * n + s * NR;
-        acc_r.copy_from_slice(&out[o..o + NR]);
-    }
-    let a0 = &a[i0 * k + k0..];
-    let a1 = &a[(i0 + 1) * k + k0..];
-    let a2 = &a[(i0 + 2) * k + k0..];
-    let a3 = &a[(i0 + 3) * k + k0..];
-    for (kk, bv) in bp.chunks_exact(NR).enumerate() {
-        let avs = [a0[kk], a1[kk], a2[kk], a3[kk]];
-        for (acc_r, &av) in acc.iter_mut().zip(&avs) {
-            for (o, &bvv) in acc_r.iter_mut().zip(bv) {
-                *o = av.mul_add(bvv, *o);
-            }
-        }
-    }
-    for (r, acc_r) in acc.iter().enumerate() {
-        let o = (i0 + r) * n + s * NR;
-        out[o..o + NR].copy_from_slice(acc_r);
+        store_lanes(&mut out[o..o + nc], acc_r);
     }
 }
 
 /// Remainder rows (`mr < MR`) against one packed strip — same per-element
-/// `k` order as the micro-kernel, one row at a time.
+/// `k` order and the same valid-column rule as the micro-kernel, one row
+/// at a time.
 #[allow(clippy::too_many_arguments)]
-// seal-lint: allow(panic-freedom) — edge-row extents are remainders of the row blocking, always within the output
 fn edge_rows(
     mode: KernelMode,
     a: &[f32],
@@ -749,31 +603,19 @@ fn edge_rows(
     k: usize,
     n: usize,
     s: usize,
+    nc: usize,
 ) {
     if mode == KernelMode::Fma {
         // SAFETY: `Fma` implies the CPU reported avx2+fma.
         #[cfg(target_arch = "x86_64")]
         unsafe {
-            edge_rows_fma(a, bp, out, i0, mr, k0, k, n, s)
+            edge_rows_fma(a, bp, out, i0, mr, k0, k, n, s, nc)
         };
         #[cfg(not(target_arch = "x86_64"))]
-        edge_rows_fma_body(a, bp, out, i0, mr, k0, k, n, s);
+        edge_rows_body::<true>(a, bp, out, i0, mr, k0, k, n, s, nc);
         return;
     }
-    for r in 0..mr {
-        let i = i0 + r;
-        let o = i * n + s * NR;
-        let mut acc = [0.0f32; NR];
-        acc.copy_from_slice(&out[o..o + NR]);
-        let arow = &a[i * k + k0..];
-        for (kk, bv) in bp.chunks_exact(NR).enumerate() {
-            let av = arow[kk];
-            for (x, &bvv) in acc.iter_mut().zip(bv) {
-                *x += av * bvv;
-            }
-        }
-        out[o..o + NR].copy_from_slice(&acc);
-    }
+    edge_rows_body::<false>(a, bp, out, i0, mr, k0, k, n, s, nc);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -789,14 +631,15 @@ unsafe fn edge_rows_fma(
     k: usize,
     n: usize,
     s: usize,
+    nc: usize,
 ) {
-    edge_rows_fma_body(a, bp, out, i0, mr, k0, k, n, s);
+    edge_rows_body::<true>(a, bp, out, i0, mr, k0, k, n, s, nc);
 }
 
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
 // seal-lint: allow(panic-freedom) — edge-row extents are remainders of the row blocking, always within the output
-fn edge_rows_fma_body(
+fn edge_rows_body<const FMA: bool>(
     a: &[f32],
     bp: &[f32],
     out: &mut [f32],
@@ -806,20 +649,21 @@ fn edge_rows_fma_body(
     k: usize,
     n: usize,
     s: usize,
+    nc: usize,
 ) {
     for r in 0..mr {
         let i = i0 + r;
         let o = i * n + s * NR;
         let mut acc = [0.0f32; NR];
-        acc.copy_from_slice(&out[o..o + NR]);
+        load_lanes(&mut acc, &out[o..o + nc]);
         let arow = &a[i * k + k0..];
         for (kk, bv) in bp.chunks_exact(NR).enumerate() {
             let av = arow[kk];
             for (x, &bvv) in acc.iter_mut().zip(bv) {
-                *x = av.mul_add(bvv, *x);
+                *x = step::<FMA>(*x, av, bvv);
             }
         }
-        out[o..o + NR].copy_from_slice(&acc);
+        store_lanes(&mut out[o..o + nc], &acc);
     }
 }
 
@@ -992,5 +836,28 @@ mod tests {
         // rounding class (avx2 or scalar), never degrade into fma.
         assert_ne!(avx512, KernelMode::Fma);
         reset_kernel_mode();
+    }
+
+    #[test]
+    fn unset_resolves_to_the_widest_bit_identical_mode_and_names_keep_their_meaning() {
+        let widest = [KernelMode::Avx512, KernelMode::Avx2, KernelMode::Scalar]
+            .into_iter()
+            .find(|m| m.is_available())
+            .unwrap();
+        for unset in [None, Some(""), Some("no-such-kernel")] {
+            assert_eq!(KernelMode::resolve(unset), widest, "{unset:?}");
+        }
+        // An explicit name selects exactly that kernel wherever the CPU
+        // has it — in particular `fma` is reachable only by name.
+        for mode in [
+            KernelMode::Scalar,
+            KernelMode::Avx2,
+            KernelMode::Avx512,
+            KernelMode::Fma,
+        ] {
+            if mode.is_available() {
+                assert_eq!(KernelMode::resolve(Some(mode.name())), mode);
+            }
+        }
     }
 }

@@ -2,15 +2,15 @@
 //!
 //! [`PackedB`] captures a constant right-hand operand (a Linear layer's
 //! transposed weight matrix, say) in exactly the strip-major k-panel
-//! layout the micro-kernel consumes, plus the `n % NR` column tail in
-//! column-major order. [`matmul_prepacked`] then runs the same consume
+//! layout the micro-kernel consumes — `ceil(n / NR)` strips, the last
+//! zero-padded to full width. [`matmul_prepacked`] then runs the same consume
 //! core as [`matmul`](super::matmul) while skipping the per-call pack
 //! step entirely — the payoff the compiled-inference-plan layer is built
 //! on. Because both paths funnel through one consume routine, prepacked
 //! results are bitwise identical to the on-the-fly-packed kernel for any
 //! thread count and kernel mode.
 
-use super::matmul::{gemm_shared_pack, kernel_mode, pack_b_full, KernelMode, TailB, NR};
+use super::matmul::{gemm_shared_pack, kernel_mode, pack_b_full, KernelMode};
 use super::quant::{channel_scale, quantize_value, MAX_QGEMM_K, QK, QNR};
 use crate::{Shape, Tensor, TensorError};
 
@@ -20,10 +20,9 @@ use crate::{Shape, Tensor, TensorError};
 pub struct PackedB {
     k: usize,
     n: usize,
-    /// Strip-major k-panels, panel `p` at offset `p·KC·strips·NR`.
+    /// Strip-major k-panels, panel `p` at offset `p·KC·strips·NR`,
+    /// `strips = ceil(n / NR)` with the last strip zero-padded.
     panels: Vec<f32>,
-    /// The `n % NR` rightmost columns, column-major (`tail[tj*k + kk]`).
-    tail: Vec<f32>,
 }
 
 impl PackedB {
@@ -48,22 +47,13 @@ impl PackedB {
     }
 
     /// Pack a row-major `k×n` slice. Panics if `b.len() != k*n`.
-    // seal-lint: allow(panic-freedom) — the length assert is the documented `# Panics` contract; pack offsets enumerate the padded panel
+    // seal-lint: allow(panic-freedom) — the length assert is the documented `# Panics` contract
     pub fn from_slice(b: &[f32], k: usize, n: usize) -> PackedB {
         assert_eq!(b.len(), k * n, "PackedB::from_slice: length mismatch");
-        let strips = n / NR;
-        let mut panels = Vec::new(); // seal-lint: allow(hot-path-alloc)
-        pack_b_full(b, &mut panels, k, n, strips);
-        let tn = n - strips * NR;
         // One-time compile/pack step, not the per-call execute path.
-        let mut tail = vec![0.0f32; tn * k]; // seal-lint: allow(hot-path-alloc)
-        for tj in 0..tn {
-            let j = strips * NR + tj;
-            for kk in 0..k {
-                tail[tj * k + kk] = b[kk * n + j];
-            }
-        }
-        PackedB { k, n, panels, tail }
+        let mut panels = Vec::new(); // seal-lint: allow(hot-path-alloc)
+        pack_b_full(b, &mut panels, k, n);
+        PackedB { k, n, panels }
     }
 
     /// Inner (contraction) dimension of the packed operand.
@@ -76,9 +66,9 @@ impl PackedB {
         self.n
     }
 
-    /// Bytes held by the packed panels + tail.
+    /// Bytes held by the packed panels (pad lanes included).
     pub fn byte_size(&self) -> usize {
-        (self.panels.len() + self.tail.len()) * std::mem::size_of::<f32>()
+        self.panels.len() * std::mem::size_of::<f32>()
     }
 }
 
@@ -288,7 +278,6 @@ pub fn gemm_prepacked(
     gemm_shared_pack(
         a,
         &b.panels,
-        &TailB::Cols(&b.tail),
         out,
         m,
         b.k,

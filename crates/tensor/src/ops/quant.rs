@@ -307,6 +307,17 @@ fn i8_kernel(mode: KernelMode) -> I8Kernel {
     }
 }
 
+/// Name of the int8 micro-kernel [`gemm_i8`] dispatches to on this host
+/// in `mode` — `"scalar"`, `"avx2"` (`vpmaddwd`) or `"vnni"`
+/// (`vpdpbusd`) — so reports can say which kernel actually ran.
+pub fn i8_kernel_name(mode: KernelMode) -> &'static str {
+    match i8_kernel(mode) {
+        I8Kernel::Scalar => "scalar",
+        I8Kernel::Avx2 => "avx2",
+        I8Kernel::Vnni => "vnni",
+    }
+}
+
 /// `out[m×n] = a[m×ka] · B` over a pre-packed int8 weight matrix, exact
 /// i32 accumulation, deterministic `MC`-row-block parallelism on the
 /// seal-pool runtime.
@@ -342,60 +353,41 @@ pub fn gemm_i8(a: &[u8], pack: &PackedBI8, out: &mut [i32], m: usize, mode: Kern
     });
 }
 
-/// Serial consume over a row range: full [`QNR`]-wide strips run the
-/// selected vector kernel, the `n % QNR` column tail always runs the
-/// scalar kernel (bit-identical by construction, so mixing paths is
-/// free).
+/// Serial consume over a row range. Every packed strip — the last one is
+/// zero-padded to [`QNR`] columns at pack time — runs the selected
+/// kernel; the vector kernels compute all `QNR` lanes of the last strip
+/// and store only its `n − s·QNR` valid ones.
 fn gemm_i8_consume(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize, mode: KernelMode) {
-    let full = pack.n / QNR;
     match i8_kernel(mode) {
-        I8Kernel::Scalar => scalar_strips(a, pack, out, rows, 0, pack.strips),
-        I8Kernel::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if full > 0 {
-                    // SAFETY: `I8Kernel::Avx2` is only selected when the
-                    // cached `cpu_features()` probe reports `avx2`, so the
-                    // `target_feature(avx2)`-compiled kernel is sound.
-                    unsafe { consume_avx2(a, pack, out, rows, full) };
-                }
-                if full < pack.strips {
-                    scalar_strips(a, pack, out, rows, full, pack.strips);
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            scalar_strips(a, pack, out, rows, 0, pack.strips);
-        }
-        I8Kernel::Vnni => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if full > 0 {
-                    // SAFETY: `I8Kernel::Vnni` is only selected when
-                    // `cpu_features()` reports avx512f/bw/vl **and**
-                    // avx512vnni, so `vpdpbusd` is available.
-                    unsafe { consume_vnni(a, pack, out, rows, full) };
-                }
-                if full < pack.strips {
-                    scalar_strips(a, pack, out, rows, full, pack.strips);
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            scalar_strips(a, pack, out, rows, 0, pack.strips);
-        }
+        I8Kernel::Scalar => scalar_strips(a, pack, out, rows),
+        // SAFETY: `I8Kernel::Avx2` is only selected when the cached
+        // `cpu_features()` probe reports `avx2`, so the
+        // `target_feature(avx2)`-compiled kernel is sound.
+        #[cfg(target_arch = "x86_64")]
+        I8Kernel::Avx2 => unsafe { consume_avx2(a, pack, out, rows) },
+        // SAFETY: `I8Kernel::Vnni` is only selected when `cpu_features()`
+        // reports avx512f/bw/vl **and** avx512vnni, so `vpdpbusd` and the
+        // masked store are available.
+        #[cfg(target_arch = "x86_64")]
+        I8Kernel::Vnni => unsafe { consume_vnni(a, pack, out, rows) },
+        // `cpu_features()` reports nothing off x86-64, so the vector
+        // kernels are never selected there.
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => scalar_strips(a, pack, out, rows),
     }
 }
 
-/// Portable reference kernel over packed strips `[s0, s1)`: exact i32
-/// sums in ascending `k` order. This is also the shared edge path (column
-/// tails, non-x86 hosts) — integer accumulation makes it bit-identical
-/// to the vector kernels.
+/// Portable reference kernel over every packed strip: exact i32 sums in
+/// ascending `k` order. Runs as `KernelMode::Scalar` and on non-x86
+/// hosts — integer accumulation makes it bit-identical to the vector
+/// kernels.
 // seal-lint: allow(panic-freedom) — strip extents are derived from the pack dimensions asserted at entry
-fn scalar_strips(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize, s0: usize, s1: usize) {
+fn scalar_strips(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize) {
     let (n, kq) = (pack.n, pack.kq);
     let ka = kq * QK;
     for i in 0..rows {
         let arow = &a[i * ka..(i + 1) * ka];
-        for s in s0..s1 {
+        for s in 0..pack.strips {
             let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
             let cols = QNR.min(n - s * QNR);
             for c in 0..cols {
@@ -418,11 +410,12 @@ fn scalar_strips(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize, s0: u
 /// (i16×i16 → i32 pairs; `|q| ≤ 127` keeps every pair sum ≤ 2·127² well
 /// inside i32). Accumulates column-halved lanes and collapses them with
 /// plain i32 adds at the end — associative, so the result equals the
-/// scalar kernel bit for bit.
+/// scalar kernel bit for bit. Only the valid columns of the (zero-padded)
+/// last strip are written.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// seal-lint: allow(panic-freedom) — scratch is resized to the asserted extents before the pointer loops
-unsafe fn consume_avx2(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize, full: usize) {
+// seal-lint: allow(panic-freedom) — scratch is resized to the asserted extents before the pointer loops; `orow` ends at `i·n + min((s+1)·QNR, n) ≤ rows·n`, the output extent asserted by `gemm_i8`
+unsafe fn consume_avx2(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize) {
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_madd_epi16,
         _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
@@ -437,8 +430,9 @@ unsafe fn consume_avx2(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize,
         for (w, &v) in wide.iter_mut().zip(a.iter()) {
             *w = v as i16 - 128;
         }
-        for s in 0..full {
+        for s in 0..pack.strips {
             let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
+            let cols = QNR.min(n - s * QNR);
             for i in 0..rows {
                 let arow = &wide[i * ka..(i + 1) * ka];
                 // SAFETY: `sdata` holds `kq` groups of `QNR·QK = 64`
@@ -469,7 +463,7 @@ unsafe fn consume_avx2(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize,
                             *acc_h,
                         );
                     }
-                    let orow = &mut out[i * n + s * QNR..i * n + s * QNR + QNR];
+                    let orow = &mut out[i * n + s * QNR..i * n + s * QNR + cols];
                     for (c, o) in orow.iter_mut().enumerate() {
                         *o = halves[2 * c] + halves[2 * c + 1];
                     }
@@ -484,24 +478,33 @@ unsafe fn consume_avx2(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize,
 /// weight columns straight into i32 lanes — no i16 intermediate, no
 /// saturation. The offset-binary A encoding is corrected after the k
 /// loop by `128 · col_sums` (precomputed at pack time), restoring the
-/// exact signed sums of the scalar kernel.
+/// exact signed sums of the scalar kernel. The store is masked to the
+/// strip's valid columns, so the pad lanes of the last strip never reach
+/// memory.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
 // seal-lint: allow(panic-freedom) — strip and row extents are asserted at the gemm entry
-unsafe fn consume_vnni(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize, full: usize) {
+unsafe fn consume_vnni(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize) {
     use std::arch::x86_64::{
-        __m512i, _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_set1_epi32, _mm512_setzero_si512,
-        _mm512_slli_epi32, _mm512_storeu_si512, _mm512_sub_epi32,
+        __m512i, _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_mask_storeu_epi32,
+        _mm512_set1_epi32, _mm512_setzero_si512, _mm512_slli_epi32, _mm512_sub_epi32,
     };
     let (n, kq) = (pack.n, pack.kq);
     let ka = kq * QK;
     const RMR: usize = 4;
-    for s in 0..full {
+    for s in 0..pack.strips {
         let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
+        // One mask bit per valid column of this strip (`1 ≤ cols ≤ QNR`).
+        let cols = QNR.min(n - s * QNR);
+        let valid = (u16::MAX >> (QNR - cols)) as std::arch::x86_64::__mmask16;
         // SAFETY: `sdata` holds `kq` 64-byte groups (one full 512-bit
         // load each); `col_sums` is padded to `strips·QNR`, so the
         // 16-lane load at `s·QNR` is in bounds; every A row offset is
-        // within the `rows·ka` extent asserted by `gemm_i8`.
+        // within the `rows·ka` extent asserted by `gemm_i8`. The masked
+        // store touches only lanes `0..cols`, i.e. `out[(i0+r)·n + s·QNR
+        // ..][..cols]`, which ends at or before `(i0+r+1)·n ≤ rows·n`,
+        // the output extent asserted by `gemm_i8`; masked-off lanes are
+        // neither written nor fault-checked.
         unsafe {
             let csum = _mm512_loadu_si512(pack.col_sums.as_ptr().add(s * QNR) as *const __m512i);
             let corr = _mm512_slli_epi32(csum, 7);
@@ -520,8 +523,9 @@ unsafe fn consume_vnni(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize,
                 }
                 for (r, acc_r) in acc.iter().enumerate().take(mr) {
                     let fixed = _mm512_sub_epi32(*acc_r, corr);
-                    _mm512_storeu_si512(
-                        out.as_mut_ptr().add((i0 + r) * n + s * QNR) as *mut __m512i,
+                    _mm512_mask_storeu_epi32(
+                        out.as_mut_ptr().add((i0 + r) * n + s * QNR),
+                        valid,
                         fixed,
                     );
                 }
