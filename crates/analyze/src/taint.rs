@@ -54,6 +54,7 @@ impl Default for TaintSpec {
                 "EnginePipeline::submit",
                 "EnginePipeline::submit_with_recovery",
                 "Workload::trace",
+                "Workload::requests",
             ]),
             sanitizers: s(&[
                 "CtrCipher::encrypt",

@@ -303,7 +303,7 @@ fn taint_pass_fails_on_the_seeded_weight_to_bus_bypass_with_full_chain() {
     let a = analyze_files(&dir, &files, &DeepOptions::default()).expect("analysis");
     let taint: Vec<_> =
         a.deep.iter().filter(|f| f.rule == Rule::EncryptionBoundary).collect();
-    assert_eq!(taint.len(), 1, "exactly the seeded bypass: {:?}", a.deep);
+    assert_eq!(taint.len(), 2, "exactly the two seeded bypasses: {:?}", a.deep);
     let f = taint[0];
     assert_eq!(f.fun, "crate::bypass::leak_weights");
     assert!(f.message.contains("without CtrCipher"), "{}", f.message);
@@ -320,6 +320,34 @@ fn taint_pass_fails_on_the_seeded_weight_to_bus_bypass_with_full_chain() {
     );
     // The sanitized counterpart in the same file stays clean.
     assert!(!taint.iter().any(|f| f.fun.contains("ship")));
+}
+
+#[test]
+fn taint_pass_treats_the_streaming_trace_as_a_sink() {
+    use seal_analyze::driver::{analyze_files, DeepOptions};
+    let (dir, files) = deep_fixture_files();
+    let a = analyze_files(&dir, &files, &DeepOptions::default()).expect("analysis");
+    let on_requests: Vec<_> = a
+        .deep
+        .iter()
+        .filter(|f| f.rule == Rule::EncryptionBoundary && f.path.ends_with("bypass_requests.rs"))
+        .collect();
+    assert_eq!(on_requests.len(), 1, "{:?}", a.deep);
+    let f = on_requests[0];
+    assert_eq!(f.fun, "crate::bypass_requests::leak_requests");
+    let chain: Vec<&str> = f.chain.iter().map(|h| h.qual.as_str()).collect();
+    assert_eq!(
+        chain,
+        vec![
+            "crate::bypass_requests::BatchNorm2d::gamma",
+            "crate::bypass_requests::stage_scales",
+            "crate::bypass_requests::leak_requests",
+            "crate::bypass_requests::Workload::requests",
+        ],
+        "`Workload::requests` must be a sink beside `Workload::trace`"
+    );
+    // Streaming a ciphertext-sized workload is not a finding.
+    assert!(!a.deep.iter().any(|f| f.fun.contains("replay_ciphertext")));
 }
 
 #[test]
@@ -381,7 +409,7 @@ fn cli_report_json_has_the_stable_golden_shape() {
     assert_eq!(code, 1);
     let text = std::fs::read_to_string(&report).expect("report written");
     // Golden shape: stable keys in a stable order, chain hops inline.
-    assert!(text.starts_with("{\"files\":3,\"cache\":{"), "{text}");
+    assert!(text.starts_with("{\"files\":4,\"cache\":{"), "{text}");
     assert!(text.contains("\"timings_ms\":{\"parse\":"), "{text}");
     assert!(text.contains("\"rule\":\"encryption-boundary\""), "{text}");
     assert!(text.contains("\"rule\":\"panic-freedom\""), "{text}");
@@ -444,15 +472,15 @@ fn cli_cache_invalidation_reanalyzes_only_edited_files() {
         cache_dir.to_str().expect("utf8"),
     ];
     let (_, _, stderr) = run_cli(&args, &root);
-    assert!(stderr.contains("cache 0 hit(s) / 3 miss(es)"), "cold: {stderr}");
+    assert!(stderr.contains("cache 0 hit(s) / 4 miss(es)"), "cold: {stderr}");
     let (_, _, stderr) = run_cli(&args, &root);
-    assert!(stderr.contains("cache 3 hit(s) / 0 miss(es)"), "warm: {stderr}");
+    assert!(stderr.contains("cache 4 hit(s) / 0 miss(es)"), "warm: {stderr}");
     // Edit one file: only that file re-analyzes.
     let edited = src_dir.join("bad_unsafe.rs");
     let mut text = std::fs::read_to_string(&edited).expect("read");
     text.push_str("\nfn appended() {}\n");
     std::fs::write(&edited, text).expect("write");
     let (_, _, stderr) = run_cli(&args, &root);
-    assert!(stderr.contains("cache 2 hit(s) / 1 miss(es)"), "invalidated: {stderr}");
+    assert!(stderr.contains("cache 3 hit(s) / 1 miss(es)"), "invalidated: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }

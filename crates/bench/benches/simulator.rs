@@ -12,7 +12,7 @@ fn main() {
         .instructions(50_000_000)
         .build()
         .unwrap();
-    let requests = wl.trace(128).len() as u64;
+    let requests = wl.requests(128).len() as u64;
     for mode in [
         EncryptionMode::None,
         EncryptionMode::Direct,

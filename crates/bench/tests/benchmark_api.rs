@@ -7,7 +7,21 @@
 //! signature the benchmark relies on, so renaming one, changing its
 //! arguments or adding a kernel mode fails in this workspace's build
 //! rather than in the benchmark pipeline.
+//!
+//! `benchmark/src/sim.rs` and the crypto replays do the same with
+//! `seal-gpusim`, `seal-crypto` and `seal-core`: the second test pins the
+//! constructors, methods and public field names they use.
 
+use seal_core::workload::{network_workloads, DEFAULT_BATCH};
+use seal_core::{CoreError, EncryptionPlan, Scheme};
+use seal_crypto::{
+    CounterCache, CounterCacheConfig, CounterCacheStats, CounterGeometry, CryptoError,
+    EnginePipeline, EngineSpec, ReadOnlyRegion, RunOutcome, MAX_READ_ONLY_REGIONS,
+};
+use seal_gpusim::{
+    EncryptionMode, GpuConfig, McReport, SimError, SimReport, Simulator, Workload,
+};
+use seal_nn::NetworkTopology;
 use seal_tensor::ops::{
     conv2d_infer_packed, gather_patches_u8, gemm_i8, gemm_prepacked, kernel_mode, quantize_rows_u8,
     quantized_row_len, ConvPlanDims, Im2colGather, KernelMode, PackedB, PackedBI8, PatchGather,
@@ -44,4 +58,100 @@ fn the_names_and_signatures_the_benchmark_uses_still_exist() {
     match kernel_mode() {
         KernelMode::Scalar | KernelMode::Avx2 | KernelMode::Fma | KernelMode::Avx512 => {}
     }
+}
+
+#[test]
+fn the_simulator_and_crypto_items_the_benchmark_uses_still_exist() {
+    // `benchmark/src/sim.rs`: one `Simulator::run` per op.
+    let _: fn(GpuConfig, EncryptionMode) -> Result<Simulator, SimError> = Simulator::new;
+    let _: fn(&Simulator, &Workload) -> Result<SimReport, SimError> = Simulator::run;
+    let _: fn(&Scheme) -> EncryptionMode = Scheme::mode;
+    let _: fn(&Workload) -> &str = Workload::name;
+    let _: fn(&Workload) -> u64 = Workload::traffic_bytes;
+    #[allow(clippy::type_complexity)]
+    let _: fn(&NetworkTopology, &EncryptionPlan, Scheme, usize) -> Result<Vec<Workload>, CoreError> =
+        network_workloads;
+    let _: usize = DEFAULT_BATCH;
+    // Its checksum and totals read every report field by name; the
+    // exhaustive patterns break when one is renamed, removed or added.
+    let SimReport {
+        workload: _,
+        mode: _,
+        cycles: _,
+        instructions: _,
+        requests: _,
+        traffic_bytes: _,
+        encrypted_bytes: _,
+        per_mc,
+    } = SimReport {
+        workload: String::new(),
+        mode: EncryptionMode::None,
+        cycles: 0.0f64,
+        instructions: 0u64,
+        requests: 0u64,
+        traffic_bytes: 0u64,
+        encrypted_bytes: 0u64,
+        per_mc: vec![McReport {
+            lines: 0u64,
+            encrypted_lines: 0u64,
+            dram_busy: 0.0f64,
+            engine_busy: 0.0f64,
+            extra_counter_lines: 0u64,
+            counter_hits: 0u64,
+            counter_misses: 0u64,
+        }],
+    };
+    let McReport {
+        lines: _,
+        encrypted_lines: _,
+        dram_busy: _,
+        engine_busy: _,
+        extra_counter_lines: _,
+        counter_hits: _,
+        counter_misses: _,
+    } = per_mc[0];
+    // No wildcard arm and a fixed length: it indexes per-scheme arrays by
+    // position in `Scheme::ALL`.
+    const _: () = assert!(Scheme::ALL.len() == 5);
+    for scheme in Scheme::ALL {
+        match scheme {
+            Scheme::Baseline
+            | Scheme::Direct
+            | Scheme::Counter
+            | Scheme::SealDirect
+            | Scheme::SealCounter => {}
+        }
+    }
+
+    // It builds the per-controller slice by struct update from
+    // `GpuConfig::counter_cache`, so every field must stay public.
+    let gpu = GpuConfig::gtx480();
+    let _: (usize, u64, f64) = (gpu.num_channels, gpu.line_bytes, gpu.core_clock_ghz);
+    let slice = CounterCacheConfig {
+        capacity_bytes: gpu.counter_cache.capacity_bytes / gpu.num_channels,
+        ..gpu.counter_cache
+    };
+    let CounterCacheConfig {
+        capacity_bytes: _,
+        line_bytes: _,
+        ways: _,
+        coverage_bytes: _,
+        prefetch: _,
+        read_only: _,
+    } = slice;
+    let _: [Option<ReadOnlyRegion>; MAX_READ_ONLY_REGIONS] = slice.read_only;
+
+    // `benchmark/src/replay.rs`: the counter-cache and engine replays.
+    let _: fn(CounterCacheConfig) -> Result<CounterCache, CryptoError> = CounterCache::new;
+    let _: fn(&mut CounterCache, u64) -> bool = CounterCache::access;
+    let _: fn(&mut CounterCache, u64, u64) -> RunOutcome = CounterCache::access_run;
+    let _: fn(&CounterCache) -> CounterCacheStats = CounterCache::stats;
+    let _: fn(usize) -> CounterCacheConfig = CounterCacheConfig::with_kilobytes;
+    let _: fn(CounterCacheConfig, u64, u64) -> Result<CounterCacheConfig, CryptoError> =
+        CounterCacheConfig::with_read_only_region;
+    let _: fn(&CounterGeometry, usize) -> CounterCacheConfig = CounterGeometry::cache_config;
+    let _: bool = CounterGeometry::tuned().read_only_weights;
+    let _: fn(EngineSpec, f64) -> Result<EnginePipeline, CryptoError> = EnginePipeline::new;
+    let _: fn(&mut EnginePipeline, u64, u64) -> u64 = EnginePipeline::submit;
+    let _: fn() -> EngineSpec = EngineSpec::seal_default;
 }

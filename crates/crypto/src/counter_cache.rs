@@ -246,6 +246,54 @@ impl CounterCacheConfig {
     pub fn sets(&self) -> usize {
         self.capacity_bytes / (self.line_bytes * self.ways)
     }
+
+    /// Checks the geometry without building a cache — exactly what
+    /// [`CounterCache::new`] accepts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::InvalidConfig`] if any geometry field is zero,
+    /// the capacity does not hold at least one set, or a read-only region
+    /// is empty / overflowing / overlapping another.
+    pub fn validate(&self) -> Result<(), CryptoError> {
+        if self.line_bytes == 0 || self.ways == 0 || self.coverage_bytes == 0 {
+            return Err(CryptoError::InvalidConfig {
+                reason: "line size, ways and coverage must be positive".into(),
+            });
+        }
+        if self.sets() == 0 {
+            return Err(CryptoError::InvalidConfig {
+                reason: format!(
+                    "capacity {} B holds no complete set of {} × {} B",
+                    self.capacity_bytes, self.ways, self.line_bytes
+                ),
+            });
+        }
+        for (i, r) in self.read_only.iter().enumerate() {
+            let Some(r) = r else { continue };
+            if r.bytes == 0 || r.end().is_none() {
+                return Err(CryptoError::InvalidConfig {
+                    reason: format!(
+                        "read-only region [{:#x}, +{}) is empty or overflows",
+                        r.base, r.bytes
+                    ),
+                });
+            }
+            for other in self.read_only[i + 1..].iter().flatten() {
+                if r.base < other.end().unwrap_or(u64::MAX)
+                    && other.base < r.end().unwrap_or(u64::MAX)
+                {
+                    return Err(CryptoError::InvalidConfig {
+                        reason: format!(
+                            "read-only regions [{:#x}, +{}) and [{:#x}, +{}) overlap",
+                            r.base, r.bytes, other.base, other.bytes
+                        ),
+                    });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 impl Default for CounterCacheConfig {
@@ -296,20 +344,27 @@ pub struct RunOutcome {
     pub misses: u64,
 }
 
+/// One way of a set.
 #[derive(Debug, Clone, Copy)]
 struct Way {
-    tag: u64,
+    /// Id of the counter line held (`addr / coverage_bytes`).
+    line_id: u64,
+    /// LRU stamp of the last use; 0 marks the way invalid (the tick is
+    /// bumped before it is stamped, so a valid way is never 0).
     last_use: u64,
-    valid: bool,
-    /// Set by fault injection: the line's counter bits were flipped. The
-    /// next access detects this (modelling the counter block's own MAC /
-    /// ECC check) and repairs the line with a re-fetch instead of handing
-    /// out a bogus counter.
-    corrupt: bool,
-    /// The line was filled by the prefetcher and has not been demanded
-    /// yet; the first demand access counts it as a `prefetch_hit`.
-    prefetched: bool,
+    /// [`CORRUPT`] | [`PREFETCHED`].
+    flags: u8,
 }
+
+/// Way flag: fault injection flipped the line's counter bits. The next
+/// access detects this (modelling the counter block's own MAC / ECC check)
+/// and repairs the line with a re-fetch instead of handing out a bogus
+/// counter.
+const CORRUPT: u8 = 1;
+
+/// Way flag: the prefetcher filled the line and it has not been demanded
+/// yet; the first demand access counts it as a `prefetch_hit`.
+const PREFETCHED: u8 = 2;
 
 /// Runtime state of one pinned read-only region.
 #[derive(Debug, Clone, Copy)]
@@ -336,7 +391,17 @@ struct RoSlot {
 #[derive(Debug, Clone)]
 pub struct CounterCache {
     config: CounterCacheConfig,
-    sets: Vec<Vec<Way>>,
+    /// `log2(coverage_bytes)` when the coverage is a power of two.
+    coverage_shift: Option<u32>,
+    sets: u64,
+    /// `sets - 1` when the set count is a power of two.
+    set_mask: Option<u64>,
+    /// Every way, set-major: set `s` owns `ways[s * assoc..(s + 1) * assoc]`.
+    ways: Vec<Way>,
+    /// The way the last demand access landed on: a stream revisits its
+    /// counter line many times in a row, and checking this way first
+    /// skips the set walk.
+    recent_way: usize,
     ro: Vec<RoSlot>,
     tick: u64,
     stats: CounterCacheStats,
@@ -362,61 +427,31 @@ impl CounterCache {
     /// the capacity does not hold at least one set, or a read-only region
     /// is empty / overflowing / overlapping another.
     pub fn new(config: CounterCacheConfig) -> Result<Self, CryptoError> {
-        if config.line_bytes == 0 || config.ways == 0 || config.coverage_bytes == 0 {
-            return Err(CryptoError::InvalidConfig {
-                reason: "line size, ways and coverage must be positive".into(),
-            });
-        }
+        config.validate()?;
         let sets = config.sets();
-        if sets == 0 {
-            return Err(CryptoError::InvalidConfig {
-                reason: format!(
-                    "capacity {} B holds no complete set of {} × {} B",
-                    config.capacity_bytes, config.ways, config.line_bytes
-                ),
-            });
-        }
-        let regions: Vec<ReadOnlyRegion> = config.read_only.iter().flatten().copied().collect();
-        for (i, r) in regions.iter().enumerate() {
-            if r.bytes == 0 || r.end().is_none() {
-                return Err(CryptoError::InvalidConfig {
-                    reason: format!(
-                        "read-only region [{:#x}, +{}) is empty or overflows",
-                        r.base, r.bytes
-                    ),
-                });
-            }
-            for other in &regions[i + 1..] {
-                if r.base < other.end().unwrap_or(u64::MAX)
-                    && other.base < r.end().unwrap_or(u64::MAX)
-                {
-                    return Err(CryptoError::InvalidConfig {
-                        reason: format!(
-                            "read-only regions [{:#x}, +{}) and [{:#x}, +{}) overlap",
-                            r.base, r.bytes, other.base, other.bytes
-                        ),
-                    });
-                }
-            }
-        }
+        let ways = sets * config.ways;
         Ok(CounterCache {
             config,
-            sets: vec![
-                vec![
-                    Way {
-                        tag: 0,
-                        last_use: 0,
-                        valid: false,
-                        corrupt: false,
-                        prefetched: false,
-                    };
-                    config.ways
-                ];
-                sets
+            coverage_shift: config
+                .coverage_bytes
+                .is_power_of_two()
+                .then(|| config.coverage_bytes.trailing_zeros()),
+            sets: sets as u64,
+            set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
+            ways: vec![
+                Way {
+                    line_id: 0,
+                    last_use: 0,
+                    flags: 0,
+                };
+                ways
             ],
-            ro: regions
-                .into_iter()
-                .map(|region| RoSlot {
+            recent_way: 0,
+            ro: config
+                .read_only
+                .iter()
+                .flatten()
+                .map(|&region| RoSlot {
                     region,
                     touched: false,
                     corrupt: false,
@@ -437,11 +472,49 @@ impl CounterCache {
         self.ro.iter().position(|s| s.region.contains(addr))
     }
 
-    /// Set index and tag of the counter line covering `addr`.
-    fn locate(&self, addr: u64) -> (usize, u64) {
-        let line_id = addr / self.config.coverage_bytes as u64;
-        let num_sets = self.sets.len() as u64;
-        ((line_id % num_sets) as usize, line_id / num_sets)
+    /// Id of the counter line covering `addr`.
+    fn line_id(&self, addr: u64) -> u64 {
+        match self.coverage_shift {
+            Some(shift) => addr >> shift,
+            None => addr / self.config.coverage_bytes as u64,
+        }
+    }
+
+    /// Way indices of the set counter line `line_id` maps to. In bounds
+    /// by construction: the set number is below `sets` and `ways` holds
+    /// `sets × config.ways` entries.
+    fn set_of(&self, line_id: u64) -> std::ops::Range<usize> {
+        let set = match self.set_mask {
+            Some(mask) => line_id & mask,
+            None => line_id % self.sets,
+        };
+        let start = set as usize * self.config.ways;
+        start..start + self.config.ways
+    }
+
+    /// The way of `set` holding `line_id`, if it is resident.
+    fn find(set: &[Way], line_id: u64) -> Option<usize> {
+        // No early exit: a line is resident in at most one way, and where
+        // it sits is as good as random, so a select per way beats a
+        // mispredicted break.
+        let mut found = usize::MAX;
+        for (i, way) in set.iter().enumerate() {
+            let here = (way.line_id == line_id) & (way.last_use != 0);
+            found = if here { i } else { found };
+        }
+        (found != usize::MAX).then_some(found)
+    }
+
+    /// The way of `set` a fill replaces: the first invalid one, else the
+    /// least recently used (the lowest index among equals).
+    fn victim(set: &[Way]) -> usize {
+        let mut victim = 0;
+        for (i, way) in set.iter().enumerate() {
+            if way.last_use < set[victim].last_use {
+                victim = i;
+            }
+        }
+        victim
     }
 
     /// Looks up the counter line covering data address `addr`, allocating it
@@ -468,71 +541,57 @@ impl CounterCache {
             return false;
         }
 
-        let (set_idx, tag) = self.locate(addr);
-        if self.config.ways == 0 || self.sets[set_idx].is_empty() {
-            // A degenerate empty set caches nothing; skipping the tick
-            // keeps the LRU order of the real sets unperturbed.
-            self.stats.misses += 1;
-            return false;
-        }
+        let line_id = self.line_id(addr);
         self.tick += 1;
         let tick = self.tick;
-        // Single pass: find the matching way and, for the miss path, the
-        // victim (first invalid way, else least-recently-used) together.
-        let set = &mut self.sets[set_idx];
-        let mut hit_way = None;
-        let mut victim = 0usize;
-        let mut victim_key = u64::MAX;
-        for (i, w) in set.iter().enumerate() {
-            if w.valid && w.tag == tag {
-                hit_way = Some(i);
-                break;
-            }
-            let key = if w.valid { w.last_use } else { 0 };
-            if key < victim_key {
-                victim_key = key;
-                victim = i;
-            }
+        // A clean, already-demanded repeat of the last line: a plain hit,
+        // with nothing for the set walk below to add.
+        let recent = &mut self.ways[self.recent_way];
+        if recent.line_id == line_id && recent.last_use != 0 && recent.flags == 0 {
+            recent.last_use = tick;
+            self.stats.hits += 1;
+            return true;
         }
-        let stream_next = match hit_way {
+        let set = self.set_of(line_id);
+        let start = set.start;
+        let set = &mut self.ways[set];
+        let (hit, stream_next) = match Self::find(set, line_id) {
             Some(i) => {
+                self.recent_way = start + i;
                 let way = &mut set[i];
-                if way.corrupt {
+                way.last_use = tick;
+                let flags = std::mem::take(&mut way.flags);
+                if flags & CORRUPT != 0 {
                     // The line's integrity check fails: repair it with a
                     // DRAM re-fetch. Priced as a miss, surfaced in the
                     // stats, and never handed out as a (bogus) hit.
-                    way.corrupt = false;
-                    way.prefetched = false;
-                    way.last_use = tick;
                     self.stats.corruptions_detected += 1;
                     self.stats.misses += 1;
                     return false;
                 }
-                way.last_use = tick;
-                let consumed_prefetch = way.prefetched;
-                way.prefetched = false;
                 self.stats.hits += 1;
+                let consumed_prefetch = flags & PREFETCHED != 0;
                 if consumed_prefetch {
                     self.stats.prefetch_hits += 1;
                 }
                 // Consuming a prefetched line continues a stream — keep
                 // running ahead of it. A plain hit does not re-prefetch.
-                consumed_prefetch
+                (true, consumed_prefetch)
             }
             None => {
-                let way = &mut set[victim];
-                way.tag = tag;
-                way.valid = true;
-                way.corrupt = false;
-                way.prefetched = false;
-                way.last_use = tick;
+                let i = Self::victim(set);
+                self.recent_way = start + i;
+                set[i] = Way {
+                    line_id,
+                    last_use: tick,
+                    flags: 0,
+                };
                 self.stats.misses += 1;
-                true
+                (false, true)
             }
         };
-        let hit = hit_way.is_some();
         if self.config.prefetch && stream_next {
-            self.prefetch_fill(addr / self.config.coverage_bytes as u64 + 1);
+            self.prefetch_fill(line_id + 1);
         }
         hit
     }
@@ -548,30 +607,16 @@ impl CounterCache {
         if self.ro_index(addr).is_some() {
             return;
         }
-        let (set_idx, tag) = self.locate(addr);
-        let tick = self.tick;
-        let set = &mut self.sets[set_idx];
-        if set.is_empty() {
-            return;
+        let set = self.set_of(line_id);
+        let set = &mut self.ways[set];
+        if Self::find(set, line_id).is_some() {
+            return; // already resident — nothing to fetch
         }
-        let mut victim = 0usize;
-        let mut victim_key = u64::MAX;
-        for (i, w) in set.iter().enumerate() {
-            if w.valid && w.tag == tag {
-                return; // already resident — nothing to fetch
-            }
-            let key = if w.valid { w.last_use } else { 0 };
-            if key < victim_key {
-                victim_key = key;
-                victim = i;
-            }
-        }
-        let way = &mut set[victim];
-        way.tag = tag;
-        way.valid = true;
-        way.corrupt = false;
-        way.prefetched = true;
-        way.last_use = tick;
+        set[Self::victim(set)] = Way {
+            line_id,
+            last_use: self.tick,
+            flags: PREFETCHED,
+        };
         self.stats.prefetch_fills += 1;
     }
 
@@ -636,13 +681,12 @@ impl CounterCache {
             }
             return false;
         }
-        let (set_idx, tag) = self.locate(addr);
-        match self.sets[set_idx]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
-            Some(way) => {
-                way.corrupt = true;
+        let line_id = self.line_id(addr);
+        let set = self.set_of(line_id);
+        let set = &mut self.ways[set];
+        match Self::find(set, line_id) {
+            Some(i) => {
+                set[i].flags |= CORRUPT;
                 true
             }
             None => false,
@@ -657,12 +701,9 @@ impl CounterCache {
     /// Clears contents and statistics (pinned regions go back to
     /// untouched).
     pub fn reset(&mut self) {
-        for set in &mut self.sets {
-            for way in set {
-                way.valid = false;
-                way.corrupt = false;
-                way.prefetched = false;
-            }
+        for way in &mut self.ways {
+            way.last_use = 0;
+            way.flags = 0;
         }
         for slot in &mut self.ro {
             slot.touched = false;
@@ -963,5 +1004,166 @@ mod tests {
         assert!(!cc.access(8192), "corrupt shared counter re-fetches");
         assert_eq!(cc.stats().corruptions_detected, 1);
         assert!(cc.access(0), "repaired region hits again");
+    }
+
+    /// Valid ways of set `s` as `(tag, prefetched, corrupt)` in LRU order
+    /// (oldest first) — everything a later lookup's outcome depends on,
+    /// independent of how the ways are stored.
+    fn resident(cc: &CounterCache, s: usize) -> Vec<(u64, bool, bool)> {
+        let first = s * cc.config.ways;
+        let mut ways: Vec<&Way> = cc.ways[first..first + cc.config.ways]
+            .iter()
+            .filter(|w| w.last_use != 0)
+            .collect();
+        ways.sort_by_key(|w| (w.last_use, w.line_id));
+        ways.iter()
+            .map(|w| (w.line_id / cc.sets, w.flags & PREFETCHED != 0, w.flags & CORRUPT != 0))
+            .collect()
+    }
+
+    fn fnv(h: &mut u64, v: u64) {
+        for b in v.to_le_bytes() {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Drives a seeded mix of `access` / `access_run` / `corrupt` (line
+    /// streams with same-line repeats, random reuse inside a conflict
+    /// window, the pinned region and runs that cross its edge) and
+    /// returns the final stats plus an FNV-1a over every return value and
+    /// the final resident state of every set.
+    fn golden_walk(cfg: CounterCacheConfig, seed: u64) -> (CounterCacheStats, u64) {
+        let mut cc = CounterCache::new(cfg).unwrap();
+        use seal_tensor::rng::{RngCore, SeedableRng};
+        let mut rng = seal_tensor::rng::rngs::StdRng::seed_from_u64(seed);
+        let cov = cfg.coverage_bytes as u64;
+        let lines = (cfg.capacity_bytes / cfg.line_bytes) as u64;
+        let window = 4 * lines * cov;
+        let pinned = cfg.read_only.iter().flatten().next().copied();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut cursor = 0u64;
+        for _ in 0..20_000 {
+            let r = rng.next_u64();
+            let pick = r % 100;
+            let wide = r >> 8;
+            let in_pinned = |w: u64| pinned.map(|p| p.base + w % p.bytes);
+            if pick < 55 {
+                fnv(&mut h, u64::from(cc.access(cursor)));
+                cursor += 128;
+            } else if pick < 75 {
+                fnv(&mut h, u64::from(cc.access(wide % window)));
+            } else if pick < 80 {
+                let addr = in_pinned(wide).unwrap_or(wide % window);
+                fnv(&mut h, u64::from(cc.access(addr)));
+            } else if pick < 88 {
+                let out = cc.access_run(wide % window, 1 + (r >> 40) % 40);
+                fnv(&mut h, out.hits);
+                fnv(&mut h, out.misses);
+            } else if pick < 92 {
+                // A run that starts inside the pinned window and may leave it.
+                let base = pinned
+                    .map(|p| p.base + p.bytes - (1 + wide % 8) * cov)
+                    .unwrap_or(cursor);
+                let out = cc.access_run(base, 1 + (r >> 40) % 16);
+                fnv(&mut h, out.hits);
+                fnv(&mut h, out.misses);
+            } else if pick < 97 {
+                let addr = if wide % 2 == 0 {
+                    cursor.saturating_sub(128 * (wide % 64))
+                } else {
+                    wide % window
+                };
+                fnv(&mut h, u64::from(cc.corrupt(addr)));
+            } else {
+                if let Some(addr) = in_pinned(wide) {
+                    fnv(&mut h, u64::from(cc.corrupt(addr)));
+                }
+                cursor = (wide % (1 << 36)) / 128 * 128;
+            }
+        }
+        for s in 0..cfg.sets() {
+            let ways = resident(&cc, s);
+            fnv(&mut h, ways.len() as u64);
+            for (tag, prefetched, corrupt) in ways {
+                fnv(&mut h, tag);
+                fnv(&mut h, u64::from(prefetched) | u64::from(corrupt) << 1);
+            }
+        }
+        (cc.stats(), h)
+    }
+
+    #[test]
+    fn golden_state_and_stats_match_the_pre_restructure_cache() {
+        let pin = |c: CounterCacheConfig| c.with_read_only_region(1 << 30, 3 << 20).unwrap();
+        let one_set = CounterCacheConfig {
+            capacity_bytes: 2 * 64,
+            ways: 2,
+            ..CounterCacheConfig::with_kilobytes(24)
+        };
+        // (name, geometry, expected [hits, misses, corruptions, prefetch
+        // hits, prefetch fills, ro hits], expected state hash) — values
+        // recorded from the Vec<Vec<Way>> single-pass implementation.
+        let cases: [(&str, CounterCacheConfig, [u64; 6], u64); 8] = [
+            (
+                "classic 24 KB, 48 sets",
+                CounterGeometry::classic().cache_config(24),
+                [21751, 34162, 119, 0, 0, 0],
+                0x4b34_31f2_22bd_7899,
+            ),
+            (
+                "tuned 96 KB, 192 sets, pinned",
+                pin(CounterGeometry::tuned().cache_config(96)),
+                [50009, 5987, 554, 25289, 29285, 3657],
+                0xd02c_f424_5651_8237,
+            ),
+            (
+                "gtx480 slice 16 KB, 32 sets",
+                CounterCacheConfig::with_kilobytes(16),
+                [22483, 34755, 150, 0, 0, 0],
+                0xd9dd_4a5a_0322_9d78,
+            ),
+            (
+                "gtx480 slice + prefetch",
+                CounterCacheConfig::with_kilobytes(16).with_prefetch(true),
+                [49151, 6258, 133, 28593, 33258, 0],
+                0xae46_78cd_6604_a707,
+            ),
+            (
+                "split 3-bit 16 KB + prefetch",
+                CounterCacheConfig::split_kilobytes(16, 3).with_prefetch(true),
+                [48842, 6482, 253, 28478, 33126, 0],
+                0x2051_fe9d_9cd9_72c4,
+            ),
+            (
+                "split 3-bit 96 KB, pinned",
+                pin(CounterCacheConfig::split_kilobytes(96, 3)),
+                [25668, 30146, 727, 0, 0, 3556],
+                0x7c62_ef40_fab3_5a43,
+            ),
+            (
+                "one set, two ways",
+                one_set,
+                [9191, 45297, 66, 0, 0, 0],
+                0x8320_9544_f49c_b723,
+            ),
+            (
+                "one set + prefetch",
+                one_set.with_prefetch(true),
+                [43603, 11210, 42, 36741, 47791, 0],
+                0xbe40_eb35_bc61_04bb,
+            ),
+        ];
+        for (i, (name, cfg, want, want_hash)) in cases.into_iter().enumerate() {
+            let (s, hash) = golden_walk(cfg, 0x5ea1 + i as u64);
+            let got = [
+                s.hits,
+                s.misses,
+                s.corruptions_detected,
+                s.prefetch_hits,
+                s.prefetch_fills,
+                s.ro_hits,
+            ];
+            assert_eq!((got, hash), (want, want_hash), "{name}: {got:?}, {hash:#018x}");
+        }
     }
 }

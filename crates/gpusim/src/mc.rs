@@ -28,7 +28,8 @@ pub struct MemoryController {
     engine_latency: f64,
     channel: Channel,
     engine_next_free: Vec<f64>,
-    counter_cache: CounterCache,
+    /// This controller's counter-cache slice; only counter mode has one.
+    counter_cache: Option<CounterCache>,
     // Statistics.
     lines: u64,
     encrypted_lines: u64,
@@ -96,6 +97,14 @@ impl MemoryController {
                 reason: "memory controller needs at least one engine".into(),
             });
         }
+        // The other modes never look a counter up: check the geometry, skip
+        // the allocation.
+        let counter_cache = if mode == EncryptionMode::Counter {
+            Some(CounterCache::new(cc_config)?)
+        } else {
+            cc_config.validate()?;
+            None
+        };
         let occupancy = line_bytes as f64 / (engine.throughput_gbps * 1e9) * clock_ghz * 1e9;
         let channel = match timing {
             DramTiming::Flat => Channel::Flat {
@@ -121,7 +130,7 @@ impl MemoryController {
             engine_latency: engine.latency_cycles as f64,
             channel,
             engine_next_free: vec![0.0; engines],
-            counter_cache: CounterCache::new(cc_config)?,
+            counter_cache,
             lines: 0,
             encrypted_lines: 0,
             engine_busy: 0.0,
@@ -147,24 +156,25 @@ impl MemoryController {
     /// Runs one line through the least-loaded AES engine starting no
     /// earlier than `t`; returns pad/ciphertext-ready time.
     fn engine_run(&mut self, t: f64) -> f64 {
-        let Some((idx, _)) = self
-            .engine_next_free
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-        else {
-            // Unreachable: GpuConfig validation rejects zero-engine
-            // configurations; with no engines there is no pad to wait on.
+        let Some((first, rest)) = self.engine_next_free.split_first_mut() else {
+            // Unreachable: the constructor rejects zero engines; with no
+            // engines there is no pad to wait on.
             return t;
         };
-        let start = t.max(self.engine_next_free[idx]);
-        self.engine_next_free[idx] = start + self.engine_occupancy;
+        // The first among the least loaded; with the paper's one engine
+        // per controller there is nothing to scan.
+        let next_free = rest
+            .iter_mut()
+            .fold(first, |least, e| if *e < *least { e } else { least });
+        let start = t.max(*next_free);
+        *next_free = start + self.engine_occupancy;
         self.engine_busy += self.engine_occupancy;
         start + self.engine_occupancy + self.engine_latency
     }
 
     /// Services a request arriving at cycle `arrival`; returns its
     /// completion time.
+    #[inline]
     pub fn service(&mut self, arrival: f64, req: &MemoryRequest) -> f64 {
         self.lines += 1;
         if !req.encrypted || !self.mode.encrypts() {
@@ -191,7 +201,12 @@ impl MemoryController {
             }
             EncryptionMode::Counter => {
                 // Counter lookup; a miss costs a real DRAM line fetch.
-                let counter_ready = if self.counter_cache.access(req.addr) {
+                let hit = match &mut self.counter_cache {
+                    Some(cache) => cache.access(req.addr),
+                    // Unreachable: counter mode always builds its cache.
+                    None => false,
+                };
+                let counter_ready = if hit {
                     arrival
                 } else {
                     self.extra_counter_lines += 1;
@@ -258,9 +273,12 @@ impl MemoryController {
         self.extra_counter_lines
     }
 
-    /// Counter-cache statistics.
+    /// Counter-cache statistics (all zero outside counter mode).
     pub fn counter_cache_stats(&self) -> seal_crypto::CounterCacheStats {
-        self.counter_cache.stats()
+        self.counter_cache
+            .as_ref()
+            .map(CounterCache::stats)
+            .unwrap_or_default()
     }
 }
 

@@ -45,7 +45,8 @@ impl Simulator {
     /// too small to construct.
     pub fn run(&self, workload: &Workload) -> Result<SimReport, SimError> {
         let cfg = &self.config;
-        let trace = workload.trace(cfg.line_bytes);
+        let requests = workload.requests(cfg.line_bytes);
+        let total = requests.len();
 
         // Per-MC slice of the shared counter-cache capacity.
         let slice = CounterCacheConfig {
@@ -77,29 +78,41 @@ impl Simulator {
         // Front-end pacing: the compute/issue work spread over the trace.
         let frontend_cycles =
             workload.instructions() as f64 / (cfg.peak_issue_per_cycle * workload.frontend_efficiency());
-        let gap = if trace.is_empty() {
+        let gap = if total == 0 {
             0.0
         } else {
-            frontend_cycles / trace.len() as f64
+            frontend_cycles / total as f64
         };
 
-        let window = cfg.max_outstanding;
-        let mut ring = vec![0.0f64; window];
+        // Every real line size is a power of two: index lines by shift.
+        let line_shift = cfg
+            .line_bytes
+            .is_power_of_two()
+            .then(|| cfg.line_bytes.trailing_zeros());
+        let mut ring = vec![0.0f64; cfg.max_outstanding];
+        let mut slot = 0usize;
         let mut next_issue = 0.0f64;
         let mut last_completion = 0.0f64;
 
-        for (i, req) in trace.iter().enumerate() {
+        for req in requests {
             // Stall on the window slot this request reuses.
-            let issue = next_issue.max(ring[i % window]);
+            let issue = next_issue.max(ring[slot]);
             next_issue = issue + gap;
             // Hashed (swizzled) channel interleaving, as real GPU memory
             // partitions use, so strided tile walks cannot camp on a
             // subset of channels.
-            let line = req.addr / cfg.line_bytes;
+            let line = match line_shift {
+                Some(shift) => req.addr >> shift,
+                None => req.addr / cfg.line_bytes,
+            };
             let hashed = line ^ (line >> 7) ^ (line >> 13);
             let mc = (hashed % cfg.num_channels as u64) as usize;
-            let done = mcs[mc].service(issue, req);
-            ring[i % window] = done;
+            let done = mcs[mc].service(issue, &req);
+            ring[slot] = done;
+            slot += 1;
+            if slot == ring.len() {
+                slot = 0;
+            }
             if done > last_completion {
                 last_completion = done;
             }
@@ -127,7 +140,7 @@ impl Simulator {
             mode: self.mode,
             cycles,
             instructions: workload.instructions(),
-            requests: trace.len() as u64,
+            requests: total as u64,
             traffic_bytes: workload.traffic_bytes(),
             encrypted_bytes: workload.encrypted_bytes(),
             per_mc,

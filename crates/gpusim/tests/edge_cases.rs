@@ -23,6 +23,30 @@ fn zero_instruction_workload_is_pure_memory() {
 }
 
 #[test]
+fn workload_without_requests_takes_its_frontend_time() {
+    // Every region yields nothing (empty, zero passes, zero-row matrix):
+    // no request is issued and the run lasts exactly the front-end time.
+    let wl = Workload::builder("idle")
+        .region(Region::read("empty", 0, 0).encrypted(true))
+        .region(Region::read("unread", 1 << 20, 4096).passes(0.0))
+        .region(Region::write("no_rows", 1 << 21, 4096).tiled(0, 512, 2, 128, 1.0))
+        .region(Region::read("no_reads", 1 << 22, 4096).tiled_reuse(512, 0.0))
+        .instructions(816_000)
+        .build()
+        .unwrap();
+    assert_eq!(wl.requests(128).len(), 0);
+    assert_eq!(wl.requests(128).next(), None);
+    for mode in [EncryptionMode::None, EncryptionMode::Direct, EncryptionMode::Counter] {
+        let cfg = GpuConfig::gtx480();
+        let frontend = 816_000.0 / (cfg.peak_issue_per_cycle * wl.frontend_efficiency());
+        let r = Simulator::new(cfg, mode).unwrap().run(&wl).unwrap();
+        assert_eq!(r.requests, 0);
+        assert_eq!(r.cycles, frontend, "{mode}");
+        assert!(r.per_mc.iter().all(|m| m.lines == 0 && m.dram_busy == 0.0));
+    }
+}
+
+#[test]
 fn single_request_latency_is_dram_latency_plus_service() {
     let cfg = GpuConfig::gtx480();
     let one = Workload::builder("one")

@@ -46,7 +46,7 @@ fn every_request_is_serviced_once() {
             .unwrap();
         let serviced: u64 = r.per_mc.iter().map(|m| m.lines).sum();
         assert_eq!(serviced, r.requests, "case {case}");
-        assert_eq!(r.requests, wl.trace(128).len() as u64, "case {case}");
+        assert_eq!(r.requests, wl.requests(128).len() as u64, "case {case}");
     }
 }
 
@@ -61,7 +61,7 @@ fn encrypted_lines_match_encrypted_bytes() {
             .run(&wl)
             .unwrap();
         let enc_lines: u64 = r.per_mc.iter().map(|m| m.encrypted_lines).sum();
-        let expected = wl.trace(128).iter().filter(|q| q.encrypted).count() as u64;
+        let expected = wl.requests(128).filter(|q| q.encrypted).count() as u64;
         assert_eq!(enc_lines, expected, "case {case}");
     }
 }

@@ -12,15 +12,14 @@ fn lower_bound(cfg: &GpuConfig, wl: &Workload, encrypted: bool) -> f64 {
     // Front-end bound.
     let frontend = wl.instructions() as f64 / (cfg.peak_issue_per_cycle * wl.frontend_efficiency());
     // DRAM bandwidth bound (per-channel service at the workload's
-    // efficiency; trace() gives the real line count incl. partial lines).
-    let lines = wl.trace(cfg.line_bytes).len() as f64;
+    // efficiency; requests() knows the real line count incl. partial lines).
+    let lines = wl.requests(cfg.line_bytes).len() as f64;
     let bytes = lines * cfg.line_bytes as f64;
     let dram = bytes / (cfg.total_dram_gbps * 1e9 * wl.dram_efficiency()) * clock;
     // Engine bandwidth bound over encrypted lines only.
     let engine = if encrypted {
         let enc_lines = wl
-            .trace(cfg.line_bytes)
-            .iter()
+            .requests(cfg.line_bytes)
             .filter(|r| r.encrypted)
             .count() as f64;
         (enc_lines * cfg.line_bytes as f64)
