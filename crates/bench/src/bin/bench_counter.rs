@@ -4,12 +4,15 @@
 //! Run via `scripts/bench_counter.sh` (or directly:
 //! `cargo run --release -p seal-bench --bin bench_counter`).
 //!
-//! Two claims, measured on this machine:
+//! Three claims, measured on this machine:
 //!
 //! 1. **Walk**: the batched `access_run` over a pinned read-only region
 //!    retires the hot weight walk in O(1) per run instead of a per-page
 //!    LRU probe — ns/page collapses versus the per-page `access` loop.
-//! 2. **Lanes**: under the tuned geometry (read-only weight window +
+//! 2. **Stream**: a fresh feature-map stream behind the prefetcher is
+//!    written in closed form — at most one write per cache way instead
+//!    of a lookup and a fill per page.
+//! 3. **Lanes**: under the tuned geometry (read-only weight window +
 //!    next-line prefetch), the smoke cost model's Counter lane goes from
 //!    a 0% counter hit rate and the recorded 4.238× slowdown (classic
 //!    geometry, cyclic thrash) to a warm walk: hit rate > 0.5 and
@@ -70,6 +73,40 @@ fn bench_walk() -> WalkBench {
     }
 }
 
+/// Pages in the streaming micro-benchmark (one smoke batch's SEAL-C
+/// feature-map stream is of this order).
+const STREAM_PAGES: u64 = 2400;
+
+/// ns/page of a fresh stream, walked per page and through `access_run`.
+struct StreamBench {
+    per_page: f64,
+    batched: f64,
+}
+
+/// Times a fresh `STREAM_PAGES`-page run on the tuned 96 KB geometry:
+/// every iteration continues the ascending stream where the last ended,
+/// as a lane's feature-map cursor does from batch to batch.
+fn bench_stream() -> StreamBench {
+    let cfg = CounterGeometry::tuned().cache_config(96);
+    let page = cfg.coverage_bytes as u64;
+    let arm = |walk: &dyn Fn(&mut CounterCache, u64) -> u64| {
+        let mut cc = CounterCache::new(cfg).expect("valid config");
+        let mut cursor = 1u64 << 40;
+        let ns = measure_ns(|| {
+            let misses = walk(&mut cc, cursor);
+            cursor += STREAM_PAGES * page;
+            misses
+        });
+        ns / STREAM_PAGES as f64
+    };
+    StreamBench {
+        per_page: arm(&|cc, base| {
+            (0..STREAM_PAGES).filter(|p| !cc.access(base + p * page)).count() as u64
+        }),
+        batched: arm(&|cc, base| cc.access_run(base, STREAM_PAGES).misses),
+    }
+}
+
 struct LaneArm {
     label: &'static str,
     counter: SchemeSummary,
@@ -124,35 +161,8 @@ fn lane_json(arm: &LaneArm) -> String {
     )
 }
 
-fn main() {
-    println!("counter bench: {WALK_PAGES}-page pinned walk + smoke lane geometries");
-
-    let walk = bench_walk();
-    println!(
-        "{:<28} {:>12.2} ns/page",
-        "walk/per_page_access",
-        walk.per_page_per_page()
-    );
-    println!(
-        "{:<28} {:>12.4} ns/page ({:.0}x)",
-        "walk/access_run",
-        walk.run_per_page(),
-        walk.speedup()
-    );
-
-    let before = bench_lanes("before_classic", CounterGeometry::classic());
-    let after = bench_lanes("after_tuned", CounterGeometry::tuned());
-    for arm in [&before, &after] {
-        println!(
-            "lane {:>15}: Counter hit {:.4} slowdown {:.3}x, SEAL-C hit {:.4} slowdown {:.3}x",
-            arm.label,
-            arm.counter.counter_hit_rate,
-            arm.counter.slowdown_vs_baseline,
-            arm.seal.counter_hit_rate,
-            arm.seal.slowdown_vs_baseline
-        );
-    }
-
+/// The `results/BENCH_counter.json` document.
+fn render(walk: &WalkBench, stream: &StreamBench, before: &LaneArm, after: &LaneArm) -> String {
     let mut json = String::new();
     json.push_str("{\n");
     json.push_str("  \"bench\": \"counter\",\n");
@@ -173,14 +183,67 @@ fn main() {
         "    \"access_run_ns_per_page\": {:.6},\n",
         walk.run_per_page()
     ));
-    json.push_str(&format!("    \"speedup\": {:.1}\n", walk.speedup()));
+    json.push_str(&format!("    \"speedup\": {:.1},\n", walk.speedup()));
+    json.push_str(&format!("    \"stream_pages\": {STREAM_PAGES},\n"));
+    json.push_str(&format!(
+        "    \"stream_ns_per_page\": {:.4},\n",
+        stream.per_page
+    ));
+    json.push_str(&format!(
+        "    \"stream_ns_per_page_batched\": {:.4}\n",
+        stream.batched
+    ));
     json.push_str("  },\n");
     json.push_str("  \"lanes\": {\n");
-    json.push_str(&lane_json(&before));
+    json.push_str(&lane_json(before));
     json.push_str(",\n");
-    json.push_str(&lane_json(&after));
+    json.push_str(&lane_json(after));
     json.push_str("\n  }\n}\n");
+    json
+}
 
+fn main() {
+    println!("counter bench: {WALK_PAGES}-page pinned walk + smoke lane geometries");
+
+    let walk = bench_walk();
+    println!(
+        "{:<28} {:>12.2} ns/page",
+        "walk/per_page_access",
+        walk.per_page_per_page()
+    );
+    println!(
+        "{:<28} {:>12.4} ns/page ({:.0}x)",
+        "walk/access_run",
+        walk.run_per_page(),
+        walk.speedup()
+    );
+
+    let stream = bench_stream();
+    println!(
+        "{:<28} {:>12.2} ns/page",
+        "stream/per_page_access", stream.per_page
+    );
+    println!(
+        "{:<28} {:>12.2} ns/page ({:.1}x)",
+        "stream/access_run",
+        stream.batched,
+        stream.per_page / stream.batched
+    );
+
+    let before = bench_lanes("before_classic", CounterGeometry::classic());
+    let after = bench_lanes("after_tuned", CounterGeometry::tuned());
+    for arm in [&before, &after] {
+        println!(
+            "lane {:>15}: Counter hit {:.4} slowdown {:.3}x, SEAL-C hit {:.4} slowdown {:.3}x",
+            arm.label,
+            arm.counter.counter_hit_rate,
+            arm.counter.slowdown_vs_baseline,
+            arm.seal.counter_hit_rate,
+            arm.seal.slowdown_vs_baseline
+        );
+    }
+
+    let json = render(&walk, &stream, &before, &after);
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "results/BENCH_counter.json".to_string());
@@ -195,5 +258,53 @@ fn main() {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Golden shape of `BENCH_counter.json`: the keys `bench_counter.sh`
+    /// gates on, in order, and the deterministic lane rows verbatim.
+    #[test]
+    fn report_json_has_the_stable_golden_shape() {
+        let walk = WalkBench {
+            per_page_ns: 8192.0 * 4.0,
+            run_ns: 8.192,
+        };
+        let stream = StreamBench {
+            per_page: 32.5,
+            batched: 1.25,
+        };
+        let before = bench_lanes("before_classic", CounterGeometry::classic());
+        let after = bench_lanes("after_tuned", CounterGeometry::tuned());
+        let text = render(&walk, &stream, &before, &after);
+        let walk_block = "  \"walk\": {\n    \"pages\": 8192,\n    \
+             \"per_page_access_ns_per_page\": 4.0000,\n    \
+             \"access_run_ns_per_page\": 0.001000,\n    \"speedup\": 4000.0,\n    \
+             \"stream_pages\": 2400,\n    \"stream_ns_per_page\": 32.5000,\n    \
+             \"stream_ns_per_page_batched\": 1.2500\n  },\n  \"lanes\": {\n";
+        assert!(text.contains(walk_block), "{text}");
+        // The lane rows the closed-form walk must not move.
+        assert!(
+            text.contains(
+                "\"Counter\": { \"counter_hit_rate\": 0.999995, \
+                 \"slowdown_vs_baseline\": 3.541913, \"counter_hits\": 432698, \
+                 \"counter_misses\": 2, \"ro_hits\": 372074, \"prefetch_hits\": 60624, \
+                 \"prefetch_fills\": 60625 }"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "\"Counter\": { \"counter_hit_rate\": 0.000000, \
+                 \"slowdown_vs_baseline\": 4.238043, \"counter_hits\": 0, \
+                 \"counter_misses\": 432700,"
+            ),
+            "{text}"
+        );
+        assert!(text.starts_with("{\n  \"bench\": \"counter\",\n  \"note\": "));
+        assert!(text.ends_with("\n  }\n}\n"));
     }
 }

@@ -27,6 +27,11 @@
 //!   prefetched line, which continues the stream — the next sequential
 //!   counter line is filled ahead of use. Prefetched lines count as
 //!   `prefetch_hits` when a demand access lands on them.
+//!
+//! [`CounterCache::access_run`] walks a run of consecutive pages with the
+//! per-page outcome but not the per-page cost: a run inside one pinned
+//! window is O(1), and a fresh ascending stream behind the prefetcher is
+//! written in closed form in O(min(pages, cache lines)).
 
 use crate::CryptoError;
 
@@ -344,8 +349,18 @@ pub struct RunOutcome {
     pub misses: u64,
 }
 
+impl RunOutcome {
+    fn record(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
+}
+
 /// One way of a set.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Way {
     /// Id of the counter line held (`addr / coverage_bytes`).
     line_id: u64,
@@ -402,9 +417,24 @@ pub struct CounterCache {
     /// counter line many times in a row, and checking this way first
     /// skips the set walk.
     recent_way: usize,
+    /// The highest line id a demand miss or the prefetcher ever filled:
+    /// no line above it has ever been resident, so a stream that starts
+    /// at it walks into lines the sets cannot hold yet.
+    high_water: u64,
+    /// Scratch of [`stream_run`](Self::stream_run), one slot per way of a
+    /// set: `(last_use, way)`, sorted into the order fills evict them.
+    order: Vec<(u64, usize)>,
     ro: Vec<RoSlot>,
     tick: u64,
     stats: CounterCacheStats,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Pages [`CounterCache::stream_run`] priced in closed form on this
+    /// thread: lets a test tell the closed form from the per-page walk,
+    /// which is otherwise indistinguishable by contract.
+    static STREAMED_PAGES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 // Ownership contract with the seal-pool parallel runtime: the cache is
@@ -447,6 +477,8 @@ impl CounterCache {
                 ways
             ],
             recent_way: 0,
+            high_water: 0,
+            order: vec![(0, 0); config.ways],
             ro: config
                 .read_only
                 .iter()
@@ -586,6 +618,7 @@ impl CounterCache {
                     last_use: tick,
                     flags: 0,
                 };
+                self.high_water = self.high_water.max(line_id);
                 self.stats.misses += 1;
                 (false, true)
             }
@@ -617,6 +650,7 @@ impl CounterCache {
             last_use: self.tick,
             flags: PREFETCHED,
         };
+        self.high_water = self.high_water.max(line_id);
         self.stats.prefetch_fills += 1;
     }
 
@@ -626,14 +660,19 @@ impl CounterCache {
     /// **Determinism contract:** the outcome (stats, LRU state, prefetch
     /// state) is bitwise identical to calling [`access`](Self::access) once
     /// per page in ascending order; the batched form only short-circuits
-    /// runs that sit entirely inside one pinned read-only region to O(1).
+    /// runs that sit entirely inside one pinned read-only region to O(1)
+    /// and fresh ascending streams behind the prefetcher to
+    /// O(min(pages, cache lines)). Pages whose address would pass
+    /// `u64::MAX` saturate onto the top of the address space.
     pub fn access_run(&mut self, base: u64, pages: u64) -> RunOutcome {
         let cov = self.config.coverage_bytes as u64;
+        let page_addr = |p: u64| base.saturating_add(p.saturating_mul(cov));
         if pages > 0 {
             if let Some(i) = self.ro_index(base) {
                 let slot = self.ro[i];
-                let last = base + (pages - 1).saturating_mul(cov);
-                if slot.region.contains(last) && !slot.corrupt {
+                // A saturated `u64::MAX` lies in no region: their
+                // exclusive ends are representable.
+                if slot.region.contains(page_addr(pages - 1)) && !slot.corrupt {
                     // Whole run under one shared major counter: first
                     // touch is the region's single fetch, everything else
                     // hits — exactly what the per-page loop would do.
@@ -658,14 +697,127 @@ impl CounterCache {
             }
         }
         let mut out = RunOutcome::default();
-        for p in 0..pages {
-            if self.access(base + p * cov) {
-                out.hits += 1;
-            } else {
-                out.misses += 1;
+        let mut p = 0;
+        while p < pages {
+            let addr = page_addr(p);
+            match self.stream_run(addr, pages - p) {
+                0 => {
+                    out.record(self.access(addr));
+                    p += 1;
+                }
+                streamed => {
+                    out.hits += streamed;
+                    p += streamed;
+                }
             }
         }
         out
+    }
+
+    /// The closed form of [`access`](Self::access) over a *fresh ascending
+    /// stream*: up to `pages` consecutive pages from `addr` whose first
+    /// line is resident, clean and still marked prefetched, with no line
+    /// above it ever filled. Every such page is a prefetch hit followed by
+    /// one fill of the next line, so the counters advance by the page
+    /// count and each touched set ends up holding its last `ways` streamed
+    /// lines — written directly, in the ways and with the stamps the
+    /// per-page walk would have left.
+    ///
+    /// Returns the pages it priced; 0 when the stream head is missing or
+    /// corrupt, a line above it was filled before, the cache has a single
+    /// set (a demanded line and its prefetched successor then share a set
+    /// and tie on `last_use`, which the ordering argument below excludes),
+    /// or the very next line is pinned or past the address space. A run
+    /// that reaches a pinned window or the top of the address space later
+    /// is priced up to there.
+    fn stream_run(&mut self, addr: u64, pages: u64) -> u64 {
+        if !self.config.prefetch || self.sets < 2 {
+            return 0;
+        }
+        let first = self.line_id(addr);
+        if first != self.high_water {
+            return 0;
+        }
+        // The walk demands lines `first .. first + n` and prefetches
+        // `first + 1 ..= first + n`: bound `n` so that all of their
+        // addresses exist, none falls inside a pinned window (those skip
+        // the sets) and no stamp overflows.
+        let mut n = pages
+            .min(self.line_id(u64::MAX) - first)
+            .min(u64::MAX - self.tick);
+        for slot in &self.ro {
+            let region = slot.region;
+            if region.end().is_none_or(|end| self.line_id(end - 1) >= first) {
+                let lines_below = self.line_id(region.base).saturating_sub(first);
+                n = n.min(lines_below.saturating_sub(1));
+            }
+        }
+        if n == 0 {
+            return 0;
+        }
+        let range = self.set_of(first);
+        let head_set = range.start;
+        let set = &mut self.ways[range];
+        let Some(i) = Self::find(set, first) else {
+            return 0;
+        };
+        let head = &mut set[i];
+        if head.flags != PREFETCHED {
+            return 0;
+        }
+        let tick0 = self.tick;
+        head.last_use = tick0 + 1;
+        head.flags = 0;
+        self.recent_way = head_set + i;
+
+        // Stream line `first + j` is filled at tick `tick0 + j` and
+        // demanded one tick later (the run's last fill, `j == n`, stays
+        // prefetched). Both stamps top everything in the line's set —
+        // old ways are at most `tick0`, the set's previous streamed line
+        // is `sets >= 2` ticks older — so each fill evicts the way that
+        // was oldest when the run started, then the next oldest, and
+        // after `ways` fills the first streamed line again: round-robin
+        // over the set's ways in their initial `(last_use, way)` order.
+        let assoc = self.config.ways as u64;
+        for t in 0..n.min(self.sets) {
+            // This set takes the lines `j = t + 1 + q * sets`.
+            let fills = (n - 1 - t) / self.sets + 1;
+            let range = self.set_of(first + 1 + t);
+            let set_start = range.start;
+            let set = &mut self.ways[range];
+            if let (1, Some(oldest)) = (fills, self.order.first_mut()) {
+                // A single fill takes the oldest way: nothing to order.
+                *oldest = (0, Self::victim(set));
+            } else {
+                for (slot, (i, way)) in self.order.iter_mut().zip(set.iter().enumerate()) {
+                    *slot = (way.last_use, i);
+                }
+                self.order.sort_unstable();
+            }
+            // Only the last `ways` fills survive.
+            let q0 = fills.saturating_sub(assoc);
+            let victims = self.order.iter().cycle().skip((q0 % assoc) as usize);
+            for (q, &(_, i)) in (q0..fills).zip(victims) {
+                let j = t + 1 + q * self.sets;
+                let demanded = j < n;
+                set[i] = Way {
+                    line_id: first + j,
+                    last_use: tick0 + j + u64::from(demanded),
+                    flags: if demanded { 0 } else { PREFETCHED },
+                };
+                if j + 1 == n {
+                    self.recent_way = set_start + i;
+                }
+            }
+        }
+        self.tick = tick0 + n;
+        self.high_water = first + n;
+        self.stats.hits += n;
+        self.stats.prefetch_hits += n;
+        self.stats.prefetch_fills += n;
+        #[cfg(test)]
+        STREAMED_PAGES.with(|pages| pages.set(pages.get() + n));
+        n
     }
 
     /// Flags the resident counter line covering `addr` as corrupted (a
@@ -709,6 +861,8 @@ impl CounterCache {
             slot.touched = false;
             slot.corrupt = false;
         }
+        self.recent_way = 0;
+        self.high_water = 0;
         self.tick = 0;
         self.stats = CounterCacheStats::default();
     }
@@ -974,22 +1128,255 @@ mod tests {
         ];
         for &(base, pages) in runs {
             let out = batched.access_run(base, pages);
-            let mut hits = 0u64;
-            let mut misses = 0u64;
-            for p in 0..pages {
-                if looped.access(base + p * 4096) {
-                    hits += 1;
-                } else {
-                    misses += 1;
-                }
-            }
-            assert_eq!(out, RunOutcome { hits, misses }, "run ({base:#x}, {pages})");
+            assert_eq!(out, per_page(&mut looped, base, pages), "run ({base:#x}, {pages})");
             assert_eq!(batched.stats(), looped.stats());
         }
         // And the final probe behavior agrees too.
         for addr in [0u64, 1 << 30, (1 << 30) + 80 * 4096, 1 << 35] {
             assert_eq!(batched.access(addr), looped.access(addr), "{addr:#x}");
         }
+    }
+
+    /// Pages priced in closed form on this thread since the last call.
+    fn take_streamed() -> u64 {
+        STREAMED_PAGES.with(|pages| pages.replace(0))
+    }
+
+    /// The per-page oracle of `access_run`: one `access` per page in
+    /// ascending order, addresses saturating at the top.
+    fn per_page(cc: &mut CounterCache, base: u64, pages: u64) -> RunOutcome {
+        let cov = cc.config.coverage_bytes as u64;
+        let mut out = RunOutcome::default();
+        for p in 0..pages {
+            out.record(cc.access(base.saturating_add(p.saturating_mul(cov))));
+        }
+        out
+    }
+
+    /// Everything a later access reads: the whole way array, the pinned
+    /// slots and every cursor.
+    type State = (Vec<Way>, Vec<(bool, bool)>, [u64; 3], CounterCacheStats);
+
+    fn state(cc: &CounterCache) -> State {
+        (
+            cc.ways.clone(),
+            cc.ro.iter().map(|s| (s.touched, s.corrupt)).collect(),
+            [cc.tick, cc.high_water, cc.recent_way as u64],
+            cc.stats,
+        )
+    }
+
+    /// Geometries of the streaming differential tests: the serving
+    /// default with pinned windows in the stream's way, power-of-two and
+    /// odd set counts, a non-power-of-two coverage, direct-mapped, and
+    /// the two- and one-set caches either side of the `sets >= 2` rule.
+    fn stream_geometries() -> Vec<(&'static str, CounterCacheConfig)> {
+        let pin = |mut c: CounterCacheConfig| {
+            for k in 1..=3u64 {
+                c = c.with_read_only_region(k << 34, 5 << 20).unwrap();
+            }
+            c
+        };
+        let tiny = |sets: usize, ways: usize| CounterCacheConfig {
+            capacity_bytes: sets * ways * 64,
+            ways,
+            ..CounterCacheConfig::with_kilobytes(24).with_prefetch(true)
+        };
+        vec![
+            ("tuned 96 KB, 192 sets, pinned", pin(CounterGeometry::tuned().cache_config(96))),
+            ("tuned 24 KB, 48 sets", CounterGeometry::tuned().cache_config(24)),
+            ("16 KB, 32 sets", CounterCacheConfig::with_kilobytes(16).with_prefetch(true)),
+            (
+                "split 3-bit 16 KB, pinned",
+                pin(CounterCacheConfig::split_kilobytes(16, 3).with_prefetch(true)),
+            ),
+            ("direct-mapped, 4 sets", tiny(4, 1)),
+            ("two sets, two ways, pinned", pin(tiny(2, 2))),
+            ("one set, two ways", tiny(1, 2)),
+            ("classic 24 KB", CounterGeometry::classic().cache_config(24)),
+        ]
+    }
+
+    #[test]
+    fn streaming_closed_form_matches_the_per_page_walk_on_seeded_histories() {
+        use seal_tensor::rng::{RngCore, SeedableRng};
+        for (g, (name, cfg)) in stream_geometries().into_iter().enumerate() {
+            let cov = cfg.coverage_bytes as u64;
+            let lines = (cfg.capacity_bytes / cfg.line_bytes) as u64;
+            let pinned: Vec<ReadOnlyRegion> = cfg.read_only.iter().flatten().copied().collect();
+            take_streamed();
+            for seed in 0..150u64 {
+                let mut rng =
+                    seal_tensor::rng::rngs::StdRng::seed_from_u64(0x57e4 + 1000 * g as u64 + seed);
+                let mut fast = CounterCache::new(cfg).unwrap();
+                let mut slow = CounterCache::new(cfg).unwrap();
+                let mut cursor = (1 << 20) + rng.next_u64() % (1 << 24);
+                for step in 0..40 {
+                    let r = rng.next_u64();
+                    let pages = match (r >> 8) % 20 {
+                        0..=9 => 1 + (r >> 16) % 8,
+                        10..=15 => 1 + (r >> 16) % (2 * cfg.sets() as u64 + 2),
+                        16..=18 => 1 + (r >> 16) % lines,
+                        _ => 1 + (r >> 16) % (4 * lines),
+                    };
+                    let mut run = None;
+                    match r % 16 {
+                        // The stream moves on, mostly where it left off.
+                        0..=6 => {
+                            run = Some((cursor, pages));
+                            cursor += pages * cov;
+                        }
+                        // A new stream from an unaligned base further up.
+                        7 => {
+                            cursor += (1 + (r >> 40) % 4096) * cov + (r >> 52) % cov;
+                            run = Some((cursor, pages));
+                            cursor += pages * cov;
+                        }
+                        // A revisit below the high-water mark.
+                        8 | 9 => run = Some((cursor - cursor.min((r >> 40) % (8 * lines * cov)), pages)),
+                        // The prefetched stream head (or a recent line) corrupted.
+                        10 => {
+                            let addr = cursor - cursor.min(((r >> 40) % 3) * cov);
+                            assert_eq!(fast.corrupt(addr), slow.corrupt(addr), "{name}");
+                        }
+                        // A stride-2 miss storm just above the stream, which
+                        // then runs into the debris or restarts beyond it.
+                        11 => {
+                            let mut storm = cursor + (1 + (r >> 40) % 64) * cov;
+                            for _ in 0..pages.min(64) {
+                                assert_eq!(fast.access(storm), slow.access(storm), "{name}");
+                                storm += 2 * cov;
+                            }
+                            if r >> 63 == 0 {
+                                cursor = storm;
+                            }
+                        }
+                        // Start just below a pinned window and run into it.
+                        12 | 13 if pinned.iter().any(|p| p.base > cursor) => {
+                            let region = pinned.iter().find(|p| p.base > cursor).unwrap();
+                            cursor = region.base - (1 + (r >> 44) % 48) * cov + (r >> 52) % cov;
+                            run = Some((cursor, pages));
+                            cursor += pages * cov;
+                        }
+                        // One page, the way the simulator asks.
+                        _ => {
+                            assert_eq!(fast.access(cursor), slow.access(cursor), "{name}");
+                            cursor += (r >> 40) % 2 * cov;
+                        }
+                    }
+                    if let Some((base, pages)) = run {
+                        let got = fast.access_run(base, pages);
+                        let want = per_page(&mut slow, base, pages);
+                        assert_eq!(got, want, "{name}, seed {seed}, step {step}: ({base:#x}, {pages})");
+                    }
+                    assert!(
+                        state(&fast) == state(&slow),
+                        "{name}, seed {seed}, step {step}: state diverged"
+                    );
+                }
+            }
+            // The comparison must be between two different computations.
+            let streamed = take_streamed();
+            let expect_streaming = cfg.prefetch && cfg.sets() >= 2;
+            assert_eq!(streamed > 0, expect_streaming, "{name}: {streamed} pages streamed");
+        }
+    }
+
+    #[test]
+    fn streaming_closed_form_stops_at_a_pinned_window_and_resumes_past_it() {
+        for (name, cfg) in stream_geometries() {
+            let Some(region) = cfg.read_only.iter().flatten().next().copied() else {
+                continue;
+            };
+            let cov = cfg.coverage_bytes as u64;
+            let mut fast = CounterCache::new(cfg).unwrap();
+            let mut slow = CounterCache::new(cfg).unwrap();
+            take_streamed();
+            // 20 pages below the window, through it, and 20 pages out the
+            // other side, from an unaligned base.
+            let base = region.base - 20 * cov + 17;
+            let pages = 40 + region.bytes.div_ceil(cov);
+            assert_eq!(fast.access_run(base, pages), per_page(&mut slow, base, pages), "{name}");
+            assert!(state(&fast) == state(&slow), "{name}: state diverged");
+            assert!(fast.stats().ro_hits > 0, "{name}: the run crossed the window");
+            let streamed = take_streamed();
+            assert!(
+                (30..pages - region.bytes / cov).contains(&streamed),
+                "{name}: both sides of the window stream, {streamed} pages did"
+            );
+        }
+    }
+
+    #[test]
+    fn smoke_shaped_batches_are_priced_in_closed_form() {
+        // The serve lane's walk: a pinned weight sweep, then each batch's
+        // feature maps continue one ascending stream. Only the very first
+        // page (the cold stream head) may take the per-page path, and a
+        // run writes no more ways than the cache has.
+        let cfg = CounterGeometry::tuned()
+            .cache_config(96)
+            .with_read_only_region(0, 3000 * 4096)
+            .unwrap();
+        let mut cc = CounterCache::new(cfg).unwrap();
+        let mut slow = CounterCache::new(cfg).unwrap();
+        let mut cursor = 1u64 << 40;
+        let mut total = 0;
+        take_streamed();
+        for pages in [4849u64, 4849, 607, 2425, 4849, 1213, 1, 1, 4849] {
+            cc.access_run(0, 3000);
+            per_page(&mut slow, 0, 3000);
+            let out = cc.access_run(cursor, pages);
+            assert_eq!(out, per_page(&mut slow, cursor, pages));
+            cursor += pages * 4096;
+            total += pages;
+        }
+        assert_eq!(take_streamed(), total - 1);
+        assert_eq!(cc.stats().prefetch_hits, total - 1);
+        assert!(state(&cc) == state(&slow));
+    }
+
+    #[test]
+    fn access_run_saturates_at_the_top_of_the_address_space() {
+        // `base + p * cov` used to be computed unchecked: a debug-build
+        // overflow panic, and in release a wrap into low addresses.
+        for cfg in [
+            CounterCacheConfig::with_kilobytes(24),
+            CounterCacheConfig::with_kilobytes(24).with_prefetch(true),
+        ] {
+            let cov = cfg.coverage_bytes as u64;
+            let base = u64::MAX - 3 * cov;
+            let mut cc = CounterCache::new(cfg).unwrap();
+            let mut slow = CounterCache::new(cfg).unwrap();
+            // Four pages fit exactly; the run must not wrap to line 0.
+            assert_eq!(cc.access_run(base, 4), per_page(&mut slow, base, 4));
+            assert!(!cc.access(0), "nothing wrapped into the low addresses");
+            slow.access(0);
+            // Pages past the top all land on the last line: hits.
+            let out = cc.access_run(base, 7);
+            assert_eq!(out, RunOutcome { hits: 7, misses: 0 });
+            assert_eq!(out, per_page(&mut slow, base, 7));
+            assert!(state(&cc) == state(&slow));
+            // A page count whose span alone overflows.
+            assert_eq!(cc.access_run(1 << 40, 0), RunOutcome::default());
+            assert_eq!(cc.access_run(u64::MAX, 3).hits, 3);
+        }
+    }
+
+    #[test]
+    fn reset_clears_the_stream_cursors() {
+        let cfg = CounterCacheConfig::with_kilobytes(24).with_prefetch(true);
+        let mut cc = CounterCache::new(cfg).unwrap();
+        take_streamed();
+        cc.access_run(1 << 30, 100);
+        assert!(cc.high_water > 0 && take_streamed() == 99);
+        cc.reset();
+        assert_eq!((cc.high_water, cc.recent_way, cc.tick), (0, 0, 0));
+        // A lower stream after the reset is fresh again, and the cache
+        // is indistinguishable from a new one.
+        let mut fresh = CounterCache::new(cfg).unwrap();
+        assert_eq!(cc.access_run(1 << 20, 100), fresh.access_run(1 << 20, 100));
+        assert_eq!(take_streamed(), 2 * 99);
+        assert_eq!(cc.stats(), fresh.stats());
     }
 
     #[test]

@@ -31,6 +31,13 @@
 //! [`access_run`](CounterCache::access_run) call, and streaming feature
 //! maps stay cold but engage the next-line prefetcher so their counter
 //! fetches overlap the data fetches instead of stalling them.
+//!
+//! Host cost per lane and batch: the pinned weight sweep is O(1), and
+//! the feature-map walk is O(min(pages, cache lines)) — each batch's
+//! pages continue one fresh ascending stream, which `access_run` prices
+//! in closed form — so pricing a batch does not grow with its traffic.
+//! An injected miss storm lands above the stream and sends that lane's
+//! later walks back to the per-page loop (same results, chaos runs only).
 
 use seal_crypto::{
     Aes128, CounterCache, CryptoError, CtrCipher, EnginePipeline, EngineSpec,
@@ -580,7 +587,8 @@ impl SchemeLane {
     /// batched [`access_run`] over stable addresses (pinned read-only
     /// under the tuned geometry — warm after batch 1), feature-map pages
     /// stream through fresh addresses (cold, but the prefetcher runs
-    /// ahead of them). Returns the demand-miss count.
+    /// ahead of them, and the same call prices the whole stream without
+    /// visiting its pages). Returns the demand-miss count.
     ///
     /// [`access_run`]: CounterCache::access_run
     fn walk_counters(&mut self, batch: u64) -> u64 {

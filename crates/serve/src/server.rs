@@ -458,9 +458,14 @@ fn worker_loop(
                 locked(&shared.batches).observe(batch_size);
                 locked(&shared.breaker).on_success();
                 let done = Instant::now();
+                {
+                    let mut latency = locked(&shared.latency);
+                    for request in &live {
+                        latency.record(done.duration_since(request.enqueued).as_micros() as u64);
+                    }
+                }
                 for (request, prediction) in live.into_iter().zip(predictions) {
                     let latency = done.duration_since(request.enqueued);
-                    locked(&shared.latency).record(latency.as_micros() as u64);
                     // A dropped handle is fine — the server-side stats
                     // above already recorded the request.
                     let _ = request.tx.send(Ok(Response {

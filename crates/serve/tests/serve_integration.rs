@@ -119,8 +119,13 @@ fn quantized_serving_shrinks_every_encrypting_lane() {
     // int8 quantized plan. Every prediction still lands, and each
     // encrypting lane of the quantized run moves ~4× fewer encrypted
     // bytes and finishes sooner in virtual cycles.
+    // Singleton batches: encrypted weights stream once per *batch*, so
+    // with wall-clock batching the two runs' byte counts would depend on
+    // how their 16 requests happened to group (one run forming 4 batches
+    // and the other 16 breaks the 3× below without any lane changing).
     let f_config = ServerConfig {
         workers: 2,
+        max_batch: 1,
         ..ServerConfig::smoke()
     };
     let q_config = ServerConfig {
