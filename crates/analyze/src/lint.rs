@@ -263,26 +263,41 @@ pub(crate) fn test_region_lines(toks: &[Tok]) -> std::collections::BTreeSet<u32>
     while i < code.len() {
         if let Some(after_attr) = cfg_test_attr_end(&code, i) {
             let start_line = code[i].1.line;
-            // Skip to the gated item's opening brace (or a terminating
-            // `;` for gated `use`/`mod foo;` items), then match braces.
+            // Skip to the gated item's opening brace and match it — or
+            // stop where an item with no brace of its own ends: a `;`
+            // (`use`, `mod foo;`, a statement), a `,` (struct field,
+            // enum variant, match arm) or the *enclosing* item's closer.
+            // Only separators outside every bracket count; `<…>` is
+            // tracked in the brace-less header so `Map<K, V>` is one item.
             let mut j = after_attr;
             let mut depth = 0usize;
+            let mut angle = 0usize;
             let mut end_line = code[j.min(code.len() - 1)].1.line;
             while j < code.len() {
                 let t = code[j].1;
                 if t.kind == TokKind::Punct {
                     match t.text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
+                        "{" | "(" | "[" => depth += 1,
+                        "}" | ")" | "]" => {
                             if depth == 0 {
+                                // Not ours: the gated item ended on the
+                                // previous token.
+                                break;
+                            }
+                            depth -= 1;
+                            if depth == 0 && t.text == "}" {
                                 end_line = t.line;
                                 break;
                             }
                         }
-                        ";" if depth == 0 => {
+                        ";" | "," if depth == 0 && angle == 0 => {
                             end_line = t.line;
                             break;
+                        }
+                        "<" if depth == 0 => angle += 1,
+                        // `->` and `=>` are not closers.
+                        ">" if depth == 0 && !matches!(code[j - 1].1.text.as_str(), "-" | "=") => {
+                            angle = angle.saturating_sub(1);
                         }
                         _ => {}
                     }
@@ -918,6 +933,25 @@ mod tests {
     fn cfg_test_blocks_are_skipped() {
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n  fn g() { x.unwrap(); }\n}\n";
         assert!(rules_found(src).is_empty());
+    }
+
+    #[test]
+    fn cfg_test_on_a_braceless_item_ends_at_its_separator() {
+        // A gated struct field (with or without a trailing comma), enum
+        // variant, match arm or parameter has no brace of its own: the
+        // region must end at the `,` — or before the enclosing closer —
+        // and everything after it is still linted.
+        for src in [
+            "struct S {\n  a: u8,\n  #[cfg(test)]\n  probe: Map<u8, u8>,\n}\nfn f() { x.unwrap(); }\n",
+            "struct S {\n  a: u8,\n  #[cfg(test)]\n  probe: u32\n}\nfn f() { x.unwrap(); }\n",
+            "enum E {\n  A,\n  #[cfg(test)]\n  B(u8, u8),\n}\nfn f() { x.unwrap(); }\n",
+            "fn g(a: u8, #[cfg(test)] b: u8) {\n}\n\n\n\nfn f() { x.unwrap(); }\n",
+        ] {
+            assert_eq!(rules_found(src), vec![(Rule::Unwrap, 6)], "{src}");
+        }
+        // A gated function keeps its whole body, whatever its header holds.
+        let src = "#[cfg(test)]\nfn g<A, B>(a: [A; 2], b: B) -> Map<A, B> {\n  x.unwrap()\n}\nfn f() { y.unwrap(); }\n";
+        assert_eq!(rules_found(src), vec![(Rule::Unwrap, 5)]);
     }
 
     #[test]

@@ -29,6 +29,17 @@ fn panic_fixture_yields_every_seeded_finding() {
 }
 
 #[test]
+fn code_after_a_cfg_test_struct_field_is_still_linted() {
+    let findings = lint_paths(&[fixture("bad_gated_field.rs")]).unwrap();
+    let rules: Vec<(Rule, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(
+        rules,
+        vec![(Rule::Unwrap, 20)],
+        "full findings: {findings:#?}"
+    );
+}
+
+#[test]
 fn cast_fixture_yields_only_the_truncating_casts() {
     let findings = lint_paths(&[fixture("crypto/aes.rs")]).unwrap();
     let rules: Vec<(Rule, u32)> = findings.iter().map(|f| (f.rule, f.line)).collect();
@@ -175,7 +186,8 @@ fn linting_the_whole_fixture_dir_finds_all_files() {
     assert!(findings.iter().any(|f| f.path.ends_with("aes.rs")));
     assert!(findings.iter().any(|f| f.path.ends_with("bad_hot_alloc.rs")));
     assert!(findings.iter().any(|f| f.path.ends_with("bad_raw_syscall.rs")));
-    assert_eq!(findings.len(), 23);
+    assert!(findings.iter().any(|f| f.path.ends_with("bad_gated_field.rs")));
+    assert_eq!(findings.len(), 24);
 }
 
 #[test]

@@ -1,6 +1,7 @@
 //! Determinism probe: hashes the bitwise output of every parallelized
-//! hot path (matmul, conv2d forward/backward, a full training step, and
-//! the ragged shapes whose last column strip is zero-padded) on the
+//! hot path (matmul, conv2d forward/backward, a full training step, the
+//! ragged shapes whose last column strip is zero-padded, and the int8
+//! compiled plans of the three zoo models) on the
 //! **global** seal-pool, which resolves its width from the
 //! `SEAL_THREADS` environment variable.
 //!
@@ -10,7 +11,8 @@
 //! deliberately *not* printed here.
 
 use seal_nn::layers::{Conv2d, Flatten, Linear, ReLU};
-use seal_nn::{fit, FitConfig, Sequential, Sgd};
+use seal_nn::models::{mlp, resnet, vgg16, MlpConfig, ResNetConfig, VggConfig};
+use seal_nn::{fit, CompiledModel, FitConfig, PlanOptions, Sequential, Sgd};
 use seal_tensor::ops::{
     conv2d, conv2d_backward, conv2d_infer_packed, kernel_mode, matmul, matmul_i8, Conv2dGeometry,
     ConvPlanDims, Im2colGather,
@@ -132,6 +134,43 @@ fn probe_ragged() -> (u64, u64, u64) {
     (fnv1a(&f32_out), fnv1a(&i8_out), fnv1a(&conv_out))
 }
 
+/// Int8 logits of reduced vgg16 / resnet18 / mlp at batch 1, 5 and 8: the
+/// whole u8 NHWC data path (entry quantize, run-copy gather, int8 GEMM,
+/// requantize + max-pool, f32 exits at residual adds and logits).
+fn probe_plan_i8() -> u64 {
+    let mut rng = StdRng::seed_from_u64(16);
+    let vgg = VggConfig::reduced();
+    let res = ResNetConfig::reduced(18);
+    let models = [
+        (
+            vgg16(&mut rng, &vgg).expect("valid config"),
+            vgg.input_channels,
+            vgg.input_hw,
+        ),
+        (
+            resnet(&mut rng, &res).expect("valid config"),
+            res.input_channels,
+            res.input_hw,
+        ),
+        (
+            mlp(&mut rng, &MlpConfig::reduced()).expect("valid config"),
+            3,
+            8,
+        ),
+    ];
+    let mut logits = Vec::new();
+    for (model, c, hw) in &models {
+        let input = Shape::nchw(1, *c, *hw, *hw);
+        let mut plan = CompiledModel::compile(model, &input, 8, PlanOptions::quantized())
+            .expect("zoo models are plannable");
+        for n in [1, 5, 8] {
+            let x = uniform(&mut rng, Shape::nchw(n, *c, *hw, *hw), -1.0, 1.0);
+            logits.extend_from_slice(plan.execute_into(&x).expect("shape matches the plan"));
+        }
+    }
+    fnv1a(&logits)
+}
+
 fn probe_elementwise() -> u64 {
     let mut rng = StdRng::seed_from_u64(14);
     let x = uniform(&mut rng, Shape::vector(20_000), -2.0, 2.0);
@@ -150,4 +189,5 @@ fn main() {
     println!("ragged_gemm     {gemm:#018x}");
     println!("ragged_gemm_i8  {gemm_i8:#018x}");
     println!("ragged_planned  {conv:#018x}");
+    println!("plan_i8         {:#018x}", probe_plan_i8());
 }

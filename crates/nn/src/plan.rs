@@ -13,6 +13,15 @@
 //! their im2col expansion *directly in packed panel layout* in per-thread
 //! scratch grown once, and Linear layers consume their compile-time pack.
 //!
+//! Quantized plans ([`PlanOptions::quantized`]) keep activations **u8
+//! between int8 steps**: every activation edge is either f32 NCHW (the
+//! arena above) or u8 NHWC, zero-point-padded for its consumer, with one
+//! scale per image (a u8 ping-pong arena sized at compile). A quantized
+//! step always reads u8; it writes u8 when its only consumer — through an
+//! optional max-pool and flatten/dropout — is another quantized step, and
+//! f32 otherwise (logits, a residual add, average pooling, an unfolded
+//! batch-norm). See `assign_edges` below and DESIGN.md, "int8 data path".
+//!
 //! Determinism contract: with fusion off (`PlanOptions::default()`) the
 //! plan replays exactly the float operations of
 //! [`Sequential::forward_infer`] — same accumulation orders, same bias
@@ -30,9 +39,10 @@ use crate::shape_check::check_model;
 use crate::{Layer, NnError, Sequential};
 use seal_tensor::ops::{
     avg_pool2d_into, conv2d_infer_packed, conv2d_reference, dequantize_bias_relu,
-    dequantize_transpose_bias_relu, gather_patches_u8, gemm_i8, gemm_prepacked, kernel_mode,
-    max_pool2d_into, quantize_rows_u8, quantize_slice_u8, quantized_row_len, Conv2dGeometry,
-    ConvPlanDims, Im2colGather, KernelMode, PackedB, PackedBI8, PatchGather, PoolGeometry,
+    dequantize_transpose_bias_relu, gather_patches_nhwc, gemm_i8, gemm_prepacked, kernel_mode,
+    max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8, quantized_row_len, Conv2dGeometry,
+    ConvPlanDims, Im2colGather, KernelMode, NhwcImage, PackedB, PackedBI8, PoolGeometry,
+    Requantize, PATCH_SLACK,
 };
 use seal_tensor::{Shape, Tensor, ELEMWISE_CHUNK};
 
@@ -53,12 +63,15 @@ pub struct PlanOptions {
     /// Run every convolution and linear layer through the deterministic
     /// int8 path: weights are symmetrically quantized per output channel
     /// at compile time (after batch-norm folding, when enabled) and
-    /// pre-packed into [`PackedBI8`] panels; activations are quantized on
-    /// entry to each quantized step (per row for linear layers, per image
-    /// for convolutions) and dequantized — with bias and any fused ReLU —
-    /// in the write-back. Logits stay bitwise identical across thread
-    /// counts and `SEAL_KERNEL` modes (exact i32 accumulation), and track
-    /// the f32 plan to quantization tolerance.
+    /// pre-packed into [`PackedBI8`] panels; activations carry one dynamic
+    /// symmetric scale per image and stay **u8 NHWC between quantized
+    /// steps** — the write-back applies scale, bias and any fused ReLU
+    /// and max-pool, then requantizes straight into the next step's
+    /// padded input; only an edge into an f32 step (logits, residual add,
+    /// average pool) is dequantized. Logits stay bitwise identical across
+    /// thread counts and `SEAL_KERNEL` modes (exact i32 accumulation,
+    /// elementwise epilogues), and track the f32 plan to quantization
+    /// tolerance.
     pub quantize: bool,
 }
 
@@ -105,23 +118,25 @@ enum Step {
         relu: bool,
     },
     /// Int8 convolution: per-out-channel-quantized weights pre-packed at
-    /// compile time, patch-major im2col gather, exact-i32 GEMM, fused
-    /// dequantize/transpose/bias/ReLU write-back.
+    /// compile time in `(ky, kx, c_in)` column order, run-copy patch
+    /// gather from the padded u8 NHWC input, exact-i32 GEMM, write-back
+    /// in the format of the outgoing edge.
     QConv {
         dims: ConvPlanDims,
-        gather: PatchGather,
         packed: PackedBI8,
         bias: Vec<f32>,
         relu: bool,
+        edges: QEdges,
     },
     /// Int8 fully connected layer: per-out-channel-quantized `Wᵀ` panels,
-    /// per-row activation quantization, exact-i32 GEMM.
+    /// one u8 row (and scale) per image, exact-i32 GEMM.
     QLinear {
         packed: PackedBI8,
         bias: Vec<f32>,
         in_f: usize,
         out_f: usize,
         relu: bool,
+        edges: QEdges,
     },
     /// Inference batch-norm with the per-channel `1/√(σ²+ε)` precomputed
     /// exactly as `forward_infer` computes it.
@@ -166,19 +181,18 @@ enum Step {
     },
 }
 
-impl Step {
-    /// Per-sample output volume, if this step changes buffers.
-    fn swaps(&self) -> bool {
-        matches!(
-            self,
-            Step::Conv { .. }
-                | Step::Linear { .. }
-                | Step::QConv { .. }
-                | Step::QLinear { .. }
-                | Step::MaxPool { .. }
-                | Step::AvgPool { .. }
-        )
-    }
+/// The activation formats on either side of a quantized step, decided by
+/// [`assign_edges`]. The default — f32 NCHW in, f32 NCHW out — is what a
+/// step gets when neither neighbour is quantized.
+#[derive(Debug, Default)]
+struct QEdges {
+    /// The producer already left this step's padded u8 image (and scale)
+    /// in the live u8 slot; otherwise the step converts the f32 arena.
+    u8_in: bool,
+    /// Requantizing write-back into the consumer's u8 image; `None`
+    /// dequantizes to the f32 arena. Boxed: it is read once per image,
+    /// and inline it would be the largest thing in a [`Step`].
+    u8_out: Option<Box<Requantize>>,
 }
 
 /// Per-sample feature shape while walking the layer list.
@@ -221,16 +235,22 @@ impl Arena {
 /// steady state.
 #[derive(Debug, Default)]
 struct QuantScratch {
-    /// One quantized input image, offset-binary u8 (conv path).
-    q_img: Vec<u8>,
-    /// The quantized A operand: a patch-major im2col matrix (conv: one
-    /// image, or the whole batch stacked when the shape folds) or the
-    /// whole activation batch (linear).
-    qa: Vec<u8>,
+    /// The u8 activation ping-pong: each slot a batch of padded NHWC
+    /// images (or linear rows) at the consumer's [`NhwcImage::stride`],
+    /// plus the gather's read slack. `u8_live` holds the current
+    /// activations; a step with a u8 outgoing edge writes `u8_next` and
+    /// swaps the two.
+    u8_live: Vec<u8>,
+    u8_next: Vec<u8>,
+    /// Scale of each image in `u8_live`.
+    scales: Vec<f32>,
+    /// Patch-major A operand of one conv GEMM (one image, or the whole
+    /// batch stacked when the shape folds), plus the gather's write slack.
+    patches: Vec<u8>,
     /// The exact i32 GEMM accumulator.
     acc: Vec<i32>,
-    /// Activation scales: per row (linear) or per image of one conv GEMM.
-    a_scales: Vec<f32>,
+    /// One image of f32 staging for the requantizing write-back.
+    stage: Vec<f32>,
 }
 
 /// An ahead-of-time compiled inference plan for one model and one input
@@ -293,6 +313,7 @@ impl CompiledModel {
             // scales see the batch-norm-scaled weights (linear layers are
             // never folded and quantize during the walk).
             quantize_convs(&mut steps)?;
+            assign_edges(&mut steps)?;
         }
         let num_classes = match feat {
             Feat::Flat(f) => f,
@@ -317,10 +338,12 @@ impl CompiledModel {
                 slot,
             },
             quant: QuantScratch {
-                q_img: vec![0u8; qs.q_img], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
-                qa: vec![128u8; qs.qa], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
+                u8_live: vec![128u8; qs.u8_slot], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
+                u8_next: vec![128u8; qs.u8_slot], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
+                scales: vec![0.0f32; qs.scales], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
+                patches: vec![128u8; qs.patches], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
                 acc: vec![0i32; qs.acc], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
-                a_scales: vec![0.0f32; qs.a_scales], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
+                stage: vec![0.0f32; qs.stage], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
             },
         })
     }
@@ -350,9 +373,12 @@ impl CompiledModel {
         self.options
     }
 
-    /// Bytes held by the activation arena.
+    /// Bytes held by the activation arenas (f32 slots plus, on a
+    /// quantized plan, the u8 ping-pong).
     pub fn arena_byte_size(&self) -> usize {
         self.arena.buf.len() * std::mem::size_of::<f32>()
+            + self.quant.u8_live.len()
+            + self.quant.u8_next.len()
     }
 
     /// Run a batch of up to `max_batch` samples through the plan and
@@ -455,7 +481,9 @@ impl CompiledModel {
 
 /// Execute one non-residual step. Buffer-swapping steps write
 /// `*cur → *nxt` then swap the refs (and the slot index, so the caller
-/// can locate the final buffer); the rest run in place on `*cur`.
+/// can locate the final buffer); the rest run in place on `*cur` — or,
+/// for a quantized step with a u8 outgoing edge, swap the u8 ping-pong
+/// and leave the f32 arena alone.
 #[allow(clippy::too_many_arguments)]
 // seal-lint: allow(panic-freedom) — slot ranges were sized by `compile`'s arena layout; the batch shape is checked before dispatch
 fn run_plain<'a>(
@@ -510,44 +538,73 @@ fn run_plain<'a>(
         }
         Step::QConv {
             dims,
-            gather,
             packed,
             bias,
             relu,
+            edges,
         } => {
-            let in_vol = dims.c_in * dims.h * dims.w;
-            let s = gather.spatial();
+            let img = NhwcImage::for_conv(dims);
+            let (in_vol, in_stride) = (dims.c_in * dims.h * dims.w, img.stride());
+            let s = dims.oh * dims.ow;
             let out_vol = dims.c_out * s;
-            let patch_bytes = gather.patch_bytes();
-            // Per-image symmetric activation scale and patch-major
-            // gather, exact-i32 GEMM (internally parallel and
-            // deterministic), transpose back to NCHW during dequantize.
-            // One GEMM per image — or, when an image is narrower than a
-            // GEMM strip, one over the whole batch's stacked patch rows.
+            let patch_bytes = s * quantized_row_len(packed.k());
+            let QuantScratch {
+                u8_live: src,
+                u8_next: dst,
+                scales,
+                patches,
+                acc,
+                stage,
+            } = quant;
+            if !edges.u8_in {
+                for (i, scale) in scales[..n].iter_mut().enumerate() {
+                    let x = &cur[i * in_vol..(i + 1) * in_vol];
+                    *scale = quantize_nhwc_u8(x, &img, &mut src[i * in_stride..], mode);
+                }
+            }
+            // Run-copy gather straight from the padded u8 image, exact-i32
+            // GEMM (internally parallel and deterministic), write-back in
+            // the outgoing edge's format. One GEMM per image — or, when an
+            // image is narrower than a GEMM strip, one over the whole
+            // batch's stacked patch rows.
             let group = if dims.folds_batch() { n } else { 1 };
             for g0 in (0..n).step_by(group) {
                 for j in 0..group {
-                    let x = &cur[(g0 + j) * in_vol..(g0 + j + 1) * in_vol];
-                    quant.a_scales[j] = quantize_slice_u8(x, &mut quant.q_img[..in_vol]);
-                    gather_patches_u8(
-                        &quant.q_img[..in_vol],
-                        gather,
-                        &mut quant.qa[j * patch_bytes..(j + 1) * patch_bytes],
+                    // Open-ended slices: the gather's slack is whatever
+                    // follows in the slot / the patch buffer.
+                    gather_patches_nhwc(
+                        &src[(g0 + j) * in_stride..],
+                        dims,
+                        &mut patches[j * patch_bytes..],
                     );
                 }
-                gemm_i8(&quant.qa, packed, &mut quant.acc, group * s, mode);
+                gemm_i8(patches, packed, acc, group * s, mode);
                 for j in 0..group {
-                    dequantize_transpose_bias_relu(
-                        &quant.acc[j * out_vol..(j + 1) * out_vol],
-                        quant.a_scales[j],
-                        packed.scales(),
-                        Some(bias),
-                        &mut nxt[(g0 + j) * out_vol..(g0 + j + 1) * out_vol],
-                        s,
-                        dims.c_out,
-                        *relu,
-                    );
+                    let i = g0 + j;
+                    let acc = &acc[j * out_vol..(j + 1) * out_vol];
+                    match &edges.u8_out {
+                        // Reads image `i`'s input scale, then replaces it
+                        // with the scale of the image it just wrote.
+                        Some(rq) => {
+                            let out = &mut dst[i * rq.dst().stride()..];
+                            scales[i] = rq.run(acc, scales[i], stage, out, mode);
+                        }
+                        None => dequantize_transpose_bias_relu(
+                            acc,
+                            scales[i],
+                            packed.scales(),
+                            Some(bias),
+                            &mut nxt[i * out_vol..(i + 1) * out_vol],
+                            s,
+                            dims.c_out,
+                            *relu,
+                        ),
+                    }
                 }
+            }
+            if edges.u8_out.is_some() {
+                std::mem::swap(src, dst);
+                return Ok(());
             }
         }
         Step::QLinear {
@@ -556,19 +613,42 @@ fn run_plain<'a>(
             in_f,
             out_f,
             relu,
+            edges,
         } => {
-            quantize_rows_u8(&cur[..n * in_f], n, *in_f, &mut quant.qa, &mut quant.a_scales);
-            gemm_i8(&quant.qa, packed, &mut quant.acc, n, mode);
-            dequantize_bias_relu(
-                &quant.acc,
-                &quant.a_scales[..n],
-                packed.scales(),
-                Some(bias),
-                &mut nxt[..n * out_f],
-                n,
-                *out_f,
-                *relu,
-            );
+            let QuantScratch {
+                u8_live: src,
+                u8_next: dst,
+                scales,
+                acc,
+                stage,
+                ..
+            } = quant;
+            if !edges.u8_in {
+                quantize_rows_u8(&cur[..n * in_f], n, *in_f, src, scales);
+            }
+            gemm_i8(src, packed, acc, n, mode);
+            match &edges.u8_out {
+                Some(rq) => {
+                    for (i, scale) in scales[..n].iter_mut().enumerate() {
+                        let out = &mut dst[i * rq.dst().stride()..];
+                        *scale = rq.run(&acc[i * out_f..(i + 1) * out_f], *scale, stage, out, mode);
+                    }
+                }
+                None => dequantize_bias_relu(
+                    acc,
+                    &scales[..n],
+                    packed.scales(),
+                    Some(bias),
+                    &mut nxt[..n * out_f],
+                    n,
+                    *out_f,
+                    *relu,
+                ),
+            }
+            if edges.u8_out.is_some() {
+                std::mem::swap(src, dst);
+                return Ok(());
+            }
         }
         Step::BatchNorm {
             gamma,
@@ -643,7 +723,6 @@ fn run_plain<'a>(
             })
         }
     }
-    debug_assert!(step.swaps());
     std::mem::swap(cur, nxt);
     *cur_idx ^= 1;
     Ok(())
@@ -783,6 +862,7 @@ fn compile_layers(
                     in_f,
                     out_f,
                     relu: false,
+                    edges: QEdges::default(),
                 }
             } else {
                 Step::Linear {
@@ -936,10 +1016,16 @@ fn fold_and_fuse(steps: &mut Vec<Step>, options: PlanOptions) {
 }
 
 /// Converts every (already folded/fused) f32 convolution step into its
-/// int8 counterpart: symmetric per-out-channel weight quantization,
-/// pre-packed [`PackedBI8`] panels, and the patch-major gather table.
-/// Runs after [`fold_and_fuse`] so the quantization scales see the final
-/// (batch-norm-scaled) weights.
+/// int8 counterpart: symmetric per-out-channel weight quantization and
+/// pre-packed [`PackedBI8`] panels. Runs after [`fold_and_fuse`] so the
+/// quantization scales see the final (batch-norm-scaled) weights.
+///
+/// Weight columns are permuted from `(c_in, ky, kx)` to `(ky, kx, c_in)`
+/// before packing — the order the NHWC patch gather produces. Each output
+/// channel keeps the same set of weights (same scale, same quantized
+/// values) and integer sums are order-free, so the accumulators are
+/// exactly those of the unpermuted pack.
+// seal-lint: allow(panic-freedom) — compile time; `ci·kk + tap` enumerates one output channel's `c_in·k·k` weight row, cut to that length by `chunks_exact`
 fn quantize_convs(steps: &mut [Step]) -> Result<(), NnError> {
     for step in steps.iter_mut() {
         match step {
@@ -950,14 +1036,24 @@ fn quantize_convs(steps: &mut [Step]) -> Result<(), NnError> {
                 relu,
                 ..
             } => {
-                let kdim = dims.c_in * dims.geom.kernel * dims.geom.kernel;
-                let packed = PackedBI8::pack_conv(weights, dims.c_out, kdim)?;
+                let (c_in, kk) = (dims.c_in, dims.geom.kernel * dims.geom.kernel);
+                let mut nhwc = vec![0.0f32; weights.len()]; // seal-lint: allow(hot-path-alloc) — one-time compile step
+                for (row, src) in nhwc
+                    .chunks_exact_mut(c_in * kk)
+                    .zip(weights.chunks_exact(c_in * kk))
+                {
+                    for (tap, pixel) in row.chunks_exact_mut(c_in).enumerate() {
+                        for (ci, w) in pixel.iter_mut().enumerate() {
+                            *w = src[ci * kk + tap];
+                        }
+                    }
+                }
                 *step = Step::QConv {
-                    gather: PatchGather::compile(dims),
+                    packed: PackedBI8::pack_conv(&nhwc, dims.c_out, c_in * kk)?,
                     dims: *dims,
-                    packed,
                     bias: std::mem::take(bias),
                     relu: *relu,
+                    edges: QEdges::default(),
                 };
             }
             Step::Residual { main, shortcut, .. } => {
@@ -970,36 +1066,119 @@ fn quantize_convs(steps: &mut [Step]) -> Result<(), NnError> {
     Ok(())
 }
 
-/// Worst-case quantized-scratch extents across a step list.
+/// Decides the format of every activation edge that touches a quantized
+/// step. A `QConv`/`QLinear` writes **u8** — straight into its consumer's
+/// padded NHWC image, through a fused max-pool if one follows — exactly
+/// when that consumer, past the pool and any `Identity` (flatten,
+/// dropout), is another quantized step of the same list; the fused
+/// `MaxPool` step is dropped. Everything else stays f32 NCHW: the network
+/// input, the logits, both ends of a residual branch (the add is f32),
+/// average pooling, an unfolded batch-norm or unfused ReLU — and a
+/// flatten of more than one pixel into a `QLinear`, whose rows are in
+/// NCHW order.
+// seal-lint: allow(panic-freedom) — compile time; `i` and `j` are bounds-tested against `steps.len()` before each index
+fn assign_edges(steps: &mut Vec<Step>) -> Result<(), NnError> {
+    let mut i = 0;
+    while i < steps.len() {
+        if let Step::Residual { main, shortcut, .. } = &mut steps[i] {
+            assign_edges(main)?;
+            assign_edges(shortcut)?;
+        }
+        // The producer's output image and constants, if it is quantized.
+        let (out_hw, packed, bias, relu) = match &steps[i] {
+            Step::QConv {
+                dims,
+                packed,
+                bias,
+                relu,
+                ..
+            } => ((dims.oh, dims.ow), packed, bias, *relu),
+            Step::QLinear {
+                packed, bias, relu, ..
+            } => ((1, 1), packed, bias, *relu),
+            _ => {
+                i += 1;
+                continue;
+            }
+        };
+        let mut j = i + 1;
+        let (pool, hw) = match steps.get(j) {
+            Some(Step::MaxPool { geom, oh, ow, .. }) => {
+                j += 1;
+                (Some(*geom), (*oh, *ow))
+            }
+            _ => (None, out_hw),
+        };
+        while matches!(steps.get(j), Some(Step::Identity)) {
+            j += 1;
+        }
+        let dst = match steps.get(j) {
+            Some(Step::QConv { dims, .. }) => Some(NhwcImage::for_conv(dims)),
+            Some(Step::QLinear { in_f, .. }) if hw == (1, 1) => Some(NhwcImage::flat(*in_f)),
+            _ => None,
+        };
+        if let Some(dst) = dst {
+            let rq = Requantize::compile(packed.scales(), bias, out_hw, relu, pool, dst)?;
+            if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[j] {
+                edges.u8_in = true;
+            }
+            if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[i] {
+                edges.u8_out = Some(Box::new(rq)); // seal-lint: allow(hot-path-alloc) — one-time compile step
+            }
+            if pool.is_some() {
+                steps.remove(i + 1);
+            }
+        }
+        i += 1;
+    }
+    Ok(())
+}
+
+/// Worst-case quantized-scratch extents across a step list (all zero when
+/// no step is quantized), the gather's slack included where it applies.
 #[derive(Debug, Default)]
 struct QuantSizes {
-    q_img: usize,
-    qa: usize,
+    u8_slot: usize,
+    scales: usize,
+    patches: usize,
     acc: usize,
-    a_scales: usize,
+    stage: usize,
 }
 
 fn quant_sizes(steps: &[Step], max_batch: usize, sz: &mut QuantSizes) {
     for step in steps {
-        match step {
-            Step::QConv { dims, gather, .. } => {
+        let (input, edges) = match step {
+            Step::QConv {
+                dims,
+                packed,
+                edges,
+                ..
+            } => {
                 // Images per GEMM: the whole batch when the shape folds.
                 let group = if dims.folds_batch() { max_batch } else { 1 };
-                sz.q_img = sz.q_img.max(dims.c_in * dims.h * dims.w);
-                sz.qa = sz.qa.max(group * gather.patch_bytes());
-                sz.acc = sz.acc.max(group * gather.spatial() * dims.c_out);
-                sz.a_scales = sz.a_scales.max(group);
+                let s = dims.oh * dims.ow;
+                let patches = group * s * quantized_row_len(packed.k()) + PATCH_SLACK;
+                sz.patches = sz.patches.max(patches);
+                sz.acc = sz.acc.max(group * s * dims.c_out);
+                (NhwcImage::for_conv(dims), edges)
             }
-            Step::QLinear { in_f, out_f, .. } => {
-                sz.qa = sz.qa.max(max_batch * quantized_row_len(*in_f));
+            Step::QLinear {
+                in_f, out_f, edges, ..
+            } => {
                 sz.acc = sz.acc.max(max_batch * out_f);
-                sz.a_scales = sz.a_scales.max(max_batch);
+                (NhwcImage::flat(*in_f), edges)
             }
             Step::Residual { main, shortcut, .. } => {
                 quant_sizes(main, max_batch, sz);
                 quant_sizes(shortcut, max_batch, sz);
+                continue;
             }
-            _ => {}
+            _ => continue,
+        };
+        sz.u8_slot = sz.u8_slot.max(max_batch * input.stride() + PATCH_SLACK);
+        sz.scales = max_batch;
+        if let Some(rq) = &edges.u8_out {
+            sz.stage = sz.stage.max(rq.stage_len());
         }
     }
 }

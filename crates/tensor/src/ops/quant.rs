@@ -1,7 +1,12 @@
 //! Deterministic int8 quantized inference kernels: symmetric per-channel
 //! quantization, a packed cache-blocked int8 GEMM with i32 accumulation,
 //! and the patch-major im2col path the quantized compiled plans run
-//! convolutions through.
+//! convolutions through — since PR 19 over **u8 NHWC** activations
+//! ([`NhwcImage`], [`quantize_nhwc_u8`], [`gather_patches_nhwc`],
+//! [`Requantize`]); the per-op f32-NCHW kernels ([`quantize_slice_u8`],
+//! [`PatchGather`] / [`gather_patches_u8`],
+//! [`dequantize_transpose_bias_relu`]) remain as the reference those are
+//! tested against.
 //!
 //! ## Number format
 //!
@@ -36,12 +41,14 @@
 //!
 //! The final dequantization `out = acc · (a_scale · b_scale_j) + bias_j`
 //! is an independent per-element f32 expression, so it inherits the same
-//! bitwise stability.
+//! bitwise stability — as do the requantizing epilogue's max-pool
+//! (selects values), integer-domain max|·| and elementwise quantize,
+//! whatever vector width they are compiled for (see `vectorized`).
 
-use super::matmul::{KernelMode, MC, PAR_FLOP_THRESHOLD};
+use super::matmul::{kernel_mode, KernelMode, MC, PAR_FLOP_THRESHOLD};
 use super::prepack::PackedBI8;
 use crate::cpu::cpu_features;
-use crate::ops::ConvPlanDims;
+use crate::ops::{ConvPlanDims, PoolGeometry};
 use crate::{Shape, Tensor, TensorError};
 use std::cell::RefCell;
 
@@ -110,6 +117,7 @@ impl QuantizedTensor {
 /// All-zero channels quantize through scale `1.0` (every element maps to
 /// `q = 0`), so dequantization never divides by — or multiplies with —
 /// zero noise.
+#[inline(always)]
 pub(crate) fn channel_scale(maxabs: f32) -> f32 {
     if maxabs > 0.0 {
         maxabs / 127.0
@@ -122,15 +130,31 @@ pub(crate) fn channel_scale(maxabs: f32) -> f32 {
 /// away from zero), clamped to `[-127, 127]` — `i8::MIN` is intentionally
 /// never produced (see the module docs on asymmetry).
 ///
-/// Rounding is `trunc(t + copysign(0.5, t))` rather than `f32::round`:
-/// numerically the same rule, but built from copysign/add/truncating-cast
-/// so the quantization loops auto-vectorize instead of calling out to
-/// `roundf` per element. This is the **single** rounding definition every
-/// quantization path shares, which is what keeps scalar/AVX2/VNNI runs
-/// bit-identical.
+/// The rule is `clamp(trunc(t + copysign(0.5, t)), -127, 127)` with
+/// `t = x · inv_scale` and NaN mapping to 0 — exactly what the saturating
+/// cast `(t + copysign(0.5, t)) as i32` followed by the integer clamp
+/// yields. It is evaluated with the saturation moved *in front of* the
+/// conversion (NaN → 0, then clamp to ±128.0, then a plain truncating
+/// convert) because that form has no per-lane fix-up and so
+/// auto-vectorises into `cvttps2dq`; the two forms agree on every f32
+/// (`quantize_value_is_the_saturating_cast_rule`). This is the **single**
+/// rounding definition every quantization path shares — weights at pack
+/// time, activations on entry and in the requantizing epilogue — which is
+/// what keeps scalar/AVX2/AVX-512 runs bit-identical.
+#[inline(always)]
 pub(crate) fn quantize_value(x: f32, inv_scale: f32) -> i8 {
     let t = x * inv_scale;
-    let q = (t + 0.5f32.copysign(t)) as i32;
+    let r = t + 0.5f32.copysign(t);
+    // Written as selects (not `f32::clamp`/`max`) so NaN goes to 0 and
+    // each line is one compare + blend per vector.
+    let r = if r.is_nan() { 0.0 } else { r };
+    let r = if r > 128.0 { 128.0 } else { r };
+    let r = if r < -128.0 { -128.0 } else { r };
+    // SAFETY: `r` is not NaN (replaced by 0.0 above) and lies in
+    // [-128.0, 128.0] (the two selects above), so its truncation is
+    // representable in i32 — the whole precondition of
+    // `to_int_unchecked`.
+    let q = unsafe { r.to_int_unchecked::<i32>() };
     q.clamp(-127, 127) as i8
 }
 
@@ -213,36 +237,110 @@ pub fn quantized_row_len(k: usize) -> usize {
     k.div_ceil(QK) * QK
 }
 
+/// [`quantize_value`] in the activation encoding: offset-binary `q + 128`
+/// (`1 ..= 255`; byte `128` is the quantized zero).
+#[inline(always)]
+fn quantize_byte(x: f32, inv_scale: f32) -> u8 {
+    (quantize_value(x, inv_scale) as i16 + 128) as u8
+}
+
+/// `max |x|` taken in the **integer** domain: for non-NaN floats the bit
+/// pattern with the sign cleared orders exactly like the magnitude, so a
+/// lane-parallel integer max replaces the dependent `f32::max` chain. NaN
+/// lanes (patterns above `+inf`) are masked to 0 — the same "ignore NaN"
+/// `f32::max` applies — and an empty or all-zero slice yields `0.0`.
+#[inline(always)]
+fn max_abs(x: &[f32]) -> f32 {
+    const INF: u32 = 0x7f80_0000;
+    let mut m = 0u32;
+    for &v in x {
+        let b = v.to_bits() & 0x7fff_ffff;
+        m = m.max(if b > INF { 0 } else { b });
+    }
+    f32::from_bits(m)
+}
+
+/// Elementwise `out[i] = quantize_byte(x[i])` over the common length.
+#[inline(always)]
+fn quantize_into(x: &[f32], inv_scale: f32, out: &mut [u8]) {
+    for (d, &v) in out.iter_mut().zip(x) {
+        *d = quantize_byte(v, inv_scale);
+    }
+}
+
+/// Runs `f` — a safe scalar loop nest built from `#[inline(always)]`
+/// bodies — compiled for the vector ISA `mode` selects on this host, so
+/// the auto-vectoriser may use 256/512-bit lanes. Every loop routed
+/// through here is elementwise or an integer max, and Rust never
+/// contracts `a * b + c` into an FMA, so the result is bit-identical to
+/// the scalar build of the same source whichever instantiation runs.
+///
+/// Pass the closure as `#[inline(always)] || …`: only a body inlined into
+/// the `target_feature` wrapper is compiled with its features (a body
+/// left out of line is still correct, just baseline-width).
+#[inline(always)]
+fn vectorized<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
+    match i8_kernel(mode) {
+        I8Kernel::Scalar => f(),
+        // SAFETY: `I8Kernel::Avx2` is only selected when the cached
+        // `cpu_features()` probe reports `avx2`.
+        #[cfg(target_arch = "x86_64")]
+        I8Kernel::Avx2 => unsafe { call_avx2(f) },
+        // SAFETY: `I8Kernel::Vnni` is only selected when `cpu_features()`
+        // reports avx512f/bw/vl (and vnni, which nothing here needs).
+        #[cfg(target_arch = "x86_64")]
+        I8Kernel::Vnni => unsafe { call_avx512(f) },
+        #[cfg(not(target_arch = "x86_64"))]
+        _ => f(),
+    }
+}
+
+/// # Safety
+///
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn call_avx2<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
+/// # Safety
+///
+/// The host must support AVX-512 F, BW and VL.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl")]
+unsafe fn call_avx512<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
 /// Quantize `m` activation rows of width `k` symmetrically **per row**
 /// into offset-binary u8 (`q + 128`), padding each row to
 /// [`quantized_row_len`] with the quantized zero byte `128`. One scale
 /// per row is written to `scales`.
 ///
 /// Runs serially — it is `O(m·k)` against the GEMM's `O(m·k·n)` — and
-/// elementwise, so its output never depends on the thread count.
-// seal-lint: allow(panic-freedom) — slice extents are checked by the callers against the plan-sized buffers
+/// elementwise, so its output never depends on the thread count or the
+/// kernel mode.
+// seal-lint: allow(panic-freedom) — slice extents are asserted once at entry; every row range below lies inside them
 pub fn quantize_rows_u8(x: &[f32], m: usize, k: usize, out: &mut [u8], scales: &mut [f32]) {
     let ka = quantized_row_len(k);
     assert!(x.len() >= m * k, "quantize_rows_u8: input too short");
     assert!(out.len() >= m * ka, "quantize_rows_u8: output too short");
     assert!(scales.len() >= m, "quantize_rows_u8: scales too short");
-    for i in 0..m {
-        let row = &x[i * k..(i + 1) * k];
-        let mut maxabs = 0.0f32;
-        for &v in row {
-            maxabs = maxabs.max(v.abs());
-        }
-        let scale = channel_scale(maxabs);
-        scales[i] = scale;
-        let inv = 1.0 / scale;
-        let dst = &mut out[i * ka..(i + 1) * ka];
-        for (d, &v) in dst.iter_mut().zip(row) {
-            *d = (quantize_value(v, inv) as i16 + 128) as u8;
-        }
-        for d in dst.iter_mut().skip(k) {
-            *d = 128;
-        }
-    }
+    vectorized(
+        kernel_mode(),
+        #[inline(always)]
+        || {
+            for i in 0..m {
+                let row = &x[i * k..(i + 1) * k];
+                let scale = channel_scale(max_abs(row));
+                scales[i] = scale;
+                let dst = &mut out[i * ka..(i + 1) * ka];
+                quantize_into(row, 1.0 / scale, dst);
+                dst[k..].fill(128);
+            }
+        },
+    );
 }
 
 /// Quantize a slice (one convolution input image) symmetrically
@@ -252,16 +350,15 @@ pub fn quantize_rows_u8(x: &[f32], m: usize, k: usize, out: &mut [u8], scales: &
 // seal-lint: allow(panic-freedom) — output length is asserted against the input
 pub fn quantize_slice_u8(x: &[f32], out: &mut [u8]) -> f32 {
     assert!(out.len() >= x.len(), "quantize_slice_u8: output too short");
-    let mut maxabs = 0.0f32;
-    for &v in x {
-        maxabs = maxabs.max(v.abs());
-    }
-    let scale = channel_scale(maxabs);
-    let inv = 1.0 / scale;
-    for (d, &v) in out.iter_mut().zip(x) {
-        *d = (quantize_value(v, inv) as i16 + 128) as u8;
-    }
-    scale
+    vectorized(
+        kernel_mode(),
+        #[inline(always)]
+        || {
+            let scale = channel_scale(max_abs(x));
+            quantize_into(x, 1.0 / scale, out);
+            scale
+        },
+    )
 }
 
 thread_local! {
@@ -688,6 +785,361 @@ pub fn gather_patches_u8(img_q: &[u8], gather: &PatchGather, out: &mut [u8]) {
     }
 }
 
+/// Geometry of one **u8 NHWC** activation image as an int8 step consumes
+/// it: `c` interleaved channels per pixel, `h × w` pixels framed by `pad`
+/// pixels of the quantized zero (byte `128`) on every side — the
+/// consumer's convolution padding, materialised once by the producer so
+/// the patch gather needs neither a table nor a bounds branch. A linear
+/// layer's input row is the degenerate `1 × 1`, `pad 0` image.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct NhwcImage {
+    /// Channels (bytes per pixel).
+    pub c: usize,
+    /// Unpadded height.
+    pub h: usize,
+    /// Unpadded width.
+    pub w: usize,
+    /// Border width in pixels.
+    pub pad: usize,
+}
+
+impl NhwcImage {
+    /// The input image of the convolution `dims`.
+    pub fn for_conv(dims: &ConvPlanDims) -> NhwcImage {
+        NhwcImage {
+            c: dims.c_in,
+            h: dims.h,
+            w: dims.w,
+            pad: dims.geom.padding,
+        }
+    }
+
+    /// The input row of a linear layer over `features` values.
+    pub fn flat(features: usize) -> NhwcImage {
+        NhwcImage {
+            c: features,
+            h: 1,
+            w: 1,
+            pad: 0,
+        }
+    }
+
+    /// Bytes of one padded pixel row.
+    fn row_bytes(&self) -> usize {
+        (self.w + 2 * self.pad) * self.c
+    }
+
+    /// Offset of interior pixel `(y, 0)`.
+    fn interior_row(&self, y: usize) -> usize {
+        (y + self.pad) * self.row_bytes() + self.pad * self.c
+    }
+
+    /// Bytes one image occupies in a batch buffer: the padded extent
+    /// rounded up to the 4-byte quad (tail bytes are `128`), so a flat
+    /// image is exactly one [`gemm_i8`] A row.
+    pub fn stride(&self) -> usize {
+        quantized_row_len((self.h + 2 * self.pad) * self.row_bytes())
+    }
+}
+
+/// Width of the block copies of [`gather_patches_nhwc`], and therefore
+/// the slack it needs behind both of its buffers: a run is copied in
+/// whole blocks, so up to `PATCH_SLACK − 1` bytes past the last run are
+/// read from the image buffer and written to the patch buffer.
+pub const PATCH_SLACK: usize = 16;
+
+/// Quantize one f32 **NCHW** image symmetrically per tensor into the
+/// padded u8 NHWC image `img` (border and quad tail set to `128`),
+/// returning the scale: the entry edge of the int8 data path. Scale and
+/// interior bytes are exactly those of [`quantize_slice_u8`], transposed.
+// seal-lint: allow(panic-freedom) — both extents are asserted at entry; every interior offset is below `img.stride()`
+pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: KernelMode) -> f32 {
+    const STRIP: usize = 16;
+    let NhwcImage { c, h, w, .. } = *img;
+    assert!(x.len() >= c * h * w, "quantize_nhwc_u8: input too short");
+    assert!(
+        out.len() >= img.stride(),
+        "quantize_nhwc_u8: output too short"
+    );
+    vectorized(
+        mode,
+        #[inline(always)]
+        || {
+            let scale = channel_scale(max_abs(&x[..c * h * w]));
+            let inv = 1.0 / scale;
+            out[..img.stride()].fill(128);
+            for y in 0..h {
+                let row = &mut out[img.interior_row(y)..][..w * c];
+                for ci in 0..c {
+                    // Quantize a strip of one channel's pixels with the
+                    // vector body, then interleave its bytes.
+                    let src = &x[(ci * h + y) * w..][..w];
+                    for (strip, src) in src.chunks(STRIP).enumerate() {
+                        let mut q = [0u8; STRIP];
+                        quantize_into(src, inv, &mut q);
+                        let dst = row[strip * STRIP * c + ci..].iter_mut().step_by(c);
+                        for (d, &b) in dst.zip(&q[..src.len()]) {
+                            *d = b;
+                        }
+                    }
+                }
+            }
+            scale
+        },
+    )
+}
+
+/// Gathers one padded u8 NHWC image into the patch-major A matrix of the
+/// int8 convolution GEMM, patch columns in `(ky, kx, c_in)` order: with
+/// channels innermost, the `kx, c_in` part of a receptive-field row is
+/// **one contiguous run** of `k·c_in` image bytes, so a patch is `k`
+/// fixed-width copies — no offset table, no padding branch (the border
+/// is in the image). The quad-alignment tail of each row is set to `128`.
+///
+/// Runs of up to three [`PATCH_SLACK`]-byte blocks are copied as whole
+/// blocks (longer ones as one exact `memcpy`), and the row tail as one
+/// 4-byte store. The over-copy lands on the next run, the row tail
+/// or the next patch — each rewritten afterwards, patches being written
+/// in ascending order — except behind the very last run, hence the
+/// contract: `img_q` holds [`NhwcImage::stride`] `+ PATCH_SLACK` readable
+/// bytes and `out` holds `oh·ow ×` [`quantized_row_len`]`(k·k·c_in) +
+/// PATCH_SLACK` writable ones; nothing beyond either is touched.
+///
+/// # Panics
+///
+/// If either buffer is shorter than that.
+// seal-lint: allow(panic-freedom) — the asserts are the documented extent contract: a short buffer fails here, once, before anything is written
+pub fn gather_patches_nhwc(img_q: &[u8], dims: &ConvPlanDims, out: &mut [u8]) {
+    let img = NhwcImage::for_conv(dims);
+    let k = dims.geom.kernel;
+    let ka = quantized_row_len(k * k * dims.c_in);
+    assert!(
+        img_q.len() >= img.stride() + PATCH_SLACK,
+        "gather_patches_nhwc: image (+ slack) too short"
+    );
+    assert!(
+        out.len() >= dims.oh * dims.ow * ka + PATCH_SLACK,
+        "gather_patches_nhwc: output (+ slack) too short"
+    );
+    // A block count known at compile time keeps the copy a couple of
+    // vector moves instead of a `memcpy` call per run.
+    match (k * dims.c_in).div_ceil(PATCH_SLACK) {
+        1 => gather_runs::<1>(img_q, dims, out),
+        2 => gather_runs::<2>(img_q, dims, out),
+        3 => gather_runs::<3>(img_q, dims, out),
+        _ => gather_runs::<0>(img_q, dims, out),
+    }
+}
+
+/// [`gather_patches_nhwc`] with each run copied as `BLOCKS` whole blocks
+/// (`0`: as exactly `k·c_in` bytes).
+#[inline(always)]
+// seal-lint: allow(panic-freedom) — both extents (slack included) are asserted by `gather_patches_nhwc`; a copy ends at most `PATCH_SLACK − 1` bytes past its run, and runs end inside the padded image / the patch matrix
+fn gather_runs<const BLOCKS: usize>(img_q: &[u8], dims: &ConvPlanDims, out: &mut [u8]) {
+    let (k, stride) = (dims.geom.kernel, dims.geom.stride);
+    let run = k * dims.c_in;
+    let kdim = k * run;
+    let ka = quantized_row_len(kdim);
+    let row_bytes = NhwcImage::for_conv(dims).row_bytes();
+    let width = if BLOCKS == 0 {
+        run
+    } else {
+        BLOCKS * PATCH_SLACK
+    };
+    for oy in 0..dims.oh {
+        for ox in 0..dims.ow {
+            let patch = (oy * dims.ow + ox) * ka;
+            let field = oy * stride * row_bytes + ox * stride * dims.c_in;
+            for ky in 0..k {
+                let src = &img_q[field + ky * row_bytes..][..width];
+                out[patch + ky * run..][..width].copy_from_slice(src);
+            }
+            out[patch + kdim..][..QK].copy_from_slice(&[128; QK]);
+        }
+    }
+}
+
+/// The fused write-back of an int8 step whose consumer is another int8
+/// step: dequantize the exact-i32 accumulator, add bias, apply ReLU,
+/// max-pool if a pool follows, take the per-image dynamic scale over the
+/// *pooled* values and quantize them straight into the consumer's padded
+/// u8 NHWC image.
+///
+/// The patch-major GEMM output `[oh·ow × c_out]` already **is** an NHWC
+/// image, so there is no transpose. Every f32 value is the expression of
+/// [`dequantize_transpose_bias_relu`] (`acc as f32 · (a_scale ·
+/// w_scale[c]) + bias[c]`, then `max(0, ·)`), the pool is the window scan
+/// of `max_pool2d_into` (`v > best` from `−inf`, so NaN never wins), and
+/// scale and bytes come from the shared `max_abs` / `quantize_value` —
+/// so the image written here is byte for byte what dequantizing to f32
+/// NCHW, pooling there and calling [`quantize_slice_u8`] produces
+/// (max-pool only selects existing values, and the sign of a zero cannot
+/// reach a byte).
+#[derive(Clone, Debug)]
+pub struct Requantize {
+    oh: usize,
+    relu: bool,
+    pool: Option<PoolGeometry>,
+    dst: NhwcImage,
+    /// Per-channel weight scales / biases tiled across one GEMM output
+    /// row (`ow·c_out`), so the dequantize loop is flat and elementwise
+    /// however narrow `c_out` is.
+    w_scales_row: Vec<f32>,
+    bias_row: Vec<f32>,
+}
+
+impl Requantize {
+    /// Write-back of a GEMM output image of `oh × ow` positions by
+    /// `w_scales.len()` channels into `dst`, through `pool` if given.
+    /// Plan-compile-time: allocates the tiled constant rows.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidGeometry`] when `bias` or `dst` disagree with
+    /// the channel count, or `dst` is not the (pooled) output extent.
+    pub fn compile(
+        w_scales: &[f32],
+        bias: &[f32],
+        (oh, ow): (usize, usize),
+        relu: bool,
+        pool: Option<PoolGeometry>,
+        dst: NhwcImage,
+    ) -> Result<Requantize, TensorError> {
+        let c_out = w_scales.len();
+        let pooled = match pool {
+            None => Some((oh, ow)),
+            Some(g) => g.output_size(oh).zip(g.output_size(ow)),
+        };
+        if bias.len() != c_out || dst.c != c_out || pooled != Some((dst.h, dst.w)) {
+            return Err(TensorError::InvalidGeometry {
+                reason: format!(
+                    "requantize: {oh}x{ow}x{c_out} through {pool:?} does not produce {dst:?}"
+                ),
+            });
+        }
+        let tile = |v: &[f32]| v.iter().copied().cycle().take(ow * c_out).collect(); // seal-lint: allow(hot-path-alloc) — plan-compile-time constants
+        Ok(Requantize {
+            oh,
+            relu,
+            pool,
+            dst,
+            w_scales_row: tile(w_scales),
+            bias_row: tile(bias),
+        })
+    }
+
+    /// The image this write-back produces.
+    pub fn dst(&self) -> &NhwcImage {
+        &self.dst
+    }
+
+    /// f32 staging floats [`run`](Self::run) needs: the (pooled) output
+    /// image, plus one GEMM output row of column maxima when pooling.
+    pub fn stage_len(&self) -> usize {
+        let row = if self.pool.is_some() {
+            self.w_scales_row.len()
+        } else {
+            0
+        };
+        self.dst.h * self.dst.w * self.dst.c + row
+    }
+
+    /// Requantize one image's accumulator `acc[oh·ow × c_out]`, quantized
+    /// against activation scale `a_scale`, into `out` (one
+    /// [`NhwcImage::stride`] of [`dst`](Self::dst)); returns the new
+    /// image's scale. Bit-identical for every `mode`.
+    // seal-lint: allow(panic-freedom) — the three extents are asserted at entry; row and pixel offsets derive from the geometry `compile` validated
+    pub fn run(
+        &self,
+        acc: &[i32],
+        a_scale: f32,
+        stage: &mut [f32],
+        out: &mut [u8],
+        mode: KernelMode,
+    ) -> f32 {
+        let row = self.w_scales_row.len();
+        assert!(
+            acc.len() >= self.oh * row,
+            "requantize: accumulator too short"
+        );
+        assert!(
+            stage.len() >= self.stage_len(),
+            "requantize: stage too short"
+        );
+        assert!(
+            out.len() >= self.dst.stride(),
+            "requantize: output too short"
+        );
+        vectorized(
+            mode,
+            #[inline(always)]
+            || self.run_body(acc, a_scale, stage, out),
+        )
+    }
+
+    /// One GEMM output row → f32 (`dequantize_transpose_bias_relu`'s
+    /// per-element expression), stored to `out` — or, with `keep_max`,
+    /// only where it beats what `out` holds (`max_pool2d_into`'s scan).
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — all four slices are cut to `out.len()` up front
+    fn dequantize_row(&self, acc: &[i32], a_scale: f32, out: &mut [f32], keep_max: bool) {
+        let n = out.len();
+        let (acc, ws, bias) = (&acc[..n], &self.w_scales_row[..n], &self.bias_row[..n]);
+        let relu = self.relu;
+        for i in 0..n {
+            let v = acc[i] as f32 * (a_scale * ws[i]) + bias[i];
+            let v = if relu { v.max(0.0) } else { v };
+            if !keep_max || v > out[i] {
+                out[i] = v;
+            }
+        }
+    }
+
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — see `run`
+    fn run_body(&self, acc: &[i32], a_scale: f32, stage: &mut [f32], out: &mut [u8]) -> f32 {
+        let (c, row) = (self.dst.c, self.w_scales_row.len());
+        let (ph, pw) = (self.dst.h, self.dst.w);
+        let (vals, col_max) = stage[..self.stage_len()].split_at_mut(ph * pw * c);
+        match self.pool {
+            None => {
+                for (o, a) in vals.chunks_exact_mut(row).zip(acc.chunks_exact(row)) {
+                    self.dequantize_row(a, a_scale, o, false);
+                }
+            }
+            Some(g) => {
+                for (py, o) in vals.chunks_exact_mut(pw * c).enumerate() {
+                    // Vertical scan into `col_max`, then horizontal.
+                    col_max.fill(f32::NEG_INFINITY);
+                    for ky in 0..g.window {
+                        let a = &acc[(py * g.stride + ky) * row..][..row];
+                        self.dequantize_row(a, a_scale, col_max, true);
+                    }
+                    for (px, o) in o.chunks_exact_mut(c).enumerate() {
+                        o.copy_from_slice(&col_max[px * g.stride * c..][..c]);
+                        for kx in 1..g.window {
+                            let m = &col_max[(px * g.stride + kx) * c..][..c];
+                            for (o, &v) in o.iter_mut().zip(m) {
+                                if v > *o {
+                                    *o = v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let scale = channel_scale(max_abs(vals));
+        let inv = 1.0 / scale;
+        out[..self.dst.stride()].fill(128);
+        // A flat destination takes the single pixel as its whole row.
+        for (y, v) in vals.chunks_exact(pw * c).enumerate() {
+            quantize_into(v, inv, &mut out[self.dst.interior_row(y)..][..pw * c]);
+        }
+        scale
+    }
+}
+
 fn matmul_i8_checks(lhs: &Tensor, rhs: &Tensor) -> Result<(usize, usize, usize), TensorError> {
     for t in [lhs, rhs] {
         if t.shape().rank() != 2 {
@@ -918,6 +1370,157 @@ mod tests {
             matmul_i8(&a, &b),
             Err(TensorError::InvalidGeometry { .. })
         ));
+    }
+
+    /// The rounding rule as first written: a saturating cast, then the
+    /// integer clamp. `quantize_value` moves the saturation in front of
+    /// the conversion; the two must agree on every f32.
+    fn saturating_cast_rule(x: f32, inv_scale: f32) -> i8 {
+        let t = x * inv_scale;
+        ((t + 0.5f32.copysign(t)) as i32).clamp(-127, 127) as i8
+    }
+
+    #[test]
+    fn quantize_value_is_the_saturating_cast_rule() {
+        let mut xs = vec![
+            0.0f32,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1), // smallest denormal
+            f32::MAX,
+            f32::MIN,
+            2_147_483_648.0, // 2³¹: the first value the cast saturates
+            -2_147_483_904.0,
+        ];
+        // Every rounding and clamping boundary, one ulp either side.
+        for b in [0.5f32, 1.5, 126.5, 127.0, 127.5, 128.0, 128.5, 255.5] {
+            for v in [b, -b] {
+                xs.extend([
+                    v,
+                    f32::from_bits(v.to_bits() - 1),
+                    f32::from_bits(v.to_bits() + 1),
+                ]);
+            }
+        }
+        // A stride over all 2³² bit patterns (prime, so every exponent,
+        // both signs and the NaN ranges are visited).
+        xs.extend((0..u32::MAX).step_by(40_009).map(f32::from_bits));
+        let invs = [
+            1.0f32,
+            127.0 / 0.37,
+            1e-30,
+            1e30,
+            0.0,
+            f32::INFINITY,
+            f32::NAN,
+            -3.0,
+        ];
+        for &inv in &invs {
+            for &x in &xs {
+                assert_eq!(
+                    quantize_value(x, inv),
+                    saturating_cast_rule(x, inv),
+                    "x = {x:e} ({:#010x}), inv = {inv:e}",
+                    x.to_bits()
+                );
+            }
+        }
+    }
+
+    /// `quantize_slice_u8` / `quantize_rows_u8` as first written: a serial
+    /// `f32::max` chain for the scale, then the rounding rule per element.
+    fn quantize_serial(x: &[f32], out: &mut [u8]) -> f32 {
+        let maxabs = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
+        let scale = channel_scale(maxabs);
+        for (d, &v) in out.iter_mut().zip(x) {
+            *d = (saturating_cast_rule(v, 1.0 / scale) as i16 + 128) as u8;
+        }
+        scale
+    }
+
+    /// The integer-domain max and the vector quantize body are byte- and
+    /// scale-identical to the serial definition for every input class —
+    /// NaN, ±inf, −0.0, denormals, all-zero rows (scale 1.0) — at every
+    /// length across the vector tails, in every mode.
+    #[test]
+    fn quantize_slice_and_rows_match_the_serial_definition() {
+        let mut rng = StdRng::seed_from_u64(94);
+        let specials = [
+            f32::NAN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            -0.0,
+            0.0,
+            f32::from_bits(1),
+            3.0e38,
+            -1.0e-20,
+        ];
+        for len in (0..70usize).chain([255, 256, 1000]) {
+            for case in 0..6 {
+                let mut x = crate::uniform(&mut rng, Shape::vector(len.max(1)), -4.0, 4.0)
+                    .as_slice()[..len]
+                    .to_vec();
+                match case {
+                    0 => {}
+                    1 => x.iter_mut().for_each(|v| *v = 0.0),
+                    2 => x.iter_mut().for_each(|v| *v = f32::NAN),
+                    // One special value at a moving position.
+                    _ => {
+                        if let Some(v) = x.get_mut((len * case) / 7) {
+                            *v = specials[(len + case) % specials.len()];
+                        }
+                        if case == 5 {
+                            x.iter_mut().step_by(3).for_each(|v| *v = -0.0);
+                        }
+                    }
+                }
+                let mut want = vec![0u8; len];
+                let want_scale = quantize_serial(&x, &mut want);
+                if case == 1 || case == 2 {
+                    assert_eq!(want_scale, 1.0, "all-zero / all-NaN rows use scale 1.0");
+                }
+                for mode in modes() {
+                    if set_kernel_mode(mode) != mode {
+                        continue;
+                    }
+                    let mut got = vec![0u8; len];
+                    let scale = quantize_slice_u8(&x, &mut got);
+                    assert_eq!(
+                        scale.to_bits(),
+                        want_scale.to_bits(),
+                        "{mode:?} slice scale, len {len} case {case}"
+                    );
+                    assert_eq!(got, want, "{mode:?} slice bytes, len {len} case {case}");
+                    // Two rows: this one, and its reverse.
+                    let ka = quantized_row_len(len);
+                    let rev: Vec<f32> = x.iter().rev().copied().collect();
+                    let mut rows = vec![0u8; 2 * ka];
+                    let mut scales = [0.0f32; 2];
+                    quantize_rows_u8(
+                        &[x.clone(), rev.clone()].concat(),
+                        2,
+                        len,
+                        &mut rows,
+                        &mut scales,
+                    );
+                    let mut want_rev = vec![0u8; len];
+                    let rev_scale = quantize_serial(&rev, &mut want_rev);
+                    assert_eq!(scales[0].to_bits(), want_scale.to_bits());
+                    assert_eq!(scales[1].to_bits(), rev_scale.to_bits());
+                    assert_eq!(rows[..len], want[..]);
+                    assert_eq!(rows[ka..ka + len], want_rev[..]);
+                    assert!(rows[len..ka]
+                        .iter()
+                        .chain(&rows[ka + len..])
+                        .all(|&b| b == 128));
+                }
+                reset_kernel_mode();
+            }
+        }
     }
 
     /// Patch gather: padding cells read the quantized zero (byte 128)

@@ -7,15 +7,25 @@
 //! every kernel mode the host offers, against the naive references — and
 //! plant NaN / ±inf so that a pad lane reaching memory (rows are
 //! contiguous: it would land in the row that follows) cannot go unseen.
+//!
+//! The u8 NHWC kernels of the int8 data path get the same treatment
+//! against the per-op kernels they replace in the plans: the run-copy
+//! patch gather (whole-block copies that deliberately overshoot into a
+//! documented slack), the f32 → u8 entry conversion and the requantizing
+//! (+ max-pool) write-back, each with a sentinel strip behind everything
+//! it may touch.
 
 use seal_pool::{with_pool, Pool};
 use seal_tensor::ops::{
-    conv2d, conv2d_infer_packed, dequantize_bias_relu, gemm_i8, gemm_prepacked, matmul,
-    matmul_i8_reference, matmul_naive, matmul_naive_fma, quantize_rows_u8, quantized_row_len,
-    reset_kernel_mode, set_kernel_mode, Conv2dGeometry, ConvPlanDims, Im2colGather, KernelMode,
-    PackedB, PackedBI8,
+    conv2d, conv2d_infer_packed, dequantize_bias_relu, dequantize_transpose_bias_relu,
+    gather_patches_nhwc, gather_patches_u8, gemm_i8, gemm_prepacked, matmul, matmul_i8_reference,
+    matmul_naive, matmul_naive_fma, max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8,
+    quantize_slice_u8, quantized_row_len, reset_kernel_mode, set_kernel_mode, Conv2dGeometry,
+    ConvPlanDims, Im2colGather, KernelMode, NhwcImage, PackedB, PackedBI8, PatchGather,
+    PoolGeometry, Requantize, PATCH_SLACK,
 };
 use seal_tensor::rng::rngs::StdRng;
+use seal_tensor::rng::Rng;
 use seal_tensor::rng::SeedableRng;
 use seal_tensor::{uniform, Shape, Tensor};
 
@@ -206,4 +216,311 @@ fn planned_conv_matches_conv2d_on_narrow_images_at_any_batch_and_thread_count() 
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// u8 NHWC kernels of the int8 data path
+// ---------------------------------------------------------------------
+
+/// Bytes of sentinel placed behind every buffer a kernel writes.
+const GUARD: usize = 32;
+/// Never a quantized activation (`q + 128 ≥ 1`) and not the zero point.
+const SENTINEL: u8 = 0;
+
+/// `nchw[c·h·w]` bytes → the padded NHWC image `img` (border and quad
+/// tail 128), followed by `tail` bytes of `fill`.
+fn to_padded_nhwc(nchw: &[u8], img: &NhwcImage, tail: usize, fill: u8) -> Vec<u8> {
+    let NhwcImage { c, h, w, pad } = *img;
+    let mut out = vec![128u8; img.stride()];
+    for ci in 0..c {
+        for y in 0..h {
+            for x in 0..w {
+                let pixel = (y + pad) * (w + 2 * pad) + x + pad;
+                out[pixel * c + ci] = nchw[(ci * h + y) * w + x];
+            }
+        }
+    }
+    out.resize(out.len() + tail, fill);
+    out
+}
+
+fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
+    (0..len).map(|_| rng.gen_range(1u32..256) as u8).collect()
+}
+
+/// The run-copy gather equals the table gather once the table's
+/// `(c_in, ky, kx)` columns are permuted to `(ky, kx, c_in)`; its block
+/// over-copy stays inside `PATCH_SLACK` and nothing it over-reads from the
+/// image's slack survives into the patch matrix.
+#[test]
+fn nhwc_run_copy_gather_matches_the_table_gather_after_column_permutation() {
+    let mut rng = StdRng::seed_from_u64(0x6A7);
+    let mut shapes = 0;
+    for c_in in [1usize, 3, 6, 12, 48] {
+        for k in [1usize, 3] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1] {
+                    for o in [1usize, 2, 4, 16] {
+                        // The input side this output side comes from.
+                        let Some(hw) = ((o - 1) * stride + k).checked_sub(2 * pad) else {
+                            continue;
+                        };
+                        let geom = Conv2dGeometry {
+                            kernel: k,
+                            stride,
+                            padding: pad,
+                        };
+                        if hw == 0 || geom.output_size(hw) != Some(o) {
+                            continue;
+                        }
+                        let dims = ConvPlanDims {
+                            c_in,
+                            h: hw,
+                            w: hw,
+                            c_out: 1,
+                            oh: o,
+                            ow: o,
+                            geom,
+                        };
+                        shapes += 1;
+                        let (s, kdim) = (o * o, c_in * k * k);
+                        let ka = quantized_row_len(kdim);
+                        let nchw = random_bytes(&mut rng, c_in * hw * hw);
+                        let table = PatchGather::compile(&dims);
+                        let mut want = vec![0u8; s * ka];
+                        gather_patches_u8(&nchw, &table, &mut want);
+                        // The image's slack holds the sentinel: whatever
+                        // the block copies over-read must be overwritten.
+                        let img = to_padded_nhwc(
+                            &nchw,
+                            &NhwcImage::for_conv(&dims),
+                            PATCH_SLACK,
+                            SENTINEL,
+                        );
+                        let mut got = vec![SENTINEL; s * ka + PATCH_SLACK + GUARD];
+                        gather_patches_nhwc(&img, &dims, &mut got);
+                        let what =
+                            format!("c_in {c_in} k {k} stride {stride} pad {pad} out {o}x{o}");
+                        assert!(
+                            got[s * ka + PATCH_SLACK..].iter().all(|&b| b == SENTINEL),
+                            "{what}: wrote past the documented slack"
+                        );
+                        for p in 0..s {
+                            let (g, w) = (&got[p * ka..(p + 1) * ka], &want[p * ka..(p + 1) * ka]);
+                            for ci in 0..c_in {
+                                for tap in 0..k * k {
+                                    assert_eq!(
+                                        g[tap * c_in + ci],
+                                        w[ci * k * k + tap],
+                                        "{what}: patch {p} channel {ci} tap {tap}"
+                                    );
+                                }
+                            }
+                            assert!(
+                                g[kdim..].iter().all(|&b| b == 128),
+                                "{what}: patch {p} quad tail is not the zero point"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // 160 combinations, less the 15 a 1×1 / pad-1 kernel cannot produce
+    // (1×1 output at either stride, 2×2 at stride 1) for each `c_in`.
+    assert_eq!(shapes, 145, "geometry filter dropped a planned shape");
+}
+
+/// The entry conversion writes `quantize_slice_u8`'s scale and bytes,
+/// transposed into the padded image, in every mode — NaN / ±inf / −0.0
+/// and the all-zero image included — and nothing behind the image.
+#[test]
+fn nhwc_entry_quantize_matches_quantize_slice_in_every_mode() {
+    let mut rng = StdRng::seed_from_u64(0xE47);
+    for (c, h, w, pad) in [
+        (1, 1, 1, 0),
+        (3, 16, 16, 1),
+        (3, 7, 5, 1),
+        (6, 4, 33, 0),
+        (17, 3, 3, 1),
+    ] {
+        for case in 0..4 {
+            let mut x = uniform(&mut rng, Shape::vector(c * h * w), -3.0, 3.0);
+            let data = x.as_mut_slice();
+            match case {
+                1 => data.fill(0.0),
+                2 => {
+                    data[0] = f32::NAN;
+                    data[c * h * w / 2] = -0.0;
+                }
+                3 => {
+                    data[c * h * w - 1] = f32::NEG_INFINITY;
+                    data[0] = f32::NAN;
+                }
+                _ => {}
+            }
+            let mut flat = vec![0u8; c * h * w];
+            let want_scale = quantize_slice_u8(x.as_slice(), &mut flat);
+            let img = NhwcImage { c, h, w, pad };
+            let want = to_padded_nhwc(&flat, &img, GUARD, SENTINEL);
+            for_each_mode(|mode| {
+                let mut got = vec![SENTINEL; img.stride() + GUARD];
+                let scale = quantize_nhwc_u8(x.as_slice(), &img, &mut got, mode);
+                assert_eq!(
+                    scale.to_bits(),
+                    want_scale.to_bits(),
+                    "{mode:?} {img:?} case {case}: scale"
+                );
+                assert_eq!(got, want, "{mode:?} {img:?} case {case}: image bytes");
+            });
+        }
+    }
+}
+
+/// The requantizing write-back (± ReLU, ± 2×2 max-pool, odd maps that
+/// drop a row and column, channel counts around the vector widths) equals
+/// the composition it replaces — dequantize-transpose to f32 NCHW, f32
+/// max-pool, `quantize_slice_u8` — byte for byte and scale for scale, in
+/// every mode, with non-finite values in flight, and writes nothing
+/// behind the destination image.
+#[test]
+fn requantize_epilogue_matches_the_composed_ops_in_every_mode() {
+    let mut rng = StdRng::seed_from_u64(0x4E0);
+    let halving = PoolGeometry::halving();
+    for c_out in [1usize, 6, 10, 16, 17, 48] {
+        for (oh, ow) in [(1usize, 1usize), (2, 2), (4, 4), (5, 7), (16, 16)] {
+            for relu in [false, true] {
+                for pool in [None, Some(halving)] {
+                    let (ph, pw) = match pool {
+                        None => (oh, ow),
+                        Some(g) => match (g.output_size(oh), g.output_size(ow)) {
+                            (Some(ph), Some(pw)) => (ph, pw),
+                            _ => continue, // 1×1 has nothing to pool
+                        },
+                    };
+                    for nonfinite in [false, true] {
+                        let s = oh * ow;
+                        let acc: Vec<i32> = (0..s * c_out)
+                            .map(|_| rng.gen_range(0u32..40_001) as i32 - 20_000)
+                            .collect();
+                        let w_scales = uniform(&mut rng, Shape::vector(c_out), 0.001, 0.02);
+                        let mut bias = uniform(&mut rng, Shape::vector(c_out), -40.0, 10.0);
+                        let mut a_scale = 0.013f32;
+                        if nonfinite {
+                            // A NaN channel (every window of it is all-NaN:
+                            // the pool must answer −inf, the scale +inf)
+                            // or an infinite activation scale (0·inf = NaN
+                            // wherever the accumulator is zero).
+                            if c_out > 1 {
+                                bias.as_mut_slice()[c_out / 2] = f32::NAN;
+                            } else {
+                                a_scale = f32::INFINITY;
+                            }
+                        }
+                        // The composition the plans used to run.
+                        let mut nchw = vec![0.0f32; s * c_out];
+                        dequantize_transpose_bias_relu(
+                            &acc,
+                            a_scale,
+                            w_scales.as_slice(),
+                            Some(bias.as_slice()),
+                            &mut nchw,
+                            s,
+                            c_out,
+                            relu,
+                        );
+                        if let Some(g) = pool {
+                            let mut pooled = vec![0.0f32; c_out * ph * pw];
+                            max_pool2d_into(&nchw, &mut pooled, 1, c_out, oh, ow, &g).unwrap();
+                            nchw = pooled;
+                        }
+                        let mut flat = vec![0u8; nchw.len()];
+                        let want_scale = quantize_slice_u8(&nchw, &mut flat);
+                        for pad in [0usize, 1] {
+                            let dst = NhwcImage {
+                                c: c_out,
+                                h: ph,
+                                w: pw,
+                                pad,
+                            };
+                            let want = to_padded_nhwc(&flat, &dst, GUARD, SENTINEL);
+                            let rq = Requantize::compile(
+                                w_scales.as_slice(),
+                                bias.as_slice(),
+                                (oh, ow),
+                                relu,
+                                pool,
+                                dst,
+                            )
+                            .unwrap();
+                            let what = format!(
+                                "c_out {c_out} {oh}x{ow} relu {relu} pool {} pad {pad} nonfinite {nonfinite}",
+                                pool.is_some()
+                            );
+                            for_each_mode(|mode| {
+                                // NaN staging: stale floats must never
+                                // reach the max or a byte.
+                                let mut stage = vec![f32::NAN; rq.stage_len()];
+                                let mut got = vec![SENTINEL; dst.stride() + GUARD];
+                                let scale = rq.run(&acc, a_scale, &mut stage, &mut got, mode);
+                                assert_eq!(
+                                    scale.to_bits(),
+                                    want_scale.to_bits(),
+                                    "{mode:?} {what}: scale {scale} vs {want_scale}"
+                                );
+                                assert_eq!(got, want, "{mode:?} {what}: image bytes");
+                            });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A write-back into anything but its own (pooled) output extent is a
+/// compile-time error, not a mis-sized image at run time — in particular
+/// a flat (linear) consumer of a map with more than one pixel, whose rows
+/// are in NCHW order.
+#[test]
+fn requantize_rejects_a_destination_that_is_not_its_output() {
+    let (ws, b) = ([0.01f32; 6], [0.0f32; 6]);
+    let compile = |hw, pool, dst| Requantize::compile(&ws, &b, hw, true, pool, dst);
+    let halving = Some(PoolGeometry::halving());
+    assert!(compile(
+        (4, 4),
+        halving,
+        NhwcImage {
+            c: 6,
+            h: 2,
+            w: 2,
+            pad: 1
+        }
+    )
+    .is_ok());
+    assert!(compile((2, 2), halving, NhwcImage::flat(6)).is_ok());
+    assert!(compile((2, 2), None, NhwcImage::flat(24)).is_err());
+    assert!(compile(
+        (4, 4),
+        halving,
+        NhwcImage {
+            c: 6,
+            h: 4,
+            w: 4,
+            pad: 1
+        }
+    )
+    .is_err());
+    assert!(compile(
+        (4, 4),
+        None,
+        NhwcImage {
+            c: 5,
+            h: 4,
+            w: 4,
+            pad: 0
+        }
+    )
+    .is_err());
+    assert!(compile((1, 1), halving, NhwcImage::flat(6)).is_err());
 }
