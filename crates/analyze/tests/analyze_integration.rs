@@ -496,3 +496,55 @@ fn cli_cache_invalidation_reanalyzes_only_edited_files() {
     assert!(stderr.contains("cache 3 hit(s) / 1 miss(es)"), "invalidated: {stderr}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn worker_loop_roots_both_serving_transports() {
+    use seal_analyze::callgraph::{qual_matches, CallGraph, DEFAULT_PANIC_ROOTS};
+    use seal_analyze::parser::parse_file;
+
+    // The panic-freedom pass roots the serving stack by fn *name*. Pin
+    // that the name resolves to the one loop both transports run, and
+    // that the wire reply path is actually under it — a rename must fail
+    // here instead of silently un-rooting the server.
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let sources: Vec<PathBuf> = seal_analyze::workspace_sources(&root)
+        .expect("workspace sources")
+        .into_iter()
+        .filter(|p| {
+            let rel = p.strip_prefix(&root).expect("under the root");
+            rel.starts_with("crates/serve/src") || rel.starts_with("crates/net/src")
+        })
+        .collect();
+    let files: Vec<_> = sources
+        .iter()
+        .map(|p| {
+            let rel = p.strip_prefix(&root).expect("under the root");
+            let source = std::fs::read_to_string(p).expect("readable source");
+            parse_file(&rel.to_string_lossy(), &source)
+        })
+        .collect();
+    let graph = CallGraph::build(&files);
+    let qual = |ni: usize| {
+        let n = graph.nodes[ni];
+        files[n.file].fns[n.fun].qual.as_str()
+    };
+
+    assert!(DEFAULT_PANIC_ROOTS.contains(&"worker_loop"));
+    let roots: Vec<usize> = graph.nodes_matching(&files, "worker_loop").collect();
+    let names: Vec<&str> = roots.iter().map(|&ni| qual(ni)).collect();
+    assert_eq!(names.len(), 1, "exactly one serving loop, got {names:?}");
+
+    let mut reached = vec![false; graph.nodes.len()];
+    let mut stack = roots;
+    while let Some(ni) = stack.pop() {
+        if !std::mem::replace(&mut reached[ni], true) {
+            stack.extend(graph.edges[ni].iter().map(|e| e.callee));
+        }
+    }
+    for pattern in ["netserve::encode_reply", "Responder::send"] {
+        assert!(
+            (0..graph.nodes.len()).any(|ni| reached[ni] && qual_matches(qual(ni), pattern)),
+            "{pattern} is not reachable from worker_loop"
+        );
+    }
+}

@@ -11,6 +11,10 @@
 //! `benchmark/src/sim.rs` and the crypto replays do the same with
 //! `seal-gpusim`, `seal-crypto` and `seal-core`: the second test pins the
 //! constructors, methods and public field names they use.
+//!
+//! `benchmark/src/{serve,net,replay}.rs` drive the serving stack through
+//! the `seal_serve` facade; the third test pins every item, signature and
+//! public field they touch.
 
 use seal_core::workload::{network_workloads, DEFAULT_BATCH};
 use seal_core::{CoreError, EncryptionPlan, Scheme};
@@ -21,12 +25,21 @@ use seal_crypto::{
 use seal_gpusim::{
     EncryptionMode, GpuConfig, McReport, SimError, SimReport, Simulator, Workload,
 };
-use seal_nn::NetworkTopology;
+use seal_net::reactor::ReactorStats;
+use seal_nn::{CompiledModel, NetworkTopology, Sequential};
+use seal_serve::{
+    BatchStats, BoundedQueue, CostModel, FairBatch, FairQueue, NetServer, NetServerConfig,
+    NetStats, PushRefused, QueueDepthStats, Response, ResponseHandle, SchemeSummary, ServeError,
+    ServeStats, ServedModel, Server, ServerConfig, TenantRegistry, TenantSpec, TenantState,
+};
 use seal_tensor::ops::{
     conv2d_infer_packed, gather_patches_u8, gemm_i8, gemm_prepacked, kernel_mode, quantize_rows_u8,
     quantized_row_len, ConvPlanDims, Im2colGather, KernelMode, PackedB, PackedBI8, PatchGather,
 };
-use seal_tensor::TensorError;
+use seal_tensor::rng::rngs::StdRng;
+use seal_tensor::{Shape, Tensor, TensorError};
+use std::sync::Mutex;
+use std::time::Duration;
 
 #[test]
 fn the_names_and_signatures_the_benchmark_uses_still_exist() {
@@ -154,4 +167,144 @@ fn the_simulator_and_crypto_items_the_benchmark_uses_still_exist() {
     let _: fn(EngineSpec, f64) -> Result<EnginePipeline, CryptoError> = EnginePipeline::new;
     let _: fn(&mut EnginePipeline, u64, u64) -> u64 = EnginePipeline::submit;
     let _: fn() -> EngineSpec = EngineSpec::seal_default;
+}
+
+#[test]
+#[allow(clippy::type_complexity)]
+fn the_serving_facade_the_benchmark_uses_still_exists() {
+    // `benchmark/src/serve.rs`: the in-process server under lock-step load.
+    let _: fn(ServerConfig) -> Result<Server, ServeError> = Server::start;
+    let _: fn(&Server, Tensor) -> Result<ResponseHandle, ServeError> = Server::submit;
+    let _: fn(Server) -> Result<ServeStats, ServeError> = Server::shutdown;
+    let _: fn(&ResponseHandle) -> u64 = ResponseHandle::id;
+    let _: fn(ResponseHandle) -> Result<Response, ServeError> = ResponseHandle::wait;
+    let _: fn(ResponseHandle, Duration) -> Result<Response, ServeError> =
+        ResponseHandle::wait_timeout;
+    // It verifies every answer field by field.
+    let Response {
+        id: _,
+        prediction: _,
+        batch_size: _,
+        queue_wait: _,
+        latency: _,
+    } = Response {
+        id: 0u64,
+        prediction: 0usize,
+        batch_size: 0usize,
+        queue_wait: Duration::ZERO,
+        latency: Duration::ZERO,
+    };
+    // Type-checked, never called: the `ServeStats` fields it reads.
+    fn _serve_stats(stats: ServeStats) {
+        let _: BatchStats = stats.batches;
+        let _: f64 = stats.batches.mean();
+        let _: QueueDepthStats = stats.queue_depth;
+        let _: f64 = stats.queue_depth.mean();
+        let _: Vec<SchemeSummary> = stats.schemes;
+        let _: (u64, u64, u64) = (stats.shed, stats.panicked, stats.drained);
+        let _: Vec<ServeError> = stats.worker_errors;
+    }
+    // `..ServerConfig::smoke()` under the six fields it sets, plus what
+    // its tests and `replay.rs::Lanes::metrics` read back.
+    let cfg = ServerConfig {
+        workers: 1usize,
+        kernel_threads: 1usize,
+        max_batch: 8usize,
+        queue_capacity: 64usize,
+        batch_deadline: Duration::from_millis(100),
+        quantized: false,
+        ..ServerConfig::smoke()
+    };
+    let _: fn(&ServerConfig) -> Result<(), ServeError> = ServerConfig::validate;
+    let _: (&str, u64, f64, usize) = (
+        cfg.model.as_str(),
+        cfg.seed,
+        cfg.clock_ghz,
+        cfg.counter_cache_kb,
+    );
+    let _: CounterGeometry = cfg.counter_geometry;
+
+    let _: fn(usize) -> BoundedQueue<u64> = BoundedQueue::new;
+    let _: fn(&BoundedQueue<u64>, u64) -> Result<(), (u64, PushRefused)> = BoundedQueue::try_push;
+    let _: fn(&BoundedQueue<u64>, usize, Duration) -> Option<Vec<u64>> = BoundedQueue::pop_batch;
+
+    let _: fn(&NetworkTopology, &ServerConfig) -> Result<CostModel, ServeError> = CostModel::new;
+    let _: fn(&mut CostModel, usize) = CostModel::cost_batch;
+
+    let _: fn(&str, u64) -> Result<ServedModel, ServeError> = ServedModel::load;
+    let _: fn(&ServedModel, &mut StdRng) -> Tensor = ServedModel::sample;
+    let _: fn(&ServedModel, &[&Tensor]) -> Result<Tensor, ServeError> = ServedModel::concat_batch;
+    let _: fn(&ServedModel, usize, bool) -> Result<CompiledModel, ServeError> =
+        ServedModel::compile_plan;
+    let _: fn(&ServedModel) -> &NetworkTopology = ServedModel::topology;
+    let _: fn(&ServedModel) -> &Sequential = ServedModel::model;
+    let _: fn(&ServedModel) -> &Shape = ServedModel::input_shape;
+
+    // `benchmark/src/net.rs`: the TCP server and the tenant registry.
+    let _: fn(NetServerConfig) -> Result<NetServer, ServeError> = NetServer::start;
+    let _: fn(&NetServer) -> u16 = NetServer::port;
+    let _: fn(NetServer) -> Result<NetStats, ServeError> = NetServer::shutdown;
+    let net: NetServerConfig = NetServerConfig::smoke(8u32);
+    let _: (&ServerConfig, &Vec<TenantSpec>, u64, u64, usize) = (
+        &net.base,
+        &net.tenants,
+        net.master_seed,
+        net.quantum,
+        net.max_pipeline,
+    );
+    fn _net_stats(stats: NetStats) {
+        let _: Vec<(u32, u64, u64, u64, u64, u64)> = stats.tenants;
+        let _: ReactorStats = stats.reactor;
+        let _: u64 = stats.drained;
+        let _: Vec<ServeError> = stats.worker_errors;
+        let _: Vec<SchemeSummary> = stats.schemes;
+    }
+    let _: fn(&ServerConfig, u64, &[TenantSpec]) -> Result<TenantRegistry, ServeError> =
+        TenantRegistry::build;
+    let _: fn(&TenantRegistry) -> usize = TenantRegistry::len;
+    let _: fn(&TenantRegistry) -> &[TenantState] = TenantRegistry::all;
+    let _: fn(&TenantRegistry) -> Vec<(u32, u32)> = TenantRegistry::weights;
+    let _: fn(&TenantRegistry, u32) -> Option<usize> = TenantRegistry::index_of;
+    let _: fn(&TenantRegistry, usize) -> &TenantState = TenantRegistry::by_index;
+    let _: fn(&TenantState) -> &ServedModel = TenantState::model;
+    let _: fn(&TenantState) -> TenantSpec = TenantState::spec;
+    // It prices a batch through the tenant's own mutex, as the worker does.
+    fn _tenant_cost(tenant: &TenantState) -> &Mutex<CostModel> {
+        &tenant.cost
+    }
+    let _: fn(u32) -> Vec<TenantSpec> = TenantSpec::skewed;
+    let TenantSpec {
+        tenant: _,
+        weight: _,
+    } = TenantSpec {
+        tenant: 0u32,
+        weight: 1u32,
+    };
+    let _: fn(&[(u32, u32)], usize, u64) -> FairQueue<u64> = FairQueue::new;
+    let _: fn(&FairQueue<u64>, usize, u64) -> Result<(), (u64, PushRefused)> = FairQueue::try_push;
+    let _: fn(&FairQueue<u64>, usize, Duration) -> Option<FairBatch<u64>> = FairQueue::pop_batch;
+    let _: fn(&FairQueue<u64>) -> bool = FairQueue::is_empty;
+
+    // `benchmark/src/replay.rs::Lanes`: every lane row field, so a rename
+    // or a new field breaks here.
+    fn _lane_row(row: SchemeSummary) {
+        let SchemeSummary {
+            scheme,
+            batches: _,
+            samples: _,
+            enc_bytes: _,
+            total_bytes: _,
+            makespan_cycles: _,
+            virtual_seconds: _,
+            throughput_rps: _,
+            counter_hit_rate: _,
+            counter_hits: _,
+            counter_misses: _,
+            prefetch_hits: _,
+            prefetch_fills: _,
+            ro_hits: _,
+            slowdown_vs_baseline: _,
+        } = row;
+        let _: Scheme = scheme;
+    }
 }

@@ -453,8 +453,22 @@ impl<H: Handler> Reactor<H> {
                 last_sweep = Instant::now();
             }
         }
-        // Shutdown: deliver anything still in the mailbox (dead conns are
-        // counted as dropped), then close all connections.
+        // Shutdown must not lose what was asked for before it, whichever
+        // thread ran first: a drain requested but not yet seen still
+        // broadcasts its GOAWAYs, and one last non-blocking pass hands
+        // the handler every frame that reached its socket before the
+        // stop (a peer that sent and vanished is still counted). Then
+        // deliver anything still in the mailbox (dead conns are counted
+        // as dropped) and close all connections.
+        if !self.draining && self.drain_flag.load(Ordering::Acquire) {
+            self.begin_drain();
+        }
+        events.clear();
+        if self.epoll.wait(&mut events, 0).is_ok() {
+            for ev in events.drain(..).filter(|ev| ev.token >= FIRST_CONN) {
+                self.conn_ready(ev.token, ev);
+            }
+        }
         self.wake.drain();
         self.deliver_mailbox();
         let ids: Vec<ConnId> = self.conns.keys().copied().collect();

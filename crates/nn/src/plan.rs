@@ -447,10 +447,9 @@ impl CompiledModel {
     pub fn classify(&mut self, batch: &Tensor) -> Result<Vec<usize>, NnError> {
         let classes = self.num_classes;
         let logits = self.execute_into(batch)?;
-        let n = logits.len() / classes.max(1);
-        Ok((0..n)
-            .map(|b| {
-                let row = &logits[b * classes..(b + 1) * classes];
+        Ok(logits
+            .chunks_exact(classes.max(1))
+            .map(|row| {
                 row.iter()
                     .enumerate()
                     .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))

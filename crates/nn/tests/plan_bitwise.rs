@@ -5,7 +5,7 @@
 //! rounding (weights are rescaled ahead of time) and are pinned to a tight
 //! relative tolerance instead.
 
-use seal_nn::models::{resnet, vgg16, ResNetConfig, VggConfig};
+use seal_nn::models::{mlp, resnet, vgg16, MlpConfig, ResNetConfig, VggConfig};
 use seal_nn::{CompiledModel, PlanOptions, Sequential};
 use seal_pool::{with_pool, Pool};
 use seal_tensor::rng::rngs::StdRng;
@@ -75,6 +75,10 @@ fn vgg16_plan_bitwise_across_thread_counts() {
     let cfg = VggConfig::reduced();
     let model = vgg16(&mut rng, &cfg).unwrap();
     check_model_plans(&model, cfg.input_channels, cfg.input_hw, 310, "vgg16");
+    // The zoo's third model, as `seal-serve` serves it (3×8×8 input): the
+    // servers have no interpreter path to compare their plans against.
+    let model = mlp(&mut rng, &MlpConfig::reduced()).unwrap();
+    check_model_plans(&model, 3, 8, 315, "mlp");
 }
 
 #[test]

@@ -80,21 +80,12 @@ pub struct ServerConfig {
     /// Service-time inflation applied to a batch carrying an injected
     /// slow request.
     pub chaos_slow_delay: Duration,
-    /// Run inference through a per-worker compiled plan (weights
-    /// pre-packed, activation arena, no steady-state allocation) instead
-    /// of the layer-by-layer `forward_infer` path. Plans are compiled
-    /// without fusion, so predictions are bitwise identical either way;
-    /// a worker whose plan fails to compile falls back to the unplanned
-    /// path and records the error.
-    pub use_plan: bool,
     /// Serve through the **int8 quantized** compiled plan
     /// ([`PlanOptions::quantized`](seal_nn::PlanOptions::quantized)) and
     /// price every lane at int8 traffic (1 byte/element plus the
     /// per-channel scale sideband) instead of f32. Quantized predictions
     /// are *not* bitwise identical to the f32 path — they carry the
-    /// quantization error the plan-layer accuracy gate bounds — so this
-    /// composes only with `use_plan`; the unplanned `forward_infer` path
-    /// has no int8 implementation.
+    /// quantization error the plan-layer accuracy gate bounds.
     pub quantized: bool,
 }
 
@@ -125,7 +116,6 @@ impl ServerConfig {
             faults: None,
             fault_seed: 0,
             chaos_slow_delay: Duration::from_millis(2),
-            use_plan: true,
             quantized: false,
         }
     }
@@ -210,9 +200,6 @@ impl ServerConfig {
         if self.breaker_probe_interval == 0 {
             return fail("breaker_probe_interval must be >= 1".into());
         }
-        if self.quantized && !self.use_plan {
-            return fail("quantized serving requires use_plan (no unplanned int8 path)".into());
-        }
         if let Some(faults) = &self.faults {
             faults.validate()?;
         }
@@ -286,13 +273,6 @@ mod tests {
             (
                 Box::new(|c: &mut ServerConfig| c.breaker_probe_interval = 0),
                 "breaker_probe_interval",
-            ),
-            (
-                Box::new(|c: &mut ServerConfig| {
-                    c.use_plan = false;
-                    c.quantized = true;
-                }),
-                "quantized",
             ),
             (
                 Box::new(|c: &mut ServerConfig| {

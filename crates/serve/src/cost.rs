@@ -282,7 +282,7 @@ impl CostModel {
         CostModel::build(topo, config, Some(tenant))
     }
 
-    fn build(
+    pub(crate) fn build(
         topo: &NetworkTopology,
         config: &ServerConfig,
         tenant: Option<&TenantCrypto>,

@@ -10,21 +10,20 @@
 //! single-tenant (a batch never mixes tenants, which is what keeps the
 //! per-tenant cost lanes and key material honest).
 //!
-//! The blocking/batching discipline mirrors [`BoundedQueue`]
-//! (crate::queue::BoundedQueue): consumers wait for the first item, then
-//! linger up to the batching deadline hoping to fill `max_batch` from the
-//! selected tenant. Lock poisoning is recovered, never propagated.
+//! One `Mutex` + two condvars implement the whole data path: producers
+//! (`try_push`) never block — a full lane refuses, which is the
+//! backpressure signal — and consumers (`pop_batch_with`) block for the
+//! first item, then linger up to the batching deadline hoping to fill
+//! `max_batch`. Lock poisoning is recovered, never propagated: a
+//! panicking worker must not take the whole runtime down with it.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::locked;
+use crate::metrics::QueueDepthStats;
 use crate::queue::PushRefused;
-
-/// Recovers the guard from a possibly-poisoned mutex (plain data inside).
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// One tenant's lane: its bounded backlog and its running DRR deficit.
 #[derive(Debug)]
@@ -43,6 +42,19 @@ struct FairState<T> {
     closed: bool,
     /// Total queued items across lanes (cheap emptiness check).
     queued: usize,
+    /// `queued` as each admitted push found it.
+    depth: QueueDepthStats,
+}
+
+impl<T> FairState<T> {
+    /// The lane DRR serves next: the first non-empty one from the cursor
+    /// (every visit credits a lane at least one request).
+    fn next_lane(&self) -> Option<usize> {
+        let lanes = self.lanes.len();
+        (0..lanes)
+            .map(|step| (self.cursor + step) % lanes)
+            .find(|&idx| !self.lanes[idx].items.is_empty())
+    }
 }
 
 /// A batch popped from the fair queue: every item belongs to one tenant.
@@ -87,6 +99,7 @@ impl<T> FairQueue<T> {
                 cursor: 0,
                 closed: false,
                 queued: 0,
+                depth: QueueDepthStats::default(),
             }),
             not_empty: Condvar::new(),
             emptied: Condvar::new(),
@@ -100,7 +113,8 @@ impl<T> FairQueue<T> {
         self.per_tenant_capacity
     }
 
-    /// Non-blocking admission into `tenant_index`'s lane.
+    /// Non-blocking admission into `tenant_index`'s lane. The total depth
+    /// observed at submission time feeds the queue statistics.
     ///
     /// # Errors
     ///
@@ -118,6 +132,8 @@ impl<T> FairQueue<T> {
             return Err((item, PushRefused::Full));
         }
         lane.items.push_back(item);
+        let depth = s.queued;
+        s.depth.observe(depth);
         s.queued += 1;
         drop(s);
         self.not_empty.notify_one();
@@ -128,6 +144,23 @@ impl<T> FairQueue<T> {
     /// then returns the next DRR-selected single-tenant batch of at most
     /// `max_batch` items. Returns `None` when closed and fully drained.
     pub fn pop_batch(&self, max_batch: usize, deadline: Duration) -> Option<FairBatch<T>> {
+        self.pop_batch_with(max_batch, deadline, |_| false)
+    }
+
+    /// [`pop_batch`](Self::pop_batch) with a *barrier* predicate: an item
+    /// for which `barrier` returns `true` is always returned as a
+    /// singleton batch and never shares a batch with other items.
+    ///
+    /// The chaos harness uses this to isolate poisoned (panic-injected)
+    /// requests: a singleton batch guarantees the planned panic takes down
+    /// exactly its own request and produces exactly one supervisor
+    /// respawn, keeping fault accounting deterministic.
+    pub fn pop_batch_with(
+        &self,
+        max_batch: usize,
+        deadline: Duration,
+        barrier: impl Fn(&T) -> bool,
+    ) -> Option<FairBatch<T>> {
         let max_batch = max_batch.max(1);
         let mut s = locked(&self.state);
         loop {
@@ -138,9 +171,16 @@ impl<T> FairQueue<T> {
                 s = self.not_empty.wait(s).unwrap_or_else(|e| e.into_inner());
             }
             // Linger for the batching deadline while the backlog is short
-            // of a full batch (same discipline as BoundedQueue).
+            // of a full batch; a barrier item at the head leaves
+            // immediately, alone. `wait_timeout` releases the lock, so a
+            // sibling worker may steal the items meanwhile — if the queue
+            // is empty again afterwards, go back to waiting.
             let until = Instant::now() + deadline;
-            while s.queued > 0 && s.queued < max_batch && !s.closed {
+            let head_is_barrier = |s: &FairState<T>| {
+                let head = s.next_lane().and_then(|idx| s.lanes[idx].items.front());
+                head.is_some_and(&barrier)
+            };
+            while s.queued > 0 && s.queued < max_batch && !s.closed && !head_is_barrier(&s) {
                 let now = Instant::now();
                 if now >= until {
                     break;
@@ -154,53 +194,48 @@ impl<T> FairQueue<T> {
                     break;
                 }
             }
-            if let Some(batch) = self.drr_take(&mut s, max_batch) {
+            if let Some(batch) = self.drr_take(&mut s, max_batch, &barrier) {
                 return Some(batch);
             }
         }
     }
 
-    /// One DRR scheduling decision under the lock: find the next lane
-    /// with backlog, top up its deficit, and take up to
-    /// `min(deficit, max_batch, backlog)` items.
-    fn drr_take(&self, s: &mut FairState<T>, max_batch: usize) -> Option<FairBatch<T>> {
+    /// One DRR scheduling decision under the lock: top up the next
+    /// backlogged lane's deficit and take `min(deficit, max_batch,
+    /// backlog)` of its items, stopping short of the first barrier item
+    /// (which the next visit returns as a singleton).
+    fn drr_take(
+        &self,
+        s: &mut FairState<T>,
+        max_batch: usize,
+        barrier: &impl Fn(&T) -> bool,
+    ) -> Option<FairBatch<T>> {
+        let idx = s.next_lane()?;
+        let lane = &mut s.lanes[idx];
+        lane.deficit = lane.deficit.saturating_add(self.quantum * lane.weight);
+        let mut take = (lane.deficit.min(max_batch as u64) as usize).min(lane.items.len());
+        if let Some(at) = lane.items.iter().take(take).position(barrier) {
+            take = at.max(1); // a barrier at the head rides alone
+        }
+        lane.deficit -= take as u64;
+        let items: Vec<T> = lane.items.drain(..take).collect();
+        let tenant = lane.tenant;
+        if lane.items.is_empty() {
+            // Classic DRR: an emptied lane forfeits its deficit so idle
+            // tenants cannot bank unbounded credit.
+            lane.deficit = 0;
+        }
+        s.queued -= take;
         if s.queued == 0 {
-            return None;
+            self.emptied.notify_all();
         }
-        let lanes = s.lanes.len();
-        for step in 0..lanes {
-            let idx = (s.cursor + step) % lanes;
-            let quantum = self.quantum;
-            let lane = &mut s.lanes[idx];
-            if lane.items.is_empty() {
-                // Classic DRR: an empty lane forfeits its deficit so idle
-                // tenants cannot bank unbounded credit.
-                lane.deficit = 0;
-            } else {
-                lane.deficit = lane.deficit.saturating_add(quantum * lane.weight);
-                let take = (lane.deficit.min(max_batch as u64) as usize).min(lane.items.len());
-                if take > 0 {
-                    lane.deficit -= take as u64;
-                    let items: Vec<T> = lane.items.drain(..take).collect();
-                    let tenant = lane.tenant;
-                    if lane.items.is_empty() {
-                        lane.deficit = 0;
-                    }
-                    s.queued -= take;
-                    if s.queued == 0 {
-                        self.emptied.notify_all();
-                    }
-                    // Advance past the served lane so siblings interleave.
-                    s.cursor = (idx + 1) % lanes;
-                    return Some(FairBatch {
-                        tenant_index: idx,
-                        tenant,
-                        items,
-                    });
-                }
-            }
-        }
-        None
+        // Advance past the served lane so siblings interleave.
+        s.cursor = (idx + 1) % s.lanes.len();
+        Some(FairBatch {
+            tenant_index: idx,
+            tenant,
+            items,
+        })
     }
 
     /// Closes every lane: future pushes are refused, consumers drain what
@@ -216,6 +251,7 @@ impl<T> FairQueue<T> {
         let mut out = Vec::new();
         for (idx, lane) in s.lanes.iter_mut().enumerate() {
             if !lane.items.is_empty() {
+                lane.deficit = 0;
                 out.push(FairBatch {
                     tenant_index: idx,
                     tenant: lane.tenant,
@@ -247,6 +283,11 @@ impl<T> FairQueue<T> {
             s = guard;
         }
         true
+    }
+
+    /// Queue-depth statistics observed at submission time.
+    pub fn depth_stats(&self) -> QueueDepthStats {
+        locked(&self.state).depth
     }
 
     /// Items currently queued across all lanes.
@@ -350,6 +391,62 @@ mod tests {
         assert_eq!(drained.len(), 2);
         assert_eq!(drained[1].items, vec![2, 3]);
         assert!(q.is_empty());
+        assert!(q.drain_remaining().is_empty());
+    }
+
+    #[test]
+    fn barrier_items_ride_alone() {
+        let q = FairQueue::new(&weights(1), 16, 8);
+        // 0, 1, 2, 3, POISON, 4, POISON, 5 — negatives are barriers.
+        for i in [0, 1, 2, 3, -1, 4, -2, 5] {
+            q.try_push(0, i).unwrap();
+        }
+        // A barrier behind `max_batch` healthy items of its lane waits its
+        // turn, then leaves alone; so does one between two healthy items.
+        for want in [vec![0, 1, 2, 3], vec![-1], vec![4], vec![-2], vec![5]] {
+            let batch = q.pop_batch_with(4, Duration::ZERO, |x| *x < 0);
+            assert_eq!(batch.unwrap().items, want);
+        }
+    }
+
+    #[test]
+    fn barrier_at_head_is_a_singleton_and_does_not_linger() {
+        let q = FairQueue::new(&weights(1), 4, 8);
+        q.try_push(0, 9).unwrap();
+        q.try_push(0, 1).unwrap();
+        let linger = Duration::from_secs(5);
+        let started = Instant::now();
+        let batch = q.pop_batch_with(4, linger, |x| *x == 9).unwrap();
+        assert_eq!(batch.items, vec![9]);
+        assert!(started.elapsed() < linger, "the head barrier left at once");
+    }
+
+    #[test]
+    fn barrier_in_one_lane_neither_blocks_nor_joins_another_lanes_batch() {
+        let q = FairQueue::new(&[(0, 1), (1, 1)], 8, 8);
+        q.try_push(0, -1).unwrap(); // lane 0: POISON, then a healthy item
+        q.try_push(0, 10).unwrap();
+        q.try_push(1, 20).unwrap();
+        q.try_push(1, 21).unwrap();
+        // Lane 1's batch is whole and single-tenant; lane 0 resumes after.
+        for want in [(0, vec![-1]), (1, vec![20, 21]), (0, vec![10])] {
+            let b = q.pop_batch_with(8, Duration::ZERO, |x| *x < 0).unwrap();
+            assert_eq!((b.tenant_index, b.items), want);
+        }
+    }
+
+    #[test]
+    fn depth_stats_track_submission_time_depth_across_lanes() {
+        let q = FairQueue::new(&weights(2), 2, 8);
+        q.try_push(0, 1).unwrap(); // found 0 queued
+        q.try_push(1, 2).unwrap(); // found 1
+        q.try_push(0, 3).unwrap(); // found 2
+        assert!(q.try_push(0, 4).is_err(), "refused pushes are not sampled");
+        let d = q.depth_stats();
+        assert_eq!((d.samples, d.depth_sum, d.depth_max), (3, 3, 2));
+        q.pop_batch(8, Duration::ZERO).unwrap();
+        q.try_push(1, 5).unwrap(); // lane 0's two left: found 1
+        assert_eq!(q.depth_stats().depth_sum, 4);
     }
 
     #[test]

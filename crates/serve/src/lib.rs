@@ -3,7 +3,7 @@
 //! A hermetic (std-only) serving runtime that turns the paper's memory-
 //! encryption story into an end-to-end systems measurement. The runtime is
 //! real — a hand-rolled worker pool pulls dynamic batches off a bounded
-//! request queue and runs the zoo model's `&self` inference path — while
+//! weighted-fair queue and runs each tenant's compiled inference plan — while
 //! the memory encryption is virtual: every realized batch's weight and
 //! feature-map traffic is priced under three schemes at once (no
 //! encryption, full counter-mode, and SEAL smart encryption at the
@@ -16,8 +16,10 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`queue`] | bounded MPMC queue: non-blocking admission, deadline batching, poison barriers |
-//! | [`server`] | supervised worker pool, request lifecycle, shed/drain/respawn |
+//! | `machine` | the one serving machine: admission, request lifecycle, `worker_loop`, shed/drain/respawn |
+//! | [`fair`] | the queue: per-tenant bounded lanes drained by deficit round-robin, deadline batching, poison barriers |
+//! | [`server`] | the in-process front end: `submit` → per-request channel, one solo tenant |
+//! | [`netserve`] | the TCP front end: seal-net reactor + frame admission + wire replies |
 //! | [`breaker`] | event-counted circuit breaker gating admission |
 //! | [`model`] | the zoo: reduced `Sequential` + full-size costing topology |
 //! | [`cost`] | per-scheme virtual pipelines pricing each realized batch (and its fault recoveries) |
@@ -25,11 +27,10 @@
 //! | [`loadgen`] | closed-loop, open-loop and chaos load generators |
 //! | [`arrivals`] | deterministic Pareto arrival schedules + tenant assignment |
 //! | [`tenant`] | multi-tenant registry: per-tenant keys, counter windows, models, breakers |
-//! | [`fair`] | per-tenant bounded lanes drained by deficit round-robin |
-//! | [`netserve`] | the TCP front-end: seal-net reactor + admission + tenant workers |
 //! | [`netload`] | open-loop TCP load generator with network-fault realisation |
 //! | [`netreport`] | `results/serve_net.json` writer + net-smoke acceptance checks |
 //! | [`report`] | `results/serve_*.json` writer + smoke acceptance checks |
+//! | [`queue`] | `BoundedQueue`, a one-lane facade over [`fair`] kept for the benchmark ruler |
 //!
 //! ## Fault model
 //!
@@ -63,6 +64,7 @@ pub mod cost;
 pub mod error;
 pub mod fair;
 pub mod loadgen;
+mod machine;
 pub mod metrics;
 pub mod model;
 pub mod netload;
@@ -88,8 +90,13 @@ pub use netload::{
 pub use netreport::{DrainPhase, NetPhase, NetSmoke};
 pub use netserve::{NetServer, NetServerConfig, NetStats};
 pub use queue::{BoundedQueue, PushRefused};
-pub use report::{
-    ChaosRun, ChaosSmoke, PlanComparison, QuantComparison, QuantLaneDelta, ServeReport,
-};
+pub use report::{ChaosRun, ChaosSmoke, QuantComparison, QuantLaneDelta, ServeReport};
 pub use server::{Response, ResponseHandle, ServeStats, Server};
 pub use tenant::{TenantRegistry, TenantSpec, TenantState};
+
+/// Poison-recovering lock: queue, metrics and cost state are plain data
+/// that stay valid after any worker panic, so the guard is always usable
+/// and a panicking worker never takes the runtime down with it.
+pub(crate) fn locked<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -28,7 +28,7 @@ use seal_tensor::{Shape, Tensor};
 
 use crate::arrivals::ArrivalSchedule;
 use crate::metrics::LatencyHistogram;
-use crate::{ServeError, Server};
+use crate::{locked, ServeError, Server};
 
 /// Base pause of the QueueFull retry backoff.
 const RETRY_BASE: Duration = Duration::from_micros(50);
@@ -188,7 +188,7 @@ pub fn run_closed(
             match handle.wait() {
                 Ok(r) => {
                     completed.fetch_add(1, Ordering::Relaxed);
-                    lock_hist(&latency).record(r.latency.as_micros() as u64);
+                    locked(&latency).record(r.latency.as_micros() as u64);
                 }
                 Err(e) => {
                     record_error(&first_error, e);
@@ -198,16 +198,12 @@ pub fn run_closed(
         }
     });
 
-    if let Some(e) = first_error
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .take()
-    {
+    if let Some(e) = locked(&first_error).take() {
         return Err(e);
     }
     let wall = started.elapsed().as_secs_f64();
     let done = completed.load(Ordering::Relaxed);
-    let latency = lock_hist(&latency).clone();
+    let latency = locked(&latency).clone();
     Ok(LoadReport {
         mode: LoadMode::Closed { concurrency },
         requested: requests,
@@ -240,47 +236,8 @@ pub fn run_open(
         });
     }
     let interval = Duration::from_secs_f64(1.0 / rate_rps);
-    let mut rng = StdRng::seed_from_u64(seed);
-    let started = Instant::now();
-    let mut next_fire = started;
-    let mut handles = Vec::with_capacity(requests);
-    let mut rejected = 0usize;
-
-    for _ in 0..requests {
-        let now = Instant::now();
-        if now < next_fire {
-            std::thread::sleep(next_fire - now);
-        }
-        next_fire += interval;
-        let input = server.sample_input(&mut rng);
-        match server.submit(input) {
-            Ok(h) => handles.push(h),
-            Err(ServeError::QueueFull { .. }) => rejected += 1,
-            Err(e) => return Err(e),
-        }
-    }
-
-    let mut latency = LatencyHistogram::new();
-    let mut completed = 0usize;
-    for h in handles {
-        let r = h.wait()?;
-        completed += 1;
-        latency.record(r.latency.as_micros() as u64);
-    }
-    let wall = started.elapsed().as_secs_f64();
-    Ok(LoadReport {
-        mode: LoadMode::Open { rate_rps },
-        requested: requests,
-        completed,
-        rejected,
-        wall_seconds: wall,
-        observed_throughput_rps: if wall > 0.0 {
-            completed as f64 / wall
-        } else {
-            0.0
-        },
-        latency,
-    })
+    let offsets = (0..requests).map(|k| interval * k as u32);
+    run_arrivals(server, LoadMode::Open { rate_rps }, offsets, seed)
 }
 
 /// Runs an open-loop test with Pareto inter-arrivals: the schedule is the
@@ -306,13 +263,27 @@ pub fn run_open_pareto(
         });
     }
     let schedule = ArrivalSchedule::pareto(seed, requests, mean_gap_us, alpha);
+    let offsets = schedule.offsets_us().iter().map(|&us| Duration::from_micros(us));
+    run_arrivals(server, LoadMode::OpenPareto { mean_gap_us, alpha }, offsets, seed)
+}
+
+/// The open loop itself: one submission at each arrival offset from the
+/// start, never waiting for completions; then every accepted request is
+/// waited for.
+fn run_arrivals(
+    server: &Server,
+    mode: LoadMode,
+    offsets: impl ExactSizeIterator<Item = Duration>,
+    seed: u64,
+) -> Result<LoadReport, ServeError> {
+    let requested = offsets.len();
     let mut rng = StdRng::seed_from_u64(seed);
     let started = Instant::now();
-    let mut handles = Vec::with_capacity(requests);
+    let mut handles = Vec::with_capacity(requested);
     let mut rejected = 0usize;
 
-    for &offset_us in schedule.offsets_us() {
-        let fire = started + Duration::from_micros(offset_us);
+    for offset in offsets {
+        let fire = started + offset;
         let now = Instant::now();
         if now < fire {
             std::thread::sleep(fire - now);
@@ -334,8 +305,8 @@ pub fn run_open_pareto(
     }
     let wall = started.elapsed().as_secs_f64();
     Ok(LoadReport {
-        mode: LoadMode::OpenPareto { mean_gap_us, alpha },
-        requested: requests,
+        mode,
+        requested,
         completed,
         rejected,
         wall_seconds: wall,
@@ -464,11 +435,7 @@ pub fn run_chaos(
         }
     });
 
-    if let Some(e) = first_error
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .take()
-    {
+    if let Some(e) = locked(&first_error).take() {
         return Err(e);
     }
     Ok(ChaosReport {
@@ -495,14 +462,9 @@ fn wrong_shape(input: &Shape) -> Shape {
     }
 }
 
-/// Poison-tolerant histogram lock.
-fn lock_hist(m: &Mutex<LatencyHistogram>) -> std::sync::MutexGuard<'_, LatencyHistogram> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 /// Keeps the first error a client hit.
 fn record_error(slot: &Mutex<Option<ServeError>>, e: ServeError) {
-    let mut s = slot.lock().unwrap_or_else(|p| p.into_inner());
+    let mut s = locked(slot);
     if s.is_none() {
         *s = Some(e);
     }

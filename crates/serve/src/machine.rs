@@ -1,0 +1,375 @@
+//! The one serving machine behind both front ends: one queue, one request
+//! lifecycle, one worker loop (`admit → FairQueue → worker_loop → answer`;
+//! DESIGN.md §6c draws it).
+//!
+//! [`Server`](crate::Server) runs it over a one-tenant registry and
+//! answers on per-request channels; [`NetServer`](crate::NetServer) runs
+//! it over the tenant table and answers with wire frames. Every
+//! degradation is a *typed* rejection delivered to the request's origin —
+//! an admitted request always learns its fate (success, shed, panic,
+//! drain), never hangs. Workers run under `seal-pool`'s panic supervisor:
+//! an injected or organic panic is caught and the worker respawned (until
+//! its budget quarantines it).
+
+use std::borrow::Cow;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::time::{Duration, Instant};
+
+use seal_faults::RequestFault;
+use seal_net::reactor::Responder;
+use seal_net::ConnId;
+use seal_nn::CompiledModel;
+use seal_pool::{spawn_supervised, SupervisedWorker, SupervisorReport};
+use seal_tensor::rng::rngs::StdRng;
+use seal_tensor::rng::SeedableRng;
+use seal_tensor::Tensor;
+
+use crate::fair::FairQueue;
+use crate::metrics::BatchStats;
+use crate::queue::PushRefused;
+use crate::server::Response;
+use crate::tenant::TenantRegistry;
+use crate::{locked, netserve, ServeError, ServerConfig};
+
+/// Where a request came from, which is where its answer goes.
+#[derive(Debug)]
+pub(crate) enum Origin {
+    /// An in-process [`Server::submit`](crate::Server::submit): the input
+    /// rides along, the answer goes to the caller's channel.
+    Local {
+        input: Tensor,
+        tx: mpsc::Sender<Result<Response, ServeError>>,
+    },
+    /// A wire frame: the worker derives the input from `user`, the answer
+    /// is a frame for `conn` carrying `pad` filler bytes.
+    Wire { conn: ConnId, user: u64, pad: u64 },
+}
+
+/// One queued inference request.
+#[derive(Debug)]
+pub(crate) struct Request {
+    /// Server-assigned id (in-process) or the frame's `seq` (wire).
+    id: u64,
+    enqueued: Instant,
+    /// Absolute shed deadline; `None` = serve no matter how late. An
+    /// injected deadline-bust request is born with `deadline == enqueued`,
+    /// i.e. already expired.
+    deadline: Option<Instant>,
+    /// Chaos fault riding on this request, if any.
+    fault: Option<RequestFault>,
+    origin: Origin,
+}
+
+impl Request {
+    /// The deadline this request has missed if a worker picks it up at
+    /// `picked_up` — the one shed rule: due *at or before* pick-up.
+    fn missed(&self, picked_up: Instant) -> Option<Instant> {
+        self.deadline.filter(|&deadline| picked_up >= deadline)
+    }
+}
+
+/// Everything admission and the workers share.
+#[derive(Debug)]
+pub(crate) struct Machine {
+    pub registry: Arc<TenantRegistry>,
+    pub queue: FairQueue<Request>,
+    /// Set once by the TCP front end, before any frame can be admitted.
+    pub responder: OnceLock<Responder>,
+    pub batches: Mutex<BatchStats>,
+    pub panicked: AtomicU64,
+    pub config: ServerConfig,
+    errors: Mutex<Vec<ServeError>>,
+    workers: Mutex<Vec<SupervisedWorker>>,
+}
+
+impl Machine {
+    /// Sizes the kernel pool and builds the queue from an already
+    /// validated `config`: `queue_capacity` split into one lane per tenant
+    /// (so the lanes sum to the configured bound), drained with `quantum`
+    /// DRR credit per unit weight.
+    pub fn new(config: ServerConfig, registry: Arc<TenantRegistry>, quantum: u64) -> Arc<Machine> {
+        let lane_capacity = (config.queue_capacity / registry.len().max(1)).max(1);
+        if config.kernel_threads > 0 {
+            // Best-effort: the kernel pool is process-global and
+            // first-configuration-wins; a later server (or an earlier
+            // SEAL_THREADS resolution) keeping its setting is fine
+            // because outputs are thread-count independent.
+            let _ = seal_pool::configure(config.kernel_threads);
+        }
+        Arc::new(Machine {
+            queue: FairQueue::new(&registry.weights(), lane_capacity, quantum),
+            registry,
+            responder: OnceLock::new(),
+            batches: Mutex::new(BatchStats::default()),
+            panicked: AtomicU64::new(0),
+            config,
+            errors: Mutex::new(Vec::new()),
+            workers: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Spawns `config.workers` supervised [`worker_loop`]s named
+    /// `<name>-<i>`; [`stop`](Self::stop) joins them.
+    pub fn spawn_workers(self: &Arc<Self>, name: &str) -> Result<(), ServeError> {
+        for i in 0..self.config.workers {
+            let machine = Arc::clone(self);
+            let run = move || worker_loop(&machine);
+            let budget = self.config.worker_respawn_budget;
+            let worker = spawn_supervised(format!("{name}-{i}"), budget, run)
+                .map_err(|source| ServeError::WorkerSpawn { worker: i, source })?;
+            locked(&self.workers).push(worker);
+        }
+        Ok(())
+    }
+
+    /// Admission: the tenant's breaker, then its lane. Never blocks and
+    /// never touches a model. A refusal (`CircuitOpen`, `QueueFull`,
+    /// `ShuttingDown`) is counted on the tenant.
+    pub fn admit(
+        &self,
+        tenant_index: usize,
+        id: u64,
+        fault: Option<RequestFault>,
+        origin: Origin,
+    ) -> Result<(), ServeError> {
+        let tenant = self.registry.by_index(tenant_index);
+        if let Err(shed_streak) = locked(&tenant.breaker).admit() {
+            tenant.rejected_breaker.fetch_add(1, Ordering::Relaxed);
+            return Err(ServeError::CircuitOpen { shed_streak });
+        }
+        let enqueued = Instant::now();
+        let deadline = if fault == Some(RequestFault::DeadlineBust) {
+            Some(enqueued)
+        } else if self.config.request_deadline > Duration::ZERO {
+            // `ZERO` disables organic shedding (chaos presets rely on it:
+            // whether a backlogged request beats a wall-clock deadline is
+            // not a function of the fault seed).
+            Some(enqueued + self.config.request_deadline)
+        } else {
+            None
+        };
+        let request = Request {
+            id,
+            enqueued,
+            deadline,
+            fault,
+            origin,
+        };
+        let Err((_, why)) = self.queue.try_push(tenant_index, request) else {
+            return Ok(());
+        };
+        match why {
+            PushRefused::Full => {
+                tenant.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
+                let capacity = self.queue.per_tenant_capacity();
+                Err(ServeError::QueueFull { capacity })
+            }
+            PushRefused::Closed => {
+                tenant.rejected_drain.fetch_add(1, Ordering::Relaxed);
+                Err(ServeError::ShuttingDown)
+            }
+        }
+    }
+
+    /// Delivers a request's fate to wherever it came from.
+    fn answer(&self, tenant: u32, request: &Request, outcome: Result<Response, ServeError>) {
+        match &request.origin {
+            // A dropped handle is fine — the server-side stats already
+            // recorded the request.
+            Origin::Local { tx, .. } => {
+                let _ = tx.send(outcome);
+            }
+            Origin::Wire { conn, user, pad } => {
+                let outcome = outcome.as_ref().map(|r| r.prediction);
+                let frame = netserve::encode_reply(tenant, request.id, *user, *pad, outcome);
+                if let Some(responder) = self.responder.get() {
+                    responder.send(*conn, frame);
+                }
+            }
+        }
+    }
+
+    /// Rejects everything still queued with a typed `DrainedAtShutdown`,
+    /// counted per tenant in `rejected_drain`, and returns how many there
+    /// were — never silently dropped. Workers drain a closed queue before
+    /// exiting, so leftovers only exist when a drain window expired or
+    /// every worker quarantined.
+    pub fn drain_leftovers(&self) -> u64 {
+        let mut drained = 0;
+        for batch in self.queue.drain_remaining() {
+            let tenant = self.registry.by_index(batch.tenant_index);
+            for request in &batch.items {
+                tenant.rejected_drain.fetch_add(1, Ordering::Relaxed);
+                drained += 1;
+                let gone = ServeError::DrainedAtShutdown {
+                    request_id: request.id,
+                };
+                self.answer(batch.tenant, request, Err(gone));
+            }
+        }
+        drained
+    }
+
+    /// Closes the queue, joins every worker, drains the leftovers and
+    /// hands back `(merged supervision, drained, worker errors)`.
+    pub fn stop(&self) -> (SupervisorReport, u64, Vec<ServeError>) {
+        self.queue.close();
+        let mut supervision = SupervisorReport::default();
+        for w in std::mem::take(&mut *locked(&self.workers)) {
+            let report = w.join();
+            supervision.panics += report.panics;
+            supervision.respawns += report.respawns;
+            supervision.quarantined |= report.quarantined;
+            if report.last_panic.is_some() {
+                supervision.last_panic = report.last_panic;
+            }
+        }
+        let drained = self.drain_leftovers();
+        let errors = std::mem::take(&mut *locked(&self.errors));
+        (supervision, drained, errors)
+    }
+}
+
+/// A worker: pop a single-tenant batch, shed the expired, honour planned
+/// faults, run the rest through the tenant's plan, price them on the
+/// tenant's lanes, answer every rider.
+///
+/// A tenant's plan is compiled on the first batch that needs it (weights
+/// pre-packed, arena pre-sized; rebuilt after a supervised respawn) —
+/// no steady-state allocation in the model. With `quantized` it runs the
+/// deterministic int8 path (lanes priced at int8 traffic).
+fn worker_loop(m: &Machine) {
+    let config = &m.config;
+    // Per tenant: `None` until first needed, then `Some(None)` if the plan
+    // failed to compile (recorded once; its batches fail like a model
+    // error) or `Some(Some(plan))`.
+    let mut plans: Vec<Option<Option<CompiledModel>>> = Vec::new();
+    plans.resize_with(m.registry.len(), || None);
+    let poisoned = |r: &Request| r.fault == Some(RequestFault::WorkerPanic);
+    let (max_batch, linger) = (config.max_batch, config.batch_deadline);
+    while let Some(batch) = m.queue.pop_batch_with(max_batch, linger, poisoned) {
+        let picked_up = Instant::now();
+        // Lanes are built from the registry, one per tenant.
+        let tenant = m.registry.by_index(batch.tenant_index);
+        let slot = &mut plans[batch.tenant_index];
+        // Load shedding: an expired request gets a typed rejection and the
+        // breaker hears about it; it never holds up the healthy remainder.
+        let mut live = Vec::with_capacity(batch.items.len());
+        for request in batch.items {
+            let Some(deadline) = request.missed(picked_up) else {
+                live.push(request);
+                continue;
+            };
+            tenant.shed.fetch_add(1, Ordering::Relaxed);
+            locked(&tenant.breaker).on_shed();
+            let shed = ServeError::DeadlineExceeded {
+                request_id: request.id,
+                waited: picked_up.duration_since(request.enqueued),
+                deadline: deadline.duration_since(request.enqueued),
+            };
+            m.answer(batch.tenant, &request, Err(shed));
+        }
+        let Some(first) = live.first() else { continue };
+        // Poisoned requests arrive as singleton batches (queue barrier).
+        // The rider is told *before* the panic unwinds, so it can never
+        // hang on a dead worker; the supervisor respawns this loop.
+        if poisoned(first) {
+            m.panicked.fetch_add(1, Ordering::Relaxed);
+            let request_id = first.id;
+            let panicked = ServeError::WorkerPanicked { request_id };
+            m.answer(batch.tenant, first, Err(panicked));
+            // This panic IS the injected fault — the supervisor's
+            // catch/respawn path is the code under test.
+            // seal-lint: allow(panic, panic-freedom)
+            panic!("injected panic serving request {request_id}");
+        }
+        // An injected slow request inflates its whole batch's service time.
+        if config.chaos_slow_delay > Duration::ZERO
+            && live.iter().any(|r| r.fault == Some(RequestFault::Slow))
+        {
+            std::thread::sleep(config.chaos_slow_delay);
+        }
+        let model = tenant.model();
+        let plan = slot.get_or_insert_with(|| {
+            let compiled = model.compile_plan(max_batch, config.quantized);
+            compiled.map_err(|e| locked(&m.errors).push(e)).ok()
+        });
+        let predictions = plan.as_mut().and_then(|plan| {
+            // A wire user's input is a pure function of their id, so the
+            // whole 10^5-user workload is reproducible without shipping
+            // tensors.
+            let inputs: Vec<Cow<'_, Tensor>> = live
+                .iter()
+                .map(|r| match &r.origin {
+                    Origin::Local { input, .. } => Cow::Borrowed(input),
+                    Origin::Wire { user, .. } => {
+                        Cow::Owned(model.sample(&mut StdRng::seed_from_u64(*user)))
+                    }
+                })
+                .collect();
+            let refs: Vec<&Tensor> = inputs.iter().map(Cow::as_ref).collect();
+            let classified = model
+                .concat_batch(&refs)
+                .and_then(|t| Ok(plan.classify(&t)?));
+            classified.map_err(|e| locked(&m.errors).push(e)).ok()
+        });
+        let Some(predictions) = predictions else {
+            // The batch dies, the worker lives on: every rider learns its
+            // worker lost it (a typed `REJECT_MODEL` on the wire).
+            for r in &live {
+                let lost = ServeError::WorkerLost { request_id: r.id };
+                m.answer(batch.tenant, r, Err(lost));
+            }
+            continue;
+        };
+        let batch_size = live.len();
+        locked(&tenant.cost).cost_batch(batch_size);
+        locked(&m.batches).observe(batch_size);
+        locked(&tenant.breaker).on_success();
+        let done = Instant::now();
+        {
+            let mut latency = locked(&tenant.latency);
+            for request in &live {
+                latency.record(done.duration_since(request.enqueued).as_micros() as u64);
+            }
+        }
+        tenant
+            .completed
+            .fetch_add(batch_size as u64, Ordering::Relaxed);
+        for (request, prediction) in live.iter().zip(predictions) {
+            let response = Response {
+                id: request.id,
+                prediction,
+                batch_size,
+                queue_wait: picked_up.duration_since(request.enqueued),
+                latency: done.duration_since(request.enqueued),
+            };
+            m.answer(batch.tenant, request, Ok(response));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_deadline_equal_to_the_pick_up_instant_is_missed() {
+        let now = Instant::now();
+        let (tx, _rx) = mpsc::channel();
+        let input = Tensor::zeros(seal_tensor::Shape::nchw(1, 1, 1, 1));
+        let mut request = Request {
+            id: 0,
+            enqueued: now,
+            deadline: Some(now),
+            fault: None,
+            origin: Origin::Local { input, tx },
+        };
+        assert_eq!(request.missed(now), Some(now), "due at pick-up is shed");
+        request.deadline = Some(now + Duration::from_nanos(1));
+        assert_eq!(request.missed(now), None, "due after pick-up is served");
+        request.deadline = None;
+        assert_eq!(request.missed(now + Duration::from_secs(3600)), None);
+    }
+}

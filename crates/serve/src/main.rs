@@ -21,8 +21,8 @@ use std::time::Duration;
 use seal_serve::netload::{run_drain, run_tcp, DrainLoadConfig, NetLoadConfig};
 use seal_serve::netreport::{DrainPhase, NetPhase};
 use seal_serve::{
-    loadgen, ChaosRun, ChaosSmoke, NetServer, NetServerConfig, NetSmoke, PlanComparison,
-    QuantComparison, QuantLaneDelta, ServeReport, Server, ServerConfig, COSTED_SCHEMES,
+    loadgen, ChaosRun, ChaosSmoke, NetServer, NetServerConfig, NetSmoke, QuantComparison,
+    QuantLaneDelta, ServeReport, Server, ServerConfig, COSTED_SCHEMES,
 };
 
 const USAGE: &str = "usage: seal-serve [options]
@@ -381,26 +381,6 @@ fn run(args: Args) -> Result<ExitCode, String> {
         return run_net_smoke(args);
     }
     let config = args.config.clone();
-    // Smoke runs measure a control pass first: the same workload served
-    // without compiled plans, so the report can state what the planned
-    // hot path bought end to end.
-    let unplanned_rps = if args.smoke && config.use_plan {
-        let control = ServerConfig {
-            use_plan: false,
-            ..config.clone()
-        };
-        let server = Server::start(control).map_err(|e| e.to_string())?;
-        let load = loadgen::run_closed(&server, args.requests, args.concurrency, config.seed)
-            .map_err(|e| e.to_string())?;
-        server.shutdown().map_err(|e| e.to_string())?;
-        println!(
-            "seal-serve: control (unplanned) pass: {:.1} req/s",
-            load.observed_throughput_rps
-        );
-        Some(load.observed_throughput_rps)
-    } else {
-        None
-    };
     let server = Server::start(config.clone()).map_err(|e| e.to_string())?;
     println!(
         "seal-serve: model={} workers={} max_batch={} deadline={}us queue={} ratio={}",
@@ -422,27 +402,13 @@ fn run(args: Args) -> Result<ExitCode, String> {
         config,
         load,
         stats,
-        plan_comparison: None,
         quant_comparison: None,
     };
-    if let Some(unplanned_rps) = unplanned_rps {
-        let comparison = PlanComparison {
-            unplanned_rps,
-            planned_rps: report.load.observed_throughput_rps,
-        };
-        println!(
-            "seal-serve: planned {:.1} req/s vs unplanned {:.1} req/s ({:.2}x)",
-            comparison.planned_rps,
-            comparison.unplanned_rps,
-            comparison.speedup()
-        );
-        report.plan_comparison = Some(comparison);
-    }
-    // Smoke runs add a third pass: the same workload through the int8
+    // Smoke runs add a second pass: the same workload through the int8
     // quantized plan, with every lane re-priced at int8 traffic. The
     // report then carries the per-scheme f32-vs-int8 lane deltas — the
     // quantization story told in the SEAL cost domain.
-    if args.smoke && report.config.use_plan && !report.config.quantized {
+    if args.smoke && !report.config.quantized {
         let q_config = ServerConfig {
             quantized: true,
             ..report.config.clone()

@@ -1,7 +1,7 @@
 //! The served model: the repo's dual view of each zoo network.
 //!
 //! A [`ServedModel`] pairs the *trainable reduced* `Sequential` (which the
-//! workers actually run, via the lock-free `forward_infer` path) with the
+//! workers actually run, through a compiled plan) with the
 //! *full-size* [`NetworkTopology`] whose exact byte counts drive the
 //! encryption cost model. This mirrors how the rest of the workspace
 //! separates functional behaviour from performance accounting.
@@ -98,7 +98,7 @@ impl ServedModel {
     ///
     /// With `quantized == false` the plan is compiled with
     /// [`PlanOptions::default`] (no fusion), so planned predictions are
-    /// **bitwise identical** to [`classify`](Self::classify) — the speedup
+    /// **bitwise identical** to the model's own `predict` — the speedup
     /// comes from pre-packing, the allocation-free arena, and skipping the
     /// per-call weight transpose. With `quantized == true` the plan runs
     /// the int8 path ([`PlanOptions::quantized`]): weights are packed as
@@ -110,7 +110,7 @@ impl ServedModel {
     /// # Errors
     ///
     /// Propagates plan-compilation failures (an unplannable layer); the
-    /// server falls back to the unplanned path in that case.
+    /// server records it once and fails that model's batches.
     pub fn compile_plan(
         &self,
         max_batch: usize,
@@ -127,18 +127,6 @@ impl ServedModel {
             max_batch,
             options,
         )?)
-    }
-
-    /// Classifies a batch, returning one class index per sample.
-    ///
-    /// Runs the cache-free `forward_infer` path, so it takes `&self` and
-    /// is safe to call from many worker threads concurrently.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape/layer errors from the forward pass.
-    pub fn classify(&self, batch: &Tensor) -> Result<Vec<usize>, ServeError> {
-        Ok(self.model.predict(batch)?)
     }
 
     /// Draws one deterministic random sample shaped for this model.
@@ -190,7 +178,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(5);
             let (a, b) = (m.sample(&mut rng), m.sample(&mut rng));
             let batch = m.concat_batch(&[&a, &b]).unwrap();
-            let preds = m.classify(&batch).unwrap();
+            let preds = m.compile_plan(2, false).unwrap().classify(&batch).unwrap();
             assert_eq!(preds.len(), 2);
             assert!(preds.iter().all(|&p| p < 10));
         }
@@ -218,6 +206,7 @@ mod tests {
         let b = ServedModel::load("mlp", 11).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let x = a.sample(&mut rng);
-        assert_eq!(a.classify(&x).unwrap(), b.classify(&x).unwrap());
+        let classify = |m: &ServedModel| m.compile_plan(1, false).unwrap().classify(&x).unwrap();
+        assert_eq!(classify(&a), classify(&b));
     }
 }

@@ -2,10 +2,11 @@
 //!
 //! Wires the seal-net reactor to the serving stack: the reactor's handler
 //! does *admission only* (parse the request body, resolve the tenant,
-//! consult its breaker, push into its weighted-fair lane), worker threads
-//! pop strictly single-tenant batches from the [`FairQueue`], run the
+//! hand the request to the serving machine's breaker and weighted-fair
+//! lane); the machine's workers (`machine.rs`, shared with the in-process
+//! [`Server`](crate::Server)) pop strictly single-tenant batches, run the
 //! tenant's own model under the tenant's own cost lanes, and deliver
-//! responses back through the reactor's [`Responder`] mailbox.
+//! replies encoded here back through the reactor's `Responder` mailbox.
 //!
 //! ## Wire contract (over the seal-net frame protocol)
 //!
@@ -25,22 +26,15 @@
 //! Every failure is a typed reject or a typed close; the admission path
 //! never blocks the reactor thread and never touches model weights.
 
-use std::collections::HashMap;
-use std::sync::atomic::Ordering;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
-use seal_net::reactor::{Handler, Reactor, ReactorConfig, ReactorControl, ReactorStats, Responder};
+use seal_net::reactor::{Handler, Reactor, ReactorConfig, ReactorControl, ReactorStats};
 use seal_net::{ConnId, Frame, FrameKind};
-use seal_nn::CompiledModel;
-use seal_pool::{spawn_supervised, SupervisedWorker, SupervisorReport};
-use seal_tensor::rng::rngs::StdRng;
-use seal_tensor::rng::SeedableRng;
-use seal_tensor::Tensor;
+use seal_pool::SupervisorReport;
 
-use crate::fair::{FairBatch, FairQueue};
-use crate::queue::PushRefused;
-use crate::tenant::{TenantRegistry, TenantSpec, TenantState};
+use crate::machine::{Machine, Origin};
+use crate::tenant::{TenantRegistry, TenantSpec};
 use crate::{ServeError, ServerConfig};
 
 /// Reject code: the tenant's admission lane is full (retryable).
@@ -84,6 +78,45 @@ pub fn reject_payload(code: u8, message: &str) -> Vec<u8> {
 pub fn parse_reject(payload: &[u8]) -> Option<(u8, String)> {
     let (&code, rest) = payload.split_first()?;
     Some((code, String::from_utf8_lossy(rest).into_owned()))
+}
+
+/// The reject payload a typed serving error travels as: its `REJECT_*`
+/// code plus its message. Anything that is not an admission refusal, a
+/// shed or a drain is a server-side failure, [`REJECT_MODEL`].
+fn reject_for(error: &ServeError) -> Vec<u8> {
+    let code = match error {
+        ServeError::QueueFull { .. } => REJECT_QUEUE_FULL,
+        ServeError::CircuitOpen { .. } => REJECT_BREAKER,
+        ServeError::UnknownTenant { .. } => REJECT_UNKNOWN_TENANT,
+        ServeError::DeadlineExceeded { .. } => REJECT_SHED,
+        ServeError::ShuttingDown | ServeError::DrainedAtShutdown { .. } => REJECT_DRAINED,
+        _ => REJECT_MODEL,
+    };
+    reject_payload(code, &error.to_string())
+}
+
+/// Encodes the reply to request `seq` of `tenant`: the predicted class
+/// and the echoed `user` id followed by `pad` zero bytes (filler that
+/// makes the reply bulky enough to exercise write-side backpressure), or
+/// the typed reject for `outcome`'s error.
+pub(crate) fn encode_reply(
+    tenant: u32,
+    seq: u64,
+    user: u64,
+    pad: u64,
+    outcome: Result<usize, &ServeError>,
+) -> Vec<u8> {
+    match outcome {
+        Ok(class) => {
+            // Admission capped `pad` at `MAX_RESPONSE_PAD`.
+            let mut payload = Vec::with_capacity(12 + pad as usize);
+            payload.extend_from_slice(&(class as u32).to_le_bytes());
+            payload.extend_from_slice(&user.to_le_bytes());
+            payload.resize(12 + pad as usize, 0);
+            Frame::response(tenant, seq, payload).encode()
+        }
+        Err(error) => Frame::reject(tenant, seq, reject_for(error)).encode(),
+    }
 }
 
 /// Configuration of the TCP front-end, wrapping the in-process
@@ -189,41 +222,10 @@ impl NetServerConfig {
     }
 }
 
-/// One admitted request riding a tenant's fair-queue lane.
-#[derive(Debug)]
-struct NetRequest {
-    conn: ConnId,
-    seq: u64,
-    user: u64,
-    /// Requested response pad in bytes (slow-reader chaos probes).
-    pad: u64,
-    enqueued: Instant,
-}
-
-/// Poison-tolerant lock helper (mirrors the rest of the crate).
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// State shared between the admission handler and the workers.
-#[derive(Debug)]
-struct NetShared {
-    registry: Arc<TenantRegistry>,
-    queue: Arc<FairQueue<NetRequest>>,
-    responder: Responder,
-    errors: Mutex<Vec<ServeError>>,
-    max_batch: usize,
-    batch_deadline: Duration,
-    request_deadline: Duration,
-    use_plan: bool,
-    quantized: bool,
-}
-
-/// The reactor-side admission handler: parse, resolve tenant, consult the
-/// breaker, push into the tenant's lane — or reject, typed, immediately.
+/// The reactor-side admission handler: parse, resolve tenant, hand the
+/// request to the machine — or reject, typed, immediately.
 struct Admission {
-    registry: Arc<TenantRegistry>,
-    queue: Arc<FairQueue<NetRequest>>,
+    machine: Arc<Machine>,
 }
 
 impl Admission {
@@ -231,10 +233,11 @@ impl Admission {
         if frame.kind != FrameKind::Request {
             return Err(reject_payload(REJECT_BAD_KIND, "expected a Request frame"));
         }
-        let Some(index) = self.registry.index_of(frame.tenant) else {
-            return Err(reject_payload(REJECT_UNKNOWN_TENANT, "tenant not registered"));
+        let Some(index) = self.machine.registry.index_of(frame.tenant) else {
+            return Err(reject_for(&ServeError::UnknownTenant {
+                tenant: frame.tenant,
+            }));
         };
-        let tenant = self.registry.by_index(index);
         let body = frame.payload.as_slice();
         let le_u64 = |b: &[u8]| {
             u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
@@ -259,31 +262,9 @@ impl Admission {
                 ));
             }
         };
-        if let Err(streak) = locked(&tenant.breaker).admit() {
-            tenant.rejected_breaker.fetch_add(1, Ordering::Relaxed);
-            return Err(reject_payload(
-                REJECT_BREAKER,
-                &format!("breaker open after {streak} sheds"),
-            ));
-        }
-        let request = NetRequest {
-            conn,
-            seq: frame.seq,
-            user,
-            pad,
-            enqueued: Instant::now(),
-        };
-        match self.queue.try_push(index, request) {
-            Ok(()) => Ok(()),
-            Err((_, PushRefused::Full)) => {
-                tenant.rejected_queue_full.fetch_add(1, Ordering::Relaxed);
-                Err(reject_payload(REJECT_QUEUE_FULL, "tenant lane full; retry"))
-            }
-            Err((_, PushRefused::Closed)) => {
-                tenant.rejected_drain.fetch_add(1, Ordering::Relaxed);
-                Err(reject_payload(REJECT_DRAINED, "server draining; not accepting"))
-            }
-        }
+        self.machine
+            .admit(index, frame.seq, None, Origin::Wire { conn, user, pad })
+            .map_err(|e| reject_for(&e))
     }
 }
 
@@ -335,10 +316,9 @@ pub struct NetStats {
 /// worker pool.
 #[derive(Debug)]
 pub struct NetServer {
-    shared: Arc<NetShared>,
+    shared: Arc<Machine>,
     control: ReactorControl,
     reactor: Option<std::thread::JoinHandle<ReactorStats>>,
-    workers: Vec<SupervisedWorker>,
     port: u16,
 }
 
@@ -357,14 +337,7 @@ impl NetServer {
             config.master_seed,
             &config.tenants,
         )?);
-        // Per-tenant lane capacity: split the configured total so the sum
-        // of lanes matches the single-queue server's bound.
-        let per_tenant = (config.base.queue_capacity / registry.len().max(1)).max(1);
-        let queue = Arc::new(FairQueue::new(
-            &registry.weights(),
-            per_tenant,
-            config.quantum,
-        ));
+        let shared = Machine::new(config.base, registry, config.quantum);
 
         let reactor = Reactor::bind(
             ReactorConfig {
@@ -380,47 +353,23 @@ impl NetServer {
                 sndbuf: config.sndbuf,
             },
             Admission {
-                registry: Arc::clone(&registry),
-                queue: Arc::clone(&queue),
+                machine: Arc::clone(&shared),
             },
         )
         .map_err(|e| ServeError::Net(seal_net::NetError::io("bind")(e)))?;
         let port = reactor.port();
-        let responder = reactor.responder();
+        // Before the reactor runs, so before any frame can be admitted.
+        let _ = shared.responder.set(reactor.responder());
         let control = reactor.control();
-
-        let shared = Arc::new(NetShared {
-            registry,
-            queue,
-            responder,
-            errors: Mutex::new(Vec::new()),
-            max_batch: config.base.max_batch,
-            batch_deadline: config.base.batch_deadline,
-            request_deadline: config.base.request_deadline,
-            use_plan: config.base.use_plan,
-            quantized: config.base.quantized,
-        });
 
         let reactor_join = seal_pool::spawn_worker("seal-net-reactor", move || reactor.run())
             .map_err(|e| ServeError::WorkerSpawn { worker: 0, source: e })?;
-
-        let mut workers = Vec::with_capacity(config.base.workers);
-        for i in 0..config.base.workers {
-            let shared = Arc::clone(&shared);
-            let worker = spawn_supervised(
-                format!("seal-net-worker-{i}"),
-                config.base.worker_respawn_budget,
-                move || net_worker_loop(&shared),
-            )
-            .map_err(|e| ServeError::WorkerSpawn { worker: i, source: e })?;
-            workers.push(worker);
-        }
+        shared.spawn_workers("seal-net-worker")?;
 
         Ok(NetServer {
             shared,
             control,
             reactor: Some(reactor_join),
-            workers,
             port,
         })
     }
@@ -445,19 +394,23 @@ impl NetServer {
         }
     }
 
-    /// Joins every worker, merging their supervision reports.
-    fn join_workers(&mut self) -> SupervisorReport {
-        let mut supervision = SupervisorReport::default();
-        for w in self.workers.drain(..) {
-            let report = w.join();
-            supervision.panics += report.panics;
-            supervision.respawns += report.respawns;
-            supervision.quarantined |= report.quarantined;
-            if report.last_panic.is_some() {
-                supervision.last_panic = report.last_panic;
-            }
+    /// Folds the reactor's books, a stopped machine's `(supervision,
+    /// drained, worker errors)` and the tenant ledgers into a [`NetStats`].
+    fn net_stats(
+        &self,
+        reactor: ReactorStats,
+        (supervision, drained, worker_errors): (SupervisorReport, u64, Vec<ServeError>),
+        drain_rejected: u64,
+    ) -> NetStats {
+        NetStats {
+            reactor,
+            supervision,
+            drained,
+            drain_rejected,
+            tenants: self.shared.registry.counter_snapshot(),
+            schemes: self.shared.registry.scheme_rollup(),
+            worker_errors,
         }
-        supervision
     }
 
     /// Stops the reactor, closes the fair queue, joins the workers and
@@ -465,7 +418,7 @@ impl NetServer {
     /// counted as drained (their connections are gone with the reactor,
     /// so no reject frame can reach them — but they are never silently
     /// lost from the accounting). For an orderly stop that *answers*
-    /// every queued request instead, see [`drain`](Self::drain).
+    /// every queued request instead, see [`finish_drain`](Self::finish_drain).
     ///
     /// # Errors
     ///
@@ -474,25 +427,7 @@ impl NetServer {
     pub fn shutdown(mut self) -> Result<NetStats, ServeError> {
         self.control.shutdown();
         let reactor = self.join_reactor()?;
-        self.shared.queue.close();
-        let supervision = self.join_workers();
-        let drained: u64 = self
-            .shared
-            .queue
-            .drain_remaining()
-            .iter()
-            .map(|b| b.items.len() as u64)
-            .sum();
-        let worker_errors = std::mem::take(&mut *locked(&self.shared.errors));
-        Ok(NetStats {
-            reactor,
-            supervision,
-            drained,
-            drain_rejected: 0,
-            tenants: self.shared.registry.counter_snapshot(),
-            schemes: self.shared.registry.scheme_rollup(),
-            worker_errors,
-        })
+        Ok(self.net_stats(reactor, self.shared.stop(), 0))
     }
 
     /// Enters drain mode: the fair queue closes (new admissions are
@@ -519,157 +454,17 @@ impl NetServer {
     /// Returns [`ServeError::WorkerLost`] only if the reactor thread
     /// itself panicked.
     pub fn finish_drain(mut self, window: Duration) -> Result<NetStats, ServeError> {
-        let emptied = self.shared.queue.wait_empty(window);
-        let mut drain_rejected = 0u64;
-        if !emptied {
-            // Window expired: answer the backlog, typed, while the
-            // reactor can still flush frames to the peers.
-            for batch in self.shared.queue.drain_remaining() {
-                let tenant = self.shared.registry.by_index(batch.tenant_index);
-                for req in batch.items {
-                    tenant.rejected_drain.fetch_add(1, Ordering::Relaxed);
-                    drain_rejected += 1;
-                    self.shared.responder.send(
-                        req.conn,
-                        Frame::reject(
-                            batch.tenant,
-                            req.seq,
-                            reject_payload(REJECT_DRAINED, "drain window expired"),
-                        )
-                        .encode(),
-                    );
-                }
-            }
-        }
+        // If the window expires, the backlog is answered, typed, while
+        // the reactor can still flush frames to the peers.
+        self.shared.queue.wait_empty(window);
+        let drain_rejected = self.shared.drain_leftovers();
         // The queue is closed and empty, so workers exit on their own;
         // joining them first guarantees their final responses are in the
         // responder mailbox before the reactor's shutdown flush.
-        let supervision = self.join_workers();
+        let stopped = self.shared.stop();
         self.control.shutdown();
         let reactor = self.join_reactor()?;
-        let worker_errors = std::mem::take(&mut *locked(&self.shared.errors));
-        Ok(NetStats {
-            reactor,
-            supervision,
-            drained: 0,
-            drain_rejected,
-            tenants: self.shared.registry.counter_snapshot(),
-            schemes: self.shared.registry.scheme_rollup(),
-            worker_errors,
-        })
-    }
-
-}
-
-/// Serves one single-tenant batch: shed the expired, derive each user's
-/// input, classify through the tenant's (lazily compiled) plan, price the
-/// batch on the tenant's cost lanes, answer every rider.
-fn serve_batch(
-    shared: &NetShared,
-    plans: &mut HashMap<usize, Option<CompiledModel>>,
-    batch: FairBatch<NetRequest>,
-) {
-    let tenant: &TenantState = shared.registry.by_index(batch.tenant_index);
-    let now = Instant::now();
-    let mut live = Vec::with_capacity(batch.items.len());
-    for req in batch.items {
-        let waited = now.saturating_duration_since(req.enqueued);
-        // `ZERO` disables organic shedding, matching `ServerConfig`'s
-        // request_deadline contract (chaos presets rely on it: whether a
-        // backlogged request beats a wall-clock deadline is not a
-        // function of the fault seed).
-        if !shared.request_deadline.is_zero() && waited > shared.request_deadline {
-            tenant.shed.fetch_add(1, Ordering::Relaxed);
-            locked(&tenant.breaker).on_shed();
-            let msg = format!(
-                "shed after {}us (deadline {}us)",
-                waited.as_micros(),
-                shared.request_deadline.as_micros()
-            );
-            shared.responder.send(
-                req.conn,
-                Frame::reject(batch.tenant, req.seq, reject_payload(REJECT_SHED, &msg)).encode(),
-            );
-        } else {
-            live.push(req);
-        }
-    }
-    if live.is_empty() {
-        return;
-    }
-
-    // Each user's input tensor is a pure function of their id, so the
-    // whole 10^5-user workload is reproducible without shipping tensors.
-    let inputs: Vec<Tensor> = live
-        .iter()
-        .map(|r| tenant.model().sample(&mut StdRng::seed_from_u64(r.user)))
-        .collect();
-    let refs: Vec<&Tensor> = inputs.iter().collect();
-
-    // Lazily compile this tenant's plan once per worker; a failed compile
-    // is recorded once and the worker falls back to the interpreter.
-    if shared.use_plan && !plans.contains_key(&batch.tenant_index) {
-        let compiled = match tenant.model().compile_plan(shared.max_batch, shared.quantized) {
-            Ok(p) => Some(p),
-            Err(e) => {
-                locked(&shared.errors).push(e);
-                None
-            }
-        };
-        plans.insert(batch.tenant_index, compiled);
-    }
-    let plan = plans.get_mut(&batch.tenant_index).and_then(Option::as_mut);
-
-    let outcome = tenant
-        .model()
-        .concat_batch(&refs)
-        .and_then(|t| match plan {
-            Some(p) => Ok(p.classify(&t)?),
-            None => tenant.model().classify(&t),
-        });
-    drop(refs);
-
-    match outcome {
-        Ok(preds) => {
-            locked(&tenant.cost).cost_batch(live.len());
-            let mut latency = locked(&tenant.latency);
-            let mut breaker = locked(&tenant.breaker);
-            for (req, pred) in live.iter().zip(preds) {
-                latency.record(req.enqueued.elapsed().as_micros() as u64);
-                tenant.completed.fetch_add(1, Ordering::Relaxed);
-                breaker.on_success();
-                let mut payload = Vec::with_capacity(12 + req.pad as usize);
-                payload.extend_from_slice(&(pred as u32).to_le_bytes());
-                payload.extend_from_slice(&req.user.to_le_bytes());
-                // Requested pad: zero filler that makes the reply bulky
-                // enough to exercise write-side backpressure.
-                payload.resize(12 + req.pad as usize, 0);
-                shared
-                    .responder
-                    .send(req.conn, Frame::response(batch.tenant, req.seq, payload).encode());
-            }
-        }
-        Err(e) => {
-            // A server-side model failure rejects every rider, typed.
-            let msg = format!("model failed: {e}");
-            for req in &live {
-                shared.responder.send(
-                    req.conn,
-                    Frame::reject(batch.tenant, req.seq, reject_payload(REJECT_MODEL, &msg))
-                        .encode(),
-                );
-            }
-            locked(&shared.errors).push(e);
-        }
-    }
-}
-
-/// A network worker: pop single-tenant fair batches until the queue
-/// closes, serving each through the owning tenant's model and cost lanes.
-fn net_worker_loop(shared: &NetShared) {
-    let mut plans: HashMap<usize, Option<CompiledModel>> = HashMap::new();
-    while let Some(batch) = shared.queue.pop_batch(shared.max_batch, shared.batch_deadline) {
-        serve_batch(shared, &mut plans, batch);
+        Ok(self.net_stats(reactor, stopped, drain_rejected))
     }
 }
 

@@ -1,34 +1,14 @@
-//! The bounded request queue with dynamic batching.
+//! The single-lane view of the serving queue.
 //!
-//! One `Mutex<VecDeque>` + two condvars implement the whole data path:
-//!
-//! * producers (`try_push`) never block — admission control rejects when
-//!   the queue is at capacity, which is the backpressure signal;
-//! * consumers (`pop_batch`) block until at least one item is available,
-//!   then linger up to the batching deadline hoping to fill the batch to
-//!   `max_batch` before running it.
-//!
-//! Lock poisoning is recovered, never unwrapped: a panicking worker must
-//! not take the whole runtime down with it.
+//! [`BoundedQueue`] is a one-lane facade over [`FairQueue`], the queue
+//! both servers run on. It exists only because `benchmark/src/serve.rs`
+//! and `crates/bench/benches/serve.rs` construct one to time a push/pop
+//! round (`serve.queue_push_pop_us`, which therefore measures the code
+//! the server executes); ROADMAP item 8's ruler re-cut deletes it.
 
-use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use crate::metrics::QueueDepthStats;
-
-/// Recovers the guard from a possibly-poisoned mutex: queue state is a
-/// plain `VecDeque` plus counters, valid after any panic elsewhere.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-    depth: QueueDepthStats,
-}
+use crate::fair::FairQueue;
 
 /// Why a push was refused.
 #[derive(Debug, PartialEq, Eq)]
@@ -39,56 +19,35 @@ pub enum PushRefused {
     Closed,
 }
 
-/// Bounded MPMC queue used between [`Server::submit`](crate::Server::submit)
-/// and the worker threads.
+/// Bounded MPMC queue: one [`FairQueue`] lane whose DRR quantum covers
+/// its whole capacity, so scheduling never caps a batch below
+/// `max_batch`.
 #[derive(Debug)]
 pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    capacity: usize,
-    /// Signalled when an item arrives or the queue closes.
-    not_empty: Condvar,
+    lane: FairQueue<T>,
 }
 
 impl<T> BoundedQueue<T> {
     /// Creates an open queue holding at most `capacity` items.
     pub fn new(capacity: usize) -> Self {
         BoundedQueue {
-            state: Mutex::new(QueueState {
-                items: VecDeque::with_capacity(capacity),
-                closed: false,
-                depth: QueueDepthStats::default(),
-            }),
-            capacity,
-            not_empty: Condvar::new(),
+            lane: FairQueue::new(&[(0, 1)], capacity, capacity as u64),
         }
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.lane.per_tenant_capacity()
     }
 
     /// Non-blocking admission: enqueues `item` or refuses with the reason.
-    /// The depth observed at submission time feeds the queue statistics.
     ///
     /// # Errors
     ///
     /// Returns the item back alongside [`PushRefused::Full`] when at
     /// capacity or [`PushRefused::Closed`] after [`close`](Self::close).
     pub fn try_push(&self, item: T) -> Result<(), (T, PushRefused)> {
-        let mut s = locked(&self.state);
-        if s.closed {
-            return Err((item, PushRefused::Closed));
-        }
-        if s.items.len() >= self.capacity {
-            return Err((item, PushRefused::Full));
-        }
-        let depth = s.items.len();
-        s.depth.observe(depth);
-        s.items.push_back(item);
-        drop(s);
-        self.not_empty.notify_one();
-        Ok(())
+        self.lane.try_push(0, item)
     }
 
     /// Blocks until work is available, then assembles a batch.
@@ -96,107 +55,25 @@ impl<T> BoundedQueue<T> {
     /// Waits indefinitely for the *first* item (or queue closure), then up
     /// to `deadline` more for the queue to offer `max_batch` items, and
     /// returns between 1 and `max_batch` of them. Returns `None` only when
-    /// the queue is closed *and* drained — workers treat that as shutdown.
+    /// the queue is closed *and* drained.
     pub fn pop_batch(&self, max_batch: usize, deadline: Duration) -> Option<Vec<T>> {
-        self.pop_batch_with(max_batch, deadline, |_| false)
-    }
-
-    /// [`pop_batch`](Self::pop_batch) with a *barrier* predicate: an item
-    /// for which `barrier` returns `true` is always returned as a
-    /// singleton batch and never shares a batch with other items.
-    ///
-    /// The chaos harness uses this to isolate poisoned (panic-injected)
-    /// requests: a singleton batch guarantees the planned panic takes down
-    /// exactly its own request and produces exactly one supervisor
-    /// respawn, keeping fault accounting deterministic.
-    pub fn pop_batch_with(
-        &self,
-        max_batch: usize,
-        deadline: Duration,
-        barrier: impl Fn(&T) -> bool,
-    ) -> Option<Vec<T>> {
-        let mut s = locked(&self.state);
-        loop {
-            while s.items.is_empty() {
-                if s.closed {
-                    return None;
-                }
-                s = self
-                    .not_empty
-                    .wait(s)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-            // A barrier item at the head leaves immediately, alone.
-            if s.items.front().map(&barrier) == Some(true) {
-                return s.items.pop_front().map(|item| vec![item]);
-            }
-            // First item in hand; linger for the batching deadline while
-            // the batch is short of max_batch. `wait_timeout` releases the
-            // lock, so a sibling worker may steal the items meanwhile — if
-            // the queue is empty again afterwards, go back to waiting.
-            let until = Instant::now() + deadline;
-            while !s.items.is_empty() && s.items.len() < max_batch && !s.closed {
-                let now = Instant::now();
-                if now >= until {
-                    break;
-                }
-                let (guard, timeout) = self
-                    .not_empty
-                    .wait_timeout(s, until - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                s = guard;
-                if timeout.timed_out() {
-                    break;
-                }
-            }
-            // Take up to max_batch items, stopping short of the first
-            // barrier item (which the next pop returns as a singleton).
-            let mut take = 0;
-            for item in s.items.iter() {
-                if take >= max_batch || (take > 0 && barrier(item)) {
-                    break;
-                }
-                take += 1;
-                if barrier(item) {
-                    break; // barrier at the head rides alone
-                }
-            }
-            if take > 0 {
-                return Some(s.items.drain(..take).collect());
-            }
-        }
-    }
-
-    /// Takes every queued item out of the (closed or open) queue at once.
-    ///
-    /// Shutdown uses this after the workers exit to turn still-queued
-    /// requests into typed
-    /// [`DrainedAtShutdown`](crate::ServeError::DrainedAtShutdown)
-    /// rejections instead of silently dropping them.
-    pub fn drain_remaining(&self) -> Vec<T> {
-        locked(&self.state).items.drain(..).collect()
+        self.lane.pop_batch(max_batch, deadline).map(|b| b.items)
     }
 
     /// Closes the queue: future pushes are refused, consumers drain what
     /// remains and then see `None`.
     pub fn close(&self) {
-        locked(&self.state).closed = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Queue-depth statistics observed at submission time.
-    pub fn depth_stats(&self) -> QueueDepthStats {
-        locked(&self.state).depth
+        self.lane.close();
     }
 
     /// Items currently waiting.
     pub fn len(&self) -> usize {
-        locked(&self.state).items.len()
+        self.lane.len()
     }
 
     /// `true` when nothing is waiting.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.lane.is_empty()
     }
 }
 
@@ -269,51 +146,5 @@ mod tests {
         std::thread::sleep(Duration::from_millis(10));
         q.close();
         assert_eq!(consumer.join().unwrap(), None);
-    }
-
-    #[test]
-    fn barrier_items_ride_alone() {
-        let q = BoundedQueue::new(8);
-        // 1, 2, POISON(3), 4, POISON(5), 6 — odd multiples of 3 are barriers.
-        for i in [1, 2, 3, 4, 5, 6] {
-            q.try_push(i).unwrap();
-        }
-        let barrier = |x: &i32| *x == 3 || *x == 5;
-        assert_eq!(q.pop_batch_with(8, Duration::ZERO, barrier).unwrap(), vec![1, 2]);
-        assert_eq!(q.pop_batch_with(8, Duration::ZERO, barrier).unwrap(), vec![3]);
-        assert_eq!(q.pop_batch_with(8, Duration::ZERO, barrier).unwrap(), vec![4]);
-        assert_eq!(q.pop_batch_with(8, Duration::ZERO, barrier).unwrap(), vec![5]);
-        assert_eq!(q.pop_batch_with(8, Duration::ZERO, barrier).unwrap(), vec![6]);
-    }
-
-    #[test]
-    fn barrier_at_head_is_a_singleton() {
-        let q = BoundedQueue::new(4);
-        q.try_push(9).unwrap();
-        q.try_push(1).unwrap();
-        let batch = q.pop_batch_with(4, Duration::ZERO, |x| *x == 9).unwrap();
-        assert_eq!(batch, vec![9]);
-    }
-
-    #[test]
-    fn drain_remaining_empties_a_closed_queue() {
-        let q = BoundedQueue::new(4);
-        q.try_push(1).unwrap();
-        q.try_push(2).unwrap();
-        q.close();
-        assert_eq!(q.drain_remaining(), vec![1, 2]);
-        assert!(q.is_empty());
-        assert!(q.drain_remaining().is_empty());
-    }
-
-    #[test]
-    fn depth_stats_track_submission_time_depth() {
-        let q = BoundedQueue::new(8);
-        for i in 0..3 {
-            q.try_push(i).unwrap();
-        }
-        let d = q.depth_stats();
-        assert_eq!(d.samples, 3);
-        assert_eq!(d.depth_max, 2);
     }
 }

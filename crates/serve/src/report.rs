@@ -15,28 +15,6 @@ use crate::loadgen::{ChaosReport, LoadReport};
 use crate::server::ServeStats;
 use crate::ServerConfig;
 
-/// Throughput of the same workload served with and without compiled
-/// inference plans, measured by the smoke run (the planned pass is the
-/// primary report; the unplanned pass is the control).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PlanComparison {
-    /// Client-observed throughput with `use_plan = false`.
-    pub unplanned_rps: f64,
-    /// Client-observed throughput with `use_plan = true`.
-    pub planned_rps: f64,
-}
-
-impl PlanComparison {
-    /// Planned over unplanned throughput (`> 1` means plans won).
-    pub fn speedup(&self) -> f64 {
-        if self.unplanned_rps > 0.0 {
-            self.planned_rps / self.unplanned_rps
-        } else {
-            0.0
-        }
-    }
-}
-
 /// One virtual lane priced at f32 and at int8: the same scheme, the same
 /// batch stream, two numeric formats. The delta *is* the SEAL lane
 /// economics of quantization — int8 moves ~4× fewer bytes through the AES
@@ -77,8 +55,7 @@ impl QuantLaneDelta {
 
 /// Throughput of the same smoke workload served through the f32 compiled
 /// plan vs the int8 quantized plan, plus the per-scheme virtual-lane
-/// deltas (same shape of evidence as [`PlanComparison`], one level up:
-/// not planned-vs-unplanned but f32-vs-int8).
+/// deltas.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantComparison {
     /// Client-observed throughput with the f32 plan (`quantized = false`).
@@ -112,8 +89,6 @@ pub struct ServeReport {
     pub load: LoadReport,
     /// Server-side statistics collected at shutdown.
     pub stats: ServeStats,
-    /// Planned-vs-unplanned control measurement (smoke runs only).
-    pub plan_comparison: Option<PlanComparison>,
     /// f32-vs-int8 planned measurement (smoke runs only).
     pub quant_comparison: Option<QuantComparison>,
 }
@@ -149,23 +124,8 @@ impl ServeReport {
             self.config.flops_per_cycle
         ));
         out.push_str(&format!("    \"seed\": {},\n", self.config.seed));
-        out.push_str(&format!("    \"use_plan\": {},\n", self.config.use_plan));
         out.push_str(&format!("    \"quantized\": {}\n", self.config.quantized));
         out.push_str("  },\n");
-
-        if let Some(p) = &self.plan_comparison {
-            out.push_str("  \"plan\": {\n");
-            out.push_str(&format!(
-                "    \"unplanned_throughput_rps\": {:.3},\n",
-                p.unplanned_rps
-            ));
-            out.push_str(&format!(
-                "    \"planned_throughput_rps\": {:.3},\n",
-                p.planned_rps
-            ));
-            out.push_str(&format!("    \"speedup\": {:.3}\n", p.speedup()));
-            out.push_str("  },\n");
-        }
 
         // Which kernels ran: stated in the `quant` and `server` blocks.
         let kernel = format!(
@@ -390,17 +350,6 @@ impl ServeReport {
                 }
             }
             _ => violations.push("report is missing scheme rows".to_string()),
-        }
-        if let Some(p) = &self.plan_comparison {
-            // Plans must never make serving slower. A small tolerance
-            // absorbs scheduler noise on loaded CI machines; the real
-            // speedup is pinned (with margin) by `bench_infer`.
-            if p.planned_rps < 0.9 * p.unplanned_rps {
-                violations.push(format!(
-                    "planned path slower than unplanned: {:.1} rps vs {:.1} rps",
-                    p.planned_rps, p.unplanned_rps
-                ));
-            }
         }
         if let Some(q) = &self.quant_comparison {
             // The virtual-lane deltas are deterministic (same batch
@@ -691,7 +640,6 @@ mod tests {
             config,
             load,
             stats,
-            plan_comparison: None,
             quant_comparison: None,
         }
     }

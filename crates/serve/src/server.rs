@@ -1,55 +1,27 @@
-//! The serving runtime: supervised worker pool, request lifecycle with
-//! deadline shedding and circuit-breaker admission, drain-at-shutdown.
+//! The in-process front end: [`Server::submit`] hands a tensor to the
+//! serving machine (`machine.rs`: breaker admission, the fair queue, the
+//! one worker loop) as the single tenant of a one-tenant registry, and a
+//! [`ResponseHandle`] waits on the request's private channel.
 //!
-//! ```text
-//!  submit() ─► breaker.admit ─► BoundedQueue ─► worker: pop_batch_with
-//!     │           │                  │             ├─ shed expired  ──► Err(DeadlineExceeded)
-//!     │      CircuitOpen        QueueFull          ├─ poisoned      ──► Err(WorkerPanicked) + panic
-//!     │                                            └─ healthy ─► infer ─► CostModel ─► Ok(Response)
-//!     └◄── ResponseHandle ◄── per-request mpsc<Result<Response, ServeError>>
-//! ```
-//!
-//! Every degradation is a *typed* rejection delivered on the request's
-//! channel — a submitted request always learns its fate (success, shed,
-//! panic, drain), never hangs. Workers run under `seal-pool`'s panic
-//! supervisor: an injected or organic panic is caught, the worker
-//! respawned (until its budget quarantines it), and the panic recorded in
-//! the final [`ServeStats`].
+//! Every degradation is a *typed* rejection delivered on that channel — a
+//! submitted request always learns its fate (success, shed, panic,
+//! drain), never hangs — and a worker panic is recorded in the final
+//! [`ServeStats`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use seal_faults::RequestFault;
-use seal_pool::{spawn_supervised, SupervisedWorker, SupervisorReport};
+use seal_pool::SupervisorReport;
 use seal_tensor::{Shape, Tensor};
 
-use crate::breaker::{BreakerStats, CircuitBreaker};
-use crate::cost::{CostModel, FaultStats, SchemeSummary};
+use crate::breaker::BreakerStats;
+use crate::cost::{FaultStats, SchemeSummary};
+use crate::machine::{Machine, Origin};
 use crate::metrics::{BatchStats, LatencyHistogram, QueueDepthStats};
-use crate::queue::{BoundedQueue, PushRefused};
-use crate::{ServeError, ServedModel, ServerConfig};
-
-/// Poison-recovering lock: metrics and cost state stay valid after any
-/// worker panic, so the guard is always usable.
-fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// One queued inference request.
-#[derive(Debug)]
-struct Request {
-    id: u64,
-    input: Tensor,
-    enqueued: Instant,
-    /// Absolute shed deadline; `None` = serve no matter how late. An
-    /// injected deadline-bust request is born with `deadline == enqueued`,
-    /// i.e. already expired.
-    deadline: Option<Instant>,
-    /// Chaos fault riding on this request, if any.
-    fault: Option<RequestFault>,
-    tx: mpsc::Sender<Result<Response, ServeError>>,
-}
+use crate::tenant::{TenantRegistry, TenantState};
+use crate::{locked, ServeError, ServerConfig};
 
 /// The answer to one request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -115,21 +87,6 @@ impl ResponseHandle {
     }
 }
 
-/// Everything the workers share.
-#[derive(Debug)]
-struct Shared {
-    queue: BoundedQueue<Request>,
-    model: ServedModel,
-    cost: Mutex<CostModel>,
-    latency: Mutex<LatencyHistogram>,
-    batches: Mutex<BatchStats>,
-    errors: Mutex<Vec<ServeError>>,
-    breaker: Mutex<CircuitBreaker>,
-    shed: AtomicU64,
-    panicked: AtomicU64,
-    slow_delay: Duration,
-}
-
 /// Final runtime statistics returned by [`Server::shutdown`].
 #[derive(Debug)]
 pub struct ServeStats {
@@ -172,10 +129,8 @@ pub struct ServeStats {
 /// A running inference server.
 #[derive(Debug)]
 pub struct Server {
-    shared: Arc<Shared>,
-    workers: Vec<SupervisedWorker>,
+    shared: Arc<Machine>,
     next_id: AtomicU64,
-    config: ServerConfig,
 }
 
 impl Server {
@@ -188,69 +143,36 @@ impl Server {
     /// [`ServeError::WorkerSpawn`] if a worker thread cannot start.
     pub fn start(config: ServerConfig) -> Result<Self, ServeError> {
         config.validate()?;
-        if config.kernel_threads > 0 {
-            // Best-effort: the kernel pool is process-global and
-            // first-configuration-wins; a later server (or an earlier
-            // SEAL_THREADS resolution) keeping its setting is fine
-            // because outputs are thread-count independent.
-            let _ = seal_pool::configure(config.kernel_threads);
-        }
-        let model = ServedModel::load(&config.model, config.seed)?;
-        let cost = CostModel::new(model.topology(), &config)?;
-        let shared = Arc::new(Shared {
-            queue: BoundedQueue::new(config.queue_capacity),
-            model,
-            cost: Mutex::new(cost),
-            latency: Mutex::new(LatencyHistogram::new()),
-            batches: Mutex::new(BatchStats::default()),
-            errors: Mutex::new(Vec::new()),
-            breaker: Mutex::new(CircuitBreaker::new(
-                config.breaker_trip_threshold,
-                config.breaker_probe_interval,
-            )),
-            shed: AtomicU64::new(0),
-            panicked: AtomicU64::new(0),
-            slow_delay: config.chaos_slow_delay,
-        });
-        let workers = (0..config.workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let max_batch = config.max_batch;
-                let deadline = config.batch_deadline;
-                let use_plan = config.use_plan;
-                let quantized = config.quantized;
-                spawn_supervised(
-                    format!("seal-serve-worker-{i}"),
-                    config.worker_respawn_budget,
-                    move || worker_loop(&shared, max_batch, deadline, use_plan, quantized),
-                )
-                .map_err(|e| ServeError::WorkerSpawn {
-                    worker: i,
-                    source: e,
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let registry = Arc::new(TenantRegistry::solo(&config)?);
+        // One lane whose DRR credit covers a whole batch, so scheduling
+        // never caps what the batching rule would take.
+        let quantum = config.max_batch as u64;
+        let shared = Machine::new(config, registry, quantum);
+        shared.spawn_workers("seal-serve-worker")?;
         Ok(Server {
             shared,
-            workers,
             next_id: AtomicU64::new(0),
-            config,
         })
+    }
+
+    /// The solo tenant everything is served and accounted under.
+    fn tenant(&self) -> &TenantState {
+        self.shared.registry.by_index(0)
     }
 
     /// The configuration this server was started with.
     pub fn config(&self) -> &ServerConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// Per-sample input shape requests must match.
     pub fn input_shape(&self) -> &Shape {
-        self.shared.model.input_shape()
+        self.tenant().model().input_shape()
     }
 
     /// Draws a deterministic random request input for this model.
     pub fn sample_input(&self, rng: &mut seal_tensor::rng::rngs::StdRng) -> Tensor {
-        self.shared.model.sample(rng)
+        self.tenant().model().sample(rng)
     }
 
     /// Submits one sample for classification.
@@ -278,45 +200,17 @@ impl Server {
         input: Tensor,
         fault: Option<RequestFault>,
     ) -> Result<ResponseHandle, ServeError> {
-        if input.shape() != self.shared.model.input_shape() {
+        if input.shape() != self.input_shape() {
             return Err(ServeError::ShapeMismatch {
                 got: input.shape().to_string(),
-                want: self.shared.model.input_shape().to_string(),
+                want: self.input_shape().to_string(),
             });
         }
-        locked(&self.shared.breaker)
-            .admit()
-            .map_err(|shed_streak| ServeError::CircuitOpen { shed_streak })?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let (tx, rx) = mpsc::channel();
-        let enqueued = Instant::now();
-        let deadline = if fault == Some(RequestFault::DeadlineBust) {
-            Some(enqueued)
-        } else if self.config.request_deadline > Duration::ZERO {
-            Some(enqueued + self.config.request_deadline)
-        } else {
-            None
-        };
-        let request = Request {
-            id,
-            input,
-            enqueued,
-            deadline,
-            fault,
-            tx,
-        };
-        self.shared.queue.try_push(request).map_err(|(_, why)| match why {
-            PushRefused::Full => ServeError::QueueFull {
-                capacity: self.shared.queue.capacity(),
-            },
-            PushRefused::Closed => ServeError::ShuttingDown,
-        })?;
+        self.shared
+            .admit(0, id, fault, Origin::Local { input, tx })?;
         Ok(ResponseHandle { id, rx })
-    }
-
-    /// Requests served so far plus those still queued or in flight.
-    pub fn submitted(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed)
     }
 
     /// Stops accepting work, lets the workers drain the queue, joins every
@@ -329,160 +223,26 @@ impl Server {
     /// encountered while serving are reported in
     /// [`ServeStats::worker_errors`] and [`ServeStats::supervision`].
     pub fn shutdown(self) -> Result<ServeStats, ServeError> {
-        self.shared.queue.close();
-        let mut supervision = SupervisorReport::default();
-        for w in self.workers {
-            let report = w.join();
-            supervision.panics += report.panics;
-            supervision.respawns += report.respawns;
-            supervision.quarantined |= report.quarantined;
-            if report.last_panic.is_some() {
-                supervision.last_panic = report.last_panic;
-            }
-        }
-        // Workers drain the closed queue before exiting, so leftovers only
-        // exist when every worker quarantined; they are rejected with a
-        // typed error, never silently dropped.
-        let leftovers = self.shared.queue.drain_remaining();
-        let drained = leftovers.len() as u64;
-        for request in leftovers {
-            let _ = request.tx.send(Err(ServeError::DrainedAtShutdown {
-                request_id: request.id,
-            }));
-        }
-        let latency = locked(&self.shared.latency).clone();
-        let batches = *locked(&self.shared.batches);
-        let cost = locked(&self.shared.cost);
-        let schemes = cost.summaries();
-        let faults = cost.fault_stats();
-        drop(cost);
-        let worker_errors = std::mem::take(&mut *locked(&self.shared.errors));
+        let (supervision, drained, worker_errors) = self.shared.stop();
+        let tenant = self.tenant();
+        let cost = locked(&tenant.cost);
         let mode = seal_tensor::ops::kernel_mode();
         Ok(ServeStats {
-            latency,
-            batches,
+            // Taken, not cloned: the histogram holds every sample.
+            latency: std::mem::take(&mut *locked(&tenant.latency)),
+            batches: *locked(&self.shared.batches),
             queue_depth: self.shared.queue.depth_stats(),
-            schemes,
+            schemes: cost.summaries(),
             worker_errors,
-            shed: self.shared.shed.load(Ordering::Relaxed),
+            shed: tenant.shed.load(Ordering::Relaxed),
             panicked: self.shared.panicked.load(Ordering::Relaxed),
             drained,
             supervision,
-            breaker: locked(&self.shared.breaker).stats(),
-            faults,
+            breaker: locked(&tenant.breaker).stats(),
+            faults: cost.fault_stats(),
             kernel_mode: mode.name(),
             int8_kernel: seal_tensor::ops::i8_kernel_name(mode),
         })
-    }
-}
-
-/// A worker: assemble a batch, shed the expired, honour planned faults,
-/// run the rest, price them, answer every rider.
-///
-/// With `use_plan` the worker compiles one inference plan at startup
-/// (weights pre-packed, arena pre-sized; rebuilt after a supervised
-/// respawn) and serves every batch through it — bitwise identical
-/// predictions, no steady-state allocation. A plan that fails to compile
-/// is recorded once and the worker falls back to `forward_infer`.
-/// With `quantized` the plan runs the deterministic int8 path instead
-/// (bounded quantization error, lanes priced at int8 traffic).
-fn worker_loop(
-    shared: &Shared,
-    max_batch: usize,
-    deadline: Duration,
-    use_plan: bool,
-    quantized: bool,
-) {
-    let mut plan = if use_plan {
-        match shared.model.compile_plan(max_batch, quantized) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                locked(&shared.errors).push(e);
-                None
-            }
-        }
-    } else {
-        None
-    };
-    let poisoned = |r: &Request| r.fault == Some(RequestFault::WorkerPanic);
-    while let Some(batch) = shared.queue.pop_batch_with(max_batch, deadline, poisoned) {
-        let picked_up = Instant::now();
-        // Load shedding: an expired request gets a typed rejection and the
-        // breaker hears about it; it never holds up the healthy remainder.
-        let mut live = Vec::with_capacity(batch.len());
-        for request in batch {
-            match request.deadline {
-                Some(dl) if picked_up >= dl => {
-                    shared.shed.fetch_add(1, Ordering::Relaxed);
-                    locked(&shared.breaker).on_shed();
-                    let _ = request.tx.send(Err(ServeError::DeadlineExceeded {
-                        request_id: request.id,
-                        waited: picked_up.duration_since(request.enqueued),
-                        deadline: dl.duration_since(request.enqueued),
-                    }));
-                }
-                _ => live.push(request),
-            }
-        }
-        let Some(first) = live.first() else { continue };
-        // Poisoned requests arrive as singleton batches (queue barrier).
-        // The rider is told *before* the panic unwinds, so it can never
-        // hang on a dead worker; the supervisor respawns this loop.
-        if poisoned(first) {
-            let request = live.swap_remove(0);
-            shared.panicked.fetch_add(1, Ordering::Relaxed);
-            let _ = request.tx.send(Err(ServeError::WorkerPanicked {
-                request_id: request.id,
-            }));
-            // This panic IS the injected fault — the supervisor's
-            // catch/respawn path is the code under test.
-            // seal-lint: allow(panic, panic-freedom)
-            panic!("injected panic serving request {}", request.id);
-        }
-        // An injected slow request inflates its whole batch's service time.
-        if shared.slow_delay > Duration::ZERO
-            && live.iter().any(|r| r.fault == Some(RequestFault::Slow))
-        {
-            std::thread::sleep(shared.slow_delay);
-        }
-        let batch_size = live.len();
-        let inputs: Vec<&Tensor> = live.iter().map(|r| &r.input).collect();
-        let outcome = shared.model.concat_batch(&inputs).and_then(|t| match plan.as_mut() {
-            Some(p) => Ok(p.classify(&t)?),
-            None => shared.model.classify(&t),
-        });
-        drop(inputs);
-        match outcome {
-            Ok(predictions) => {
-                locked(&shared.cost).cost_batch(batch_size);
-                locked(&shared.batches).observe(batch_size);
-                locked(&shared.breaker).on_success();
-                let done = Instant::now();
-                {
-                    let mut latency = locked(&shared.latency);
-                    for request in &live {
-                        latency.record(done.duration_since(request.enqueued).as_micros() as u64);
-                    }
-                }
-                for (request, prediction) in live.into_iter().zip(predictions) {
-                    let latency = done.duration_since(request.enqueued);
-                    // A dropped handle is fine — the server-side stats
-                    // above already recorded the request.
-                    let _ = request.tx.send(Ok(Response {
-                        id: request.id,
-                        prediction,
-                        batch_size,
-                        queue_wait: picked_up.duration_since(request.enqueued),
-                        latency,
-                    }));
-                }
-            }
-            Err(e) => {
-                // Dropping the requests' senders wakes every rider with
-                // `WorkerLost`; the batch dies, the worker lives on.
-                locked(&shared.errors).push(e);
-            }
-        }
     }
 }
 
@@ -523,42 +283,6 @@ mod tests {
         assert_eq!((stats.shed, stats.panicked, stats.drained), (0, 0, 0));
         assert_eq!(stats.supervision, SupervisorReport::default());
         assert!(stats.faults.is_none(), "no chaos schedule was armed");
-    }
-
-    #[test]
-    fn planned_and_unplanned_predictions_are_identical() {
-        // Serving plans are compiled without fusion, so the planned path
-        // must be bitwise identical to `forward_infer` — same predictions
-        // for the same weights and inputs, on every zoo model.
-        for model in crate::ZOO {
-            let mut answers = Vec::new();
-            for use_plan in [false, true] {
-                let config = ServerConfig {
-                    model: model.into(),
-                    use_plan,
-                    ..mlp_config()
-                };
-                let server = Server::start(config).unwrap();
-                let mut rng = StdRng::seed_from_u64(99);
-                let preds: Vec<usize> = (0..6)
-                    .map(|_| server.submit(server.sample_input(&mut rng)).unwrap())
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.wait().unwrap().prediction)
-                    .collect();
-                let stats = server.shutdown().unwrap();
-                assert!(
-                    stats.worker_errors.is_empty(),
-                    "{model}: plan compile/serve errors: {:?}",
-                    stats.worker_errors
-                );
-                answers.push(preds);
-            }
-            assert_eq!(
-                answers[0], answers[1],
-                "{model}: planned predictions diverge from unplanned"
-            );
-        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use crate::breaker::CircuitBreaker;
 use crate::cost::CostModel;
 use crate::metrics::LatencyHistogram;
 use crate::model::ServedModel;
-use crate::{ServeError, ServerConfig};
+use crate::{locked, ServeError, ServerConfig};
 
 /// One round of splitmix64, used to derive per-tenant weight seeds.
 fn splitmix64(mut z: u64) -> u64 {
@@ -69,7 +69,7 @@ impl TenantSpec {
 #[derive(Debug)]
 pub struct TenantState {
     spec: TenantSpec,
-    crypto: TenantCrypto,
+    crypto: Option<TenantCrypto>,
     model: ServedModel,
     /// Per-tenant scheme lanes, all addresses inside the tenant's window.
     pub cost: Mutex<CostModel>,
@@ -92,14 +92,50 @@ pub struct TenantState {
 }
 
 impl TenantState {
+    /// Builds one tenant. With `crypto` it is a registered tenant: private
+    /// weights, cost lanes inside its counter window, tampers under its
+    /// key. Without, it is the in-process server's solo tenant, which
+    /// predicts and prices exactly what [`ServedModel::load`] with
+    /// `config.seed` and [`CostModel::new`] do offline.
+    fn new(
+        config: &ServerConfig,
+        spec: TenantSpec,
+        crypto: Option<TenantCrypto>,
+    ) -> Result<TenantState, ServeError> {
+        let weight_seed = match crypto {
+            Some(_) => splitmix64(config.seed ^ u64::from(spec.tenant)),
+            None => config.seed,
+        };
+        let model = ServedModel::load(&config.model, weight_seed)?;
+        let cost = CostModel::build(model.topology(), config, crypto.as_ref())?;
+        Ok(TenantState {
+            spec,
+            crypto,
+            model,
+            cost: Mutex::new(cost),
+            latency: Mutex::new(LatencyHistogram::new()),
+            breaker: Mutex::new(CircuitBreaker::new(
+                config.breaker_trip_threshold,
+                config.breaker_probe_interval,
+            )),
+            completed: AtomicU64::new(0),
+            rejected_queue_full: AtomicU64::new(0),
+            rejected_breaker: AtomicU64::new(0),
+            shed: AtomicU64::new(0),
+            rejected_drain: AtomicU64::new(0),
+        })
+    }
+
     /// The tenant's static spec (id and weight).
     pub fn spec(&self) -> TenantSpec {
         self.spec
     }
 
-    /// The tenant's isolated key material and counter window.
-    pub fn crypto(&self) -> &TenantCrypto {
-        &self.crypto
+    /// The tenant's isolated key material and counter window; `None` for
+    /// the in-process server's solo tenant, which owns the whole counter
+    /// space.
+    pub fn crypto(&self) -> Option<&TenantCrypto> {
+        self.crypto.as_ref()
     }
 
     /// The tenant's private model (per-tenant weights).
@@ -160,27 +196,19 @@ impl TenantRegistry {
                 });
             }
             let crypto = TenantCrypto::derive(master_seed, spec.tenant)?;
-            let weight_seed = splitmix64(config.seed ^ u64::from(spec.tenant));
-            let model = ServedModel::load(&config.model, weight_seed)?;
-            let cost = CostModel::for_tenant(model.topology(), config, &crypto)?;
-            tenants.push(TenantState {
-                spec: *spec,
-                crypto,
-                model,
-                cost: Mutex::new(cost),
-                latency: Mutex::new(LatencyHistogram::new()),
-                breaker: Mutex::new(CircuitBreaker::new(
-                    config.breaker_trip_threshold,
-                    config.breaker_probe_interval,
-                )),
-                completed: AtomicU64::new(0),
-                rejected_queue_full: AtomicU64::new(0),
-                rejected_breaker: AtomicU64::new(0),
-                shed: AtomicU64::new(0),
-                rejected_drain: AtomicU64::new(0),
-            });
+            tenants.push(TenantState::new(config, *spec, Some(crypto))?);
         }
         Ok(TenantRegistry { tenants, by_id })
+    }
+
+    /// The one-tenant registry the in-process [`Server`](crate::Server)
+    /// runs on (tenant 0, weight 1, no counter window).
+    pub(crate) fn solo(config: &ServerConfig) -> Result<Self, ServeError> {
+        let spec = TenantSpec { tenant: 0, weight: 1 };
+        Ok(TenantRegistry {
+            tenants: vec![TenantState::new(config, spec, None)?],
+            by_id: HashMap::from([(spec.tenant, 0)]),
+        })
     }
 
     /// Number of registered tenants.
@@ -230,14 +258,7 @@ impl TenantRegistry {
         let per_tenant: Vec<_> = self
             .tenants
             .iter()
-            .map(|t| {
-                // Recover the guard from a possibly-poisoned mutex — the
-                // cost model is plain data, same idiom as the worker path.
-                t.cost
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .summaries()
-            })
+            .map(|t| locked(&t.cost).summaries())
             .collect();
         crate::cost::SchemeSummary::aggregate(&per_tenant)
     }
@@ -279,10 +300,10 @@ mod tests {
         assert_eq!(reg.len(), 4);
         for i in 0..4 {
             for j in (i + 1)..4 {
-                let (a, b) = (reg.by_index(i), reg.by_index(j));
-                assert_ne!(a.crypto().key(), b.crypto().key());
-                assert_ne!(a.crypto().nonce(), b.crypto().nonce());
-                assert!(!a.crypto().owns_address(b.crypto().counter_base()));
+                let (a, b) = (reg.by_index(i).crypto().unwrap(), reg.by_index(j).crypto().unwrap());
+                assert_ne!(a.key(), b.key());
+                assert_ne!(a.nonce(), b.nonce());
+                assert!(!a.owns_address(b.counter_base()));
             }
         }
         // Per-tenant weight seeds: tenants classify the same input
@@ -327,6 +348,7 @@ mod tests {
         let a = TenantRegistry::build(&cfg, 7, &TenantSpec::skewed(3)).unwrap();
         let b = TenantRegistry::build(&cfg, 7, &TenantSpec::skewed(3)).unwrap();
         for i in 0..3 {
+            assert!(a.by_index(i).crypto().is_some());
             assert_eq!(a.by_index(i).crypto(), b.by_index(i).crypto());
         }
         assert_eq!(a.weights(), b.weights());

@@ -37,7 +37,6 @@ fn closed_loop_vgg16_satisfies_the_acceptance_checks() {
         config,
         load,
         stats,
-        plan_comparison: None,
         quant_comparison: None,
     };
     let violations = report.smoke_violations();
@@ -70,7 +69,6 @@ fn open_loop_emits_a_complete_json_report() {
         config,
         load,
         stats,
-        plan_comparison: None,
         quant_comparison: None,
     };
     let json = report.to_json();
