@@ -136,20 +136,20 @@ struct ServedShape {
     int8_ns: f64,
 }
 
-/// Times `calls` back-to-back GEMMs of reduction depth `kdim` in f32
+/// Times back-to-back GEMMs of reduction depth `kdim` in f32
 /// (`[m × kdim]·[kdim × n]`, B pre-packed) and in int8 (`[m × kdim]` u8
 /// activations against `n` packed weight columns), each with its own
-/// `(m, n)`: a conv keeps its weights on the left in f32 and packs them
-/// on the right in int8, so the two orientations are transposes.
+/// `(calls, m, n)`: a conv keeps its weights on the left in f32 and packs
+/// them on the right in int8, so the two orientations are transposes, and
+/// each path has its own rule for folding a batch into one call.
 fn time_pair(
     kdim: usize,
-    calls: usize,
-    f32_mn: (usize, usize),
-    i8_mn: (usize, usize),
+    f32_calls_mn: (usize, usize, usize),
+    i8_calls_mn: (usize, usize, usize),
 ) -> (f64, f64) {
     let mut rng = StdRng::seed_from_u64(92);
     let mode = kernel_mode();
-    let (m, n) = f32_mn;
+    let (calls, m, n) = f32_calls_mn;
     let a = uniform(&mut rng, Shape::matrix(m, kdim), -1.0, 1.0);
     let b = PackedB::pack(&uniform(&mut rng, Shape::matrix(kdim, n), -1.0, 1.0))
         .expect("rank-2 operand");
@@ -161,7 +161,7 @@ fn time_pair(
         }
         std::hint::black_box(out[0])
     });
-    let (m, n) = i8_mn;
+    let (calls, m, n) = i8_calls_mn;
     let packed = PackedBI8::pack(&uniform(&mut rng, Shape::matrix(kdim, n), -1.0, 1.0))
         .expect("kdim is far below MAX_QGEMM_K");
     let qa = vec![131u8; m * quantized_row_len(kdim)];
@@ -200,13 +200,18 @@ fn bench_served_shapes() -> Vec<ServedShape> {
             let s = dims.oh * dims.ow;
             let kdim = dims.c_in * dims.geom.kernel * dims.geom.kernel;
             // One GEMM per image, or one for the batch when the shape folds.
-            let (cols, calls) = if dims.folds_batch() {
-                (SERVED_BATCH * s, 1)
-            } else {
-                (s, SERVED_BATCH)
+            let grouped = |folds: bool| match folds {
+                true => (1, SERVED_BATCH * s),
+                false => (SERVED_BATCH, s),
             };
+            let (f_calls, f_cols) = grouped(dims.folds_batch());
+            let (q_calls, q_cols) = grouped(dims.folds_batch_i8());
             let (f32_ns, int8_ns) = with_pool(&pool, || {
-                time_pair(kdim, calls, (dims.c_out, cols), (cols, dims.c_out))
+                time_pair(
+                    kdim,
+                    (f_calls, dims.c_out, f_cols),
+                    (q_calls, q_cols, dims.c_out),
+                )
             });
             rows.push(ServedShape {
                 layer: layer.name().to_string(),
@@ -218,8 +223,8 @@ fn bench_served_shapes() -> Vec<ServedShape> {
             });
         } else if let Some(fc) = any.and_then(|a| a.downcast_ref::<Linear>()) {
             let (in_f, out_f) = (fc.in_features(), fc.out_features());
-            let mn = (SERVED_BATCH, out_f);
-            let (f32_ns, int8_ns) = with_pool(&pool, || time_pair(in_f, 1, mn, mn));
+            let mn = (1, SERVED_BATCH, out_f);
+            let (f32_ns, int8_ns) = with_pool(&pool, || time_pair(in_f, mn, mn));
             rows.push(ServedShape {
                 layer: layer.name().to_string(),
                 c_out: out_f,

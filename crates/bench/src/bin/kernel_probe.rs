@@ -1,7 +1,7 @@
 //! Determinism probe: hashes the bitwise output of every parallelized
 //! hot path (matmul, conv2d forward/backward, a full training step, the
-//! ragged shapes whose last column strip is zero-padded, and the int8
-//! compiled plans of the three zoo models) on the
+//! ragged shapes whose last column strip is zero-padded, and the f32 and
+//! int8 compiled plans of the three zoo models) on the
 //! **global** seal-pool, which resolves its width from the
 //! `SEAL_THREADS` environment variable.
 //!
@@ -134,11 +134,11 @@ fn probe_ragged() -> (u64, u64, u64) {
     (fnv1a(&f32_out), fnv1a(&i8_out), fnv1a(&conv_out))
 }
 
-/// Int8 logits of reduced vgg16 / resnet18 / mlp at batch 1, 5 and 8: the
-/// whole u8 NHWC data path (entry quantize, run-copy gather, int8 GEMM,
-/// requantize + max-pool, f32 exits at residual adds and logits).
-fn probe_plan_i8() -> u64 {
-    let mut rng = StdRng::seed_from_u64(16);
+/// Logits of reduced vgg16 / resnet18 / mlp compiled with `options`, at
+/// each of `batches` (`max_batch` 8, so the larger ones fold the batch of
+/// the narrow convolutions into one GEMM).
+fn probe_plans(seed: u64, options: PlanOptions, batches: [usize; 3]) -> u64 {
+    let mut rng = StdRng::seed_from_u64(seed);
     let vgg = VggConfig::reduced();
     let res = ResNetConfig::reduced(18);
     let models = [
@@ -161,9 +161,9 @@ fn probe_plan_i8() -> u64 {
     let mut logits = Vec::new();
     for (model, c, hw) in &models {
         let input = Shape::nchw(1, *c, *hw, *hw);
-        let mut plan = CompiledModel::compile(model, &input, 8, PlanOptions::quantized())
-            .expect("zoo models are plannable");
-        for n in [1, 5, 8] {
+        let mut plan =
+            CompiledModel::compile(model, &input, 8, options).expect("zoo models are plannable");
+        for n in batches {
             let x = uniform(&mut rng, Shape::nchw(n, *c, *hw, *hw), -1.0, 1.0);
             logits.extend_from_slice(plan.execute_into(&x).expect("shape matches the plan"));
         }
@@ -189,5 +189,16 @@ fn main() {
     println!("ragged_gemm     {gemm:#018x}");
     println!("ragged_gemm_i8  {gemm_i8:#018x}");
     println!("ragged_planned  {conv:#018x}");
-    println!("plan_i8         {:#018x}", probe_plan_i8());
+    // The whole f32 data path of the default plan: strip layout, padded
+    // im2col fill, GEMM tile, fused BN/ReLU/max-pool epilogue.
+    println!(
+        "plan_f32        {:#018x}",
+        probe_plans(17, PlanOptions::default(), [1, 3, 8])
+    );
+    // The whole u8 NHWC data path (entry quantize, run-copy gather, int8
+    // GEMM, requantize + max-pool, f32 exits at residual adds and logits).
+    println!(
+        "plan_i8         {:#018x}",
+        probe_plans(16, PlanOptions::quantized(), [1, 5, 8])
+    );
 }

@@ -5,7 +5,8 @@
 //! * in-process: run every hot path under `with_pool` at 1/2/7 threads and
 //!   compare `f32::to_bits` streams,
 //! * subprocess: run the `kernel_probe` binary under `SEAL_THREADS ∈
-//!   {1, 2, 7}` so the env-resolved *global* pool path is covered too,
+//!   {1, 2, 7}` × `SEAL_KERNEL ∈ {scalar, avx2, avx512}` so the
+//!   env-resolved *global* pool and kernel-mode paths are covered too,
 //!   asserting byte-identical stdout.
 
 use std::process::Command;
@@ -145,30 +146,44 @@ fn training_step_is_bitwise_identical_for_any_thread_count() {
 }
 
 #[test]
-fn kernel_probe_stdout_is_identical_under_seal_threads_env() {
+fn kernel_probe_stdout_is_identical_under_seal_threads_and_seal_kernel_env() {
+    // `scalar`, `avx2` and `avx512` (a request the host cannot run
+    // degrades within that chain) are one rounding class: with the thread
+    // count they must never leak into the numerics. `fma` is its own
+    // class and is pinned against its own reference below.
     let exe = env!("CARGO_BIN_EXE_kernel_probe");
     let mut outputs = Vec::new();
-    for threads in THREAD_COUNTS {
-        let out = Command::new(exe)
-            .env("SEAL_THREADS", threads.to_string())
-            .output()
-            .unwrap_or_else(|e| panic!("running {exe}: {e}"));
-        assert!(
-            out.status.success(),
-            "kernel_probe failed under SEAL_THREADS={threads}: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        outputs.push(String::from_utf8_lossy(&out.stdout).into_owned());
+    for kernel in ["scalar", "avx2", "avx512"] {
+        for threads in THREAD_COUNTS {
+            let out = Command::new(exe)
+                .env("SEAL_THREADS", threads.to_string())
+                .env("SEAL_KERNEL", kernel)
+                .output()
+                .unwrap_or_else(|e| panic!("running {exe}: {e}"));
+            assert!(
+                out.status.success(),
+                "kernel_probe failed under SEAL_THREADS={threads} SEAL_KERNEL={kernel}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            outputs.push(String::from_utf8_lossy(&out.stdout).into_owned());
+        }
     }
     assert!(
         outputs.windows(2).all(|w| w[0] == w[1]),
-        "kernel_probe output varies with SEAL_THREADS:\n{}",
+        "kernel_probe output varies with SEAL_THREADS / SEAL_KERNEL:\n{}",
         outputs.join("---\n")
     );
     assert!(
-        ["matmul", "training_step", "ragged_gemm_i8", "ragged_planned"]
-            .iter()
-            .all(|section| outputs[0].contains(section)),
+        [
+            "matmul",
+            "training_step",
+            "ragged_gemm_i8",
+            "ragged_planned",
+            "plan_f32",
+            "plan_i8"
+        ]
+        .iter()
+        .all(|section| outputs[0].contains(section)),
         "probe output missing expected sections:\n{}",
         outputs[0]
     );

@@ -38,11 +38,11 @@ use crate::layers::{
 use crate::shape_check::check_model;
 use crate::{Layer, NnError, Sequential};
 use seal_tensor::ops::{
-    avg_pool2d_into, conv2d_infer_packed, conv2d_reference, dequantize_bias_relu,
+    avg_pool2d_into, conv2d_infer_fused, conv2d_reference, dequantize_bias_relu,
     dequantize_transpose_bias_relu, gather_patches_nhwc, gemm_i8, gemm_prepacked, kernel_mode,
-    max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8, quantized_row_len, Conv2dGeometry,
-    ConvPlanDims, Im2colGather, KernelMode, NhwcImage, PackedB, PackedBI8, PoolGeometry,
-    Requantize, PATCH_SLACK,
+    max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8, quantized_row_len, BatchNormParams,
+    Conv2dGeometry, ConvEpilogue, ConvPlanDims, Im2colGather, KernelMode, NhwcImage, PackedB,
+    PackedBI8, PoolGeometry, Requantize, PATCH_SLACK,
 };
 use seal_tensor::{Shape, Tensor, ELEMWISE_CHUNK};
 
@@ -101,13 +101,20 @@ impl PlanOptions {
 /// One compiled layer with every shape resolved and constants snapshotted.
 #[derive(Debug)]
 enum Step {
-    /// Convolution (optionally with batch-norm folded in / ReLU fused).
+    /// Convolution (optionally with batch-norm folded into the weights)
+    /// and the epilogue [`fuse_epilogues`] merged behind it: batch-norm,
+    /// then ReLU, then max-pool, each optional, run on every image's
+    /// output slab right after its GEMM.
     Conv {
         dims: ConvPlanDims,
         gather: Im2colGather,
         weights: Vec<f32>,
         bias: Vec<f32>,
+        bn: Option<BnConsts>,
         relu: bool,
+        pool: Option<PoolGeometry>,
+        /// Floats one image leaves in the arena, after the epilogue.
+        out_vol: usize,
     },
     /// Fully connected layer over a pre-packed `Wᵀ`.
     Linear {
@@ -138,13 +145,9 @@ enum Step {
         relu: bool,
         edges: QEdges,
     },
-    /// Inference batch-norm with the per-channel `1/√(σ²+ε)` precomputed
-    /// exactly as `forward_infer` computes it.
+    /// Standalone inference batch-norm (one no convolution absorbed).
     BatchNorm {
-        gamma: Vec<f32>,
-        beta: Vec<f32>,
-        mean: Vec<f32>,
-        inv_std: Vec<f32>,
+        bn: BnConsts,
         channels: usize,
         spatial: usize,
         relu: bool,
@@ -179,6 +182,27 @@ enum Step {
         in_vol: usize,
         out_vol: usize,
     },
+}
+
+/// Inference batch-norm constants of one layer, the per-channel
+/// `1/√(σ²+ε)` precomputed exactly as `forward_infer` computes it.
+#[derive(Debug)]
+struct BnConsts {
+    gamma: Vec<f32>,
+    beta: Vec<f32>,
+    mean: Vec<f32>,
+    inv_std: Vec<f32>,
+}
+
+impl BnConsts {
+    fn params(&self) -> BatchNormParams<'_> {
+        BatchNormParams {
+            gamma: &self.gamma,
+            beta: &self.beta,
+            mean: &self.mean,
+            inv_std: &self.inv_std,
+        }
+    }
 }
 
 /// The activation formats on either side of a quantized step, decided by
@@ -308,6 +332,9 @@ impl CompiledModel {
         let mut steps =
             compile_layers(model.layers(), &mut feat, true, &mut max_vol, options.quantize)?;
         fold_and_fuse(&mut steps, options);
+        if !options.quantize {
+            fuse_epilogues(&mut steps);
+        }
         if options.quantize {
             // Convolutions quantize *after* folding so the per-channel
             // scales see the batch-norm-scaled weights (linear layers are
@@ -500,19 +527,26 @@ fn run_plain<'a>(
             gather,
             weights,
             bias,
+            bn,
             relu,
+            pool,
+            out_vol,
         } => {
             let in_vol = dims.c_in * dims.h * dims.w;
-            let out_vol = dims.c_out * dims.oh * dims.ow;
-            conv2d_infer_packed(
+            let epilogue = ConvEpilogue {
+                batch_norm: bn.as_ref().map(BnConsts::params),
+                relu: *relu,
+                max_pool: *pool,
+            };
+            conv2d_infer_fused(
                 &cur[..n * in_vol],
                 n,
                 dims,
                 gather,
                 weights,
                 bias,
+                &epilogue,
                 &mut nxt[..n * out_vol],
-                *relu,
                 mode,
             )?;
         }
@@ -566,7 +600,7 @@ fn run_plain<'a>(
             // the outgoing edge's format. One GEMM per image — or, when an
             // image is narrower than a GEMM strip, one over the whole
             // batch's stacked patch rows.
-            let group = if dims.folds_batch() { n } else { 1 };
+            let group = if dims.folds_batch_i8() { n } else { 1 };
             for g0 in (0..n).step_by(group) {
                 for j in 0..group {
                     // Open-ended slices: the gather's slack is whatever
@@ -650,25 +684,14 @@ fn run_plain<'a>(
             }
         }
         Step::BatchNorm {
-            gamma,
-            beta,
-            mean,
-            inv_std,
+            bn,
             channels,
             spatial,
             relu,
         } => {
-            let c = *channels;
+            let (c, bn) = (*channels, bn.params());
             let slab = &mut cur[..n * c * spatial];
-            seal_pool::par_chunks_mut(slab, *spatial, |p, o| {
-                let ch = p % c;
-                for o in o.iter_mut() {
-                    // Same association as `BatchNorm2d::forward_infer`.
-                    let v = (*o - mean[ch]) * inv_std[ch];
-                    let y = gamma[ch] * v + beta[ch];
-                    *o = if *relu { y.max(0.0) } else { y };
-                }
-            });
+            seal_pool::par_chunks_mut(slab, *spatial, |p, plane| bn.apply(p % c, plane, *relu));
             return Ok(());
         }
         Step::Relu { vol } => {
@@ -787,7 +810,10 @@ fn compile_layers(
                 dims,
                 weights: conv.weights().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
                 bias: conv.bias().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
+                bn: None,
                 relu: false,
+                pool: None,
+                out_vol: c_out * oh * ow,
             }
         } else if let Some(bn) = any.downcast_ref::<BatchNorm2d>() {
             let Feat::Spatial { c, h, w } = *feat else {
@@ -798,16 +824,18 @@ fn compile_layers(
             }
             let eps = bn.eps();
             Step::BatchNorm {
-                gamma: bn.gamma().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
-                beta: bn.beta().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
-                mean: bn.running_mean().to_vec(), // seal-lint: allow(hot-path-alloc)
-                // The exact expression `forward_infer` evaluates,
-                // snapshotted once at compile time.
-                inv_std: bn
-                    .running_var()
-                    .iter()
-                    .map(|v| 1.0 / (v + eps).sqrt())
-                    .collect(), // seal-lint: allow(hot-path-alloc)
+                bn: BnConsts {
+                    gamma: bn.gamma().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
+                    beta: bn.beta().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
+                    mean: bn.running_mean().to_vec(), // seal-lint: allow(hot-path-alloc)
+                    // The exact expression `forward_infer` evaluates,
+                    // snapshotted once at compile time.
+                    inv_std: bn
+                        .running_var()
+                        .iter()
+                        .map(|v| 1.0 / (v + eps).sqrt())
+                        .collect(), // seal-lint: allow(hot-path-alloc)
+                },
                 channels: c,
                 spatial: h * w,
                 relu: false,
@@ -961,10 +989,13 @@ fn fold_and_fuse(steps: &mut Vec<Step>, options: PlanOptions) {
                         ..
                     },
                     Step::BatchNorm {
-                        gamma,
-                        beta,
-                        mean,
-                        inv_std,
+                        bn:
+                            BnConsts {
+                                gamma,
+                                beta,
+                                mean,
+                                inv_std,
+                            },
                         ..
                     },
                 ) = (&mut steps[i], bn)
@@ -1011,6 +1042,73 @@ fn fold_and_fuse(steps: &mut Vec<Step>, options: PlanOptions) {
             fold_and_fuse(main, options);
             fold_and_fuse(shortcut, options);
         }
+    }
+}
+
+/// The f32 plan's epilogue peephole, applied to the top-level step list
+/// and every residual branch: `Conv → [BatchNorm] → [ReLU] → [MaxPool]`
+/// becomes one `Conv` step that runs the absorbed ops on each image's
+/// output slab right after its GEMM, while the slab is in cache, and
+/// writes only the final (pooled) activations to the arena. The absorbed
+/// ops evaluate the per-element expressions of the standalone steps, in
+/// their order, so the logits do not change by a bit — which is why this
+/// runs under every f32 option set, `PlanOptions::default()` included.
+/// A batch-norm, ReLU or max-pool in any other position keeps its step.
+// seal-lint: allow(panic-freedom) — runs at compile time; `i + 1` is bounds-tested before each index
+fn fuse_epilogues(steps: &mut Vec<Step>) {
+    let mut i = 0;
+    while i < steps.len() {
+        if let Step::Residual { main, shortcut, .. } = &mut steps[i] {
+            fuse_epilogues(main);
+            fuse_epilogues(shortcut);
+        }
+        // Absorb followers for as long as the next one is a later stage of
+        // the epilogue order (batch-norm < ReLU < max-pool).
+        while i + 1 < steps.len() && absorbs(&steps[i], &steps[i + 1]) {
+            let follower = steps.remove(i + 1);
+            if let Step::Conv {
+                bn,
+                relu,
+                pool,
+                out_vol,
+                ..
+            } = &mut steps[i]
+            {
+                match follower {
+                    Step::BatchNorm {
+                        bn: consts,
+                        relu: fused,
+                        ..
+                    } => (*bn, *relu) = (Some(consts), fused),
+                    Step::Relu { .. } => *relu = true,
+                    Step::MaxPool {
+                        geom, c, oh, ow, ..
+                    } => (*pool, *out_vol) = (Some(geom), c * oh * ow),
+                    _ => {}
+                }
+            }
+        }
+        i += 1;
+    }
+}
+
+/// Whether `conv`'s epilogue can take `next` as its next stage.
+fn absorbs(conv: &Step, next: &Step) -> bool {
+    let Step::Conv {
+        dims,
+        bn,
+        relu,
+        pool: None,
+        ..
+    } = conv
+    else {
+        return false;
+    };
+    match next {
+        Step::BatchNorm { channels, .. } => bn.is_none() && !relu && *channels == dims.c_out,
+        Step::Relu { .. } => !relu,
+        Step::MaxPool { c, h, w, .. } => (*c, *h, *w) == (dims.c_out, dims.oh, dims.ow),
+        _ => false,
     }
 }
 
@@ -1154,7 +1252,7 @@ fn quant_sizes(steps: &[Step], max_batch: usize, sz: &mut QuantSizes) {
                 ..
             } => {
                 // Images per GEMM: the whole batch when the shape folds.
-                let group = if dims.folds_batch() { max_batch } else { 1 };
+                let group = if dims.folds_batch_i8() { max_batch } else { 1 };
                 let s = dims.oh * dims.ow;
                 let patches = group * s * quantized_row_len(packed.k()) + PATCH_SLACK;
                 sz.patches = sz.patches.max(patches);
@@ -1260,6 +1358,98 @@ mod tests {
                 "planned logits != forward_infer for batch {n}"
             );
         }
+    }
+
+    /// A step list's shape, one letter per step: `C` convolution (then
+    /// `b`/`r`/`p` for each stage its epilogue absorbed), `B` batch-norm,
+    /// `R` ReLU, `P` max-pool, `L` linear, `I` identity, `?` anything else.
+    fn shape_of(steps: &[Step]) -> String {
+        let mut out = String::new();
+        for step in steps {
+            match step {
+                Step::Conv { bn, relu, pool, .. } => {
+                    out.push('C');
+                    for (on, c) in [(bn.is_some(), 'b'), (*relu, 'r'), (pool.is_some(), 'p')] {
+                        if on {
+                            out.push(c);
+                        }
+                    }
+                }
+                Step::BatchNorm { .. } => out.push('B'),
+                Step::Relu { .. } => out.push('R'),
+                Step::MaxPool { .. } => out.push('P'),
+                Step::Linear { .. } => out.push('L'),
+                Step::Identity => out.push('I'),
+                _ => out.push('?'),
+            }
+        }
+        out
+    }
+
+    /// The epilogue peephole absorbs exactly `Conv → [BN] → [ReLU] →
+    /// [MaxPool]`, in that order; a batch-norm behind a ReLU, a ReLU
+    /// behind a pool and a pool behind a standalone step keep their
+    /// steps — and either way the default plan equals `forward_infer` bit
+    /// for bit, with trained (non-identity) batch-norm statistics.
+    #[test]
+    fn epilogue_peephole_absorbs_only_its_own_order_and_stays_bitwise() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let geom = Conv2dGeometry::same3x3();
+        let conv = |rng: &mut StdRng, name: &str, c_in, c_out| -> Box<dyn Layer> {
+            Box::new(Conv2d::new(rng, name, c_in, c_out, geom).unwrap())
+        };
+        let bn = |name: &str, c| -> Box<dyn Layer> { Box::new(BatchNorm2d::new(name, c).unwrap()) };
+        let relu = |name: &str| -> Box<dyn Layer> { Box::new(ReLU::new(name)) };
+        let pool = |name: &str| -> Box<dyn Layer> {
+            Box::new(MaxPool2d::new(name, PoolGeometry::halving()))
+        };
+        let mut model = Sequential::new("peephole")
+            // Conv → BN → ReLU → Pool: all absorbed.
+            .with(conv(&mut rng, "c1", 3, 6))
+            .with(bn("b1", 6))
+            .with(relu("r1"))
+            .with(pool("p1"))
+            // Conv → ReLU → BN → Pool: the ReLU only.
+            .with(conv(&mut rng, "c2", 6, 5))
+            .with(relu("r2"))
+            .with(bn("b2", 5))
+            .with(pool("p2"))
+            // Conv → Pool → ReLU: the pool only.
+            .with(conv(&mut rng, "c3", 5, 7))
+            .with(pool("p3"))
+            .with(relu("r3"))
+            // Conv → BN (no ReLU) → Conv: the batch-norm.
+            .with(conv(&mut rng, "c4", 7, 4))
+            .with(bn("b4", 4))
+            .with(conv(&mut rng, "c5", 4, 4))
+            .with(Box::new(Flatten::new("flat")))
+            .with(Box::new(Linear::new(&mut rng, "fc", 4 * 2 * 2, 10).unwrap()));
+        // Train-mode passes move the running statistics off (0, 1); then
+        // scatter γ and β.
+        for _ in 0..3 {
+            let x = uniform(&mut rng, Shape::nchw(4, 3, 16, 16), -2.0, 2.0);
+            model.forward(&x, true).unwrap();
+        }
+        for p in model.norm_params_mut() {
+            let shape = p.value.shape().clone();
+            p.value = uniform(&mut rng, shape, 0.5, 1.5);
+        }
+        let input = Shape::nchw(1, 3, 16, 16);
+        let mut plan = CompiledModel::compile(&model, &input, 8, PlanOptions::default()).unwrap();
+        assert_eq!(shape_of(&plan.steps), "CbrpCrBPCpRCbCIL");
+        for n in [1usize, 3, 8] {
+            let x = uniform(&mut rng, Shape::nchw(n, 3, 16, 16), -1.0, 1.0);
+            let reference = model.forward_infer(&x).unwrap();
+            let logits = plan.execute_into(&x).unwrap();
+            assert!(
+                bitwise_eq(logits, reference.as_slice()),
+                "peephole plan != forward_infer for batch {n}"
+            );
+        }
+        // The option sets that fold or fuse first leave the same shapes
+        // behind or fewer; a quantized plan is not touched at all.
+        let fused = CompiledModel::compile(&model, &input, 8, PlanOptions::fused()).unwrap();
+        assert_eq!(shape_of(&fused.steps), "CrpCrBPCpRCCIL");
     }
 
     #[test]

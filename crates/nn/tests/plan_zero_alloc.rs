@@ -99,17 +99,25 @@ fn steady_state_execute_performs_zero_allocations() {
             &mut rng,
         );
     }
-    // The int8 plans with mixed edges: u8 inside each residual main
-    // branch and f32 at every add / the average pool (resnet18), and u8
-    // linear-to-linear rows behind an f32 entry (mlp).
+    // The other two zoo models. f32 at the default options: the padded
+    // image and the pooled convolution's slab scratch (stride-2 and 1×1
+    // projection convolutions, residual branches, a plan with no
+    // convolution at all) grow on the warm-up call and never again. int8
+    // with mixed edges: u8 inside each residual main branch and f32 at
+    // every add / the average pool (resnet18), and u8 linear-to-linear
+    // rows behind an f32 entry (mlp).
     let cfg = ResNetConfig::reduced(18);
     let model = resnet(&mut rng, &cfg).unwrap();
-    assert_steady_state_is_allocation_free(
-        &model,
-        (cfg.input_channels, cfg.input_hw),
-        PlanOptions::quantized(),
-        &mut rng,
-    );
+    for options in [PlanOptions::default(), PlanOptions::quantized()] {
+        assert_steady_state_is_allocation_free(
+            &model,
+            (cfg.input_channels, cfg.input_hw),
+            options,
+            &mut rng,
+        );
+    }
     let model = mlp(&mut rng, &MlpConfig::reduced()).unwrap();
-    assert_steady_state_is_allocation_free(&model, (3, 8), PlanOptions::quantized(), &mut rng);
+    for options in [PlanOptions::default(), PlanOptions::quantized()] {
+        assert_steady_state_is_allocation_free(&model, (3, 8), options, &mut rng);
+    }
 }

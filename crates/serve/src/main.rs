@@ -22,7 +22,7 @@ use seal_serve::netload::{run_drain, run_tcp, DrainLoadConfig, NetLoadConfig};
 use seal_serve::netreport::{DrainPhase, NetPhase};
 use seal_serve::{
     loadgen, ChaosRun, ChaosSmoke, NetServer, NetServerConfig, NetSmoke, QuantComparison,
-    QuantLaneDelta, ServeReport, Server, ServerConfig, COSTED_SCHEMES,
+    QuantLaneDelta, ServeReport, ServedModel, Server, ServerConfig, COSTED_SCHEMES,
 };
 
 const USAGE: &str = "usage: seal-serve [options]
@@ -434,10 +434,14 @@ fn run(args: Args) -> Result<ExitCode, String> {
                 })
             })
             .collect();
+        let served = ServedModel::load(&report.config.model, report.config.seed)
+            .map_err(|e| e.to_string())?;
         let comparison = QuantComparison {
             f32_rps: report.load.observed_throughput_rps,
             int8_rps: q_load.observed_throughput_rps,
             lanes,
+            reference: QuantComparison::reference_lanes(served.topology(), &report.config)
+                .map_err(|e| e.to_string())?,
         };
         println!(
             "seal-serve: int8 plan {:.1} req/s vs f32 plan {:.1} req/s ({:.2}x)",
@@ -445,10 +449,11 @@ fn run(args: Args) -> Result<ExitCode, String> {
             comparison.f32_rps,
             comparison.speedup()
         );
-        for lane in &comparison.lanes {
+        for lane in &comparison.reference {
             println!(
-                "seal-serve:   {:>8} lane: int8 enc bytes x{:.3}, makespan x{:.3}",
+                "seal-serve:   {:>8} lane, one batch of {}: int8 enc bytes x{:.3}, makespan x{:.3}",
                 lane.scheme.label(),
+                report.config.max_batch,
                 lane.enc_bytes_ratio(),
                 lane.makespan_ratio()
             );

@@ -10,6 +10,8 @@
 //! bitwise identical for any `SEAL_THREADS`.
 
 use super::matmul::{gemm, gemm_consume, gemm_shared_pack, kernel_mode, KernelMode, KC, NR};
+use super::pool::{max_pool_plane, PoolGeometry};
+use super::quant::vectorized;
 use crate::{Shape, Tensor, TensorError};
 use std::cell::RefCell;
 
@@ -22,8 +24,9 @@ thread_local! {
     /// shrunk) so steady-state convolutions allocate nothing.
     // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
     static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Per-thread packed-im2col panel scratch for the planned path (the
-    /// folded-batch path stages its GEMM output behind the panel).
+    /// Per-thread scratch of the planned path: the zero-padded image(s),
+    /// then the packed im2col panels, then the GEMM output of a pooled
+    /// (or folded-batch) convolution awaiting its epilogue.
     // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
     static PACKED_COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
@@ -293,104 +296,108 @@ pub struct ConvPlanDims {
     pub geom: Conv2dGeometry,
 }
 
+/// The int8 plans fold a batch below this many output positions per
+/// image. Its own constant, so the width of the `f32` strip cannot
+/// regroup an int8 GEMM.
+const I8_FOLD_BELOW: usize = 8;
+
 impl ConvPlanDims {
-    /// True when one image has fewer output positions than one GEMM
-    /// column strip. The planned convolutions then run a batch as **one**
-    /// GEMM over every image's positions side by side instead of one
-    /// mostly-padding strip per image. A shape-only rule, so the choice
-    /// can never depend on the thread count or the kernel mode.
+    /// True when one image has fewer output positions than one `f32`
+    /// GEMM column strip. The planned `f32` convolution then runs a batch
+    /// as **one** GEMM over every image's positions side by side instead
+    /// of one mostly-padding strip per image. A shape-only rule, so the
+    /// choice can never depend on the thread count or the kernel mode.
     pub fn folds_batch(&self) -> bool {
         self.oh * self.ow < NR
     }
+
+    /// The same rule for the int8 convolution, whose GEMM stacks the
+    /// images' patch rows: true below eight output positions per image.
+    pub fn folds_batch_i8(&self) -> bool {
+        self.oh * self.ow < I8_FOLD_BELOW
+    }
+
+    fn kdim(&self) -> usize {
+        self.c_in * self.geom.kernel * self.geom.kernel
+    }
+
+    /// Height and width of the zero-padded image.
+    fn padded_hw(&self) -> (usize, usize) {
+        (self.h + 2 * self.geom.padding, self.w + 2 * self.geom.padding)
+    }
 }
 
-/// Compile-time im2col gather table for a planned convolution: for each
-/// cell of the packed-panel im2col representation, the source offset
-/// inside one image's `c_in·h·w` block, or `-1` where the receptive field
-/// falls in the zero padding (and in the pad lanes of the last strip).
+/// Compile-time geometry of a planned convolution's im2col fill.
+/// [`conv2d_infer_packed`] zero-pads each image once, and cell `(q, p)` of
+/// the im2col matrix — row `q = (ci, ky, kx)`, output position `p = (oy,
+/// ox)` — is then the padded image's cell `taps[q] + cols[p]`: one offset
+/// per *row* plus one per *column*, `kdim + oh·ow` words where a per-cell
+/// table holds `kdim · oh·ow`, and no padding test anywhere because every
+/// sum lands inside the padded image.
 ///
-/// The table depends only on the shape, so compiled-plan callers build
-/// it **once at plan-compile time** and the steady-state fill
-/// degenerates to a branch-light gather — no per-element index
-/// arithmetic on the hot path at all.
-///
-/// Layout matches `pack_b_full` applied to the im2col matrix
-/// (`[c_in·k·k] × [oh·ow]`): `strips = ceil(oh·ow / NR)`, panel `p` at
-/// offset `p·KC·strips·NR`, strip-major inside, the last strip padded.
+/// The panels it fills have the layout of `pack_b_full` applied to the
+/// im2col matrix (`[c_in·k·k] × [oh·ow]`): `strips = ceil(oh·ow / NR)`,
+/// panel `p` at offset `p·KC·strips·NR`, strip-major inside, the last
+/// strip padded with explicit `0.0`.
 #[derive(Debug, Clone)]
 pub struct Im2colGather {
-    /// Source offsets for the packed panels (`strips·kdim·NR`).
-    panels: Vec<i32>,
+    dims: ConvPlanDims,
+    /// `(ci·ph + ky)·pw + kx` for each im2col row, `ph × pw` the padded
+    /// plane.
+    taps: Vec<i32>,
+    /// `cols[p] = oy·stride·pw + ox·stride` for each output position, cut
+    /// into the 16-column strips of one image (a folded batch — one
+    /// strip per image, by [`ConvPlanDims::folds_batch`] — cuts its own,
+    /// across images, on the fly).
+    strips: Vec<StripCols>,
+    /// Largest entry of `taps` (kept so the fill can bound every source
+    /// offset with one addition).
+    max_tap: usize,
 }
 
 impl Im2colGather {
-    /// Builds the gather table for `dims`. This allocates and runs the
-    /// full index arithmetic — call it at plan-compile time, never per
-    /// batch.
-    // seal-lint: allow(panic-freedom) — precomputed gather indices are built from the same validated geometry they will be used under
+    /// Derives the row and column offsets for `dims` — `kdim + oh·ow`
+    /// words; call it at plan-compile time.
     pub fn compile(dims: &ConvPlanDims) -> Im2colGather {
-        let ConvPlanDims {
-            c_in,
-            h,
-            w,
-            oh,
-            ow,
-            geom,
-            ..
-        } = *dims;
-        let (k, stride, pad) = (geom.kernel, geom.stride, geom.padding);
-        let s = oh * ow;
-        let kdim = c_in * k * k;
-        let strips = s.div_ceil(NR);
-        // Top-left input coordinate of every output position's receptive
-        // field, computed once. One-time compile-step allocations.
-        let origin: Vec<(isize, isize)> = (0..s)
-            .map(|p| {
-                (
-                    (p / ow * stride) as isize - pad as isize,
-                    (p % ow * stride) as isize - pad as isize,
-                )
-            })
+        let (k, stride) = (dims.geom.kernel, dims.geom.stride);
+        let (ph, pw) = dims.padded_hw();
+        // One-time compile-step allocations.
+        let taps: Vec<i32> = (0..dims.kdim())
+            .map(|q| offset((q / (k * k) * ph + q / k % k) * pw + q % k))
             .collect(); // seal-lint: allow(hot-path-alloc)
-        let mut panels = vec![0i32; strips * kdim * NR]; // seal-lint: allow(hot-path-alloc)
-        let mut k0 = 0;
-        while k0 < kdim {
-            let kc = KC.min(kdim - k0);
-            let base = k0 * strips * NR;
-            for sidx in 0..strips {
-                let dst = &mut panels[base + sidx * kc * NR..base + (sidx + 1) * kc * NR];
-                for (kk, drow) in dst.chunks_exact_mut(NR).enumerate() {
-                    let q = k0 + kk;
-                    let (ci, ky, kx) = (q / (k * k), (q / k % k) as isize, (q % k) as isize);
-                    for (c, d) in drow.iter_mut().enumerate() {
-                        // Positions past `s` are the pad lanes of the
-                        // last strip: they gather the explicit zero too.
-                        *d = match origin.get(sidx * NR + c) {
-                            Some(&(y0, x0))
-                                if (0..h as isize).contains(&(y0 + ky))
-                                    && (0..w as isize).contains(&(x0 + kx)) =>
-                            {
-                                (ci * h * w) as i32 + ((y0 + ky) * w as isize + x0 + kx) as i32
-                            }
-                            _ => -1,
-                        };
-                    }
-                }
-            }
-            k0 += KC;
+        let cols: Vec<i32> = (0..dims.oh * dims.ow)
+            .map(|p| offset(p / dims.ow * stride * pw + p % dims.ow * stride))
+            .collect(); // seal-lint: allow(hot-path-alloc)
+        let strips = (0..cols.len().div_ceil(NR))
+            .map(|strip| StripCols::new(strip, 1, 0, &cols))
+            .collect(); // seal-lint: allow(hot-path-alloc)
+        let max_tap = taps.iter().copied().max().unwrap_or(0) as usize;
+        Im2colGather {
+            dims: *dims,
+            taps,
+            strips,
+            max_tap,
         }
-        Im2colGather { panels }
     }
 
-    /// Total number of gather cells (diagnostic/size accounting).
+    /// Number of cells in the packed panels of one image (diagnostic/size
+    /// accounting).
     pub fn len(&self) -> usize {
-        self.panels.len()
+        self.strips.len() * self.taps.len() * NR
     }
 
-    /// Whether the table is empty (degenerate zero-volume shapes).
+    /// Whether the panels are empty (degenerate zero-volume shapes).
     pub fn is_empty(&self) -> bool {
-        self.panels.is_empty()
+        self.len() == 0
     }
+}
+
+/// A padded-image offset as the 32-bit index the vector gather takes. One
+/// that does not fit saturates, which `fill_panels`' bound check then
+/// refuses — it never wraps into a small or negative index
+/// ([`conv2d_infer_fused`] rejects such shapes before any fill).
+fn offset(cell: usize) -> i32 {
+    i32::try_from(cell).unwrap_or(i32::MAX)
 }
 
 /// The first `len` floats of a per-thread scratch buffer, grown on first
@@ -402,92 +409,276 @@ fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
     &mut buf[..len]
 }
 
-/// Loads one gather cell: `-1` padding offsets wrap past the image length
-/// and yield the explicit `0.0` the GEMM reduction expects.
-#[inline(always)]
-fn gather_cell(img: &[f32], g: i32) -> f32 {
-    img.get(g as u32 as usize).copied().unwrap_or(0.0)
-}
-
-/// Fills the packed-panel im2col representation of one image directly
-/// from its `c_in·h·w` block via the precompiled gather table. Every live
-/// element of `panels` (pad lanes included) is overwritten, and there is
-/// no index arithmetic: each cell is a bounds-folded load.
-fn fill_im2col_packed(panels: &mut [f32], img: &[f32], gather: &Im2colGather) {
-    for (d, &g) in panels.iter_mut().zip(&gather.panels) {
-        *d = gather_cell(img, g);
+/// Zero-pads one image: channel plane `ci` of `img` (`h × w`) lands in
+/// `dst[ci·ph·pw ..]` inside a border of `pad` explicit `0.0` cells. All of
+/// `dst` is overwritten, so stale scratch never shows. The common map
+/// widths copy their rows as fixed-width moves rather than `memcpy` calls
+/// — a small map is mostly row starts.
+fn pad_image(dst: &mut [f32], img: &[f32], dims: &ConvPlanDims) {
+    dst.fill(0.0);
+    match dims.w {
+        1 => copy_rows::<1>(dst, img, dims),
+        2 => copy_rows::<2>(dst, img, dims),
+        4 => copy_rows::<4>(dst, img, dims),
+        8 => copy_rows::<8>(dst, img, dims),
+        16 => copy_rows::<16>(dst, img, dims),
+        _ => copy_rows::<0>(dst, img, dims),
     }
 }
 
-/// Fills the packed-panel im2col representation of a whole batch of a
-/// [`ConvPlanDims::folds_batch`] shape: folded column `img·s + p` holds
-/// output position `p` of image `img`, so the `n·s` columns fill
-/// `ceil(n·s / NR)` strips instead of `n` mostly-padding ones. The
-/// per-image table has a single strip, so row `q`'s source offsets are
-/// `gather.panels[q·NR ..][..s]`.
-// seal-lint: allow(panic-freedom) — `panels` is sized `ceil(n·s/NR)·kdim·NR` by the caller and every index below is `< (k0+kc)·strips·NR`; the table holds `kdim·NR` cells (checked on entry to `conv2d_infer_packed`)
-fn fill_im2col_folded(
-    panels: &mut [f32],
-    x: &[f32],
-    n: usize,
-    s: usize,
-    kdim: usize,
-    gather: &Im2colGather,
-) {
-    let (plane, cols) = (x.len() / n, n * s);
-    let strips = cols.div_ceil(NR);
-    let mut k0 = 0;
-    while k0 < kdim {
-        let kc = KC.min(kdim - k0);
-        let panel = &mut panels[k0 * strips * NR..(k0 + kc) * strips * NR];
-        for kk in 0..kc {
-            let offs = &gather.panels[(k0 + kk) * NR..(k0 + kk) * NR + s];
-            let mut cell = |j: usize, v: f32| panel[(j / NR * kc + kk) * NR + j % NR] = v;
-            let mut j = 0;
-            for i in 0..n {
-                let img = &x[i * plane..(i + 1) * plane];
-                for &g in offs {
-                    cell(j, gather_cell(img, g));
-                    j += 1;
-                }
-            }
-            for j in cols..strips * NR {
-                cell(j, 0.0);
+/// The rows of `img` into the interior of the padded planes of `dst`; `W`
+/// is the row width `dims.w` when that is known at compile time, else 0.
+#[inline(always)]
+// seal-lint: allow(panic-freedom) — `dst` is `c_in·(h+2·pad)·(w+2·pad)` and `img` `c_in·h·w`, both sliced by `conv2d_infer_fused` from lengths it checked
+fn copy_rows<const W: usize>(dst: &mut [f32], img: &[f32], dims: &ConvPlanDims) {
+    let (h, pad) = (dims.h, dims.geom.padding);
+    let w = if W == 0 { dims.w } else { W };
+    let (ph, pw) = dims.padded_hw();
+    if img.is_empty() {
+        return;
+    }
+    for (plane, src) in dst.chunks_exact_mut(ph * pw).zip(img.chunks_exact(h * w)) {
+        let body = &mut plane[pad * pw + pad..];
+        for (row, src_row) in body.chunks_mut(pw).zip(src.chunks_exact(w)) {
+            row[..w].copy_from_slice(src_row);
+        }
+    }
+}
+
+/// Where the `NR` columns of one strip of a (folded) im2col matrix come
+/// from: lane `l < valid` is column `strip·NR + l`, the padded-image cell
+/// `tap + idx[l]` of whichever image the column belongs to; the lanes
+/// from `valid` up are the pad lanes of the last strip.
+#[derive(Debug, Clone)]
+struct StripCols {
+    idx: [i32; NR],
+    valid: usize,
+    /// All `NR` lanes valid and consecutive cells: a row is one copy.
+    contiguous: bool,
+    /// Largest entry of `idx`.
+    max_idx: usize,
+}
+
+impl StripCols {
+    /// Strip `strip` of `imgs` images laid `pp` floats apart, `cols` the
+    /// column offsets of one image.
+    // seal-lint: allow(panic-freedom) — `p < s = cols.len()` by the wrap below; a strip exists only when `s > 0`
+    fn new(strip: usize, imgs: usize, pp: usize, cols: &[i32]) -> StripCols {
+        let s = cols.len();
+        let first = strip * NR;
+        let valid = NR.min(imgs * s - first);
+        let mut idx = [0i32; NR];
+        let (mut base, mut p) = (first / s * pp, first % s);
+        for lane in idx.iter_mut().take(valid) {
+            *lane = offset(base + cols[p] as usize);
+            p += 1;
+            if p == s {
+                (base, p) = (base + pp, 0);
             }
         }
-        k0 += KC;
+        StripCols {
+            idx,
+            valid,
+            contiguous: valid == NR && idx.windows(2).all(|w| w[0].checked_add(1) == Some(w[1])),
+            max_idx: idx.iter().copied().max().unwrap_or(0) as usize,
+        }
+    }
+}
+
+/// Fills the packed-panel im2col representation of `imgs` zero-padded
+/// images laid back to back in `padded` (more than one only for a shape
+/// that [folds](ConvPlanDims::folds_batch)): column `img·s + p` holds output
+/// position `p` of image `img`, so one image fills `ceil(s / NR)` strips
+/// and a folded batch `ceil(imgs·s / NR)` instead of `imgs` mostly-padding
+/// ones. Strip by strip, every packed row is `NR` cells `taps[q] +
+/// idx[lane]` of `padded` — one vector copy where the strip's cells are
+/// consecutive, one vector gather otherwise — with explicit `0.0` in the
+/// pad lanes of the last strip. Every live element of `panels` is written;
+/// no cell takes a padding test.
+// seal-lint: allow(panic-freedom) — the assert is the bound the gather relies on; panel offsets enumerate `strips·kdim·NR` exactly once
+fn fill_panels(
+    panels: &mut [f32],
+    padded: &[f32],
+    imgs: usize,
+    gather: &Im2colGather,
+    mode: KernelMode,
+) {
+    let kdim = gather.taps.len();
+    if kdim == 0 {
+        return; // no input channel: no row to fill, no cell to bound
+    }
+    let s = gather.dims.oh * gather.dims.ow;
+    let strips = (imgs * s).div_ceil(NR);
+    let pp = padded.len() / imgs;
+    for strip in 0..strips {
+        let folded;
+        let sc = if imgs == 1 {
+            &gather.strips[strip]
+        } else {
+            // A folding shape has `s < NR`: one strip, whose valid lanes
+            // are the image's column offsets.
+            folded = StripCols::new(strip, imgs, pp, &gather.strips[0].idx[..s]);
+            &folded
+        };
+        assert!(
+            gather.max_tap + sc.max_idx < padded.len(),
+            "im2col offsets leave the padded image"
+        );
+        let mut k0 = 0;
+        while k0 < kdim {
+            let kc = KC.min(kdim - k0);
+            let rows = &mut panels[(k0 * strips + strip * kc) * NR..][..kc * NR];
+            let taps = &gather.taps[k0..k0 + kc];
+            match mode {
+                // SAFETY: `mode` went through `KernelMode::degrade` at the
+                // `conv2d_infer_fused` entry, so `Avx512` means the CPU
+                // reports avx512f; `tap + idx[lane] ≤ max_tap + max_idx <
+                // padded.len()` for every tap and lane by the assert
+                // above (`offset` makes every entry non-negative).
+                #[cfg(target_arch = "x86_64")]
+                KernelMode::Avx512 => unsafe { strip_rows_avx512(rows, taps, padded, sc) },
+                _ => strip_rows(rows, taps, padded, sc),
+            }
+            k0 += KC;
+        }
+    }
+}
+
+/// One strip's rows of one k-panel: row `kk` is the cells `taps[kk] +
+/// idx[lane]` of `padded`, `0.0` in the pad lanes.
+// seal-lint: allow(panic-freedom) — every offset is at most the `max_tap + max_idx` that `fill_panels` asserted inside `padded`
+fn strip_rows(rows: &mut [f32], taps: &[i32], padded: &[f32], sc: &StripCols) {
+    for (row, &tap) in rows.chunks_exact_mut(NR).zip(taps) {
+        let tap = tap as usize;
+        if sc.contiguous {
+            row.copy_from_slice(&padded[tap + sc.idx[0] as usize..][..NR]);
+        } else {
+            for (d, &i) in row[..sc.valid].iter_mut().zip(&sc.idx) {
+                *d = padded[tap + i as usize];
+            }
+            row[sc.valid..].fill(0.0);
+        }
+    }
+}
+
+/// [`strip_rows`] as one 512-bit load or one masked 512-bit gather per
+/// row (masked-off pad lanes read nothing and come out `0.0`).
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F, and `tap + sc.idx[lane]` must be a
+/// valid index into `padded` for every `tap` of `taps` and every lane
+/// below `sc.valid` — plus the fifteen cells that follow `idx[0]` when
+/// `sc.contiguous`, which are the strip's other lanes.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn strip_rows_avx512(rows: &mut [f32], taps: &[i32], padded: &[f32], sc: &StripCols) {
+    use std::arch::x86_64::{
+        __m512i, __mmask16, _mm512_loadu_ps, _mm512_loadu_si512, _mm512_mask_i32gather_ps,
+        _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    let valid = (u16::MAX >> (NR - sc.valid)) as __mmask16;
+    // SAFETY: `sc.idx` is exactly one 512-bit vector of i32; each `row`
+    // is `NR` floats of `rows`, so the full-width store stays inside it;
+    // the loads and the gather read `padded` only at the offsets the
+    // caller vouches for.
+    unsafe {
+        let idx = _mm512_loadu_si512(sc.idx.as_ptr() as *const __m512i);
+        for (row, &tap) in rows.chunks_exact_mut(NR).zip(taps) {
+            let at = padded.as_ptr().add(tap as usize);
+            let cells = if sc.contiguous {
+                _mm512_loadu_ps(at.add(sc.idx[0] as usize))
+            } else {
+                _mm512_mask_i32gather_ps::<4>(_mm512_setzero_ps(), valid, idx, at)
+            };
+            _mm512_storeu_ps(row.as_mut_ptr(), cells);
+        }
+    }
+}
+
+/// Inference batch-norm constants of one layer, one value per channel:
+/// `y = gamma·((x − mean)·inv_std) + beta`, with `inv_std = 1/√(σ² + ε)`
+/// precomputed by the caller exactly as `forward_infer` computes it.
+#[derive(Debug, Clone, Copy)]
+pub struct BatchNormParams<'a> {
+    /// Scale `γ`.
+    pub gamma: &'a [f32],
+    /// Shift `β`.
+    pub beta: &'a [f32],
+    /// Running mean `μ`.
+    pub mean: &'a [f32],
+    /// `1/√(σ² + ε)`.
+    pub inv_std: &'a [f32],
+}
+
+impl BatchNormParams<'_> {
+    /// Normalises channel `ch`'s `plane` in place — the association of
+    /// `BatchNorm2d::forward_infer`, `γ·((x−μ)·inv_std)+β` — then clamps
+    /// to `max(0, ·)` when `relu` is set. The one definition both the
+    /// standalone batch-norm step and the fused epilogue run.
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — callers check `ch <` the four lengths (plan compile; `conv2d_infer_fused` entry)
+    pub fn apply(&self, ch: usize, plane: &mut [f32], relu: bool) {
+        let (gamma, beta, mean, inv_std) =
+            (self.gamma[ch], self.beta[ch], self.mean[ch], self.inv_std[ch]);
+        for o in plane.iter_mut() {
+            let y = gamma * ((*o - mean) * inv_std) + beta;
+            *o = if relu { y.max(0.0) } else { y };
+        }
+    }
+}
+
+/// What a planned convolution does to each image's `c_out × oh·ow` slab
+/// right after its GEMM, while the slab is still in cache: an optional
+/// inference batch-norm, an optional ReLU, an optional max-pool — in that
+/// order, each the same per-element expression the standalone op
+/// evaluates, so fusing them changes no bit. With a max-pool only the
+/// pooled activations reach the output buffer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ConvEpilogue<'a> {
+    /// Per-channel batch-norm over the convolution's output.
+    pub batch_norm: Option<BatchNormParams<'a>>,
+    /// Clamp to `max(0, ·)` (after the batch-norm).
+    pub relu: bool,
+    /// Max-pool each channel plane (after the ReLU).
+    pub max_pool: Option<PoolGeometry>,
+}
+
+impl ConvEpilogue<'_> {
+    /// Batch-norm and ReLU over channel `ch`'s plane, in place.
+    #[inline(always)]
+    fn apply(&self, ch: usize, plane: &mut [f32]) {
+        match &self.batch_norm {
+            Some(bn) => bn.apply(ch, plane, self.relu),
+            None if self.relu => {
+                for v in plane.iter_mut() {
+                    *v = v.max(0.0);
+                }
+            }
+            None => {}
+        }
+    }
+
+    /// Finishes one `oh × ow` channel plane the GEMM left in scratch:
+    /// batch-norm and ReLU in place, then the max-pool (or a plain copy)
+    /// into its final place `dst`.
+    #[inline(always)]
+    fn finish(&self, ch: usize, plane: &mut [f32], dst: &mut [f32], oh: usize, ow: usize) {
+        self.apply(ch, plane);
+        match &self.max_pool {
+            Some(pool) => max_pool_plane(plane, dst, oh, ow, pool),
+            None => dst.copy_from_slice(plane),
+        }
     }
 }
 
 /// Planned convolution forward pass into a caller-owned output buffer —
-/// the compiled-plan hot path. Builds each image's im2col expansion
-/// *directly in packed panel layout* (per-thread scratch, grown once)
-/// through the precompiled [`Im2colGather`] table, so both the per-call
-/// `pack_b_panel` step of the generic GEMM *and* the per-element im2col
-/// index arithmetic disappear, and writes `n · c_out · oh · ow`
-/// activations into `out` without any heap allocation.
-///
-/// Parallelism: a single image parallelises over `MC`-row blocks of the
-/// shared packed panel; a batch runs one task per image, each with its
-/// own thread-local packed scratch — unless the shape
-/// [folds](ConvPlanDims::folds_batch), in which case the whole batch is
-/// one GEMM `[c_out × kdim]·[kdim × n·s]` over a shared pack, staged
-/// channel-major and copied out to NCHW. Either way every output element
-/// accumulates bias-first then ascending `(ci, ky, kx)` products inside
-/// one task — the exact order of [`conv2d`] — so the result is bitwise
-/// identical to the unplanned kernel (and therefore to `forward_infer`)
-/// for any thread count in the same [`KernelMode`].
-///
-/// With `relu` set, each producing task clamps its freshly-written slab
-/// to `max(0, ·)` before returning (fused write-back; opt-in).
+/// [`conv2d_infer_fused`] with at most a ReLU behind the GEMM.
 ///
 /// # Errors
 ///
-/// [`TensorError::LengthMismatch`] / [`TensorError::InvalidGeometry`] if
-/// the buffers or `gather` table disagree with `dims` (the plan
-/// compiler guarantees they never do).
+/// As [`conv2d_infer_fused`].
 #[allow(clippy::too_many_arguments)]
-// seal-lint: allow(panic-freedom) — panel and column offsets derive from the validated geometry and the packed panel's own extents
 pub fn conv2d_infer_packed(
     x: &[f32],
     n: usize,
@@ -497,6 +688,54 @@ pub fn conv2d_infer_packed(
     bias: &[f32],
     out: &mut [f32],
     relu: bool,
+    mode: KernelMode,
+) -> Result<(), TensorError> {
+    let epilogue = ConvEpilogue {
+        relu,
+        ..ConvEpilogue::default()
+    };
+    conv2d_infer_fused(x, n, dims, gather, wt, bias, &epilogue, out, mode)
+}
+
+/// Planned convolution forward pass with a fused [`ConvEpilogue`] — the
+/// compiled-plan hot path. Zero-pads each image once into per-thread
+/// scratch (grown once), builds its im2col expansion *directly in packed
+/// panel layout* as fixed-width runs of that padded image, so both the
+/// per-call pack step of the generic GEMM *and* every per-element index
+/// computation and padding test disappear, and writes `n · c_out` final
+/// (pooled, when the epilogue pools) channel planes into `out` without
+/// any heap allocation.
+///
+/// Parallelism: a single image parallelises over `MC`-row blocks of the
+/// shared packed panel; a batch runs one task per image, each with its
+/// own thread-local scratch — unless the shape
+/// [folds](ConvPlanDims::folds_batch), in which case the whole batch is
+/// one GEMM `[c_out × kdim]·[kdim × n·s]` over a shared pack, staged
+/// channel-major and finished plane by plane into NCHW. Either way every
+/// output element accumulates bias-first then ascending `(ci, ky, kx)`
+/// products inside one task — the exact order of [`conv2d`], with an
+/// explicit `0.0` factor wherever the window overlaps the padding — and
+/// the epilogue is elementwise or a selection, so the result is bitwise
+/// identical to the unplanned kernels run one after another (and
+/// therefore to `forward_infer`) for any thread count in the same
+/// [`KernelMode`].
+///
+/// # Errors
+///
+/// [`TensorError::LengthMismatch`] / [`TensorError::InvalidGeometry`] if
+/// the buffers, `gather` or the epilogue disagree with `dims` (the plan
+/// compiler guarantees they never do).
+#[allow(clippy::too_many_arguments)]
+// seal-lint: allow(panic-freedom) — panel and column offsets derive from the validated geometry and the packed panel's own extents
+pub fn conv2d_infer_fused(
+    x: &[f32],
+    n: usize,
+    dims: &ConvPlanDims,
+    gather: &Im2colGather,
+    wt: &[f32],
+    bias: &[f32],
+    epilogue: &ConvEpilogue,
+    out: &mut [f32],
     mode: KernelMode,
 ) -> Result<(), TensorError> {
     let ConvPlanDims {
@@ -515,16 +754,38 @@ pub fn conv2d_infer_packed(
             ),
         });
     }
+    if gather.dims != *dims {
+        return Err(TensorError::InvalidGeometry {
+            reason: format!("im2col geometry compiled for {:?}, not {dims:?}", gather.dims),
+        });
+    }
+    // Positions per channel plane after the epilogue's max-pool.
+    let pooled = match &epilogue.max_pool {
+        None => oh * ow,
+        Some(pool) => match (pool.output_size(oh), pool.output_size(ow)) {
+            (Some(ph), Some(pw)) => ph * pw,
+            _ => {
+                return Err(TensorError::InvalidGeometry {
+                    reason: format!("pool window {} does not fit {oh}x{ow}", pool.window),
+                })
+            }
+        },
+    };
     let s = oh * ow;
-    let kdim = c_in * geom.kernel * geom.kernel;
-    let packed_len = s.div_ceil(NR) * kdim * NR;
+    let kdim = dims.kdim();
+    let per_channel = epilogue
+        .batch_norm
+        .iter()
+        .flat_map(|p| [p.gamma.len(), p.beta.len(), p.mean.len(), p.inv_std.len()])
+        .chain([bias.len()]);
     for (expected, actual) in [
         (n * c_in * h * w, x.len()),
         (c_out * kdim, wt.len()),
-        (c_out, bias.len()),
-        (n * c_out * s, out.len()),
-        (packed_len, gather.panels.len()),
-    ] {
+        (n * c_out * pooled, out.len()),
+    ]
+    .into_iter()
+    .chain(per_channel.map(|len| (c_out, len)))
+    {
         if expected != actual {
             return Err(TensorError::LengthMismatch { expected, actual });
         }
@@ -532,61 +793,108 @@ pub fn conv2d_infer_packed(
     if n == 0 || s == 0 || c_out == 0 {
         return Ok(());
     }
+    let mode = mode.degrade();
     let plane = c_in * h * w;
+    let (ph, pw) = dims.padded_hw();
+    let padded_len = c_in * ph * pw;
+    // The fill addresses the padded image(s) with 32-bit offsets.
+    if n.saturating_mul(padded_len) > i32::MAX as usize {
+        return Err(TensorError::InvalidGeometry {
+            reason: format!("{n} padded images of {padded_len} floats exceed 32-bit offsets"),
+        });
+    }
     if n > 1 && dims.folds_batch() {
         // Folded batch: one shared pack of all images' columns, one GEMM
         // (row-block parallel like the single-image path) into a
-        // channel-major stage `[c_out × n·s]`, then a copy-out to NCHW.
+        // channel-major stage `[c_out × n·s]`, each `s`-long piece of
+        // which is one channel plane to finish into its NCHW place.
         let cols = n * s;
         let folded_len = cols.div_ceil(NR) * kdim * NR;
         PACKED_COLS.with(|pc| {
             let mut scratch = pc.borrow_mut();
-            let (panels, stage) =
-                grown(&mut scratch, folded_len + c_out * cols).split_at_mut(folded_len);
-            fill_im2col_folded(panels, x, n, s, kdim, gather);
+            let scratch = grown(&mut scratch, n * padded_len + folded_len + c_out * cols);
+            let (padded, rest) = scratch.split_at_mut(n * padded_len);
+            let (panels, stage) = rest.split_at_mut(folded_len);
+            for img in 0..n {
+                let dst = &mut padded[img * padded_len..(img + 1) * padded_len];
+                pad_image(dst, &x[img * plane..(img + 1) * plane], dims);
+            }
+            fill_panels(panels, padded, n, gather, mode);
             for (row, &b) in stage.chunks_exact_mut(cols).zip(bias) {
                 row.fill(b);
             }
-            gemm_shared_pack(wt, panels, stage, c_out, kdim, cols, mode, relu);
-            for (co, row) in stage.chunks_exact(cols).enumerate() {
-                for (img, px) in row.chunks_exact(s).enumerate() {
-                    out[(img * c_out + co) * s..][..s].copy_from_slice(px);
-                }
-            }
+            gemm_shared_pack(wt, panels, stage, c_out, kdim, cols, mode, false);
+            vectorized(
+                mode,
+                #[inline(always)]
+                || {
+                    for (co, row) in stage.chunks_exact_mut(cols).enumerate() {
+                        for (img, px) in row.chunks_exact_mut(s).enumerate() {
+                            let dst = &mut out[(img * c_out + co) * pooled..][..pooled];
+                            epilogue.finish(co, px, dst, oh, ow);
+                        }
+                    }
+                },
+            );
         });
         return Ok(());
     }
+    // One image: zero-pad, fill its packed panel, run the GEMM over it —
+    // straight into `dst` when nothing pools, else into a scratch slab
+    // whose planes are finished into `dst` — with the epilogue applied
+    // while the slab is still in cache. A lone image parallelises over
+    // row blocks of its pack; an image of a batch is already one task.
+    let packed_len = s.div_ceil(NR) * kdim * NR;
+    let slab_len = if epilogue.max_pool.is_some() { c_out * s } else { 0 };
+    let run_image = |img: &[f32], dst: &mut [f32], row_parallel: bool| {
+        PACKED_COLS.with(|pc| {
+            let mut scratch = pc.borrow_mut();
+            let scratch = grown(&mut scratch, padded_len + packed_len + slab_len);
+            let (padded, rest) = scratch.split_at_mut(padded_len);
+            let (panels, slab) = rest.split_at_mut(packed_len);
+            pad_image(padded, img, dims);
+            fill_panels(panels, padded, 1, gather, mode);
+            let pooling = epilogue.max_pool.is_some();
+            let acc: &mut [f32] = if pooling { &mut *slab } else { &mut *dst };
+            for (row, &b) in acc.chunks_exact_mut(s).zip(bias) {
+                row.fill(b);
+            }
+            if row_parallel {
+                gemm_shared_pack(wt, panels, acc, c_out, kdim, s, mode, false);
+            } else {
+                gemm_consume(wt, panels, acc, c_out, kdim, s, mode);
+            }
+            vectorized(
+                mode,
+                #[inline(always)]
+                || {
+                    if pooling {
+                        for (co, (px, d)) in slab
+                            .chunks_exact_mut(s)
+                            .zip(dst.chunks_exact_mut(pooled))
+                            .enumerate()
+                        {
+                            epilogue.finish(co, px, d, oh, ow);
+                        }
+                    } else {
+                        for (co, px) in dst.chunks_exact_mut(s).enumerate() {
+                            epilogue.apply(co, px);
+                        }
+                    }
+                },
+            );
+        });
+    };
     if n == 1 {
         // Single image: pack once on the caller, parallelise the consume
         // over MC-row (output-channel) blocks of the shared pack.
-        PACKED_COLS.with(|pc| {
-            let mut scratch = pc.borrow_mut();
-            let panels = grown(&mut scratch, packed_len);
-            fill_im2col_packed(panels, x, gather);
-            for (row, &b) in out.chunks_exact_mut(s).zip(bias) {
-                row.fill(b);
-            }
-            gemm_shared_pack(wt, panels, out, c_out, kdim, s, mode, relu);
-        });
+        run_image(x, out, true);
         return Ok(());
     }
     // Batch: one task per image, each building its own packed panel in
     // per-thread scratch — boundaries depend only on the shape.
-    seal_pool::par_chunks_mut(out, c_out * s, |img, slab| {
-        PACKED_COLS.with(|pc| {
-            let mut scratch = pc.borrow_mut();
-            let panels = grown(&mut scratch, packed_len);
-            fill_im2col_packed(panels, &x[img * plane..(img + 1) * plane], gather);
-            for (row, &b) in slab.chunks_exact_mut(s).zip(bias) {
-                row.fill(b);
-            }
-            gemm_consume(wt, panels, slab, c_out, kdim, s, mode);
-            if relu {
-                for v in slab.iter_mut() {
-                    *v = v.max(0.0);
-                }
-            }
-        });
+    seal_pool::par_chunks_mut(out, c_out * pooled, |img, dst| {
+        run_image(&x[img * plane..(img + 1) * plane], dst, false);
     });
     Ok(())
 }
@@ -1022,6 +1330,114 @@ mod tests {
         }
     }
 
+    /// The strip-by-strip fill writes, byte for byte, the panels
+    /// `pack_b_full` makes of the im2col matrix `fill_im2col` builds — one
+    /// image or a folded batch side by side; strips that start mid-row,
+    /// straddle images and end in pad lanes; strides, paddings and kernels
+    /// the zoo does not have — over stale (NaN) scratch, with explicit
+    /// `+0.0` in the padding and the pad lanes, and nothing written behind
+    /// the panels.
+    #[test]
+    fn padded_image_fill_equals_the_packed_im2col_matrix_byte_for_byte() {
+        use super::super::matmul::{pack_b_full, reset_kernel_mode, set_kernel_mode};
+        use crate::rng::rngs::StdRng;
+        use crate::rng::SeedableRng;
+        const GUARD: usize = 32;
+        let mut rng = StdRng::seed_from_u64(0x1C0);
+        let mut checked = 0;
+        for (k, stride, padding) in [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0), (5, 1, 2), (3, 1, 0)] {
+            let geom = Conv2dGeometry {
+                kernel: k,
+                stride,
+                padding,
+            };
+            for (h, w) in [(1, 1), (2, 2), (4, 4), (3, 5), (6, 7), (8, 8), (5, 16), (2, 17), (3, 20), (4, 32)] {
+                let (Some(oh), Some(ow)) = (geom.output_size(h), geom.output_size(w)) else {
+                    continue;
+                };
+                for (c_in, imgs) in [(1, 1), (3, 1), (15, 1), (2, 3), (15, 8)] {
+                    if imgs > 1 && oh * ow >= NR {
+                        continue; // only shapes that fold run a batch as one fill
+                    }
+                    let dims = ConvPlanDims {
+                        c_in,
+                        h,
+                        w,
+                        c_out: 1,
+                        oh,
+                        ow,
+                        geom,
+                    };
+                    let (s, kdim) = (oh * ow, dims.kdim());
+                    let x = crate::uniform(&mut rng, Shape::nchw(imgs, c_in, h, w), -1.0, 1.0);
+                    // The im2col matrix of the batch, images side by side.
+                    let cols = imgs * s;
+                    let mut matrix = vec![0.0f32; kdim * cols];
+                    let mut one = vec![0.0f32; kdim * s];
+                    for img in 0..imgs {
+                        fill_im2col(&mut one, x.as_slice(), img, c_in, h, w, oh, ow, k, stride, padding);
+                        for q in 0..kdim {
+                            matrix[q * cols + img * s..][..s].copy_from_slice(&one[q * s..][..s]);
+                        }
+                    }
+                    let mut want = Vec::new();
+                    pack_b_full(&matrix, &mut want, kdim, cols);
+                    let (ph, pw) = dims.padded_hw();
+                    let padded_len = c_in * ph * pw;
+                    let gather = Im2colGather::compile(&dims);
+                    for mode in [KernelMode::Scalar, KernelMode::Avx2, KernelMode::Avx512] {
+                        if set_kernel_mode(mode) != mode {
+                            continue;
+                        }
+                        let mut padded = vec![f32::NAN; imgs * padded_len];
+                        for img in 0..imgs {
+                            pad_image(
+                                &mut padded[img * padded_len..][..padded_len],
+                                &x.as_slice()[img * c_in * h * w..][..c_in * h * w],
+                                &dims,
+                            );
+                        }
+                        let mut got = vec![f32::NAN; want.len() + GUARD];
+                        fill_panels(&mut got[..want.len()], &padded, imgs, &gather, mode);
+                        assert!(
+                            got[want.len()..].iter().all(|v| v.is_nan()),
+                            "{mode:?} {dims:?} x{imgs}: wrote behind the panels"
+                        );
+                        let same = got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(same, "{mode:?} {dims:?} x{imgs}: panels differ from the reference pack");
+                        checked += 1;
+                    }
+                    reset_kernel_mode();
+                }
+            }
+        }
+        assert!(checked >= 150, "geometry filter dropped cases: {checked}");
+    }
+
+    /// A convolution over no input channel is its bias, planned or not.
+    #[test]
+    fn planned_conv_without_input_channels_is_the_bias() {
+        let dims = ConvPlanDims {
+            c_in: 0,
+            h: 3,
+            w: 3,
+            c_out: 2,
+            oh: 3,
+            ow: 3,
+            geom: Conv2dGeometry::same3x3(),
+        };
+        let gather = Im2colGather::compile(&dims);
+        let bias = [1.5f32, -2.0];
+        for n in [1usize, 3] {
+            let mut out = vec![0.0f32; n * 2 * 9];
+            conv2d_infer_packed(&[], n, &dims, &gather, &[], &bias, &mut out, false, kernel_mode())
+                .unwrap();
+            for (p, plane) in out.chunks_exact(9).enumerate() {
+                assert!(plane.iter().all(|&v| v == bias[p % 2]));
+            }
+        }
+    }
+
     #[test]
     fn planned_packed_rejects_bad_lengths() {
         let dims = ConvPlanDims {
@@ -1040,6 +1456,38 @@ mod tests {
         let mut out = vec![0.0f32; 4]; // wrong
         assert!(matches!(
             conv2d_infer_packed(&x, 1, &dims, &gather, &wt, &bias, &mut out, false, kernel_mode()),
+            Err(TensorError::LengthMismatch { .. })
+        ));
+        // Fill geometry compiled for another shape.
+        let other = Im2colGather::compile(&ConvPlanDims { h: 4, oh: 4, ..dims });
+        let mut out = vec![0.0f32; 9];
+        assert!(matches!(
+            conv2d_infer_packed(&x, 1, &dims, &other, &wt, &bias, &mut out, false, kernel_mode()),
+            Err(TensorError::InvalidGeometry { .. })
+        ));
+        // An epilogue whose pool does not fit, or whose batch-norm is short.
+        let pooled = ConvEpilogue {
+            max_pool: Some(PoolGeometry {
+                window: 4,
+                stride: 1,
+            }),
+            ..ConvEpilogue::default()
+        };
+        assert!(matches!(
+            conv2d_infer_fused(&x, 1, &dims, &gather, &wt, &bias, &pooled, &mut out, kernel_mode()),
+            Err(TensorError::InvalidGeometry { .. })
+        ));
+        let short = ConvEpilogue {
+            batch_norm: Some(BatchNormParams {
+                gamma: &[],
+                beta: &[0.0],
+                mean: &[0.0],
+                inv_std: &[1.0],
+            }),
+            ..ConvEpilogue::default()
+        };
+        assert!(matches!(
+            conv2d_infer_fused(&x, 1, &dims, &gather, &wt, &bias, &short, &mut out, kernel_mode()),
             Err(TensorError::LengthMismatch { .. })
         ));
     }

@@ -2,17 +2,20 @@
 //! row-block parallelism, plus the naive triple-loop references.
 //!
 //! The blocked kernel tiles the problem BLIS-style — `MC`-row blocks ×
-//! `KC`-deep k-panels × `NR`-wide packed B strips, with an `MR`×`NR`
-//! register micro-kernel — and parallelises over `MC`-row output blocks on
-//! the `seal-pool` work-sharing runtime. B is packed exactly once per
-//! GEMM call into per-thread scratch (grown, never cleared) and every
-//! parallel row-block task consumes that one shared pack.
+//! `KC`-deep k-panels × `NR`-wide packed B strips, with a register tile
+//! of up to `MR_MAX` rows × `NR` columns — and parallelises over
+//! `MC`-row output blocks on the `seal-pool` work-sharing runtime. B is
+//! packed exactly once per GEMM call into per-thread scratch (grown,
+//! never cleared) and every parallel row-block task consumes that one
+//! shared pack.
 //!
 //! One tail rule: B is packed into `ceil(n / NR)` strips, the last one
 //! zero-padded to full width, and every strip — padded or not — goes
-//! through the same register micro-kernel; only the valid columns of the
-//! last strip are loaded from and stored to the output. Pad lanes are
-//! computed and thrown away, so no column ever takes a scalar path.
+//! through the same register tile; only the valid columns of the last
+//! strip are loaded from and stored to the output. Pad lanes are computed
+//! and thrown away, so no column ever takes a scalar path — and a last
+//! tile with fewer rows is the same body instantiated for that row count,
+//! so no row does either.
 //!
 //! Determinism contract: every output element accumulates its `k`
 //! products in strictly ascending `k` order within exactly one task (the
@@ -35,10 +38,14 @@ use std::cell::{Cell, RefCell};
 pub(crate) const MC: usize = 32;
 /// Depth of one packed k-panel of B.
 pub(crate) const KC: usize = 128;
-/// Micro-kernel rows.
-const MR: usize = 4;
-/// Micro-kernel columns (width of one packed B strip).
-pub(crate) const NR: usize = 8;
+/// Most rows one register tile holds (see [`tile_rows`]).
+const MR_MAX: usize = 8;
+/// Micro-kernel columns — the width of one packed B strip, and of one
+/// 512-bit register of `f32`. One layout for every [`KernelMode`].
+pub(crate) const NR: usize = 16;
+/// Lanes of one 256-bit register: the narrower kernels walk a strip as
+/// two halves of this width.
+const HALF: usize = NR / 2;
 /// Below this many FLOPs (`2·m·k·n`) the parallel split is not worth the
 /// pool round-trip and the kernel runs on the calling thread.
 pub(crate) const PAR_FLOP_THRESHOLD: usize = 1_000_000;
@@ -66,13 +73,12 @@ pub enum KernelMode {
     /// The scalar expression tree compiled with 256-bit vectors enabled
     /// (bitwise identical to `Scalar`).
     Avx2,
-    /// The widest kernels of an AVX-512 host. The payoff is the int8
-    /// path: this mode selects the VNNI `vpdpbusd` quantized GEMM kernel
-    /// when the CPU has it (`ops::quant`). The `f32` register tile is
-    /// only eight lanes wide, so for `f32` this mode runs the same
-    /// 256-bit tile as `Avx2` (bitwise identical to `Scalar` either
-    /// way); 512-bit codegen could only pair two rows per register,
-    /// which measured 8% slower end to end.
+    /// The widest kernels of an AVX-512 host: the `f32` register tile
+    /// is one 512-bit accumulator per row — a packed strip is exactly
+    /// sixteen lanes — stepped with a separate 512-bit multiply and add,
+    /// so it stays bitwise identical to `Scalar`; the int8 path selects
+    /// the VNNI `vpdpbusd` quantized GEMM kernel when the CPU has it
+    /// (`ops::quant`).
     Avx512,
     /// Fused multiply-add kernel (`f32::mul_add` / `vfmadd`): faster and
     /// more accurate, but rounds differently from `Scalar`/`Avx2`.
@@ -106,8 +112,10 @@ impl KernelMode {
     /// the CPU actually offers, staying within the request's rounding
     /// class: `avx512 → avx2 → scalar` (multiply-then-add tree, so the
     /// degraded kernel is still bitwise identical to the requested one)
-    /// and `fma → avx2 → scalar`.
-    fn degrade(self) -> KernelMode {
+    /// and `fma → avx2 → scalar`. The public kernel entry points that take
+    /// a caller's mode pass it through here, so a hand-built `Avx512` can
+    /// never reach an instruction the host lacks.
+    pub(crate) fn degrade(self) -> KernelMode {
         match self {
             m if m.is_available() => m,
             KernelMode::Fma | KernelMode::Avx512 if KernelMode::Avx2.is_available() => {
@@ -357,13 +365,25 @@ pub(crate) fn gemm_shared_pack(
     });
 }
 
+/// Rows of one register tile for a block of `rows` output rows: the
+/// block is cut into `ceil(rows / MR_MAX)` tiles of equal height, so the
+/// row counts the served models produce — `c_out` 6, 12, 24, 48, a
+/// batch-8 linear, an `MC`-row parallel block — leave no shorter last
+/// tile. A function of the shape only; and since every output element is
+/// produced by exactly one tile in ascending `k` order whatever the
+/// tile's height, the rule cannot change a bit of the result.
+fn tile_rows(rows: usize) -> usize {
+    rows.div_ceil(rows.div_ceil(MR_MAX).max(1))
+}
+
 /// Serial cache-blocked consume over a row range: walks the k-panels of
 /// an already-packed B (strip-major panels laid out back to back, panel
 /// `p` at offset `p·KC·strips·NR` with `strips = ceil(n / NR)`), feeding
-/// each strip — the zero-padded last one included — to the MR×NR
-/// micro-kernel together with its count of valid columns. Accumulation
-/// order per output element is ascending `k`, carried through `out`
-/// across k-panels.
+/// each strip — the zero-padded last one included — to the register tile
+/// together with its count of valid columns. Rows go [`tile_rows`] at a
+/// time; a shorter last tile is the same body instantiated for fewer
+/// rows. Accumulation order per output element is ascending `k`, carried
+/// through `out` across k-panels.
 #[allow(clippy::too_many_arguments)]
 // seal-lint: allow(panic-freedom) — tile offsets are bounded by the blocking scheme; dims are asserted once at the gemm entry
 pub(crate) fn gemm_consume(
@@ -376,23 +396,26 @@ pub(crate) fn gemm_consume(
     mode: KernelMode,
 ) {
     let strips = n.div_ceil(NR);
+    let mr = tile_rows(rows);
     let mut k0 = 0;
     while k0 < k {
         let kc = KC.min(k - k0);
         let base = k0 * strips * NR;
         let mut i0 = 0;
         while i0 < rows {
-            let mr = MR.min(rows - i0);
+            let tile = tile_fn(mode, mr.min(rows - i0));
             for s in 0..strips {
                 let bp = &pack[base + s * kc * NR..base + (s + 1) * kc * NR];
                 let nc = NR.min(n - s * NR);
-                if mr == MR {
-                    micro_kernel(mode, a, bp, out, i0, k0, k, n, s, nc);
-                } else {
-                    edge_rows(mode, a, bp, out, i0, mr, k0, k, n, s, nc);
-                }
+                // SAFETY: `tile_fn` hands out the `target_feature` body of
+                // `mode`, and every `mode` that gets here went through
+                // `KernelMode::degrade` — in `kernel_mode` /
+                // `set_kernel_mode`, or at the public entry point that
+                // took it from its caller — so the cached CPU probe
+                // reported its features.
+                unsafe { tile(&a[i0 * k + k0..], k, bp, &mut out[i0 * n + s * NR..], n, nc) };
             }
-            i0 += MR;
+            i0 += mr;
         }
         k0 += KC;
     }
@@ -434,29 +457,6 @@ pub(crate) fn pack_b_full(b: &[f32], pack: &mut Vec<f32>, k: usize, n: usize) {
     }
 }
 
-/// Loads the `src.len() ≤ NR` valid columns of one output-row segment
-/// into a register-tile row whose pad lanes stay `0.0`. A full strip
-/// takes the fixed-width copy.
-#[inline(always)]
-// seal-lint: allow(panic-freedom) — `src` is the `nc ≤ NR` valid columns `gemm_consume` sliced for this strip
-fn load_lanes(dst: &mut [f32; NR], src: &[f32]) {
-    match <&[f32; NR]>::try_from(src) {
-        Ok(full) => *dst = *full,
-        Err(_) => dst[..src.len()].copy_from_slice(src),
-    }
-}
-
-/// Stores the `dst.len() ≤ NR` valid columns of a register-tile row; the
-/// pad lanes never reach memory.
-#[inline(always)]
-// seal-lint: allow(panic-freedom) — `dst` is the `nc ≤ NR` valid columns `gemm_consume` sliced for this strip
-fn store_lanes(dst: &mut [f32], src: &[f32; NR]) {
-    match <&mut [f32; NR]>::try_from(&mut *dst) {
-        Ok(full) => *full = *src,
-        Err(_) => dst.copy_from_slice(&src[..dst.len()]),
-    }
-}
-
 /// One accumulation step: multiply-then-add (two roundings), or the
 /// contracted `mul_add` (one rounding) of [`KernelMode::Fma`].
 #[inline(always)]
@@ -468,202 +468,208 @@ fn step<const FMA: bool>(acc: f32, a: f32, b: f32) -> f32 {
     }
 }
 
-/// MR×NR register tile dispatcher for the thread's selected kernel.
-/// `Scalar`, `Avx2` and `Avx512` run the same multiply-then-add
-/// expression tree (the choice only changes how many lanes the
-/// autovectorizer may use); `Fma` contracts each step with `mul_add`.
-/// `nc` is the number of valid columns in strip `s`.
-#[allow(clippy::too_many_arguments)]
-fn micro_kernel(
-    mode: KernelMode,
-    a: &[f32],
-    bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
-    nc: usize,
-) {
+/// A register tile: `c[r·ldc ..][..nc] += a[r·lda ..][..kc] · bp` for its
+/// `ROWS` rows, `bp` one packed strip (`kc × NR`) and `nc ≤ NR` the
+/// strip's valid columns. `a` starts at the tile's first row and k-panel
+/// column, `c` at its first row and the strip's first column.
+///
+/// # Safety
+///
+/// The CPU must support the `target_feature`s of the body behind the
+/// pointer (see [`tile_fn`]).
+type TileFn = unsafe fn(a: &[f32], lda: usize, bp: &[f32], c: &mut [f32], ldc: usize, nc: usize);
+
+/// The register tile of `mode` for `rows ∈ 1..=MR_MAX` rows. `Scalar`,
+/// `Avx2` and `Avx512` evaluate the same multiply-then-add expression
+/// tree — the first two as [`tile_halves`] built for their vector width,
+/// `Avx512` as [`tile_avx512`]'s explicit 512-bit multiply and add —
+/// `Fma` contracts each step with `mul_add`.
+// seal-lint: allow(panic-freedom) — `rows` is `min(tile_rows(·), ·) ∈ 1..=MR_MAX` at the one call site
+fn tile_fn(mode: KernelMode, rows: usize) -> TileFn {
+    macro_rules! by_rows {
+        ($tile:ident) => {{
+            const TILES: [TileFn; MR_MAX] = [
+                $tile::<1>,
+                $tile::<2>,
+                $tile::<3>,
+                $tile::<4>,
+                $tile::<5>,
+                $tile::<6>,
+                $tile::<7>,
+                $tile::<8>,
+            ];
+            TILES[rows - 1]
+        }};
+    }
     #[cfg(target_arch = "x86_64")]
     match mode {
-        KernelMode::Scalar => micro_kernel_body::<false>(a, bp, out, i0, k0, k, n, s, nc),
-        // The tile is NR = 8 lanes wide, so `Avx512` runs the 256-bit
-        // tile too: 512-bit codegen can only pair two rows per register,
-        // which measured slower.
-        // SAFETY: `Avx2` and `Avx512` are only installed when the CPU
-        // reports avx2 (`KernelMode::is_available` via `degrade`).
-        KernelMode::Avx2 | KernelMode::Avx512 => unsafe {
-            micro_kernel_avx2(a, bp, out, i0, k0, k, n, s, nc)
-        },
-        // SAFETY: `Fma` likewise — `KernelMode::degrade` clears it on any
-        // CPU that lacks the feature, so the target-feature fn is sound.
-        KernelMode::Fma => unsafe { micro_kernel_fma(a, bp, out, i0, k0, k, n, s, nc) },
+        KernelMode::Scalar => by_rows!(tile_scalar),
+        KernelMode::Avx2 => by_rows!(tile_avx2),
+        KernelMode::Avx512 => by_rows!(tile_avx512),
+        KernelMode::Fma => by_rows!(tile_fma),
     }
     #[cfg(not(target_arch = "x86_64"))]
     match mode {
-        KernelMode::Fma => micro_kernel_body::<true>(a, bp, out, i0, k0, k, n, s, nc),
-        _ => micro_kernel_body::<false>(a, bp, out, i0, k0, k, n, s, nc),
+        KernelMode::Fma => by_rows!(tile_scalar_fma),
+        _ => by_rows!(tile_scalar),
     }
+}
+
+fn tile_scalar<const ROWS: usize>(
+    a: &[f32],
+    lda: usize,
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    nc: usize,
+) {
+    tile_halves::<false, ROWS>(a, lda, bp, c, ldc, nc);
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+fn tile_scalar_fma<const ROWS: usize>(
+    a: &[f32],
+    lda: usize,
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    nc: usize,
+) {
+    tile_halves::<true, ROWS>(a, lda, bp, c, ldc, nc);
 }
 
 /// The multiply-then-add tile compiled with 256-bit vectors enabled. The
 /// body is identical — no FMA contraction is enabled, so `mul` + `add`
 /// round exactly like the baseline build and results stay bitwise equal.
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn micro_kernel_avx2(
+unsafe fn tile_avx2<const ROWS: usize>(
     a: &[f32],
+    lda: usize,
     bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
+    c: &mut [f32],
+    ldc: usize,
     nc: usize,
 ) {
-    micro_kernel_body::<false>(a, bp, out, i0, k0, k, n, s, nc);
+    tile_halves::<false, ROWS>(a, lda, bp, c, ldc, nc);
 }
 
 /// The contracted tile compiled with 256-bit vectors and FMA enabled, so
 /// each `mul_add` lowers to one `vfmadd` instruction.
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn micro_kernel_fma(
+unsafe fn tile_fma<const ROWS: usize>(
     a: &[f32],
+    lda: usize,
     bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
+    c: &mut [f32],
+    ldc: usize,
     nc: usize,
 ) {
-    micro_kernel_body::<true>(a, bp, out, i0, k0, k, n, s, nc);
+    tile_halves::<true, ROWS>(a, lda, bp, c, ldc, nc);
 }
 
-/// MR×NR register tile: loads the `nc` valid columns of its accumulators
-/// from `out` (pad lanes start at `0.0`), streams `kc` packed B rows
-/// against MR rows of A, stores the `nc` valid columns back. `bp` is one
-/// packed strip (`kc × NR`).
-#[allow(clippy::too_many_arguments)]
+/// The portable `ROWS × NR` tile, walked as two `HALF`-lane halves of the
+/// strip so its accumulators fit sixteen 256-bit registers: each half
+/// loads its valid columns of `c` (pad lanes start at `0.0` and are never
+/// stored), streams the `kc` packed B rows against `ROWS` rows of A, and
+/// stores the valid columns back. A half with no valid column is skipped.
 #[inline(always)]
-// seal-lint: allow(panic-freedom) — register-tile offsets are bounded by `MR`/`NR` and the asserted panel extents
-fn micro_kernel_body<const FMA: bool>(
+// seal-lint: allow(panic-freedom) — register-tile offsets are bounded by `ROWS`/`NR` and the extents `gemm_consume` sliced
+fn tile_halves<const FMA: bool, const ROWS: usize>(
     a: &[f32],
+    lda: usize,
     bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
+    c: &mut [f32],
+    ldc: usize,
     nc: usize,
 ) {
-    let mut acc = [[0.0f32; NR]; MR];
-    for (r, acc_r) in acc.iter_mut().enumerate() {
-        let o = (i0 + r) * n + s * NR;
-        load_lanes(acc_r, &out[o..o + nc]);
-    }
-    let a0 = &a[i0 * k + k0..];
-    let a1 = &a[(i0 + 1) * k + k0..];
-    let a2 = &a[(i0 + 2) * k + k0..];
-    let a3 = &a[(i0 + 3) * k + k0..];
-    for (kk, bv) in bp.chunks_exact(NR).enumerate() {
-        let avs = [a0[kk], a1[kk], a2[kk], a3[kk]];
-        for (acc_r, &av) in acc.iter_mut().zip(&avs) {
-            for (o, &bvv) in acc_r.iter_mut().zip(bv) {
-                *o = step::<FMA>(*o, av, bvv);
-            }
+    let kc = bp.len() / NR;
+    let a_rows: [&[f32]; ROWS] = std::array::from_fn(|r| &a[r * lda..r * lda + kc]);
+    for h0 in (0..nc).step_by(HALF) {
+        let lanes = HALF.min(nc - h0);
+        let mut acc = [[0.0f32; HALF]; ROWS];
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            acc_r[..lanes].copy_from_slice(&c[r * ldc + h0..][..lanes]);
         }
-    }
-    for (r, acc_r) in acc.iter().enumerate() {
-        let o = (i0 + r) * n + s * NR;
-        store_lanes(&mut out[o..o + nc], acc_r);
-    }
-}
-
-/// Remainder rows (`mr < MR`) against one packed strip — same per-element
-/// `k` order and the same valid-column rule as the micro-kernel, one row
-/// at a time.
-#[allow(clippy::too_many_arguments)]
-fn edge_rows(
-    mode: KernelMode,
-    a: &[f32],
-    bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    mr: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
-    nc: usize,
-) {
-    if mode == KernelMode::Fma {
-        // SAFETY: `Fma` implies the CPU reported avx2+fma.
-        #[cfg(target_arch = "x86_64")]
-        unsafe {
-            edge_rows_fma(a, bp, out, i0, mr, k0, k, n, s, nc)
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        edge_rows_body::<true>(a, bp, out, i0, mr, k0, k, n, s, nc);
-        return;
-    }
-    edge_rows_body::<false>(a, bp, out, i0, mr, k0, k, n, s, nc);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-#[allow(clippy::too_many_arguments)]
-unsafe fn edge_rows_fma(
-    a: &[f32],
-    bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    mr: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
-    nc: usize,
-) {
-    edge_rows_body::<true>(a, bp, out, i0, mr, k0, k, n, s, nc);
-}
-
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-// seal-lint: allow(panic-freedom) — edge-row extents are remainders of the row blocking, always within the output
-fn edge_rows_body<const FMA: bool>(
-    a: &[f32],
-    bp: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    mr: usize,
-    k0: usize,
-    k: usize,
-    n: usize,
-    s: usize,
-    nc: usize,
-) {
-    for r in 0..mr {
-        let i = i0 + r;
-        let o = i * n + s * NR;
-        let mut acc = [0.0f32; NR];
-        load_lanes(&mut acc, &out[o..o + nc]);
-        let arow = &a[i * k + k0..];
         for (kk, bv) in bp.chunks_exact(NR).enumerate() {
-            let av = arow[kk];
-            for (x, &bvv) in acc.iter_mut().zip(bv) {
-                *x = step::<FMA>(*x, av, bvv);
+            let bv = &bv[h0..h0 + HALF];
+            for (acc_r, a_row) in acc.iter_mut().zip(&a_rows) {
+                let av = a_row[kk];
+                for (o, &bvv) in acc_r.iter_mut().zip(bv) {
+                    *o = step::<FMA>(*o, av, bvv);
+                }
             }
         }
-        store_lanes(&mut out[o..o + nc], &acc);
+        for (r, acc_r) in acc.iter().enumerate() {
+            c[r * ldc + h0..][..lanes].copy_from_slice(&acc_r[..lanes]);
+        }
+    }
+}
+
+/// The `ROWS × 16` tile of an AVX-512 host: one 512-bit accumulator per
+/// row, one packed B row per `k` step multiplied by each row's broadcast
+/// A value and then added — `_mm512_mul_ps` and `_mm512_add_ps`, never a
+/// fused multiply-add, so every lane rounds twice per step exactly like
+/// the scalar tree. The valid columns of a partial strip are loaded and
+/// stored under a lane mask; pad lanes start at `0.0` and never reach
+/// memory.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+// seal-lint: allow(panic-freedom) — the asserts are the extents the raw accesses below rely on
+unsafe fn tile_avx512<const ROWS: usize>(
+    a: &[f32],
+    lda: usize,
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    nc: usize,
+) {
+    use std::arch::x86_64::{
+        __mmask16, _mm512_add_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    let kc = bp.len() / NR;
+    assert!((1..=NR).contains(&nc), "tile: valid columns out of range");
+    assert!(a.len() >= (ROWS - 1) * lda + kc, "tile: A rows too short");
+    assert!(c.len() >= (ROWS - 1) * ldc + nc, "tile: C rows too short");
+    // One mask bit per valid column of this strip.
+    let valid = (u16::MAX >> (NR - nc)) as __mmask16;
+    let (ap, bp, cp) = (a.as_ptr(), bp.as_ptr(), c.as_mut_ptr());
+    let mut acc = [_mm512_setzero_ps(); ROWS];
+    // SAFETY: row `r` of C is `c[r·ldc ..][..nc]`, inside `c` by the
+    // assert above, and the masked load and store touch only lanes
+    // `0..nc` of it (masked-off lanes are neither accessed nor
+    // fault-checked). `bp` holds `kc` whole `NR`-float rows (`kc =
+    // len / NR`), so the full-width load at `kk·NR` is in bounds for
+    // `kk < kc`. Row `r` of A is `a[r·lda ..][..kc]`, inside `a` by the
+    // assert above.
+    unsafe {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            *acc_r = _mm512_maskz_loadu_ps(valid, cp.add(r * ldc));
+        }
+        for kk in 0..kc {
+            let b = _mm512_loadu_ps(bp.add(kk * NR));
+            for (r, acc_r) in acc.iter_mut().enumerate() {
+                let av = _mm512_set1_ps(*ap.add(r * lda + kk));
+                *acc_r = _mm512_add_ps(*acc_r, _mm512_mul_ps(av, b));
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(cp.add(r * ldc), valid, *acc_r);
+        }
     }
 }
 
@@ -727,12 +733,14 @@ mod tests {
         }
     }
 
-    /// Awkward shapes exercising every edge path (row tails, column
-    /// tails, multiple k-panels).
-    const SHAPES: [(usize, usize, usize); 6] = [
+    /// Awkward shapes exercising every edge path (short last tiles,
+    /// column tails either side of a strip, multiple k-panels).
+    const SHAPES: [(usize, usize, usize); 8] = [
         (1, 1, 1),
         (3, 5, 7),
         (4, 8, 8),
+        (9, 20, 16),
+        (7, 130, 31),
         (33, 129, 17),
         (37, 200, 41),
         (64, 300, 72),
@@ -821,6 +829,19 @@ mod tests {
             .iter()
             .zip(naive.as_slice())
             .all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    #[test]
+    fn tile_rows_cut_a_block_into_the_fewest_tiles_of_equal_height() {
+        for rows in 1..=200usize {
+            let mr = tile_rows(rows);
+            assert!((1..=MR_MAX).contains(&mr), "{rows} -> {mr}");
+            assert_eq!(rows.div_ceil(mr), rows.div_ceil(MR_MAX), "{rows} -> {mr}");
+        }
+        // The served row counts leave no shorter last tile.
+        for rows in [6usize, 8, 12, 24, 32, 48] {
+            assert_eq!(rows % tile_rows(rows), 0, "{rows}");
+        }
     }
 
     #[test]

@@ -14,8 +14,8 @@ mod prepack;
 mod quant;
 
 pub use conv::{
-    conv2d, conv2d_backward, conv2d_infer_packed, conv2d_reference, Conv2dGeometry,
-    Conv2dGradients, ConvPlanDims, Im2colGather,
+    conv2d, conv2d_backward, conv2d_infer_fused, conv2d_infer_packed, conv2d_reference,
+    BatchNormParams, Conv2dGeometry, Conv2dGradients, ConvEpilogue, ConvPlanDims, Im2colGather,
 };
 pub use matmul::{
     kernel_mode, matmul, matmul_naive, matmul_naive_fma, reset_kernel_mode, set_kernel_mode,

@@ -190,25 +190,58 @@ pub fn max_pool2d_into(
         return Ok(());
     }
     seal_pool::par_chunks_mut(out, plane_out, |p, o| {
-        let base = p * h * w;
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let mut best = f32::NEG_INFINITY;
-                for ky in 0..geom.window {
-                    let iy = oy * geom.stride + ky;
-                    for kx in 0..geom.window {
-                        let ix = ox * geom.stride + kx;
-                        let v = x[base + iy * w + ix];
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                }
-                o[oy * ow + ox] = best;
-            }
-        }
+        max_pool_plane(&x[p * h * w..(p + 1) * h * w], o, h, w, geom);
     });
     Ok(())
+}
+
+/// Max-pools one `h × w` channel plane into `o` (`oh·ow`, the window
+/// positions that fit): each output is the strict-`>` selection from `−∞`
+/// over its window in `(ky, kx)` order — a NaN is never selected, an
+/// all-NaN window answers `−∞`, and of equal candidates (`−0.0`, `0.0`)
+/// the first stays. The one scan [`max_pool2d_into`] and the planned
+/// convolution's fused epilogue both run.
+#[inline(always)]
+// seal-lint: allow(panic-freedom) — window offsets are clipped to the plane by the pooling geometry (`(oh−1)·stride + window ≤ h`); `o` is sized by the same geometry
+pub(crate) fn max_pool_plane(x: &[f32], o: &mut [f32], h: usize, w: usize, geom: &PoolGeometry) {
+    let (Some(_), Some(ow)) = (geom.output_size(h), geom.output_size(w)) else {
+        return;
+    };
+    if (geom.window, geom.stride) == (2, 2) {
+        // The halving pool of every served model, as whole-row iterators
+        // (no index arithmetic, so the loop vectorises): the same four
+        // candidates in the same order. An odd last row or column falls
+        // off the end of `chunks_exact`, as the geometry says it must.
+        for (orow, rows) in o.chunks_exact_mut(ow).zip(x.chunks_exact(2 * w)) {
+            let (top, bottom) = rows.split_at(w);
+            let pairs = top.chunks_exact(2).zip(bottom.chunks_exact(2));
+            for (out, (t, b)) in orow.iter_mut().zip(pairs) {
+                let mut best = f32::NEG_INFINITY;
+                for v in [t[0], t[1], b[0], b[1]] {
+                    if v > best {
+                        best = v;
+                    }
+                }
+                *out = best;
+            }
+        }
+        return;
+    }
+    for (oy, orow) in o.chunks_exact_mut(ow).enumerate() {
+        for (ox, out) in orow.iter_mut().enumerate() {
+            let mut best = f32::NEG_INFINITY;
+            for ky in 0..geom.window {
+                let iy = oy * geom.stride + ky;
+                for kx in 0..geom.window {
+                    let v = x[iy * w + ox * geom.stride + kx];
+                    if v > best {
+                        best = v;
+                    }
+                }
+            }
+            *out = best;
+        }
+    }
 }
 
 /// Allocation-free average pooling into a caller-owned buffer — the

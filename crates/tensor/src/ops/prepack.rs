@@ -282,7 +282,7 @@ pub fn gemm_prepacked(
         m,
         b.k,
         b.n,
-        mode,
+        mode.degrade(),
         epilogue_relu,
     );
 }

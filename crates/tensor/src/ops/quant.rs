@@ -279,7 +279,7 @@ fn quantize_into(x: &[f32], inv_scale: f32, out: &mut [u8]) {
 /// the `target_feature` wrapper is compiled with its features (a body
 /// left out of line is still correct, just baseline-width).
 #[inline(always)]
-fn vectorized<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
+pub(crate) fn vectorized<R>(mode: KernelMode, f: impl FnOnce() -> R) -> R {
     match i8_kernel(mode) {
         I8Kernel::Scalar => f(),
         // SAFETY: `I8Kernel::Avx2` is only selected when the cached

@@ -8,6 +8,12 @@
 //! plant NaN / ±inf so that a pad lane reaching memory (rows are
 //! contiguous: it would land in the row that follows) cannot go unseen.
 //!
+//! The planned f32 convolution — zero-padded image, strip-by-strip im2col
+//! fill, register tile, fused batch-norm / ReLU / max-pool epilogue — is
+//! walked over the geometry the model zoo never reaches (kernel 1/3/5,
+//! stride 1/2, padding 0/1/2, maps that divide a strip, fill whole
+//! strips, or neither) against `conv2d` and the standalone ops.
+//!
 //! The u8 NHWC kernels of the int8 data path get the same treatment
 //! against the per-op kernels they replace in the plans: the run-copy
 //! patch gather (whole-block copies that deliberately overshoot into a
@@ -17,12 +23,12 @@
 
 use seal_pool::{with_pool, Pool};
 use seal_tensor::ops::{
-    conv2d, conv2d_infer_packed, dequantize_bias_relu, dequantize_transpose_bias_relu,
-    gather_patches_nhwc, gather_patches_u8, gemm_i8, gemm_prepacked, matmul, matmul_i8_reference,
-    matmul_naive, matmul_naive_fma, max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8,
-    quantize_slice_u8, quantized_row_len, reset_kernel_mode, set_kernel_mode, Conv2dGeometry,
-    ConvPlanDims, Im2colGather, KernelMode, NhwcImage, PackedB, PackedBI8, PatchGather,
-    PoolGeometry, Requantize, PATCH_SLACK,
+    conv2d, conv2d_infer_fused, conv2d_infer_packed, dequantize_bias_relu,
+    dequantize_transpose_bias_relu, gather_patches_nhwc, gather_patches_u8, gemm_i8,
+    gemm_prepacked, matmul, matmul_i8_reference, matmul_naive, matmul_naive_fma, max_pool2d_into,
+    quantize_nhwc_u8, quantize_rows_u8, quantize_slice_u8, quantized_row_len, reset_kernel_mode,
+    set_kernel_mode, BatchNormParams, Conv2dGeometry, ConvEpilogue, ConvPlanDims, Im2colGather,
+    KernelMode, NhwcImage, PackedB, PackedBI8, PatchGather, PoolGeometry, Requantize, PATCH_SLACK,
 };
 use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::Rng;
@@ -115,12 +121,20 @@ fn plant_nonfinite(a: &mut Tensor, b: &mut Tensor) {
     b.as_mut_slice()[(k - 1) * n + n - 1] = f32::NEG_INFINITY;
 }
 
+/// Floats of sentinel placed behind every f32 buffer a kernel writes: a
+/// masked store one lane too wide on the last row lands here.
+const F32_GUARD: usize = 16;
+const F32_SENTINEL: f32 = -12345.678;
+
 #[test]
 fn f32_gemm_partial_strips_match_naive_in_every_mode() {
     let mut rng = StdRng::seed_from_u64(0xF32);
-    for m in [1usize, 3, 4, 5, 37] {
+    // Every tile height and the one-short heights behind it, and every
+    // column count across one-and-a-bit 16-lane strips plus the counts
+    // one either side of the second strip's end.
+    for m in [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 37] {
         for k in [1usize, 27, 130] {
-            for n in 1..=17usize {
+            for n in (1..=17usize).chain([31, 33]) {
                 for nonfinite in [false, true] {
                     let mut a = uniform(&mut rng, Shape::matrix(m, k), -2.0, 2.0);
                     let mut b = uniform(&mut rng, Shape::matrix(k, n), -2.0, 2.0);
@@ -140,10 +154,15 @@ fn f32_gemm_partial_strips_match_naive_in_every_mode() {
                             reference.as_slice(),
                             &format!("matmul {what}"),
                         );
-                        let mut out = vec![0.0f32; m * n];
-                        gemm_prepacked(a.as_slice(), &packed, &mut out, m, mode, false);
+                        let mut out = vec![0.0f32; m * n + F32_GUARD];
+                        out[m * n..].fill(F32_SENTINEL);
+                        gemm_prepacked(a.as_slice(), &packed, &mut out[..m * n], m, mode, false);
+                        assert!(
+                            out[m * n..].iter().all(|&v| v == F32_SENTINEL),
+                            "gemm_prepacked {what} stored past the output"
+                        );
                         assert_same(
-                            &out,
+                            &out[..m * n],
                             reference.as_slice(),
                             &format!("gemm_prepacked {what}"),
                         );
@@ -213,6 +232,334 @@ fn planned_conv_matches_conv2d_on_narrow_images_at_any_batch_and_thread_count() 
                         );
                     }
                 });
+            }
+        }
+    }
+}
+
+/// The input side length an output side `o` comes from, when there is one.
+fn input_side(o: usize, geom: &Conv2dGeometry) -> Option<usize> {
+    let side = ((o - 1) * geom.stride + geom.kernel).checked_sub(2 * geom.padding)?;
+    (side > 0 && geom.output_size(side) == Some(o)).then_some(side)
+}
+
+/// One case of the geometry walk below: random operands for `dims` at
+/// batch `n` (a NaN weight row and an ∞ pixel when `nonfinite`), `conv2d`
+/// as the reference of each rounding class, the planned convolution in
+/// every mode — each call on the pool `turn` selects for that mode — and
+/// a sentinel behind the output.
+fn check_planned_conv(
+    rng: &mut StdRng,
+    dims: &ConvPlanDims,
+    n: usize,
+    nonfinite: bool,
+    pools: &[Pool],
+    turn: usize,
+) {
+    let ConvPlanDims {
+        c_in,
+        h,
+        w,
+        c_out,
+        oh,
+        ow,
+        geom,
+    } = *dims;
+    let gather = Im2colGather::compile(dims);
+    let kdim = c_in * geom.kernel * geom.kernel;
+    let mut x = uniform(rng, Shape::nchw(n, c_in, h, w), -1.0, 1.0);
+    let mut wt = uniform(
+        rng,
+        Shape::nchw(c_out, c_in, geom.kernel, geom.kernel),
+        -0.5,
+        0.5,
+    );
+    let bias = uniform(rng, Shape::vector(c_out), -0.1, 0.1);
+    if nonfinite {
+        wt.as_mut_slice()[3.min(c_out - 1) * kdim] = f32::NAN;
+        *x.as_mut_slice().last_mut().unwrap() = f32::INFINITY;
+    }
+    let len = n * c_out * oh * ow;
+    let mut references: [Option<Tensor>; 2] = [None, None];
+    for_each_mode(|mode| {
+        let reference = references[(mode == KernelMode::Fma) as usize]
+            .get_or_insert_with(|| conv2d(&x, &wt, Some(&bias), &geom).unwrap());
+        let pool = &pools[(turn + mode as usize) % pools.len()];
+        let mut out = vec![F32_SENTINEL; len + F32_GUARD];
+        with_pool(pool, || {
+            conv2d_infer_packed(
+                x.as_slice(),
+                n,
+                dims,
+                &gather,
+                wt.as_slice(),
+                bias.as_slice(),
+                &mut out[..len],
+                false,
+                mode,
+            )
+            .unwrap()
+        });
+        let what = format!(
+            "{mode:?} {dims:?} batch {n} threads {} nonfinite={nonfinite}",
+            pool.threads()
+        );
+        assert!(
+            out[len..].iter().all(|&v| v == F32_SENTINEL),
+            "{what}: stored past the output"
+        );
+        assert_same(&out[..len], reference.as_slice(), &what);
+    });
+}
+
+/// Planned conv ≡ `conv2d`, bit for bit, over the geometry the zoo never
+/// reaches: kernel 1/3/5, stride 1/2, padding 0/1/2, non-square maps
+/// whose width divides a 16-lane strip (1, 2, 8, 16), fills whole strips
+/// or neither (3, 5, 7, 10, 17, 20) — so strips start mid-row, straddle
+/// rows and images, and end in pad lanes — `c_out` with and without a
+/// short last tile, batches that fold and that do not, every mode. The
+/// thread count (1/2/7) rotates per call, so that every mode meets every
+/// count at every batch size over the run (the narrow-image test above
+/// crosses them fully); the NaN / ∞ plants ride every other case.
+#[test]
+fn planned_conv_matches_conv2d_across_kernels_strides_paddings_and_strip_alignments() {
+    let mut rng = StdRng::seed_from_u64(0xC1);
+    let pools: Vec<Pool> = [1usize, 2, 7].into_iter().map(Pool::new).collect();
+    // `c_in` 6 under a 5×5 kernel crosses a k-panel (kdim 150 > KC).
+    let (c_outs, c_ins, ohs) = ([1usize, 5, 6, 7, 48], [1usize, 3, 2, 6], [1usize, 3, 2, 6, 4]);
+    let mut shapes = 0usize;
+    for kernel in [1usize, 3, 5] {
+        for stride in [1usize, 2] {
+            for padding in [0usize, 1, 2] {
+                for ow in [1usize, 2, 3, 5, 7, 8, 10, 16, 17, 20] {
+                    let geom = Conv2dGeometry {
+                        kernel,
+                        stride,
+                        padding,
+                    };
+                    let oh = ohs[shapes % ohs.len()];
+                    let (Some(h), Some(w)) = (input_side(oh, &geom), input_side(ow, &geom)) else {
+                        continue;
+                    };
+                    shapes += 1;
+                    // Two of the five `c_out`s per shape, every one of
+                    // them with every kernel/stride/padding over the run.
+                    for c_out in [c_outs[shapes % 5], c_outs[(shapes / 5 + 2) % 5]] {
+                        let dims = ConvPlanDims {
+                            c_in: c_ins[shapes % c_ins.len()],
+                            h,
+                            w,
+                            c_out,
+                            oh,
+                            ow,
+                            geom,
+                        };
+                        for n in [1usize, 3, 8] {
+                            let turn = shapes + n;
+                            check_planned_conv(&mut rng, &dims, n, turn.is_multiple_of(2), &pools, turn);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    // 180 combinations less those whose output side has no input side: a
+    // 1×1 kernel cannot see past padding it does not need.
+    assert!(shapes >= 120, "geometry filter dropped planned shapes: {shapes}");
+}
+
+/// Max-pool of back-to-back `h × w` planes, written out independently of
+/// the library's scan: strict `>` from `−∞`, window cells in `(ky, kx)`
+/// order.
+fn reference_max_pool(x: &[f32], h: usize, w: usize, geom: &PoolGeometry) -> Vec<f32> {
+    let (oh, ow) = (geom.output_size(h).unwrap(), geom.output_size(w).unwrap());
+    let mut out = Vec::with_capacity(x.len() / (h * w) * oh * ow);
+    for plane in x.chunks_exact(h * w) {
+        for oy in 0..oh {
+            for ox in 0..ow {
+                let mut best = f32::NEG_INFINITY;
+                for ky in 0..geom.window {
+                    for kx in 0..geom.window {
+                        let v = plane[(oy * geom.stride + ky) * w + ox * geom.stride + kx];
+                        if v > best {
+                            best = v;
+                        }
+                    }
+                }
+                out.push(best);
+            }
+        }
+    }
+    out
+}
+
+/// The fused epilogue — batch-norm, ReLU, max-pool, each optional, on the
+/// slab the GEMM just wrote — equals the separate steps, written out here
+/// and run one after another over the whole batch, bit for bit: a NaN
+/// channel (every pooling
+/// window of it all-NaN: the pool answers −∞), an ∞ pixel, and a channel
+/// whose 1×1 convolution leaves −0.0 under negative pixels and +0.0 under
+/// positive ones, kept so by an identity batch-norm, so that windows mix
+/// the two zeros and only the strict-`>` scan picks the reference's.
+/// Folded and unfolded batches, every mode, a sentinel behind the (pooled)
+/// output.
+#[test]
+fn fused_epilogue_equals_the_separate_steps_bitwise() {
+    let mut rng = StdRng::seed_from_u64(0xE91);
+    let pools: Vec<Pool> = [1usize, 2].into_iter().map(Pool::new).collect();
+    let windows = [
+        None,
+        Some(PoolGeometry::halving()),
+        Some(PoolGeometry {
+            window: 3,
+            stride: 2,
+        }),
+    ];
+    let pointwise = Conv2dGeometry {
+        kernel: 1,
+        stride: 1,
+        padding: 0,
+    };
+    for (geom, c_in) in [(Conv2dGeometry::same3x3(), 3usize), (pointwise, 1)] {
+        for c_out in [1usize, 6, 7] {
+            for (oh, ow) in [(1usize, 1usize), (2, 2), (4, 4), (5, 7), (16, 16)] {
+                let dims = ConvPlanDims {
+                    c_in,
+                    h: oh,
+                    w: ow,
+                    c_out,
+                    oh,
+                    ow,
+                    geom,
+                };
+                let gather = Im2colGather::compile(&dims);
+                let (s, kdim) = (oh * ow, c_in * geom.kernel * geom.kernel);
+                for n in [1usize, 3, 8] {
+                    let mut x = uniform(&mut rng, Shape::nchw(n, c_in, oh, ow), -1.0, 1.0);
+                    let mut wt = uniform(
+                        &mut rng,
+                        Shape::nchw(c_out, c_in, geom.kernel, geom.kernel),
+                        -0.5,
+                        0.5,
+                    );
+                    let mut bias = uniform(&mut rng, Shape::vector(c_out), -0.1, 0.1);
+                    let mut gamma = uniform(&mut rng, Shape::vector(c_out), 0.5, 1.5);
+                    let mut beta = uniform(&mut rng, Shape::vector(c_out), -0.5, 0.5);
+                    let mut mean = uniform(&mut rng, Shape::vector(c_out), -0.2, 0.2);
+                    let mut inv_std = uniform(&mut rng, Shape::vector(c_out), 0.5, 2.0);
+                    // Channel 0: `−0.0 + 0.0·x` — a zero whose sign is the
+                    // pixels' — through an identity batch-norm. Last
+                    // channel (when there is another): NaN everywhere.
+                    // One ∞ pixel in the last image of a real batch.
+                    wt.as_mut_slice()[..kdim].fill(0.0);
+                    bias.as_mut_slice()[0] = -0.0;
+                    (gamma.as_mut_slice()[0], beta.as_mut_slice()[0]) = (1.0, -0.0);
+                    (mean.as_mut_slice()[0], inv_std.as_mut_slice()[0]) = (0.0, 1.0);
+                    if c_out > 1 {
+                        wt.as_mut_slice()[(c_out - 1) * kdim] = f32::NAN;
+                    }
+                    if n > 1 {
+                        *x.as_mut_slice().last_mut().unwrap() = f32::INFINITY;
+                    }
+                    let bn = BatchNormParams {
+                        gamma: gamma.as_slice(),
+                        beta: beta.as_slice(),
+                        mean: mean.as_slice(),
+                        inv_std: inv_std.as_slice(),
+                    };
+                    for batch_norm in [None, Some(bn)] {
+                        for relu in [false, true] {
+                            for max_pool in windows {
+                                let pooled = match max_pool {
+                                    None => Some((oh, ow)),
+                                    Some(g) => g.output_size(oh).zip(g.output_size(ow)),
+                                };
+                                let Some((ph, pw)) = pooled else {
+                                    continue; // the window does not fit this map
+                                };
+                                let epilogue = ConvEpilogue {
+                                    batch_norm,
+                                    relu,
+                                    max_pool,
+                                };
+                                let len = n * c_out * ph * pw;
+                                for_each_mode(|mode| {
+                                    // The separate steps, each over the
+                                    // whole batch.
+                                    let mut want = vec![0.0f32; n * c_out * s];
+                                    conv2d_infer_packed(
+                                        x.as_slice(),
+                                        n,
+                                        &dims,
+                                        &gather,
+                                        wt.as_slice(),
+                                        bias.as_slice(),
+                                        &mut want,
+                                        false,
+                                        mode,
+                                    )
+                                    .unwrap();
+                                    if let Some(bn) = &batch_norm {
+                                        // `BatchNorm2d::forward_infer`'s
+                                        // association, written out here.
+                                        for (p, plane) in want.chunks_exact_mut(s).enumerate() {
+                                            let ch = p % c_out;
+                                            for v in plane.iter_mut() {
+                                                let normed = (*v - bn.mean[ch]) * bn.inv_std[ch];
+                                                *v = bn.gamma[ch] * normed + bn.beta[ch];
+                                            }
+                                        }
+                                    }
+                                    if geom == pointwise && s == 256 {
+                                        // The planted channel really does
+                                        // mix both zeros.
+                                        for zero in [0.0f32, -0.0] {
+                                            assert!(want[..s]
+                                                .iter()
+                                                .any(|v| v.to_bits() == zero.to_bits()));
+                                        }
+                                    }
+                                    if relu {
+                                        for v in want.iter_mut() {
+                                            *v = v.max(0.0);
+                                        }
+                                    }
+                                    if let Some(g) = &max_pool {
+                                        want = reference_max_pool(&want, oh, ow, g);
+                                    }
+                                    for pool in &pools {
+                                        let mut out = vec![F32_SENTINEL; len + F32_GUARD];
+                                        with_pool(pool, || {
+                                            conv2d_infer_fused(
+                                                x.as_slice(),
+                                                n,
+                                                &dims,
+                                                &gather,
+                                                wt.as_slice(),
+                                                bias.as_slice(),
+                                                &epilogue,
+                                                &mut out[..len],
+                                                mode,
+                                            )
+                                            .unwrap()
+                                        });
+                                        let what = format!(
+                                            "{mode:?} k{} c_out {c_out} {oh}x{ow} batch {n} bn {}                                              relu {relu} pool {max_pool:?} threads {}",
+                                            geom.kernel,
+                                            batch_norm.is_some(),
+                                            pool.threads()
+                                        );
+                                        assert!(
+                                            out[len..].iter().all(|&v| v == F32_SENTINEL),
+                                            "{what}: stored past the output"
+                                        );
+                                        assert_same(&out[..len], &want, &what);
+                                    }
+                                });
+                            }
+                        }
+                    }
+                }
             }
         }
     }
