@@ -83,27 +83,58 @@ struct StreamBench {
     batched: f64,
 }
 
-/// Times a fresh `STREAM_PAGES`-page run on the tuned 96 KB geometry:
-/// every iteration continues the ascending stream where the last ended,
-/// as a lane's feature-map cursor does from batch to batch.
-fn bench_stream() -> StreamBench {
-    let cfg = CounterGeometry::tuned().cache_config(96);
-    let page = cfg.coverage_bytes as u64;
-    let arm = |walk: &dyn Fn(&mut CounterCache, u64) -> u64| {
-        let mut cc = CounterCache::new(cfg).expect("valid config");
-        let mut cursor = 1u64 << 40;
+/// Interleaved repetitions of the two stream arms; each side reports its
+/// fastest. The host's clock flips between two speeds every few seconds,
+/// so two arms timed once, one after the other, can land in different
+/// phases and read a ratio that is the host's, not the code's.
+const STREAM_REPS: usize = 5;
+
+/// One arm of the stream benchmark: its own cache and stream cursor,
+/// kept across repetitions, and its fastest repetition so far.
+struct StreamArm {
+    cc: CounterCache,
+    cursor: u64,
+    page: u64,
+    best_ns_per_page: f64,
+}
+
+impl StreamArm {
+    fn new(cfg: CounterCacheConfig) -> StreamArm {
+        StreamArm {
+            cc: CounterCache::new(cfg).expect("valid config"),
+            cursor: 1 << 40,
+            page: cfg.coverage_bytes as u64,
+            best_ns_per_page: f64::INFINITY,
+        }
+    }
+
+    /// One repetition: every iteration continues the ascending stream
+    /// where the last ended, as a lane's feature-map cursor does from
+    /// batch to batch.
+    fn time(&mut self, walk: impl Fn(&mut CounterCache, u64, u64) -> u64) {
         let ns = measure_ns(|| {
-            let misses = walk(&mut cc, cursor);
-            cursor += STREAM_PAGES * page;
+            let misses = walk(&mut self.cc, self.cursor, self.page);
+            self.cursor += STREAM_PAGES * self.page;
             misses
         });
-        ns / STREAM_PAGES as f64
-    };
-    StreamBench {
-        per_page: arm(&|cc, base| {
+        self.best_ns_per_page = self.best_ns_per_page.min(ns / STREAM_PAGES as f64);
+    }
+}
+
+/// Times a fresh `STREAM_PAGES`-page run on the tuned 96 KB geometry,
+/// per page and through `access_run`.
+fn bench_stream() -> StreamBench {
+    let cfg = CounterGeometry::tuned().cache_config(96);
+    let (mut per_page, mut batched) = (StreamArm::new(cfg), StreamArm::new(cfg));
+    for _ in 0..STREAM_REPS {
+        per_page.time(|cc, base, page| {
             (0..STREAM_PAGES).filter(|p| !cc.access(base + p * page)).count() as u64
-        }),
-        batched: arm(&|cc, base| cc.access_run(base, STREAM_PAGES).misses),
+        });
+        batched.time(|cc, base, _| cc.access_run(base, STREAM_PAGES).misses);
+    }
+    StreamBench {
+        per_page: per_page.best_ns_per_page,
+        batched: batched.best_ns_per_page,
     }
 }
 

@@ -126,15 +126,43 @@ impl Frame {
     /// Serialises the frame (header + payload) for the wire.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
-        out.extend_from_slice(&MAGIC.to_be_bytes());
-        out.push(VERSION);
-        out.push(self.kind.to_wire());
-        out.extend_from_slice(&self.tenant.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        self.encode_into(&mut out);
         out
     }
+
+    /// Appends the serialised frame to `out` — the allocation-free form
+    /// of [`encode`](Self::encode) for callers that batch frames into one
+    /// reused buffer.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        encode_with(out, self.kind, self.tenant, self.seq, self.payload.len(), |out| {
+            out.extend_from_slice(&self.payload);
+        });
+    }
+}
+
+/// Appends to `out` one frame with a `len`-byte payload that `body`
+/// writes in place, so a reply needs no payload buffer of its own. The
+/// payload is what `body` appends, zero-filled (or cut) to exactly `len`
+/// bytes — a frame's length field and its bytes cannot disagree. `len`
+/// must not exceed [`MAX_PAYLOAD`] (a longer frame would not decode).
+pub fn encode_with(
+    out: &mut Vec<u8>,
+    kind: FrameKind,
+    tenant: u32,
+    seq: u64,
+    len: usize,
+    body: impl FnOnce(&mut Vec<u8>),
+) {
+    debug_assert!(len <= MAX_PAYLOAD, "payload of {len} bytes cannot be decoded");
+    out.extend_from_slice(&MAGIC.to_be_bytes());
+    out.push(VERSION);
+    out.push(kind.to_wire());
+    out.extend_from_slice(&tenant.to_be_bytes());
+    out.extend_from_slice(&seq.to_be_bytes());
+    out.extend_from_slice(&(len as u32).to_be_bytes());
+    let end = out.len() + len;
+    body(out);
+    out.resize(end, 0);
 }
 
 /// Typed decode failures. Any of these kills the connection: after a
@@ -286,6 +314,29 @@ mod tests {
         ] {
             assert_eq!(roundtrip(&frame), frame);
         }
+    }
+
+    #[test]
+    fn encode_into_appends_the_same_bytes_as_encode() {
+        let frames = [
+            Frame::response(7, 42, vec![1, 2, 3]),
+            Frame::reject(3, 9, vec![]),
+            Frame::request(u32::MAX, u64::MAX, vec![0xAB; 300]),
+        ];
+        let mut out = vec![0xEE]; // what is already there stays
+        for frame in &frames {
+            frame.encode_into(&mut out);
+        }
+        let want: Vec<u8> = frames.iter().flat_map(Frame::encode).collect();
+        assert_eq!(out[0], 0xEE);
+        assert_eq!(out[1..], want[..]);
+    }
+
+    #[test]
+    fn encode_with_zero_fills_a_short_body_to_the_declared_length() {
+        let mut out = Vec::new();
+        encode_with(&mut out, FrameKind::Response, 3, 9, 6, |out| out.extend_from_slice(&[7, 8]));
+        assert_eq!(out, Frame::response(3, 9, vec![7, 8, 0, 0, 0, 0]).encode());
     }
 
     #[test]

@@ -14,9 +14,11 @@
 //!   incremental decoder whose every failure mode is a typed error.
 //! * [`reactor`] — a single-threaded edge-triggered epoll reactor:
 //!   nonblocking accept, per-connection read/decode/write state machines,
-//!   a wake pipe + [`reactor::Responder`] mailbox for worker threads, a
-//!   mid-frame idle sweep (slow-loris defence) and typed close reasons
-//!   for every way a connection can die. Connection-lifecycle governance
+//!   a wake pipe + [`reactor::Responder`] mailbox that takes a worker's
+//!   replies a batch at a time (one append, at most one wake, one socket
+//!   write per connection), a mid-frame idle sweep (slow-loris defence)
+//!   and typed close reasons for every way a connection can die.
+//!   Connection-lifecycle governance
 //!   (pipelining caps, keepalive budgets, write backpressure with a
 //!   slow-reader reaper, GOAWAY-based graceful drain) lives here too —
 //!   see DESIGN §6j.
@@ -36,5 +38,6 @@ pub use client::FrameClient;
 pub use error::NetError;
 pub use frame::{Frame, FrameDecoder, FrameError, FrameKind, HEADER_LEN, MAX_PAYLOAD};
 pub use reactor::{
-    CloseReason, ConnId, Handler, Reactor, ReactorConfig, ReactorControl, ReactorStats, Responder,
+    CloseReason, ConnId, Handler, Reactor, ReactorConfig, ReactorControl, ReactorStats, ReplyBatch,
+    Responder,
 };

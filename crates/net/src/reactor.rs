@@ -5,13 +5,18 @@
 //!
 //! * **One reactor thread** owns the listener, the epoll instance, and all
 //!   connection state; nothing here is shared mutably, so the hot loop is
-//!   lock-free. Worker threads hand completed responses back through a
-//!   [`Responder`], which appends to a mutex-guarded mailbox and nudges
-//!   the reactor over a nonblocking wake pipe.
+//!   lock-free. Worker threads hand completed responses back a batch at
+//!   a time through a [`Responder`]: one append to a mutex-guarded
+//!   mailbox, and a nudge over a nonblocking wake pipe only when that
+//!   append found the mailbox empty.
 //! * **Edge-triggered** registration means every readiness edge must be
 //!   drained to `EAGAIN`; the per-connection state machine does exactly
 //!   that (read → decode frames → handler; flush outbox → re-arm
 //!   `EPOLLOUT` only while bytes remain).
+//! * **Append first, write once**: replies are appended to the outboxes
+//!   first — everything a mailbox held, or every immediate reply to the
+//!   frames of one `read` — and each touched connection is flushed once
+//!   afterwards.
 //! * **Every malformed input is a typed close, never a hang**: framing
 //!   errors kill the connection after an optional handler-built reject
 //!   frame; a peer that stalls mid-frame (slow-loris) is reaped by the
@@ -28,7 +33,7 @@
 //!   in-flight requests keep flowing until the owner shuts down.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -203,22 +208,135 @@ pub struct ReactorStats {
     pub keepalive_closed: u64,
     /// GOAWAY control frames sent (keepalive retirement + drain).
     pub goaways_sent: u64,
+    /// `write` system calls made on connection sockets (see
+    /// [`frames_per_write`](Self::frames_per_write)). Follows thread
+    /// timing, like `dropped_responses`.
+    pub socket_writes: u64,
+    /// Wake-pipe writes made by [`Responder::send`]: one per mailbox
+    /// that went from empty to non-empty. Follows thread timing.
+    pub wakeups: u64,
+}
+
+/// Encoded replies on their way to the reactor, in answer order: one
+/// byte buffer plus, per run of consecutive frames for the same
+/// connection, how many frames and bytes belong to it. A worker fills one
+/// per batch and hands it over with a single [`Responder::send`]; both
+/// sides keep their buffers, so a steady stream allocates nothing.
+#[derive(Debug, Default)]
+pub struct ReplyBatch {
+    bytes: Vec<u8>,
+    runs: Vec<Run>,
+}
+
+/// `frames` whole frames, `len` bytes, all for `conn`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    conn: ConnId,
+    frames: u64,
+    len: usize,
+}
+
+impl ReplyBatch {
+    /// An empty batch.
+    pub fn new() -> ReplyBatch {
+        ReplyBatch::default()
+    }
+
+    /// Adds one frame for `conn`: `encode` must append exactly one encoded
+    /// frame to the buffer it is given (and touch nothing before it).
+    pub fn push(&mut self, conn: ConnId, encode: impl FnOnce(&mut Vec<u8>)) {
+        let start = self.bytes.len();
+        encode(&mut self.bytes);
+        let len = self.bytes.len() - start;
+        match self.runs.last_mut() {
+            Some(run) if run.conn == conn => {
+                run.frames += 1;
+                run.len += len;
+            }
+            _ => self.runs.push(Run { conn, frames: 1, len }),
+        }
+    }
+
+    /// `true` when no frame has been pushed since the last send.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.runs.clear();
+    }
+}
+
+/// The worker → reactor response mailbox.
+///
+/// **No lost wake.** [`post`](Self::post) reports whether it found the
+/// mailbox empty, and only then does the poster write the wake pipe. The
+/// reactor answers every wake by draining the pipe and *then* taking the
+/// whole mailbox, so each pipe write is followed by a `take` that starts
+/// after it. Call the posts between two takes a generation. The post that
+/// opens a generation finds the mailbox empty and therefore writes the
+/// pipe after posting; the `take` that answers that write comes after the
+/// opening post, so the first take after the opening post exists — and it
+/// empties the mailbox, opener and every later post of the generation
+/// included. A post that finds the mailbox non-empty is in a generation
+/// someone else opened and is covered by that opener's wake. The
+/// interleaving test below enumerates this; dropping the wake on the
+/// empty → non-empty post fails it.
+#[derive(Debug, Default)]
+struct Mailbox {
+    pending: Mutex<ReplyBatch>,
+    /// Pipe writes made for empty → non-empty posts ([`ReactorStats::wakeups`]).
+    wakeups: AtomicU64,
+}
+
+impl Mailbox {
+    /// Appends `replies` (leaving it empty, buffers kept) and returns
+    /// `true` when the mailbox was empty before: the caller owes a wake.
+    fn post(&self, replies: &mut ReplyBatch) -> bool {
+        let mut pending = locked(&self.pending);
+        let was_empty = pending.is_empty();
+        pending.bytes.extend_from_slice(&replies.bytes);
+        pending.runs.extend_from_slice(&replies.runs);
+        drop(pending);
+        replies.clear();
+        was_empty
+    }
+
+    /// Swaps everything posted so far into `into` (whose old contents are
+    /// discarded, buffers kept for the posters to refill).
+    fn take(&self, into: &mut ReplyBatch) {
+        into.clear();
+        std::mem::swap(&mut *locked(&self.pending), into);
+    }
+}
+
+impl ReactorStats {
+    /// `frames_out ÷ socket_writes`: how many frames one `write` system
+    /// call carried (0 before the first write).
+    pub fn frames_per_write(&self) -> f64 {
+        self.frames_out as f64 / self.socket_writes.max(1) as f64
+    }
 }
 
 /// The worker-side handle for delivering responses to connections. Clone
-/// freely; sends are mailbox appends plus a pipe nudge.
+/// freely; a send is one mailbox append plus, if the mailbox was empty,
+/// one pipe nudge.
 #[derive(Debug, Clone)]
 pub struct Responder {
-    mailbox: Mailbox,
+    mailbox: Arc<Mailbox>,
     wake: Arc<sys::WakePipe>,
 }
 
 impl Responder {
-    /// Queues `bytes` (an encoded frame) for delivery on `conn` and wakes
-    /// the reactor. Delivery is best-effort: if the connection has closed
-    /// in the meantime the bytes are dropped and counted.
-    pub fn send(&self, conn: ConnId, bytes: Vec<u8>) {
-        locked(&self.mailbox).push((conn, bytes));
+    /// Hands every frame in `replies` to the reactor and leaves `replies`
+    /// empty for reuse. Delivery is best-effort: frames for a connection
+    /// that has closed in the meantime are dropped and counted.
+    pub fn send(&self, replies: &mut ReplyBatch) {
+        if replies.is_empty() || !self.mailbox.post(replies) {
+            return;
+        }
+        self.mailbox.wakeups.fetch_add(1, Ordering::Relaxed);
         // A failed wake means the reactor is gone; the shutdown path will
         // account for undelivered responses.
         let _ = self.wake.wake();
@@ -256,10 +374,6 @@ fn locked<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The worker → reactor response mailbox: `(connection, encoded frame)`
-/// pairs awaiting delivery.
-type Mailbox = Arc<Mutex<Vec<(ConnId, Vec<u8>)>>>;
-
 const LISTENER_TOKEN: u64 = 0;
 const WAKE_TOKEN: u64 = 1;
 const FIRST_CONN: u64 = 2;
@@ -282,6 +396,9 @@ struct Conn {
     /// Set when the outbox first became non-empty after a flush; cleared
     /// when it fully drains. Drives the write-stall reaper.
     write_pending_since: Option<Instant>,
+    /// Listed in `Reactor::touched`: got mailbox bytes this turn and is
+    /// owed one flush.
+    touched: bool,
 }
 
 impl Conn {
@@ -298,6 +415,7 @@ impl Conn {
             strikes: 0,
             retiring: false,
             write_pending_since: None,
+            touched: false,
         }
     }
 
@@ -325,7 +443,12 @@ pub struct Reactor<H: Handler> {
     listener: sys::Fd,
     port: u16,
     wake: Arc<sys::WakePipe>,
-    mailbox: Mailbox,
+    mailbox: Arc<Mailbox>,
+    /// What the last `Mailbox::take` brought in (its buffers go back to
+    /// the posters on the next take).
+    inbound: ReplyBatch,
+    /// Connections `inbound` had bytes for, each to be flushed once.
+    touched: Vec<ConnId>,
     stop: Arc<AtomicBool>,
     drain_flag: Arc<AtomicBool>,
     draining: bool,
@@ -365,7 +488,9 @@ impl<H: Handler> Reactor<H> {
             listener,
             port,
             wake,
-            mailbox: Arc::new(Mutex::new(Vec::new())),
+            mailbox: Arc::new(Mailbox::default()),
+            inbound: ReplyBatch::new(),
+            touched: Vec::new(),
             stop: Arc::new(AtomicBool::new(false)),
             drain_flag: Arc::new(AtomicBool::new(false)),
             draining: false,
@@ -475,6 +600,7 @@ impl<H: Handler> Reactor<H> {
         for id in ids {
             self.close_conn(id, CloseReason::Shutdown);
         }
+        self.stats.wakeups = self.mailbox.wakeups.load(Ordering::Relaxed);
         self.stats
     }
 
@@ -536,20 +662,35 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
+    /// Moves everything the workers posted into the outboxes — settling
+    /// each connection's in-flight count by the frames it was sent — and
+    /// only then writes: one flush per connection that got bytes.
     fn deliver_mailbox(&mut self) {
-        let pending = std::mem::take(&mut *locked(&self.mailbox));
-        for (id, bytes) in pending {
-            match self.conns.get_mut(&id) {
-                Some(conn) => {
-                    conn.outbox.extend_from_slice(&bytes);
-                    conn.in_flight = conn.in_flight.saturating_sub(1);
-                    self.stats.frames_out += 1;
-                    self.flush_conn(id);
-                    self.finish_retirement(id);
-                }
-                None => self.stats.dropped_responses += 1,
+        self.mailbox.take(&mut self.inbound);
+        let mut bytes = self.inbound.bytes.as_slice();
+        for run in &self.inbound.runs {
+            let (frames, rest) = bytes.split_at(run.len);
+            bytes = rest;
+            let Some(conn) = self.conns.get_mut(&run.conn) else {
+                self.stats.dropped_responses += run.frames;
+                continue;
+            };
+            conn.outbox.extend_from_slice(frames);
+            conn.in_flight = conn.in_flight.saturating_sub(run.frames);
+            self.stats.frames_out += run.frames;
+            if !std::mem::replace(&mut conn.touched, true) {
+                self.touched.push(run.conn);
             }
         }
+        let mut touched = std::mem::take(&mut self.touched);
+        for id in touched.drain(..) {
+            if let Some(conn) = self.conns.get_mut(&id) {
+                conn.touched = false;
+            }
+            self.flush_conn(id);
+            self.finish_retirement(id);
+        }
+        self.touched = touched;
     }
 
     /// Closes `id` if it is retiring and fully settled.
@@ -564,21 +705,20 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Queues a GOAWAY control frame on `id` and flushes. `retire` marks
-    /// the connection for close-once-settled (keepalive exhaustion);
-    /// drain GOAWAYs leave the connection serving until shutdown.
-    fn send_goaway(&mut self, id: ConnId, reason: &str, retire: bool) {
+    /// Queues a GOAWAY control frame on `id`; the caller flushes. `retire`
+    /// marks the connection for close-once-settled (keepalive
+    /// exhaustion); drain GOAWAYs leave the connection serving until
+    /// shutdown.
+    fn queue_goaway(&mut self, id: ConnId, reason: &str, retire: bool) {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        conn.outbox
-            .extend_from_slice(&Frame::goaway(reason).encode());
+        Frame::goaway(reason).encode_into(&mut conn.outbox);
         if retire {
             conn.retiring = true;
         }
         self.stats.goaways_sent += 1;
         self.stats.frames_out += 1;
-        self.flush_conn(id);
     }
 
     /// Enters drain mode: unregister the listener (accepts freeze) and
@@ -589,7 +729,8 @@ impl<H: Handler> Reactor<H> {
         let _ = self.epoll.delete(&self.listener);
         let ids: Vec<ConnId> = self.conns.keys().copied().collect();
         for id in ids {
-            self.send_goaway(id, "draining", false);
+            self.queue_goaway(id, "draining", false);
+            self.flush_conn(id);
         }
     }
 
@@ -624,8 +765,24 @@ impl<H: Handler> Reactor<H> {
     }
 
     /// Drains the read edge on `token`. Returns `Some(reason)` when the
-    /// connection must close.
+    /// connection must close; the read side's reason stands, and the
+    /// closing connection's last words (its answers so far, a
+    /// protocol-error reject, the strikes' rejects) get one best-effort
+    /// write.
     fn read_conn(&mut self, token: ConnId) -> Option<CloseReason> {
+        let reason = self.decode_readable(token);
+        if reason.is_some() {
+            let _ = self.write_out(token);
+        }
+        reason
+    }
+
+    /// Reads to `EAGAIN`, decoding and governing every complete frame.
+    /// What the frames of one read were answered with on the spot
+    /// (rejects, strikes, echoes, a GOAWAY) is queued on the outbox and
+    /// written once, after the last of them — a single frame's reply
+    /// leaves before the next `read`, a burst's replies leave together.
+    fn decode_readable(&mut self, token: ConnId) -> Option<CloseReason> {
         loop {
             let conn = self.conns.get_mut(&token)?;
             let n = match conn.fd.read(&mut self.read_buf) {
@@ -671,12 +828,14 @@ impl<H: Handler> Reactor<H> {
                         // The conn is closing; settlement is moot.
                         self.queue_replies(token, &mut reply, false);
                         self.reply_scratch = reply;
-                        // Best-effort flush of the reject, then drop.
-                        self.flush_conn(token);
                         return Some(CloseReason::Protocol(err));
                     }
                 }
             }
+            // If this closes the connection (slow reader, I/O error,
+            // retirement), the next `get_mut` ends the loop.
+            self.flush_conn(token);
+            self.finish_retirement(token);
         }
     }
 
@@ -704,7 +863,6 @@ impl<H: Handler> Reactor<H> {
             self.reply_scratch = reply;
             if strikes >= self.config.pipeline_strikes.max(1) {
                 self.stats.pipeline_closed += 1;
-                self.flush_conn(token); // best effort: strikes' rejects
                 return Some(CloseReason::PipelineAbuse);
             }
             return None;
@@ -718,12 +876,13 @@ impl<H: Handler> Reactor<H> {
         self.queue_replies(token, &mut reply, true);
         self.reply_scratch = reply;
         if exhausted {
-            self.send_goaway(token, "keepalive budget exhausted", true);
+            self.queue_goaway(token, "keepalive budget exhausted", true);
         }
-        self.finish_retirement(token);
         None
     }
 
+    /// Appends a handler's immediate replies to `token`'s outbox; the
+    /// read loop writes them once per `read`.
     fn queue_replies(&mut self, token: ConnId, reply: &mut Vec<Vec<u8>>, settles: bool) {
         if reply.is_empty() {
             return;
@@ -741,57 +900,55 @@ impl<H: Handler> Reactor<H> {
             self.stats.dropped_responses += reply.len() as u64;
             reply.clear();
         }
-        self.flush_conn(token);
+    }
+
+    /// Writes `token`'s pending outbox and closes it, typed and counted,
+    /// if the write failed or left more than `max_outbox_bytes` behind.
+    fn flush_conn(&mut self, token: ConnId) {
+        if let Some(reason) = self.write_out(token) {
+            if reason == CloseReason::SlowReader {
+                // The peer is not reading: its share of reply memory is
+                // spent. Typed close, counted.
+                self.stats.slow_reader_closed += 1;
+            }
+            self.close_conn(token, reason);
+        }
     }
 
     /// Writes pending outbox bytes until `EAGAIN` or empty, adjusting the
-    /// `EPOLLOUT` registration to match.
-    fn flush_conn(&mut self, token: ConnId) {
-        let mut io_error = false;
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
+    /// `EPOLLOUT` registration to match. Returns why the connection must
+    /// close, if it must: `Io` or `SlowReader`.
+    fn write_out(&mut self, token: ConnId) -> Option<CloseReason> {
+        let conn = self.conns.get_mut(&token)?;
         while conn.pending_out() {
+            self.stats.socket_writes += 1;
             match conn.fd.write(&conn.outbox[conn.out_pos..]) {
                 Ok(n) => conn.out_pos += n,
                 Err(e) if sys::is_would_block(&e) => break,
-                Err(_) => {
-                    io_error = true;
-                    break;
-                }
+                Err(_) => return Some(CloseReason::Io),
             }
         }
-        let mut overflow = false;
-        if !io_error {
-            if !conn.pending_out() {
-                conn.outbox.clear();
-                conn.out_pos = 0;
-                conn.write_pending_since = None;
-            } else if conn.write_pending_since.is_none() {
-                conn.write_pending_since = Some(Instant::now());
-            }
-            overflow = self.config.max_outbox_bytes > 0
-                && conn.pending_bytes() > self.config.max_outbox_bytes;
-            let want_write = conn.pending_out() && !overflow;
-            if want_write != conn.watching_write {
-                conn.watching_write = want_write;
-                let _ = self.epoll.modify(
-                    &conn.fd,
-                    token,
-                    sys::Interest {
-                        writable: want_write,
-                    },
-                );
-            }
+        if !conn.pending_out() {
+            conn.outbox.clear();
+            conn.out_pos = 0;
+            conn.write_pending_since = None;
+        } else if conn.write_pending_since.is_none() {
+            conn.write_pending_since = Some(Instant::now());
         }
-        if io_error {
-            self.close_conn(token, CloseReason::Io);
-        } else if overflow {
-            // The peer is not reading: its share of reply memory is
-            // spent. Typed close, counted.
-            self.stats.slow_reader_closed += 1;
-            self.close_conn(token, CloseReason::SlowReader);
+        let overflow = self.config.max_outbox_bytes > 0
+            && conn.pending_bytes() > self.config.max_outbox_bytes;
+        let want_write = conn.pending_out() && !overflow;
+        if want_write != conn.watching_write {
+            conn.watching_write = want_write;
+            let _ = self.epoll.modify(
+                &conn.fd,
+                token,
+                sys::Interest {
+                    writable: want_write,
+                },
+            );
         }
+        overflow.then_some(CloseReason::SlowReader)
     }
 
     /// Periodic housekeeping: slow-loris reaps, write-stall reaps, and
@@ -907,6 +1064,8 @@ mod tests {
     fn echo_roundtrip_over_tcp() {
         let (port, control, handle, _rx) = start_echo(ReactorConfig::default());
         let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        // An immediate reply left unwritten must fail this test, not hang it.
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         for seq in 0..10u64 {
             let req = Frame::request(3, seq, vec![1, 2, 3, seq as u8]);
             stream.write_all(&req.encode()).unwrap();
@@ -996,13 +1155,18 @@ mod tests {
         let handle = seal_pool::spawn_worker("test-reactor", move || reactor.run()).unwrap();
 
         let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        // A lost wake must fail this test, not hang it.
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         stream
             .write_all(&Frame::request(8, 77, vec![5]).encode())
             .unwrap();
         // "Worker": receive the parked request, respond via the responder.
         let (conn, frame) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(frame.seq, 77);
-        responder.send(conn, Frame::response(8, 77, vec![42]).encode());
+        let mut replies = ReplyBatch::new();
+        replies.push(conn, |out| Frame::response(8, 77, vec![42]).encode_into(out));
+        responder.send(&mut replies);
+        assert!(replies.is_empty(), "a send leaves the batch ready for reuse");
         let resp = read_frame(&mut stream);
         assert_eq!(resp.payload, vec![42]);
         control.shutdown();
@@ -1035,11 +1199,102 @@ mod tests {
         let conn = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         drop(stream); // client vanishes mid-request
         std::thread::sleep(Duration::from_millis(50));
-        responder.send(conn, Frame::response(1, 5, vec![1]).encode());
+        let mut replies = ReplyBatch::new();
+        replies.push(conn, |out| Frame::response(1, 5, vec![1]).encode_into(out));
+        responder.send(&mut replies);
         std::thread::sleep(Duration::from_millis(50));
         control.shutdown();
         let stats = handle.join().unwrap();
         assert_eq!(stats.dropped_responses, 1);
+    }
+
+    #[test]
+    fn reply_batch_merges_consecutive_frames_for_one_connection() {
+        let mut replies = ReplyBatch::new();
+        for (conn, seq) in [(7, 0), (7, 1), (9, 2), (7, 3)] {
+            replies.push(conn, |out| Frame::response(0, seq, vec![seq as u8; 3]).encode_into(out));
+        }
+        let frame = crate::frame::HEADER_LEN + 3;
+        let run = |conn, frames| Run { conn, frames, len: frames as usize * frame };
+        assert_eq!(replies.runs, [run(7, 2), run(9, 1), run(7, 1)]);
+        assert_eq!(replies.bytes.len(), 4 * frame);
+    }
+
+    /// Every interleaving of three posters and two reactor turns, each
+    /// split where another thread can get in: a poster between its
+    /// mailbox append and the wake it owes, the reactor between draining
+    /// the pipe and taking the mailbox. Takes may also run unprompted (a
+    /// stale wake), which only adds schedules. At no point may the
+    /// mailbox hold a post with no wake in the pipe, none owed and no
+    /// take about to happen — that post would wait for ever.
+    #[test]
+    fn no_interleaving_of_posts_and_takes_strands_a_post() {
+        const POSTS: usize = 3;
+        const TAKES: usize = 2;
+        const OPS: usize = POSTS + TAKES;
+
+        fn replay(schedule: &[usize]) {
+            let mailbox = Mailbox::default();
+            let mut pipe = 0u32; // wake bytes written and not yet drained
+            let mut step = [0u8; OPS];
+            let mut owes_wake = [false; POSTS];
+            let mut taking = [false; TAKES]; // drained, about to take
+            let mut inbound = ReplyBatch::new();
+            let mut taken: Vec<ConnId> = Vec::new();
+            for &op in schedule {
+                match (op, step[op]) {
+                    (post, 0) if post < POSTS => {
+                        let mut replies = ReplyBatch::new();
+                        replies.push(post as ConnId, |out| out.push(0));
+                        owes_wake[post] = mailbox.post(&mut replies);
+                    }
+                    (post, _) if post < POSTS => {
+                        pipe += u32::from(std::mem::take(&mut owes_wake[post]));
+                    }
+                    (take, 0) => {
+                        pipe = 0;
+                        taking[take - POSTS] = true;
+                    }
+                    (take, _) => {
+                        mailbox.take(&mut inbound);
+                        taken.extend(inbound.runs.iter().map(|run| run.conn));
+                        taking[take - POSTS] = false;
+                    }
+                }
+                step[op] += 1;
+                let waiting = !locked(&mailbox.pending).is_empty();
+                let covered = pipe > 0 || owes_wake.contains(&true) || taking.contains(&true);
+                assert!(
+                    !waiting || covered,
+                    "schedule {schedule:?}: a post is stranded after op {op}"
+                );
+            }
+            mailbox.take(&mut inbound);
+            taken.extend(inbound.runs.iter().map(|run| run.conn));
+            taken.sort_unstable();
+            assert_eq!(taken, [0, 1, 2], "schedule {schedule:?} lost or repeated a post");
+        }
+
+        fn extend(schedule: &mut Vec<usize>, left: &mut [u8; OPS], count: &mut u32) {
+            if left.iter().all(|&n| n == 0) {
+                replay(schedule);
+                *count += 1;
+                return;
+            }
+            for op in 0..OPS {
+                if left[op] > 0 {
+                    left[op] -= 1;
+                    schedule.push(op);
+                    extend(schedule, left, count);
+                    schedule.pop();
+                    left[op] += 1;
+                }
+            }
+        }
+
+        let mut count = 0;
+        extend(&mut Vec::new(), &mut [2; OPS], &mut count);
+        assert_eq!(count, 113_400, "10! / 2^5 schedules");
     }
 
     #[test]

@@ -472,20 +472,37 @@ impl CompiledModel {
     ///
     /// Same errors as [`execute_into`](Self::execute_into).
     pub fn classify(&mut self, batch: &Tensor) -> Result<Vec<usize>, NnError> {
-        let classes = self.num_classes;
+        // The documented one-Vec result allocation of `classify`.
+        // seal-lint: allow(hot-path-alloc)
+        let mut classes = Vec::new();
+        self.classify_into(batch, &mut classes)?;
+        Ok(classes)
+    }
+
+    /// [`classify`](Self::classify) into a caller-owned `classes` (cleared
+    /// first): with a reused `Vec` the whole call is inside the
+    /// zero-allocation contract.
+    ///
+    /// # Errors
+    ///
+    /// Same errors as [`execute_into`](Self::execute_into); `classes` is
+    /// left empty.
+    pub fn classify_into(
+        &mut self,
+        batch: &Tensor,
+        classes: &mut Vec<usize>,
+    ) -> Result<(), NnError> {
+        classes.clear();
+        let width = self.num_classes.max(1);
         let logits = self.execute_into(batch)?;
-        Ok(logits
-            .chunks_exact(classes.max(1))
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
-                    .map(|(i, _)| i)
-                    .unwrap_or(0)
-            })
-            // The documented one-Vec result allocation of `classify`.
-            // seal-lint: allow(hot-path-alloc)
-            .collect())
+        classes.extend(logits.chunks_exact(width).map(|row| {
+            row.iter()
+                .enumerate()
+                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
+                .map(|(i, _)| i)
+                .unwrap_or(0)
+        }));
+        Ok(())
     }
 
     fn check_batch(&self, batch: &Tensor) -> Result<usize, NnError> {

@@ -144,7 +144,7 @@ impl<T> FairQueue<T> {
     /// then returns the next DRR-selected single-tenant batch of at most
     /// `max_batch` items. Returns `None` when closed and fully drained.
     pub fn pop_batch(&self, max_batch: usize, deadline: Duration) -> Option<FairBatch<T>> {
-        self.pop_batch_with(max_batch, deadline, |_| false)
+        self.pop_batch_with(max_batch, deadline, |_| false, Vec::new())
     }
 
     /// [`pop_batch`](Self::pop_batch) with a *barrier* predicate: an item
@@ -155,12 +155,18 @@ impl<T> FairQueue<T> {
     /// requests: a singleton batch guarantees the planned panic takes down
     /// exactly its own request and produces exactly one supervisor
     /// respawn, keeping fault accounting deterministic.
+    ///
+    /// The batch's items are returned in `items` (cleared first), so a
+    /// worker that hands each batch's `Vec` back on its next call pops
+    /// without allocating.
     pub fn pop_batch_with(
         &self,
         max_batch: usize,
         deadline: Duration,
         barrier: impl Fn(&T) -> bool,
+        mut items: Vec<T>,
     ) -> Option<FairBatch<T>> {
+        items.clear();
         let max_batch = max_batch.max(1);
         let mut s = locked(&self.state);
         loop {
@@ -194,8 +200,14 @@ impl<T> FairQueue<T> {
                     break;
                 }
             }
-            if let Some(batch) = self.drr_take(&mut s, max_batch, &barrier) {
-                return Some(batch);
+            if let Some((tenant_index, tenant)) =
+                self.drr_take(&mut s, max_batch, &barrier, &mut items)
+            {
+                return Some(FairBatch {
+                    tenant_index,
+                    tenant,
+                    items,
+                });
             }
         }
     }
@@ -203,13 +215,15 @@ impl<T> FairQueue<T> {
     /// One DRR scheduling decision under the lock: top up the next
     /// backlogged lane's deficit and take `min(deficit, max_batch,
     /// backlog)` of its items, stopping short of the first barrier item
-    /// (which the next visit returns as a singleton).
+    /// (which the next visit returns as a singleton). The items go onto
+    /// `items`; the lane's `(registry index, wire id)` is returned.
     fn drr_take(
         &self,
         s: &mut FairState<T>,
         max_batch: usize,
         barrier: &impl Fn(&T) -> bool,
-    ) -> Option<FairBatch<T>> {
+        items: &mut Vec<T>,
+    ) -> Option<(usize, u32)> {
         let idx = s.next_lane()?;
         let lane = &mut s.lanes[idx];
         lane.deficit = lane.deficit.saturating_add(self.quantum * lane.weight);
@@ -218,7 +232,7 @@ impl<T> FairQueue<T> {
             take = at.max(1); // a barrier at the head rides alone
         }
         lane.deficit -= take as u64;
-        let items: Vec<T> = lane.items.drain(..take).collect();
+        items.extend(lane.items.drain(..take));
         let tenant = lane.tenant;
         if lane.items.is_empty() {
             // Classic DRR: an emptied lane forfeits its deficit so idle
@@ -231,11 +245,7 @@ impl<T> FairQueue<T> {
         }
         // Advance past the served lane so siblings interleave.
         s.cursor = (idx + 1) % s.lanes.len();
-        Some(FairBatch {
-            tenant_index: idx,
-            tenant,
-            items,
-        })
+        Some((idx, tenant))
     }
 
     /// Closes every lane: future pushes are refused, consumers drain what
@@ -404,7 +414,7 @@ mod tests {
         // A barrier behind `max_batch` healthy items of its lane waits its
         // turn, then leaves alone; so does one between two healthy items.
         for want in [vec![0, 1, 2, 3], vec![-1], vec![4], vec![-2], vec![5]] {
-            let batch = q.pop_batch_with(4, Duration::ZERO, |x| *x < 0);
+            let batch = q.pop_batch_with(4, Duration::ZERO, |x| *x < 0, Vec::new());
             assert_eq!(batch.unwrap().items, want);
         }
     }
@@ -416,7 +426,7 @@ mod tests {
         q.try_push(0, 1).unwrap();
         let linger = Duration::from_secs(5);
         let started = Instant::now();
-        let batch = q.pop_batch_with(4, linger, |x| *x == 9).unwrap();
+        let batch = q.pop_batch_with(4, linger, |x| *x == 9, Vec::new()).unwrap();
         assert_eq!(batch.items, vec![9]);
         assert!(started.elapsed() < linger, "the head barrier left at once");
     }
@@ -430,7 +440,7 @@ mod tests {
         q.try_push(1, 21).unwrap();
         // Lane 1's batch is whole and single-tenant; lane 0 resumes after.
         for want in [(0, vec![-1]), (1, vec![20, 21]), (0, vec![10])] {
-            let b = q.pop_batch_with(8, Duration::ZERO, |x| *x < 0).unwrap();
+            let b = q.pop_batch_with(8, Duration::ZERO, |x| *x < 0, Vec::new()).unwrap();
             assert_eq!((b.tenant_index, b.items), want);
         }
     }

@@ -100,3 +100,64 @@ pub use tenant::{TenantRegistry, TenantSpec, TenantState};
 pub(crate) fn locked<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
+
+/// The unit tests' allocator: counts the heap allocations of the threads
+/// that ask for it (the `plan_zero_alloc.rs` pattern, per thread — the
+/// tests of this crate run in parallel, and a wire test's reactor and
+/// client allocate on threads of their own).
+#[cfg(test)]
+pub(crate) mod alloc_count {
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    thread_local! {
+        // No destructor and no lazy initialiser: safe to touch from
+        // inside the allocator at any point of a thread's life.
+        static COUNTER: Cell<Option<&'static AtomicU64>> = const { Cell::new(None) };
+    }
+
+    /// From now on every allocation this thread makes bumps `counter`.
+    pub fn count_this_thread(counter: &'static AtomicU64) {
+        COUNTER.with(|c| c.set(Some(counter)));
+    }
+
+    struct Counting;
+
+    fn note() {
+        if let Ok(Some(counter)) = COUNTER.try_with(Cell::get) {
+            counter.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    // SAFETY: every call is forwarded unchanged to `System`; `note` only
+    // reads a `const`-initialised thread-local and bumps an atomic, so it
+    // neither allocates nor unwinds.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            note();
+            // SAFETY: the caller's contract for `alloc`, passed through.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            note();
+            // SAFETY: the caller's contract for `alloc_zeroed`, passed through.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            note();
+            // SAFETY: the caller's contract for `realloc`, passed through.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: the caller's contract for `dealloc`, passed through.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
+}

@@ -11,13 +11,12 @@
 //! an injected or organic panic is caught and the worker respawned (until
 //! its budget quarantines it).
 
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use seal_faults::RequestFault;
-use seal_net::reactor::Responder;
+use seal_net::reactor::{ReplyBatch, Responder};
 use seal_net::ConnId;
 use seal_nn::CompiledModel;
 use seal_pool::{spawn_supervised, SupervisedWorker, SupervisorReport};
@@ -25,7 +24,7 @@ use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::SeedableRng;
 use seal_tensor::Tensor;
 
-use crate::fair::FairQueue;
+use crate::fair::{FairBatch, FairQueue};
 use crate::metrics::BatchStats;
 use crate::queue::PushRefused;
 use crate::server::Response;
@@ -172,8 +171,16 @@ impl Machine {
         }
     }
 
-    /// Delivers a request's fate to wherever it came from.
-    fn answer(&self, tenant: u32, request: &Request, outcome: Result<Response, ServeError>) {
+    /// Delivers a request's fate to wherever it came from: a local
+    /// caller's channel at once; a wire reply is encoded onto `replies`,
+    /// which the caller [`post`](Self::post)s once per batch.
+    fn answer(
+        &self,
+        tenant: u32,
+        request: &Request,
+        outcome: Result<Response, ServeError>,
+        replies: &mut ReplyBatch,
+    ) {
         match &request.origin {
             // A dropped handle is fine — the server-side stats already
             // recorded the request.
@@ -182,11 +189,19 @@ impl Machine {
             }
             Origin::Wire { conn, user, pad } => {
                 let outcome = outcome.as_ref().map(|r| r.prediction);
-                let frame = netserve::encode_reply(tenant, request.id, *user, *pad, outcome);
-                if let Some(responder) = self.responder.get() {
-                    responder.send(*conn, frame);
-                }
+                replies.push(*conn, |out| {
+                    netserve::encode_reply(out, tenant, request.id, *user, *pad, outcome);
+                });
             }
+        }
+    }
+
+    /// Hands the wire replies gathered by [`answer`](Self::answer) to the
+    /// reactor: one mailbox append, at most one wake and one socket write
+    /// per connection, however many riders there were.
+    fn post(&self, replies: &mut ReplyBatch) {
+        if let Some(responder) = self.responder.get() {
+            responder.send(replies);
         }
     }
 
@@ -197,6 +212,7 @@ impl Machine {
     /// every worker quarantined.
     pub fn drain_leftovers(&self) -> u64 {
         let mut drained = 0;
+        let mut replies = ReplyBatch::new();
         for batch in self.queue.drain_remaining() {
             let tenant = self.registry.by_index(batch.tenant_index);
             for request in &batch.items {
@@ -205,9 +221,10 @@ impl Machine {
                 let gone = ServeError::DrainedAtShutdown {
                     request_id: request.id,
                 };
-                self.answer(batch.tenant, request, Err(gone));
+                self.answer(batch.tenant, request, Err(gone), &mut replies);
             }
         }
+        self.post(&mut replies);
         drained
     }
 
@@ -231,35 +248,75 @@ impl Machine {
     }
 }
 
-/// A worker: pop a single-tenant batch, shed the expired, honour planned
-/// faults, run the rest through the tenant's plan, price them on the
-/// tenant's lanes, answer every rider.
-///
-/// A tenant's plan is compiled on the first batch that needs it (weights
-/// pre-packed, arena pre-sized; rebuilt after a supervised respawn) —
-/// no steady-state allocation in the model. With `quantized` it runs the
-/// deterministic int8 path (lanes priced at int8 traffic).
-fn worker_loop(m: &Machine) {
-    let config = &m.config;
-    // Per tenant: `None` until first needed, then `Some(None)` if the plan
-    // failed to compile (recorded once; its batches fail like a model
-    // error) or `Some(Some(plan))`.
-    let mut plans: Vec<Option<Option<CompiledModel>>> = Vec::new();
+/// What one worker keeps from batch to batch, so that a warm worker's
+/// side of a wire batch allocates nothing.
+struct Worker<'m> {
+    m: &'m Machine,
+    /// Per tenant: `None` until first needed, then `Some(None)` if the
+    /// plan failed to compile (recorded once; its batches fail like a
+    /// model error) or `Some(Some(plan))` — weights pre-packed, arena
+    /// pre-sized; rebuilt after a supervised respawn.
+    plans: Vec<Option<Option<CompiledModel>>>,
+    /// The batch being served, `[riders, …]`: inputs are gathered here.
+    input: Tensor,
+    /// Its predicted classes.
+    classes: Vec<usize>,
+    /// Its wire replies, handed to the reactor in one piece.
+    replies: ReplyBatch,
+}
+
+/// A worker: pop a single-tenant batch, serve it, post its wire replies.
+pub(crate) fn worker_loop(m: &Machine) {
+    let mut plans = Vec::new();
     plans.resize_with(m.registry.len(), || None);
-    let poisoned = |r: &Request| r.fault == Some(RequestFault::WorkerPanic);
-    let (max_batch, linger) = (config.max_batch, config.batch_deadline);
-    while let Some(batch) = m.queue.pop_batch_with(max_batch, linger, poisoned) {
+    let mut worker = Worker {
+        m,
+        plans,
+        input: Tensor::default(),
+        classes: Vec::new(),
+        replies: ReplyBatch::new(),
+    };
+    let (max_batch, linger) = (m.config.max_batch, m.config.batch_deadline);
+    // Each batch's rider list goes back to the queue to be refilled.
+    let mut riders = Vec::new();
+    while let Some(mut batch) = m
+        .queue
+        .pop_batch_with(max_batch, linger, poisoned, riders)
+    {
+        worker.serve(&mut batch);
+        m.post(&mut worker.replies);
+        riders = batch.items;
+    }
+}
+
+/// Poisoned requests arrive as singleton batches (queue barrier).
+fn poisoned(r: &Request) -> bool {
+    r.fault == Some(RequestFault::WorkerPanic)
+}
+
+impl Worker<'_> {
+    /// One batch: shed the expired, honour planned faults, run the rest
+    /// through the tenant's plan, price them on the tenant's lanes,
+    /// answer every rider. With `quantized` the plan runs the
+    /// deterministic int8 path (lanes priced at int8 traffic).
+    fn serve(&mut self, batch: &mut FairBatch<Request>) {
+        let Worker {
+            m,
+            plans,
+            input,
+            classes,
+            replies,
+        } = self;
+        let config = &m.config;
         let picked_up = Instant::now();
         // Lanes are built from the registry, one per tenant.
         let tenant = m.registry.by_index(batch.tenant_index);
-        let slot = &mut plans[batch.tenant_index];
+        let tenant_id = batch.tenant;
         // Load shedding: an expired request gets a typed rejection and the
         // breaker hears about it; it never holds up the healthy remainder.
-        let mut live = Vec::with_capacity(batch.items.len());
-        for request in batch.items {
+        batch.items.retain(|request| {
             let Some(deadline) = request.missed(picked_up) else {
-                live.push(request);
-                continue;
+                return true;
             };
             tenant.shed.fetch_add(1, Ordering::Relaxed);
             locked(&tenant.breaker).on_shed();
@@ -268,17 +325,19 @@ fn worker_loop(m: &Machine) {
                 waited: picked_up.duration_since(request.enqueued),
                 deadline: deadline.duration_since(request.enqueued),
             };
-            m.answer(batch.tenant, &request, Err(shed));
-        }
-        let Some(first) = live.first() else { continue };
-        // Poisoned requests arrive as singleton batches (queue barrier).
+            m.answer(tenant_id, request, Err(shed), replies);
+            false
+        });
+        let live = batch.items.as_slice();
+        let Some(first) = live.first() else { return };
         // The rider is told *before* the panic unwinds, so it can never
         // hang on a dead worker; the supervisor respawns this loop.
         if poisoned(first) {
             m.panicked.fetch_add(1, Ordering::Relaxed);
             let request_id = first.id;
             let panicked = ServeError::WorkerPanicked { request_id };
-            m.answer(batch.tenant, first, Err(panicked));
+            m.answer(tenant_id, first, Err(panicked), replies);
+            m.post(replies);
             // This panic IS the injected fault — the supervisor's
             // catch/respawn path is the code under test.
             // seal-lint: allow(panic, panic-freedom)
@@ -291,38 +350,44 @@ fn worker_loop(m: &Machine) {
             std::thread::sleep(config.chaos_slow_delay);
         }
         let model = tenant.model();
-        let plan = slot.get_or_insert_with(|| {
-            let compiled = model.compile_plan(max_batch, config.quantized);
+        let plan = plans[batch.tenant_index].get_or_insert_with(|| {
+            let compiled = model.compile_plan(config.max_batch, config.quantized);
             compiled.map_err(|e| locked(&m.errors).push(e)).ok()
         });
-        let predictions = plan.as_mut().and_then(|plan| {
-            // A wire user's input is a pure function of their id, so the
-            // whole 10^5-user workload is reproducible without shipping
-            // tensors.
-            let inputs: Vec<Cow<'_, Tensor>> = live
-                .iter()
-                .map(|r| match &r.origin {
-                    Origin::Local { input, .. } => Cow::Borrowed(input),
+        let classified = plan.as_mut().and_then(|plan| {
+            // One tensor for every tenant: a registry's tenants share one
+            // model architecture, so this happens on a worker's first batch.
+            if input.shape().dims().get(1..) != model.input_shape().dims().get(1..) {
+                *input = Tensor::zeros(model.input_shape().clone());
+            }
+            input.resize_leading(live.len());
+            let rows = input
+                .as_mut_slice()
+                .chunks_exact_mut(model.input_shape().volume());
+            for (row, request) in rows.zip(live) {
+                match &request.origin {
+                    // `Server::submit` admitted only inputs of the model's shape.
+                    Origin::Local { input, .. } => row.copy_from_slice(input.as_slice()),
+                    // A wire user's input is a pure function of their id,
+                    // so the whole 10^5-user workload is reproducible
+                    // without shipping tensors.
                     Origin::Wire { user, .. } => {
-                        Cow::Owned(model.sample(&mut StdRng::seed_from_u64(*user)))
+                        model.sample_into(&mut StdRng::seed_from_u64(*user), row);
                     }
-                })
-                .collect();
-            let refs: Vec<&Tensor> = inputs.iter().map(Cow::as_ref).collect();
-            let classified = model
-                .concat_batch(&refs)
-                .and_then(|t| Ok(plan.classify(&t)?));
-            classified.map_err(|e| locked(&m.errors).push(e)).ok()
+                }
+            }
+            let classified = plan.classify_into(input, classes);
+            classified.map_err(|e| locked(&m.errors).push(e.into())).ok()
         });
-        let Some(predictions) = predictions else {
+        if classified.is_none() {
             // The batch dies, the worker lives on: every rider learns its
             // worker lost it (a typed `REJECT_MODEL` on the wire).
-            for r in &live {
+            for r in live {
                 let lost = ServeError::WorkerLost { request_id: r.id };
-                m.answer(batch.tenant, r, Err(lost));
+                m.answer(tenant_id, r, Err(lost), replies);
             }
-            continue;
-        };
+            return;
+        }
         let batch_size = live.len();
         locked(&tenant.cost).cost_batch(batch_size);
         locked(&m.batches).observe(batch_size);
@@ -330,14 +395,14 @@ fn worker_loop(m: &Machine) {
         let done = Instant::now();
         {
             let mut latency = locked(&tenant.latency);
-            for request in &live {
+            for request in live {
                 latency.record(done.duration_since(request.enqueued).as_micros() as u64);
             }
         }
         tenant
             .completed
             .fetch_add(batch_size as u64, Ordering::Relaxed);
-        for (request, prediction) in live.iter().zip(predictions) {
+        for (request, &prediction) in live.iter().zip(classes.iter()) {
             let response = Response {
                 id: request.id,
                 prediction,
@@ -345,7 +410,7 @@ fn worker_loop(m: &Machine) {
                 queue_wait: picked_up.duration_since(request.enqueued),
                 latency: done.duration_since(request.enqueued),
             };
-            m.answer(batch.tenant, request, Ok(response));
+            m.answer(tenant_id, request, Ok(response), replies);
         }
     }
 }

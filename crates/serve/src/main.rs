@@ -274,6 +274,14 @@ fn run_net_smoke(args: Args) -> Result<ExitCode, String> {
         fairness.load.wall_seconds,
         fairness.load.jain_index()
     );
+    let reactor = &fairness.stats.reactor;
+    println!(
+        "seal-serve: fairness: {} frames out in {} socket writes ({:.2} per write), {} wakeups",
+        reactor.frames_out,
+        reactor.socket_writes,
+        reactor.frames_per_write(),
+        reactor.wakeups
+    );
 
     // Chaos runs get the governance-tightened preset: serial workers (so
     // the settle wave is a real barrier), a short mid-frame idle budget

@@ -134,6 +134,20 @@ impl ServedModel {
         seal_tensor::uniform(rng, self.input.clone(), -1.0, 1.0)
     }
 
+    /// Draws what [`sample`](Self::sample) would draw from `rng`, written
+    /// into `row` — one sample's slot of a batch tensor the caller owns.
+    /// Filling row after row this way gives, bit for bit, the
+    /// [`concat_batch`](Self::concat_batch) of the [`sample`](Self::sample)s.
+    ///
+    /// # Panics
+    ///
+    /// Debug builds assert that `row` is one input volume long; a shorter
+    /// or longer row would be filled all the same, with other draws.
+    pub fn sample_into(&self, rng: &mut StdRng, row: &mut [f32]) {
+        debug_assert_eq!(row.len(), self.input.volume());
+        seal_tensor::fill_uniform(rng, row, -1.0, 1.0);
+    }
+
     /// Concatenates per-sample `[1, …]` tensors into one `[n, …]` batch.
     ///
     /// # Errors
@@ -181,6 +195,31 @@ mod tests {
             let preds = m.compile_plan(2, false).unwrap().classify(&batch).unwrap();
             assert_eq!(preds.len(), 2);
             assert!(preds.iter().all(|&p| p < 10));
+        }
+    }
+
+    #[test]
+    fn sample_into_rows_are_bitwise_the_concat_of_samples() {
+        for name in ZOO {
+            let m = ServedModel::load(name, 3).unwrap();
+            let volume = m.input_shape().volume();
+            // One tensor reused across batch sizes, as a worker does.
+            let mut batch = Tensor::zeros(m.input_shape().clone());
+            for n in [1usize, 5, 8] {
+                let users: Vec<u64> = (0..n as u64).map(|k| (24 << 32) ^ (k * 7919)).collect();
+                batch.resize_leading(n);
+                for (row, &user) in batch.as_mut_slice().chunks_exact_mut(volume).zip(&users) {
+                    m.sample_into(&mut StdRng::seed_from_u64(user), row);
+                }
+                let samples: Vec<Tensor> = users
+                    .iter()
+                    .map(|&user| m.sample(&mut StdRng::seed_from_u64(user)))
+                    .collect();
+                let want = m.concat_batch(&samples.iter().collect::<Vec<_>>()).unwrap();
+                assert_eq!(batch.shape(), want.shape(), "{name} at batch {n}");
+                let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&batch), bits(&want), "{name} at batch {n}");
+            }
         }
     }
 

@@ -509,7 +509,8 @@ fn reactor_json(r: &seal_net::ReactorStats) -> String {
         "{{ \"accepted\": {}, \"accept_deferred\": {}, \"frames_in\": {}, \"frames_out\": {}, \
          \"protocol_errors\": {}, \"truncated\": {}, \"idle_reaped\": {}, \
          \"dropped_responses\": {}, \"pipeline_rejects\": {}, \"pipeline_closed\": {}, \
-         \"slow_reader_closed\": {}, \"keepalive_closed\": {}, \"goaways_sent\": {} }}",
+         \"slow_reader_closed\": {}, \"keepalive_closed\": {}, \"goaways_sent\": {}, \
+         \"socket_writes\": {}, \"wakeups\": {}, \"frames_per_write\": {:.2} }}",
         r.accepted,
         r.accept_deferred,
         r.frames_in,
@@ -522,7 +523,10 @@ fn reactor_json(r: &seal_net::ReactorStats) -> String {
         r.pipeline_closed,
         r.slow_reader_closed,
         r.keepalive_closed,
-        r.goaways_sent
+        r.goaways_sent,
+        r.socket_writes,
+        r.wakeups,
+        r.frames_per_write()
     )
 }
 

@@ -29,6 +29,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use seal_net::frame::encode_with;
 use seal_net::reactor::{Handler, Reactor, ReactorConfig, ReactorControl, ReactorStats};
 use seal_net::{ConnId, Frame, FrameKind};
 use seal_pool::SupervisorReport;
@@ -95,27 +96,27 @@ fn reject_for(error: &ServeError) -> Vec<u8> {
     reject_payload(code, &error.to_string())
 }
 
-/// Encodes the reply to request `seq` of `tenant`: the predicted class
-/// and the echoed `user` id followed by `pad` zero bytes (filler that
-/// makes the reply bulky enough to exercise write-side backpressure), or
-/// the typed reject for `outcome`'s error.
+/// Appends the reply frame to request `seq` of `tenant` to `out`: the
+/// predicted class and the echoed `user` id followed by `pad` zero bytes
+/// (filler that makes the reply bulky enough to exercise write-side
+/// backpressure), or the typed reject for `outcome`'s error. A response
+/// is written in place — no payload buffer of its own.
 pub(crate) fn encode_reply(
+    out: &mut Vec<u8>,
     tenant: u32,
     seq: u64,
     user: u64,
     pad: u64,
     outcome: Result<usize, &ServeError>,
-) -> Vec<u8> {
+) {
     match outcome {
-        Ok(class) => {
-            // Admission capped `pad` at `MAX_RESPONSE_PAD`.
-            let mut payload = Vec::with_capacity(12 + pad as usize);
-            payload.extend_from_slice(&(class as u32).to_le_bytes());
-            payload.extend_from_slice(&user.to_le_bytes());
-            payload.resize(12 + pad as usize, 0);
-            Frame::response(tenant, seq, payload).encode()
-        }
-        Err(error) => Frame::reject(tenant, seq, reject_for(error)).encode(),
+        // Admission capped `pad` at `MAX_RESPONSE_PAD`; `encode_with`
+        // zero-fills it behind the twelve bytes written here.
+        Ok(class) => encode_with(out, FrameKind::Response, tenant, seq, 12 + pad as usize, |out| {
+            out.extend_from_slice(&(class as u32).to_le_bytes());
+            out.extend_from_slice(&user.to_le_bytes());
+        }),
+        Err(error) => Frame::reject(tenant, seq, reject_for(error)).encode_into(out),
     }
 }
 
@@ -687,6 +688,84 @@ mod tests {
         }
         assert_eq!(answered, BURST, "all requests answered on the wire");
         assert_eq!(goaways, 1, "drain broadcast one GOAWAY");
+    }
+
+    /// The `plan_zero_alloc.rs` contract, one level up: once every
+    /// tenant has been served a full batch (plan compiled, batch tensor,
+    /// rider list, class list, reply buffer and both mailbox buffers at
+    /// their largest), `worker_loop` serves wire batches of any size
+    /// without touching the heap. The real loop runs on a thread whose
+    /// allocations are counted; the reactor and this client are not.
+    #[test]
+    fn a_warm_worker_loop_serves_wire_batches_without_allocating() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static WORKER_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+        const TENANTS: u32 = 3;
+
+        let mut config = NetServerConfig::smoke(TENANTS);
+        // A linger and a DRR quantum that make every burst below one batch
+        // and one post, so no buffer's high-water mark depends on how far
+        // the reactor had got with the post before.
+        config.base.batch_deadline = Duration::from_millis(20);
+        let max_batch = config.base.max_batch as u64;
+        config.quantum = max_batch;
+        let registry =
+            TenantRegistry::build(&config.base, config.master_seed, &config.tenants).unwrap();
+        let machine = Machine::new(config.base, Arc::new(registry), config.quantum);
+        let admission = Admission {
+            machine: Arc::clone(&machine),
+        };
+        let reactor = Reactor::bind(ReactorConfig::default(), admission).unwrap();
+        let (port, control) = (reactor.port(), reactor.control());
+        machine.responder.set(reactor.responder()).unwrap();
+        let reactor = seal_pool::spawn_worker("alloc-reactor", move || reactor.run()).unwrap();
+        let worker = {
+            let machine = Arc::clone(&machine);
+            seal_pool::spawn_worker("alloc-worker", move || {
+                crate::alloc_count::count_this_thread(&WORKER_ALLOCATIONS);
+                // Kernels inline on this thread, where they are counted.
+                seal_pool::with_pool(&seal_pool::Pool::new(1), || {
+                    crate::machine::worker_loop(&machine);
+                });
+            })
+            .unwrap()
+        };
+
+        let mut wire = Wire::connect(port);
+        let mut seq = 0u64;
+        // `riders` requests of one tenant in one write, then their replies.
+        let mut burst = |tenant: u32, riders: u64| {
+            let bytes: Vec<u8> = (seq..seq + riders)
+                .flat_map(|s| request_bytes(tenant, s, 1000 + s))
+                .collect();
+            wire.stream.write_all(&bytes).unwrap();
+            for _ in 0..riders {
+                let reply = wire.read_frame().expect("a reply per request");
+                assert_eq!(reply.kind, FrameKind::Response, "reply: {reply:?}");
+            }
+            seq += riders;
+        };
+        for _ in 0..2 {
+            for tenant in 0..TENANTS {
+                burst(tenant, max_batch);
+            }
+        }
+        let warm = WORKER_ALLOCATIONS.load(Ordering::SeqCst);
+        assert!(warm > 0, "the counter sees the worker (plans were compiled)");
+        for round in 0..20 {
+            for tenant in 0..TENANTS {
+                burst(tenant, [max_batch, 5, 1][round % 3]);
+            }
+        }
+        let steady = WORKER_ALLOCATIONS.load(Ordering::SeqCst) - warm;
+        assert_eq!(steady, 0, "60 warm wire batches allocated {steady} times");
+
+        machine.queue.close();
+        worker.join().unwrap();
+        control.shutdown();
+        let stats = reactor.join().unwrap();
+        assert_eq!(stats.frames_in, stats.frames_out);
+        assert_eq!(stats.dropped_responses, 0);
     }
 
     #[test]

@@ -21,10 +21,17 @@ use crate::{Shape, Tensor};
 /// ```
 pub fn uniform(rng: &mut impl Rng, shape: Shape, lo: f32, hi: f32) -> Tensor {
     let mut t = Tensor::zeros(shape);
-    for v in t.as_mut_slice() {
+    fill_uniform(rng, t.as_mut_slice(), lo, hi);
+    t
+}
+
+/// Overwrites `out` with the draws [`uniform`] would fill a tensor of
+/// that many elements with — the same values from the same `rng` state,
+/// written into a buffer the caller already owns.
+pub fn fill_uniform(rng: &mut impl Rng, out: &mut [f32], lo: f32, hi: f32) {
+    for v in out {
         *v = rng.gen_range(lo..hi);
     }
-    t
 }
 
 /// Xavier/Glorot uniform initialisation for a weight tensor.

@@ -46,7 +46,7 @@ pub mod ops;
 pub mod rng;
 
 pub use error::TensorError;
-pub use init::{he_normal, uniform, xavier_uniform};
+pub use init::{fill_uniform, he_normal, uniform, xavier_uniform};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -53,6 +53,14 @@ impl Shape {
         &self.0
     }
 
+    /// Sets the outermost dimension; a rank-0 shape has none and keeps
+    /// its volume of 1.
+    pub(crate) fn set_leading(&mut self, n: usize) {
+        if let Some(dim) = self.0.first_mut() {
+            *dim = n;
+        }
+    }
+
     /// Dimension `i`, panicking if out of range.
     ///
     /// # Panics

@@ -121,6 +121,27 @@ impl Tensor {
         Ok(self)
     }
 
+    /// Resizes the outermost dimension to `n` in place: the rows that
+    /// stay keep their values, new rows are zero. The buffer keeps its
+    /// capacity, so a batch tensor reused across batch sizes allocates
+    /// only until it has held its largest batch once. A rank-0 tensor has
+    /// no outermost dimension and keeps its single element.
+    ///
+    /// ```
+    /// use seal_tensor::{Shape, Tensor};
+    ///
+    /// let mut batch = Tensor::ones(Shape::nchw(2, 1, 2, 2));
+    /// batch.resize_leading(3);
+    /// assert_eq!(batch.shape(), &Shape::nchw(3, 1, 2, 2));
+    /// assert_eq!(batch.as_slice()[4..], [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0]);
+    /// batch.resize_leading(1);
+    /// assert_eq!(batch.len(), 4);
+    /// ```
+    pub fn resize_leading(&mut self, n: usize) {
+        self.shape.set_leading(n);
+        self.data.resize(self.shape.volume(), 0.0);
+    }
+
     /// Element at a 2-D index (rank-2 tensors).
     ///
     /// # Panics

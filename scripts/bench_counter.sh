@@ -18,10 +18,12 @@
 # The lane rows are deterministic cost-model outputs, so the gates below
 # are exact: the tuned Counter lane must hit > 0.5 and land strictly
 # below the 4.2x worst case (and below the classic arm it replaces).
-# The stream rows are wall clock; both arms run back to back on the same
-# host, and the gate (batched <= 1/4 of per-page) only fails when the
-# closed form is not being taken — it measures ~1/7 (one 8-way sort and
-# 8 way writes per set instead of 12 lookups and fills).
+# The stream rows are wall clock: the two arms are timed interleaved,
+# five times each, and each reports its fastest repetition, so a host
+# clock flip between the arms cannot skew the ratio. The gate (batched
+# <= 1/4 of per-page) only fails when the closed form is not being taken
+# — it measures ~1/7 (one 8-way sort and 8 way writes per set instead of
+# 12 lookups and fills).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
