@@ -15,7 +15,11 @@
 //!    (`scalar|avx2|vnni`). Next to the 256³ row sits one row per conv/FC
 //!    GEMM of the served reduced VGG-16 at batch 8, run the way the
 //!    compiled plan runs it in the default kernel mode — so the headline
-//!    ratio can never again be for a kernel the server does not call.
+//!    ratio can never again be for a kernel the server does not call. A
+//!    conv row also times what ISSUE 25 replaced: the old run-copy patch
+//!    gather (`gather_ns`, next to `int8_ns`, the GEMM over its patch
+//!    matrix) against the one implicit-GEMM call that reads the padded
+//!    image in place (`implicit_ns`).
 //!    Correctness (bit-exactness across modes and threads) is proved by
 //!    the determinism suite, not here.
 //! 2. **Lanes**: pricing the reduced VGG-16 at int8 instead of f32
@@ -31,9 +35,9 @@ use seal_nn::models::{vgg16, vgg16_topology, VggConfig};
 use seal_pool::{with_pool, Pool};
 use seal_serve::{CostModel, ServerConfig, COSTED_SCHEMES};
 use seal_tensor::ops::{
-    gemm_i8, gemm_prepacked, i8_kernel_name, kernel_mode, matmul, quantize_rows_u8,
-    quantized_row_len, reset_kernel_mode, set_kernel_mode, ConvPlanDims, KernelMode, PackedB,
-    PackedBI8,
+    gemm_i8, gemm_i8_conv, gemm_prepacked, i8_kernel_name, kernel_mode, matmul, quantize_rows_u8,
+    quantized_row_len, reset_kernel_mode, set_kernel_mode, ConvPlanDims, ImplicitConv, KernelMode,
+    NhwcImage, PackedB, PackedBI8, PATCH_SLACK,
 };
 use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::SeedableRng;
@@ -134,6 +138,92 @@ struct ServedShape {
     s: usize,
     f32_ns: f64,
     int8_ns: f64,
+    /// The old run-copy patch gather of the batch (conv rows; 0 for FC).
+    gather_ns: f64,
+    /// The plan's int8 call(s) today: the implicit-GEMM conv over the
+    /// padded images, which replaces gather + GEMM (FC: `int8_ns`).
+    implicit_ns: f64,
+}
+
+/// The run-copy patch gather the int8 plan ran before its convolutions
+/// read the image in place (PRs 19–24, `gather_patches_nhwc`), kept only
+/// to time what the implicit conv removed: per output pixel, `k` runs of
+/// `k·c_in` padded-image bytes into one row of the `[oh·ow × ka]` patch
+/// matrix, each run copied as `BLOCKS` whole 16-byte blocks (`0`: at its
+/// exact width) that overshoot into the next run or the buffers'
+/// `PATCH_SLACK`, then the quad tail set to 128.
+fn gather_runs<const BLOCKS: usize>(img: &[u8], dims: &ConvPlanDims, out: &mut [u8]) {
+    let (k, stride, c_in) = (dims.geom.kernel, dims.geom.stride, dims.c_in);
+    let (run, row_bytes) = (k * c_in, (dims.w + 2 * dims.geom.padding) * c_in);
+    let ka = quantized_row_len(k * run);
+    let width = if BLOCKS == 0 {
+        run
+    } else {
+        BLOCKS * PATCH_SLACK
+    };
+    for p in 0..dims.oh * dims.ow {
+        let field = (p / dims.ow) * stride * row_bytes + (p % dims.ow) * stride * c_in;
+        for ky in 0..k {
+            let src = &img[field + ky * row_bytes..][..width];
+            out[p * ka + ky * run..][..width].copy_from_slice(src);
+        }
+        out[p * ka + k * run..][..ka - k * run].fill(128);
+    }
+}
+
+/// [`gather_runs`] with the block count the deleted gather picked.
+fn gather_patches(img: &[u8], dims: &ConvPlanDims, out: &mut [u8]) {
+    match (dims.geom.kernel * dims.c_in).div_ceil(PATCH_SLACK) {
+        1 => gather_runs::<1>(img, dims, out),
+        2 => gather_runs::<2>(img, dims, out),
+        3 => gather_runs::<3>(img, dims, out),
+        _ => gather_runs::<0>(img, dims, out),
+    }
+}
+
+/// Times one conv layer's batch the way the int8 plan ran it before and
+/// after ISSUE 25: `(gather_ns, implicit_ns)` — the run-copy gather of
+/// every image (the GEMM over its patches is `time_pair`'s `int8_ns`),
+/// and the implicit-GEMM conv over the stacked padded images, one call
+/// per image or one for the batch when the shape folds.
+fn time_conv_i8(dims: &ConvPlanDims) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(93);
+    let mode = kernel_mode();
+    let (img, s) = (NhwcImage::for_conv(dims), dims.oh * dims.ow);
+    let kdim = dims.c_in * dims.geom.kernel * dims.geom.kernel;
+    let stack = vec![131u8; SERVED_BATCH * img.stride() + PATCH_SLACK];
+    let weights = uniform(&mut rng, Shape::vector(dims.c_out * kdim), -1.0, 1.0);
+    let packed =
+        PackedBI8::pack_conv_runs(weights.as_slice(), dims).expect("kdim is far below MAX_QGEMM_K");
+    let group = if dims.folds_batch_i8() {
+        SERVED_BATCH
+    } else {
+        1
+    };
+    let conv = ImplicitConv::compile(dims, group).expect("a served conv reads its image in place");
+    let mut patches = vec![128u8; group * s * quantized_row_len(kdim) + PATCH_SLACK];
+    let gather_ns = measure_ns(|| {
+        for i in 0..SERVED_BATCH {
+            let dst = (i % group) * s * quantized_row_len(kdim);
+            gather_patches(&stack[i * img.stride()..], dims, &mut patches[dst..]);
+        }
+        std::hint::black_box(patches[0])
+    });
+    let mut acc = vec![0i32; group * s * dims.c_out];
+    let implicit_ns = measure_ns(|| {
+        for g0 in (0..SERVED_BATCH).step_by(group) {
+            gemm_i8_conv(
+                &stack[g0 * img.stride()..],
+                &conv,
+                group,
+                &packed,
+                &mut acc,
+                mode,
+            );
+        }
+        std::hint::black_box(acc[0])
+    });
+    (gather_ns, implicit_ns)
 }
 
 /// Times back-to-back GEMMs of reduction depth `kdim` in f32
@@ -213,6 +303,7 @@ fn bench_served_shapes() -> Vec<ServedShape> {
                     (q_calls, q_cols, dims.c_out),
                 )
             });
+            let (gather_ns, implicit_ns) = with_pool(&pool, || time_conv_i8(&dims));
             rows.push(ServedShape {
                 layer: layer.name().to_string(),
                 c_out: dims.c_out,
@@ -220,6 +311,8 @@ fn bench_served_shapes() -> Vec<ServedShape> {
                 s,
                 f32_ns,
                 int8_ns,
+                gather_ns,
+                implicit_ns,
             });
         } else if let Some(fc) = any.and_then(|a| a.downcast_ref::<Linear>()) {
             let (in_f, out_f) = (fc.in_features(), fc.out_features());
@@ -232,11 +325,37 @@ fn bench_served_shapes() -> Vec<ServedShape> {
                 s: 1,
                 f32_ns,
                 int8_ns,
+                gather_ns: 0.0,
+                implicit_ns: int8_ns,
             });
         }
         shape = out;
     }
     rows
+}
+
+/// The `served_shapes.rows` entries of `BENCH_quant.json`, one per line.
+fn served_rows_json(served: &[ServedShape]) -> String {
+    let rows: Vec<String> = served
+        .iter()
+        .map(|r| {
+            format!(
+                "      {{ \"layer\": \"{}\", \"c_out\": {}, \"kdim\": {}, \"s\": {}, \
+                 \"f32_ns\": {:.0}, \"int8_ns\": {:.0}, \"int8_x_f32\": {:.3}, \
+                 \"gather_ns\": {:.0}, \"implicit_ns\": {:.0} }}",
+                r.layer,
+                r.c_out,
+                r.kdim,
+                r.s,
+                r.f32_ns,
+                r.int8_ns,
+                r.f32_ns / r.int8_ns,
+                r.gather_ns,
+                r.implicit_ns
+            )
+        })
+        .collect();
+    rows.join(",\n")
 }
 
 struct LaneDelta {
@@ -338,14 +457,17 @@ fn main() {
     );
     for r in &served {
         println!(
-            "  {:<10} c_out {:>3} kdim {:>4} s {:>3}: f32 {:>8.1}us int8 {:>8.1}us ({:.2}x)",
+            "  {:<10} c_out {:>3} kdim {:>4} s {:>3}: f32 {:>8.1}us int8 {:>8.1}us ({:.2}x) \
+             | gather {:>6.1}us + int8 vs implicit {:>8.1}us",
             r.layer,
             r.c_out,
             r.kdim,
             r.s,
             r.f32_ns / 1e3,
             r.int8_ns / 1e3,
-            r.f32_ns / r.int8_ns
+            r.f32_ns / r.int8_ns,
+            r.gather_ns / 1e3,
+            r.implicit_ns / 1e3
         );
     }
 
@@ -421,23 +543,7 @@ fn main() {
     json.push_str(&format!(
         "  \"served_shapes\": {{\n    \"model\": \"vgg16-reduced\",\n    \"batch\": {SERVED_BATCH},\n    \"rows\": [\n"
     ));
-    let rows: Vec<String> = served
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{ \"layer\": \"{}\", \"c_out\": {}, \"kdim\": {}, \"s\": {}, \
-                 \"f32_ns\": {:.0}, \"int8_ns\": {:.0}, \"int8_x_f32\": {:.3} }}",
-                r.layer,
-                r.c_out,
-                r.kdim,
-                r.s,
-                r.f32_ns,
-                r.int8_ns,
-                r.f32_ns / r.int8_ns
-            )
-        })
-        .collect();
-    json.push_str(&rows.join(",\n"));
+    json.push_str(&served_rows_json(&served));
     json.push_str("\n    ]\n  },\n");
     json.push_str("  \"lanes\": {\n");
     json.push_str("    \"model\": \"vgg16\",\n");
@@ -476,5 +582,39 @@ fn main() {
             eprintln!("failed to write {out_path}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Golden shape of a `served_shapes.rows` entry: the keys, in order,
+    /// and their formats — a conv row with the gather / implicit split and
+    /// an FC row, whose plan call is the dense GEMM itself.
+    #[test]
+    fn served_rows_have_the_stable_golden_shape() {
+        let row = |layer: &str, s, gather_ns, implicit_ns| ServedShape {
+            layer: layer.into(),
+            c_out: 6,
+            kdim: 27,
+            s,
+            f32_ns: 2000.0,
+            int8_ns: 800.0,
+            gather_ns,
+            implicit_ns,
+        };
+        let text = served_rows_json(&[
+            row("conv1_1", 1024, 1200.4, 900.6),
+            row("fc3", 1, 0.0, 800.0),
+        ]);
+        assert_eq!(
+            text,
+            "      { \"layer\": \"conv1_1\", \"c_out\": 6, \"kdim\": 27, \"s\": 1024, \
+             \"f32_ns\": 2000, \"int8_ns\": 800, \"int8_x_f32\": 2.500, \"gather_ns\": 1200, \
+             \"implicit_ns\": 901 },\n      { \"layer\": \"fc3\", \"c_out\": 6, \"kdim\": 27, \
+             \"s\": 1, \"f32_ns\": 2000, \"int8_ns\": 800, \"int8_x_f32\": 2.500, \
+             \"gather_ns\": 0, \"implicit_ns\": 800 }"
+        );
     }
 }

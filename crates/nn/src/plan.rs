@@ -39,9 +39,9 @@ use crate::shape_check::check_model;
 use crate::{Layer, NnError, Sequential};
 use seal_tensor::ops::{
     avg_pool2d_into, conv2d_infer_fused, conv2d_reference, dequantize_bias_relu,
-    dequantize_transpose_bias_relu, gather_patches_nhwc, gemm_i8, gemm_prepacked, kernel_mode,
-    max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8, quantized_row_len, BatchNormParams,
-    Conv2dGeometry, ConvEpilogue, ConvPlanDims, Im2colGather, KernelMode, NhwcImage, PackedB,
+    dequantize_transpose_bias_relu, gemm_i8, gemm_i8_conv, gemm_prepacked, kernel_mode,
+    max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8, BatchNormParams, Conv2dGeometry,
+    ConvEpilogue, ConvPlanDims, Im2colGather, ImplicitConv, KernelMode, NhwcImage, PackedB,
     PackedBI8, PoolGeometry, Requantize, PATCH_SLACK,
 };
 use seal_tensor::{Shape, Tensor, ELEMWISE_CHUNK};
@@ -125,11 +125,14 @@ enum Step {
         relu: bool,
     },
     /// Int8 convolution: per-out-channel-quantized weights pre-packed at
-    /// compile time in `(ky, kx, c_in)` column order, run-copy patch
-    /// gather from the padded u8 NHWC input, exact-i32 GEMM, write-back
-    /// in the format of the outgoing edge.
+    /// compile time in `(ky, kx, c_in)` runs padded to whole quads, an
+    /// exact-i32 implicit GEMM that reads the padded u8 NHWC input in
+    /// place, write-back in the format of the outgoing edge.
     QConv {
         dims: ConvPlanDims,
+        /// Row offsets and run geometry into the input image — into the
+        /// stacked batch when the shape folds.
+        conv: ImplicitConv,
         packed: PackedBI8,
         bias: Vec<f32>,
         relu: bool,
@@ -261,16 +264,13 @@ impl Arena {
 struct QuantScratch {
     /// The u8 activation ping-pong: each slot a batch of padded NHWC
     /// images (or linear rows) at the consumer's [`NhwcImage::stride`],
-    /// plus the gather's read slack. `u8_live` holds the current
+    /// plus the implicit conv's read slack. `u8_live` holds the current
     /// activations; a step with a u8 outgoing edge writes `u8_next` and
     /// swaps the two.
     u8_live: Vec<u8>,
     u8_next: Vec<u8>,
     /// Scale of each image in `u8_live`.
     scales: Vec<f32>,
-    /// Patch-major A operand of one conv GEMM (one image, or the whole
-    /// batch stacked when the shape folds), plus the gather's write slack.
-    patches: Vec<u8>,
     /// The exact i32 GEMM accumulator.
     acc: Vec<i32>,
     /// One image of f32 staging for the requantizing write-back.
@@ -328,9 +328,8 @@ impl CompiledModel {
             h: input.dim(2),
             w: input.dim(3),
         };
-        let mut max_vol = feat.vol();
-        let mut steps =
-            compile_layers(model.layers(), &mut feat, true, &mut max_vol, options.quantize)?;
+        let in_vol = feat.vol();
+        let mut steps = compile_layers(model.layers(), &mut feat, true, options.quantize)?;
         fold_and_fuse(&mut steps, options);
         if !options.quantize {
             fuse_epilogues(&mut steps);
@@ -339,7 +338,7 @@ impl CompiledModel {
             // Convolutions quantize *after* folding so the per-channel
             // scales see the batch-norm-scaled weights (linear layers are
             // never folded and quantize during the walk).
-            quantize_convs(&mut steps)?;
+            quantize_convs(&mut steps, max_batch)?;
             assign_edges(&mut steps)?;
         }
         let num_classes = match feat {
@@ -350,7 +349,9 @@ impl CompiledModel {
                 })
             }
         };
-        let slot = max_vol * max_batch;
+        // Sized from the f32 edges only, now that `assign_edges` has made
+        // the quantized ones u8.
+        let slot = in_vol.max(f32_edge_vol(&steps)) * max_batch;
         let mut qs = QuantSizes::default();
         quant_sizes(&steps, max_batch, &mut qs);
         Ok(CompiledModel {
@@ -368,7 +369,6 @@ impl CompiledModel {
                 u8_live: vec![128u8; qs.u8_slot], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
                 u8_next: vec![128u8; qs.u8_slot], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
                 scales: vec![0.0f32; qs.scales], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
-                patches: vec![128u8; qs.patches], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
                 acc: vec![0i32; qs.acc], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
                 stage: vec![0.0f32; qs.stage], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
             },
@@ -588,6 +588,7 @@ fn run_plain<'a>(
         }
         Step::QConv {
             dims,
+            conv,
             packed,
             bias,
             relu,
@@ -597,12 +598,10 @@ fn run_plain<'a>(
             let (in_vol, in_stride) = (dims.c_in * dims.h * dims.w, img.stride());
             let s = dims.oh * dims.ow;
             let out_vol = dims.c_out * s;
-            let patch_bytes = s * quantized_row_len(packed.k());
             let QuantScratch {
                 u8_live: src,
                 u8_next: dst,
                 scales,
-                patches,
                 acc,
                 stage,
             } = quant;
@@ -612,23 +611,15 @@ fn run_plain<'a>(
                     *scale = quantize_nhwc_u8(x, &img, &mut src[i * in_stride..], mode);
                 }
             }
-            // Run-copy gather straight from the padded u8 image, exact-i32
-            // GEMM (internally parallel and deterministic), write-back in
-            // the outgoing edge's format. One GEMM per image — or, when an
+            // Exact-i32 implicit GEMM straight over the padded u8 image
+            // (internally parallel and deterministic), write-back in the
+            // outgoing edge's format. One GEMM per image — or, when an
             // image is narrower than a GEMM strip, one over the whole
-            // batch's stacked patch rows.
+            // batch's stacked images. The open-ended image slice carries
+            // the read slack: whatever follows in the slot.
             let group = if dims.folds_batch_i8() { n } else { 1 };
             for g0 in (0..n).step_by(group) {
-                for j in 0..group {
-                    // Open-ended slices: the gather's slack is whatever
-                    // follows in the slot / the patch buffer.
-                    gather_patches_nhwc(
-                        &src[(g0 + j) * in_stride..],
-                        dims,
-                        &mut patches[j * patch_bytes..],
-                    );
-                }
-                gemm_i8(patches, packed, acc, group * s, mode);
+                gemm_i8_conv(&src[g0 * in_stride..], conv, group, packed, acc, mode);
                 for j in 0..group {
                     let i = g0 + j;
                     let acc = &acc[j * out_vol..(j + 1) * out_vol];
@@ -790,7 +781,6 @@ fn compile_layers(
     layers: &[Box<dyn Layer>],
     feat: &mut Feat,
     allow_residual: bool,
-    max_vol: &mut usize,
     quantize: bool,
 ) -> Result<Vec<Step>, NnError> {
     let mut steps = Vec::with_capacity(layers.len());
@@ -926,10 +916,9 @@ fn compile_layers(
             let in_feat = *feat;
             let in_vol = in_feat.vol();
             let mut main_feat = in_feat;
-            let main = compile_layers(res.main_branch(), &mut main_feat, false, max_vol, quantize)?;
+            let main = compile_layers(res.main_branch(), &mut main_feat, false, quantize)?;
             let mut short_feat = in_feat;
-            let shortcut =
-                compile_layers(res.shortcut_branch(), &mut short_feat, false, max_vol, quantize)?;
+            let shortcut = compile_layers(res.shortcut_branch(), &mut short_feat, false, quantize)?;
             if main_feat != short_feat {
                 return Err(NnError::InvalidConfig {
                     reason: format!(
@@ -948,7 +937,6 @@ fn compile_layers(
         } else {
             return Err(unplannable(layer.as_ref()));
         };
-        *max_vol = (*max_vol).max(feat.vol());
         steps.push(step);
     }
     Ok(steps)
@@ -1134,13 +1122,14 @@ fn absorbs(conv: &Step, next: &Step) -> bool {
 /// pre-packed [`PackedBI8`] panels. Runs after [`fold_and_fuse`] so the
 /// quantization scales see the final (batch-norm-scaled) weights.
 ///
-/// Weight columns are permuted from `(c_in, ky, kx)` to `(ky, kx, c_in)`
-/// before packing — the order the NHWC patch gather produces. Each output
-/// channel keeps the same set of weights (same scale, same quantized
-/// values) and integer sums are order-free, so the accumulators are
-/// exactly those of the unpermuted pack.
-// seal-lint: allow(panic-freedom) — compile time; `ci·kk + tap` enumerates one output channel's `c_in·k·k` weight row, cut to that length by `chunks_exact`
-fn quantize_convs(steps: &mut [Step]) -> Result<(), NnError> {
+/// Weights are packed in the image's `(ky, kx, c_in)` byte order, each
+/// `ky` run padded to whole quads with zero weights
+/// ([`PackedBI8::pack_conv_runs`]). Each output channel keeps the same
+/// set of weights (same scale, same quantized values) and integer sums
+/// are order-free, so the accumulators are exactly those of the
+/// unpermuted pack. The row table covers `max_batch` stacked images when
+/// the shape folds.
+fn quantize_convs(steps: &mut [Step], max_batch: usize) -> Result<(), NnError> {
     for step in steps.iter_mut() {
         match step {
             Step::Conv {
@@ -1150,20 +1139,10 @@ fn quantize_convs(steps: &mut [Step]) -> Result<(), NnError> {
                 relu,
                 ..
             } => {
-                let (c_in, kk) = (dims.c_in, dims.geom.kernel * dims.geom.kernel);
-                let mut nhwc = vec![0.0f32; weights.len()]; // seal-lint: allow(hot-path-alloc) — one-time compile step
-                for (row, src) in nhwc
-                    .chunks_exact_mut(c_in * kk)
-                    .zip(weights.chunks_exact(c_in * kk))
-                {
-                    for (tap, pixel) in row.chunks_exact_mut(c_in).enumerate() {
-                        for (ci, w) in pixel.iter_mut().enumerate() {
-                            *w = src[ci * kk + tap];
-                        }
-                    }
-                }
+                let images = if dims.folds_batch_i8() { max_batch } else { 1 };
                 *step = Step::QConv {
-                    packed: PackedBI8::pack_conv(&nhwc, dims.c_out, c_in * kk)?,
+                    conv: ImplicitConv::compile(dims, images)?,
+                    packed: PackedBI8::pack_conv_runs(weights, dims)?,
                     dims: *dims,
                     bias: std::mem::take(bias),
                     relu: *relu,
@@ -1171,8 +1150,8 @@ fn quantize_convs(steps: &mut [Step]) -> Result<(), NnError> {
                 };
             }
             Step::Residual { main, shortcut, .. } => {
-                quantize_convs(main)?;
-                quantize_convs(shortcut)?;
+                quantize_convs(main, max_batch)?;
+                quantize_convs(shortcut, max_batch)?;
             }
             _ => {}
         }
@@ -1248,13 +1227,45 @@ fn assign_edges(steps: &mut Vec<Step>) -> Result<(), NnError> {
     Ok(())
 }
 
+/// Largest per-image volume an **f32** activation edge of `steps`
+/// carries: every output a step writes to the f32 arena (a quantized
+/// step with a u8 outgoing edge writes none) and every residual stash.
+/// With the network input, this is what one arena slot holds per image.
+fn f32_edge_vol(steps: &[Step]) -> usize {
+    let f32_out = |edges: &QEdges, vol: usize| if edges.u8_out.is_some() { 0 } else { vol };
+    steps
+        .iter()
+        .map(|step| match step {
+            Step::Conv { out_vol, .. } => *out_vol,
+            Step::Linear { out_f, .. } => *out_f,
+            Step::QConv { dims, edges, .. } => f32_out(edges, dims.c_out * dims.oh * dims.ow),
+            Step::QLinear { out_f, edges, .. } => f32_out(edges, *out_f),
+            Step::BatchNorm {
+                channels, spatial, ..
+            } => channels * spatial,
+            Step::Relu { vol } => *vol,
+            Step::MaxPool { c, oh, ow, .. } | Step::AvgPool { c, oh, ow, .. } => c * oh * ow,
+            Step::Identity => 0,
+            Step::Residual {
+                main,
+                shortcut,
+                in_vol,
+                out_vol,
+            } => (*in_vol)
+                .max(*out_vol)
+                .max(f32_edge_vol(main))
+                .max(f32_edge_vol(shortcut)),
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 /// Worst-case quantized-scratch extents across a step list (all zero when
-/// no step is quantized), the gather's slack included where it applies.
+/// no step is quantized), the implicit conv's read slack included.
 #[derive(Debug, Default)]
 struct QuantSizes {
     u8_slot: usize,
     scales: usize,
-    patches: usize,
     acc: usize,
     stage: usize,
 }
@@ -1262,18 +1273,10 @@ struct QuantSizes {
 fn quant_sizes(steps: &[Step], max_batch: usize, sz: &mut QuantSizes) {
     for step in steps {
         let (input, edges) = match step {
-            Step::QConv {
-                dims,
-                packed,
-                edges,
-                ..
-            } => {
+            Step::QConv { dims, edges, .. } => {
                 // Images per GEMM: the whole batch when the shape folds.
                 let group = if dims.folds_batch_i8() { max_batch } else { 1 };
-                let s = dims.oh * dims.ow;
-                let patches = group * s * quantized_row_len(packed.k()) + PATCH_SLACK;
-                sz.patches = sz.patches.max(patches);
-                sz.acc = sz.acc.max(group * s * dims.c_out);
+                sz.acc = sz.acc.max(group * dims.oh * dims.ow * dims.c_out);
                 (NhwcImage::for_conv(dims), edges)
             }
             Step::QLinear {

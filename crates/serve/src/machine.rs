@@ -3,8 +3,10 @@
 //! DESIGN.md §6c draws it).
 //!
 //! [`Server`](crate::Server) runs it over a one-tenant registry and
-//! answers on per-request channels; [`NetServer`](crate::NetServer) runs
-//! it over the tenant table and answers with wire frames. Every
+//! answers through per-request reply cells; [`NetServer`](crate::NetServer)
+//! runs it over the tenant table and answers with wire frames. Either
+//! way a batch's answers are all stored before any is delivered, so a
+//! batch costs each waiting thread (or connection) at most one wake. Every
 //! degradation is a *typed* rejection delivered to the request's origin —
 //! an admitted request always learns its fate (success, shed, panic,
 //! drain), never hangs. Workers run under `seal-pool`'s panic supervisor:
@@ -12,7 +14,7 @@
 //! its budget quarantines it).
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use seal_faults::RequestFault;
@@ -27,7 +29,7 @@ use seal_tensor::Tensor;
 use crate::fair::{FairBatch, FairQueue};
 use crate::metrics::BatchStats;
 use crate::queue::PushRefused;
-use crate::server::Response;
+use crate::server::{Reply, Response};
 use crate::tenant::TenantRegistry;
 use crate::{locked, netserve, ServeError, ServerConfig};
 
@@ -35,11 +37,8 @@ use crate::{locked, netserve, ServeError, ServerConfig};
 #[derive(Debug)]
 pub(crate) enum Origin {
     /// An in-process [`Server::submit`](crate::Server::submit): the input
-    /// rides along, the answer goes to the caller's channel.
-    Local {
-        input: Tensor,
-        tx: mpsc::Sender<Result<Response, ServeError>>,
-    },
+    /// rides along, the answer goes to the caller's reply cell.
+    Local { input: Tensor, reply: Reply },
     /// A wire frame: the worker derives the input from `user`, the answer
     /// is a frame for `conn` carrying `pad` filler bytes.
     Wire { conn: ConnId, user: u64, pad: u64 },
@@ -171,9 +170,10 @@ impl Machine {
         }
     }
 
-    /// Delivers a request's fate to wherever it came from: a local
-    /// caller's channel at once; a wire reply is encoded onto `replies`,
-    /// which the caller [`post`](Self::post)s once per batch.
+    /// Records a request's fate for wherever it came from — stored in a
+    /// local caller's reply cell, encoded onto `replies` for a wire one —
+    /// without waking anyone: the caller [`deliver`](Self::deliver)s the
+    /// batch once every rider is answered.
     fn answer(
         &self,
         tenant: u32,
@@ -184,9 +184,7 @@ impl Machine {
         match &request.origin {
             // A dropped handle is fine — the server-side stats already
             // recorded the request.
-            Origin::Local { tx, .. } => {
-                let _ = tx.send(outcome);
-            }
+            Origin::Local { reply, .. } => reply.store(outcome),
             Origin::Wire { conn, user, pad } => {
                 let outcome = outcome.as_ref().map(|r| r.prediction);
                 replies.push(*conn, |out| {
@@ -196,10 +194,17 @@ impl Machine {
         }
     }
 
-    /// Hands the wire replies gathered by [`answer`](Self::answer) to the
-    /// reactor: one mailbox append, at most one wake and one socket write
-    /// per connection, however many riders there were.
-    fn post(&self, replies: &mut ReplyBatch) {
+    /// Hands over the answers [`answer`](Self::answer) recorded for
+    /// `riders`: wakes the local riders' parked waiters — only now, after
+    /// the last store, so a caller waiting on several of them wakes once —
+    /// and posts the wire replies to the reactor in one mailbox append, at
+    /// most one wake and one socket write per connection.
+    fn deliver(&self, riders: &[Request], replies: &mut ReplyBatch) {
+        for request in riders {
+            if let Origin::Local { reply, .. } = &request.origin {
+                reply.wake();
+            }
+        }
         if let Some(responder) = self.responder.get() {
             responder.send(replies);
         }
@@ -223,8 +228,8 @@ impl Machine {
                 };
                 self.answer(batch.tenant, request, Err(gone), &mut replies);
             }
+            self.deliver(&batch.items, &mut replies);
         }
-        self.post(&mut replies);
         drained
     }
 
@@ -265,17 +270,9 @@ struct Worker<'m> {
     replies: ReplyBatch,
 }
 
-/// A worker: pop a single-tenant batch, serve it, post its wire replies.
+/// A worker: pop a single-tenant batch, serve it, deliver its answers.
 pub(crate) fn worker_loop(m: &Machine) {
-    let mut plans = Vec::new();
-    plans.resize_with(m.registry.len(), || None);
-    let mut worker = Worker {
-        m,
-        plans,
-        input: Tensor::default(),
-        classes: Vec::new(),
-        replies: ReplyBatch::new(),
-    };
+    let mut worker = Worker::new(m);
     let (max_batch, linger) = (m.config.max_batch, m.config.batch_deadline);
     // Each batch's rider list goes back to the queue to be refilled.
     let mut riders = Vec::new();
@@ -283,8 +280,7 @@ pub(crate) fn worker_loop(m: &Machine) {
         .queue
         .pop_batch_with(max_batch, linger, poisoned, riders)
     {
-        worker.serve(&mut batch);
-        m.post(&mut worker.replies);
+        worker.handle(&mut batch);
         riders = batch.items;
     }
 }
@@ -294,11 +290,30 @@ fn poisoned(r: &Request) -> bool {
     r.fault == Some(RequestFault::WorkerPanic)
 }
 
-impl Worker<'_> {
+impl<'m> Worker<'m> {
+    fn new(m: &'m Machine) -> Self {
+        let mut plans = Vec::new();
+        plans.resize_with(m.registry.len(), || None);
+        Worker {
+            m,
+            plans,
+            input: Tensor::default(),
+            classes: Vec::new(),
+            replies: ReplyBatch::new(),
+        }
+    }
+
+    /// Serves one batch, then delivers its answers.
+    fn handle(&mut self, batch: &mut FairBatch<Request>) {
+        self.serve(batch);
+        self.m.deliver(&batch.items, &mut self.replies);
+    }
+
     /// One batch: shed the expired, honour planned faults, run the rest
     /// through the tenant's plan, price them on the tenant's lanes,
-    /// answer every rider. With `quantized` the plan runs the
-    /// deterministic int8 path (lanes priced at int8 traffic).
+    /// answer every rider (the caller delivers the answers). With
+    /// `quantized` the plan runs the deterministic int8 path (lanes
+    /// priced at int8 traffic).
     fn serve(&mut self, batch: &mut FairBatch<Request>) {
         let Worker {
             m,
@@ -314,6 +329,8 @@ impl Worker<'_> {
         let tenant_id = batch.tenant;
         // Load shedding: an expired request gets a typed rejection and the
         // breaker hears about it; it never holds up the healthy remainder.
+        // (Leaving the batch, a local rider's `Reply` drops — which wakes
+        // its waiter.)
         batch.items.retain(|request| {
             let Some(deadline) = request.missed(picked_up) else {
                 return true;
@@ -337,7 +354,7 @@ impl Worker<'_> {
             let request_id = first.id;
             let panicked = ServeError::WorkerPanicked { request_id };
             m.answer(tenant_id, first, Err(panicked), replies);
-            m.post(replies);
+            m.deliver(std::slice::from_ref(first), replies);
             // This panic IS the injected fault — the supervisor's
             // catch/respawn path is the code under test.
             // seal-lint: allow(panic, panic-freedom)
@@ -419,22 +436,144 @@ impl Worker<'_> {
 mod tests {
     use super::*;
 
+    use crate::server::{ResponseHandle, REPLY_TRACE};
+
     #[test]
     fn a_deadline_equal_to_the_pick_up_instant_is_missed() {
         let now = Instant::now();
-        let (tx, _rx) = mpsc::channel();
+        let (_handle, reply) = ResponseHandle::new(0);
         let input = Tensor::zeros(seal_tensor::Shape::nchw(1, 1, 1, 1));
         let mut request = Request {
             id: 0,
             enqueued: now,
             deadline: Some(now),
             fault: None,
-            origin: Origin::Local { input, tx },
+            origin: Origin::Local { input, reply },
         };
         assert_eq!(request.missed(now), Some(now), "due at pick-up is shed");
         request.deadline = Some(now + Duration::from_nanos(1));
         assert_eq!(request.missed(now), None, "due after pick-up is served");
         request.deadline = None;
         assert_eq!(request.missed(now + Duration::from_secs(3600)), None);
+    }
+
+    /// A machine with no worker threads of its own: these tests serve its
+    /// batches on the test thread, so the reply trace is theirs.
+    fn bare_machine() -> Arc<Machine> {
+        let config = ServerConfig {
+            model: "mlp".into(),
+            max_batch: 8,
+            queue_capacity: 64,
+            ..ServerConfig::smoke()
+        };
+        let registry = Arc::new(TenantRegistry::solo(&config).unwrap());
+        Machine::new(config, registry, 8)
+    }
+
+    /// Admits local requests `ids` and hands back their handles.
+    fn admit_local(
+        m: &Machine,
+        ids: std::ops::Range<u64>,
+        rng: &mut StdRng,
+    ) -> Vec<ResponseHandle> {
+        let model = m.registry.by_index(0).model();
+        ids.map(|id| {
+            let (handle, reply) = ResponseHandle::new(id);
+            let input = model.sample(rng);
+            m.admit(0, id, None, Origin::Local { input, reply })
+                .unwrap();
+            handle
+        })
+        .collect()
+    }
+
+    /// One thread waits on a batch's eight handles — in order, reversed,
+    /// shuffled — and is parked on the first of them when the batch is
+    /// served. The worker stores all eight answers before it wakes any,
+    /// so that thread is woken exactly once per batch, and it still
+    /// receives every answer on the right handle.
+    #[test]
+    fn a_batch_wakes_its_waiting_thread_once_in_any_wait_order() {
+        let m = bare_machine();
+        let mut worker = Worker::new(&m);
+        let mut rng = StdRng::seed_from_u64(25);
+        let orders: [Vec<usize>; 3] = [
+            (0..8).collect(),
+            (0..8).rev().collect(),
+            vec![3, 7, 0, 5, 1, 6, 2, 4],
+        ];
+        for (b, order) in orders.iter().enumerate() {
+            let base = 8 * b as u64;
+            let mut handles: Vec<Option<ResponseHandle>> =
+                admit_local(&m, base..base + 8, &mut rng)
+                    .into_iter()
+                    .map(Some)
+                    .collect();
+            let parked = handles[order[0]].as_ref().unwrap().parked_probe();
+            let ordered: Vec<ResponseHandle> =
+                order.iter().map(|&i| handles[i].take().unwrap()).collect();
+            let waiter = seal_pool::spawn_worker("reply-waiter", move || {
+                ordered
+                    .into_iter()
+                    .map(|h| (h.id(), h.wait()))
+                    .collect::<Vec<_>>()
+            })
+            .unwrap();
+            while !parked() {
+                std::thread::yield_now();
+            }
+            REPLY_TRACE.with(|t| t.borrow_mut().clear());
+            let mut batch = m
+                .queue
+                .pop_batch_with(8, Duration::ZERO, poisoned, Vec::new())
+                .unwrap();
+            worker.handle(&mut batch);
+            let trace = REPLY_TRACE.with(|t| t.take());
+            assert_eq!(
+                trace, "SSSSSSSSW",
+                "wait order {order:?}: one wake, after the last store"
+            );
+            let answers = waiter.join().unwrap();
+            for ((id, outcome), &i) in answers.iter().zip(order) {
+                assert_eq!(*id, base + i as u64);
+                let response = outcome.as_ref().unwrap();
+                assert_eq!((response.id, response.batch_size), (*id, 8));
+            }
+        }
+    }
+
+    /// A worker that dies holding a batch — the riders dropped during the
+    /// unwind, unanswered — resolves every handle as `WorkerLost`, the
+    /// waiting one included.
+    #[test]
+    fn riders_of_a_batch_lost_to_a_panic_resolve_as_worker_lost() {
+        let m = bare_machine();
+        let mut handles = admit_local(&m, 0..8, &mut StdRng::seed_from_u64(26));
+        let last = handles.pop().unwrap();
+        let parked = last.parked_probe();
+        let waiter = seal_pool::spawn_worker("lost-waiter", move || last.wait()).unwrap();
+        while !parked() {
+            std::thread::yield_now();
+        }
+        let batch = m
+            .queue
+            .pop_batch_with(8, Duration::ZERO, poisoned, Vec::new())
+            .unwrap();
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _held = batch;
+            // seal-lint: allow(panic) — the organic worker panic under test
+            panic!("worker dies mid-batch");
+        }));
+        assert!(died.is_err());
+        assert!(matches!(
+            waiter.join().unwrap(),
+            Err(ServeError::WorkerLost { request_id: 7 })
+        ));
+        for (id, h) in handles.into_iter().enumerate() {
+            match h.wait_timeout(Duration::from_secs(5)) {
+                Err(ServeError::WorkerLost { request_id }) => assert_eq!(request_id, id as u64),
+                other => panic!("expected WorkerLost, got {other:?}"),
+            }
+        }
     }
 }

@@ -338,7 +338,7 @@ fn run_net_smoke(args: Args) -> Result<ExitCode, String> {
         Err(_) => return Err("net smoke did not produce two drain runs".into()),
     };
 
-    let mut smoke = NetSmoke {
+    let smoke = NetSmoke {
         seed,
         fault_seed,
         fairness,
@@ -346,7 +346,7 @@ fn run_net_smoke(args: Args) -> Result<ExitCode, String> {
         drain,
         jain_floor: 0.9,
     };
-    for t in &mut smoke.fairness.load.per_tenant {
+    for t in &smoke.fairness.load.per_tenant {
         println!(
             "seal-serve:   tenant {:>2} (weight {}): {:>6} completed  p50={}us p95={}us p99={}us",
             t.tenant,

@@ -286,7 +286,7 @@ impl NetSmoke {
     /// fairness-phase completion/Jain/latency checks, per-phase fault
     /// ledger agreement, the drain zero-silent-drops contract, and
     /// cross-run determinism.
-    pub fn violations(&mut self) -> Vec<String> {
+    pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         if self.fairness.load.total_completed() == 0 {
             v.push("fairness: no requests completed".into());
@@ -298,7 +298,7 @@ impl NetSmoke {
                 self.jain_floor
             ));
         }
-        for t in &mut self.fairness.load.per_tenant {
+        for t in &self.fairness.load.per_tenant {
             if !t.latency.is_empty() && t.latency.p50() > t.latency.p99() {
                 v.push(format!(
                     "fairness: tenant {} latency p50 {}us exceeds p99 {}us",
@@ -361,7 +361,7 @@ impl NetSmoke {
     }
 
     /// Renders the artifact as JSON.
-    pub fn to_json(&mut self) -> String {
+    pub fn to_json(&self) -> String {
         let deterministic = self.deterministic();
         let violation_count = self.violations().len();
         let jain = self.fairness.load.jain_index();
@@ -374,11 +374,11 @@ impl NetSmoke {
         out.push_str(&format!("  \"jain_index\": {jain:.6},\n"));
         out.push_str(&format!("  \"jain_floor\": {:.2},\n", self.jain_floor));
         out.push_str("  \"fairness\": ");
-        out.push_str(&phase_json(&mut self.fairness, "  "));
+        out.push_str(&phase_json(&self.fairness, "  "));
         out.push_str(",\n  \"chaos\": [\n");
         for i in 0..self.chaos.len() {
             out.push_str("    ");
-            out.push_str(&phase_json(&mut self.chaos[i], "    "));
+            out.push_str(&phase_json(&self.chaos[i], "    "));
             out.push_str(if i + 1 < self.chaos.len() { ",\n" } else { "\n" });
         }
         out.push_str("  ],\n  \"drain\": [\n");
@@ -396,7 +396,7 @@ impl NetSmoke {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write(&mut self, path: &Path) -> std::io::Result<()> {
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
@@ -406,7 +406,7 @@ impl NetSmoke {
 }
 
 /// Renders one phase (load + server stats) as a JSON object.
-fn phase_json(phase: &mut NetPhase, indent: &str) -> String {
+fn phase_json(phase: &NetPhase, indent: &str) -> String {
     let mut out = String::with_capacity(2048);
     out.push_str("{\n");
     out.push_str(&format!("{indent}  \"users\": {},\n", phase.load.users));
@@ -458,7 +458,7 @@ fn phase_json(phase: &mut NetPhase, indent: &str) -> String {
     out.push_str(&format!("{indent}  ],\n"));
     out.push_str(&format!("{indent}  \"tenants\": [\n"));
     let n = phase.load.per_tenant.len();
-    for (i, t) in phase.load.per_tenant.iter_mut().enumerate() {
+    for (i, t) in phase.load.per_tenant.iter().enumerate() {
         out.push_str(&format!(
             "{indent}    {{ \"tenant\": {}, \"weight\": {}, \"assigned\": {}, \"completed\": {}, \
              \"retries\": {}, \"dropped_queue_full\": {}, \"breaker_rejected\": {}, \"shed\": {}, \
@@ -616,7 +616,7 @@ mod tests {
 
     #[test]
     fn healthy_smoke_has_no_violations_and_full_json() {
-        let mut smoke = tiny_smoke();
+        let smoke = tiny_smoke();
         assert!(smoke.deterministic());
         let violations = smoke.violations();
         assert!(violations.is_empty(), "{violations:?}");
@@ -690,14 +690,21 @@ mod tests {
             .any(|v| v.contains("drain signatures differ")));
     }
 
+    /// Also: rendering only reads the stats — the written file, a
+    /// rendering after the acceptance checks ran and one before are the
+    /// same bytes.
     #[test]
     fn write_creates_parent_directories() {
-        let mut smoke = tiny_smoke();
+        let smoke = tiny_smoke();
+        let first = smoke.to_json();
         let dir = std::env::temp_dir().join("seal_serve_netreport_test");
         let path = dir.join("nested").join("serve_net.json");
         smoke.write(&path).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with('{'));
+        assert!(smoke.violations().is_empty());
+        assert_eq!(body, first);
+        assert_eq!(smoke.to_json(), first);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

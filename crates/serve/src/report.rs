@@ -137,7 +137,7 @@ pub struct ServeReport {
 
 impl ServeReport {
     /// Renders the full report as a JSON object string.
-    pub fn to_json(&mut self) -> String {
+    pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(2048);
         out.push_str("{\n");
         out.push_str(&format!(
@@ -208,14 +208,14 @@ impl ServeReport {
             self.load.observed_throughput_rps
         ));
         out.push_str("    \"latency_us\": ");
-        out.push_str(&latency_json(&mut self.load.latency, "    "));
+        out.push_str(&latency_json(&self.load.latency));
         out.push('\n');
         out.push_str("  },\n");
 
         out.push_str("  \"server\": {\n");
         out.push_str(&kernel);
         out.push_str("    \"latency_us\": ");
-        out.push_str(&latency_json(&mut self.stats.latency, "    "));
+        out.push_str(&latency_json(&self.stats.latency));
         out.push_str(",\n");
         out.push_str(&format!(
             "    \"batches\": {{ \"count\": {}, \"samples\": {}, \"mean_size\": {:.3}, \"max_size\": {} }},\n",
@@ -290,7 +290,7 @@ impl ServeReport {
     /// # Errors
     ///
     /// Propagates filesystem errors.
-    pub fn write(&mut self, path: &Path) -> std::io::Result<()> {
+    pub fn write(&self, path: &Path) -> std::io::Result<()> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
@@ -306,7 +306,7 @@ impl ServeReport {
     /// * no worker errors,
     /// * the SE scheme column ordering holds on the virtual lanes —
     ///   Baseline throughput > SEAL-C throughput > Counter throughput.
-    pub fn smoke_violations(&mut self) -> Vec<String> {
+    pub fn smoke_violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         if self.load.completed == 0 {
             violations.push("no requests completed".to_string());
@@ -626,7 +626,7 @@ fn lanes_json(lanes: &[QuantLaneDelta]) -> String {
 }
 
 /// Renders one latency histogram as an inline JSON object.
-fn latency_json(h: &mut crate::metrics::LatencyHistogram, _indent: &str) -> String {
+fn latency_json(h: &crate::metrics::LatencyHistogram) -> String {
     format!(
         "{{ \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"mean\": {}, \"max\": {} }}",
         h.len(),
@@ -705,7 +705,7 @@ mod tests {
 
     #[test]
     fn json_contains_every_section() {
-        let mut report = smoke_report();
+        let report = smoke_report();
         let json = report.to_json();
         for needle in [
             "\"model\": \"mlp\"",
@@ -756,13 +756,29 @@ mod tests {
 
     #[test]
     fn write_creates_parent_directories() {
-        let mut report = smoke_report();
+        let report = smoke_report();
         let dir = std::env::temp_dir().join("seal_serve_report_test");
         let path = dir.join("nested").join("serve.json");
         report.write(&path).unwrap();
         let body = std::fs::read_to_string(&path).unwrap();
         assert!(body.starts_with('{'));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Rendering only reads the stats: the written file, a rendering after
+    /// the acceptance checks ran and one before are the same bytes.
+    #[test]
+    fn the_report_renders_byte_identically_from_the_same_stats() {
+        let report = smoke_report();
+        let first = report.to_json();
+        let path = std::env::temp_dir().join("seal_serve_report_bytes.json");
+        report.write(&path).unwrap();
+        // (An mlp run breaks the scheme ordering by design; the checks
+        // still run over every field.)
+        assert!(!report.smoke_violations().is_empty());
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), first);
+        assert_eq!(report.to_json(), first);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

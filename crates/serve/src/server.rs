@@ -1,16 +1,17 @@
 //! The in-process front end: [`Server::submit`] hands a tensor to the
 //! serving machine (`machine.rs`: breaker admission, the fair queue, the
 //! one worker loop) as the single tenant of a one-tenant registry, and a
-//! [`ResponseHandle`] waits on the request's private channel.
+//! [`ResponseHandle`] waits on the request's one-shot reply cell.
 //!
-//! Every degradation is a *typed* rejection delivered on that channel — a
-//! submitted request always learns its fate (success, shed, panic,
+//! Every degradation is a *typed* rejection delivered through that cell —
+//! a submitted request always learns its fate (success, shed, panic,
 //! drain), never hangs — and a worker panic is recorded in the final
 //! [`ServeStats`].
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 use seal_faults::RequestFault;
 use seal_pool::SupervisorReport;
@@ -38,14 +39,138 @@ pub struct Response {
     pub latency: Duration,
 }
 
+/// What a local request and its [`ResponseHandle`] share: the outcome
+/// once stored, and the waiting thread while it is parked.
+///
+/// **Store, then wake.** A worker [`store`](Reply::store)s the outcome of
+/// every rider of a batch before it [`wake`](Reply::wake)s any of them,
+/// and a wake unparks only a thread that is parked on that cell. So a
+/// caller waiting on a batch's handles — in any order — is woken at most
+/// once per batch: when it runs again, every sibling outcome is already
+/// in place and it never parks on them. No wake is lost: the waiter
+/// checks for the outcome and registers itself under one lock, and the
+/// store takes that lock too, so a store either comes first (the waiter
+/// never parks) or finds the waiter registered, for the wake pass to
+/// unpark.
+#[derive(Debug, Default)]
+struct ReplyCell {
+    slot: Mutex<Slot>,
+}
+
+#[derive(Debug, Default)]
+struct Slot {
+    outcome: Option<Result<Response, ServeError>>,
+    /// Nothing more will arrive: the outcome was stored, or its
+    /// [`Reply`] was dropped unanswered.
+    closed: bool,
+    /// The waiter, while it is parked on this cell.
+    parked: Option<Thread>,
+}
+
+/// The worker's end of a reply cell, riding in the queued request. A
+/// `Reply` dropped unanswered — its worker died holding it — closes the
+/// cell, and the handle resolves as [`ServeError::WorkerLost`].
+#[derive(Debug)]
+pub(crate) struct Reply(Arc<ReplyCell>);
+
+impl Reply {
+    /// Stores the request's fate; the first store wins. Wakes no one.
+    pub(crate) fn store(&self, outcome: Result<Response, ServeError>) {
+        let mut slot = locked(&self.0.slot);
+        if !slot.closed {
+            (slot.outcome, slot.closed) = (Some(outcome), true);
+        }
+        #[cfg(test)]
+        REPLY_TRACE.with(|t| t.borrow_mut().push('S'));
+    }
+
+    /// Unparks the waiter if one is parked on this cell.
+    pub(crate) fn wake(&self) {
+        let parked = locked(&self.0.slot).parked.take();
+        if let Some(waiter) = parked {
+            waiter.unpark();
+            #[cfg(test)]
+            REPLY_TRACE.with(|t| t.borrow_mut().push('W'));
+        }
+    }
+}
+
+impl Drop for Reply {
+    fn drop(&mut self) {
+        locked(&self.0.slot).closed = true;
+        self.wake();
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: what this thread's [`Reply`]s did, in order — `S` a
+    /// store, `W` a wake that unparked a waiter.
+    pub(crate) static REPLY_TRACE: std::cell::RefCell<String> = const { std::cell::RefCell::new(String::new()) };
+}
+
 /// Client-side handle to an in-flight request.
 #[derive(Debug)]
 pub struct ResponseHandle {
     id: u64,
-    rx: mpsc::Receiver<Result<Response, ServeError>>,
+    cell: Arc<ReplyCell>,
 }
 
 impl ResponseHandle {
+    /// A fresh handle and the [`Reply`] its request carries.
+    pub(crate) fn new(id: u64) -> (ResponseHandle, Reply) {
+        let cell = Arc::new(ReplyCell::default());
+        (
+            ResponseHandle {
+                id,
+                cell: Arc::clone(&cell),
+            },
+            Reply(cell),
+        )
+    }
+
+    /// Test hook: reports whether a thread is parked on this handle's
+    /// cell, after the handle itself has moved to that thread.
+    #[cfg(test)]
+    pub(crate) fn parked_probe(&self) -> impl Fn() -> bool + Send + 'static {
+        let cell = Arc::clone(&self.cell);
+        move || locked(&cell.slot).parked.is_some()
+    }
+
+    /// Parks until the outcome is stored, the cell closes, or `timeout`
+    /// (`None`: never) elapses.
+    fn wait_for(self, timeout: Option<Duration>) -> Result<Response, ServeError> {
+        let deadline = timeout.map(|waited| (Instant::now() + waited, waited));
+        loop {
+            let mut slot = locked(&self.cell.slot);
+            // Registered only while parked, so no later wake is stale.
+            slot.parked = None;
+            if let Some(outcome) = slot.outcome.take() {
+                return outcome;
+            }
+            if slot.closed {
+                return Err(ServeError::WorkerLost {
+                    request_id: self.id,
+                });
+            }
+            let now = Instant::now();
+            if let Some((_, waited)) = deadline.filter(|&(due, _)| now >= due) {
+                return Err(ServeError::ResponseTimeout {
+                    request_id: self.id,
+                    waited,
+                });
+            }
+            slot.parked = Some(std::thread::current());
+            drop(slot);
+            // A wake meant for another cell, or a spurious one, just
+            // goes round the loop again.
+            match deadline {
+                Some((due, _)) => std::thread::park_timeout(due - now),
+                None => std::thread::park(),
+            }
+        }
+    }
+
     /// The request id this handle waits on.
     pub fn id(&self) -> u64 {
         self.id
@@ -60,9 +185,7 @@ impl ResponseHandle {
     /// [`ServeError::DrainedAtShutdown`] if shutdown drained it, or
     /// [`ServeError::WorkerLost`] if the worker died without answering.
     pub fn wait(self) -> Result<Response, ServeError> {
-        self.rx
-            .recv()
-            .map_err(|_| ServeError::WorkerLost { request_id: self.id })?
+        self.wait_for(None)
     }
 
     /// [`wait`](Self::wait) bounded by `timeout`: converts a would-be hang
@@ -74,16 +197,7 @@ impl ResponseHandle {
     /// Everything [`wait`](Self::wait) returns, plus
     /// [`ServeError::ResponseTimeout`] when `timeout` elapses first.
     pub fn wait_timeout(self, timeout: Duration) -> Result<Response, ServeError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(outcome) => outcome,
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(ServeError::ResponseTimeout {
-                request_id: self.id,
-                waited: timeout,
-            }),
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                Err(ServeError::WorkerLost { request_id: self.id })
-            }
-        }
+        self.wait_for(Some(timeout))
     }
 }
 
@@ -207,10 +321,10 @@ impl Server {
             });
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = mpsc::channel();
+        let (handle, reply) = ResponseHandle::new(id);
         self.shared
-            .admit(0, id, fault, Origin::Local { input, tx })?;
-        Ok(ResponseHandle { id, rx })
+            .admit(0, id, fault, Origin::Local { input, reply })?;
+        Ok(handle)
     }
 
     /// Stops accepting work, lets the workers drain the queue, joins every

@@ -33,7 +33,7 @@ fn closed_loop_vgg16_satisfies_the_acceptance_checks() {
     assert_eq!(stats.batches.samples, 24);
     assert!(stats.worker_errors.is_empty(), "{:?}", stats.worker_errors);
 
-    let mut report = ServeReport {
+    let report = ServeReport {
         config,
         load,
         stats,
@@ -65,7 +65,7 @@ fn open_loop_emits_a_complete_json_report() {
     let stats = server.shutdown().unwrap();
     assert_eq!(load.completed + load.rejected, 30);
 
-    let mut report = ServeReport {
+    let report = ServeReport {
         config,
         load,
         stats,

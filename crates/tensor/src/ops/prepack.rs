@@ -11,7 +11,8 @@
 //! thread count and kernel mode.
 
 use super::matmul::{gemm_shared_pack, kernel_mode, pack_b_full, KernelMode};
-use super::quant::{channel_scale, quantize_value, MAX_QGEMM_K, QK, QNR};
+use super::quant::{channel_scale, quantize_value, run_quads, MAX_QGEMM_K, QK, QNR};
+use super::ConvPlanDims;
 use crate::{Shape, Tensor, TensorError};
 
 /// A `k×n` right-hand GEMM operand packed once, ahead of time, into the
@@ -143,6 +144,48 @@ impl PackedBI8 {
             });
         }
         Self::pack_with(kdim, c_out, |kk, j| w[j * kdim + kk])
+    }
+
+    /// Quantize and pack convolution weights `w[c_out × c_in·k·k]` (the
+    /// `(c_in, ky, kx)` column order of `Conv2d`) for the implicit-GEMM
+    /// convolution [`gemm_i8_conv`](super::gemm_i8_conv): columns in
+    /// `(ky, kx, c_in)` order — the image's byte order — with each `ky`
+    /// run of `k·c_in` weights padded with **zero** weights to whole
+    /// quads; its [`k`](Self::k) is that padded depth, `k ·
+    /// 4·ceil(k·c_in/4)`. Scales, quantized values and column sums are
+    /// exactly those of [`pack_conv`](Self::pack_conv) of the same weights
+    /// (each output channel keeps the same weights; pads add zeros), so
+    /// the exact i32 sums are too.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::LengthMismatch`] if `w.len() != c_out·c_in·k·k`;
+    /// [`TensorError::InvalidGeometry`] if the padded depth exceeds
+    /// `MAX_QGEMM_K`.
+    // seal-lint: allow(panic-freedom) — compile time; `src` and `dst` are one output channel's rows, cut to `kdim` / `kp` by `chunks_exact`, and every index stays below those
+    pub fn pack_conv_runs(w: &[f32], dims: &ConvPlanDims) -> Result<PackedBI8, TensorError> {
+        let (c_in, k, c_out) = (dims.c_in, dims.geom.kernel, dims.c_out);
+        let kdim = c_in * k * k;
+        if w.len() != c_out * kdim {
+            return Err(TensorError::LengthMismatch {
+                expected: c_out * kdim,
+                actual: w.len(),
+            });
+        }
+        // Weight rows in packed k order; pad positions stay 0.
+        let width = run_quads(dims) * QK;
+        let kp = k * width;
+        let mut runs = vec![0.0f32; c_out * kp]; // seal-lint: allow(hot-path-alloc) — plan-compile-time staging
+        for (dst, src) in runs.chunks_exact_mut(kp).zip(w.chunks_exact(kdim)) {
+            for ky in 0..k {
+                for kx in 0..k {
+                    for ci in 0..c_in {
+                        dst[ky * width + kx * c_in + ci] = src[(ci * k + ky) * k + kx];
+                    }
+                }
+            }
+        }
+        Self::pack_with(kp, c_out, |kk, j| runs[j * kp + kk])
     }
 
     /// Shared pack core over an element accessor `get(kk, col)`.

@@ -1,12 +1,13 @@
 //! Deterministic int8 quantized inference kernels: symmetric per-channel
-//! quantization, a packed cache-blocked int8 GEMM with i32 accumulation,
-//! and the patch-major im2col path the quantized compiled plans run
-//! convolutions through — since PR 19 over **u8 NHWC** activations
-//! ([`NhwcImage`], [`quantize_nhwc_u8`], [`gather_patches_nhwc`],
-//! [`Requantize`]); the per-op f32-NCHW kernels ([`quantize_slice_u8`],
-//! [`PatchGather`] / [`gather_patches_u8`],
-//! [`dequantize_transpose_bias_relu`]) remain as the reference those are
-//! tested against.
+//! quantization, a packed int8 GEMM with i32 accumulation, and the
+//! implicit-GEMM convolution the quantized compiled plans run over **u8
+//! NHWC** activations ([`NhwcImage`], [`quantize_nhwc_u8`],
+//! [`ImplicitConv`] / [`gemm_i8_conv`], [`Requantize`]) — every kernel
+//! one body over how a row's k-quads are addressed, dense rows or conv
+//! rows read straight out of the padded image. The per-op f32-NCHW
+//! kernels ([`quantize_slice_u8`], [`PatchGather`] /
+//! [`gather_patches_u8`], [`dequantize_transpose_bias_relu`]) remain as
+//! the reference those are tested against.
 //!
 //! ## Number format
 //!
@@ -362,9 +363,10 @@ pub fn quantize_slice_u8(x: &[f32], out: &mut [u8]) -> f32 {
 }
 
 thread_local! {
-    /// Per-thread sign-extended (and de-offset) i16 copy of the A rows a
-    /// task consumes — the operand format of the AVX2 `vpmaddwd` kernel.
-    /// Grown once, never cleared.
+    /// Per-thread sign-extended (and de-offset) i16 copy of the A operand
+    /// a GEMM call reads (dense rows, or the padded image of a conv) —
+    /// the operand format of the AVX2 `vpmaddwd` kernel, widened once per
+    /// call by the calling thread. Grown once, never cleared.
     // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
     static QA16: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
 }
@@ -415,6 +417,78 @@ pub fn i8_kernel_name(mode: KernelMode) -> &'static str {
     }
 }
 
+/// The k-quads of one A row: `count` runs of `quads` consecutive quads,
+/// run `r` starting `r·stride` bytes past the row's first quad. Packed
+/// quad `q = r·quads + t` is therefore the four bytes at `quad_off[q] =
+/// r·stride + 4t` — compile-time constants every kernel walks as this
+/// loop nest, with no table to load or bounds-check.
+#[derive(Clone, Copy, Debug)]
+struct Runs {
+    count: usize,
+    quads: usize,
+    stride: usize,
+}
+
+impl Runs {
+    /// `quad_off[q]` for every packed quad, in k order (the scalar
+    /// kernel's walk; the vector kernels unroll it by hand).
+    fn offsets(self) -> impl Iterator<Item = usize> {
+        (0..self.count).flat_map(move |r| (0..self.quads).map(move |t| r * self.stride + t * QK))
+    }
+}
+
+/// Where a kernel finds the A operand: row `i`'s quads start at
+/// `base(i)` and follow [`Runs`]. The one thing [`gemm_i8`]'s dense rows
+/// and [`gemm_i8_conv`]'s image rows differ in — every kernel body is
+/// generic over it.
+trait QuadRows: Sync {
+    /// Offset of row `i`'s first quad.
+    fn base(&self, i: usize) -> usize;
+    /// The quad layout every row shares.
+    fn runs(&self) -> Runs;
+}
+
+/// Contiguous rows at stride `ka` bytes, each one run of `ka / 4` quads:
+/// the quantized activation matrix of [`gemm_i8`].
+struct DenseRows {
+    ka: usize,
+}
+
+impl QuadRows for DenseRows {
+    #[inline(always)]
+    fn base(&self, i: usize) -> usize {
+        i * self.ka
+    }
+    #[inline(always)]
+    fn runs(&self) -> Runs {
+        Runs {
+            count: 1,
+            quads: self.ka / QK,
+            stride: 0,
+        }
+    }
+}
+
+/// Conv rows: one output pixel per row, addressed straight into padded
+/// u8 NHWC images through the compile-time row table and run geometry of
+/// an [`ImplicitConv`].
+struct ConvRows<'a> {
+    rows: &'a [u32],
+    runs: Runs,
+}
+
+impl QuadRows for ConvRows<'_> {
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — `i` is below the row count `gemm_i8_conv` cut `rows` to
+    fn base(&self, i: usize) -> usize {
+        self.rows[i] as usize
+    }
+    #[inline(always)]
+    fn runs(&self) -> Runs {
+        self.runs
+    }
+}
+
 /// `out[m×n] = a[m×ka] · B` over a pre-packed int8 weight matrix, exact
 /// i32 accumulation, deterministic `MC`-row-block parallelism on the
 /// seal-pool runtime.
@@ -423,75 +497,123 @@ pub fn i8_kernel_name(mode: KernelMode) -> &'static str {
 /// [`quantized_row_len`]`(B.k())`; `out` receives the exact signed sums
 /// `Σ (a−128)·b` (overwritten, not accumulated). All kernel modes and
 /// thread counts produce bit-identical results.
-// seal-lint: allow(panic-freedom) — operand extents are asserted once at entry; block offsets are bounded by the chunking scheme
+// seal-lint: allow(panic-freedom) — operand extents are asserted once at entry
 pub fn gemm_i8(a: &[u8], pack: &PackedBI8, out: &mut [i32], m: usize, mode: KernelMode) {
-    let (k, n) = (pack.k, pack.n);
-    if m == 0 || n == 0 {
+    if m == 0 || pack.n == 0 {
         return;
     }
     let ka = pack.kq * QK;
     assert!(a.len() >= m * ka, "gemm_i8: A buffer too short");
-    assert!(out.len() >= m * n, "gemm_i8: output buffer too short");
-    let flops = 2usize.saturating_mul(m).saturating_mul(k).saturating_mul(n);
-    if flops < PAR_FLOP_THRESHOLD || m <= MC {
-        gemm_i8_consume(&a[..m * ka], pack, &mut out[..m * n], m, mode);
-        return;
-    }
-    seal_pool::par_chunks_mut(&mut out[..m * n], MC * n, |blk, out_block| {
-        let row0 = blk * MC;
-        let rows = out_block.len() / n;
-        gemm_i8_consume(
-            &a[row0 * ka..(row0 + rows) * ka],
-            pack,
-            out_block,
-            rows,
-            mode,
-        );
-    });
+    assert!(out.len() >= m * pack.n, "gemm_i8: output buffer too short");
+    gemm_i8_rows(&a[..m * ka], &DenseRows { ka }, pack, out, m, mode);
 }
 
-/// Serial consume over a row range. Every packed strip — the last one is
-/// zero-padded to [`QNR`] columns at pack time — runs the selected
-/// kernel; the vector kernels compute all `QNR` lanes of the last strip
-/// and store only its `n − s·QNR` valid ones.
-fn gemm_i8_consume(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize, mode: KernelMode) {
+/// The shared entry behind [`gemm_i8`] and [`gemm_i8_conv`]: every read
+/// of `rows` lies inside `a` (the caller cuts `a` to exactly the extent
+/// its rows read, and asserts it) and `out` holds `m·n` sums; here the
+/// rows' quad count is checked against the pack's. Picks the kernel for
+/// `mode`; the AVX2 kernel's i16 operand is `a` widened once, here,
+/// before any row block runs.
+// seal-lint: allow(panic-freedom) — the quad-count assert cannot fire from the plan: `gemm_i8`'s dense rows are one run of `kq` quads by construction, and a plan's `ImplicitConv` and `pack_conv_runs` pack come from the same dims (both `run_quads`); it guards the kernels' weight reads against a mismatched pack from outside
+fn gemm_i8_rows<R: QuadRows>(
+    a: &[u8],
+    rows: &R,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    m: usize,
+    mode: KernelMode,
+) {
+    let runs = rows.runs();
+    assert_eq!(runs.count * runs.quads, pack.kq, "gemm_i8: A rows do not match the pack");
     match i8_kernel(mode) {
-        I8Kernel::Scalar => scalar_strips(a, pack, out, rows),
-        // SAFETY: `I8Kernel::Avx2` is only selected when the cached
-        // `cpu_features()` probe reports `avx2`, so the
-        // `target_feature(avx2)`-compiled kernel is sound.
+        I8Kernel::Scalar => row_blocks(pack, out, m, |r0, nr, o| {
+            scalar_strips(a, rows, pack, o, r0, nr)
+        }),
         #[cfg(target_arch = "x86_64")]
-        I8Kernel::Avx2 => unsafe { consume_avx2(a, pack, out, rows) },
-        // SAFETY: `I8Kernel::Vnni` is only selected when `cpu_features()`
-        // reports avx512f/bw/vl **and** avx512vnni, so `vpdpbusd` and the
-        // masked store are available.
+        I8Kernel::Avx2 => QA16.with(|qa| {
+            let mut wide = qa.borrow_mut();
+            if wide.len() < a.len() {
+                wide.resize(a.len(), 0);
+            }
+            // SAFETY: `I8Kernel::Avx2` is only selected when the cached
+            // `cpu_features()` probe reports `avx2`.
+            unsafe { widen_avx2(a, &mut wide) };
+            let wide = &wide[..a.len()];
+            row_blocks(pack, out, m, |r0, nr, o| {
+                // SAFETY: as above; `wide` is `a` widened element for
+                // element, so every offset `rows` forms is inside it.
+                unsafe { consume_avx2(wide, rows, pack, o, r0, nr) }
+            })
+        }),
         #[cfg(target_arch = "x86_64")]
-        I8Kernel::Vnni => unsafe { consume_vnni(a, pack, out, rows) },
+        I8Kernel::Vnni => row_blocks(pack, out, m, |r0, nr, o| {
+            // SAFETY: `I8Kernel::Vnni` is only selected when
+            // `cpu_features()` reports avx512f/bw/vl **and** avx512vnni,
+            // so `vpdpbusd` and the masked store are available; every
+            // offset `rows` forms is inside `a` (see above).
+            unsafe { consume_vnni(a, rows, pack, o, r0, nr) }
+        }),
         // `cpu_features()` reports nothing off x86-64, so the vector
         // kernels are never selected there.
         #[cfg(not(target_arch = "x86_64"))]
-        _ => scalar_strips(a, pack, out, rows),
+        _ => row_blocks(pack, out, m, |r0, nr, o| {
+            scalar_strips(a, rows, pack, o, r0, nr)
+        }),
     }
 }
 
+/// Runs `consume(row0, rows, out_block)` over the `MC`-row blocks of the
+/// `m × n` output: on the seal-pool when the problem is large enough,
+/// else as one block on the calling thread. Block boundaries depend only
+/// on the shape.
+// seal-lint: allow(panic-freedom) — `out` holds `m·n` sums (asserted by both entries)
+fn row_blocks(
+    pack: &PackedBI8,
+    out: &mut [i32],
+    m: usize,
+    consume: impl Fn(usize, usize, &mut [i32]) + Sync,
+) {
+    let n = pack.n;
+    let flops = 2usize
+        .saturating_mul(m)
+        .saturating_mul(pack.k)
+        .saturating_mul(n);
+    let out = &mut out[..m * n];
+    if flops < PAR_FLOP_THRESHOLD || m <= MC {
+        consume(0, m, out);
+        return;
+    }
+    seal_pool::par_chunks_mut(out, MC * n, |blk, block| {
+        consume(blk * MC, block.len() / n, block)
+    });
+}
+
 /// Portable reference kernel over every packed strip: exact i32 sums in
-/// ascending `k` order. Runs as `KernelMode::Scalar` and on non-x86
-/// hosts — integer accumulation makes it bit-identical to the vector
-/// kernels.
-// seal-lint: allow(panic-freedom) — strip extents are derived from the pack dimensions asserted at entry
-fn scalar_strips(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize) {
+/// ascending `k` order, for rows `r0 .. r0 + nr` into `out` (`nr × n`).
+/// Every packed strip — the last one zero-padded to [`QNR`] columns at
+/// pack time — is walked; only its valid columns are summed. Runs as
+/// `KernelMode::Scalar` and on non-x86 hosts — integer accumulation makes
+/// it bit-identical to the vector kernels.
+// seal-lint: allow(panic-freedom) — strip extents are derived from the pack dimensions; row offsets lie inside `a` (asserted at the gemm entry)
+fn scalar_strips<R: QuadRows>(
+    a: &[u8],
+    rows: &R,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    r0: usize,
+    nr: usize,
+) {
     let (n, kq) = (pack.n, pack.kq);
-    let ka = kq * QK;
-    for i in 0..rows {
-        let arow = &a[i * ka..(i + 1) * ka];
+    for i in 0..nr {
+        let base = rows.base(r0 + i);
         for s in 0..pack.strips {
             let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
             let cols = QNR.min(n - s * QNR);
             for c in 0..cols {
                 let mut acc = 0i32;
-                for q in 0..kq {
-                    let bq = &sdata[(q * QNR + c) * QK..(q * QNR + c) * QK + QK];
-                    let aq = &arow[q * QK..q * QK + QK];
+                for (q, off) in rows.runs().offsets().enumerate() {
+                    let bq = &sdata[(q * QNR + c) * QK..][..QK];
+                    let aq = &a[base + off..][..QK];
                     for t in 0..QK {
                         acc += (aq[t] as i32 - 128) * bq[t] as i32;
                     }
@@ -502,132 +624,224 @@ fn scalar_strips(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize) {
     }
 }
 
-/// AVX2 kernel: sign-extends packed i8 weights and de-offset i16 A quads
-/// and reduces them with the **non-saturating** `vpmaddwd`
-/// (i16×i16 → i32 pairs; `|q| ≤ 127` keeps every pair sum ≤ 2·127² well
-/// inside i32). Accumulates column-halved lanes and collapses them with
-/// plain i32 adds at the end — associative, so the result equals the
-/// scalar kernel bit for bit. Only the valid columns of the (zero-padded)
-/// last strip are written.
+/// `wide[j] = a[j] − 128` — the de-offset i16 operand of [`consume_avx2`].
+///
+/// # Safety
+///
+/// The host must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// seal-lint: allow(panic-freedom) — scratch is resized to the asserted extents before the pointer loops; `orow` ends at `i·n + min((s+1)·QNR, n) ≤ rows·n`, the output extent asserted by `gemm_i8`
-unsafe fn consume_avx2(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize) {
+unsafe fn widen_avx2(a: &[u8], wide: &mut [i16]) {
+    for (w, &v) in wide.iter_mut().zip(a) {
+        *w = v as i16 - 128;
+    }
+}
+
+/// AVX2 kernel: sign-extends packed i8 weights and reads de-offset i16 A
+/// quads (`wide`, the operand widened once per call) and reduces them
+/// with the **non-saturating** `vpmaddwd` (i16×i16 → i32 pairs; `|q| ≤
+/// 127` keeps every pair sum ≤ 2·127² well inside i32). Accumulates
+/// column-halved lanes and collapses them with plain i32 adds at the end
+/// — associative, so the result equals the scalar kernel bit for bit.
+/// Only the valid columns of the (zero-padded) last strip are written.
+///
+/// # Safety
+///
+/// The host must support AVX2; `rows.runs()` must hold `pack.kq` quads,
+/// and every `rows.base(i) + off + QK` for `i` in `r0 .. r0 + nr` and
+/// `off` a quad offset of `rows.runs()` must be at most `wide.len()`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// seal-lint: allow(panic-freedom) — `orow` ends at `i·n + min((s+1)·QNR, n) ≤ nr·n`, the block the caller handed over
+unsafe fn consume_avx2<R: QuadRows>(
+    wide: &[i16],
+    rows: &R,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    r0: usize,
+    nr: usize,
+) {
     use std::arch::x86_64::{
         __m128i, __m256i, _mm256_add_epi32, _mm256_cvtepi8_epi16, _mm256_madd_epi16,
         _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
     };
-    let (n, kq) = (pack.n, pack.kq);
-    let ka = kq * QK;
-    QA16.with(|qa| {
-        let mut wide = qa.borrow_mut();
-        if wide.len() < rows * ka {
-            wide.resize(rows * ka, 0);
-        }
-        for (w, &v) in wide.iter_mut().zip(a.iter()) {
-            *w = v as i16 - 128;
-        }
-        for s in 0..pack.strips {
-            let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
-            let cols = QNR.min(n - s * QNR);
-            for i in 0..rows {
-                let arow = &wide[i * ka..(i + 1) * ka];
-                // SAFETY: `sdata` holds `kq` groups of `QNR·QK = 64`
-                // bytes and `arow` holds `kq` quads of 4 i16 (8 bytes),
-                // so every offset formed below stays in bounds; the
-                // loads are unaligned-tolerant (`loadu`).
-                unsafe {
-                    let mut acc = [_mm256_setzero_si256(); QK];
-                    let bp = sdata.as_ptr();
-                    let ap = arow.as_ptr();
-                    for q in 0..kq {
-                        let g = bp.add(q * QNR * QK);
-                        let va = _mm256_set1_epi64x((ap.add(q * QK) as *const i64).read_unaligned());
+    let (n, kq, runs) = (pack.n, pack.kq, rows.runs());
+    for s in 0..pack.strips {
+        let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
+        let cols = QNR.min(n - s * QNR);
+        for i in 0..nr {
+            let base = rows.base(r0 + i);
+            // SAFETY: `sdata` holds `kq = runs.count·runs.quads` groups of
+            // `QNR·QK = 64` bytes, one per quad walked; each A quad is 4
+            // i16 (8 bytes) at `base + off`, inside `wide` by this
+            // function's contract. The loads are unaligned-tolerant
+            // (`loadu`).
+            unsafe {
+                let mut acc = [_mm256_setzero_si256(); QK];
+                let mut g = sdata.as_ptr();
+                for r in 0..runs.count {
+                    let ap = wide.as_ptr().add(base + r * runs.stride);
+                    for t in 0..runs.quads {
+                        let va = _mm256_set1_epi64x((ap.add(t * QK) as *const i64).read_unaligned());
                         for (h, acc_h) in acc.iter_mut().enumerate() {
                             let bh = _mm256_cvtepi8_epi16(_mm_loadu_si128(
                                 g.add(h * QNR) as *const __m128i
                             ));
                             *acc_h = _mm256_add_epi32(*acc_h, _mm256_madd_epi16(va, bh));
                         }
+                        g = g.add(QNR * QK);
                     }
-                    // Collapse the column-halved lanes: each acc register
-                    // holds [c0a c0b c1a c1b c2a c2b c3a c3b] for its
-                    // 4-column quarter of the strip.
-                    let mut halves = [0i32; 2 * QNR];
-                    for (h, acc_h) in acc.iter().enumerate() {
-                        _mm256_storeu_si256(
-                            halves.as_mut_ptr().add(h * 8) as *mut __m256i,
-                            *acc_h,
-                        );
-                    }
-                    let orow = &mut out[i * n + s * QNR..i * n + s * QNR + cols];
-                    for (c, o) in orow.iter_mut().enumerate() {
-                        *o = halves[2 * c] + halves[2 * c + 1];
-                    }
+                }
+                // Collapse the column-halved lanes: each acc register
+                // holds [c0a c0b c1a c1b c2a c2b c3a c3b] for its
+                // 4-column quarter of the strip.
+                let mut halves = [0i32; 2 * QNR];
+                for (h, acc_h) in acc.iter().enumerate() {
+                    _mm256_storeu_si256(halves.as_mut_ptr().add(h * 8) as *mut __m256i, *acc_h);
+                }
+                let orow = &mut out[i * n + s * QNR..i * n + s * QNR + cols];
+                for (c, o) in orow.iter_mut().enumerate() {
+                    *o = halves[2 * c] + halves[2 * c + 1];
                 }
             }
         }
-    });
+    }
 }
+
+/// Rows of one VNNI register tile: independent `vpdpbusd` chains that
+/// share each weight load — eight, so a strip's chains hide the
+/// instruction's latency even when `c_out` fills one strip.
+#[cfg(target_arch = "x86_64")]
+const RMR: usize = 8;
 
 /// AVX-512 VNNI kernel: one `vpdpbusd` per 4-deep k-quad accumulates
 /// `u8 × i8` products of a broadcast activation quad against 16 packed
 /// weight columns straight into i32 lanes — no i16 intermediate, no
 /// saturation. The offset-binary A encoding is corrected after the k
 /// loop by `128 · col_sums` (precomputed at pack time), restoring the
-/// exact signed sums of the scalar kernel. The store is masked to the
-/// strip's valid columns, so the pad lanes of the last strip never reach
-/// memory.
+/// exact signed sums of the scalar kernel. Rows go through [`vnni_tile`]
+/// [`RMR`] at a time, the last `nr mod RMR` as one shorter tile.
+///
+/// # Safety
+///
+/// The host must support AVX-512 F/BW/VL and VNNI; `rows.runs()` must
+/// hold `pack.kq` quads, every `rows.base(i) + off + QK` for `i` in `r0
+/// .. r0 + nr` and `off` a quad offset of `rows.runs()` must be at most
+/// `a.len()`, and `out` must hold `nr × pack.n` sums.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-// seal-lint: allow(panic-freedom) — strip and row extents are asserted at the gemm entry
-unsafe fn consume_vnni(a: &[u8], pack: &PackedBI8, out: &mut [i32], rows: usize) {
-    use std::arch::x86_64::{
-        __m512i, _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_mask_storeu_epi32,
-        _mm512_set1_epi32, _mm512_setzero_si512, _mm512_slli_epi32, _mm512_sub_epi32,
-    };
-    let (n, kq) = (pack.n, pack.kq);
-    let ka = kq * QK;
-    const RMR: usize = 4;
+// seal-lint: allow(panic-freedom) — strip extents derive from the pack dimensions; row and output extents are this function's safety contract
+unsafe fn consume_vnni<R: QuadRows>(
+    a: &[u8],
+    rows: &R,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    r0: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::{__m512i, _mm512_loadu_si512, _mm512_slli_epi32};
+    let (n, kq, runs) = (pack.n, pack.kq, rows.runs());
     for s in 0..pack.strips {
         let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
         // One mask bit per valid column of this strip (`1 ≤ cols ≤ QNR`).
         let cols = QNR.min(n - s * QNR);
-        let valid = (u16::MAX >> (QNR - cols)) as std::arch::x86_64::__mmask16;
-        // SAFETY: `sdata` holds `kq` 64-byte groups (one full 512-bit
-        // load each); `col_sums` is padded to `strips·QNR`, so the
-        // 16-lane load at `s·QNR` is in bounds; every A row offset is
-        // within the `rows·ka` extent asserted by `gemm_i8`. The masked
-        // store touches only lanes `0..cols`, i.e. `out[(i0+r)·n + s·QNR
-        // ..][..cols]`, which ends at or before `(i0+r+1)·n ≤ rows·n`,
-        // the output extent asserted by `gemm_i8`; masked-off lanes are
-        // neither written nor fault-checked.
+        let mut i0 = 0;
+        // SAFETY: `col_sums` is padded to `strips·QNR`, so the 16-lane
+        // load at `s·QNR` is in bounds. Every tile covers rows `r0 + i0
+        // ..` below `r0 + nr` and stores at `out[(i0 + m)·n + s·QNR ..]`,
+        // inside the `nr × n` block; `sdata` holds the `kq` 64-byte
+        // groups the tile walks; the A quads lie inside `a` by this
+        // function's contract.
         unsafe {
             let csum = _mm512_loadu_si512(pack.col_sums.as_ptr().add(s * QNR) as *const __m512i);
-            let corr = _mm512_slli_epi32(csum, 7);
-            let bp = sdata.as_ptr();
-            let mut i0 = 0;
-            while i0 < rows {
-                let mr = RMR.min(rows - i0);
-                let mut acc = [_mm512_setzero_si512(); RMR];
-                for q in 0..kq {
-                    let b = _mm512_loadu_si512(bp.add(q * QNR * QK) as *const __m512i);
-                    for (r, acc_r) in acc.iter_mut().enumerate().take(mr) {
-                        let aq = (a.as_ptr().add((i0 + r) * ka + q * QK) as *const i32)
-                            .read_unaligned();
-                        *acc_r = _mm512_dpbusd_epi32(*acc_r, _mm512_set1_epi32(aq), b);
-                    }
-                }
-                for (r, acc_r) in acc.iter().enumerate().take(mr) {
-                    let fixed = _mm512_sub_epi32(*acc_r, corr);
-                    _mm512_mask_storeu_epi32(
-                        out.as_mut_ptr().add((i0 + r) * n + s * QNR),
-                        valid,
-                        fixed,
-                    );
-                }
+            let tile = Tile {
+                a,
+                rows,
+                out: out.as_mut_ptr().add(s * QNR),
+                n,
+                runs,
+                weights: sdata.as_ptr(),
+                corr: _mm512_slli_epi32(csum, 7),
+                valid: (u16::MAX >> (QNR - cols)) as std::arch::x86_64::__mmask16,
+            };
+            while i0 + RMR <= nr {
+                vnni_tile::<RMR, R>(&tile, r0, i0);
                 i0 += RMR;
             }
+            match nr - i0 {
+                1 => vnni_tile::<1, R>(&tile, r0, i0),
+                2 => vnni_tile::<2, R>(&tile, r0, i0),
+                3 => vnni_tile::<3, R>(&tile, r0, i0),
+                4 => vnni_tile::<4, R>(&tile, r0, i0),
+                5 => vnni_tile::<5, R>(&tile, r0, i0),
+                6 => vnni_tile::<6, R>(&tile, r0, i0),
+                7 => vnni_tile::<7, R>(&tile, r0, i0),
+                _ => {}
+            }
+        }
+    }
+}
+
+/// What every register tile of one packed strip shares in a
+/// [`consume_vnni`] call: the operand and its rows, the strip's first
+/// output column in block row 0 (`n` sums per row), its weight groups,
+/// its `128 · col_sums` correction and the mask of its valid columns.
+#[cfg(target_arch = "x86_64")]
+struct Tile<'t, R> {
+    a: &'t [u8],
+    rows: &'t R,
+    out: *mut i32,
+    n: usize,
+    runs: Runs,
+    weights: *const i8,
+    corr: std::arch::x86_64::__m512i,
+    valid: std::arch::x86_64::__mmask16,
+}
+
+/// One `MR × 16` VNNI register tile — block rows `i0 .. i0 + MR`, A rows
+/// `r0 + i0 ..`: `MR` independent accumulators, each weight group loaded
+/// once for all of them, the corrected sums stored masked to the strip's
+/// valid columns (masked-off lanes are neither written nor
+/// fault-checked). Inlined into [`consume_vnni`], whose target features
+/// it is compiled with.
+///
+/// # Safety
+///
+/// [`consume_vnni`]'s: AVX-512 VNNI available, every quad of the tile's
+/// rows inside `tile.a`, `tile.weights` holding `runs.count·runs.quads`
+/// 64-byte groups, and 16 lanes (the valid ones writable) at `tile.out +
+/// (i0 + m)·n` for every `m < MR`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn vnni_tile<const MR: usize, R: QuadRows>(tile: &Tile<'_, R>, r0: usize, i0: usize) {
+    use std::arch::x86_64::{
+        __m512i, _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_mask_storeu_epi32,
+        _mm512_set1_epi32, _mm512_setzero_si512, _mm512_sub_epi32,
+    };
+    let runs = tile.runs;
+    // SAFETY: this function's contract bounds every read of `tile.a` and
+    // `tile.weights` and every store through `tile.out`.
+    unsafe {
+        let mut rowp = [tile.a.as_ptr(); MR];
+        for (m, p) in rowp.iter_mut().enumerate() {
+            *p = p.add(tile.rows.base(r0 + i0 + m));
+        }
+        let mut acc = [_mm512_setzero_si512(); MR];
+        let mut g = tile.weights;
+        for r in 0..runs.count {
+            for t in 0..runs.quads {
+                let off = r * runs.stride + t * QK;
+                let b = _mm512_loadu_si512(g as *const __m512i);
+                for m in 0..MR {
+                    let aq = (rowp[m].add(off) as *const i32).read_unaligned();
+                    acc[m] = _mm512_dpbusd_epi32(acc[m], _mm512_set1_epi32(aq), b);
+                }
+                g = g.add(QNR * QK);
+            }
+        }
+        for (m, acc_m) in acc.iter().enumerate() {
+            let fixed = _mm512_sub_epi32(*acc_m, tile.corr);
+            _mm512_mask_storeu_epi32(tile.out.add((i0 + m) * tile.n), tile.valid, fixed);
         }
     }
 }
@@ -842,10 +1056,10 @@ impl NhwcImage {
     }
 }
 
-/// Width of the block copies of [`gather_patches_nhwc`], and therefore
-/// the slack it needs behind both of its buffers: a run is copied in
-/// whole blocks, so up to `PATCH_SLACK − 1` bytes past the last run are
-/// read from the image buffer and written to the patch buffer.
+/// Readable bytes a u8 image buffer must hold behind its last image's
+/// [`NhwcImage::stride`]: [`gemm_i8_conv`] reads each receptive-field run
+/// in whole 4-byte quads, so it may read up to 3 bytes past the padded
+/// image (see [`ImplicitConv`]).
 pub const PATCH_SLACK: usize = 16;
 
 /// Quantize one f32 **NCHW** image symmetrically per tensor into the
@@ -889,74 +1103,144 @@ pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: Kernel
     )
 }
 
-/// Gathers one padded u8 NHWC image into the patch-major A matrix of the
-/// int8 convolution GEMM, patch columns in `(ky, kx, c_in)` order: with
-/// channels innermost, the `kx, c_in` part of a receptive-field row is
-/// **one contiguous run** of `k·c_in` image bytes, so a patch is `k`
-/// fixed-width copies — no offset table, no padding branch (the border
-/// is in the image). The quad-alignment tail of each row is set to `128`.
+/// Quads one receptive-field run of the convolution `dims` occupies in
+/// the implicit-GEMM layout: the run's `k·c_in` bytes rounded up to the
+/// 4-byte quad. [`PackedBI8::pack_conv_runs`] lays each `ky` run of
+/// weights out at this width, zero-padded; [`ImplicitConv`] reads it.
+pub(crate) fn run_quads(dims: &ConvPlanDims) -> usize {
+    (dims.geom.kernel * dims.c_in).div_ceil(QK)
+}
+
+/// Compile-time A-operand addressing of an **implicit-GEMM** int8
+/// convolution: [`gemm_i8_conv`] reads every patch straight out of the
+/// padded u8 NHWC image, so no patch matrix is ever built.
 ///
-/// Runs of up to three [`PATCH_SLACK`]-byte blocks are copied as whole
-/// blocks (longer ones as one exact `memcpy`), and the row tail as one
-/// 4-byte store. The over-copy lands on the next run, the row tail
-/// or the next patch — each rewritten afterwards, patches being written
-/// in ascending order — except behind the very last run, hence the
-/// contract: `img_q` holds [`NhwcImage::stride`] `+ PATCH_SLACK` readable
-/// bytes and `out` holds `oh·ow ×` [`quantized_row_len`]`(k·k·c_in) +
-/// PATCH_SLACK` writable ones; nothing beyond either is touched.
-///
-/// # Panics
-///
-/// If either buffer is shorter than that.
-// seal-lint: allow(panic-freedom) — the asserts are the documented extent contract: a short buffer fails here, once, before anything is written
-pub fn gather_patches_nhwc(img_q: &[u8], dims: &ConvPlanDims, out: &mut [u8]) {
-    let img = NhwcImage::for_conv(dims);
-    let k = dims.geom.kernel;
-    let ka = quantized_row_len(k * k * dims.c_in);
-    assert!(
-        img_q.len() >= img.stride() + PATCH_SLACK,
-        "gather_patches_nhwc: image (+ slack) too short"
-    );
-    assert!(
-        out.len() >= dims.oh * dims.ow * ka + PATCH_SLACK,
-        "gather_patches_nhwc: output (+ slack) too short"
-    );
-    // A block count known at compile time keeps the copy a couple of
-    // vector moves instead of a `memcpy` call per run.
-    match (k * dims.c_in).div_ceil(PATCH_SLACK) {
-        1 => gather_runs::<1>(img_q, dims, out),
-        2 => gather_runs::<2>(img_q, dims, out),
-        3 => gather_runs::<3>(img_q, dims, out),
-        _ => gather_runs::<0>(img_q, dims, out),
+/// With channels innermost, the `(kx, c_in)` part of a receptive-field
+/// row is one contiguous run of `k·c_in` image bytes. GEMM row `p` (one
+/// output pixel) starts at `rows[p]` — the field's top-left byte,
+/// `oy·stride·row_bytes + ox·stride·c_in`, plus `j·`[`NhwcImage::stride`]
+/// for image `j` of a stacked batch — and its quad `q` lies `quad_off[q]
+/// = (q / rq)·row_bytes + (q mod rq)·4` further on: `k` runs (one per
+/// `ky`) of `rq = ceil(k·c_in / 4)` quads, `row_bytes` apart. A run whose length is not a multiple
+/// of 4 is read in whole quads, so its last quad takes up to 3 bytes of
+/// whatever follows — the next pixel, the next row's border, or (for the
+/// very last run) the [`PATCH_SLACK`] behind the image. Those bytes meet
+/// the **zero weights** [`PackedBI8::pack_conv_runs`] puts in the run's
+/// pad positions: they add exactly 0 to the i32 sums (and to `col_sums`),
+/// whatever they hold. Every read therefore stays below `(images − 1)·
+/// stride + stride + 3`, inside `images·stride + PATCH_SLACK`.
+#[derive(Clone, Debug)]
+pub struct ImplicitConv {
+    /// Output positions per image.
+    s: usize,
+    /// Stacked images the row table covers.
+    images: usize,
+    /// Byte stride between stacked images.
+    stride: usize,
+    /// One past the last byte one image's rows read.
+    extent: usize,
+    rows: Vec<u32>,
+    /// `k` runs of `rq` quads, `row_bytes` apart.
+    runs: Runs,
+}
+
+impl ImplicitConv {
+    /// The row table and run geometry of the convolution `dims` for up to
+    /// `images` images stacked at [`NhwcImage::stride`] (`1` unless the
+    /// batch folds into one GEMM). Allocates — call at plan-compile time.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::InvalidGeometry`] if `images` is 0, `dims` is not a
+    /// convolution whose output fits its padded input (its reads would
+    /// leave the image + slack), or the stacked images span more than
+    /// `u32` offsets address.
+    pub fn compile(dims: &ConvPlanDims, images: usize) -> Result<ImplicitConv, TensorError> {
+        let img = NhwcImage::for_conv(dims);
+        let (k, stride) = (dims.geom.kernel, dims.geom.stride);
+        let (rq, row_bytes) = (run_quads(dims), img.row_bytes());
+        let s = dims.oh * dims.ow;
+        let field =
+            |p: usize| (p / dims.ow) * stride * row_bytes + (p % dims.ow) * stride * dims.c_in;
+        let runs = Runs {
+            count: k,
+            quads: rq,
+            stride: row_bytes,
+        };
+        let extent = (0..s).map(field).max().unwrap_or(0) + runs.offsets().max().unwrap_or(0) + QK;
+        if images == 0
+            || s == 0
+            || extent > img.stride() + PATCH_SLACK
+            || images * img.stride() + PATCH_SLACK > u32::MAX as usize
+        {
+            return Err(TensorError::InvalidGeometry {
+                reason: format!(
+                    "implicit conv: {images} image(s) of {dims:?} cannot be read in place"
+                ),
+            });
+        }
+        let row = |r: usize| ((r / s) * img.stride() + field(r % s)) as u32;
+        let rows = (0..images * s).map(row).collect(); // seal-lint: allow(hot-path-alloc) — compile-time table
+        Ok(ImplicitConv {
+            s,
+            images,
+            stride: img.stride(),
+            extent,
+            rows,
+            runs,
+        })
+    }
+
+    /// Quads per GEMM row: `k ·` `ceil(k·c_in / 4)`.
+    pub fn quads(&self) -> usize {
+        self.runs.count * self.runs.quads
     }
 }
 
-/// [`gather_patches_nhwc`] with each run copied as `BLOCKS` whole blocks
-/// (`0`: as exactly `k·c_in` bytes).
-#[inline(always)]
-// seal-lint: allow(panic-freedom) — both extents (slack included) are asserted by `gather_patches_nhwc`; a copy ends at most `PATCH_SLACK − 1` bytes past its run, and runs end inside the padded image / the patch matrix
-fn gather_runs<const BLOCKS: usize>(img_q: &[u8], dims: &ConvPlanDims, out: &mut [u8]) {
-    let (k, stride) = (dims.geom.kernel, dims.geom.stride);
-    let run = k * dims.c_in;
-    let kdim = k * run;
-    let ka = quantized_row_len(kdim);
-    let row_bytes = NhwcImage::for_conv(dims).row_bytes();
-    let width = if BLOCKS == 0 {
-        run
-    } else {
-        BLOCKS * PATCH_SLACK
-    };
-    for oy in 0..dims.oh {
-        for ox in 0..dims.ow {
-            let patch = (oy * dims.ow + ox) * ka;
-            let field = oy * stride * row_bytes + ox * stride * dims.c_in;
-            for ky in 0..k {
-                let src = &img_q[field + ky * row_bytes..][..width];
-                out[patch + ky * run..][..width].copy_from_slice(src);
-            }
-            out[patch + kdim..][..QK].copy_from_slice(&[128; QK]);
-        }
+/// The int8 convolution of `images` stacked padded u8 NHWC images,
+/// read in place: `out[(j·s + p) × c_out]` receives the exact signed sums
+/// of output pixel `p` of image `j` — the accumulator a patch gather
+/// followed by [`gemm_i8`] produces — in every mode and at any thread
+/// count. `img` starts at image 0 and `pack` comes from
+/// [`PackedBI8::pack_conv_runs`] for the same convolution.
+///
+/// # Panics
+///
+/// If `images` exceeds what `conv` was compiled for, `pack` does not
+/// match its quads, `img` holds fewer than `images ·`
+/// [`NhwcImage::stride`] `+ PATCH_SLACK` bytes, or `out` fewer than
+/// `images · s · c_out` sums — once, before anything is read or written.
+// seal-lint: allow(panic-freedom) — the asserts are the documented extent contract; `images·s ≤ rows.len()` by the first
+pub fn gemm_i8_conv(
+    img: &[u8],
+    conv: &ImplicitConv,
+    images: usize,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    mode: KernelMode,
+) {
+    assert!(
+        images <= conv.images,
+        "gemm_i8_conv: more images than compiled for"
+    );
+    let m = images * conv.s;
+    if m == 0 || pack.n == 0 {
+        return;
     }
+    assert!(
+        img.len() >= images * conv.stride + PATCH_SLACK,
+        "gemm_i8_conv: image (+ slack) too short"
+    );
+    assert!(
+        out.len() >= m * pack.n,
+        "gemm_i8_conv: output buffer too short"
+    );
+    let extent = (images - 1) * conv.stride + conv.extent;
+    let rows = ConvRows {
+        rows: &conv.rows[..m],
+        runs: conv.runs,
+    };
+    gemm_i8_rows(&img[..extent], &rows, pack, out, m, mode);
 }
 
 /// The fused write-back of an int8 step whose consumer is another int8

@@ -15,19 +15,19 @@
 //! strips, or neither) against `conv2d` and the standalone ops.
 //!
 //! The u8 NHWC kernels of the int8 data path get the same treatment
-//! against the per-op kernels they replace in the plans: the run-copy
-//! patch gather (whole-block copies that deliberately overshoot into a
-//! documented slack), the f32 → u8 entry conversion and the requantizing
-//! (+ max-pool) write-back, each with a sentinel strip behind everything
-//! it may touch.
+//! against the per-op kernels they replace in the plans: the implicit
+//! conv (whole-quad run reads that deliberately overshoot into poisoned
+//! bytes its zero pad weights cancel), the f32 → u8 entry conversion and
+//! the requantizing (+ max-pool) write-back, each with a sentinel strip
+//! behind everything it may touch.
 
 use seal_pool::{with_pool, Pool};
 use seal_tensor::ops::{
     conv2d, conv2d_infer_fused, conv2d_infer_packed, dequantize_bias_relu,
-    dequantize_transpose_bias_relu, gather_patches_nhwc, gather_patches_u8, gemm_i8,
-    gemm_prepacked, matmul, matmul_i8_reference, matmul_naive, matmul_naive_fma, max_pool2d_into,
-    quantize_nhwc_u8, quantize_rows_u8, quantize_slice_u8, quantized_row_len, reset_kernel_mode,
-    set_kernel_mode, BatchNormParams, Conv2dGeometry, ConvEpilogue, ConvPlanDims, Im2colGather,
+    dequantize_transpose_bias_relu, gather_patches_u8, gemm_i8, gemm_i8_conv, gemm_prepacked,
+    matmul, matmul_i8_reference, matmul_naive, matmul_naive_fma, max_pool2d_into, quantize_nhwc_u8,
+    quantize_rows_u8, quantize_slice_u8, quantized_row_len, reset_kernel_mode, set_kernel_mode,
+    BatchNormParams, Conv2dGeometry, ConvEpilogue, ConvPlanDims, Im2colGather, ImplicitConv,
     KernelMode, NhwcImage, PackedB, PackedBI8, PatchGather, PoolGeometry, Requantize, PATCH_SLACK,
 };
 use seal_tensor::rng::rngs::StdRng;
@@ -595,87 +595,183 @@ fn random_bytes(rng: &mut StdRng, len: usize) -> Vec<u8> {
     (0..len).map(|_| rng.gen_range(1u32..256) as u8).collect()
 }
 
-/// The run-copy gather equals the table gather once the table's
-/// `(c_in, ky, kx)` columns are permuted to `(ky, kx, c_in)`; its block
-/// over-copy stays inside `PATCH_SLACK` and nothing it over-reads from the
-/// image's slack survives into the patch matrix.
+/// The weights of `dims` as `Conv2d` stores them (`[c_out × c_in·k·k]`),
+/// the per-image accumulator the reference path computes for `images`
+/// (each `c_in·h·w` random NCHW bytes): the table gather
+/// `gather_patches_u8`, then `gemm_i8` over the `(c_in, ky, kx)`-ordered
+/// pack — the implicit conv's weights in that column order.
+fn reference_conv_acc(dims: &ConvPlanDims, weights: &[f32], images: &[Vec<u8>]) -> Vec<i32> {
+    let table = PatchGather::compile(dims);
+    let packed = PackedBI8::pack_conv(weights, dims.c_out, table.kdim()).unwrap();
+    let s = table.spatial();
+    let mut acc = vec![0i32; images.len() * s * dims.c_out];
+    let mut patches = vec![0u8; table.patch_bytes()];
+    for (nchw, out) in images.iter().zip(acc.chunks_exact_mut(s * dims.c_out)) {
+        gather_patches_u8(nchw, &table, &mut patches);
+        gemm_i8(&patches, &packed, out, s, KernelMode::Scalar);
+    }
+    acc
+}
+
+/// `images` stacked padded NHWC images at their stride, every byte the
+/// implicit conv must not use poisoned — each image's quad tail and the
+/// slack behind the last one — with 0xFF or (`random`) random bytes.
+fn poisoned_stack(rng: &mut StdRng, images: &[Vec<u8>], img: &NhwcImage, random: bool) -> Vec<u8> {
+    let padded = (img.h + 2 * img.pad) * (img.w + 2 * img.pad) * img.c;
+    let mut stack = Vec::new();
+    for nchw in images {
+        let mut one = to_padded_nhwc(nchw, img, 0, 0);
+        one[padded..].fill(0xFF);
+        stack.extend(one);
+    }
+    stack.resize(stack.len() + PATCH_SLACK, 0xFF);
+    if random {
+        let start = images.len() * img.stride();
+        stack[start..].copy_from_slice(&random_bytes(rng, PATCH_SLACK));
+        for j in 0..images.len() {
+            for b in &mut stack[j * img.stride() + padded..(j + 1) * img.stride()] {
+                *b = rng.gen_range(0u32..256) as u8;
+            }
+        }
+    }
+    stack
+}
+
+/// The implicit-GEMM int8 conv (`gemm_i8_conv`, reading the padded NHWC
+/// image in place through zero-weight-padded runs) equals the table
+/// gather + `gemm_i8` reference exactly, over kernel 1/3/5 × stride 1/2 ×
+/// padding 0/1/2 × output widths 1/2/3/5/7/8/16/17 (the valid ones), with
+/// `c_in` rotating through every run-pad remainder (1..=8, 12, 48) and
+/// `c_out` through 1/6/16/17/48: per image and with the batch stacked
+/// into one call, batch 1/3/8, every mode, the pool width rotating
+/// 1/2/7. The quad tail of every image and the slack behind the last
+/// hold 0xFF or random bytes — the run padding reads them, and its zero
+/// weights must cancel them — and a sentinel strip behind the output
+/// catches a store past it.
 #[test]
-fn nhwc_run_copy_gather_matches_the_table_gather_after_column_permutation() {
-    let mut rng = StdRng::seed_from_u64(0x6A7);
-    let mut shapes = 0;
-    for c_in in [1usize, 3, 6, 12, 48] {
-        for k in [1usize, 3] {
-            for stride in [1usize, 2] {
-                for pad in [0usize, 1] {
-                    for o in [1usize, 2, 4, 16] {
-                        // The input side this output side comes from.
-                        let Some(hw) = ((o - 1) * stride + k).checked_sub(2 * pad) else {
-                            continue;
-                        };
-                        let geom = Conv2dGeometry {
-                            kernel: k,
-                            stride,
-                            padding: pad,
-                        };
-                        if hw == 0 || geom.output_size(hw) != Some(o) {
-                            continue;
-                        }
+fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
+    const GUARD_ACC: usize = 16;
+    const SENTINEL_ACC: i32 = 0x5EA1_5EA1;
+    let mut rng = StdRng::seed_from_u64(0x1C0);
+    let pools: Vec<Pool> = [1usize, 2, 7].into_iter().map(Pool::new).collect();
+    let (c_ins, c_outs) = (
+        [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 48],
+        [1usize, 6, 16, 17, 48],
+    );
+    let mut shapes = 0usize;
+    for kernel in [1usize, 3, 5] {
+        for stride in [1usize, 2] {
+            for padding in [0usize, 1, 2] {
+                for ow in [1usize, 2, 3, 5, 7, 8, 16, 17] {
+                    let geom = Conv2dGeometry {
+                        kernel,
+                        stride,
+                        padding,
+                    };
+                    let oh = 1 + shapes % 3;
+                    let (Some(h), Some(w)) = (input_side(oh, &geom), input_side(ow, &geom)) else {
+                        continue;
+                    };
+                    shapes += 1;
+                    // Two `c_in`s per shape: every remainder meets every
+                    // kernel size over the run; the widest pairings stay
+                    // rare so the sweep runs in seconds in debug.
+                    for c_in in [c_ins[shapes % 10], c_ins[(3 * shapes + 5) % 8]] {
+                        let c_out = c_outs[(shapes + c_in) % 5];
+                        let n = [1usize, 3, 8][(shapes + c_in) % 3];
                         let dims = ConvPlanDims {
                             c_in,
-                            h: hw,
-                            w: hw,
-                            c_out: 1,
-                            oh: o,
-                            ow: o,
+                            h,
+                            w,
+                            c_out,
+                            oh,
+                            ow,
                             geom,
                         };
-                        shapes += 1;
-                        let (s, kdim) = (o * o, c_in * k * k);
-                        let ka = quantized_row_len(kdim);
-                        let nchw = random_bytes(&mut rng, c_in * hw * hw);
-                        let table = PatchGather::compile(&dims);
-                        let mut want = vec![0u8; s * ka];
-                        gather_patches_u8(&nchw, &table, &mut want);
-                        // The image's slack holds the sentinel: whatever
-                        // the block copies over-read must be overwritten.
-                        let img = to_padded_nhwc(
-                            &nchw,
-                            &NhwcImage::for_conv(&dims),
-                            PATCH_SLACK,
-                            SENTINEL,
+                        let img = NhwcImage::for_conv(&dims);
+                        let s = oh * ow;
+                        let images: Vec<Vec<u8>> = (0..n)
+                            .map(|_| random_bytes(&mut rng, c_in * h * w))
+                            .collect();
+                        let weights = uniform(
+                            &mut rng,
+                            Shape::vector(c_out * c_in * kernel * kernel),
+                            -1.0,
+                            1.0,
                         );
-                        let mut got = vec![SENTINEL; s * ka + PATCH_SLACK + GUARD];
-                        gather_patches_nhwc(&img, &dims, &mut got);
-                        let what =
-                            format!("c_in {c_in} k {k} stride {stride} pad {pad} out {o}x{o}");
-                        assert!(
-                            got[s * ka + PATCH_SLACK..].iter().all(|&b| b == SENTINEL),
-                            "{what}: wrote past the documented slack"
+                        let want = reference_conv_acc(&dims, weights.as_slice(), &images);
+                        let random = shapes.is_multiple_of(2);
+                        let stack = poisoned_stack(&mut rng, &images, &img, random);
+                        let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
+                        let (per_image, stacked) = (
+                            ImplicitConv::compile(&dims, 1).unwrap(),
+                            ImplicitConv::compile(&dims, n).unwrap(),
                         );
-                        for p in 0..s {
-                            let (g, w) = (&got[p * ka..(p + 1) * ka], &want[p * ka..(p + 1) * ka]);
-                            for ci in 0..c_in {
-                                for tap in 0..k * k {
-                                    assert_eq!(
-                                        g[tap * c_in + ci],
-                                        w[ci * k * k + tap],
-                                        "{what}: patch {p} channel {ci} tap {tap}"
-                                    );
-                                }
-                            }
+                        let what = format!("{dims:?} batch {n}");
+                        for_each_mode(|mode| {
+                            let pool = &pools[(shapes + c_in + mode as usize) % pools.len()];
+                            let len = n * s * c_out;
+                            let mut got = vec![SENTINEL_ACC; len + GUARD_ACC];
+                            with_pool(pool, || {
+                                gemm_i8_conv(&stack, &stacked, n, &packed, &mut got, mode)
+                            });
                             assert!(
-                                g[kdim..].iter().all(|&b| b == 128),
-                                "{what}: patch {p} quad tail is not the zero point"
+                                got[len..].iter().all(|&v| v == SENTINEL_ACC),
+                                "{mode:?} {what}: stacked call stored past its output"
                             );
-                        }
+                            assert_eq!(got[..len], want[..], "{mode:?} {what} stacked");
+                            got.fill(SENTINEL_ACC);
+                            for (j, out) in got.chunks_exact_mut(s * c_out).take(n).enumerate() {
+                                let one = &stack[j * img.stride()..];
+                                with_pool(pool, || {
+                                    gemm_i8_conv(one, &per_image, 1, &packed, out, mode)
+                                });
+                            }
+                            assert_eq!(got[..len], want[..], "{mode:?} {what} per image");
+                        });
                     }
                 }
             }
         }
     }
-    // 160 combinations, less the 15 a 1×1 / pad-1 kernel cannot produce
-    // (1×1 output at either stride, 2×2 at stride 1) for each `c_in`.
-    assert_eq!(shapes, 145, "geometry filter dropped a planned shape");
+    // 144 combinations less the 45 whose output side has no input side.
+    assert_eq!(shapes, 99, "geometry filter dropped an implicit-conv shape");
+}
+
+/// The implicit conv checks its extents once, up front: an image buffer
+/// one byte short of `images·stride + PATCH_SLACK`, or an output one sum
+/// short, is rejected before anything is read or written.
+#[test]
+fn implicit_conv_rejects_a_short_image_or_output() {
+    let dims = ConvPlanDims {
+        c_in: 3,
+        h: 4,
+        w: 4,
+        c_out: 6,
+        oh: 4,
+        ow: 4,
+        geom: Conv2dGeometry::same3x3(),
+    };
+    let conv = ImplicitConv::compile(&dims, 2).unwrap();
+    let weights = vec![0.25f32; 6 * 27];
+    let packed = PackedBI8::pack_conv_runs(&weights, &dims).unwrap();
+    let need = 2 * NhwcImage::for_conv(&dims).stride() + PATCH_SLACK;
+    let run = |img_len: usize, out_len: usize| {
+        std::panic::catch_unwind(|| {
+            let img = vec![128u8; img_len];
+            let mut out = vec![0i32; out_len];
+            gemm_i8_conv(&img, &conv, 2, &packed, &mut out, KernelMode::Scalar);
+        })
+    };
+    assert!(run(need, 2 * 16 * 6).is_ok());
+    assert!(
+        run(need - 1, 2 * 16 * 6).is_err(),
+        "a short image is rejected"
+    );
+    assert!(
+        run(need, 2 * 16 * 6 - 1).is_err(),
+        "a short output is rejected"
+    );
 }
 
 /// The entry conversion writes `quantize_slice_u8`'s scale and bytes,
