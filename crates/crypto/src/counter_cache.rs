@@ -33,6 +33,8 @@
 //! window is O(1), and a fresh ascending stream behind the prefetcher is
 //! written in closed form in O(min(pages, cache lines)).
 
+use std::ops::Range;
+
 use crate::CryptoError;
 
 /// Bits in one counter-cache line (64 bytes).
@@ -359,18 +361,6 @@ impl RunOutcome {
     }
 }
 
-/// One way of a set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Way {
-    /// Id of the counter line held (`addr / coverage_bytes`).
-    line_id: u64,
-    /// LRU stamp of the last use; 0 marks the way invalid (the tick is
-    /// bumped before it is stamped, so a valid way is never 0).
-    last_use: u64,
-    /// [`CORRUPT`] | [`PREFETCHED`].
-    flags: u8,
-}
-
 /// Way flag: fault injection flipped the line's counter bits. The next
 /// access detects this (modelling the counter block's own MAC / ECC check)
 /// and repairs the line with a re-fetch instead of handing out a bogus
@@ -380,6 +370,47 @@ const CORRUPT: u8 = 1;
 /// Way flag: the prefetcher filled the line and it has not been demanded
 /// yet; the first demand access counts it as a `prefetch_hit`.
 const PREFETCHED: u8 = 2;
+
+/// The tag of every invalid way. No line id but `u64::MAX` itself (only
+/// reachable with 1-byte coverage) can match it, so a lookup of any other
+/// line compares tags alone.
+const VACANT: u64 = u64::MAX;
+
+/// Index of the last way whose tag is `line_id` and whose stamp marks it
+/// valid; `usize::MAX` when there is none. The stamps are read only for
+/// the line id [`VACANT`].
+#[inline(always)]
+fn last_match(tags: &[u64], stamps: &[u64], line_id: u64) -> usize {
+    // No early exit: a line is resident in at most one way, and where it
+    // sits is as good as random, so a select per way beats a mispredicted
+    // break.
+    let mut found = usize::MAX;
+    if line_id != VACANT {
+        for (i, &tag) in tags.iter().enumerate() {
+            found = if tag == line_id { i } else { found };
+        }
+    } else {
+        for (i, (&tag, &stamp)) in tags.iter().zip(stamps).enumerate() {
+            let here = (tag == line_id) & (stamp != 0);
+            found = if here { i } else { found };
+        }
+    }
+    found
+}
+
+/// Index of the first minimum of `stamps` (0 when empty).
+#[inline(always)]
+fn first_min(stamps: &[u64]) -> usize {
+    let mut victim = 0;
+    let mut oldest = u64::MAX;
+    for (i, &stamp) in stamps.iter().enumerate() {
+        if stamp < oldest {
+            oldest = stamp;
+            victim = i;
+        }
+    }
+    victim
+}
 
 /// Runtime state of one pinned read-only region.
 #[derive(Debug, Clone, Copy)]
@@ -411,18 +442,30 @@ pub struct CounterCache {
     sets: u64,
     /// `sets - 1` when the set count is a power of two.
     set_mask: Option<u64>,
-    /// Every way, set-major: set `s` owns `ways[s * assoc..(s + 1) * assoc]`.
-    ways: Vec<Way>,
+    /// The ways as three parallel arrays, set-major: set `s` owns indices
+    /// `s * assoc..(s + 1) * assoc` of each, so a lookup reads one run of
+    /// tags. Id of the counter line each way holds (`addr /
+    /// coverage_bytes`); [`VACANT`] in every invalid way.
+    tags: Vec<u64>,
+    /// LRU stamp of each way's last use; 0 marks the way invalid (the tick
+    /// is bumped before it is stamped, so a valid way is never 0).
+    stamps: Vec<u64>,
+    /// [`CORRUPT`] | [`PREFETCHED`] of each way.
+    flags: Vec<u8>,
     /// The way the last demand access landed on: a stream revisits its
     /// counter line many times in a row, and checking this way first
     /// skips the set walk.
     recent_way: usize,
+    /// The line `recent_way` holds while it is valid and clean, else
+    /// [`VACANT`]: the repeat test reads this one word. Every write that
+    /// could leave the way dirty or hand it to another line resets it.
+    recent_line: u64,
     /// The highest line id a demand miss or the prefetcher ever filled:
     /// no line above it has ever been resident, so a stream that starts
     /// at it walks into lines the sets cannot hold yet.
     high_water: u64,
     /// Scratch of [`stream_run`](Self::stream_run), one slot per way of a
-    /// set: `(last_use, way)`, sorted into the order fills evict them.
+    /// set: `(stamp, way)`, sorted into the order fills evict them.
     order: Vec<(u64, usize)>,
     ro: Vec<RoSlot>,
     tick: u64,
@@ -468,15 +511,11 @@ impl CounterCache {
                 .then(|| config.coverage_bytes.trailing_zeros()),
             sets: sets as u64,
             set_mask: sets.is_power_of_two().then_some(sets as u64 - 1),
-            ways: vec![
-                Way {
-                    line_id: 0,
-                    last_use: 0,
-                    flags: 0,
-                };
-                ways
-            ],
+            tags: vec![VACANT; ways],
+            stamps: vec![0; ways],
+            flags: vec![0; ways],
             recent_way: 0,
+            recent_line: VACANT,
             high_water: 0,
             order: vec![(0, 0); config.ways],
             ro: config
@@ -513,9 +552,9 @@ impl CounterCache {
     }
 
     /// Way indices of the set counter line `line_id` maps to. In bounds
-    /// by construction: the set number is below `sets` and `ways` holds
-    /// `sets × config.ways` entries.
-    fn set_of(&self, line_id: u64) -> std::ops::Range<usize> {
+    /// by construction: the set number is below `sets` and each way array
+    /// holds `sets × config.ways` entries.
+    fn set_of(&self, line_id: u64) -> Range<usize> {
         let set = match self.set_mask {
             Some(mask) => line_id & mask,
             None => line_id % self.sets,
@@ -524,29 +563,27 @@ impl CounterCache {
         start..start + self.config.ways
     }
 
-    /// The way of `set` holding `line_id`, if it is resident.
-    fn find(set: &[Way], line_id: u64) -> Option<usize> {
-        // No early exit: a line is resident in at most one way, and where
-        // it sits is as good as random, so a select per way beats a
-        // mispredicted break.
-        let mut found = usize::MAX;
-        for (i, way) in set.iter().enumerate() {
-            let here = (way.line_id == line_id) & (way.last_use != 0);
-            found = if here { i } else { found };
-        }
-        (found != usize::MAX).then_some(found)
+    /// The way of `set` holding `line_id`, if it is resident: one pass
+    /// over the set's tags.
+    fn find(&self, set: Range<usize>, line_id: u64) -> Option<usize> {
+        let (tags, stamps) = (&self.tags[set.clone()], &self.stamps[set.clone()]);
+        let found = last_match(tags, stamps, line_id);
+        (found != usize::MAX).then(|| set.start + found)
     }
 
     /// The way of `set` a fill replaces: the first invalid one, else the
-    /// least recently used (the lowest index among equals).
-    fn victim(set: &[Way]) -> usize {
-        let mut victim = 0;
-        for (i, way) in set.iter().enumerate() {
-            if way.last_use < set[victim].last_use {
-                victim = i;
-            }
-        }
-        victim
+    /// least recently used (the lowest index among equals) — one pass over
+    /// the set's `stamps`.
+    fn victim(stamps: &[u64], set: Range<usize>) -> usize {
+        let stamps = &stamps[set.clone()];
+        set.start + first_min(stamps)
+    }
+
+    /// Writes way `w` (a global index).
+    fn fill(&mut self, w: usize, line_id: u64, stamp: u64, flags: u8) {
+        self.tags[w] = line_id;
+        self.stamps[w] = stamp;
+        self.flags[w] = flags;
     }
 
     /// Looks up the counter line covering data address `addr`, allocating it
@@ -578,21 +615,18 @@ impl CounterCache {
         let tick = self.tick;
         // A clean, already-demanded repeat of the last line: a plain hit,
         // with nothing for the set walk below to add.
-        let recent = &mut self.ways[self.recent_way];
-        if recent.line_id == line_id && recent.last_use != 0 && recent.flags == 0 {
-            recent.last_use = tick;
+        if line_id == self.recent_line && line_id != VACANT {
+            self.stamps[self.recent_way] = tick;
             self.stats.hits += 1;
             return true;
         }
         let set = self.set_of(line_id);
-        let start = set.start;
-        let set = &mut self.ways[set];
-        let (hit, stream_next) = match Self::find(set, line_id) {
-            Some(i) => {
-                self.recent_way = start + i;
-                let way = &mut set[i];
-                way.last_use = tick;
-                let flags = std::mem::take(&mut way.flags);
+        let (hit, stream_next) = match self.find(set.clone(), line_id) {
+            Some(w) => {
+                self.recent_way = w;
+                self.recent_line = line_id;
+                self.stamps[w] = tick;
+                let flags = std::mem::take(&mut self.flags[w]);
                 if flags & CORRUPT != 0 {
                     // The line's integrity check fails: repair it with a
                     // DRAM re-fetch. Priced as a miss, surfaced in the
@@ -611,13 +645,10 @@ impl CounterCache {
                 (true, consumed_prefetch)
             }
             None => {
-                let i = Self::victim(set);
-                self.recent_way = start + i;
-                set[i] = Way {
-                    line_id,
-                    last_use: tick,
-                    flags: 0,
-                };
+                let w = Self::victim(&self.stamps, set);
+                self.recent_way = w;
+                self.recent_line = line_id;
+                self.fill(w, line_id, tick, 0);
                 self.high_water = self.high_water.max(line_id);
                 self.stats.misses += 1;
                 (false, true)
@@ -641,15 +672,14 @@ impl CounterCache {
             return;
         }
         let set = self.set_of(line_id);
-        let set = &mut self.ways[set];
-        if Self::find(set, line_id).is_some() {
+        if self.find(set.clone(), line_id).is_some() {
             return; // already resident — nothing to fetch
         }
-        set[Self::victim(set)] = Way {
-            line_id,
-            last_use: self.tick,
-            flags: PREFETCHED,
-        };
+        let w = Self::victim(&self.stamps, set);
+        if w == self.recent_way {
+            self.recent_line = VACANT;
+        }
+        self.fill(w, line_id, self.tick, PREFETCHED);
         self.high_water = self.high_water.max(line_id);
         self.stats.prefetch_fills += 1;
     }
@@ -755,20 +785,17 @@ impl CounterCache {
         if n == 0 {
             return 0;
         }
-        let range = self.set_of(first);
-        let head_set = range.start;
-        let set = &mut self.ways[range];
-        let Some(i) = Self::find(set, first) else {
+        let Some(head) = self.find(self.set_of(first), first) else {
             return 0;
         };
-        let head = &mut set[i];
-        if head.flags != PREFETCHED {
+        if self.flags[head] != PREFETCHED {
             return 0;
         }
         let tick0 = self.tick;
-        head.last_use = tick0 + 1;
-        head.flags = 0;
-        self.recent_way = head_set + i;
+        self.stamps[head] = tick0 + 1;
+        self.flags[head] = 0;
+        self.recent_way = head;
+        self.recent_line = VACANT;
 
         // Stream line `first + j` is filled at tick `tick0 + j` and
         // demanded one tick later (the run's last fill, `j == n`, stays
@@ -782,31 +809,28 @@ impl CounterCache {
         for t in 0..n.min(self.sets) {
             // This set takes the lines `j = t + 1 + q * sets`.
             let fills = (n - 1 - t) / self.sets + 1;
-            let range = self.set_of(first + 1 + t);
-            let set_start = range.start;
-            let set = &mut self.ways[range];
+            let set = self.set_of(first + 1 + t);
             if let (1, Some(oldest)) = (fills, self.order.first_mut()) {
                 // A single fill takes the oldest way: nothing to order.
-                *oldest = (0, Self::victim(set));
+                *oldest = (0, Self::victim(&self.stamps, set));
             } else {
-                for (slot, (i, way)) in self.order.iter_mut().zip(set.iter().enumerate()) {
-                    *slot = (way.last_use, i);
+                let ways = set.clone().zip(&self.stamps[set]);
+                for (slot, (w, &stamp)) in self.order.iter_mut().zip(ways) {
+                    *slot = (stamp, w);
                 }
                 self.order.sort_unstable();
             }
             // Only the last `ways` fills survive.
             let q0 = fills.saturating_sub(assoc);
             let victims = self.order.iter().cycle().skip((q0 % assoc) as usize);
-            for (q, &(_, i)) in (q0..fills).zip(victims) {
+            for (q, &(_, w)) in (q0..fills).zip(victims) {
                 let j = t + 1 + q * self.sets;
                 let demanded = j < n;
-                set[i] = Way {
-                    line_id: first + j,
-                    last_use: tick0 + j + u64::from(demanded),
-                    flags: if demanded { 0 } else { PREFETCHED },
-                };
+                self.tags[w] = first + j;
+                self.stamps[w] = tick0 + j + u64::from(demanded);
+                self.flags[w] = if demanded { 0 } else { PREFETCHED };
                 if j + 1 == n {
-                    self.recent_way = set_start + i;
+                    self.recent_way = w;
                 }
             }
         }
@@ -835,10 +859,12 @@ impl CounterCache {
         }
         let line_id = self.line_id(addr);
         let set = self.set_of(line_id);
-        let set = &mut self.ways[set];
-        match Self::find(set, line_id) {
-            Some(i) => {
-                set[i].flags |= CORRUPT;
+        match self.find(set, line_id) {
+            Some(w) => {
+                if w == self.recent_way {
+                    self.recent_line = VACANT;
+                }
+                self.flags[w] |= CORRUPT;
                 true
             }
             None => false,
@@ -853,15 +879,15 @@ impl CounterCache {
     /// Clears contents and statistics (pinned regions go back to
     /// untouched).
     pub fn reset(&mut self) {
-        for way in &mut self.ways {
-            way.last_use = 0;
-            way.flags = 0;
-        }
+        self.tags.fill(VACANT);
+        self.stamps.fill(0);
+        self.flags.fill(0);
         for slot in &mut self.ro {
             slot.touched = false;
             slot.corrupt = false;
         }
         self.recent_way = 0;
+        self.recent_line = VACANT;
         self.high_water = 0;
         self.tick = 0;
         self.stats = CounterCacheStats::default();
@@ -1155,11 +1181,18 @@ mod tests {
 
     /// Everything a later access reads: the whole way array, the pinned
     /// slots and every cursor.
-    type State = (Vec<Way>, Vec<(bool, bool)>, [u64; 3], CounterCacheStats);
+    type State = (
+        [Vec<u64>; 2],
+        Vec<u8>,
+        Vec<(bool, bool)>,
+        [u64; 3],
+        CounterCacheStats,
+    );
 
     fn state(cc: &CounterCache) -> State {
         (
-            cc.ways.clone(),
+            [cc.tags.clone(), cc.stamps.clone()],
+            cc.flags.clone(),
             cc.ro.iter().map(|s| (s.touched, s.corrupt)).collect(),
             [cc.tick, cc.high_water, cc.recent_way as u64],
             cc.stats,
@@ -1397,14 +1430,15 @@ mod tests {
     /// (oldest first) — everything a later lookup's outcome depends on,
     /// independent of how the ways are stored.
     fn resident(cc: &CounterCache, s: usize) -> Vec<(u64, bool, bool)> {
-        let first = s * cc.config.ways;
-        let mut ways: Vec<&Way> = cc.ways[first..first + cc.config.ways]
-            .iter()
-            .filter(|w| w.last_use != 0)
-            .collect();
-        ways.sort_by_key(|w| (w.last_use, w.line_id));
+        let set = s * cc.config.ways..(s + 1) * cc.config.ways;
+        let mut ways: Vec<usize> = set.filter(|&w| cc.stamps[w] != 0).collect();
+        ways.sort_by_key(|&w| (cc.stamps[w], cc.tags[w]));
         ways.iter()
-            .map(|w| (w.line_id / cc.sets, w.flags & PREFETCHED != 0, w.flags & CORRUPT != 0))
+            .map(|&w| {
+                let flags = cc.flags[w];
+                let tag = cc.tags[w] / cc.sets;
+                (tag, flags & PREFETCHED != 0, flags & CORRUPT != 0)
+            })
             .collect()
     }
 

@@ -139,15 +139,16 @@ impl EnginePipeline {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidConfig`] for non-positive clock or
-    /// throughput.
+    /// Returns [`CryptoError::InvalidConfig`] for a clock or throughput
+    /// that is not positive and finite (NaN included).
     pub fn new(spec: EngineSpec, clock_ghz: f64) -> Result<Self, CryptoError> {
-        if clock_ghz <= 0.0 {
+        let usable = |v: f64| v > 0.0 && v.is_finite();
+        if !usable(clock_ghz) {
             return Err(CryptoError::InvalidConfig {
                 reason: format!("clock {clock_ghz} GHz must be positive"),
             });
         }
-        if spec.throughput_gbps <= 0.0 {
+        if !usable(spec.throughput_gbps) {
             return Err(CryptoError::InvalidConfig {
                 reason: format!("throughput {} GB/s must be positive", spec.throughput_gbps),
             });
@@ -383,9 +384,12 @@ mod tests {
     #[test]
     fn invalid_configs_rejected() {
         assert!(EnginePipeline::new(EngineSpec::seal_default(), 0.0).is_err());
-        let mut bad = EngineSpec::seal_default();
-        bad.throughput_gbps = 0.0;
-        assert!(EnginePipeline::new(bad, 1.0).is_err());
+        for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(EnginePipeline::new(EngineSpec::seal_default(), v).is_err(), "clock {v}");
+            let mut bad = EngineSpec::seal_default();
+            bad.throughput_gbps = v;
+            assert!(EnginePipeline::new(bad, 1.0).is_err(), "throughput {v}");
+        }
     }
 
     #[test]

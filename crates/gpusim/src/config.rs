@@ -182,7 +182,9 @@ impl GpuConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for zero/negative parameters.
+    /// Returns [`SimError::InvalidConfig`] for a parameter that is zero,
+    /// negative or not finite (NaN included), the engine's throughput
+    /// among them.
     pub fn validate(&self) -> Result<(), SimError> {
         let positive = [
             (self.num_sms as f64, "num_sms"),
@@ -193,9 +195,10 @@ impl GpuConfig {
             (self.peak_issue_per_cycle, "peak_issue_per_cycle"),
             (self.max_outstanding as f64, "max_outstanding"),
             (self.engines_per_mc as f64, "engines_per_mc"),
+            (self.engine.throughput_gbps, "engine.throughput_gbps"),
         ];
         for (v, name) in positive {
-            if v <= 0.0 {
+            if !(v > 0.0 && v.is_finite()) {
                 return Err(SimError::InvalidConfig {
                     reason: format!("{name} must be positive"),
                 });
@@ -207,7 +210,8 @@ impl GpuConfig {
             row_miss_penalty,
         } = self.dram_timing
         {
-            if banks == 0 || row_bytes == 0 || row_miss_penalty < 0.0 {
+            let penalty_ok = row_miss_penalty >= 0.0 && row_miss_penalty.is_finite();
+            if banks == 0 || row_bytes == 0 || !penalty_ok {
                 return Err(SimError::InvalidConfig {
                     reason: "banked DRAM timing needs positive banks/row and non-negative penalty".into(),
                 });
@@ -275,6 +279,41 @@ mod tests {
         c.num_channels = 0;
         assert!(c.validate().is_err());
         assert!(GpuConfig::gtx480().validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_nan_infinite_and_dead_engine() {
+        for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut c = GpuConfig::gtx480();
+            c.core_clock_ghz = v;
+            assert!(c.validate().is_err(), "core_clock_ghz {v}");
+            let mut c = GpuConfig::gtx480();
+            c.total_dram_gbps = v;
+            assert!(c.validate().is_err(), "total_dram_gbps {v}");
+            let mut c = GpuConfig::gtx480();
+            c.peak_issue_per_cycle = v;
+            assert!(c.validate().is_err(), "peak_issue_per_cycle {v}");
+            // A dead engine used to pass and price every encrypted line at
+            // infinite cycles.
+            let mut c = GpuConfig::gtx480();
+            c.engine.throughput_gbps = v;
+            assert!(c.validate().is_err(), "engine throughput {v}");
+            assert!(crate::Simulator::new(c, EncryptionMode::Direct).is_err());
+        }
+        for penalty in [-1.0, f64::NAN, f64::INFINITY] {
+            let c = GpuConfig::gtx480().with_dram_timing(DramTiming::Banked {
+                banks: 16,
+                row_bytes: 2048,
+                row_miss_penalty: penalty,
+            });
+            assert!(c.validate().is_err(), "row_miss_penalty {penalty}");
+        }
+        let free_rows = GpuConfig::gtx480().with_dram_timing(DramTiming::Banked {
+            banks: 16,
+            row_bytes: 2048,
+            row_miss_penalty: 0.0,
+        });
+        assert!(free_rows.validate().is_ok(), "a free row miss is valid");
     }
 
     #[test]

@@ -3,6 +3,31 @@ use seal_crypto::{CounterCache, CounterCacheConfig, EngineSpec};
 use crate::dram::BankedChannel;
 use crate::{DramTiming, EncryptionMode, MemoryRequest, SimError};
 
+/// An [`EncryptionMode`] as a type: a controller loop generic over it has
+/// every per-request test of the mode folded away at compile time.
+pub(crate) trait Mode {
+    const MODE: EncryptionMode;
+}
+
+/// [`EncryptionMode::None`] as a type.
+pub(crate) struct PlainMode;
+/// [`EncryptionMode::Direct`] as a type.
+pub(crate) struct DirectMode;
+/// [`EncryptionMode::Counter`] as a type.
+pub(crate) struct CounterMode;
+
+impl Mode for PlainMode {
+    const MODE: EncryptionMode = EncryptionMode::None;
+}
+
+impl Mode for DirectMode {
+    const MODE: EncryptionMode = EncryptionMode::Direct;
+}
+
+impl Mode for CounterMode {
+    const MODE: EncryptionMode = EncryptionMode::Counter;
+}
+
 #[derive(Debug)]
 enum Channel {
     /// Flat service: fixed cycles per line (efficiency-scaled).
@@ -141,6 +166,7 @@ impl MemoryController {
     /// Occupies the DRAM channel for one line at `addr` starting no
     /// earlier than `t`; returns data-available time (service + access
     /// latency).
+    #[inline(always)]
     fn dram_access(&mut self, t: f64, addr: u64) -> f64 {
         match &mut self.channel {
             Channel::Flat { next_free, busy } => {
@@ -155,6 +181,7 @@ impl MemoryController {
 
     /// Runs one line through the least-loaded AES engine starting no
     /// earlier than `t`; returns pad/ciphertext-ready time.
+    #[inline(always)]
     fn engine_run(&mut self, t: f64) -> f64 {
         let Some((first, rest)) = self.engine_next_free.split_first_mut() else {
             // Unreachable: the constructor rejects zero engines; with no
@@ -176,12 +203,24 @@ impl MemoryController {
     /// completion time.
     #[inline]
     pub fn service(&mut self, arrival: f64, req: &MemoryRequest) -> f64 {
+        match self.mode {
+            EncryptionMode::None => self.service_as::<PlainMode>(arrival, req),
+            EncryptionMode::Direct => self.service_as::<DirectMode>(arrival, req),
+            EncryptionMode::Counter => self.service_as::<CounterMode>(arrival, req),
+        }
+    }
+
+    /// [`service`](Self::service) for a controller built for `M::MODE`:
+    /// the one body both it and the simulator's per-mode loop run.
+    #[inline(always)]
+    pub(crate) fn service_as<M: Mode>(&mut self, arrival: f64, req: &MemoryRequest) -> f64 {
+        debug_assert_eq!(self.mode, M::MODE, "controller serviced under another mode");
         self.lines += 1;
-        if !req.encrypted || !self.mode.encrypts() {
+        if !req.encrypted || !M::MODE.encrypts() {
             return self.dram_access(arrival, req.addr);
         }
         self.encrypted_lines += 1;
-        match self.mode {
+        match M::MODE {
             EncryptionMode::None => unreachable!("handled above"),
             EncryptionMode::Direct => {
                 if req.write {

@@ -1,8 +1,51 @@
 use seal_crypto::CounterCacheConfig;
 
+use crate::mc::{CounterMode, DirectMode, Mode, PlainMode};
+use crate::workload::Requests;
 use crate::{
     EncryptionMode, GpuConfig, McReport, MemoryController, SimError, SimReport, Workload,
 };
+
+/// `hashed % n` for a channel count `n` fixed per run, without a division
+/// on the common path: Lemire's multiply-high remainder ("Faster Remainder
+/// by Direct Computation", 2019) for numerators below 2³², `%` above.
+///
+/// With `magic = ⌊(2⁶⁴ − 1) / n⌋ + 1` (wrapping to 0 when `n = 1`), the
+/// remainder of a 32-bit `a` is the high word of `(magic · a mod 2⁶⁴) · n`,
+/// exact for every `a < 2³²` and every `1 ≤ n < 2³²`. A channel count of
+/// 2³² or more sends every numerator but 0 (whose remainder is 0 either
+/// way) to `%`.
+#[derive(Debug, Clone, Copy)]
+struct ChannelMap {
+    n: u64,
+    magic: u64,
+    /// The largest numerator the multiply-high path takes.
+    fast_max: u64,
+}
+
+impl ChannelMap {
+    fn new(n: usize) -> Self {
+        let n = n as u64;
+        let max32 = u64::from(u32::MAX);
+        ChannelMap {
+            n,
+            magic: (u64::MAX / n).wrapping_add(1),
+            fast_max: if n <= max32 { max32 } else { 0 },
+        }
+    }
+
+    /// `hashed % n`.
+    #[inline(always)]
+    fn channel(&self, hashed: u64) -> usize {
+        let r = if hashed <= self.fast_max {
+            let low = self.magic.wrapping_mul(hashed);
+            ((u128::from(low) * u128::from(self.n)) >> 64) as u64
+        } else {
+            hashed % self.n
+        };
+        r as usize
+    }
+}
 
 /// The simulator: a GPU configuration plus an encryption mode.
 ///
@@ -84,39 +127,12 @@ impl Simulator {
             frontend_cycles / total as f64
         };
 
-        // Every real line size is a power of two: index lines by shift.
-        let line_shift = cfg
-            .line_bytes
-            .is_power_of_two()
-            .then(|| cfg.line_bytes.trailing_zeros());
-        let mut ring = vec![0.0f64; cfg.max_outstanding];
-        let mut slot = 0usize;
-        let mut next_issue = 0.0f64;
-        let mut last_completion = 0.0f64;
-
-        for req in requests {
-            // Stall on the window slot this request reuses.
-            let issue = next_issue.max(ring[slot]);
-            next_issue = issue + gap;
-            // Hashed (swizzled) channel interleaving, as real GPU memory
-            // partitions use, so strided tile walks cannot camp on a
-            // subset of channels.
-            let line = match line_shift {
-                Some(shift) => req.addr >> shift,
-                None => req.addr / cfg.line_bytes,
-            };
-            let hashed = line ^ (line >> 7) ^ (line >> 13);
-            let mc = (hashed % cfg.num_channels as u64) as usize;
-            let done = mcs[mc].service(issue, &req);
-            ring[slot] = done;
-            slot += 1;
-            if slot == ring.len() {
-                slot = 0;
-            }
-            if done > last_completion {
-                last_completion = done;
-            }
-        }
+        // The mode is fixed for the run: match it once, not per request.
+        let last_completion = match self.mode {
+            EncryptionMode::None => self.replay::<PlainMode>(requests, &mut mcs, gap),
+            EncryptionMode::Direct => self.replay::<DirectMode>(requests, &mut mcs, gap),
+            EncryptionMode::Counter => self.replay::<CounterMode>(requests, &mut mcs, gap),
+        };
 
         let cycles = last_completion.max(frontend_cycles);
         let per_mc = mcs
@@ -145,6 +161,48 @@ impl Simulator {
             encrypted_bytes: workload.encrypted_bytes(),
             per_mc,
         })
+    }
+
+    /// Issues every request to its controller, paced by `gap` cycles and
+    /// by the in-flight window; returns the last completion time. Generic
+    /// over the mode so that [`MemoryController::service_as`] folds its
+    /// mode tests away.
+    fn replay<M: Mode>(&self, requests: Requests, mcs: &mut [MemoryController], gap: f64) -> f64 {
+        let cfg = &self.config;
+        // Every real line size is a power of two: index lines by shift.
+        let line_shift = cfg
+            .line_bytes
+            .is_power_of_two()
+            .then(|| cfg.line_bytes.trailing_zeros());
+        let channels = ChannelMap::new(mcs.len());
+        let mut ring = vec![0.0f64; cfg.max_outstanding];
+        let mut slot = 0usize;
+        let mut next_issue = 0.0f64;
+        let mut last_completion = 0.0f64;
+
+        for req in requests {
+            // Stall on the window slot this request reuses.
+            let issue = next_issue.max(ring[slot]);
+            next_issue = issue + gap;
+            // Hashed (swizzled) channel interleaving, as real GPU memory
+            // partitions use, so strided tile walks cannot camp on a
+            // subset of channels.
+            let line = match line_shift {
+                Some(shift) => req.addr >> shift,
+                None => req.addr / cfg.line_bytes,
+            };
+            let hashed = line ^ (line >> 7) ^ (line >> 13);
+            let done = mcs[channels.channel(hashed)].service_as::<M>(issue, &req);
+            ring[slot] = done;
+            slot += 1;
+            if slot == ring.len() {
+                slot = 0;
+            }
+            if done > last_completion {
+                last_completion = done;
+            }
+        }
+        last_completion
     }
 }
 
@@ -257,6 +315,39 @@ mod tests {
         // Sequential stream: a 4 KB page holds 32 lines, interleaved over 6
         // channels — each MC sees ~5.3 sequential hits per page (≈ 0.81).
         assert!(r.counter_hit_rate() > 0.75, "{}", r.counter_hit_rate());
+    }
+
+    /// `ChannelMap::channel` against `%` for every channel count 1..=64
+    /// (1 wraps the magic to 0; powers of two included) over the 32-bit
+    /// boundaries, numerators at and above 2³² (the `%` fallback) and a
+    /// million seeded numerators of every width.
+    #[test]
+    fn channel_map_matches_the_remainder() {
+        let mut seed = 0x5eed_c4a7_u64;
+        let mut next = move || {
+            // SplitMix64.
+            seed = seed.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = seed;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let max32 = u64::from(u32::MAX);
+        let edges = [0, 1, 2, 1 << 31, max32 - 1, max32];
+        let wide = [max32 + 1, max32 + 6, 3 << 40, u64::MAX - 1, u64::MAX];
+        // Half below 2³² (the multiply-high path), half of any width.
+        let seeded: Vec<u64> = (0..1_000_000u64)
+            .map(|i| {
+                let v = next();
+                v >> (i % 2 * 32 + v % 32)
+            })
+            .collect();
+        for n in 1..=64usize {
+            let map = ChannelMap::new(n);
+            for &v in edges.iter().chain(&wide).chain(&seeded) {
+                assert_eq!(map.channel(v), (v % n as u64) as usize, "{v} % {n}");
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+# The ruler's own tests (metric names in step with BENCHMARK.json, a
+# sweep checksum that sees every SimReport field). benchmark/ is a
+# package of its own, outside the workspace, so the run above skips it.
+echo "==> benchmark tests"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
 # All three analysis layers over the full workspace. The deep passes run
 # against the committed baseline (analyze_baseline.txt — empty: the tree
 # carries zero known findings) with --fail-on=new, so any regression
