@@ -151,3 +151,29 @@ fn fig1_tiled_matmul_matches_the_pinned_checksums() {
         );
     }
 }
+
+/// The Fig. 1 `--full` matmul, the one in-tree workload whose lane counts
+/// fail the pacing period's exactness bound (lcm ≈ 6.9·10⁹): its trace
+/// comes from the run-by-run merge. Baseline, then counter mode at 24 KB.
+#[test]
+fn fig1_full_matmul_fallback_matches_the_pinned_checksums() {
+    let wl = matmul_workload(1024, true).unwrap();
+    let config = GpuConfig::gtx480().with_counter_cache_kb(24);
+    for (mode, want) in [
+        (EncryptionMode::None, 0xc9a8_03ac_42b9_d645),
+        (EncryptionMode::Counter, 0x8124_d99f_3478_e3cc),
+    ] {
+        let mut h = Fnv::new();
+        h.report(
+            &Simulator::new(config.clone(), mode)
+                .unwrap()
+                .run(&wl)
+                .unwrap(),
+        );
+        assert_eq!(
+            h.0, want,
+            "matmul1024 {mode:?}: simulated results moved: checksum {:#018x}",
+            h.0
+        );
+    }
+}

@@ -136,13 +136,64 @@ impl Region {
 
     /// Total bytes this region moves across the bus (size × passes).
     pub fn traffic_bytes(&self) -> u64 {
-        let passes = match self.pattern {
-            AccessPattern::Stream { passes } => passes,
-            AccessPattern::Tiled { passes, .. } => passes,
-            AccessPattern::TiledReuse { reads, .. } => reads,
-        };
-        (self.bytes as f64 * passes).round() as u64
+        (self.bytes as f64 * self.repeats()).round() as u64
     }
+
+    /// The pattern's repeat count: `passes`, or `reads` for a reuse walk.
+    fn repeats(&self) -> f64 {
+        match self.pattern {
+            AccessPattern::Stream { passes } | AccessPattern::Tiled { passes, .. } => passes,
+            AccessPattern::TiledReuse { reads, .. } => reads,
+        }
+    }
+
+    /// The exact number of `line`-byte requests the walk yields, or `None`
+    /// when it does not fit in a `u64`. Never larger than at `line = 1`.
+    fn request_count(&self, line: u64) -> Option<u64> {
+        // A float count below 2⁶⁴ converts exactly as `as` always did.
+        let whole = |x: f64| (x < 18_446_744_073_709_551_616.0).then_some(x as u64);
+        match self.pattern {
+            AccessPattern::Stream { passes } => {
+                whole(((self.bytes as f64 * passes) / line as f64).ceil())
+            }
+            AccessPattern::TiledReuse { tile_bytes, reads } => {
+                let tile = tile_bytes.max(line);
+                let per_tile = |bytes: u64| whole((bytes.div_ceil(line) as f64 * reads).round());
+                (self.bytes / tile)
+                    .checked_mul(per_tile(tile)?)?
+                    .checked_add(per_tile(self.bytes % tile)?)
+            }
+            AccessPattern::Tiled {
+                rows,
+                row_bytes,
+                tile_cols,
+                passes,
+                ..
+            } => {
+                let tile_cols = tile_cols.max(line);
+                // At most `row_bytes`: no overflow.
+                let per_row = (row_bytes / tile_cols) * tile_cols.div_ceil(line)
+                    + (row_bytes % tile_cols).div_ceil(line);
+                let (full_passes, frac_rows) = sweeps(rows, passes);
+                full_passes
+                    .checked_mul(rows)?
+                    .checked_add(frac_rows)?
+                    .checked_mul(per_row)
+            }
+        }
+    }
+}
+
+/// A tiled walk's whole-matrix sweeps and the rows of its final,
+/// fractional one (0 when `passes` is whole).
+fn sweeps(rows: u64, passes: f64) -> (u64, u64) {
+    let frac = passes - passes.floor();
+    let frac_rows = if frac > 1e-9 {
+        (rows as f64 * frac).round() as u64
+    } else {
+        0
+    };
+    (passes.floor() as u64, frac_rows)
 }
 
 /// A kernel-level workload: memory regions plus a front-end instruction
@@ -225,13 +276,14 @@ impl Workload {
     /// concurrent weight/ifmap/ofmap streams hit the controllers the way a
     /// real kernel's loads interleave. Nothing is materialised: each region
     /// is a resumable cursor, and the iterator knows its exact length up
-    /// front (`len()` costs O(regions), no walk).
+    /// front (no walk).
     pub fn requests(&self, line: u64) -> Requests {
         Requests::new(&self.regions, line.max(1))
     }
 
     /// The whole trace of [`requests`](Self::requests) as a vector.
-    pub fn trace(&self, line: u64) -> Vec<MemoryRequest> {
+    #[cfg(test)]
+    fn trace(&self, line: u64) -> Vec<MemoryRequest> {
         self.requests(line).collect()
     }
 }
@@ -289,8 +341,8 @@ enum Walk {
 }
 
 impl Cursor {
-    /// The cursor of `region` and the exact number of requests it yields.
-    fn new(region: &Region, line: u64) -> (Cursor, u64) {
+    /// The cursor of `region`, which yields `count` requests.
+    fn new(region: &Region, line: u64, count: u64) -> Cursor {
         let mut cursor = Cursor {
             line,
             addr: 0,
@@ -300,23 +352,18 @@ impl Cursor {
             seg_left: 0,
             walk: Walk::Single,
         };
-        let count = match region.pattern {
-            AccessPattern::Stream { passes } => {
-                let total = ((region.bytes as f64 * passes) / line as f64).ceil() as u64;
-                cursor.load(region.base, region.bytes.div_ceil(line).max(1), total);
-                total
+        match region.pattern {
+            AccessPattern::Stream { .. } => {
+                cursor.load(region.base, region.bytes.div_ceil(line).max(1), count);
             }
             AccessPattern::TiledReuse { tile_bytes, reads } => {
-                let tile = tile_bytes.max(line);
                 cursor.walk = Walk::Reuse {
                     base: region.base,
                     bytes: region.bytes,
-                    tile,
+                    tile: tile_bytes.max(line),
                     reads,
                     t0: 0,
                 };
-                let per_tile = |bytes: u64| (bytes.div_ceil(line) as f64 * reads).round() as u64;
-                (region.bytes / tile) * per_tile(tile) + per_tile(region.bytes % tile)
             }
             AccessPattern::Tiled {
                 rows,
@@ -325,21 +372,14 @@ impl Cursor {
                 tile_cols,
                 passes,
             } => {
-                let tile_cols = tile_cols.max(line);
-                let full_passes = passes.floor() as u64;
                 // A fractional pass sweeps only the first rows.
-                let frac = passes - passes.floor();
-                let frac_rows = if frac > 1e-9 {
-                    (rows as f64 * frac).round() as u64
-                } else {
-                    0
-                };
+                let (full_passes, frac_rows) = sweeps(rows, passes);
                 cursor.walk = Walk::Tiled {
                     base: region.base,
                     rows,
                     row_bytes,
                     tile_rows: tile_rows.max(1),
-                    tile_cols,
+                    tile_cols: tile_cols.max(line),
                     full_passes,
                     frac_rows,
                     // An exhausted sweep: the first `advance` starts one.
@@ -350,12 +390,9 @@ impl Cursor {
                     c1: row_bytes,
                     r: 0,
                 };
-                let per_row = (row_bytes / tile_cols) * tile_cols.div_ceil(line)
-                    + (row_bytes % tile_cols).div_ceil(line);
-                (full_passes * rows + frac_rows) * per_row
             }
-        };
-        (cursor, count)
+        }
+        cursor
     }
 
     /// Loads a segment of `len` lines from the line holding `start`, to be
@@ -481,23 +518,308 @@ struct Lane {
     cursor: Cursor,
 }
 
+/// Most lanes a replayed period holds: a slot keeps its lane in 4 bits.
+const PERIOD_LANES: usize = 16;
+/// Longest period replayed, in slots.
+const PERIOD_SLOTS: u64 = 1 << 16;
+/// The lane bits of a period slot; the high 4 bits of a tie group's first
+/// slot hold the group's length less one.
+const LANE: u8 = 0x0f;
+
 /// The streaming request trace of a [`Workload`]: the even-pacing merge of
 /// its regions' cursors, yielded one request at a time.
 ///
 /// A stream of `n` requests is due at times `0.5/n, 1.5/n, …` (each the
 /// previous plus `1/n`); the merge yields the request with the earliest
-/// due time, the lower region index winning ties. The live streams are
-/// kept sorted by that key, so the head is always next; it is drained in
-/// *runs* — consecutive lines of one region that come out back to back —
-/// and re-seated once per run, which leaves `next` an add and a compare.
+/// due time, the lower region index winning ties. Building it costs
+/// O(regions + P·lanes): almost every workload's merge order is periodic
+/// (see [`Period`]) and is computed for one period of `P ≤ 2¹⁶` slots,
+/// then replayed; the rest take the run-by-run [`Merge`].
 #[derive(Debug, Clone)]
 pub struct Requests {
+    remaining: usize,
+    /// The replayed period; empty when `merge` computes the order.
+    period: Period,
+    merge: Option<Merge>,
+}
+
+impl Requests {
+    fn new(regions: &[Region], line: u64) -> Requests {
+        let mut lanes = Vec::with_capacity(regions.len());
+        let mut remaining = 0usize;
+        for region in regions {
+            // `build` bounded every count, and their sum, at `line = 1`,
+            // and no count grows with the line.
+            let count = region.request_count(line);
+            debug_assert!(count.is_some(), "an unbounded count passed build");
+            let Some(count) = count.filter(|&n| n > 0) else {
+                continue;
+            };
+            remaining += count as usize;
+            lanes.push(Lane {
+                step: 1.0 / count as f64,
+                left: count,
+                write: region.write,
+                encrypted: region.encrypted,
+                cursor: Cursor::new(region, line, count),
+            });
+        }
+        let counts: Vec<u64> = lanes.iter().map(|l| l.left).collect();
+        let (period, merge) = match period(&counts) {
+            Some((slots, repeats)) => (Period::new(slots, repeats, line, lanes), None),
+            None => (
+                Period::new(Vec::new(), 0, line, Vec::new()),
+                Some(Merge::new(lanes, line)),
+            ),
+        };
+        Requests {
+            remaining,
+            period,
+            merge,
+        }
+    }
+}
+
+impl Iterator for Requests {
+    type Item = MemoryRequest;
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<MemoryRequest> {
+        let request = match &mut self.merge {
+            None => self.period.next(),
+            Some(merge) => merge.next(),
+        }?;
+        self.remaining -= 1;
+        Some(request)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for Requests {}
+
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Whether lanes of `a` and `b` requests keep their f64 due times in the
+/// order of their exact keys wherever the keys differ: two distinct keys
+/// are at least `1/(2·lcm(a, b))` apart, and the two due times drift from
+/// their keys by less than `(a + b + 4)·2⁻⁵³` together.
+fn keys_stay_apart(a: u64, b: u64) -> bool {
+    let lcm = u128::from(a / gcd(a, b)) * u128::from(b);
+    let drift = u128::from(a) + u128::from(b) + 4;
+    lcm.checked_mul(2 * drift).is_some_and(|x| x <= 1 << 53)
+}
+
+/// One period of the exact even-pacing order of lanes with `counts`
+/// requests, and how many times it repeats; `None` when the f64 merge
+/// may depart from that order, or the lanes or the period are too many
+/// to replay.
+///
+/// Lane `i`'s `k`-th request has the exact key `(2k+1)/(2nᵢ)`. With
+/// `g = gcd(nᵢ)` and `nᵢ = g·mᵢ`, writing `k = q·mᵢ + r` gives `q/g +
+/// (2r+1)/(2g·mᵢ)`: every window `[q/g, (q+1)/g)` holds the same order of
+/// `P = Σmᵢ` slots, which is built here by cross-multiplying keys, the
+/// lower lane first on equal keys. Slots whose keys tie across different
+/// counts form a *tie group*; its first slot carries the group's length
+/// and [`Period::order_tie`] orders it by f64 due time at replay.
+fn period(counts: &[u64]) -> Option<(Vec<u8>, u64)> {
+    if counts.is_empty() || counts.len() > PERIOD_LANES {
+        return None;
+    }
+    for (i, &a) in counts.iter().enumerate() {
+        if !counts[..i].iter().all(|&b| keys_stay_apart(a, b)) {
+            return None;
+        }
+    }
+    let g = counts.iter().fold(0, |g, &n| gcd(g, n));
+    let m: Vec<u64> = counts.iter().map(|&n| n / g).collect();
+    let len: u64 = m.iter().sum();
+    if len > PERIOD_SLOTS {
+        return None;
+    }
+    let mut taken = [0u64; PERIOD_LANES];
+    let mut slots: Vec<u8> = Vec::with_capacity(len as usize);
+    // The last slot's key as (numerator, denominator), and where the run
+    // of slots sharing it starts.
+    let mut last = (0u128, 1u128);
+    let mut run = 0;
+    for pos in 0..len as usize {
+        // The least next key, (2·taken + 1)/m scaled by 2g, lower lane
+        // first on equal keys.
+        let mut best: Option<(usize, (u128, u128))> = None;
+        for (i, &mi) in m.iter().enumerate() {
+            let key = (u128::from(2 * taken[i] + 1), u128::from(mi));
+            if taken[i] < mi && best.is_none_or(|(_, least)| key.0 * least.1 < least.0 * key.1) {
+                best = Some((i, key));
+            }
+        }
+        let (lane, key) = best?;
+        if key.0 * last.1 != last.0 * key.1 {
+            mark_tie(&mut slots[run..pos], &m);
+            run = pos;
+        }
+        last = key;
+        slots.push(lane as u8);
+        taken[lane] += 1;
+    }
+    mark_tie(&mut slots[run..], &m);
+    Some((slots, g))
+}
+
+/// Marks `run`, the slots of one key, as a tie group when it holds lanes
+/// of different counts (equal counts have bit-equal due times, so their
+/// lane order is the merge's already).
+fn mark_tie(run: &mut [u8], m: &[u64]) {
+    if let [first, rest @ ..] = run {
+        let count = m[usize::from(*first)];
+        if rest.iter().any(|&s| m[usize::from(s)] != count) {
+            *first |= (rest.len() as u8) << 4;
+        }
+    }
+}
+
+/// The merge replayed from one exact period of its order (see [`period`]).
+///
+/// Each lane still adds its own f64 due time with the merge's `+ 1/n`, in
+/// the same order; across different keys the period's order is the f64
+/// order (the bound [`keys_stay_apart`] checks), and within a tie group
+/// [`order_tie`](Period::order_tie) sorts by `(due, lane)` as the merge
+/// does. A request costs a slot load, one f64 add and one address add;
+/// a lane's cursor is stepped one contiguous span at a time.
+#[derive(Debug, Clone)]
+struct Period {
+    /// One period of lane indices (tie groups marked, see [`LANE`]).
+    slots: Vec<u8>,
+    /// Next slot; `slots.len()` between periods.
+    pos: usize,
+    /// Periods still to start.
+    periods: u64,
+    line: u64,
+    /// Each lane's due time for its next request.
+    due: [f64; PERIOD_LANES],
+    step: [f64; PERIOD_LANES],
+    /// Each lane's next request.
+    next: [MemoryRequest; PERIOD_LANES],
+    /// The address just past the span `next` walks.
+    end: [u64; PERIOD_LANES],
+    cursors: Vec<Cursor>,
+    /// Tie groups whose f64 order was not their lane order.
+    #[cfg(test)]
+    reordered: usize,
+}
+
+impl Period {
+    fn new(slots: Vec<u8>, periods: u64, line: u64, lanes: Vec<Lane>) -> Period {
+        let mut period = Period {
+            pos: slots.len(),
+            slots,
+            periods,
+            line,
+            due: [0.0; PERIOD_LANES],
+            step: [0.0; PERIOD_LANES],
+            next: [MemoryRequest {
+                addr: 0,
+                write: false,
+                encrypted: false,
+            }; PERIOD_LANES],
+            end: [0; PERIOD_LANES],
+            cursors: Vec::with_capacity(lanes.len()),
+            #[cfg(test)]
+            reordered: 0,
+        };
+        for (i, lane) in lanes.into_iter().enumerate() {
+            period.due[i] = 0.5 / lane.left as f64;
+            period.step[i] = lane.step;
+            period.next[i].write = lane.write;
+            period.next[i].encrypted = lane.encrypted;
+            period.cursors.push(lane.cursor);
+        }
+        period
+    }
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<MemoryRequest> {
+        if self.pos == self.slots.len() {
+            if self.periods == 0 {
+                return None;
+            }
+            self.periods -= 1;
+            self.pos = 0;
+        }
+        let mut slot = self.slots[self.pos];
+        if slot > LANE {
+            slot = self.order_tie();
+        }
+        self.pos += 1;
+        let lane = usize::from(slot & LANE);
+        self.due[lane] += self.step[lane];
+        if self.next[lane].addr == self.end[lane] {
+            self.refill(lane);
+        }
+        let request = self.next[lane];
+        self.next[lane].addr = request.addr.wrapping_add(self.line);
+        Some(request)
+    }
+
+    /// Orders the tie group at `pos` by `(due, lane)`, as the merge
+    /// compares, and returns its first lane.
+    #[cold]
+    #[inline(never)]
+    fn order_tie(&mut self) -> u8 {
+        let len = usize::from(self.slots[self.pos] >> 4) + 1;
+        let group = &mut self.slots[self.pos..self.pos + len];
+        group[0] &= LANE;
+        let due = &self.due;
+        group.sort_unstable_by(|&a, &b| {
+            due[usize::from(a)]
+                .total_cmp(&due[usize::from(b)])
+                .then(a.cmp(&b))
+        });
+        #[cfg(test)]
+        {
+            self.reordered += usize::from(!group.is_sorted());
+        }
+        let first = group[0];
+        group[0] |= ((len - 1) as u8) << 4;
+        first
+    }
+
+    /// Loads `lane`'s next contiguous span.
+    #[inline(never)]
+    fn refill(&mut self, lane: usize) {
+        let cursor = &mut self.cursors[lane];
+        let span = cursor.contiguous();
+        debug_assert!(
+            span > 0,
+            "a lane's cursor yields as many requests as its slots"
+        );
+        let addr = cursor.consume(span);
+        self.next[lane].addr = addr;
+        // Wrapping, as the addresses inside the span never do.
+        self.end[lane] = addr.wrapping_add(span * self.line);
+    }
+}
+
+/// The run-by-run merge, for the workloads no [`Period`] replays.
+///
+/// The live streams are kept sorted by `(due time, lane)`, so the head is
+/// always next; it is drained in *runs* — consecutive lines of one region
+/// that come out back to back — and re-seated once per run, which leaves
+/// `next` an add and a compare.
+#[derive(Debug, Clone)]
+struct Merge {
     /// What `next` returns while the run lasts, one line further each time.
     request: MemoryRequest,
     line: u64,
     /// Requests left in the current run.
     run: u64,
-    remaining: usize,
     /// `(due time, index into lanes)` of every live lane, ascending (as
     /// tuples compare: by time, then by index).
     order: Vec<(f64, usize)>,
@@ -505,29 +827,16 @@ pub struct Requests {
     lanes: Vec<Lane>,
 }
 
-impl Requests {
-    fn new(regions: &[Region], line: u64) -> Requests {
-        let mut order = Vec::with_capacity(regions.len());
-        let mut lanes = Vec::with_capacity(regions.len());
-        let mut remaining = 0usize;
-        for region in regions {
-            let (cursor, count) = Cursor::new(region, line);
-            if count == 0 {
-                continue;
-            }
-            remaining += count as usize;
-            order.push((0.5 / count as f64, lanes.len()));
-            lanes.push(Lane {
-                step: 1.0 / count as f64,
-                left: count,
-                write: region.write,
-                encrypted: region.encrypted,
-                cursor,
-            });
-        }
+impl Merge {
+    fn new(lanes: Vec<Lane>, line: u64) -> Merge {
+        let mut order: Vec<(f64, usize)> = lanes
+            .iter()
+            .enumerate()
+            .map(|(i, lane)| (0.5 / lane.left as f64, i))
+            .collect();
         // Stable: equal due times stay in region order.
         order.sort_by(|a, b| a.0.total_cmp(&b.0));
-        Requests {
+        Merge {
             request: MemoryRequest {
                 addr: 0,
                 write: false,
@@ -535,10 +844,21 @@ impl Requests {
             },
             line,
             run: 0,
-            remaining,
             order,
             lanes,
         }
+    }
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<MemoryRequest> {
+        if self.run == 0 && !self.start_run() {
+            return None;
+        }
+        self.run -= 1;
+        let request = self.request;
+        // Wrapping: the address past a run's last line is never used.
+        self.request.addr = request.addr.wrapping_add(self.line);
+        Some(request)
     }
 
     /// Starts the next run: takes the head lane, finds how long it keeps
@@ -592,29 +912,6 @@ impl Requests {
     }
 }
 
-impl Iterator for Requests {
-    type Item = MemoryRequest;
-
-    #[inline]
-    fn next(&mut self) -> Option<MemoryRequest> {
-        if self.run == 0 && !self.start_run() {
-            return None;
-        }
-        self.run -= 1;
-        self.remaining -= 1;
-        let request = self.request;
-        // Wrapping: the address past a run's last line is never used.
-        self.request.addr = request.addr.wrapping_add(self.line);
-        Some(request)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.remaining, Some(self.remaining))
-    }
-}
-
-impl ExactSizeIterator for Requests {}
-
 impl WorkloadBuilder {
     /// Adds a region.
     #[must_use]
@@ -648,20 +945,40 @@ impl WorkloadBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for an empty region list or
-    /// out-of-range efficiencies.
+    /// Returns [`SimError::InvalidConfig`] for an empty region list,
+    /// out-of-range efficiencies, a non-finite or negative `passes` or
+    /// `reads`, or more requests than a `usize` counts (at the smallest
+    /// line size, one byte).
     pub fn build(self) -> Result<Workload, SimError> {
+        let invalid = |reason: String| Err(SimError::InvalidConfig { reason });
         if self.regions.is_empty() {
-            return Err(SimError::InvalidConfig {
-                reason: "workload needs at least one region".into(),
-            });
+            return invalid("workload needs at least one region".into());
         }
         for eff in [self.frontend_efficiency, self.dram_efficiency] {
             if !(0.01..=1.0).contains(&eff) {
-                return Err(SimError::InvalidConfig {
-                    reason: format!("efficiency {eff} outside (0, 1]"),
-                });
+                return invalid(format!("efficiency {eff} outside (0, 1]"));
             }
+        }
+        let mut requests = 0usize;
+        for region in &self.regions {
+            let repeats = region.repeats();
+            if !(repeats.is_finite() && repeats >= 0.0) {
+                return invalid(format!(
+                    "region {}: repeat count {repeats} must be finite and non-negative",
+                    region.name
+                ));
+            }
+            let Some(total) = region
+                .request_count(1)
+                .and_then(|n| usize::try_from(n).ok())
+                .and_then(|n| requests.checked_add(n))
+            else {
+                return invalid(format!(
+                    "region {}: the trace has more requests than a usize counts",
+                    region.name
+                ));
+            };
+            requests = total;
         }
         Ok(Workload {
             name: self.name,
@@ -958,42 +1275,135 @@ mod tests {
         }
     }
 
+    /// A stream or reuse walk of `128·a·b` lines, `a ∈ {1,3,5,7,9}` and
+    /// `b ∈ {1,2,3,4,8,9,16,27}`, at 128-byte lines: lane counts whose
+    /// exact keys tie across different counts (8,192 and 73,728 lines tie
+    /// at every ninth request, for instance).
+    fn structured_region(rng: &mut StdRng, index: u64) -> Region {
+        let a = [1, 3, 5, 7, 9][rng.gen_range(0..5usize)];
+        let b = [1, 2, 3, 4, 8, 9, 16, 27][rng.gen_range(0..8usize)];
+        let bytes = 128 * 128 * a * b;
+        let base = index * (1 << 28) + 128 * rng.gen_range(0..64u64);
+        let r = if rng.gen_bool(0.5) {
+            Region::write("r", base, bytes)
+        } else {
+            Region::read("r", base, bytes)
+        };
+        let r = r.encrypted(rng.gen_bool(0.5));
+        if rng.gen_bool(0.5) {
+            r
+        } else {
+            r.tiled_reuse([512, 4096][rng.gen_range(0..2usize)], 2.0)
+        }
+    }
+
+    /// Which way the merge was computed, and how often a period's tie
+    /// group came out of lane order, over the oracle checks run so far.
+    #[derive(Debug, Default)]
+    struct Paths {
+        period: usize,
+        merge: usize,
+        reordered: usize,
+    }
+
+    /// Asserts that `wl`'s streamed trace at `line` is the materialising
+    /// oracle's, request by request, with the exact length all along.
+    fn assert_matches_oracle(wl: &Workload, line: u64, paths: &mut Paths, what: &str) -> usize {
+        let want = oracle::trace(wl.regions(), line);
+        let mut requests = wl.requests(line);
+        assert_eq!(requests.len(), want.len(), "{what} line {line}: {wl:?}");
+        for (i, w) in want.iter().enumerate() {
+            assert_eq!(requests.len(), want.len() - i, "{what} line {line}");
+            assert_eq!(
+                requests.next().as_ref(),
+                Some(w),
+                "{what} line {line} request {i}: {wl:?}"
+            );
+        }
+        assert_eq!(requests.next(), None, "{what} line {line}");
+        assert_eq!(requests.len(), 0);
+        match requests.merge {
+            // No lanes: nothing to merge either way.
+            _ if want.is_empty() => {}
+            None => {
+                paths.period += 1;
+                paths.reordered += requests.period.reordered;
+            }
+            Some(_) => paths.merge += 1,
+        }
+        want.len()
+    }
+
+    fn workload(regions: impl IntoIterator<Item = Region>) -> Workload {
+        regions
+            .into_iter()
+            .fold(Workload::builder("prop"), |b, r| b.region(r))
+            .build()
+            .unwrap()
+    }
+
     #[test]
     fn requests_match_the_materialising_oracle_on_random_workloads() {
         let mut patterns = [0usize; 3];
         let mut nonempty = 0usize;
+        let mut paths = Paths::default();
         for seed in 0..600u64 {
             let mut rng = StdRng::seed_from_u64(0x7ace + seed);
-            let mut builder = Workload::builder("prop");
-            for i in 0..rng.gen_range(1..6u64) {
-                let region = random_region(&mut rng, i);
+            let regions: Vec<Region> = (0..rng.gen_range(1..6u64))
+                .map(|i| random_region(&mut rng, i))
+                .collect();
+            for region in &regions {
                 patterns[match region.pattern {
                     AccessPattern::Stream { .. } => 0,
                     AccessPattern::Tiled { .. } => 1,
                     AccessPattern::TiledReuse { .. } => 2,
                 }] += 1;
-                builder = builder.region(region);
             }
-            let wl = builder.build().unwrap();
+            let wl = workload(regions);
             for line in [64u64, 128] {
-                let want = oracle::trace(wl.regions(), line);
-                let mut requests = wl.requests(line);
-                assert_eq!(requests.len(), want.len(), "seed {seed} line {line}: {wl:?}");
-                for (i, w) in want.iter().enumerate() {
-                    assert_eq!(requests.len(), want.len() - i, "seed {seed} line {line}");
-                    assert_eq!(
-                        requests.next().as_ref(),
-                        Some(w),
-                        "seed {seed} line {line} request {i}: {wl:?}"
-                    );
-                }
-                assert_eq!(requests.next(), None, "seed {seed} line {line}");
-                assert_eq!(requests.len(), 0);
-                nonempty += usize::from(!want.is_empty());
+                let n = assert_matches_oracle(&wl, line, &mut paths, &format!("seed {seed}"));
+                nonempty += usize::from(n > 0);
             }
         }
-        assert!(patterns.iter().all(|&n| n > 300), "pattern mix {patterns:?}");
+        assert!(
+            patterns.iter().all(|&n| n > 300),
+            "pattern mix {patterns:?}"
+        );
         assert!(nonempty > 1000, "only {nonempty} non-empty traces");
+
+        // Count-structured lanes: periods with exact ties across counts.
+        for seed in 0..12u64 {
+            let mut rng = StdRng::seed_from_u64(0x5107 + seed);
+            let wl = workload((0..rng.gen_range(2..5u64)).map(|i| structured_region(&mut rng, i)));
+            for line in [64u64, 128] {
+                assert_matches_oracle(&wl, line, &mut paths, &format!("structured seed {seed}"));
+            }
+        }
+
+        // Lane sets the period must not replay, each from the merge:
+        // seventeen lanes; a period of 70,001 slots; and counts whose
+        // lcm (2.5·10¹⁰) fails the exactness bound with a period of
+        // 65,535 slots, where the f64 due times do order 12 pairs of
+        // distinct keys against their exact order.
+        let seventeen = (0..17u64).map(|i| Region::read("r", i << 24, 128 * (3 + i)));
+        let long = [40_000u64, 30_001].map(|n| Region::read("r", n << 24, 128 * n));
+        let close = [23 * 32_774u64, 23 * 32_761].map(|n| Region::write("r", n << 24, 128 * n));
+        for (what, wl, lines) in [
+            ("17 lanes", workload(seventeen), &[64u64, 128][..]),
+            ("long period", workload(long), &[64, 128]),
+            ("lcm bound", workload(close), &[128]),
+        ] {
+            let before = paths.merge;
+            for &line in lines {
+                assert_matches_oracle(&wl, line, &mut paths, what);
+            }
+            assert_eq!(paths.merge, before + lines.len(), "{what} takes the merge");
+        }
+        assert!(paths.period > 1000 && paths.merge == 5, "{paths:?}");
+        assert!(
+            paths.reordered > 0,
+            "no tie came out of lane order: {paths:?}"
+        );
     }
 
     #[test]
@@ -1019,6 +1429,73 @@ mod tests {
             .dram_efficiency(0.0)
             .build()
             .is_err());
+    }
+
+    /// `region` with each pattern, repeated `repeats` times.
+    fn every_pattern(repeats: f64) -> [Region; 3] {
+        let r = Region::read("r", 0, 1 << 20);
+        [
+            r.clone().passes(repeats),
+            r.clone().tiled(256, 4096, 16, 512, repeats),
+            r.tiled_reuse(4096, repeats),
+        ]
+    }
+
+    fn rejected(regions: impl IntoIterator<Item = Region>) -> bool {
+        let built = regions
+            .into_iter()
+            .fold(Workload::builder("bad"), |b, r| b.region(r))
+            .build();
+        matches!(built, Err(SimError::InvalidConfig { .. }))
+    }
+
+    /// `build` bounds the counts at `line = 1` only, so every other
+    /// line size must yield no more.
+    #[test]
+    fn request_counts_never_grow_with_the_line() {
+        let mut rng = StdRng::seed_from_u64(0x11e5);
+        for i in 0..4000u64 {
+            let region = random_region(&mut rng, i % 8);
+            let most = region.request_count(1).unwrap();
+            for line in [2, 3, 64, 100, 128, rng.gen_range(1..5000u64)] {
+                let n = region.request_count(line).unwrap();
+                assert!(n <= most, "{n} > {most} at line {line}: {region:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn build_rejects_repeat_counts_without_a_finite_trace() {
+        // ∞ is no count; 10³⁰ sweeps of a megabyte is more requests than
+        // a usize counts.
+        for repeats in [f64::INFINITY, 1e30] {
+            for region in every_pattern(repeats) {
+                assert!(rejected([region.clone()]), "{region:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn build_rejects_nan_and_negative_repeat_counts() {
+        for repeats in [f64::NAN, -1.0, -0.25, f64::NEG_INFINITY] {
+            for region in every_pattern(repeats) {
+                assert!(rejected([region.clone()]), "{region:?}");
+            }
+        }
+        // Zero and negative zero are empty walks, as before.
+        for repeats in [0.0, -0.0] {
+            for region in every_pattern(repeats) {
+                assert!(!rejected([region.clone()]), "{region:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn build_rejects_a_request_total_that_overflows() {
+        // 2⁶³ one-byte requests each: either fits, the two do not.
+        let huge = Region::read("h", 0, 1 << 62).passes(2.0);
+        assert!(!rejected([huge.clone()]));
+        assert!(rejected([huge.clone(), huge]));
     }
 
     #[test]
