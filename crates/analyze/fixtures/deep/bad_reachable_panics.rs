@@ -1,9 +1,9 @@
 //! Seeded panic-freedom violation: an `unwrap` and index arithmetic in a
 //! helper reachable from the serve-loop root pattern (`worker_loop`).
 //!
-//! The token-level `unwrap` rule is explicitly allowed so this file
-//! exercises only the reachability pass — which must still fire, because
-//! `allow(unwrap)` is not a panic-freedom justification.
+//! The `unwrap` carries another rule's `allow` so this file shows that
+//! the reachability pass still fires: `allow(retry-backoff)` is not a
+//! panic-freedom justification.
 
 /// Root: matches the default panic-freedom root pattern.
 fn worker_loop(q: &[u32]) -> u32 {
@@ -16,7 +16,7 @@ fn worker_loop(q: &[u32]) -> u32 {
 
 /// Reachable from the root; both sites below must be reported.
 fn step(q: &[u32], i: usize) -> u32 {
-    // seal-lint: allow(unwrap) — deep-pass seed; token lint must not mask it
+    // seal-lint: allow(retry-backoff) — deep-pass seed; must not mask it
     let head = q.first().unwrap();
     head + q[i + 1]
 }
@@ -30,7 +30,7 @@ fn checked_step(q: &[u32], i: usize) -> u32 {
 /// Not reachable from any root: no finding even though it can panic.
 fn offline_tool(q: &[u32]) -> u32 {
     if q.is_empty() {
-        // seal-lint: allow(panic) — deep-pass seed; unreachable from roots
+        // Deep-pass seed; unreachable from roots.
         panic!("empty queue");
     }
     q[0]

@@ -1,4 +1,5 @@
-//! Fixture: concurrency anti-patterns the `lock-unwrap` rule must flag.
+//! Fixture: concurrency anti-patterns the old `lock-unwrap` rule flagged;
+//! `clippy::unwrap_used` / `expect_used` report them now.
 //! Panicking on a poisoned mutex or a dead worker turns one thread's
 //! failure into a runtime-wide cascade.
 

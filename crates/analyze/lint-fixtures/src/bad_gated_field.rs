@@ -1,11 +1,11 @@
 //! Lint fixture: a `#[cfg(test)]` struct field — a gated item that ends
 //! in `,` with no brace of its own.
 //!
-//! Never compiled. The test region must end with the field: the gated
-//! line stays exempt, and the violation seeded *after* the struct is
-//! still reported (the region scan used to run through the struct's
-//! closing brace and swallow the rest of the file).
-//! Line numbers matter: update `tests/analyze_integration.rs` when editing.
+//! The test region must end with the field: the gated line stays exempt,
+//! and the violation seeded *after* the struct is still reported (the old
+//! token scan once ran through the struct's closing brace and swallowed
+//! the rest of the file).
+//! Line numbers matter: update `expected.txt` when editing.
 
 /// A cache with a test-only probe counter.
 pub struct Cache {

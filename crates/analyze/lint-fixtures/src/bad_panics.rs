@@ -1,8 +1,8 @@
 //! Lint fixture: seeded panic-API and documentation violations.
 //!
-//! Never compiled — `seal-analyze` integration tests lint this file and
-//! assert each seeded finding is detected (and each suppression honoured).
-//! Line numbers matter: update `tests/analyze_integration.rs` when editing.
+//! `scripts/check.sh` runs clippy on this file and asserts each seeded
+//! finding is reported (and each suppression honoured).
+//! Line numbers matter: update `expected.txt` when editing.
 
 pub fn undocumented_public_api() -> u32 {
     let x: Option<u32> = Some(1);
@@ -27,15 +27,17 @@ pub fn unfinished(flag: bool) -> u8 {
     }
 }
 
-/// A justified invariant, suppressed inline.
+/// A justified invariant, suppressed on the function.
+#[expect(clippy::unwrap_used, reason = "a justified invariant")]
 pub fn suppressed_inline() -> u32 {
-    Some(7).unwrap() // seal-lint: allow(unwrap)
+    Some(7).unwrap()
 }
 
-/// A justified invariant, suppressed from the line above.
+/// A justified invariant, suppressed on the statement.
 pub fn suppressed_above() -> u32 {
-    // seal-lint: allow(expect)
-    Some(7).expect("static value is present")
+    #[expect(clippy::expect_used, reason = "static value is present")]
+    let v = Some(7).expect("static value is present");
+    v
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Seeded `raw-syscall` violations: a private `extern "C"` import block
 //! and bare libc-level calls, both living outside the one audited shim
-//! (`crates/net/src/sys.rs`) where that surface is sanctioned.
+//! (`crates/net/src/sys.rs`) where that surface is sanctioned. The calls
+//! need `unsafe`, which `unsafe_code` rejects outside that module; the
+//! declaration alone cannot be called, so it is not reported.
 
 extern "C" {
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
@@ -24,4 +26,21 @@ pub fn through_the_shim(addr: &str) -> i32 {
     let fd = sys::socket(2, 1, 0);
     sys::listener(fd).bind(addr);
     fd
+}
+
+/// A stand-in for the audited shim, so the fixture compiles.
+mod sys {
+    pub struct Listener;
+
+    impl Listener {
+        pub fn bind(&self, _addr: &str) {}
+    }
+
+    pub fn socket(_domain: i32, _ty: i32, _protocol: i32) -> i32 {
+        -1
+    }
+
+    pub fn listener(_fd: i32) -> Listener {
+        Listener
+    }
 }

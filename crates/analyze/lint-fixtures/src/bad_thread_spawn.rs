@@ -1,7 +1,8 @@
-//! Fixture: raw thread creation the `thread-spawn` rule must flag.
-//! Outside `crates/pool/`, spawning threads directly bypasses the
-//! work-sharing runtime's determinism contract (fixed chunk boundaries,
-//! panic-safe join, the `SEAL_THREADS` override).
+//! Fixture: raw thread creation the old `thread-spawn` rule flagged;
+//! `clippy.toml`'s `disallowed-methods` reports it now. Outside
+//! `crates/pool/`, spawning threads directly bypasses the work-sharing
+//! runtime's determinism contract (fixed chunk boundaries, panic-safe
+//! join, the `SEAL_THREADS` override).
 
 use std::thread;
 

@@ -16,13 +16,13 @@
 //!   candidates when any exist. For reachability this errs toward false
 //!   edges, never missed ones.
 
-use crate::ir::{CallKind, ChainHop, DeepFinding, FileIr, UnsafeIr, UnsafeKind};
+use crate::ir::{CallKind, ChainHop, FileIr, Finding, UnsafeIr, UnsafeKind};
 use crate::lint::Rule;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
-/// Default panic-freedom roots: the serve batching loop and the compiled
+/// The panic-freedom roots: the serve batching loop and the compiled
 /// plan executor — the two fns a panic mid-batch would take down.
-pub const DEFAULT_PANIC_ROOTS: [&str; 2] = ["worker_loop", "CompiledModel::execute_into"];
+pub const PANIC_ROOTS: [&str; 2] = ["worker_loop", "CompiledModel::execute_into"];
 
 /// `qual` matches `pattern` when equal or when `pattern` is a
 /// `::`-boundary suffix of `qual` (`CompiledModel::execute_into` matches
@@ -301,7 +301,7 @@ fn node_of(files: &[FileIr], ni: usize) -> &str {
 /// Walks the call graph from `roots` (qual-suffix patterns) and reports
 /// every reachable non-test fn containing an unsuppressed panic site or
 /// index-arithmetic site, with the call chain from the root.
-pub fn panic_freedom(files: &[FileIr], graph: &CallGraph, roots: &[String]) -> Vec<DeepFinding> {
+pub fn panic_freedom(files: &[FileIr], graph: &CallGraph, roots: &[&str]) -> Vec<Finding> {
     let n = graph.nodes.len();
     let mut parent: Vec<Option<(usize, u32)>> = vec![None; n];
     let mut root_of: Vec<Option<usize>> = vec![None; n];
@@ -369,7 +369,7 @@ pub fn panic_freedom(files: &[FileIr], graph: &CallGraph, roots: &[String]) -> V
             let rn = graph.nodes[root];
             files[rn.file].fns[rn.fun].qual.clone()
         };
-        findings.push(DeepFinding {
+        findings.push(Finding {
             rule: Rule::PanicFreedom,
             path: file.path.clone(),
             line: if first_line == u32::MAX { f.line } else { first_line },
@@ -438,7 +438,7 @@ fn chain_to(
 /// at least one must be visible in the enclosing scope (fn idents for
 /// blocks, file idents for impls) — a comment naming nothing in scope has
 /// drifted from the code it justifies.
-pub fn unsafe_audit(files: &[FileIr]) -> Vec<DeepFinding> {
+pub fn unsafe_audit(files: &[FileIr]) -> Vec<Finding> {
     let mut findings = Vec::new();
     for file in files {
         for u in &file.item_unsafes {
@@ -458,7 +458,7 @@ fn audit_one(
     file: &FileIr,
     u: &UnsafeIr,
     f: Option<&crate::ir::FnIr>,
-    findings: &mut Vec<DeepFinding>,
+    findings: &mut Vec<Finding>,
 ) {
     if u.allowed {
         return;
@@ -469,7 +469,7 @@ fn audit_one(
     };
     let fun = f.map(|f| f.qual.clone()).unwrap_or_default();
     if u.safety.is_none() {
-        findings.push(DeepFinding {
+        findings.push(Finding {
             rule: Rule::UnsafeAudit,
             path: file.path.clone(),
             line: u.line,
@@ -488,7 +488,7 @@ fn audit_one(
             || file.idents.binary_search_by(|i| i.as_str().cmp(last)).is_ok()
     };
     if !u.names.iter().any(|n| in_scope(n)) {
-        findings.push(DeepFinding {
+        findings.push(Finding {
             rule: Rule::UnsafeAudit,
             path: file.path.clone(),
             line: u.line,
@@ -557,7 +557,7 @@ mod tests {
         let src = "fn worker_loop() { step(); }\nfn step() { deep(); }\nfn deep(v: &[u32]) { v.first().unwrap(); }\nfn unreached() { panic!(\"never\"); }\n";
         let files = vec![parse_file("a/src/lib.rs", src)];
         let g = graph(&files);
-        let findings = panic_freedom(&files, &g, &["worker_loop".to_string()]);
+        let findings = panic_freedom(&files, &g, &["worker_loop"]);
         assert_eq!(findings.len(), 1, "{findings:?}");
         let f = &findings[0];
         assert_eq!(f.fun, "a::deep");
@@ -570,7 +570,7 @@ mod tests {
         let src = "fn worker_loop() { step(); }\n// seal-lint: allow(panic-freedom) — justified\nfn step() { x.unwrap(); }\n";
         let files = vec![parse_file("a/src/lib.rs", src)];
         let g = graph(&files);
-        assert!(panic_freedom(&files, &g, &["worker_loop".to_string()]).is_empty());
+        assert!(panic_freedom(&files, &g, &["worker_loop"]).is_empty());
     }
 
     #[test]

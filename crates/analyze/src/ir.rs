@@ -5,9 +5,7 @@
 //! `use` imports, and one [`FnIr`] per function with every call site,
 //! panic site, index-arithmetic site and `unsafe` region recorded. The
 //! call-graph ([`crate::callgraph`]) and taint ([`crate::taint`]) passes
-//! consume a slice of `FileIr`s — they never re-read source text, which
-//! is what makes per-file caching ([`crate::cache`]) sound: a file whose
-//! content hash is unchanged contributes the identical IR.
+//! consume a slice of `FileIr`s and never re-read source text.
 
 use std::path::Path;
 
@@ -24,29 +22,6 @@ pub enum CallKind {
     /// `f!(…)` — a macro invocation (not resolved; panic macros are
     /// recorded separately as [`PanicSite`]s).
     Macro,
-}
-
-impl CallKind {
-    /// Stable name used by the cache serialization.
-    pub fn name(self) -> &'static str {
-        match self {
-            CallKind::Bare => "bare",
-            CallKind::Path => "path",
-            CallKind::Method => "method",
-            CallKind::Macro => "macro",
-        }
-    }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn from_name(s: &str) -> Option<CallKind> {
-        Some(match s {
-            "bare" => CallKind::Bare,
-            "path" => CallKind::Path,
-            "method" => CallKind::Method,
-            "macro" => CallKind::Macro,
-            _ => return None,
-        })
-    }
 }
 
 /// One call expression inside a function body (closure bodies are
@@ -87,17 +62,6 @@ impl PanicKind {
             PanicKind::Unwrap => "unwrap",
             PanicKind::Expect => "expect",
         }
-    }
-
-    /// Inverse of [`name`](Self::name).
-    pub fn from_name(s: &str) -> Option<PanicKind> {
-        Some(match s {
-            "panic!" => PanicKind::PanicMacro,
-            "assert!" => PanicKind::AssertMacro,
-            "unwrap" => PanicKind::Unwrap,
-            "expect" => PanicKind::Expect,
-            _ => return None,
-        })
     }
 }
 
@@ -197,8 +161,8 @@ pub struct UsePath {
 /// Parsed representation of one source file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FileIr {
-    /// Path as reported (workspace-relative when analyzed via the
-    /// workspace driver — this keeps findings and baselines stable).
+    /// Path as reported (workspace-relative, so findings are
+    /// machine-independent).
     pub path: String,
     /// Crate identifier (`seal_tensor`, `seal` for the root package).
     pub crate_name: String,
@@ -239,30 +203,39 @@ pub struct ChainHop {
     pub line: u32,
 }
 
-/// A finding from one of the deep passes, carrying the evidence chain.
+/// One finding of a `seal-analyze` pass, with its evidence chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeepFinding {
-    /// Which pass fired ([`crate::lint::Rule::EncryptionBoundary`],
-    /// `PanicFreedom` or `UnsafeAudit`).
+pub struct Finding {
+    /// Which pass fired.
     pub rule: crate::lint::Rule,
-    /// File of the offending fn / unsafe region.
+    /// File of the offending fn, loop, unsafe region or directive.
     pub path: String,
     /// 1-based line of the primary site.
     pub line: u32,
-    /// Fully qualified fn (empty for item-level unsafe impls).
+    /// Fully qualified fn (empty for token findings and item-level
+    /// unsafe impls).
     pub fun: String,
     /// Human-readable description.
     pub message: String,
-    /// Call chain from root/source to the site (empty for unsafe-audit).
+    /// Call chain from root/source to the site (empty unless the pass
+    /// walks the call graph).
     pub chain: Vec<ChainHop>,
 }
 
-impl DeepFinding {
-    /// Line-stable identity used by the committed baseline: deliberately
-    /// excludes line numbers so unrelated edits above a known finding do
-    /// not churn the baseline.
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{}", self.rule.name(), self.path, self.fun)
+impl std::fmt::Display for Finding {
+    /// `path:line: [rule] fun: message`, then one indented line per hop
+    /// of the call chain.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{}:{}: [{}] ", self.path, self.line, self.rule.name())?;
+        if !self.fun.is_empty() {
+            write!(f, "{}: ", self.fun)?;
+        }
+        write!(f, "{}", self.message)?;
+        for (i, hop) in self.chain.iter().enumerate() {
+            let arrow = if i == 0 { "   " } else { "-> " };
+            write!(f, "\n    {arrow}{} ({}:{})", hop.qual, hop.path, hop.line)?;
+        }
+        Ok(())
     }
 }
 
@@ -346,19 +319,5 @@ mod tests {
             idents: vec![],
         };
         assert_eq!(f.module_prefix(), "seal_tensor::ops::matmul");
-    }
-
-    #[test]
-    fn baseline_key_is_line_free() {
-        let f = DeepFinding {
-            rule: crate::lint::Rule::PanicFreedom,
-            path: "crates/nn/src/plan.rs".into(),
-            line: 42,
-            fun: "seal_nn::plan::CompiledModel::execute_into".into(),
-            message: "m".into(),
-            chain: vec![],
-        };
-        assert!(!f.baseline_key().contains("42"));
-        assert!(f.baseline_key().starts_with("panic-freedom|"));
     }
 }

@@ -1,11 +1,11 @@
 //! A minimal hand-rolled Rust lexer.
 //!
-//! Just enough tokenization for the lint pass: comments (line, block,
-//! doc), string/char/byte literals (including raw strings), lifetimes,
-//! numbers, identifiers, and single-character punctuation, each tagged
-//! with its 1-based source line. The lexer never fails — unexpected bytes
-//! become punctuation tokens — because lint must degrade gracefully on
-//! code the compiler would reject.
+//! Just enough tokenization for the token passes and the parser:
+//! comments (line, block, doc), string/char/byte literals (including raw
+//! strings), lifetimes, numbers, identifiers, and single-character
+//! punctuation, each tagged with its 1-based source line. The lexer
+//! never fails — unexpected bytes become punctuation tokens — because
+//! the passes must degrade gracefully on code the compiler would reject.
 
 /// Token classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,52 +1,100 @@
 //! # seal-analyze
 //!
-//! Workspace static analysis for the SEAL reproduction, run as a tier-1
-//! gate (`scripts/check.sh`). Two passes, both dependency-free:
+//! The workspace checks rustc and clippy cannot make, run as one tier-1
+//! test (`check_workspace_finds_nothing` below). A hand-rolled lexer
+//! ([`lexer`]) and recursive-descent parser ([`parser`]) build a
+//! cross-crate call graph ([`callgraph`]) over every library source, and
+//! four passes run on it:
 //!
-//! 1. **Source lint** ([`lint`]): a hand-rolled Rust lexer ([`lexer`])
-//!    drives syntactic rules over non-test library code — panic-prone APIs
-//!    (`unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`), truncating
-//!    `as` casts in the `seal-crypto` hot paths, and undocumented
-//!    `pub fn`s. `// seal-lint: allow(<rule>)` on the offending line or
-//!    the line above suppresses a finding.
-//! 2. **Semantic checks** ([`semantic`]): static shape inference over the
-//!    model zoo ([`seal_nn::check_model`]) and static encryption-plan /
-//!    heap-layout analysis ([`seal_core::analyze_plan`],
-//!    [`seal_core::verify_heap_layout`]) — the paper's coupling invariant
-//!    and `emalloc` contract checked without running the simulator.
+//! * **encryption-boundary** ([`taint`]): weight-derived data reaching a
+//!   memory-traffic sink without passing through `CtrCipher` or the lane
+//!   pricing model, reported with the full source → … → sink chain;
+//! * **panic-freedom** ([`callgraph::panic_freedom`]): a panic site or
+//!   index arithmetic reachable from `worker_loop` or
+//!   `CompiledModel::execute_into`;
+//! * **unsafe-audit** ([`callgraph::unsafe_audit`]): an `unsafe` region
+//!   whose `// SAFETY:` comment is missing or names nothing in scope;
+//! * **retry-backoff** ([`lint`]): a retry loop that sleeps a constant
+//!   delay or none at all.
 //!
-//! The `seal-analyze` binary wires both passes behind a CLI:
-//!
-//! ```text
-//! seal-analyze [--workspace] [--json] [paths…]
-//! ```
-//!
-//! Exit codes: `0` clean, `1` findings, `2` usage or I/O error.
+//! `// seal-lint: allow(<rule>)` on the offending line or the line above
+//! suppresses a finding; a directive naming no rule is itself a finding.
+//! Everything else — panicking APIs, truncating casts in the crypto hot
+//! paths, missing docs, raw thread creation, raw syscalls — is a rustc
+//! or clippy lint set at each crate root and in `clippy.toml`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
-pub mod cache;
 pub mod callgraph;
-pub mod driver;
 pub mod ir;
 pub mod lexer;
 pub mod lint;
 pub mod parser;
-pub mod report;
-pub mod semantic;
 pub mod taint;
 
-pub use driver::{analyze_workspace, Analysis, DeepOptions};
-pub use ir::DeepFinding;
-pub use lint::{lint_source, Rule, ALL_RULES, DEEP_RULES};
-pub use report::{render_human, render_json, Finding};
-pub use semantic::run_semantic_checks;
+pub use ir::Finding;
+pub use lint::Rule;
 
 use std::path::{Path, PathBuf};
 
 /// Directory names the workspace walker never descends into.
 const SKIP_DIRS: [&str; 6] = ["bin", "tests", "benches", "examples", "fixtures", "target"];
+
+/// Runs every pass over the library sources of the workspace rooted at
+/// `root` ([`workspace_sources`]). Findings come sorted by rule, path
+/// and line; an empty list means the tree is clean.
+///
+/// # Errors
+///
+/// Propagates I/O errors from walking or reading sources.
+pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
+    check_files(root, &workspace_sources(root)?)
+}
+
+/// [`check_workspace`] over an explicit file list (the fixtures' form).
+/// Paths are reported relative to `root`.
+///
+/// # Errors
+///
+/// Propagates I/O errors reading sources.
+pub fn check_files(root: &Path, files: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
+    let mut irs = Vec::with_capacity(files.len());
+    let mut findings = Vec::new();
+    for file in files {
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let toks = lexer::lex(&std::fs::read_to_string(file)?);
+        findings.extend(lint::lint_tokens(&rel, &toks));
+        irs.push(parser::parse_tokens(&rel, &toks));
+    }
+    let graph = callgraph::CallGraph::build(&irs);
+    findings.extend(taint::taint_pass(
+        &irs,
+        &graph,
+        &taint::TaintSpec::default(),
+    ));
+    findings.extend(callgraph::panic_freedom(
+        &irs,
+        &graph,
+        &callgraph::PANIC_ROOTS,
+    ));
+    findings.extend(callgraph::unsafe_audit(&irs));
+    findings
+        .sort_by(|a, b| (a.rule.name(), &a.path, a.line).cmp(&(b.rule.name(), &b.path, b.line)));
+    Ok(findings)
+}
 
 /// Collects the library `.rs` sources of the workspace rooted at `root`:
 /// every `crates/*/src/**` plus the root package's `src/**`, excluding
@@ -59,8 +107,9 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let crates = root.join("crates");
     if crates.is_dir() {
-        let mut entries: Vec<PathBuf> =
-            std::fs::read_dir(&crates)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
+        let mut entries: Vec<PathBuf> = std::fs::read_dir(&crates)?
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .collect();
         entries.sort();
         for krate in entries {
             let src = krate.join("src");
@@ -80,8 +129,9 @@ pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<PathBuf>> {
 /// Recursively collects `.rs` files under `dir`, skipping harness
 /// directories ([`SKIP_DIRS`]).
 fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<PathBuf> =
-        std::fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .collect();
     entries.sort();
     for path in entries {
         if path.is_dir() {
@@ -96,110 +146,44 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Lints the given files and directories (directories are walked
-/// recursively for `.rs` files, without the workspace skip-list —
-/// explicitly named paths are always linted).
-///
-/// # Errors
-///
-/// Propagates I/O errors reading sources.
-pub fn lint_paths(paths: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
-    let mut files = Vec::new();
-    for p in paths {
-        if p.is_dir() {
-            walk_all(p, &mut files)?;
-        } else {
-            files.push(p.clone());
-        }
-    }
-    files.sort();
-    lint_files(&files)
-}
-
-fn walk_all(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
-    let mut entries: Vec<PathBuf> =
-        std::fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
-    entries.sort();
-    for path in entries {
-        if path.is_dir() {
-            walk_all(&path, out)?;
-        } else if path.extension().is_some_and(|e| e == "rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
-}
-
-/// Lints the workspace rooted at `root` (the Pass 1 entry point of
-/// `--workspace` mode).
-///
-/// # Errors
-///
-/// Propagates I/O errors from walking or reading sources.
-pub fn lint_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
-    lint_files(&workspace_sources(root)?)
-}
-
-fn lint_files(files: &[PathBuf]) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for file in files {
-        let source = std::fs::read_to_string(file)?;
-        findings.extend(lint_source(&file.to_string_lossy(), &source));
-    }
-    Ok(findings)
-}
-
-/// Locates the workspace root by walking up from `start` to the first
-/// directory holding both a `Cargo.toml` and a `crates/` directory.
-pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = start.to_path_buf();
-    loop {
-        if dir.join("Cargo.toml").is_file() && dir.join("crates").is_dir() {
-            return Some(dir);
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn root() -> PathBuf {
         // crates/analyze → workspace root is two levels up.
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..").canonicalize().unwrap()
+        PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .canonicalize()
+            .unwrap()
     }
 
     #[test]
     fn workspace_walker_finds_library_sources_only() {
         let files = workspace_sources(&root()).unwrap();
-        assert!(files.iter().any(|f| f.ends_with("crates/crypto/src/aes.rs")));
+        assert!(files
+            .iter()
+            .any(|f| f.ends_with("crates/crypto/src/aes.rs")));
         assert!(files.iter().any(|f| f.ends_with("src/lib.rs")));
         let strs: Vec<String> = files.iter().map(|f| f.to_string_lossy().into()).collect();
         assert!(
             strs.iter().all(|f| !f.contains("/bin/")
                 && !f.contains("/tests/")
                 && !f.contains("/benches/")
-                && !f.contains("/fixtures/")),
+                && !f.contains("/fixtures/")
+                && !f.contains("/lint-fixtures/")),
             "harness files leaked into {strs:?}"
         );
     }
 
     #[test]
-    fn merged_tree_lints_clean() {
-        let findings = lint_workspace(&root()).unwrap();
+    fn check_workspace_finds_nothing() {
+        let findings = check_workspace(&root()).unwrap();
+        let report: Vec<String> = findings.iter().map(Finding::to_string).collect();
         assert!(
             findings.is_empty(),
-            "workspace must lint clean:\n{}",
-            render_human(&findings)
+            "fix or justify every finding:\n{}",
+            report.join("\n")
         );
-    }
-
-    #[test]
-    fn find_root_from_nested_dir() {
-        let nested = root().join("crates/analyze/src");
-        assert_eq!(find_workspace_root(&nested), Some(root()));
     }
 }

@@ -22,8 +22,8 @@ use crate::ir::{
     UnsafeKind, UsePath,
 };
 use crate::lexer::{lex, Tok, TokKind};
-use crate::lint::{allow_directives, test_region_lines, Rule};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::lint::{allow_directives, test_region_lines, AllowMap, Rule};
+use std::collections::BTreeSet;
 use std::path::Path;
 
 /// Reserved words that can precede `(` without being a call.
@@ -55,8 +55,8 @@ pub fn parse_file(path: &str, source: &str) -> FileIr {
     parse_tokens(path, &toks)
 }
 
-/// Parses an already-lexed token stream (the driver lexes once and feeds
-/// both the token lints and the parser).
+/// Parses an already-lexed token stream ([`crate::check_workspace`]
+/// lexes once and feeds both the token passes and the parser).
 pub fn parse_tokens(path: &str, toks: &[Tok]) -> FileIr {
     let (crate_name, module_path) = crate_and_module(Path::new(path));
     let code: Vec<usize> = toks
@@ -74,7 +74,7 @@ pub fn parse_tokens(path: &str, toks: &[Tok]) -> FileIr {
         toks,
         code,
         i: 0,
-        allows: allow_directives(toks),
+        allows: allow_directives(toks).0,
         test_lines: test_region_lines(toks),
         crate_name: crate_name.clone(),
         module_stack: module_path.clone(),
@@ -100,7 +100,7 @@ struct Parser<'a> {
     code: Vec<usize>,
     /// Cursor into `code`.
     i: usize,
-    allows: BTreeMap<u32, Vec<Rule>>,
+    allows: AllowMap,
     test_lines: BTreeSet<u32>,
     crate_name: String,
     module_stack: Vec<String>,

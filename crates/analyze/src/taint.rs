@@ -17,7 +17,7 @@
 //! suppresses it with a written justification.
 
 use crate::callgraph::{qual_matches, CallGraph};
-use crate::ir::{ChainHop, DeepFinding, FileIr};
+use crate::ir::{ChainHop, FileIr, Finding};
 use crate::lint::Rule;
 use std::collections::VecDeque;
 
@@ -77,7 +77,7 @@ enum Origin {
 }
 
 /// Runs the taint pass; returns violations sorted by (path, line).
-pub fn taint_pass(files: &[FileIr], graph: &CallGraph, spec: &TaintSpec) -> Vec<DeepFinding> {
+pub fn taint_pass(files: &[FileIr], graph: &CallGraph, spec: &TaintSpec) -> Vec<Finding> {
     let n = graph.nodes.len();
     let quals: Vec<&str> = graph
         .nodes
@@ -153,7 +153,7 @@ pub fn taint_pass(files: &[FileIr], graph: &CallGraph, spec: &TaintSpec) -> Vec<
                 path: file.path.clone(),
                 line: e.line,
             });
-            findings.push(DeepFinding {
+            findings.push(Finding {
                 rule: Rule::EncryptionBoundary,
                 path: file.path.clone(),
                 line: e.line,

@@ -9,6 +9,14 @@
 //! finishes in seconds.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use std::fmt::Display;
 

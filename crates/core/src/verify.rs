@@ -426,17 +426,25 @@ mod tests {
 
     #[test]
     fn analyze_accepts_planner_output() {
-        let topo = vgg16_topology();
-        for ratio in [0.0, 0.5, 1.0] {
-            let plan =
-                crate::EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(ratio))
-                    .unwrap();
-            assert!(analyze_plan(&plan).is_ok(), "ratio {ratio}");
+        use seal_nn::models::{resnet18_topology, resnet34_topology, vgg16, VggConfig};
+        use seal_tensor::rng::{rngs::StdRng, SeedableRng};
+        for topo in [vgg16_topology(), resnet18_topology(), resnet34_topology()] {
+            for ratio in [0.0, 0.3, 0.5, 1.0] {
+                let policy = SePolicy::default().with_ratio(ratio);
+                let plan = crate::EncryptionPlan::from_topology(&topo, policy).unwrap();
+                let verdict = analyze_plan(&plan);
+                assert!(verdict.is_ok(), "{} @ ratio {ratio}: {verdict:?}", topo.name());
+            }
         }
         let mut no_boundary = SePolicy::paper_default();
         no_boundary.boundary_full_encryption = false;
-        let plan = crate::EncryptionPlan::from_topology(&topo, no_boundary).unwrap();
+        let plan = crate::EncryptionPlan::from_topology(&vgg16_topology(), no_boundary).unwrap();
         assert!(analyze_plan(&plan).is_ok());
+        // A plan built from real weights must be as sound as one from
+        // synthesized topology norms.
+        let model = vgg16(&mut StdRng::seed_from_u64(0x5EA1), &VggConfig::reduced()).unwrap();
+        let plan = crate::EncryptionPlan::from_model(&model, SePolicy::paper_default()).unwrap();
+        assert!(analyze_plan(&plan).is_ok(), "vgg16 from model: {:?}", analyze_plan(&plan));
     }
 
     #[test]
@@ -509,6 +517,22 @@ mod tests {
                 heap.emalloc(i * 24).unwrap();
             } else {
                 heap.malloc(i * 24).unwrap();
+            }
+        }
+        assert!(verify_heap_layout(&heap).is_ok());
+        // A heap provisioned the way a deployment would: one region per
+        // layer of the paper-default VGG-16 plan (64 bytes per kernel
+        // row), `emalloc` for layers that encrypt anything.
+        let plan =
+            crate::EncryptionPlan::from_topology(&vgg16_topology(), SePolicy::paper_default())
+                .unwrap();
+        let mut heap = crate::SecureHeap::new(Key128::from_seed(0xD0C));
+        for layer in plan.layers() {
+            let bytes = (layer.rows * 64).max(1);
+            if layer.fully_encrypted || !layer.encrypted_rows.is_empty() {
+                heap.emalloc(bytes).unwrap();
+            } else {
+                heap.malloc(bytes).unwrap();
             }
         }
         assert!(verify_heap_layout(&heap).is_ok());

@@ -8,6 +8,8 @@
 //!
 //! Not constant-time; do not use outside simulation.
 
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use crate::Key128;
 
 /// AES block size in bytes.

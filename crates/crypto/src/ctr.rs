@@ -10,6 +10,8 @@
 //! The pad seed is `(address, counter)`, so re-encrypting a line after a
 //! write bumps its counter to keep the pad single-use.
 
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
+
 use std::collections::HashMap;
 
 use crate::mac::{first_bad_block, tag_buffer};

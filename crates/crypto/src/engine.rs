@@ -11,6 +11,7 @@
 //! controller: a pipelined unit with a fixed initiation interval (set by
 //! throughput) plus a fixed pipeline latency.
 
+#![cfg_attr(not(test), warn(clippy::cast_possible_truncation))]
 
 use crate::CryptoError;
 
@@ -46,6 +47,10 @@ impl EngineSpec {
     ///
     /// This is the pipeline initiation cost — the reciprocal-throughput
     /// component, excluding the fixed latency.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a cycle count far below 2^64; `as` saturates a float at the bound"
+    )]
     pub fn occupancy_cycles(&self, bytes: u64, clock_ghz: f64) -> u64 {
         let seconds = bytes as f64 / (self.throughput_gbps * 1e9);
         (seconds * clock_ghz * 1e9).ceil() as u64

@@ -7,8 +7,8 @@
 //!
 //! * [`sys`] — the raw syscall boundary. Every `extern "C"` declaration
 //!   and every `unsafe` block in the crate lives in that one file, wrapped
-//!   in owned-fd safe types; the seal-analyze `raw-syscall` lint keeps it
-//!   that way workspace-wide.
+//!   in owned-fd safe types; `#![deny(unsafe_code)]` keeps it that way
+//!   (the module is the one place it is allowed).
 //! * [`frame`] — the length-prefixed, versioned binary frame protocol
 //!   (magic, version, kind, tenant id, correlation seq, payload), with an
 //!   incremental decoder whose every failure mode is a typed error.
@@ -28,10 +28,21 @@
 //! load-generator side ([`client`]) is a plain blocking `std::net` client
 //! so tests and chaos injectors share one protocol implementation.
 
+#![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod client;
 pub mod error;
 pub mod frame;
 pub mod reactor;
+#[allow(unsafe_code)]
 pub mod sys;
 
 pub use client::FrameClient;

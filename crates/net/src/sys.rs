@@ -1,9 +1,9 @@
 //! The raw syscall layer: every `libc`-level FFI declaration and every
 //! `unsafe` block in seal-net lives in this file, behind safe owned-fd
-//! wrappers. The seal-analyze `raw-syscall` lint enforces the boundary:
-//! `extern "C"` declarations or direct raw-syscall calls anywhere else in
-//! the workspace are findings, so the reactor and frame layers above are
-//! safe Rust by construction.
+//! wrappers. `unsafe_code` enforces the boundary: it is denied in every
+//! other module of seal-net and forbidden in the crates without `unsafe`,
+//! and no syscall can be made without it, so the reactor and frame layers
+//! above are safe Rust by construction.
 //!
 //! The workspace is hermetic (no `libc` crate), so the handful of kernel
 //! entry points the reactor needs are declared by hand for the Linux

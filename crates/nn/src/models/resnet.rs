@@ -170,10 +170,11 @@ pub fn resnet(rng: &mut impl Rng, config: &ResNetConfig) -> Result<Sequential, N
     Ok(model)
 }
 
+#[expect(clippy::expect_used, reason = "static geometry is valid")]
 fn resnet_topology(depth: usize, blocks: [usize; 4]) -> NetworkTopology {
     let mut b = NetworkTopology::build(format!("resnet{depth}"), Shape::nchw(1, 3, 32, 32))
-        .expect("static geometry is valid"); // seal-lint: allow(expect)
-    b = b.conv("conv1", 64, 3, 1, 1).expect("static geometry is valid"); // seal-lint: allow(expect)
+        .expect("static geometry is valid");
+    b = b.conv("conv1", 64, 3, 1, 1).expect("static geometry is valid");
     let widths = [64usize, 128, 256, 512];
     let mut in_ch = 64;
     for (stage, (&width, &nblocks)) in widths.iter().zip(blocks.iter()).enumerate() {
@@ -182,18 +183,18 @@ fn resnet_topology(depth: usize, blocks: [usize; 4]) -> NetworkTopology {
             let bname = format!("stage{}_block{}", stage + 1, blk + 1);
             b = b
                 .conv(format!("{bname}_conv1"), width, 3, stride, 1)
-                .expect("static geometry is valid"); // seal-lint: allow(expect)
+                .expect("static geometry is valid");
             b = b
                 .conv(format!("{bname}_conv2"), width, 3, 1, 1)
-                .expect("static geometry is valid"); // seal-lint: allow(expect)
+                .expect("static geometry is valid");
             let _ = in_ch;
             in_ch = width;
         }
     }
     // Global average pool then classifier.
     let hw = b.current_shape().dim(2);
-    b = b.pool("gap", hw, hw).expect("static geometry is valid"); // seal-lint: allow(expect)
-    b = b.fc("fc", 10).expect("static geometry is valid"); // seal-lint: allow(expect)
+    b = b.pool("gap", hw, hw).expect("static geometry is valid");
+    b = b.fc("fc", 10).expect("static geometry is valid");
     b.finish()
 }
 

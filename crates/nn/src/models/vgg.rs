@@ -146,22 +146,23 @@ pub fn vgg16(rng: &mut impl Rng, config: &VggConfig) -> Result<Sequential, NnErr
 /// # Panics
 ///
 /// Never panics for the fixed full-size geometry.
+#[expect(clippy::expect_used, reason = "static geometry is valid")]
 pub fn vgg16_topology() -> NetworkTopology {
     let mut b = NetworkTopology::build("vgg16", Shape::nchw(1, 3, 32, 32))
-        .expect("static geometry is valid"); // seal-lint: allow(expect)
+        .expect("static geometry is valid");
     for (stage, &(width, convs)) in VGG16_STAGES.iter().enumerate() {
         for c in 0..convs {
             b = b
                 .conv(format!("conv{}_{}", stage + 1, c + 1), width, 3, 1, 1)
-                .expect("static geometry is valid"); // seal-lint: allow(expect)
+                .expect("static geometry is valid");
         }
         b = b
             .pool(format!("pool{}", stage + 1), 2, 2)
-            .expect("static geometry is valid"); // seal-lint: allow(expect)
+            .expect("static geometry is valid");
     }
-    b = b.fc("fc1", 512).expect("static geometry is valid"); // seal-lint: allow(expect)
-    b = b.fc("fc2", 512).expect("static geometry is valid"); // seal-lint: allow(expect)
-    b = b.fc("fc3", 10).expect("static geometry is valid"); // seal-lint: allow(expect)
+    b = b.fc("fc1", 512).expect("static geometry is valid");
+    b = b.fc("fc2", 512).expect("static geometry is valid");
+    b = b.fc("fc3", 10).expect("static geometry is valid");
     b.finish()
 }
 

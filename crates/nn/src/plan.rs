@@ -366,15 +366,15 @@ impl CompiledModel {
             num_classes,
             options,
             arena: Arena {
-                buf: vec![0.0f32; 4 * slot], // seal-lint: allow(hot-path-alloc)
+                buf: vec![0.0f32; 4 * slot], // off the steady-state path
                 slot,
             },
             quant: QuantScratch {
-                u8_live: vec![128u8; qs.u8_slot], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
-                u8_next: vec![128u8; qs.u8_slot], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
-                scales: vec![0.0f32; qs.scales], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
-                acc: vec![0i32; qs.acc], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
-                stage: vec![0.0f32; qs.stage], // seal-lint: allow(hot-path-alloc) — compile-time, reused in steady state
+                u8_live: vec![128u8; qs.u8_slot], // compile-time, reused in steady state
+                u8_next: vec![128u8; qs.u8_slot], // compile-time, reused in steady state
+                scales: vec![0.0f32; qs.scales], // compile-time, reused in steady state
+                acc: vec![0i32; qs.acc], // compile-time, reused in steady state
+                stage: vec![0.0f32; qs.stage], // compile-time, reused in steady state
             },
         })
     }
@@ -477,7 +477,6 @@ impl CompiledModel {
     /// Same errors as [`execute_into`](Self::execute_into).
     pub fn classify(&mut self, batch: &Tensor) -> Result<Vec<usize>, NnError> {
         // The documented one-Vec result allocation of `classify`.
-        // seal-lint: allow(hot-path-alloc)
         let mut classes = Vec::new();
         self.classify_into(batch, &mut classes)?;
         Ok(classes)
@@ -825,8 +824,8 @@ fn compile_layers(
                 // once folding has fixed them (`compile_gathers`).
                 gather: None,
                 dims,
-                weights: conv.weights().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
-                bias: conv.bias().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
+                weights: conv.weights().value.as_slice().to_vec(), // off the steady-state path
+                bias: conv.bias().value.as_slice().to_vec(), // off the steady-state path
                 bn: None,
                 relu: false,
                 pool: None,
@@ -842,16 +841,16 @@ fn compile_layers(
             let eps = bn.eps();
             Step::BatchNorm {
                 bn: BnConsts {
-                    gamma: bn.gamma().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
-                    beta: bn.beta().value.as_slice().to_vec(), // seal-lint: allow(hot-path-alloc)
-                    mean: bn.running_mean().to_vec(), // seal-lint: allow(hot-path-alloc)
+                    gamma: bn.gamma().value.as_slice().to_vec(), // off the steady-state path
+                    beta: bn.beta().value.as_slice().to_vec(), // off the steady-state path
+                    mean: bn.running_mean().to_vec(), // off the steady-state path
                     // The exact expression `forward_infer` evaluates,
                     // snapshotted once at compile time.
                     inv_std: bn
                         .running_var()
                         .iter()
                         .map(|v| 1.0 / (v + eps).sqrt())
-                        .collect(), // seal-lint: allow(hot-path-alloc)
+                        .collect(), // off the steady-state path
                 },
                 channels: c,
                 spatial: h * w,
@@ -898,7 +897,7 @@ fn compile_layers(
             // weights never fold, so this can happen during the walk).
             let wt = linear.weights().value.transpose()?;
             *feat = Feat::Flat(out_f);
-            let bias = linear.bias().value.as_slice().to_vec(); // seal-lint: allow(hot-path-alloc)
+            let bias = linear.bias().value.as_slice().to_vec(); // off the steady-state path
             if quantize {
                 Step::QLinear {
                     packed: PackedBI8::pack(&wt)?,
@@ -1251,7 +1250,7 @@ fn assign_edges(steps: &mut Vec<Step>) -> Result<(), NnError> {
                 edges.u8_in = true;
             }
             if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[i] {
-                edges.u8_out = Some(Box::new(rq)); // seal-lint: allow(hot-path-alloc) — one-time compile step
+                edges.u8_out = Some(Box::new(rq)); // one-time compile step
             }
             if pool.is_some() {
                 steps.remove(i + 1);

@@ -3,9 +3,9 @@
 //! Validates that every layer of a [`Sequential`] accepts the shape its
 //! predecessor produces — Conv2d/Linear/Pool/Flatten chains are checked at
 //! construction time, *without* allocating activations or running a
-//! forward pass. The checker is the semantic half of the `seal-analyze`
-//! gate: a model that fails here would only blow up later, deep inside a
-//! training loop or a traffic calculation.
+//! forward pass. The model zoo is checked here in the tests below: a
+//! model that fails would only blow up later, deep inside a training loop
+//! or a traffic calculation.
 //!
 //! Diagnostics name **both** ends of a broken edge (the layer that rejected
 //! the shape and the producer that emitted it) so mismatches in deep stacks
@@ -159,6 +159,29 @@ mod tests {
         assert_eq!(err.producer.as_deref(), Some("flatten"));
         let msg = err.to_string();
         assert!(msg.contains("fc1") && msg.contains("flatten"), "{msg}");
+    }
+
+    #[test]
+    fn the_reduced_model_zoo_shape_checks() {
+        use crate::models::{resnet, vgg16, ResNetConfig, VggConfig};
+        let mut rng = StdRng::seed_from_u64(0xA11A);
+        let vcfg = VggConfig::reduced();
+        let mut zoo = vec![(
+            vgg16(&mut rng, &vcfg).unwrap(),
+            Shape::nchw(1, vcfg.input_channels, vcfg.input_hw, vcfg.input_hw),
+        )];
+        for depth in [18, 34] {
+            let rcfg = ResNetConfig::reduced(depth);
+            zoo.push((
+                resnet(&mut rng, &rcfg).unwrap(),
+                Shape::nchw(1, rcfg.input_channels, rcfg.input_hw, rcfg.input_hw),
+            ));
+        }
+        for (model, input) in &zoo {
+            if let Err(e) = check_model(model, input) {
+                panic!("{}: {e}", model.name());
+            }
+        }
     }
 
     #[test]

@@ -3,7 +3,10 @@
 //! This binary installs a counting global allocator and asserts that once a
 //! plan has been warmed up (arena is sized at compile time; per-thread
 //! im2col/packing scratch grows on the first executions), further
-//! `execute_into` calls perform **no heap allocation at all**.
+//! `execute_into` calls perform **no heap allocation at all** — at batch 1
+//! and batch 8, the sizes `seal-serve` runs, on a plan compiled for 8.
+//! This is the runtime proof behind every "off the steady-state path"
+//! comment in the kernels and the plan executor.
 //!
 //! Runs single-threaded (`Pool::new(1)` executes inline on the caller), so
 //! the counter observes every allocation of the execution path.
@@ -46,8 +49,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
-/// Warm a plan up, then assert one more `execute_into` allocates nothing
-/// and reproduces the warm-up's logits bit for bit.
+/// The plan's capacity and the batch sizes `seal-serve` runs it at: a
+/// lone request and a full lock-step batch.
+const MAX_BATCH: usize = 8;
+const SERVED_BATCHES: [usize; 2] = [1, MAX_BATCH];
+
+/// Warm a plan up at every served batch size, then assert one more
+/// `execute_into` at each size allocates nothing and reproduces the
+/// warm-up's logits bit for bit.
 fn assert_steady_state_is_allocation_free(
     model: &Sequential,
     (c, hw): (usize, usize),
@@ -55,28 +64,38 @@ fn assert_steady_state_is_allocation_free(
     rng: &mut StdRng,
 ) {
     let input = Shape::nchw(1, c, hw, hw);
-    let batch = seal_tensor::uniform(rng, Shape::nchw(2, c, hw, hw), -1.0, 1.0);
+    let batches =
+        SERVED_BATCHES.map(|n| seal_tensor::uniform(rng, Shape::nchw(n, c, hw, hw), -1.0, 1.0));
     let pool = Pool::new(1);
-    let mut plan = CompiledModel::compile(model, &input, 2, options).unwrap();
+    let mut plan = CompiledModel::compile(model, &input, MAX_BATCH, options).unwrap();
     with_pool(&pool, || {
         // Warm-up: grows the per-thread im2col/packing scratch.
-        let warm = plan.execute_into(&batch).unwrap();
-        assert!(warm.iter().all(|v| v.is_finite()));
-        let warm2 = plan.execute_into(&batch).unwrap().to_vec();
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        let steady = plan.execute_into(&batch).unwrap();
-        let after = ALLOCATIONS.load(Ordering::SeqCst);
-        assert_eq!(
-            after - before,
-            0,
-            "steady-state execute_into of {} allocated {} times (options {options:?})",
-            model.name(),
-            after - before
-        );
-        assert!(steady
-            .iter()
-            .zip(&warm2)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let mut warm = Vec::new();
+        for batch in &batches {
+            assert!(plan
+                .execute_into(batch)
+                .unwrap()
+                .iter()
+                .all(|v| v.is_finite()));
+            warm.push(plan.execute_into(batch).unwrap().to_vec());
+        }
+        for (batch, warm) in batches.iter().zip(&warm) {
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            let steady = plan.execute_into(batch).unwrap();
+            let after = ALLOCATIONS.load(Ordering::SeqCst);
+            assert_eq!(
+                after - before,
+                0,
+                "steady-state execute_into of {} at batch {} allocated {} times (options {options:?})",
+                model.name(),
+                batch.shape().dim(0),
+                after - before
+            );
+            assert!(steady
+                .iter()
+                .zip(warm)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
     });
 }
 

@@ -3,8 +3,8 @@
 //! A hermetic, dependency-free work-sharing thread pool — the single
 //! parallelism substrate of the SEAL reproduction. Every multi-threaded
 //! code path in the workspace (tensor kernels, `seal-serve` workers, the
-//! figure harnesses' scheme sweeps) routes through this crate; a
-//! `seal-analyze` lint (`thread-spawn`) rejects raw `std::thread::spawn` /
+//! figure harnesses' scheme sweeps) routes through this crate;
+//! `clippy.toml`'s `disallowed-methods` rejects raw `std::thread::spawn` /
 //! `std::thread::scope` anywhere else.
 //!
 //! ## Design
@@ -58,6 +58,17 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![allow(
+    clippy::disallowed_methods,
+    reason = "seal-pool is the one crate that creates threads"
+)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod supervisor;
 
@@ -807,7 +818,7 @@ mod tests {
             pool.parallel_for(16, |i| {
                 if i == 7 {
                     // A seeded failure, not library code reaching a bad
-                    // state. seal-lint: allow(panic)
+                    // state.
                     panic!("task 7 exploded");
                 }
             });

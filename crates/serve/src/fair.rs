@@ -469,12 +469,13 @@ mod tests {
         assert!(!q.wait_empty(Duration::from_millis(20)));
         let popper = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || {
+            seal_pool::spawn_worker("test-consumer", move || {
                 std::thread::sleep(Duration::from_millis(30));
                 while !q.is_empty() {
                     let _ = q.pop_batch(8, Duration::ZERO);
                 }
             })
+            .unwrap()
         };
         assert!(q.wait_empty(Duration::from_secs(5)), "drain must be seen");
         popper.join().unwrap();
@@ -488,7 +489,10 @@ mod tests {
         let q = Arc::new(FairQueue::new(&weights(1), 8, 1));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(1, Duration::ZERO).map(|b| b.items))
+            seal_pool::spawn_worker("test-consumer", move || {
+                q.pop_batch(1, Duration::ZERO).map(|b| b.items)
+            })
+            .unwrap()
         };
         std::thread::sleep(Duration::from_millis(10));
         q.try_push(0, 42).unwrap();
@@ -497,7 +501,8 @@ mod tests {
         let q2 = Arc::new(FairQueue::<u32>::new(&weights(1), 8, 1));
         let consumer = {
             let q2 = Arc::clone(&q2);
-            std::thread::spawn(move || q2.pop_batch(1, Duration::from_secs(5)))
+            seal_pool::spawn_worker("test-consumer", move || q2.pop_batch(1, Duration::from_secs(5)))
+                .unwrap()
         };
         std::thread::sleep(Duration::from_millis(10));
         q2.close();

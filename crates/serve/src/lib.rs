@@ -57,6 +57,15 @@
 //! assert_eq!(stats.batches.samples, 8);
 //! ```
 
+#![warn(missing_docs)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod arrivals;
 pub mod breaker;
 pub mod config;

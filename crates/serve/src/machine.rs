@@ -349,15 +349,18 @@ impl<'m> Worker<'m> {
         let Some(first) = live.first() else { return };
         // The rider is told *before* the panic unwinds, so it can never
         // hang on a dead worker; the supervisor respawns this loop.
+        #[expect(
+            clippy::panic,
+            reason = "This panic IS the injected fault — the supervisor's \
+                      catch/respawn path is the code under test."
+        )]
         if poisoned(first) {
             m.panicked.fetch_add(1, Ordering::Relaxed);
             let request_id = first.id;
             let panicked = ServeError::WorkerPanicked { request_id };
             m.answer(tenant_id, first, Err(panicked), replies);
             m.deliver(std::slice::from_ref(first), replies);
-            // This panic IS the injected fault — the supervisor's
-            // catch/respawn path is the code under test.
-            // seal-lint: allow(panic, panic-freedom)
+            // seal-lint: allow(panic-freedom)
             panic!("injected panic serving request {request_id}");
         }
         // An injected slow request inflates its whole batch's service time.
@@ -561,7 +564,7 @@ mod tests {
             .unwrap();
         let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             let _held = batch;
-            // seal-lint: allow(panic) — the organic worker panic under test
+            // The organic worker panic under test.
             panic!("worker dies mid-batch");
         }));
         assert!(died.is_err());

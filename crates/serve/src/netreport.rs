@@ -313,15 +313,8 @@ impl NetSmoke {
         // pinned weight windows plus the fmap prefetcher keep the rate
         // well above the 0.5 floor on any clean run that priced batches.
         for row in &self.fairness.stats.schemes {
-            if row.enc_bytes > 0
-                && row.counter_hits + row.counter_misses > 0
-                && row.counter_hit_rate < 0.5
-            {
-                v.push(format!(
-                    "fairness: {} lane counter hit rate {:.4} below the 0.5 floor",
-                    row.scheme.label(),
-                    row.counter_hit_rate
-                ));
+            if let Some(cold) = crate::report::cold_counter_lane(row) {
+                v.push(format!("fairness: {cold}"));
             }
         }
         self.fairness.violations("fairness", &mut v);

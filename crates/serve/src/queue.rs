@@ -128,7 +128,8 @@ mod tests {
         let q = Arc::new(BoundedQueue::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(1, Duration::ZERO))
+            seal_pool::spawn_worker("test-consumer", move || q.pop_batch(1, Duration::ZERO))
+                .unwrap()
         };
         // Give the consumer a moment to block, then feed it.
         std::thread::sleep(Duration::from_millis(10));
@@ -141,7 +142,8 @@ mod tests {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            std::thread::spawn(move || q.pop_batch(1, Duration::from_secs(5)))
+            seal_pool::spawn_worker("test-consumer", move || q.pop_batch(1, Duration::from_secs(5)))
+                .unwrap()
         };
         std::thread::sleep(Duration::from_millis(10));
         q.close();

@@ -16,6 +16,30 @@ use crate::loadgen::{ChaosReport, LoadReport};
 use crate::server::ServeStats;
 use crate::{ServeError, ServerConfig, COSTED_SCHEMES};
 
+/// The counter-cache hit-rate floor of an encrypting lane: the tuned
+/// geometry pins the weight window read-only, so a live counter cache
+/// hits from the second batch on, where the pre-overhaul geometry
+/// thrashed to `0.000000`. Returns the violation for `row`, if any —
+/// lanes that encrypt nothing or priced no batch are not judged.
+pub(crate) fn cold_counter_lane(row: &SchemeSummary) -> Option<String> {
+    const FLOOR: f64 = 0.5;
+    (row.enc_bytes > 0
+        && row.counter_hits + row.counter_misses > 0
+        && row.counter_hit_rate < FLOOR)
+        .then(|| {
+            format!(
+                "{} lane counter hit rate {:.4} below the {FLOOR} floor",
+                row.scheme.label(),
+                row.counter_hit_rate
+            )
+        })
+}
+
+/// The Counter lane's slowdown over Baseline on the smoke run before the
+/// counter-locality overhaul; the smoke run must stay strictly below it.
+/// Other workloads batch differently and have no such baseline.
+const PRE_OVERHAUL_COUNTER_SLOWDOWN: f64 = 4.238;
+
 /// One virtual lane priced at f32 and at int8: the same scheme, the same
 /// batch stream, two numeric formats. The delta *is* the SEAL lane
 /// economics of quantization — int8 moves ~4× fewer bytes through the AES
@@ -305,7 +329,12 @@ impl ServeReport {
     /// * latency percentiles are ordered (`p50 <= p99`),
     /// * no worker errors,
     /// * the SE scheme column ordering holds on the virtual lanes —
-    ///   Baseline throughput > SEAL-C throughput > Counter throughput.
+    ///   Baseline throughput > SEAL-C throughput > Counter throughput,
+    /// * every encrypting lane, served or priced at f32 or int8, keeps a
+    ///   live counter cache ([`cold_counter_lane`]),
+    /// * on a smoke run (the one that records the f32/int8 comparison,
+    ///   whose f32 lanes are the served rows), every Counter lane stays
+    ///   below the pre-overhaul 4.238× slowdown.
     pub fn smoke_violations(&self) -> Vec<String> {
         let mut violations = Vec::new();
         if self.load.completed == 0 {
@@ -369,6 +398,24 @@ impl ServeReport {
                 }
             }
             _ => violations.push("report is missing scheme rows".to_string()),
+        }
+        let quant_rows = || {
+            self.quant_comparison
+                .iter()
+                .flat_map(|q| q.lanes.iter().chain(&q.reference))
+                .flat_map(|lane| [&lane.f32_lane, &lane.int8_lane])
+        };
+        for row in self.stats.schemes.iter().chain(quant_rows()) {
+            violations.extend(cold_counter_lane(row));
+        }
+        for row in quant_rows().filter(|row| row.scheme == Scheme::Counter) {
+            if row.slowdown_vs_baseline >= PRE_OVERHAUL_COUNTER_SLOWDOWN {
+                violations.push(format!(
+                    "Counter slowdown {:.3} regressed above the \
+                     {PRE_OVERHAUL_COUNTER_SLOWDOWN} baseline",
+                    row.slowdown_vs_baseline
+                ));
+            }
         }
         if let Some(q) = &self.quant_comparison {
             // The reference-batch deltas are a function of the cost model
@@ -879,6 +926,43 @@ mod tests {
         report.quant_comparison.as_mut().unwrap().reference.pop();
         let v = report.smoke_violations();
         assert!(v.iter().any(|s| s.contains("reference lanes")), "{v:?}");
+    }
+
+    #[test]
+    fn violations_detect_a_cold_lane_and_a_slow_counter_lane() {
+        use seal_nn::models::vgg16_topology;
+        fn counter_lane(r: &mut ServeReport) -> &mut SchemeSummary {
+            let q = r.quant_comparison.as_mut().unwrap();
+            let lane = q.reference.iter_mut().find(|l| l.scheme == Scheme::Counter);
+            &mut lane.unwrap().f32_lane
+        }
+        // The smoke run's reference lanes (one VGG-16 batch, priced by the
+        // cost model) start warm and below the ceiling; break one field
+        // at a time.
+        let mut report = smoke_report();
+        let topo = vgg16_topology();
+        report.quant_comparison = Some(QuantComparison {
+            f32_rps: 100.0,
+            int8_rps: 150.0,
+            lanes: Vec::new(),
+            reference: QuantComparison::reference_lanes(&topo, &ServerConfig::smoke()).unwrap(),
+        });
+        let gated = |r: &ServeReport| -> Vec<String> {
+            let v = r.smoke_violations();
+            v.into_iter().filter(|v| v.contains("hit rate") || v.contains("slowdown")).collect()
+        };
+        assert_eq!(gated(&report), Vec::<String>::new(), "the lanes start warm");
+        let seal = report.stats.schemes.iter_mut().find(|r| r.scheme == Scheme::SealCounter);
+        seal.unwrap().counter_hit_rate = 0.3;
+        assert_eq!(gated(&report), ["SEAL-C lane counter hit rate 0.3000 below the 0.5 floor"]);
+        let seal = report.stats.schemes.iter_mut().find(|r| r.scheme == Scheme::SealCounter);
+        seal.unwrap().counter_hit_rate = 0.9;
+        counter_lane(&mut report).slowdown_vs_baseline = 4.3;
+        assert_eq!(gated(&report), ["Counter slowdown 4.300 regressed above the 4.238 baseline"]);
+        // Outside a smoke run the mlp's Counter lane runs ~70x Baseline
+        // (it encrypts every byte) and that is not a violation.
+        report.quant_comparison = None;
+        assert_eq!(gated(&report), Vec::<String>::new());
     }
 
     #[test]

@@ -35,6 +35,13 @@
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod error;
 mod init;

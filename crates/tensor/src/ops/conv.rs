@@ -25,12 +25,12 @@ const CO_TILE: usize = 32;
 thread_local! {
     /// Per-thread im2col scratch, reused across calls (grown, never
     /// shrunk) so steady-state convolutions allocate nothing.
-    // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
+    // empty at birth, grow-only after
     static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread scratch of the planned path: the zero-padded image(s),
     /// then the packed im2col panels, then the GEMM output of a pooled
     /// (or folded-batch) convolution awaiting its epilogue.
-    // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
+    // empty at birth, grow-only after
     static PACKED_COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -356,7 +356,7 @@ impl ConvPlanDims {
                 let (x_in, x_border) = self.reach(t % k, self.w, self.ow);
                 (y_in && x_in, y_border || x_border)
             })
-            .collect() // seal-lint: allow(hot-path-alloc)
+            .collect() // off the steady-state path
     }
 }
 
@@ -407,7 +407,7 @@ impl Im2colGather {
     /// row — `kdim + oh·ow` words; call it at plan-compile time.
     pub fn compile(dims: &ConvPlanDims) -> Im2colGather {
         let k = dims.geom.kernel;
-        Im2colGather::with_taps(dims, &vec![true; k * k]) // seal-lint: allow(hot-path-alloc)
+        Im2colGather::with_taps(dims, &vec![true; k * k]) // off the steady-state path
     }
 
     /// The compiled plan's path: [`compile`](Self::compile) less the dead
@@ -429,7 +429,7 @@ impl Im2colGather {
         const EXP: u32 = 0x7f80_0000;
         let (kk, kdim) = (dims.geom.kernel * dims.geom.kernel, dims.kdim());
         // One-time compile-step allocation.
-        let live: Vec<bool> = dims.tap_reach().iter().map(|&(live, _)| live).collect(); // seal-lint: allow(hot-path-alloc)
+        let live: Vec<bool> = dims.tap_reach().iter().map(|&(live, _)| live).collect(); // off the steady-state path
         if live.iter().all(|&l| l) {
             return Im2colGather::with_taps(dims, &live);
         }
@@ -489,7 +489,7 @@ impl Im2colGather {
             (dims.h, dims.w, pad)
         };
         // One-time compile-step allocations.
-        let mut taps = Vec::with_capacity(dims.kdim()); // seal-lint: allow(hot-path-alloc)
+        let mut taps = Vec::with_capacity(dims.kdim()); // off the steady-state path
         for ci in 0..dims.c_in {
             for ky in 0..k {
                 for kx in (0..k).filter(|&kx| keep[ky * k + kx]) {
@@ -497,13 +497,13 @@ impl Im2colGather {
                 }
             }
         }
-        let mut cols = Vec::with_capacity(dims.oh * dims.ow); // seal-lint: allow(hot-path-alloc)
+        let mut cols = Vec::with_capacity(dims.oh * dims.ow); // off the steady-state path
         for oy in 0..dims.oh {
             cols.extend((0..dims.ow).map(|ox| offset((oy * pw + ox) * stride)));
         }
         let strips: Vec<StripCols> = (0..cols.len().div_ceil(NR))
             .map(|strip| StripCols::new(strip, 1, 0, &cols))
-            .collect(); // seal-lint: allow(hot-path-alloc)
+            .collect(); // off the steady-state path
         let max_tap = taps.iter().copied().max().unwrap_or(0) as usize;
         Im2colGather {
             dims: *dims,

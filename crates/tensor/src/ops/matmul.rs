@@ -143,7 +143,7 @@ impl KernelMode {
 thread_local! {
     /// Per-thread packed-B scratch, reused across calls (grown, never
     /// shrunk or cleared) so steady-state GEMMs allocate nothing.
-    // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
+    // empty at birth, grow-only after
     static PACK: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread kernel-mode override / lazily-resolved env default.
     static MODE: Cell<Option<KernelMode>> = const { Cell::new(None) };
@@ -227,7 +227,7 @@ pub fn matmul(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor, TensorError> {
     let (m, k, n) = shape_checks(lhs, rhs)?;
     let a = lhs.as_slice();
     let b = rhs.as_slice();
-    let mut out = vec![0.0f32; m * n]; // seal-lint: allow(hot-path-alloc)
+    let mut out = vec![0.0f32; m * n]; // off the steady-state path
     gemm(a, b, &mut out, m, k, n, kernel_mode());
     Tensor::from_vec(out, Shape::matrix(m, n))
 }
@@ -249,7 +249,7 @@ pub fn matmul_naive(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor, TensorError> {
     let (m, k, n) = shape_checks(lhs, rhs)?;
     let a = lhs.as_slice();
     let b = rhs.as_slice();
-    let mut out = vec![0.0f32; m * n]; // seal-lint: allow(hot-path-alloc)
+    let mut out = vec![0.0f32; m * n]; // off the steady-state path
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         for j in 0..n {
@@ -275,7 +275,7 @@ pub fn matmul_naive_fma(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor, TensorErro
     let (m, k, n) = shape_checks(lhs, rhs)?;
     let a = lhs.as_slice();
     let b = rhs.as_slice();
-    let mut out = vec![0.0f32; m * n]; // seal-lint: allow(hot-path-alloc)
+    let mut out = vec![0.0f32; m * n]; // off the steady-state path
     for i in 0..m {
         let arow = &a[i * k..(i + 1) * k];
         for j in 0..n {

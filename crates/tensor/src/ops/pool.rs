@@ -75,7 +75,7 @@ pub fn max_pool2d(
     let mut out = Tensor::zeros(Shape::nchw(n, c, oh, ow));
     // Training-path kernel: the backward pass needs the argmax, so this
     // allocating variant is not the planned hot path (`max_pool2d_into` is).
-    let mut argmax = vec![0usize; out.len()]; // seal-lint: allow(hot-path-alloc)
+    let mut argmax = vec![0usize; out.len()]; // off the steady-state path
     let plane_out = oh * ow;
 
     // One task per (batch, channel) plane; argmax stays in absolute flat

@@ -52,7 +52,7 @@ impl PackedB {
     pub fn from_slice(b: &[f32], k: usize, n: usize) -> PackedB {
         assert_eq!(b.len(), k * n, "PackedB::from_slice: length mismatch");
         // One-time compile/pack step, not the per-call execute path.
-        let mut panels = Vec::new(); // seal-lint: allow(hot-path-alloc)
+        let mut panels = Vec::new(); // off the steady-state path
         pack_b_full(b, &mut panels, k, n);
         PackedB { k, n, panels }
     }
@@ -175,7 +175,7 @@ impl PackedBI8 {
         // Weight rows in packed k order; pad positions stay 0.
         let width = run_quads(dims) * QK;
         let kp = k * width;
-        let mut runs = vec![0.0f32; c_out * kp]; // seal-lint: allow(hot-path-alloc) — plan-compile-time staging
+        let mut runs = vec![0.0f32; c_out * kp]; // plan-compile-time staging
         for (dst, src) in runs.chunks_exact_mut(kp).zip(w.chunks_exact(kdim)) {
             for ky in 0..k {
                 for kx in 0..k {
@@ -206,7 +206,7 @@ impl PackedBI8 {
         let kq = k.div_ceil(QK);
         let strips = n.div_ceil(QNR);
         // Pack-time (plan-compile-time) allocations, not the execute path.
-        let mut scales = vec![0.0f32; n]; // seal-lint: allow(hot-path-alloc)
+        let mut scales = vec![0.0f32; n]; // off the steady-state path
         for (j, s) in scales.iter_mut().enumerate() {
             let mut maxabs = 0.0f32;
             for kk in 0..k {
@@ -214,8 +214,8 @@ impl PackedBI8 {
             }
             *s = channel_scale(maxabs);
         }
-        let mut data = vec![0i8; strips * kq * QNR * QK]; // seal-lint: allow(hot-path-alloc)
-        let mut col_sums = vec![0i32; strips * QNR]; // seal-lint: allow(hot-path-alloc)
+        let mut data = vec![0i8; strips * kq * QNR * QK]; // off the steady-state path
+        let mut col_sums = vec![0i32; strips * QNR]; // off the steady-state path
         for s in 0..strips {
             let sdata = &mut data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
             for q in 0..kq {
@@ -294,7 +294,7 @@ pub fn matmul_prepacked(lhs: &Tensor, rhs: &PackedB) -> Result<Tensor, TensorErr
             op: "matmul_prepacked",
         });
     }
-    let mut out = vec![0.0f32; m * rhs.n]; // seal-lint: allow(hot-path-alloc)
+    let mut out = vec![0.0f32; m * rhs.n]; // off the steady-state path
     gemm_prepacked(lhs.as_slice(), rhs, &mut out, m, kernel_mode(), false);
     Tensor::from_vec(out, Shape::matrix(m, rhs.n))
 }

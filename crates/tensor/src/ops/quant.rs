@@ -178,8 +178,8 @@ pub fn quantize_per_channel(w: &Tensor, axis: QuantAxis) -> Result<QuantizedTens
         QuantAxis::Row => rows,
         QuantAxis::Col => cols,
     };
-    let mut scales = vec![0.0f32; channels]; // seal-lint: allow(hot-path-alloc) — quantization runs at plan-compile time
-    let mut maxabs = vec![0.0f32; channels]; // seal-lint: allow(hot-path-alloc) — compile-time scratch
+    let mut scales = vec![0.0f32; channels]; // quantization runs at plan-compile time
+    let mut maxabs = vec![0.0f32; channels]; // compile-time scratch
     for r in 0..rows {
         for c in 0..cols {
             let ch = match axis {
@@ -192,7 +192,7 @@ pub fn quantize_per_channel(w: &Tensor, axis: QuantAxis) -> Result<QuantizedTens
     for (s, &m) in scales.iter_mut().zip(&maxabs) {
         *s = channel_scale(m);
     }
-    let mut data = vec![0i8; rows * cols]; // seal-lint: allow(hot-path-alloc) — compile-time output
+    let mut data = vec![0i8; rows * cols]; // compile-time output
     for r in 0..rows {
         for c in 0..cols {
             let ch = match axis {
@@ -219,7 +219,7 @@ pub fn quantize_per_channel(w: &Tensor, axis: QuantAxis) -> Result<QuantizedTens
 /// [`TensorError::LengthMismatch`] never occurs for tensors built by
 /// [`quantize_per_channel`]; the `Result` mirrors [`Tensor::from_vec`].
 pub fn dequantize(q: &QuantizedTensor) -> Result<Tensor, TensorError> {
-    let mut out = vec![0.0f32; q.rows * q.cols]; // seal-lint: allow(hot-path-alloc) — diagnostic path
+    let mut out = vec![0.0f32; q.rows * q.cols]; // diagnostic path
     for r in 0..q.rows {
         for c in 0..q.cols {
             let ch = match q.axis {
@@ -367,7 +367,7 @@ thread_local! {
     /// a GEMM call reads (dense rows, or the padded image of a conv) —
     /// the operand format of the AVX2 `vpmaddwd` kernel, widened once per
     /// call by the calling thread. Grown once, never cleared.
-    // seal-lint: allow(hot-path-alloc) — empty at birth, grow-only after
+    // empty at birth, grow-only after
     static QA16: RefCell<Vec<i16>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -941,7 +941,7 @@ impl PatchGather {
         let (k, stride, pad) = (geom.kernel, geom.stride, geom.padding);
         let s = oh * ow;
         let kdim = c_in * k * k;
-        let mut offsets = vec![0i32; s * kdim]; // seal-lint: allow(hot-path-alloc) — one-time compile step
+        let mut offsets = vec![0i32; s * kdim]; // one-time compile step
         for p in 0..s {
             let (oy, ox) = (p / ow, p % ow);
             for q in 0..kdim {
@@ -1180,7 +1180,7 @@ impl ImplicitConv {
             });
         }
         let row = |r: usize| ((r / s) * img.stride() + field(r % s)) as u32;
-        let rows = (0..images * s).map(row).collect(); // seal-lint: allow(hot-path-alloc) — compile-time table
+        let rows = (0..images * s).map(row).collect(); // compile-time table
         Ok(ImplicitConv {
             s,
             images,
@@ -1301,7 +1301,7 @@ impl Requantize {
                 ),
             });
         }
-        let tile = |v: &[f32]| v.iter().copied().cycle().take(ow * c_out).collect(); // seal-lint: allow(hot-path-alloc) — plan-compile-time constants
+        let tile = |v: &[f32]| v.iter().copied().cycle().take(ow * c_out).collect(); // plan-compile-time constants
         Ok(Requantize {
             oh,
             relu,
@@ -1459,12 +1459,12 @@ pub fn matmul_i8(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor, TensorError> {
     let (m, k, n) = matmul_i8_checks(lhs, rhs)?;
     let pack = PackedBI8::pack(rhs)?;
     let ka = quantized_row_len(k);
-    let mut qa = vec![128u8; m * ka]; // seal-lint: allow(hot-path-alloc) — convenience wrapper, plans use arena buffers
-    let mut a_scales = vec![0.0f32; m]; // seal-lint: allow(hot-path-alloc) — convenience wrapper
+    let mut qa = vec![128u8; m * ka]; // convenience wrapper, plans use arena buffers
+    let mut a_scales = vec![0.0f32; m]; // convenience wrapper
     quantize_rows_u8(lhs.as_slice(), m, k, &mut qa, &mut a_scales);
-    let mut acc = vec![0i32; m * n]; // seal-lint: allow(hot-path-alloc) — convenience wrapper
+    let mut acc = vec![0i32; m * n]; // convenience wrapper
     gemm_i8(&qa, &pack, &mut acc, m, super::matmul::kernel_mode());
-    let mut out = vec![0.0f32; m * n]; // seal-lint: allow(hot-path-alloc) — convenience wrapper
+    let mut out = vec![0.0f32; m * n]; // convenience wrapper
     dequantize_bias_relu(&acc, &a_scales, pack.scales(), None, &mut out, m, n, false);
     Tensor::from_vec(out, Shape::matrix(m, n))
 }
@@ -1486,10 +1486,10 @@ pub fn matmul_i8_reference(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor, TensorE
     }
     let qb = quantize_per_channel(rhs, QuantAxis::Col)?;
     let ka = quantized_row_len(k);
-    let mut qa = vec![128u8; m * ka]; // seal-lint: allow(hot-path-alloc) — reference path
-    let mut a_scales = vec![0.0f32; m]; // seal-lint: allow(hot-path-alloc) — reference path
+    let mut qa = vec![128u8; m * ka]; // reference path
+    let mut a_scales = vec![0.0f32; m]; // reference path
     quantize_rows_u8(lhs.as_slice(), m, k, &mut qa, &mut a_scales);
-    let mut out = vec![0.0f32; m * n]; // seal-lint: allow(hot-path-alloc) — reference path
+    let mut out = vec![0.0f32; m * n]; // reference path
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0i32;

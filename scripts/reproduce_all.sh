@@ -20,13 +20,6 @@ for bin in $BINS; do
     cargo run --release -p seal-bench --bin "$bin" -- $MODE 2>/dev/null | tee "results/$bin.txt"
 done
 
-# Static-analysis throughput: serial vs parallel vs warm-cache runs of
-# the seal-analyze deep passes into results/BENCH_analyze.json
-# (check.sh already wrote results/analyze_report.json with the per-pass
-# wall times and the — empty — findings lists).
-echo "==> bench_analyze"
-scripts/bench_analyze.sh
-
 # Inference-plan trajectory (naive / blocked / planned / planned+fused
 # timings; check.sh already wrote results/BENCH_infer.json, regenerated
 # here so a --full reproduction reflects this machine's final numbers).

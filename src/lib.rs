@@ -39,6 +39,14 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub use seal_attack as attack;
 pub use seal_crypto as crypto;
