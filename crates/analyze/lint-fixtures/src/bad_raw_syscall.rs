@@ -2,7 +2,7 @@
 //! and bare libc-level calls, both living outside the one audited shim
 //! (`crates/net/src/sys.rs`) where that surface is sanctioned. The calls
 //! need `unsafe`, which `unsafe_code` rejects outside that module; the
-//! declaration alone cannot be called, so it is not reported.
+//! block is `missing_unsafe_on_extern` (the shim's is `unsafe extern`).
 
 extern "C" {
     fn socket(domain: i32, ty: i32, protocol: i32) -> i32;

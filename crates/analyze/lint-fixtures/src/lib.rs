@@ -3,6 +3,7 @@
 
 // The same lint attributes as the workspace's library crate roots.
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![forbid(unsafe_code)]
 #![warn(
     clippy::unwrap_used,

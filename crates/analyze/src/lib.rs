@@ -24,6 +24,7 @@
 //! or clippy lint set at each crate root and in `clippy.toml`.
 
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 #![warn(

@@ -45,7 +45,7 @@ fn main() {
 
     // The feature-map stream, per-page vs batched: each iteration walks
     // 2,400 fresh pages on from the last, so every page is a prefetch
-    // hit plus a fill — access_run writes the resulting ways directly.
+    // hit plus a fill — access_run extends one pending run instead.
     let pages = 2400u64;
     let cfg = CounterGeometry::tuned().cache_config(96);
 

@@ -10,8 +10,9 @@
 //!    retires the hot weight walk in O(1) per run instead of a per-page
 //!    LRU probe — ns/page collapses versus the per-page `access` loop.
 //! 2. **Stream**: a fresh feature-map stream behind the prefetcher is
-//!    written in closed form — at most one write per cache way instead
-//!    of a lookup and a fill per page.
+//!    priced in O(1), and a stream that continues the last one extends
+//!    its pending run without writing a way — instead of a lookup and a
+//!    fill per page.
 //! 3. **Lanes**: under the tuned geometry (read-only weight window +
 //!    next-line prefetch), the smoke cost model's Counter lane goes from
 //!    a 0% counter hit rate and the recorded 4.238× slowdown (classic

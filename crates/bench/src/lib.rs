@@ -9,6 +9,7 @@
 //! finishes in seconds.
 
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![forbid(unsafe_code)]
 #![warn(
     clippy::unwrap_used,

@@ -31,7 +31,8 @@
 //! [`CounterCache::access_run`] walks a run of consecutive pages with the
 //! per-page outcome but not the per-page cost: a run inside one pinned
 //! window is O(1), and a fresh ascending stream behind the prefetcher is
-//! written in closed form in O(min(pages, cache lines)).
+//! priced in O(1) and written into the ways in closed form, in
+//! O(min(pages, cache lines)), only when something next reads the sets.
 
 use std::ops::Range;
 
@@ -464,12 +465,27 @@ pub struct CounterCache {
     /// no line above it has ever been resident, so a stream that starts
     /// at it walks into lines the sets cannot hold yet.
     high_water: u64,
-    /// Scratch of [`stream_run`](Self::stream_run), one slot per way of a
-    /// set: `(stamp, way)`, sorted into the order fills evict them.
+    /// The stream run [`stream_run`](Self::stream_run) priced but has not
+    /// written into the ways yet; while it is `Some`, the way arrays hold
+    /// the state from before the run.
+    pending: Option<PendingRun>,
+    /// Scratch of [`write_pending`](Self::write_pending), one slot per way
+    /// of a set: `(stamp, way)`, sorted into the order fills evict them.
     order: Vec<(u64, usize)>,
     ro: Vec<RoSlot>,
     tick: u64,
     stats: CounterCacheStats,
+}
+
+/// A fresh ascending stream priced in closed form: lines `first ..
+/// first + n` demanded from tick `tick0 + 1` on, the run's head line
+/// `first` in way `head`.
+#[derive(Debug, Clone, Copy)]
+struct PendingRun {
+    first: u64,
+    n: u64,
+    tick0: u64,
+    head: usize,
 }
 
 #[cfg(test)]
@@ -478,6 +494,10 @@ thread_local! {
     /// thread: lets a test tell the closed form from the per-page walk,
     /// which is otherwise indistinguishable by contract.
     static STREAMED_PAGES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Ways [`CounterCache::write_pending`] filled on this thread (the
+    /// head's re-stamp aside): lets a test see that a steady-state stream
+    /// leaves the way arrays alone.
+    static STREAM_WAYS_WRITTEN: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 // Ownership contract with the seal-pool parallel runtime: the cache is
@@ -517,6 +537,7 @@ impl CounterCache {
             recent_way: 0,
             recent_line: VACANT,
             high_water: 0,
+            pending: None,
             order: vec![(0, 0); config.ways],
             ro: config
                 .read_only
@@ -614,11 +635,15 @@ impl CounterCache {
         self.tick += 1;
         let tick = self.tick;
         // A clean, already-demanded repeat of the last line: a plain hit,
-        // with nothing for the set walk below to add.
+        // with nothing for the set walk below to add. Never taken while a
+        // stream run is pending, which leaves `recent_line` vacant.
         if line_id == self.recent_line && line_id != VACANT {
             self.stamps[self.recent_way] = tick;
             self.stats.hits += 1;
             return true;
+        }
+        if self.pending.is_some() {
+            self.write_pending();
         }
         let set = self.set_of(line_id);
         let (hit, stream_next) = match self.find(set.clone(), line_id) {
@@ -691,9 +716,13 @@ impl CounterCache {
     /// state) is bitwise identical to calling [`access`](Self::access) once
     /// per page in ascending order; the batched form only short-circuits
     /// runs that sit entirely inside one pinned read-only region to O(1)
-    /// and fresh ascending streams behind the prefetcher to
-    /// O(min(pages, cache lines)). Pages whose address would pass
-    /// `u64::MAX` saturate onto the top of the address space.
+    /// and fresh ascending streams behind the prefetcher to O(1) as well:
+    /// their way writes wait until the next [`access`](Self::access) or
+    /// [`corrupt`](Self::corrupt), which writes every stream since the
+    /// last one in one O(min(pages, cache lines)) pass. Back-to-back
+    /// streams, as a serve lane runs them batch after batch, never pay
+    /// that pass. Pages whose address would pass `u64::MAX` saturate onto
+    /// the top of the address space.
     pub fn access_run(&mut self, base: u64, pages: u64) -> RunOutcome {
         let cov = self.config.coverage_bytes as u64;
         let page_addr = |p: u64| base.saturating_add(p.saturating_mul(cov));
@@ -749,17 +778,19 @@ impl CounterCache {
     /// line is resident, clean and still marked prefetched, with no line
     /// above it ever filled. Every such page is a prefetch hit followed by
     /// one fill of the next line, so the counters advance by the page
-    /// count and each touched set ends up holding its last `ways` streamed
-    /// lines — written directly, in the ways and with the stamps the
-    /// per-page walk would have left.
+    /// count at once; the ways are left to
+    /// [`write_pending`](Self::write_pending), which the next reader of
+    /// the sets runs. A stream that continues a pending run extends it
+    /// without reading the sets: its head is the run's last fill, which
+    /// nothing has touched since.
     ///
     /// Returns the pages it priced; 0 when the stream head is missing or
     /// corrupt, a line above it was filled before, the cache has a single
     /// set (a demanded line and its prefetched successor then share a set
-    /// and tie on `last_use`, which the ordering argument below excludes),
-    /// or the very next line is pinned or past the address space. A run
-    /// that reaches a pinned window or the top of the address space later
-    /// is priced up to there.
+    /// and tie on `last_use`, which the ordering argument of
+    /// `write_pending` excludes), or the very next line is pinned or past
+    /// the address space. A run that reaches a pinned window or the top of
+    /// the address space later is priced up to there.
     fn stream_run(&mut self, addr: u64, pages: u64) -> u64 {
         if !self.config.prefetch || self.sets < 2 {
             return 0;
@@ -785,17 +816,57 @@ impl CounterCache {
         if n == 0 {
             return 0;
         }
-        let Some(head) = self.find(self.set_of(first), first) else {
-            return 0;
-        };
-        if self.flags[head] != PREFETCHED {
-            return 0;
+        match &mut self.pending {
+            // `first` is the pending run's last fill: resident, clean and
+            // prefetched. A run of `n₁ + n₂` pages is exactly two
+            // back-to-back runs, so one write-out serves both.
+            Some(run) => run.n += n,
+            None => {
+                let Some(head) = self.find(self.set_of(first), first) else {
+                    return 0;
+                };
+                if self.flags[head] != PREFETCHED {
+                    return 0;
+                }
+                self.pending = Some(PendingRun {
+                    first,
+                    n,
+                    tick0: self.tick,
+                    head,
+                });
+            }
         }
-        let tick0 = self.tick;
+        self.recent_line = VACANT;
+        self.tick += n;
+        self.high_water = first + n;
+        self.stats.hits += n;
+        self.stats.prefetch_hits += n;
+        self.stats.prefetch_fills += n;
+        #[cfg(test)]
+        STREAMED_PAGES.with(|pages| pages.set(pages.get() + n));
+        n
+    }
+
+    /// Writes the pending stream run into the ways, in the ways and with
+    /// the stamps the per-page walk would have left: each touched set ends
+    /// up holding its last `ways` streamed lines. O(min(pages, cache
+    /// lines)), once per stretch of streams between two readers of the
+    /// sets.
+    #[cold]
+    #[inline(never)]
+    fn write_pending(&mut self) {
+        let Some(PendingRun {
+            first,
+            n,
+            tick0,
+            head,
+        }) = self.pending.take()
+        else {
+            return;
+        };
         self.stamps[head] = tick0 + 1;
         self.flags[head] = 0;
         self.recent_way = head;
-        self.recent_line = VACANT;
 
         // Stream line `first + j` is filled at tick `tick0 + j` and
         // demanded one tick later (the run's last fill, `j == n`, stays
@@ -833,15 +904,9 @@ impl CounterCache {
                     self.recent_way = w;
                 }
             }
+            #[cfg(test)]
+            STREAM_WAYS_WRITTEN.with(|ways| ways.set(ways.get() + fills - q0));
         }
-        self.tick = tick0 + n;
-        self.high_water = first + n;
-        self.stats.hits += n;
-        self.stats.prefetch_hits += n;
-        self.stats.prefetch_fills += n;
-        #[cfg(test)]
-        STREAMED_PAGES.with(|pages| pages.set(pages.get() + n));
-        n
     }
 
     /// Flags the resident counter line covering `addr` as corrupted (a
@@ -856,6 +921,9 @@ impl CounterCache {
                 return true;
             }
             return false;
+        }
+        if self.pending.is_some() {
+            self.write_pending();
         }
         let line_id = self.line_id(addr);
         let set = self.set_of(line_id);
@@ -889,6 +957,7 @@ impl CounterCache {
         self.recent_way = 0;
         self.recent_line = VACANT;
         self.high_water = 0;
+        self.pending = None;
         self.tick = 0;
         self.stats = CounterCacheStats::default();
     }
@@ -1168,6 +1237,11 @@ mod tests {
         STREAMED_PAGES.with(|pages| pages.replace(0))
     }
 
+    /// Ways stream write-outs filled on this thread since the last call.
+    fn take_ways_written() -> u64 {
+        STREAM_WAYS_WRITTEN.with(|ways| ways.replace(0))
+    }
+
     /// The per-page oracle of `access_run`: one `access` per page in
     /// ascending order, addresses saturating at the top.
     fn per_page(cc: &mut CounterCache, base: u64, pages: u64) -> RunOutcome {
@@ -1180,7 +1254,7 @@ mod tests {
     }
 
     /// Everything a later access reads: the whole way array, the pinned
-    /// slots and every cursor.
+    /// slots and every cursor, of a copy with its pending run written out.
     type State = (
         [Vec<u64>; 2],
         Vec<u8>,
@@ -1190,6 +1264,8 @@ mod tests {
     );
 
     fn state(cc: &CounterCache) -> State {
+        let mut cc = cc.clone();
+        cc.write_pending();
         (
             [cc.tags.clone(), cc.stamps.clone()],
             cc.flags.clone(),
@@ -1238,6 +1314,7 @@ mod tests {
             let lines = (cfg.capacity_bytes / cfg.line_bytes) as u64;
             let pinned: Vec<ReadOnlyRegion> = cfg.read_only.iter().flatten().copied().collect();
             take_streamed();
+            let mut deferred = 0;
             for seed in 0..150u64 {
                 let mut rng =
                     seal_tensor::rng::rngs::StdRng::seed_from_u64(0x57e4 + 1000 * g as u64 + seed);
@@ -1302,6 +1379,7 @@ mod tests {
                         let want = per_page(&mut slow, base, pages);
                         assert_eq!(got, want, "{name}, seed {seed}, step {step}: ({base:#x}, {pages})");
                     }
+                    deferred += u64::from(fast.pending.is_some());
                     assert!(
                         state(&fast) == state(&slow),
                         "{name}, seed {seed}, step {step}: state diverged"
@@ -1312,6 +1390,8 @@ mod tests {
             let streamed = take_streamed();
             let expect_streaming = cfg.prefetch && cfg.sets() >= 2;
             assert_eq!(streamed > 0, expect_streaming, "{name}: {streamed} pages streamed");
+            // And the cache under test carried a pending run into later steps.
+            assert_eq!(deferred > 0, expect_streaming, "{name}: {deferred} steps deferred");
         }
     }
 
@@ -1344,8 +1424,9 @@ mod tests {
     fn smoke_shaped_batches_are_priced_in_closed_form() {
         // The serve lane's walk: a pinned weight sweep, then each batch's
         // feature maps continue one ascending stream. Only the very first
-        // page (the cold stream head) may take the per-page path, and a
-        // run writes no more ways than the cache has.
+        // page (the cold stream head) may take the per-page path, no batch
+        // after the first writes a way, and the next reader of the sets
+        // writes no more ways than the cache has, once.
         let cfg = CounterGeometry::tuned()
             .cache_config(96)
             .with_read_only_region(0, 3000 * 4096)
@@ -1355,17 +1436,173 @@ mod tests {
         let mut cursor = 1u64 << 40;
         let mut total = 0;
         take_streamed();
-        for pages in [4849u64, 4849, 607, 2425, 4849, 1213, 1, 1, 4849] {
+        take_ways_written();
+        let batches = [4849u64, 4849, 607, 2425, 4849, 1213, 1, 1, 4849];
+        for (batch, pages) in batches.into_iter().enumerate() {
             cc.access_run(0, 3000);
             per_page(&mut slow, 0, 3000);
             let out = cc.access_run(cursor, pages);
             assert_eq!(out, per_page(&mut slow, cursor, pages));
             cursor += pages * 4096;
             total += pages;
+            let ways = take_ways_written();
+            assert!(batch == 0 || ways == 0, "batch {batch} wrote {ways} ways");
         }
         assert_eq!(take_streamed(), total - 1);
         assert_eq!(cc.stats().prefetch_hits, total - 1);
+        for (probe, addr) in [cursor, cursor + 4096].into_iter().enumerate() {
+            assert_eq!(cc.access(addr), slow.access(addr));
+            let ways = take_ways_written();
+            let bound = (cfg.sets() * cfg.ways) as u64;
+            match probe {
+                0 => assert!((1..=bound).contains(&ways), "{ways} ways written, bound {bound}"),
+                _ => assert_eq!(ways, 0, "the stretch was written out already"),
+            }
+        }
         assert!(state(&cc) == state(&slow));
+    }
+
+    /// A cache and its per-page oracle after the same `pages`-page run
+    /// from `base` on a cold cache: the cache under test holds all but the
+    /// cold first page as a pending stream run.
+    fn pending_pair(
+        cfg: CounterCacheConfig,
+        base: u64,
+        pages: u64,
+    ) -> (CounterCache, CounterCache) {
+        let mut fast = CounterCache::new(cfg).unwrap();
+        let mut slow = CounterCache::new(cfg).unwrap();
+        assert_eq!(fast.access_run(base, pages), per_page(&mut slow, base, pages));
+        assert_eq!(fast.pending.map(|run| run.n), Some(pages - 1));
+        (fast, slow)
+    }
+
+    #[test]
+    fn back_to_back_streams_write_out_as_one_run() {
+        let cfg = CounterGeometry::tuned().cache_config(24);
+        let cov = cfg.coverage_bytes as u64;
+        let base = 1u64 << 30;
+        for runs in [&[500u64][..], &[1, 1, 1], &[7, 300, 1, 450, 48], &[384, 384, 384]] {
+            let total: u64 = runs.iter().sum();
+            let (one, slow) = pending_pair(cfg, base, total);
+            let mut many = CounterCache::new(cfg).unwrap();
+            let mut page = 0;
+            let mut out = RunOutcome::default();
+            for &pages in runs {
+                let run = many.access_run(base + page * cov, pages);
+                out.hits += run.hits;
+                out.misses += run.misses;
+                page += pages;
+            }
+            assert_eq!(out, RunOutcome { hits: total - 1, misses: 1 }, "{runs:?}");
+            assert_eq!(many.pending.map(|run| run.n), Some(total - 1), "{runs:?}: one run");
+            assert!(state(&many) == state(&slow), "{runs:?}");
+            assert!(state(&one) == state(&slow), "{runs:?}");
+        }
+    }
+
+    #[test]
+    fn corrupting_a_pending_run_writes_it_out_first() {
+        let cfg = CounterGeometry::tuned().cache_config(24);
+        let cov = cfg.coverage_bytes as u64;
+        let base = 1u64 << 30;
+        // A run the cache holds whole, and one that evicts its own head.
+        for pages in [300u64, 500] {
+            // The cold first line, the run's head, a line inside the run,
+            // its last demanded line and its prefetched tail.
+            for line in [0, 1, pages / 2, pages - 1, pages] {
+                let (mut fast, mut slow) = pending_pair(cfg, base, pages);
+                let addr = base + line * cov + 8;
+                let resident = fast.corrupt(addr);
+                assert_eq!(resident, slow.corrupt(addr), "{pages} pages, line {line}");
+                assert_eq!(resident, pages == 300 || line > 1, "{pages} pages, line {line}");
+                assert!(fast.pending.is_none(), "{pages} pages, line {line}");
+                assert!(state(&fast) == state(&slow), "{pages} pages, line {line}");
+                // The repair, then the stream moving on.
+                assert_eq!(fast.access(addr), slow.access(addr), "{pages} pages, line {line}");
+                assert_eq!(fast.stats().corruptions_detected, u64::from(resident));
+                let next = base + pages * cov;
+                let out = fast.access_run(next, 100);
+                assert_eq!(out, per_page(&mut slow, next, 100), "{pages} pages, line {line}");
+                assert!(state(&fast) == state(&slow), "{pages} pages, line {line}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pending_run_survives_clone_and_reset_drops_it() {
+        let cfg = CounterGeometry::tuned().cache_config(24);
+        let cov = cfg.coverage_bytes as u64;
+        let base = 1u64 << 30;
+        let next = base + 500 * cov;
+        let (mut fast, mut slow) = pending_pair(cfg, base, 500);
+        let (mut twin, mut slow_twin) = (fast.clone(), slow.clone());
+        assert!(twin.pending.is_some(), "the copy keeps the run pending");
+        // The two copies go their own ways, each against its oracle.
+        assert_eq!(fast.access_run(next, 100), per_page(&mut slow, next, 100));
+        let revisit = base + 260 * cov;
+        assert_eq!(twin.access(revisit), slow_twin.access(revisit));
+        assert!(state(&fast) == state(&slow));
+        assert!(state(&twin) == state(&slow_twin));
+        // A reset drops the run: the cache is a new one again.
+        fast.reset();
+        let mut fresh = CounterCache::new(cfg).unwrap();
+        assert!(fast.pending.is_none() && state(&fast) == state(&fresh));
+        assert_eq!(fast.access_run(next, 100), fresh.access_run(next, 100));
+        assert!(state(&fast) == state(&fresh));
+    }
+
+    #[test]
+    fn a_storm_right_after_a_pending_run_sees_the_written_ways() {
+        let cfg = CounterGeometry::tuned().cache_config(24);
+        let cov = cfg.coverage_bytes as u64;
+        let base = 1u64 << 30;
+        let next = base + 500 * cov;
+        // From the prefetched tail itself, just above it, and further up.
+        for gap in [0u64, 1, 3] {
+            let (mut fast, mut slow) = pending_pair(cfg, base, 500);
+            let mut storm = next + gap * cov;
+            for _ in 0..200 {
+                assert_eq!(fast.access(storm), slow.access(storm), "gap {gap}");
+                storm += 2 * cov;
+            }
+            assert!(state(&fast) == state(&slow), "gap {gap}");
+            // The stream resumes below the storm's debris, page by page.
+            assert_eq!(fast.access_run(next, 100), per_page(&mut slow, next, 100), "gap {gap}");
+            assert!(state(&fast) == state(&slow), "gap {gap}");
+        }
+    }
+
+    #[test]
+    fn a_pending_run_that_ends_at_a_pinned_window() {
+        let region_lines = 64u64;
+        let cov = 4096u64;
+        let window = 1u64 << 34;
+        let cfg = CounterGeometry::tuned()
+            .cache_config(24)
+            .with_read_only_region(window, region_lines * cov)
+            .unwrap();
+        // The run's last demanded page sits 1–3 lines below the window:
+        // one short, its prefetched tail would be the window's first line.
+        for short in 1..=3u64 {
+            let base = window - (499 + short) * cov;
+            let mut fast = CounterCache::new(cfg).unwrap();
+            let mut slow = CounterCache::new(cfg).unwrap();
+            assert_eq!(fast.access_run(base, 500), per_page(&mut slow, base, 500));
+            let pending = fast.pending.is_some();
+            assert_eq!(pending, short > 1, "{short} lines short");
+            // A pinned sweep reads no set, so a run stays pending across it.
+            let out = fast.access_run(window, region_lines);
+            assert_eq!(out, per_page(&mut slow, window, region_lines), "{short} lines short");
+            assert_eq!(fast.pending.is_some(), pending, "{short} lines short");
+            assert!(state(&fast) == state(&slow), "{short} lines short");
+            // Then the stream walks up through the window and out past it.
+            let from = base + 500 * cov;
+            let pages = short - 1 + region_lines + 200;
+            let out = fast.access_run(from, pages);
+            assert_eq!(out, per_page(&mut slow, from, pages), "{short} lines short");
+            assert!(state(&fast) == state(&slow), "{short} lines short");
+        }
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 #![warn(

@@ -29,6 +29,7 @@
 //! so tests and chaos injectors share one protocol implementation.
 
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![deny(unsafe_code)]
 #![warn(
     clippy::unwrap_used,

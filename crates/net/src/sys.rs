@@ -44,7 +44,7 @@ mod c {
         pub data: u64,
     }
 
-    extern "C" {
+    unsafe extern "C" {
         pub(crate) fn socket(domain: c_int, ty: c_int, protocol: c_int) -> c_int;
         pub(crate) fn bind(fd: c_int, addr: *const sockaddr_in, len: socklen_t) -> c_int;
         pub(crate) fn listen(fd: c_int, backlog: c_int) -> c_int;

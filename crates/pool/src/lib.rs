@@ -57,6 +57,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![warn(missing_debug_implementations)]
 #![allow(
     clippy::disallowed_methods,

@@ -32,12 +32,15 @@
 //! maps stay cold but engage the next-line prefetcher so their counter
 //! fetches overlap the data fetches instead of stalling them.
 //!
-//! Host cost per lane and batch: the pinned weight sweep is O(1), and
-//! the feature-map walk is O(min(pages, cache lines)) — each batch's
-//! pages continue one fresh ascending stream, which `access_run` prices
-//! in closed form — so pricing a batch does not grow with its traffic.
-//! An injected miss storm lands above the stream and sends that lane's
-//! later walks back to the per-page loop (same results, chaos runs only).
+//! Host cost per lane and batch: O(1) in steady state. The pinned weight
+//! sweep is O(1), and each batch's feature-map pages continue one fresh
+//! ascending stream, which `access_run` prices in O(1) and extends from
+//! batch to batch without writing the cache's ways — nothing reads them
+//! before the next batch's stream — so pricing a batch grows neither with
+//! its traffic nor with the cache size. The first batch pays one per-page
+//! miss for the cold stream head. An injected miss storm writes the
+//! pending stream out, lands above it, and sends that lane's later walks
+//! back to the per-page loop (same results, chaos runs only).
 
 use seal_crypto::{
     Aes128, CounterCache, CryptoError, CtrCipher, EnginePipeline, EngineSpec,
@@ -587,8 +590,9 @@ impl SchemeLane {
     /// batched [`access_run`] over stable addresses (pinned read-only
     /// under the tuned geometry — warm after batch 1), feature-map pages
     /// stream through fresh addresses (cold, but the prefetcher runs
-    /// ahead of them, and the same call prices the whole stream without
-    /// visiting its pages). Returns the demand-miss count.
+    /// ahead of them, and the same call prices the whole stream in O(1),
+    /// without visiting its pages or writing the cache's ways). Returns
+    /// the demand-miss count.
     ///
     /// [`access_run`]: CounterCache::access_run
     fn walk_counters(&mut self, batch: u64) -> u64 {

@@ -58,6 +58,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![warn(
     clippy::unwrap_used,
     clippy::expect_used,

@@ -34,6 +34,7 @@
 //! [`seal-nn`]: https://example.com/seal
 
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![warn(missing_debug_implementations)]
 #![warn(
     clippy::unwrap_used,

@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![warn(missing_unsafe_on_extern)]
 #![forbid(unsafe_code)]
 #![warn(
     clippy::unwrap_used,
