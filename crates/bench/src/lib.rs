@@ -75,63 +75,6 @@ impl Display for RunMode {
     }
 }
 
-/// Minimal wall-clock micro-benchmark harness.
-///
-/// Replaces the external Criterion dependency so `cargo bench` works in
-/// a hermetic build: each measurement warms the code path up, then runs
-/// batches until a fixed time budget is spent and reports the median
-/// batch time per iteration.
-pub mod timing {
-    use std::time::{Duration, Instant};
-
-    /// Measures `f` and returns nanoseconds per iteration (median over
-    /// timed batches after warm-up).
-    pub fn measure_ns<R>(mut f: impl FnMut() -> R) -> f64 {
-        // Warm up for ~20 ms so first-touch and cache effects settle.
-        let warm_until = Instant::now() + Duration::from_millis(20);
-        while Instant::now() < warm_until {
-            std::hint::black_box(f());
-        }
-        // Size batches to ~5 ms each and collect ~40 of them.
-        let t0 = Instant::now();
-        std::hint::black_box(f());
-        let one = t0.elapsed().as_nanos().max(1) as u64;
-        let iters_per_batch = (5_000_000 / one).clamp(1, 1_000_000);
-        let mut samples: Vec<f64> = Vec::with_capacity(40);
-        for _ in 0..40 {
-            let start = Instant::now();
-            for _ in 0..iters_per_batch {
-                std::hint::black_box(f());
-            }
-            samples.push(start.elapsed().as_nanos() as f64 / iters_per_batch as f64);
-        }
-        samples.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        samples[samples.len() / 2]
-    }
-
-    /// Runs one named benchmark and prints `ns/iter`.
-    pub fn bench<R>(label: &str, f: impl FnMut() -> R) {
-        let ns = measure_ns(f);
-        println!("{label:<40} {ns:>12.1} ns/iter");
-    }
-
-    /// Runs one named benchmark that processes `bytes` per iteration and
-    /// prints both `ns/iter` and MiB/s.
-    pub fn bench_bytes<R>(label: &str, bytes: u64, f: impl FnMut() -> R) {
-        let ns = measure_ns(f);
-        let mib_s = bytes as f64 / (ns / 1e9) / (1024.0 * 1024.0);
-        println!("{label:<40} {ns:>12.1} ns/iter {mib_s:>12.1} MiB/s");
-    }
-
-    /// Runs one named benchmark that processes `elems` items per
-    /// iteration and prints both `ns/iter` and Melem/s.
-    pub fn bench_elems<R>(label: &str, elems: u64, f: impl FnMut() -> R) {
-        let ns = measure_ns(f);
-        let melem_s = elems as f64 / (ns / 1e9) / 1e6;
-        println!("{label:<40} {ns:>12.1} ns/iter {melem_s:>12.2} Melem/s");
-    }
-}
-
 /// Prints a figure/table banner.
 pub fn banner(title: &str, mode: RunMode) {
     println!();

@@ -66,7 +66,7 @@ pub use layer::{KernelMatrix, Layer, LayerKind, Param};
 pub use loss::SoftmaxCrossEntropy;
 pub use model::Sequential;
 pub use optim::{Adam, Optimizer, Sgd};
-pub use plan::{forward_reference, CompiledModel, PlanOptions};
+pub use plan::{CompiledModel, PlanOptions};
 pub use serialize::{load_weights, save_weights};
 pub use shape_check::{check_model, ShapeMismatch, ShapeReport, ShapeStep};
 pub use topo::{DType, LayerRole, LayerTopo, NetworkTopology};

@@ -38,11 +38,10 @@ use crate::layers::{
 use crate::shape_check::check_model;
 use crate::{Layer, NnError, Sequential};
 use seal_tensor::ops::{
-    avg_pool2d_into, conv2d_infer_fused, conv2d_reference, dequantize_bias_relu,
-    dequantize_transpose_bias_relu, gemm_i8, gemm_i8_conv, gemm_prepacked, kernel_mode,
-    max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8, BatchNormParams, Conv2dGeometry,
-    ConvEpilogue, ConvPlanDims, Im2colGather, ImplicitConv, KernelMode, NhwcImage, PackedB,
-    PackedBI8, PoolGeometry, Requantize, PATCH_SLACK,
+    avg_pool2d_into, conv2d_infer_fused, dequantize_bias_relu, dequantize_transpose_bias_relu,
+    gemm_i8, gemm_i8_conv, gemm_prepacked, kernel_mode, max_pool2d_into, quantize_nhwc_u8,
+    quantize_rows_u8, BatchNormParams, Conv2dGeometry, ConvEpilogue, ConvPlanDims, Im2colGather,
+    ImplicitConv, KernelMode, NhwcImage, PackedB, PackedBI8, PoolGeometry, Requantize, PATCH_SLACK,
 };
 use seal_tensor::{Shape, Tensor, ELEMWISE_CHUNK};
 
@@ -1334,50 +1333,6 @@ fn quant_sizes(steps: &[Step], max_batch: usize, sz: &mut QuantSizes) {
     }
 }
 
-/// Reference forward pass: every convolution runs through the direct
-/// 7-loop [`conv2d_reference`] kernel (recursing into residual branches),
-/// everything else through `forward_infer`. This is the "naive" baseline
-/// of the inference benchmarks and an implementation-independent check
-/// for the folded/fused plans.
-///
-/// # Errors
-///
-/// Propagates layer/tensor errors from the underlying kernels.
-pub fn forward_reference(model: &Sequential, input: &Tensor) -> Result<Tensor, NnError> {
-    run_reference(model.layers(), input.clone())
-}
-
-fn run_reference(layers: &[Box<dyn Layer>], input: Tensor) -> Result<Tensor, NnError> {
-    let mut cur = input;
-    for layer in layers {
-        cur = reference_layer(layer.as_ref(), &cur)?;
-    }
-    Ok(cur)
-}
-
-fn reference_layer(layer: &dyn Layer, x: &Tensor) -> Result<Tensor, NnError> {
-    if let Some(any) = layer.as_any() {
-        if let Some(conv) = any.downcast_ref::<Conv2d>() {
-            return Ok(conv2d_reference(
-                x,
-                &conv.weights().value,
-                Some(&conv.bias().value),
-                conv.geometry(),
-            )?);
-        }
-        if let Some(res) = any.downcast_ref::<ResidualBlock>() {
-            let f = run_reference(res.main_branch(), x.clone())?;
-            let s = if res.shortcut_branch().is_empty() {
-                x.clone()
-            } else {
-                run_reference(res.shortcut_branch(), x.clone())?
-            };
-            return Ok(f.add(&s)?.map(|v| v.max(0.0)));
-        }
-    }
-    layer.forward_infer(x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1605,23 +1560,5 @@ mod tests {
             1.0,
         );
         assert_eq!(plan.classify(&x).unwrap(), model.predict(&x).unwrap());
-    }
-
-    #[test]
-    fn reference_forward_agrees_with_infer_to_tolerance() {
-        let mut rng = StdRng::seed_from_u64(25);
-        let cfg = VggConfig::reduced();
-        let model = vgg16(&mut rng, &cfg).unwrap();
-        let x = uniform(
-            &mut rng,
-            Shape::nchw(1, cfg.input_channels, cfg.input_hw, cfg.input_hw),
-            -1.0,
-            1.0,
-        );
-        let a = forward_reference(&model, &x).unwrap();
-        let b = model.forward_infer(&x).unwrap();
-        for (p, r) in a.as_slice().iter().zip(b.as_slice()) {
-            assert!((p - r).abs() <= 1e-4 * r.abs().max(1.0));
-        }
     }
 }

@@ -19,11 +19,11 @@
 //!
 //! Rendering uses the workspace's hand-rolled JSON writer (no serde).
 
-use std::io::Write as _;
 use std::path::Path;
 
-use crate::netload::{DrainLoadReport, NetLoadReport};
+use crate::netload::{DrainLoadReport, NetLoadReport, TenantLoad};
 use crate::netserve::{NetStats, CHAOS_PIPELINE_STRIKES};
+use crate::report::{latency_json, write_json};
 
 /// One phase: the client-side load report and the server's shutdown stats.
 #[derive(Debug)]
@@ -390,11 +390,7 @@ impl NetSmoke {
     ///
     /// Propagates filesystem errors.
     pub fn write(&self, path: &Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(self.to_json().as_bytes())
+        write_json(path, &self.to_json())
     }
 }
 
@@ -452,31 +448,30 @@ fn phase_json(phase: &NetPhase, indent: &str) -> String {
     out.push_str(&format!("{indent}  \"tenants\": [\n"));
     let n = phase.load.per_tenant.len();
     for (i, t) in phase.load.per_tenant.iter().enumerate() {
-        out.push_str(&format!(
-            "{indent}    {{ \"tenant\": {}, \"weight\": {}, \"assigned\": {}, \"completed\": {}, \
-             \"retries\": {}, \"dropped_queue_full\": {}, \"breaker_rejected\": {}, \"shed\": {}, \
-             \"abandoned\": {}, \"latency_us\": {{ \"count\": {}, \"p50\": {}, \"p95\": {}, \
-             \"p99\": {}, \"mean\": {}, \"max\": {} }} }}{}",
-            t.tenant,
-            t.weight,
-            t.assigned,
-            t.completed,
-            t.retries,
-            t.dropped_queue_full,
-            t.breaker_rejected,
-            t.shed,
-            t.abandoned,
-            t.latency.len(),
-            t.latency.p50(),
-            t.latency.p95(),
-            t.latency.p99(),
-            t.latency.mean(),
-            t.latency.max(),
-            if i + 1 < n { ",\n" } else { "\n" }
-        ));
+        out.push_str(&tenant_json(t, &format!("{indent}    ")));
+        out.push_str(if i + 1 < n { ",\n" } else { "\n" });
     }
     out.push_str(&format!("{indent}  ]\n{indent}}}"));
     out
+}
+
+/// Renders one tenant's client-side ledger as a single-line JSON object.
+fn tenant_json(t: &TenantLoad, indent: &str) -> String {
+    format!(
+        "{indent}{{ \"tenant\": {}, \"weight\": {}, \"assigned\": {}, \"completed\": {}, \
+         \"retries\": {}, \"dropped_queue_full\": {}, \"breaker_rejected\": {}, \"shed\": {}, \
+         \"abandoned\": {}, \"latency_us\": {} }}",
+        t.tenant,
+        t.weight,
+        t.assigned,
+        t.completed,
+        t.retries,
+        t.dropped_queue_full,
+        t.breaker_rejected,
+        t.shed,
+        t.abandoned,
+        latency_json(&t.latency),
+    )
 }
 
 /// Renders one eight-class fault ledger as a flat JSON object.
@@ -681,6 +676,36 @@ mod tests {
             .violations()
             .iter()
             .any(|v| v.contains("drain signatures differ")));
+    }
+
+    /// One tenant row, byte for byte: the artifact's format is what
+    /// downstream readers of `serve_net.json` parse.
+    #[test]
+    fn tenant_row_renders_byte_identically() {
+        let mut latency = crate::metrics::LatencyHistogram::new();
+        for us in [5, 7, 9, 40] {
+            latency.record(us);
+        }
+        let row = TenantLoad {
+            tenant: 3,
+            weight: 2,
+            assigned: 9,
+            completed: 4,
+            retries: 1,
+            dropped_queue_full: 0,
+            breaker_rejected: 0,
+            shed: 2,
+            other_rejected: 0,
+            abandoned: 1,
+            latency,
+        };
+        assert_eq!(
+            tenant_json(&row, "    "),
+            "    { \"tenant\": 3, \"weight\": 2, \"assigned\": 9, \"completed\": 4, \
+             \"retries\": 1, \"dropped_queue_full\": 0, \"breaker_rejected\": 0, \"shed\": 2, \
+             \"abandoned\": 1, \"latency_us\": { \"count\": 4, \"p50\": 7, \"p95\": 40, \
+             \"p99\": 40, \"mean\": 15, \"max\": 40 } }"
+        );
     }
 
     /// Also: rendering only reads the stats — the written file, a

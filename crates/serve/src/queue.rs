@@ -2,9 +2,9 @@
 //!
 //! [`BoundedQueue`] is a one-lane facade over [`FairQueue`], the queue
 //! both servers run on. It exists only because `benchmark/src/serve.rs`
-//! and `crates/bench/benches/serve.rs` construct one to time a push/pop
-//! round (`serve.queue_push_pop_us`, which therefore measures the code
-//! the server executes); ROADMAP item 8's ruler re-cut deletes it.
+//! constructs one to time a push/pop round (`serve.queue_push_pop_us`,
+//! which therefore measures the code the server executes); ROADMAP item
+//! 9's ruler re-cut deletes it.
 
 use std::time::Duration;
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The full gate: hermetic build, the whole workspace's tests (seal-analyze's
-# call-graph passes among them), the lint fixtures, figure diffs, benches,
-# smokes and clippy.
+# call-graph passes among them), the ruler's tests, the lint fixtures,
+# figure diffs, the serving smokes and clippy.
 #
 # Usage:
 #   scripts/check.sh
@@ -61,30 +61,6 @@ for fig in $FIGS; do
     fi
 done
 echo "check: $FIGS byte-identical  ok"
-
-# Inference-plan perf trajectory: naive vs blocked vs compiled-plan
-# timings on the reduced VGG-16 into results/BENCH_infer.json. The
-# target is planned >= 1.3x blocked at batch 32; timings are recorded,
-# not gated, so a loaded CI host cannot flake the build.
-echo "==> bench_infer (results/BENCH_infer.json)"
-scripts/bench_infer.sh
-
-# Quantized-inference trajectory: int8 GEMM vs f32 blocked GEMM per
-# kernel mode plus the int8-vs-f32 lane economics, into
-# results/BENCH_quant.json. Unlike bench_infer this one *is* gated:
-# best int8 GEMM >= 2x f32 blocked, every encrypting lane < 1/3 of its
-# f32 encrypted bytes. The ratio is machine-relative (same host, same
-# core count on both sides), so it cannot flake on a loaded CI box the
-# way an absolute GFLOP/s floor would.
-echo "==> bench_quant (results/BENCH_quant.json)"
-scripts/bench_quant.sh
-
-# Counter-locality trajectory: the batched read-only weight walk vs the
-# per-page LRU probe, and the classic-vs-tuned geometry lane comparison,
-# into results/BENCH_counter.json. Gated: the tuned Counter lane must
-# hit > 0.5 and land strictly below the pre-overhaul 4.2x slowdown.
-echo "==> bench_counter (results/BENCH_counter.json)"
-scripts/bench_counter.sh
 
 # Serving smoke run: ~100 closed-loop requests against the reduced
 # VGG-16; the binary exits non-zero if latency percentiles are

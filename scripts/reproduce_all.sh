@@ -20,25 +20,6 @@ for bin in $BINS; do
     cargo run --release -p seal-bench --bin "$bin" -- $MODE 2>/dev/null | tee "results/$bin.txt"
 done
 
-# Inference-plan trajectory (naive / blocked / planned / planned+fused
-# timings; check.sh already wrote results/BENCH_infer.json, regenerated
-# here so a --full reproduction reflects this machine's final numbers).
-echo "==> bench_infer $MODE"
-scripts/bench_infer.sh
-
-# Quantized-inference trajectory (f32 vs per-mode int8 GEMM and the
-# int8 lane repricing; check.sh already gated and wrote
-# results/BENCH_quant.json, regenerated here for the same reason as
-# bench_infer).
-echo "==> bench_quant"
-scripts/bench_quant.sh
-
-# Counter-locality trajectory (batched pinned walk vs per-page probe,
-# classic vs tuned lane geometry; check.sh already gated and wrote
-# results/BENCH_counter.json, regenerated here for the same reason).
-echo "==> bench_counter"
-scripts/bench_counter.sh
-
 # The serving view of the SE ratio: one open-loop run whose per-scheme
 # throughput columns land in results/serve_open.json (check.sh already
 # produced results/serve_smoke.json from the closed-loop preset, and
@@ -50,12 +31,15 @@ else
     cargo run --release -q -p seal-serve -- --mode open --requests 100 --rate 400 --out results/serve_open.json
 fi
 
-# The network-serving view: weighted-fair multi-tenant TCP serving
-# under the deterministic Pareto loadgen plus the seeded network-fault
-# chaos replay, into results/BENCH_serve_net.json (check.sh already
-# wrote results/serve_net.json from the same gate at smoke scale).
-echo "==> bench_serve_net $MODE"
-scripts/bench_serve_net.sh $MODE
+# The network-serving view: weighted-fair multi-tenant TCP serving under
+# the deterministic Pareto loadgen, the seeded network-fault chaos replay
+# and the graceful-drain phases. check.sh already wrote
+# results/serve_net.json at smoke scale (100,000 users, 2,000 requests);
+# a --full reproduction reruns it at 300,000 users and 5,000 requests.
+if [ "$MODE" = "--full" ]; then
+    echo "==> seal-serve --net-smoke (300,000 users)"
+    cargo run --release -q -p seal-serve -- --net-smoke --users 300000 --net-requests 5000 --out results/serve_net.json
+fi
 
 echo
 echo "All outputs written to results/. Compare against EXPERIMENTS.md."
