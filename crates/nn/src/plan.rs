@@ -371,9 +371,9 @@ impl CompiledModel {
             quant: QuantScratch {
                 u8_live: vec![128u8; qs.u8_slot], // compile-time, reused in steady state
                 u8_next: vec![128u8; qs.u8_slot], // compile-time, reused in steady state
-                scales: vec![0.0f32; qs.scales], // compile-time, reused in steady state
-                acc: vec![0i32; qs.acc], // compile-time, reused in steady state
-                stage: vec![0.0f32; qs.stage], // compile-time, reused in steady state
+                scales: vec![0.0f32; qs.scales],  // compile-time, reused in steady state
+                acc: vec![0i32; qs.acc],          // compile-time, reused in steady state
+                stage: vec![0.0f32; qs.stage],    // compile-time, reused in steady state
             },
         })
     }
@@ -824,7 +824,7 @@ fn compile_layers(
                 gather: None,
                 dims,
                 weights: conv.weights().value.as_slice().to_vec(), // off the steady-state path
-                bias: conv.bias().value.as_slice().to_vec(), // off the steady-state path
+                bias: conv.bias().value.as_slice().to_vec(),       // off the steady-state path
                 bn: None,
                 relu: false,
                 pool: None,
@@ -841,8 +841,8 @@ fn compile_layers(
             Step::BatchNorm {
                 bn: BnConsts {
                     gamma: bn.gamma().value.as_slice().to_vec(), // off the steady-state path
-                    beta: bn.beta().value.as_slice().to_vec(), // off the steady-state path
-                    mean: bn.running_mean().to_vec(), // off the steady-state path
+                    beta: bn.beta().value.as_slice().to_vec(),   // off the steady-state path
+                    mean: bn.running_mean().to_vec(),            // off the steady-state path
                     // The exact expression `forward_infer` evaluates,
                     // snapshotted once at compile time.
                     inv_std: bn
@@ -1351,8 +1351,7 @@ mod tests {
         let cfg = VggConfig::reduced();
         let model = vgg16(&mut rng, &cfg).unwrap();
         let input = Shape::nchw(1, cfg.input_channels, cfg.input_hw, cfg.input_hw);
-        let mut plan =
-            CompiledModel::compile(&model, &input, 4, PlanOptions::default()).unwrap();
+        let mut plan = CompiledModel::compile(&model, &input, 4, PlanOptions::default()).unwrap();
         for n in [1usize, 3, 4] {
             let x = uniform(
                 &mut rng,
@@ -1432,7 +1431,9 @@ mod tests {
             .with(bn("b4", 4))
             .with(conv(&mut rng, "c5", 4, 4))
             .with(Box::new(Flatten::new("flat")))
-            .with(Box::new(Linear::new(&mut rng, "fc", 4 * 2 * 2, 10).unwrap()));
+            .with(Box::new(
+                Linear::new(&mut rng, "fc", 4 * 2 * 2, 10).unwrap(),
+            ));
         // Train-mode passes move the running statistics off (0, 1); then
         // scatter γ and β.
         for _ in 0..3 {
@@ -1528,8 +1529,7 @@ mod tests {
         let cfg = VggConfig::reduced();
         let model = vgg16(&mut rng, &cfg).unwrap();
         let input = Shape::nchw(1, cfg.input_channels, cfg.input_hw, cfg.input_hw);
-        let mut plan =
-            CompiledModel::compile(&model, &input, 2, PlanOptions::default()).unwrap();
+        let mut plan = CompiledModel::compile(&model, &input, 2, PlanOptions::default()).unwrap();
         let too_big = Tensor::zeros(Shape::nchw(
             3,
             cfg.input_channels,
@@ -1551,8 +1551,7 @@ mod tests {
         let cfg = VggConfig::reduced();
         let model = vgg16(&mut rng, &cfg).unwrap();
         let input = Shape::nchw(1, cfg.input_channels, cfg.input_hw, cfg.input_hw);
-        let mut plan =
-            CompiledModel::compile(&model, &input, 2, PlanOptions::default()).unwrap();
+        let mut plan = CompiledModel::compile(&model, &input, 2, PlanOptions::default()).unwrap();
         let x = uniform(
             &mut rng,
             Shape::nchw(2, cfg.input_channels, cfg.input_hw, cfg.input_hw),

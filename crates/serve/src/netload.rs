@@ -344,7 +344,8 @@ pub fn run_tcp(
         Some(faults) => Some(FaultPlan::new(cfg.fault_seed, faults)?),
         None => None,
     };
-    let schedule = ArrivalSchedule::pareto(cfg.seed, cfg.users as usize, cfg.mean_gap_us, cfg.alpha);
+    let schedule =
+        ArrivalSchedule::pareto(cfg.seed, cfg.users as usize, cfg.mean_gap_us, cfg.alpha);
     let assignment = assign_tenants(cfg.seed, cfg.users, weights);
     let started = Instant::now();
     let ctx = LoadCtx {
@@ -392,7 +393,11 @@ pub fn run_tcp(
     if plan.is_some() {
         let mut settle = FrameClient::connect(port, cfg.read_timeout)?;
         for (i, &(tenant, _)) in weights.iter().enumerate() {
-            settle.send(&Frame::request(tenant, i as u64, 1u64.to_le_bytes().to_vec()))?;
+            settle.send(&Frame::request(
+                tenant,
+                i as u64,
+                1u64.to_le_bytes().to_vec(),
+            ))?;
             if settle.recv()?.kind == FrameKind::Response {
                 settle_completed += 1;
             }
@@ -495,7 +500,9 @@ fn realize_fault(
         NetFault::MalformedFrame => {
             // Bad magic: the reactor must type it as a protocol error and
             // close; nothing useful can come back.
-            conn.send_raw(&[0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0])?;
+            conn.send_raw(&[
+                0xDE, 0xAD, 0xBE, 0xEF, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+            ])?;
             let _ = conn.recv(); // server closes; Closed (or raced reject)
             local.realized.malformed += 1;
         }
@@ -563,8 +570,12 @@ fn realize_fault(
             let mut burst = Vec::with_capacity(ABUSE_BURST * (valid.len() + 8));
             for k in 0..ABUSE_BURST {
                 burst.extend_from_slice(
-                    &Frame::request(ctx.weights[tenant_idx].0, k as u64, seq.to_le_bytes().to_vec())
-                        .encode(),
+                    &Frame::request(
+                        ctx.weights[tenant_idx].0,
+                        k as u64,
+                        seq.to_le_bytes().to_vec(),
+                    )
+                    .encode(),
                 );
             }
             probe.send_raw(&burst)?;
@@ -779,7 +790,9 @@ pub fn run_drain(
         clients: cfg.clients as u64,
         pre_requests: cfg.pre_requests,
         post_requests: cfg.post_requests,
-        planned_disconnects: plan.planned_net_faults(cfg.clients as u64).drain_disconnects,
+        planned_disconnects: plan
+            .planned_net_faults(cfg.clients as u64)
+            .drain_disconnects,
         ..DrainLoadReport::default()
     };
     for local in locals {
@@ -809,7 +822,11 @@ fn drain_client(
     for k in 0..cfg.pre_requests {
         let tenant_idx = (client + k as usize) % weights.len();
         let user = (client as u64) << 32 | k;
-        conn.send(&Frame::request(weights[tenant_idx].0, k, user.to_le_bytes().to_vec()))?;
+        conn.send(&Frame::request(
+            weights[tenant_idx].0,
+            k,
+            user.to_le_bytes().to_vec(),
+        ))?;
         let reply = conn.recv()?;
         if reply.kind == FrameKind::Response && reply.seq == k {
             report.pre_completed += 1;
@@ -847,7 +864,11 @@ fn drain_client(
                 let tenant_idx = (client + k as usize) % weights.len();
                 let seq = 1_000 + k;
                 let user = (client as u64) << 32 | k;
-                conn.send(&Frame::request(weights[tenant_idx].0, seq, user.to_le_bytes().to_vec()))?;
+                conn.send(&Frame::request(
+                    weights[tenant_idx].0,
+                    seq,
+                    user.to_le_bytes().to_vec(),
+                ))?;
                 let reply = conn.recv()?;
                 let code = parse_reject(&reply.payload).map(|(c, _)| c);
                 if reply.kind == FrameKind::Reject && code == Some(REJECT_DRAINED) {
@@ -889,7 +910,10 @@ mod tests {
         let weights = server.registry().weights();
         let cfg = NetLoadConfig::chaos(400, 5, 77);
         let report = run_tcp(server.port(), &weights, &cfg).unwrap();
-        assert_eq!(report.realized, report.planned, "every planned fault on the wire");
+        assert_eq!(
+            report.realized, report.planned,
+            "every planned fault on the wire"
+        );
         let faults = report.planned.total();
         assert!(faults > 0, "net_smoke rates must fire within 400 slots");
         assert_eq!(report.total_completed() + faults, 400);
@@ -915,7 +939,10 @@ mod tests {
         let abandoned_served = report.planned.disconnects
             + report.planned.slow_reader * SLOW_READER_REQUESTS
             + report.planned.pipeline_abuse * CHAOS_MAX_PIPELINE as u64;
-        assert_eq!(served, report.total_completed() + abandoned_served + report.settle_completed);
+        assert_eq!(
+            served,
+            report.total_completed() + abandoned_served + report.settle_completed
+        );
         assert_eq!(stats.drained, 0);
     }
 
@@ -925,7 +952,8 @@ mod tests {
         for _ in 0..2 {
             let server = NetServer::start(NetServerConfig::chaos_smoke(2)).unwrap();
             let weights = server.registry().weights();
-            let report = run_tcp(server.port(), &weights, &NetLoadConfig::chaos(200, 9, 13)).unwrap();
+            let report =
+                run_tcp(server.port(), &weights, &NetLoadConfig::chaos(200, 9, 13)).unwrap();
             signatures.push(report.deterministic_signature());
             server.shutdown().unwrap();
         }
@@ -967,7 +995,10 @@ mod tests {
         // send (including each vanished client's final request) is a
         // typed drain reject; everything pre-drain completed.
         let rejected_drain: u64 = stats.tenants.iter().map(|t| t.5).sum();
-        assert_eq!(rejected_drain, report.post_rejected + report.realized_disconnects);
+        assert_eq!(
+            rejected_drain,
+            report.post_rejected + report.realized_disconnects
+        );
         let served: u64 = stats.tenants.iter().map(|t| t.1).sum();
         assert_eq!(served, report.pre_completed);
         assert_eq!(stats.drained, 0);

@@ -142,8 +142,10 @@ mod tests {
         let q = Arc::new(BoundedQueue::<u32>::new(4));
         let consumer = {
             let q = Arc::clone(&q);
-            seal_pool::spawn_worker("test-consumer", move || q.pop_batch(1, Duration::from_secs(5)))
-                .unwrap()
+            seal_pool::spawn_worker("test-consumer", move || {
+                q.pop_batch(1, Duration::from_secs(5))
+            })
+            .unwrap()
         };
         std::thread::sleep(Duration::from_millis(10));
         q.close();

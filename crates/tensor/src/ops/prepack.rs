@@ -386,7 +386,7 @@ mod tests {
             return;
         }
         let mut rng = StdRng::seed_from_u64(19);
-        let a = crate::uniform(&mut rng, Shape::matrix(37, 200, ), -1.0, 1.0);
+        let a = crate::uniform(&mut rng, Shape::matrix(37, 200), -1.0, 1.0);
         let b = crate::uniform(&mut rng, Shape::matrix(200, 41), -1.0, 1.0);
         let pb = PackedB::pack(&b).unwrap();
         let packed = matmul_prepacked(&a, &pb).unwrap();

@@ -524,7 +524,11 @@ fn gemm_i8_rows<R: QuadRows>(
     mode: KernelMode,
 ) {
     let runs = rows.runs();
-    assert_eq!(runs.count * runs.quads, pack.kq, "gemm_i8: A rows do not match the pack");
+    assert_eq!(
+        runs.count * runs.quads,
+        pack.kq,
+        "gemm_i8: A rows do not match the pack"
+    );
     match i8_kernel(mode) {
         I8Kernel::Scalar => row_blocks(pack, out, m, |r0, nr, o| {
             scalar_strips(a, rows, pack, o, r0, nr)
@@ -682,7 +686,8 @@ unsafe fn consume_avx2<R: QuadRows>(
                 for r in 0..runs.count {
                     let ap = wide.as_ptr().add(base + r * runs.stride);
                     for t in 0..runs.quads {
-                        let va = _mm256_set1_epi64x((ap.add(t * QK) as *const i64).read_unaligned());
+                        let va =
+                            _mm256_set1_epi64x((ap.add(t * QK) as *const i64).read_unaligned());
                         for (h, acc_h) in acc.iter_mut().enumerate() {
                             let bh = _mm256_cvtepi8_epi16(_mm_loadu_si128(
                                 g.add(h * QNR) as *const __m128i
@@ -863,14 +868,21 @@ pub fn dequantize_bias_relu(
     n: usize,
     relu: bool,
 ) {
-    assert!(acc.len() >= m * n && out.len() >= m * n, "dequantize: short buffers");
+    assert!(
+        acc.len() >= m * n && out.len() >= m * n,
+        "dequantize: short buffers"
+    );
     assert!(b_scales.len() >= n, "dequantize: missing channel scales");
     assert!(
         a_scales.len() >= m || a_scales.len() == 1,
         "dequantize: need 1 or m activation scales"
     );
     for i in 0..m {
-        let sa = if a_scales.len() == 1 { a_scales[0] } else { a_scales[i] };
+        let sa = if a_scales.len() == 1 {
+            a_scales[0]
+        } else {
+            a_scales[i]
+        };
         for j in 0..n {
             let mut v = acc[i * n + j] as f32 * (sa * b_scales[j]);
             if let Some(b) = bias {
@@ -898,8 +910,14 @@ pub fn dequantize_transpose_bias_relu(
     c_out: usize,
     relu: bool,
 ) {
-    assert!(acc.len() >= s * c_out && out.len() >= s * c_out, "dequantize_t: short buffers");
-    assert!(w_scales.len() >= c_out, "dequantize_t: missing channel scales");
+    assert!(
+        acc.len() >= s * c_out && out.len() >= s * c_out,
+        "dequantize_t: short buffers"
+    );
+    assert!(
+        w_scales.len() >= c_out,
+        "dequantize_t: missing channel scales"
+    );
     for c in 0..c_out {
         let sc = a_scale * w_scales[c];
         let b = bias.map_or(0.0, |b| b[c]);
@@ -950,12 +968,12 @@ impl PatchGather {
                 let ci = q / (k * k);
                 let iy = (oy * stride + ky) as isize - pad as isize;
                 let ix = (ox * stride + kx) as isize - pad as isize;
-                offsets[p * kdim + q] =
-                    if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                        (ci * h * w + iy as usize * w + ix as usize) as i32
-                    } else {
-                        -1
-                    };
+                offsets[p * kdim + q] = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize
+                {
+                    (ci * h * w + iy as usize * w + ix as usize) as i32
+                } else {
+                    -1
+                };
             }
         }
         PatchGather { offsets, s, kdim }
@@ -1547,7 +1565,11 @@ mod tests {
                     .iter()
                     .zip(reference.as_slice())
                     .all(|(x, y)| x.to_bits() == y.to_bits());
-                assert!(same, "{} != reference (bitwise) for {m}x{k}x{n}", mode.name());
+                assert!(
+                    same,
+                    "{} != reference (bitwise) for {m}x{k}x{n}",
+                    mode.name()
+                );
             }
             reset_kernel_mode();
         }
@@ -1618,7 +1640,10 @@ mod tests {
         let mut out = vec![0u8; quantized_row_len(4)];
         let mut scales = [0.0f32];
         quantize_rows_u8(&[-3.0, 3.0, -1.5, 0.1], 1, 4, &mut out, &mut scales);
-        assert!(out.iter().all(|&v| v >= 1), "offset-binary 0 would mean q = -128");
+        assert!(
+            out.iter().all(|&v| v >= 1),
+            "offset-binary 0 would mean q = -128"
+        );
         assert_eq!(out[0], 1); // -127 + 128
     }
 
@@ -1638,14 +1663,19 @@ mod tests {
         let k = 4099usize;
         let a = Tensor::from_vec(vec![1.0f32; k], Shape::matrix(1, k)).unwrap();
         let b = Tensor::from_vec(
-            (0..k).map(|i| if i % 2 == 0 { 1.0 } else { -1.0 }).collect(),
+            (0..k)
+                .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
+                .collect(),
             Shape::matrix(k, 1),
         )
         .unwrap();
         let out = matmul_i8(&a, &b).unwrap();
         assert!((out.as_slice()[0] - 1.0).abs() < 1e-3);
         let reference = matmul_i8_reference(&a, &b).unwrap();
-        assert_eq!(out.as_slice()[0].to_bits(), reference.as_slice()[0].to_bits());
+        assert_eq!(
+            out.as_slice()[0].to_bits(),
+            reference.as_slice()[0].to_bits()
+        );
         // Over-limit depth is a typed error, not silent wraparound.
         let big = MAX_QGEMM_K + 1;
         let a = Tensor::zeros(Shape::matrix(1, big));

@@ -362,7 +362,11 @@ fn planned_conv_matches_conv2d_across_kernels_strides_paddings_and_strip_alignme
     let mut rng = StdRng::seed_from_u64(0xC1);
     let pools: Vec<Pool> = [1usize, 2, 7].into_iter().map(Pool::new).collect();
     // `c_in` 6 under a 5×5 kernel crosses a k-panel (kdim 150 > KC).
-    let (c_outs, c_ins, ohs) = ([1usize, 5, 6, 7, 48], [1usize, 3, 2, 6], [1usize, 3, 2, 6, 4]);
+    let (c_outs, c_ins, ohs) = (
+        [1usize, 5, 6, 7, 48],
+        [1usize, 3, 2, 6],
+        [1usize, 3, 2, 6, 4],
+    );
     let mut shapes = 0usize;
     for kernel in [1usize, 3, 5] {
         for stride in [1usize, 2] {
@@ -402,7 +406,10 @@ fn planned_conv_matches_conv2d_across_kernels_strides_paddings_and_strip_alignme
     }
     // 180 combinations less those whose output side has no input side: a
     // 1×1 kernel cannot see past padding it does not need.
-    assert!(shapes >= 120, "geometry filter dropped planned shapes: {shapes}");
+    assert!(
+        shapes >= 120,
+        "geometry filter dropped planned shapes: {shapes}"
+    );
 }
 
 /// The plan's compile path on maps narrower than the kernel's reach —
