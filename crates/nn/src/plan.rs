@@ -342,7 +342,7 @@ impl CompiledModel {
             // scales see the batch-norm-scaled weights (linear layers are
             // never folded and quantize during the walk).
             quantize_convs(&mut steps, max_batch)?;
-            assign_edges(&mut steps)?;
+            assign_edges(&mut steps, max_batch)?;
         }
         let num_classes = match feat {
             Feat::Flat(f) => f,
@@ -1172,9 +1172,8 @@ fn quantize_convs(steps: &mut [Step], max_batch: usize) -> Result<(), NnError> {
                 relu,
                 ..
             } => {
-                let images = if dims.folds_batch_i8() { max_batch } else { 1 };
                 *step = Step::QConv {
-                    conv: ImplicitConv::compile(dims, images)?,
+                    conv: ImplicitConv::compile(dims, conv_images(dims, max_batch))?,
                     packed: PackedBI8::pack_conv_runs(weights, dims)?,
                     dims: *dims,
                     bias: std::mem::take(bias),
@@ -1192,23 +1191,35 @@ fn quantize_convs(steps: &mut [Step], max_batch: usize) -> Result<(), NnError> {
     Ok(())
 }
 
+/// Images one int8 conv GEMM covers: the whole batch when the shape
+/// folds it, else one.
+fn conv_images(dims: &ConvPlanDims, max_batch: usize) -> usize {
+    if dims.folds_batch_i8() {
+        max_batch
+    } else {
+        1
+    }
+}
+
 /// Decides the format of every activation edge that touches a quantized
 /// step. A `QConv`/`QLinear` writes **u8** — straight into its consumer's
 /// padded NHWC image, through a fused max-pool if one follows — exactly
 /// when that consumer, past the pool and any `Identity` (flatten,
 /// dropout), is another quantized step of the same list; the fused
-/// `MaxPool` step is dropped. Everything else stays f32 NCHW: the network
+/// `MaxPool` step is dropped; a conv whose fused pool does not overlap
+/// is recompiled to write its pixels window-major, so its write-back
+/// pools with flat loops. Everything else stays f32 NCHW: the network
 /// input, the logits, both ends of a residual branch (the add is f32),
 /// average pooling, an unfolded batch-norm or unfused ReLU — and a
 /// flatten of more than one pixel into a `QLinear`, whose rows are in
 /// NCHW order.
 // seal-lint: allow(panic-freedom) — compile time; `i` and `j` are bounds-tested against `steps.len()` before each index
-fn assign_edges(steps: &mut Vec<Step>) -> Result<(), NnError> {
+fn assign_edges(steps: &mut Vec<Step>, max_batch: usize) -> Result<(), NnError> {
     let mut i = 0;
     while i < steps.len() {
         if let Step::Residual { main, shortcut, .. } = &mut steps[i] {
-            assign_edges(main)?;
-            assign_edges(shortcut)?;
+            assign_edges(main, max_batch)?;
+            assign_edges(shortcut, max_batch)?;
         }
         // The producer's output image and constants, if it is quantized.
         let (out_hw, packed, bias, relu) = match &steps[i] {
@@ -1244,12 +1255,24 @@ fn assign_edges(steps: &mut Vec<Step>) -> Result<(), NnError> {
             _ => None,
         };
         if let Some(dst) = dst {
-            let rq = Requantize::compile(packed.scales(), bias, out_hw, relu, pool, dst)?;
+            // A conv followed by a non-overlapping pool writes its pixels
+            // window-major, so the pooled write-back is flat loops.
+            let windowed =
+                pool.filter(|g| g.window == g.stride && matches!(steps[i], Step::QConv { .. }));
+            let rq = match windowed {
+                Some(g) => {
+                    Requantize::compile_windowed(packed.scales(), bias, out_hw, relu, g, dst)?
+                }
+                None => Requantize::compile(packed.scales(), bias, out_hw, relu, pool, dst)?,
+            };
             if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[j] {
                 edges.u8_in = true;
             }
             if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[i] {
                 edges.u8_out = Some(Box::new(rq)); // one-time compile step
+            }
+            if let (Some(g), Step::QConv { dims, conv, .. }) = (windowed, &mut steps[i]) {
+                *conv = ImplicitConv::compile_windowed(dims, conv_images(dims, max_batch), g)?;
             }
             if pool.is_some() {
                 steps.remove(i + 1);

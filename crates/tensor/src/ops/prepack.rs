@@ -11,7 +11,9 @@
 //! thread count and kernel mode.
 
 use super::matmul::{gemm_shared_pack, kernel_mode, pack_b_full, KernelMode};
-use super::quant::{channel_scale, quantize_value, run_quads, MAX_QGEMM_K, QK, QNR};
+use super::quant::{
+    channel_scale, conv_strip_width, quad_offset, quantize_value, run_quads, MAX_QGEMM_K, QK, QNR,
+};
 use super::ConvPlanDims;
 use crate::{Shape, Tensor, TensorError};
 
@@ -76,12 +78,18 @@ impl PackedB {
 /// A `k×n` right-hand GEMM operand quantized symmetrically **per output
 /// channel** (one f32 scale per column) and packed ahead of time into the
 /// int8 kernel's quad-interleaved strip layout: strip `s` covers columns
-/// `s·QNR ..`, and within it group `q` stores, for each of the `QNR`
-/// columns, the 4 consecutive k-values `4q .. 4q+4` — the operand shape
-/// one AVX-512 VNNI `vpdpbusd` (or one sign-extended AVX2 `vpmaddwd`
-/// pair) consumes. Both `k` (to a multiple of 4) and `n` (to a multiple
-/// of `QNR`) are zero-padded at pack time; zeros contribute nothing to
-/// the integer sums, so the logical result is unchanged.
+/// `s·nr ..`, and within it each 64-byte group stores, for each of the
+/// `nr` columns, `QNR / nr` consecutive quads of 4 k-values — the operand
+/// shape one AVX-512 VNNI `vpdpbusd` (or one sign-extended AVX2
+/// `vpmaddwd` quartet) consumes. A wide pack (`nr = QNR = 16`) holds one
+/// quad `q` per group, column `c` at bytes `4c ..`; a **narrow** pack
+/// (`nr = NNR = 8`, only [`pack_conv_runs`](Self::pack_conv_runs) of a
+/// conv with `c_out ≤ 8` makes one) holds the quad pair `2p, 2p + 1`,
+/// column `c`'s quad `2p + h` at bytes `4·(2c + h) ..`, so one 512-bit
+/// multiply covers 8 columns × 8 k-values instead of 16 columns × 4 of
+/// which most would be padding. `k` (to whole groups) and `n` (to a
+/// multiple of `nr`) are zero-padded at pack time; zeros contribute
+/// nothing to the integer sums, so the logical result is unchanged.
 ///
 /// `col_sums` carries `Σ_k b(k,j)` per (padded) column — the pack-time
 /// constant the VNNI kernel subtracts (×128) to undo the offset-binary
@@ -90,11 +98,13 @@ impl PackedB {
 pub struct PackedBI8 {
     pub(crate) k: usize,
     pub(crate) n: usize,
-    /// `k.div_ceil(4)` — quads per column.
+    /// `k.div_ceil(4)`, rounded up to whole groups — quads per column.
     pub(crate) kq: usize,
-    /// `n.div_ceil(QNR)` — packed strips, the last possibly partial.
+    /// Columns per strip: `QNR` (wide) or `NNR` (narrow).
+    pub(crate) nr: usize,
+    /// `n.div_ceil(nr)` — packed strips, the last possibly partial.
     pub(crate) strips: usize,
-    /// Quad-interleaved payload, `strips · kq · QNR · 4` bytes.
+    /// Quad-interleaved payload, `strips · kq · nr · 4` bytes.
     pub(crate) data: Vec<i8>,
     /// Per padded column: `Σ_k b(k,j)` (0 for pad columns).
     pub(crate) col_sums: Vec<i32>,
@@ -123,7 +133,7 @@ impl PackedBI8 {
         }
         let (k, n) = (b.shape().dim(0), b.shape().dim(1));
         let src = b.as_slice();
-        Self::pack_with(k, n, |kk, j| src[kk * n + j])
+        Self::pack_with(k, n, QNR, |kk, j| src[kk * n + j])
     }
 
     /// Quantize and pack convolution weights `w[c_out × kdim]` as the
@@ -143,7 +153,7 @@ impl PackedBI8 {
                 actual: w.len(),
             });
         }
-        Self::pack_with(kdim, c_out, |kk, j| w[j * kdim + kk])
+        Self::pack_with(kdim, c_out, QNR, |kk, j| w[j * kdim + kk])
     }
 
     /// Quantize and pack convolution weights `w[c_out × c_in·k·k]` (the
@@ -155,7 +165,9 @@ impl PackedBI8 {
     /// 4·ceil(k·c_in/4)`. Scales, quantized values and column sums are
     /// exactly those of [`pack_conv`](Self::pack_conv) of the same weights
     /// (each output channel keeps the same weights; pads add zeros), so
-    /// the exact i32 sums are too.
+    /// the exact i32 sums are too. With `c_out ≤ 8` the pack is narrow
+    /// and each run is padded to an even number of quads, so the kernels
+    /// read whole quad pairs (see [`ImplicitConv`](super::ImplicitConv)).
     ///
     /// # Errors
     ///
@@ -185,14 +197,16 @@ impl PackedBI8 {
                 }
             }
         }
-        Self::pack_with(kp, c_out, |kk, j| runs[j * kp + kk])
+        Self::pack_with(kp, c_out, conv_strip_width(dims), |kk, j| runs[j * kp + kk])
     }
 
-    /// Shared pack core over an element accessor `get(kk, col)`.
+    /// Shared pack core over an element accessor `get(kk, col)`, `nr`
+    /// columns per strip.
     // seal-lint: allow(panic-freedom) — pack offsets enumerate the padded layout exactly once over buffers sized right here
     fn pack_with(
         k: usize,
         n: usize,
+        nr: usize,
         get: impl Fn(usize, usize) -> f32,
     ) -> Result<PackedBI8, TensorError> {
         if k > MAX_QGEMM_K {
@@ -203,8 +217,9 @@ impl PackedBI8 {
                 ),
             });
         }
-        let kq = k.div_ceil(QK);
-        let strips = n.div_ceil(QNR);
+        let depth = QNR / nr;
+        let kq = k.div_ceil(QK).next_multiple_of(depth);
+        let strips = n.div_ceil(nr);
         // Pack-time (plan-compile-time) allocations, not the execute path.
         let mut scales = vec![0.0f32; n]; // off the steady-state path
         for (j, s) in scales.iter_mut().enumerate() {
@@ -214,13 +229,13 @@ impl PackedBI8 {
             }
             *s = channel_scale(maxabs);
         }
-        let mut data = vec![0i8; strips * kq * QNR * QK]; // off the steady-state path
-        let mut col_sums = vec![0i32; strips * QNR]; // off the steady-state path
+        let mut data = vec![0i8; strips * kq * nr * QK]; // off the steady-state path
+        let mut col_sums = vec![0i32; strips * nr]; // off the steady-state path
         for s in 0..strips {
-            let sdata = &mut data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
+            let sdata = &mut data[s * kq * nr * QK..(s + 1) * kq * nr * QK];
             for q in 0..kq {
-                for c in 0..QNR {
-                    let j = s * QNR + c;
+                for c in 0..nr {
+                    let j = s * nr + c;
                     for t in 0..QK {
                         let kk = q * QK + t;
                         let v = if j < n && kk < k {
@@ -228,8 +243,8 @@ impl PackedBI8 {
                         } else {
                             0
                         };
-                        sdata[(q * QNR + c) * QK + t] = v;
-                        col_sums[s * QNR + c] += v as i32;
+                        sdata[quad_offset(nr, q, c) + t] = v;
+                        col_sums[s * nr + c] += v as i32;
                     }
                 }
             }
@@ -238,6 +253,7 @@ impl PackedBI8 {
             k,
             n,
             kq,
+            nr,
             strips,
             data,
             col_sums,

@@ -55,8 +55,21 @@ use std::cell::RefCell;
 
 /// Columns per packed int8 strip (i32 lanes of one 512-bit accumulator).
 pub(crate) const QNR: usize = 16;
+/// Columns per **narrow** strip: a conv with `c_out ≤ NNR` packs two
+/// quads per column into each 64-byte group, so its lanes carry 8 columns
+/// × 2 quads instead of 16 columns of which most are padding.
+pub(crate) const NNR: usize = 8;
 /// k-values interleaved per packed group (the `vpdpbusd` quad).
 pub(crate) const QK: usize = 4;
+
+/// Byte offset of column `c`'s quad `q` inside one strip of a pack with
+/// `nr` columns per strip: the 64-byte group `q / (QNR / nr)`, in which
+/// each column holds `QNR / nr` consecutive quads.
+#[inline(always)]
+pub(crate) fn quad_offset(nr: usize, q: usize, c: usize) -> usize {
+    let depth = QNR / nr;
+    ((q / depth) * QNR + c * depth + q % depth) * QK
+}
 
 /// Largest reduction depth the int8 GEMM accepts. Bound by the
 /// offset-domain accumulator: the VNNI kernel sums `(a+128)·b ≤ 255·127`
@@ -134,10 +147,12 @@ pub(crate) fn channel_scale(maxabs: f32) -> f32 {
 /// The rule is `clamp(trunc(t + copysign(0.5, t)), -127, 127)` with
 /// `t = x · inv_scale` and NaN mapping to 0 — exactly what the saturating
 /// cast `(t + copysign(0.5, t)) as i32` followed by the integer clamp
-/// yields. It is evaluated with the saturation moved *in front of* the
-/// conversion (NaN → 0, then clamp to ±128.0, then a plain truncating
-/// convert) because that form has no per-lane fix-up and so
-/// auto-vectorises into `cvttps2dq`; the two forms agree on every f32
+/// yields. It is evaluated with the whole saturation moved *in front of*
+/// the conversion (NaN → 0, then clamp to ±127.0, then a plain truncating
+/// convert): truncation is monotone and maps ±127.0 to ±127, so clamping
+/// before it equals clamping after, and the form has no per-lane fix-up
+/// or integer clamp left, so it auto-vectorises into `cvttps2dq`; the two
+/// forms agree on every f32
 /// (`quantize_value_is_the_saturating_cast_rule`). This is the **single**
 /// rounding definition every quantization path shares — weights at pack
 /// time, activations on entry and in the requantizing epilogue — which is
@@ -149,14 +164,15 @@ pub(crate) fn quantize_value(x: f32, inv_scale: f32) -> i8 {
     // Written as selects (not `f32::clamp`/`max`) so NaN goes to 0 and
     // each line is one compare + blend per vector.
     let r = if r.is_nan() { 0.0 } else { r };
-    let r = if r > 128.0 { 128.0 } else { r };
-    let r = if r < -128.0 { -128.0 } else { r };
+    let r = if r > 127.0 { 127.0 } else { r };
+    let r = if r < -127.0 { -127.0 } else { r };
     // SAFETY: `r` is not NaN (replaced by 0.0 above) and lies in
-    // [-128.0, 128.0] (the two selects above), so its truncation is
+    // [-127.0, 127.0] (the two selects above), so its truncation is
     // representable in i32 — the whole precondition of
     // `to_int_unchecked`.
     let q = unsafe { r.to_int_unchecked::<i32>() };
-    q.clamp(-127, 127) as i8
+    // In [-127, 127] by the clamp above, so the cast keeps the value.
+    q as i8
 }
 
 /// Symmetric per-channel quantization of a rank-2 tensor.
@@ -252,13 +268,60 @@ fn quantize_byte(x: f32, inv_scale: f32) -> u8 {
 /// `f32::max` applies — and an empty or all-zero slice yields `0.0`.
 #[inline(always)]
 fn max_abs(x: &[f32]) -> f32 {
-    const INF: u32 = 0x7f80_0000;
     let mut m = 0u32;
     for &v in x {
-        let b = v.to_bits() & 0x7fff_ffff;
-        m = m.max(if b > INF { 0 } else { b });
+        m = m.max(abs_bits(v));
     }
     f32::from_bits(m)
+}
+
+/// One element of [`max_abs`]: `|v|`'s bit pattern, 0 for NaN. A pass
+/// that already holds `v` folds `m.max(abs_bits(v))` into itself and
+/// ends with the same `f32::from_bits(m)`.
+#[inline(always)]
+fn abs_bits(v: f32) -> u32 {
+    const INF: u32 = 0x7f80_0000;
+    let b = v.to_bits() & 0x7fff_ffff;
+    if b > INF {
+        0
+    } else {
+        b
+    }
+}
+
+/// `m.max(abs_bits(v))` for a `v` that, when `RELU`, came out of
+/// `max(0, ·)`: such a value is never NaN and its sign bit is set only
+/// for `−0.0`, so a signed max of its raw bits (with `m ≥ 0`) gives the
+/// same `m` in one lane op instead of four.
+#[inline(always)]
+fn fold_abs_max<const RELU: bool>(m: u32, v: f32) -> u32 {
+    if RELU {
+        (m as i32).max(v.to_bits() as i32) as u32
+    } else {
+        m.max(abs_bits(v))
+    }
+}
+
+/// [`quantize_byte`] of a value `max(0, ·)` produced — never NaN, its
+/// sign bit set only for `−0.0` — in three lane ops fewer. For such an
+/// `x`, `t = x · inv_scale` is `≥ +0`, `−0.0` or NaN (`0 · inf`, `inf ·
+/// 0`); `t + 0.5` rounds every `t ≥ +0` as `t + copysign(0.5, t)` does,
+/// and sends `−0.0` to `0.5`, which truncates to the same `q = 0` as
+/// `−0.5`. So the lower clamp never binds, and the NaN select folds into
+/// `max(·, 0)` (the compare-select keeps `0` when `r` is NaN).
+/// `relu_forms_match_the_general_forms` checks it against
+/// [`quantize_byte`].
+#[inline(always)]
+fn quantize_byte_relu(x: f32, inv_scale: f32) -> u8 {
+    let r = x * inv_scale + 0.5;
+    let r = if r > 0.0 { r } else { 0.0 };
+    let r = if r < 127.0 { r } else { 127.0 };
+    // SAFETY: `r` is not NaN (the first select maps it to 0.0) and lies
+    // in [0.0, 127.0] (the two selects), so its truncation is
+    // representable in i32 — the whole precondition of
+    // `to_int_unchecked`.
+    let q = unsafe { r.to_int_unchecked::<i32>() };
+    (q + 128) as u8
 }
 
 /// Elementwise `out[i] = quantize_byte(x[i])` over the common length.
@@ -511,10 +574,12 @@ pub fn gemm_i8(a: &[u8], pack: &PackedBI8, out: &mut [i32], m: usize, mode: Kern
 /// The shared entry behind [`gemm_i8`] and [`gemm_i8_conv`]: every read
 /// of `rows` lies inside `a` (the caller cuts `a` to exactly the extent
 /// its rows read, and asserts it) and `out` holds `m·n` sums; here the
-/// rows' quad count is checked against the pack's. Picks the kernel for
-/// `mode`; the AVX2 kernel's i16 operand is `a` widened once, here,
-/// before any row block runs.
-// seal-lint: allow(panic-freedom) — the quad-count assert cannot fire from the plan: `gemm_i8`'s dense rows are one run of `kq` quads by construction, and a plan's `ImplicitConv` and `pack_conv_runs` pack come from the same dims (both `run_quads`); it guards the kernels' weight reads against a mismatched pack from outside
+/// rows' quad count is checked against the pack's, and for a narrow pack
+/// that every run holds whole quad pairs. Picks the kernel for `mode` —
+/// and the narrow or wide body by the pack's strip width alone; the AVX2
+/// kernel's i16 operand is `a` widened once, here, before any row block
+/// runs.
+// seal-lint: allow(panic-freedom) — the two asserts cannot fire from the plan: `gemm_i8`'s dense rows are one run of `kq` quads by construction (a narrow pack's `kq` is even), and a plan's `ImplicitConv` and `pack_conv_runs` pack come from the same dims (both `run_quads`); they guard the kernels' weight reads against a mismatched pack from outside
 fn gemm_i8_rows<R: QuadRows>(
     a: &[u8],
     rows: &R,
@@ -528,6 +593,10 @@ fn gemm_i8_rows<R: QuadRows>(
         runs.count * runs.quads,
         pack.kq,
         "gemm_i8: A rows do not match the pack"
+    );
+    assert!(
+        runs.quads.is_multiple_of(QNR / pack.nr),
+        "gemm_i8: a narrow pack needs runs of whole quad pairs"
     );
     match i8_kernel(mode) {
         I8Kernel::Scalar => row_blocks(pack, out, m, |r0, nr, o| {
@@ -545,8 +614,15 @@ fn gemm_i8_rows<R: QuadRows>(
             let wide = &wide[..a.len()];
             row_blocks(pack, out, m, |r0, nr, o| {
                 // SAFETY: as above; `wide` is `a` widened element for
-                // element, so every offset `rows` forms is inside it.
-                unsafe { consume_avx2(wide, rows, pack, o, r0, nr) }
+                // element, so every offset `rows` forms is inside it; a
+                // narrow pack's runs hold whole pairs (asserted above).
+                unsafe {
+                    if pack.nr == NNR {
+                        consume_avx2_narrow(wide, rows, pack, o, r0, nr)
+                    } else {
+                        consume_avx2(wide, rows, pack, o, r0, nr)
+                    }
+                }
             })
         }),
         #[cfg(target_arch = "x86_64")]
@@ -554,8 +630,15 @@ fn gemm_i8_rows<R: QuadRows>(
             // SAFETY: `I8Kernel::Vnni` is only selected when
             // `cpu_features()` reports avx512f/bw/vl **and** avx512vnni,
             // so `vpdpbusd` and the masked store are available; every
-            // offset `rows` forms is inside `a` (see above).
-            unsafe { consume_vnni(a, rows, pack, o, r0, nr) }
+            // offset `rows` forms is inside `a` (see above); a narrow
+            // pack's runs hold whole pairs (asserted above).
+            unsafe {
+                if pack.nr == NNR {
+                    consume_vnni_narrow(a, rows, pack, o, r0, nr)
+                } else {
+                    consume_vnni(a, rows, pack, o, r0, nr)
+                }
+            }
         }),
         // `cpu_features()` reports nothing off x86-64, so the vector
         // kernels are never selected there.
@@ -607,22 +690,22 @@ fn scalar_strips<R: QuadRows>(
     r0: usize,
     nr: usize,
 ) {
-    let (n, kq) = (pack.n, pack.kq);
+    let (n, kq, w) = (pack.n, pack.kq, pack.nr);
     for i in 0..nr {
         let base = rows.base(r0 + i);
         for s in 0..pack.strips {
-            let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
-            let cols = QNR.min(n - s * QNR);
+            let sdata = &pack.data[s * kq * w * QK..(s + 1) * kq * w * QK];
+            let cols = w.min(n - s * w);
             for c in 0..cols {
                 let mut acc = 0i32;
                 for (q, off) in rows.runs().offsets().enumerate() {
-                    let bq = &sdata[(q * QNR + c) * QK..][..QK];
+                    let bq = &sdata[quad_offset(w, q, c)..][..QK];
                     let aq = &a[base + off..][..QK];
                     for t in 0..QK {
                         acc += (aq[t] as i32 - 128) * bq[t] as i32;
                     }
                 }
-                out[i * n + s * QNR + c] = acc;
+                out[i * n + s * w + c] = acc;
             }
         }
     }
@@ -708,6 +791,74 @@ unsafe fn consume_avx2<R: QuadRows>(
                 for (c, o) in orow.iter_mut().enumerate() {
                     *o = halves[2 * c] + halves[2 * c + 1];
                 }
+            }
+        }
+    }
+}
+
+/// [`consume_avx2`] for a narrow pack (one strip of `nr = 8` columns):
+/// each step broadcasts a quad **pair** of de-offset i16 A values to
+/// both 128-bit halves and multiplies it against four sign-extended
+/// 16-byte quarters of the 64-byte group — two columns × two quads each
+/// — so every `vpmaddwd` lane does work however few of the 8 columns are
+/// valid. Column `c`'s sum is the four i32 lanes `4c ..` added in i32,
+/// exactly the scalar kernel's.
+///
+/// # Safety
+///
+/// [`consume_avx2`]'s, with `pack.nr = NNR` and `rows.runs().quads`
+/// even.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+// seal-lint: allow(panic-freedom) — `orow` ends at `i·n + cols ≤ nr·n`, the block the caller handed over
+unsafe fn consume_avx2_narrow<R: QuadRows>(
+    wide: &[i16],
+    rows: &R,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    r0: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::{
+        __m128i, __m256i, _mm256_add_epi32, _mm256_broadcastsi128_si256, _mm256_cvtepi8_epi16,
+        _mm256_madd_epi16, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
+    };
+    let (n, runs) = (pack.n, rows.runs());
+    let cols = NNR.min(n);
+    for i in 0..nr {
+        let base = rows.base(r0 + i);
+        // SAFETY: the single strip holds `kq / 2` groups of `QNR·QK = 64`
+        // bytes, one per quad pair walked; each pair is 8 i16 (16 bytes)
+        // at `base + off` with `off` an even quad of a run whose quad
+        // count is even, so it ends at or before the run's last quad —
+        // inside `wide` by this function's contract. Loads are `loadu`.
+        unsafe {
+            let mut acc = [_mm256_setzero_si256(); QK];
+            let mut g = pack.data.as_ptr();
+            for r in 0..runs.count {
+                let ap = wide.as_ptr().add(base + r * runs.stride);
+                for t in (0..runs.quads).step_by(2) {
+                    let va = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                        ap.add(t * QK) as *const __m128i
+                    ));
+                    for (h, acc_h) in acc.iter_mut().enumerate() {
+                        let bh =
+                            _mm256_cvtepi8_epi16(_mm_loadu_si128(g.add(h * QNR) as *const __m128i));
+                        *acc_h = _mm256_add_epi32(*acc_h, _mm256_madd_epi16(va, bh));
+                    }
+                    g = g.add(QNR * QK);
+                }
+            }
+            // acc[h] holds [c q0 q0 q1 q1 | c+1 q0 q0 q1 q1] partial
+            // sums for columns c = 2h, 2h + 1.
+            let mut lanes = [0i32; 4 * NNR];
+            for (h, acc_h) in acc.iter().enumerate() {
+                _mm256_storeu_si256(lanes.as_mut_ptr().add(h * 8) as *mut __m256i, *acc_h);
+            }
+            let orow = &mut out[i * n..i * n + cols];
+            for (c, o) in orow.iter_mut().enumerate() {
+                let l = &lanes[4 * c..4 * c + 4];
+                *o = l[0] + l[1] + l[2] + l[3];
             }
         }
     }
@@ -847,6 +998,131 @@ unsafe fn vnni_tile<const MR: usize, R: QuadRows>(tile: &Tile<'_, R>, r0: usize,
         for (m, acc_m) in acc.iter().enumerate() {
             let fixed = _mm512_sub_epi32(*acc_m, tile.corr);
             _mm512_mask_storeu_epi32(tile.out.add((i0 + m) * tile.n), tile.valid, fixed);
+        }
+    }
+}
+
+/// [`consume_vnni`] for a narrow pack (one strip of `nr = 8` columns):
+/// each `vpdpbusd` multiplies a 64-bit broadcast of a run's quad pair
+/// against a group of 8 columns × 2 quads, so the 16 lanes hold column
+/// `c`'s even-quad sum in lane `2c` and its odd-quad sum in lane `2c +
+/// 1`. After the k loop each pair is folded (`srli_epi64` + add, then
+/// `vpmovqd` keeps each 64-bit lane's low half) into 8 i32 sums, and the
+/// offset correction `128 · col_sums` follows as in the wide kernel —
+/// exact i32 arithmetic throughout, so the sums equal the scalar
+/// kernel's.
+///
+/// # Safety
+///
+/// [`consume_vnni`]'s, with `pack.nr = NNR` and `rows.runs().quads`
+/// even.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
+unsafe fn consume_vnni_narrow<R: QuadRows>(
+    a: &[u8],
+    rows: &R,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    r0: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::{__m256i, _mm256_loadu_si256, _mm256_slli_epi32};
+    // SAFETY: `col_sums` holds `NNR` sums (one narrow strip), so the
+    // 8-lane load is in bounds. Every tile covers rows `r0 + i0 ..` below
+    // `r0 + nr` and stores at most `n ≤ NNR` lanes at `out[(i0 + m)·n
+    // ..]`, inside the `nr × n` block; `pack.data` holds the `kq / 2`
+    // groups the tile walks; the A pairs lie inside `a` by this
+    // function's contract.
+    unsafe {
+        let csum = _mm256_loadu_si256(pack.col_sums.as_ptr() as *const __m256i);
+        let tile = NarrowTile {
+            a,
+            rows,
+            out: out.as_mut_ptr(),
+            n: pack.n,
+            runs: rows.runs(),
+            weights: pack.data.as_ptr(),
+            corr: _mm256_slli_epi32(csum, 7),
+            valid: (u8::MAX >> (NNR - NNR.min(pack.n))) as std::arch::x86_64::__mmask8,
+        };
+        let mut i0 = 0;
+        while i0 + RMR <= nr {
+            vnni_tile_narrow::<RMR, R>(&tile, r0, i0);
+            i0 += RMR;
+        }
+        match nr - i0 {
+            1 => vnni_tile_narrow::<1, R>(&tile, r0, i0),
+            2 => vnni_tile_narrow::<2, R>(&tile, r0, i0),
+            3 => vnni_tile_narrow::<3, R>(&tile, r0, i0),
+            4 => vnni_tile_narrow::<4, R>(&tile, r0, i0),
+            5 => vnni_tile_narrow::<5, R>(&tile, r0, i0),
+            6 => vnni_tile_narrow::<6, R>(&tile, r0, i0),
+            7 => vnni_tile_narrow::<7, R>(&tile, r0, i0),
+            _ => {}
+        }
+    }
+}
+
+/// What every register tile of a [`consume_vnni_narrow`] call shares: as
+/// [`Tile`], with an 8-lane correction and store mask.
+#[cfg(target_arch = "x86_64")]
+struct NarrowTile<'t, R> {
+    a: &'t [u8],
+    rows: &'t R,
+    out: *mut i32,
+    n: usize,
+    runs: Runs,
+    weights: *const i8,
+    corr: std::arch::x86_64::__m256i,
+    valid: std::arch::x86_64::__mmask8,
+}
+
+/// One `MR × 8` narrow VNNI register tile (see [`consume_vnni_narrow`]),
+/// inlined into it and compiled with its target features.
+///
+/// # Safety
+///
+/// [`consume_vnni_narrow`]'s: AVX-512 VNNI available, every quad pair of
+/// the tile's rows inside `tile.a`, `tile.weights` holding
+/// `runs.count·runs.quads / 2` 64-byte groups, and the valid lanes of
+/// `tile.out + (i0 + m)·n` writable for every `m < MR`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn vnni_tile_narrow<const MR: usize, R: QuadRows>(
+    tile: &NarrowTile<'_, R>,
+    r0: usize,
+    i0: usize,
+) {
+    use std::arch::x86_64::{
+        __m512i, _mm256_mask_storeu_epi32, _mm256_sub_epi32, _mm512_add_epi32,
+        _mm512_cvtepi64_epi32, _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_set1_epi64,
+        _mm512_setzero_si512, _mm512_srli_epi64,
+    };
+    let runs = tile.runs;
+    // SAFETY: this function's contract bounds every read of `tile.a` and
+    // `tile.weights` and every store through `tile.out`.
+    unsafe {
+        let mut rowp = [tile.a.as_ptr(); MR];
+        for (m, p) in rowp.iter_mut().enumerate() {
+            *p = p.add(tile.rows.base(r0 + i0 + m));
+        }
+        let mut acc = [_mm512_setzero_si512(); MR];
+        let mut g = tile.weights;
+        for r in 0..runs.count {
+            for t in (0..runs.quads).step_by(2) {
+                let off = r * runs.stride + t * QK;
+                let b = _mm512_loadu_si512(g as *const __m512i);
+                for m in 0..MR {
+                    let pair = (rowp[m].add(off) as *const i64).read_unaligned();
+                    acc[m] = _mm512_dpbusd_epi32(acc[m], _mm512_set1_epi64(pair), b);
+                }
+                g = g.add(QNR * QK);
+            }
+        }
+        for (m, acc_m) in acc.iter().enumerate() {
+            let folded = _mm512_add_epi32(*acc_m, _mm512_srli_epi64(*acc_m, 32));
+            let fixed = _mm256_sub_epi32(_mm512_cvtepi64_epi32(folded), tile.corr);
+            _mm256_mask_storeu_epi32(tile.out.add((i0 + m) * tile.n), tile.valid, fixed);
         }
     }
 }
@@ -1072,18 +1348,44 @@ impl NhwcImage {
     pub fn stride(&self) -> usize {
         quantized_row_len((self.h + 2 * self.pad) * self.row_bytes())
     }
+
+    /// Sets everything of one image in `out` but its interior — the
+    /// border and the quad tail — to the quantized zero `128`. A writer
+    /// that stores all `h` interior rows of `w·c` bytes itself then never
+    /// touches a byte twice.
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — callers assert `out.len() ≥ stride()`; every range below ends at or before it
+    fn fill_border(&self, out: &mut [u8]) {
+        let line = self.w * self.c;
+        let Some(last) = self.h.checked_sub(1) else {
+            out[..self.stride()].fill(128);
+            return;
+        };
+        out[..self.interior_row(0)].fill(128);
+        for y in 0..last {
+            out[self.interior_row(y) + line..self.interior_row(y + 1)].fill(128);
+        }
+        out[self.interior_row(last) + line..self.stride()].fill(128);
+    }
 }
 
 /// Readable bytes a u8 image buffer must hold behind its last image's
 /// [`NhwcImage::stride`]: [`gemm_i8_conv`] reads each receptive-field run
-/// in whole 4-byte quads, so it may read up to 3 bytes past the padded
-/// image (see [`ImplicitConv`]).
-pub const PATCH_SLACK: usize = 16;
+/// in whole 4-byte quads — whole quad pairs for a conv with `c_out ≤ 8`
+/// — so it may read up to 7 bytes past the padded image (see
+/// [`ImplicitConv`]).
+pub const PATCH_SLACK: usize = 8;
 
 /// Quantize one f32 **NCHW** image symmetrically per tensor into the
 /// padded u8 NHWC image `img` (border and quad tail set to `128`),
 /// returning the scale: the entry edge of the int8 data path. Scale and
 /// interior bytes are exactly those of [`quantize_slice_u8`], transposed.
+///
+/// The interior is written row by row and only the border around it is
+/// filled. One and three channels (every zoo model's input is RGB) take
+/// one flat loop per row that reads each plane's row contiguously and
+/// stores the interleaved pixels; other widths quantize 16-pixel strips
+/// of one channel and scatter them.
 // seal-lint: allow(panic-freedom) — both extents are asserted at entry; every interior offset is below `img.stride()`
 pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: KernelMode) -> f32 {
     const STRIP: usize = 16;
@@ -1099,23 +1401,36 @@ pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: Kernel
         || {
             let scale = channel_scale(max_abs(&x[..c * h * w]));
             let inv = 1.0 / scale;
-            out[..img.stride()].fill(128);
             for y in 0..h {
                 let row = &mut out[img.interior_row(y)..][..w * c];
-                for ci in 0..c {
-                    // Quantize a strip of one channel's pixels with the
-                    // vector body, then interleave its bytes.
-                    let src = &x[(ci * h + y) * w..][..w];
-                    for (strip, src) in src.chunks(STRIP).enumerate() {
-                        let mut q = [0u8; STRIP];
-                        quantize_into(src, inv, &mut q);
-                        let dst = row[strip * STRIP * c + ci..].iter_mut().step_by(c);
-                        for (d, &b) in dst.zip(&q[..src.len()]) {
-                            *d = b;
+                let plane = |ci: usize| &x[(ci * h + y) * w..][..w];
+                match c {
+                    1 => quantize_into(plane(0), inv, row),
+                    3 => {
+                        let rgb = plane(0).iter().zip(plane(1)).zip(plane(2));
+                        for (d, ((&r, &g), &b)) in row.chunks_exact_mut(3).zip(rgb) {
+                            d[0] = quantize_byte(r, inv);
+                            d[1] = quantize_byte(g, inv);
+                            d[2] = quantize_byte(b, inv);
+                        }
+                    }
+                    _ => {
+                        for ci in 0..c {
+                            // Quantize a strip of one channel's pixels with
+                            // the vector body, then interleave its bytes.
+                            for (strip, src) in plane(ci).chunks(STRIP).enumerate() {
+                                let mut q = [0u8; STRIP];
+                                quantize_into(src, inv, &mut q);
+                                let dst = row[strip * STRIP * c + ci..].iter_mut().step_by(c);
+                                for (d, &b) in dst.zip(&q[..src.len()]) {
+                                    *d = b;
+                                }
+                            }
                         }
                     }
                 }
             }
+            img.fill_border(out);
             scale
         },
     )
@@ -1123,10 +1438,24 @@ pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: Kernel
 
 /// Quads one receptive-field run of the convolution `dims` occupies in
 /// the implicit-GEMM layout: the run's `k·c_in` bytes rounded up to the
-/// 4-byte quad. [`PackedBI8::pack_conv_runs`] lays each `ky` run of
-/// weights out at this width, zero-padded; [`ImplicitConv`] reads it.
+/// 4-byte quad, and for a narrow pack (`c_out ≤ 8`) up to an even quad
+/// count, so every quad pair a narrow kernel reads lies in one run.
+/// [`PackedBI8::pack_conv_runs`] lays each `ky` run of weights out at
+/// this width, zero-padded; [`ImplicitConv`] reads it.
 pub(crate) fn run_quads(dims: &ConvPlanDims) -> usize {
-    (dims.geom.kernel * dims.c_in).div_ceil(QK)
+    (dims.geom.kernel * dims.c_in)
+        .div_ceil(QK)
+        .next_multiple_of(QNR / conv_strip_width(dims))
+}
+
+/// Columns per strip of [`PackedBI8::pack_conv_runs`] for the conv
+/// `dims`: narrow ([`NNR`]) when its output channels fit one narrow strip.
+pub(crate) fn conv_strip_width(dims: &ConvPlanDims) -> usize {
+    if dims.c_out <= NNR {
+        NNR
+    } else {
+        QNR
+    }
 }
 
 /// Compile-time A-operand addressing of an **implicit-GEMM** int8
@@ -1139,14 +1468,17 @@ pub(crate) fn run_quads(dims: &ConvPlanDims) -> usize {
 /// `oy·stride·row_bytes + ox·stride·c_in`, plus `j·`[`NhwcImage::stride`]
 /// for image `j` of a stacked batch — and its quad `q` lies `quad_off[q]
 /// = (q / rq)·row_bytes + (q mod rq)·4` further on: `k` runs (one per
-/// `ky`) of `rq = ceil(k·c_in / 4)` quads, `row_bytes` apart. A run whose length is not a multiple
-/// of 4 is read in whole quads, so its last quad takes up to 3 bytes of
-/// whatever follows — the next pixel, the next row's border, or (for the
-/// very last run) the [`PATCH_SLACK`] behind the image. Those bytes meet
-/// the **zero weights** [`PackedBI8::pack_conv_runs`] puts in the run's
-/// pad positions: they add exactly 0 to the i32 sums (and to `col_sums`),
+/// `ky`) of `rq = ceil(k·c_in / 4)` quads, `row_bytes` apart — `rq`
+/// rounded up to even when `c_out ≤ 8`, whose narrow pack is read in quad
+/// pairs. A run whose length is not a multiple of 4 is read in whole
+/// quads, so its last quad takes up to 3 bytes of whatever follows, and
+/// a pair-padded run one more quad: up to **7** bytes past the run — the
+/// next pixel, the next row's border, or (for the very last run) the
+/// [`PATCH_SLACK`] behind the image. Those bytes meet the **zero
+/// weights** [`PackedBI8::pack_conv_runs`] puts in the run's pad
+/// positions: they add exactly 0 to the i32 sums (and to `col_sums`),
 /// whatever they hold. Every read therefore stays below `(images − 1)·
-/// stride + stride + 3`, inside `images·stride + PATCH_SLACK`.
+/// stride + stride + 7`, inside `images·stride + PATCH_SLACK`.
 #[derive(Clone, Debug)]
 pub struct ImplicitConv {
     /// Output positions per image.
@@ -1174,6 +1506,40 @@ impl ImplicitConv {
     /// leave the image + slack), or the stacked images span more than
     /// `u32` offsets address.
     pub fn compile(dims: &ConvPlanDims, images: usize) -> Result<ImplicitConv, TensorError> {
+        Self::compile_in(dims, images, None)
+    }
+
+    /// [`compile`](Self::compile) with each image's output pixels in the
+    /// [`window_major`] order of the non-overlapping pool `pool`, the
+    /// accumulator layout [`Requantize::compile_windowed`] pools with
+    /// flat loops. The sums of every pixel are unchanged; only the GEMM
+    /// row that holds them moves.
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`](Self::compile), and when `pool` overlaps
+    /// (`window ≠ stride`) or does not fit the output map.
+    pub fn compile_windowed(
+        dims: &ConvPlanDims,
+        images: usize,
+        pool: PoolGeometry,
+    ) -> Result<ImplicitConv, TensorError> {
+        let order =
+            window_major(dims.oh, dims.ow, pool).ok_or_else(|| TensorError::InvalidGeometry {
+                reason: format!(
+                    "implicit conv: {pool:?} is not a non-overlapping pool of {dims:?}"
+                ),
+            })?;
+        Self::compile_in(dims, images, Some(&order))
+    }
+
+    /// The shared body: GEMM row `r` of an image is output pixel
+    /// `order[r]` (row-major `r` without an order).
+    fn compile_in(
+        dims: &ConvPlanDims,
+        images: usize,
+        order: Option<&[usize]>,
+    ) -> Result<ImplicitConv, TensorError> {
         let img = NhwcImage::for_conv(dims);
         let (k, stride) = (dims.geom.kernel, dims.geom.stride);
         let (rq, row_bytes) = (run_quads(dims), img.row_bytes());
@@ -1185,10 +1551,13 @@ impl ImplicitConv {
             quads: rq,
             stride: row_bytes,
         };
+        // One past the last byte read: the last pixel's last quad, the
+        // pad quad of a pair-padded run included — at most 7 bytes past
+        // the padded image for a conv whose output fits it.
         let extent = (0..s).map(field).max().unwrap_or(0) + runs.offsets().max().unwrap_or(0) + QK;
         if images == 0
             || s == 0
-            || extent > img.stride() + PATCH_SLACK
+            || extent >= img.stride() + PATCH_SLACK
             || images * img.stride() + PATCH_SLACK > u32::MAX as usize
         {
             return Err(TensorError::InvalidGeometry {
@@ -1197,7 +1566,8 @@ impl ImplicitConv {
                 ),
             });
         }
-        let row = |r: usize| ((r / s) * img.stride() + field(r % s)) as u32;
+        let pixel = |t: usize| order.map_or(t, |o| o.get(t).copied().unwrap_or(t));
+        let row = |r: usize| ((r / s) * img.stride() + field(pixel(r % s))) as u32;
         let rows = (0..images * s).map(row).collect(); // compile-time table
         Ok(ImplicitConv {
             s,
@@ -1213,6 +1583,30 @@ impl ImplicitConv {
     pub fn quads(&self) -> usize {
         self.runs.count * self.runs.quads
     }
+}
+
+/// Output pixels of an `oh × ow` map in **window-major** order for the
+/// non-overlapping pool `g` (`window = stride = s`, pooled map `ph ×
+/// pw`): position `(ky·s + kx)·ph·pw + py·pw + px` holds pixel `(py·s +
+/// ky, px·s + kx)` — window offset `(ky, kx)` of every pooled pixel in
+/// turn, each block in the pooled image's own order — then the pixels no
+/// window covers, row-major. `None` when `g` overlaps or does not fit.
+fn window_major(oh: usize, ow: usize, g: PoolGeometry) -> Option<Vec<usize>> {
+    let s = g.stride;
+    if g.window != s || s == 0 {
+        return None;
+    }
+    let (ph, pw) = g.output_size(oh).zip(g.output_size(ow))?;
+    let mut order = Vec::with_capacity(oh * ow); // plan-compile-time table
+    for ky in 0..s {
+        for kx in 0..s {
+            for py in 0..ph {
+                order.extend((0..pw).map(|px| (py * s + ky) * ow + px * s + kx));
+            }
+        }
+    }
+    order.extend((0..oh * ow).filter(|&p| p / ow >= ph * s || p % ow >= pw * s));
+    Some(order)
 }
 
 /// The int8 convolution of `images` stacked padded u8 NHWC images,
@@ -1277,17 +1671,39 @@ pub fn gemm_i8_conv(
 /// NCHW, pooling there and calling [`quantize_slice_u8`] produces
 /// (max-pool only selects existing values, and the sign of a zero cannot
 /// reach a byte).
+///
+/// Each image takes two passes. The first dequantizes into the f32
+/// stage — through the pool if one follows — and folds the integer
+/// max|·| of every value it keeps; the second quantizes the kept values
+/// into the interior and writes only the border and quad tail around it.
+/// Without a pool the first pass is one flat loop over the image (the
+/// per-channel constants are tiled over it at compile time); with a
+/// non-overlapping pool and a window-major accumulator
+/// ([`compile_windowed`](Self::compile_windowed)) it is flat loops over
+/// the window blocks; an overlapping pool scans row by row. With ReLU
+/// both passes use the cheaper lane forms `fold_abs_max::<true>` and
+/// `quantize_byte_relu`, exact for values `max(0, ·)` produced.
 #[derive(Clone, Debug)]
 pub struct Requantize {
-    oh: usize,
+    ow: usize,
     relu: bool,
     pool: Option<PoolGeometry>,
     dst: NhwcImage,
-    /// Per-channel weight scales / biases tiled across one GEMM output
-    /// row (`ow·c_out`), so the dequantize loop is flat and elementwise
-    /// however narrow `c_out` is.
-    w_scales_row: Vec<f32>,
-    bias_row: Vec<f32>,
+    /// Per-channel weight scales / biases tiled across the whole GEMM
+    /// output image (`oh·ow·c_out`), so the dequantize loop is one flat
+    /// elementwise loop however narrow `c_out` is.
+    w_scales_img: Vec<f32>,
+    bias_img: Vec<f32>,
+    /// With a pool, per element `(px, c)` of one pooled row (`pw·c_out`):
+    /// where its window's first column sits in the column-max row,
+    /// `px·stride·c_out + c`. Column `kx` of the window is `kx·c_out`
+    /// further on, so the horizontal scan is one flat loop per `kx`
+    /// however narrow `c_out` is. Every entry plus `(window − 1)·c_out`
+    /// is below `ow·c_out` (`compile` checks the pooled extent).
+    pool_src: Vec<u32>,
+    /// The accumulator holds the pixels in the [`window_major`] order of
+    /// `pool` ([`compile_windowed`](Self::compile_windowed)).
+    windowed: bool,
 }
 
 impl Requantize {
@@ -1319,14 +1735,56 @@ impl Requantize {
                 ),
             });
         }
-        let tile = |v: &[f32]| v.iter().copied().cycle().take(ow * c_out).collect(); // plan-compile-time constants
+        let tile = |v: &[f32]| v.iter().copied().cycle().take(oh * ow * c_out).collect(); // plan-compile-time constants
+        let pool_src = match pool {
+            None => Vec::new(),
+            Some(g) => (0..dst.w * c_out)
+                .map(|e| ((e / c_out) * g.stride * c_out + e % c_out) as u32)
+                .collect(), // plan-compile-time constants
+        };
         Ok(Requantize {
-            oh,
+            ow,
             relu,
             pool,
             dst,
-            w_scales_row: tile(w_scales),
-            bias_row: tile(bias),
+            w_scales_img: tile(w_scales),
+            bias_img: tile(bias),
+            pool_src,
+            windowed: false,
+        })
+    }
+
+    /// [`compile`](Self::compile) for an accumulator whose pixels are in
+    /// the [`window_major`] order of the non-overlapping `pool` — what a
+    /// conv from [`ImplicitConv::compile_windowed`] with the same pool
+    /// writes. Window offset `(ky, kx)` of every pooled pixel is then one
+    /// contiguous block laid out like the pooled image, so the whole
+    /// pool is flat elementwise loops over those blocks, in the scan
+    /// order of the row-major path (vertical from `−inf`, then
+    /// horizontal).
+    ///
+    /// # Errors
+    ///
+    /// As [`compile`](Self::compile), and when `pool` overlaps
+    /// (`window ≠ stride`).
+    pub fn compile_windowed(
+        w_scales: &[f32],
+        bias: &[f32],
+        (oh, ow): (usize, usize),
+        relu: bool,
+        pool: PoolGeometry,
+        dst: NhwcImage,
+    ) -> Result<Requantize, TensorError> {
+        if window_major(oh, ow, pool).is_none() {
+            return Err(TensorError::InvalidGeometry {
+                reason: format!("requantize: {pool:?} is not a non-overlapping pool of {oh}x{ow}"),
+            });
+        }
+        let rq = Self::compile(w_scales, bias, (oh, ow), relu, Some(pool), dst)?;
+        Ok(Requantize {
+            pool_src: Vec::new(),
+            windowed: true,
+            ..rq
         })
     }
 
@@ -1336,14 +1794,16 @@ impl Requantize {
     }
 
     /// f32 staging floats [`run`](Self::run) needs: the (pooled) output
-    /// image, plus one GEMM output row of column maxima when pooling.
+    /// image, plus, when pooling, one window column of the pooled image
+    /// (window-major) or one GEMM output row of column maxima.
     pub fn stage_len(&self) -> usize {
-        let row = if self.pool.is_some() {
-            self.w_scales_row.len()
-        } else {
-            0
+        let pooled = self.dst.h * self.dst.w * self.dst.c;
+        let pooling = match self.pool {
+            None => 0,
+            Some(_) if self.windowed => pooled,
+            Some(_) => self.ow * self.dst.c,
         };
-        self.dst.h * self.dst.w * self.dst.c + row
+        pooled + pooling
     }
 
     /// Requantize one image's accumulator `acc[oh·ow × c_out]`, quantized
@@ -1359,9 +1819,8 @@ impl Requantize {
         out: &mut [u8],
         mode: KernelMode,
     ) -> f32 {
-        let row = self.w_scales_row.len();
         assert!(
-            acc.len() >= self.oh * row,
+            acc.len() >= self.w_scales_img.len(),
             "requantize: accumulator too short"
         );
         assert!(
@@ -1375,69 +1834,168 @@ impl Requantize {
         vectorized(
             mode,
             #[inline(always)]
-            || self.run_body(acc, a_scale, stage, out),
+            || {
+                if self.relu {
+                    self.run_body::<true>(acc, a_scale, stage, out)
+                } else {
+                    self.run_body::<false>(acc, a_scale, stage, out)
+                }
+            },
         )
     }
 
-    /// One GEMM output row → f32 (`dequantize_transpose_bias_relu`'s
-    /// per-element expression), stored to `out` — or, with `keep_max`,
-    /// only where it beats what `out` holds (`max_pool2d_into`'s scan).
+    /// The whole accumulator → f32 (`dequantize_transpose_bias_relu`'s
+    /// per-element expression) in one flat loop; returns the integer
+    /// max|·| of the values it stored.
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — all four slices are cut to `out.len()` up front
-    fn dequantize_row(&self, acc: &[i32], a_scale: f32, out: &mut [f32], keep_max: bool) {
+    fn dequantize<const RELU: bool>(&self, acc: &[i32], a_scale: f32, out: &mut [f32]) -> u32 {
         let n = out.len();
-        let (acc, ws, bias) = (&acc[..n], &self.w_scales_row[..n], &self.bias_row[..n]);
-        let relu = self.relu;
+        let (acc, ws, bias) = (&acc[..n], &self.w_scales_img[..n], &self.bias_img[..n]);
+        let mut m = 0u32;
         for i in 0..n {
             let v = acc[i] as f32 * (a_scale * ws[i]) + bias[i];
-            let v = if relu { v.max(0.0) } else { v };
-            if !keep_max || v > out[i] {
+            let v = if RELU { v.max(0.0) } else { v };
+            out[i] = v;
+            m = fold_abs_max::<RELU>(m, v);
+        }
+        m
+    }
+
+    /// `out[i] = v` where the dequantized `v` of `acc[i]` beats it — one
+    /// step of `max_pool2d_into`'s `v > best` scan, over one accumulator
+    /// row or a whole window-major block.
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — all four slices are cut to `out.len()` up front
+    fn dequantize_max<const RELU: bool>(&self, acc: &[i32], a_scale: f32, out: &mut [f32]) {
+        let n = out.len();
+        let (acc, ws, bias) = (&acc[..n], &self.w_scales_img[..n], &self.bias_img[..n]);
+        for i in 0..n {
+            let v = acc[i] as f32 * (a_scale * ws[i]) + bias[i];
+            let v = if RELU { v.max(0.0) } else { v };
+            if v > out[i] {
                 out[i] = v;
             }
         }
     }
 
+    /// The windowed pool: `vals` receives the pooled image from the
+    /// window-major accumulator, `col_max` (as long) holds one window
+    /// column at a time; returns the integer max|·| of `vals`.
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — `compile_windowed` validated that the `window²` blocks of `vals.len()` sums lie inside the accumulator `run` asserted
+    fn pool_windowed<const RELU: bool>(
+        &self,
+        acc: &[i32],
+        a_scale: f32,
+        window: usize,
+        vals: &mut [f32],
+        col_max: &mut [f32],
+    ) -> u32 {
+        let p = vals.len();
+        for kx in 0..window {
+            let cm = if kx == 0 { &mut *vals } else { &mut *col_max };
+            cm.fill(f32::NEG_INFINITY);
+            for ky in 0..window {
+                let block = &acc[(ky * window + kx) * p..][..p];
+                self.dequantize_max::<RELU>(block, a_scale, cm);
+            }
+            if kx > 0 {
+                for (o, &v) in vals.iter_mut().zip(col_max.iter()) {
+                    let best = *o;
+                    *o = if v > best { v } else { best };
+                }
+            }
+        }
+        let mut m = 0u32;
+        for &v in vals.iter() {
+            m = fold_abs_max::<RELU>(m, v);
+        }
+        m
+    }
+
+    /// One pooled row of the row-major path from the accumulator rows
+    /// `acc` of its windows: `max_pool2d_into`'s scan — vertical into
+    /// `col_max` (from `−inf`, `v > best`, each row dequantized on the
+    /// fly), then horizontal per pooled pixel (first column taken, then
+    /// `v > best`); returns the integer max|·| of the row it wrote.
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — `acc` holds the window's rows; `pool_src` entries stay inside `col_max` (see the field)
+    fn pool_row<const RELU: bool>(
+        &self,
+        acc: &[i32],
+        a_scale: f32,
+        col_max: &mut [f32],
+        window: usize,
+        pooled: &mut [f32],
+    ) -> u32 {
+        let row = col_max.len();
+        col_max.fill(f32::NEG_INFINITY);
+        for a in acc.chunks_exact(row).take(window) {
+            self.dequantize_max::<RELU>(a, a_scale, col_max);
+        }
+        let c = self.dst.c;
+        for (o, &s) in pooled
+            .chunks_exact_mut(c)
+            .zip(self.pool_src.iter().step_by(c))
+        {
+            let s = s as usize;
+            o.copy_from_slice(&col_max[s..][..c]);
+            for kx in 1..window {
+                for (o, &v) in o.iter_mut().zip(&col_max[s + kx * c..][..c]) {
+                    if v > *o {
+                        *o = v;
+                    }
+                }
+            }
+        }
+        let mut m = 0u32;
+        for &v in pooled.iter() {
+            m = fold_abs_max::<RELU>(m, v);
+        }
+        m
+    }
+
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — see `run`
-    fn run_body(&self, acc: &[i32], a_scale: f32, stage: &mut [f32], out: &mut [u8]) -> f32 {
-        let (c, row) = (self.dst.c, self.w_scales_row.len());
-        let (ph, pw) = (self.dst.h, self.dst.w);
-        let (vals, col_max) = stage[..self.stage_len()].split_at_mut(ph * pw * c);
-        match self.pool {
-            None => {
-                for (o, a) in vals.chunks_exact_mut(row).zip(acc.chunks_exact(row)) {
-                    self.dequantize_row(a, a_scale, o, false);
-                }
+    fn run_body<const RELU: bool>(
+        &self,
+        acc: &[i32],
+        a_scale: f32,
+        stage: &mut [f32],
+        out: &mut [u8],
+    ) -> f32 {
+        let line = self.dst.w * self.dst.c;
+        let (vals, rest) = stage[..self.stage_len()].split_at_mut(self.dst.h * line);
+        let m = match self.pool {
+            None => self.dequantize::<RELU>(acc, a_scale, vals),
+            Some(g) if self.windowed => {
+                self.pool_windowed::<RELU>(acc, a_scale, g.window, vals, rest)
             }
             Some(g) => {
-                for (py, o) in vals.chunks_exact_mut(pw * c).enumerate() {
-                    // Vertical scan into `col_max`, then horizontal.
-                    col_max.fill(f32::NEG_INFINITY);
-                    for ky in 0..g.window {
-                        let a = &acc[(py * g.stride + ky) * row..][..row];
-                        self.dequantize_row(a, a_scale, col_max, true);
-                    }
-                    for (px, o) in o.chunks_exact_mut(c).enumerate() {
-                        o.copy_from_slice(&col_max[px * g.stride * c..][..c]);
-                        for kx in 1..g.window {
-                            let m = &col_max[(px * g.stride + kx) * c..][..c];
-                            for (o, &v) in o.iter_mut().zip(m) {
-                                if v > *o {
-                                    *o = v;
-                                }
-                            }
-                        }
-                    }
+                let row = self.ow * self.dst.c;
+                let mut m = 0u32;
+                for (py, o) in vals.chunks_exact_mut(line).enumerate() {
+                    let rows = &acc[py * g.stride * row..];
+                    m = m.max(self.pool_row::<RELU>(rows, a_scale, rest, g.window, o));
                 }
+                m
+            }
+        };
+        let scale = channel_scale(f32::from_bits(m));
+        let inv = 1.0 / scale;
+        // A flat destination takes the single pixel as its whole row.
+        for (y, v) in vals.chunks_exact(line).enumerate() {
+            let dst = &mut out[self.dst.interior_row(y)..][..line];
+            if RELU {
+                for (d, &v) in dst.iter_mut().zip(v) {
+                    *d = quantize_byte_relu(v, inv);
+                }
+            } else {
+                quantize_into(v, inv, dst);
             }
         }
-        let scale = channel_scale(max_abs(vals));
-        let inv = 1.0 / scale;
-        out[..self.dst.stride()].fill(128);
-        // A flat destination takes the single pixel as its whole row.
-        for (y, v) in vals.chunks_exact(pw * c).enumerate() {
-            quantize_into(v, inv, &mut out[self.dst.interior_row(y)..][..pw * c]);
-        }
+        self.dst.fill_border(out);
         scale
     }
 }
@@ -1742,6 +2300,58 @@ mod tests {
                     x.to_bits()
                 );
             }
+        }
+    }
+
+    /// The ReLU lane forms equal the general ones on everything `max(0,
+    /// ·)` can produce — `±0`, subnormals, every boundary of the rounding
+    /// and clamp one ulp either side, `+inf` and a stride over all
+    /// non-negative finite floats — against every kind of inverse scale,
+    /// the NaN-producing `0` and `inf` among them.
+    #[test]
+    fn relu_forms_match_the_general_forms() {
+        let mut xs = vec![
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+        ];
+        for b in [0.5f32, 1.5, 126.5, 127.0, 127.5, 128.0, 128.5] {
+            xs.extend([
+                b,
+                f32::from_bits(b.to_bits() - 1),
+                f32::from_bits(b.to_bits() + 1),
+            ]);
+        }
+        xs.extend((0..0x7f80_0000u32).step_by(40_009).map(f32::from_bits));
+        let invs = [
+            1.0f32,
+            127.0 / 0.37,
+            1e-30,
+            1e30,
+            0.0,
+            f32::INFINITY,
+            f32::from_bits(1),
+        ];
+        for &inv in &invs {
+            for &x in &xs {
+                assert_eq!(
+                    quantize_byte_relu(x, inv),
+                    quantize_byte(x, inv),
+                    "x = {x:e} ({:#010x}), inv = {inv:e}",
+                    x.to_bits()
+                );
+            }
+        }
+        let mut m = [0u32; 2];
+        for &x in &xs {
+            m = [
+                fold_abs_max::<true>(m[0], x),
+                fold_abs_max::<false>(m[1], x),
+            ];
+            assert_eq!(m[0], m[1], "max|·| after {x:e}");
         }
     }
 

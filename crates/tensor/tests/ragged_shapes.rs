@@ -844,17 +844,59 @@ fn poisoned_stack(rng: &mut StdRng, images: &[Vec<u8>], img: &NhwcImage, random:
     stack
 }
 
+/// The window-major pixel order of the non-overlapping pool `g` over an
+/// `oh × ow` map — the layout `ImplicitConv::compile_windowed` writes and
+/// `Requantize::compile_windowed` reads — spelled out from its
+/// definition: window offset `(ky, kx)` of every pooled pixel in turn,
+/// then the pixels no window covers, row-major.
+fn window_major_order(oh: usize, ow: usize, g: &PoolGeometry) -> Vec<usize> {
+    let s = g.stride;
+    let (ph, pw) = (g.output_size(oh).unwrap(), g.output_size(ow).unwrap());
+    let mut order = Vec::new();
+    for ky in 0..s {
+        for kx in 0..s {
+            for py in 0..ph {
+                for px in 0..pw {
+                    order.push((py * s + ky) * ow + px * s + kx);
+                }
+            }
+        }
+    }
+    for p in 0..oh * ow {
+        if !order.contains(&p) {
+            order.push(p);
+        }
+    }
+    order
+}
+
+/// `acc`'s pixel rows (`c` sums each, `images` images of `s` pixels)
+/// reordered by `order`: row `r` of an image is its pixel `order[r]`.
+fn reorder_pixels<T: Copy>(acc: &[T], c: usize, s: usize, order: &[usize]) -> Vec<T> {
+    let mut out = Vec::with_capacity(acc.len());
+    for image in acc.chunks_exact(s * c) {
+        for &p in order {
+            out.extend_from_slice(&image[p * c..(p + 1) * c]);
+        }
+    }
+    out
+}
+
 /// The implicit-GEMM int8 conv (`gemm_i8_conv`, reading the padded NHWC
 /// image in place through zero-weight-padded runs) equals the table
 /// gather + `gemm_i8` reference exactly, over kernel 1/3/5 × stride 1/2 ×
 /// padding 0/1/2 × output widths 1/2/3/5/7/8/16/17 (the valid ones), with
 /// `c_in` rotating through every run-pad remainder (1..=8, 12, 48) and
-/// `c_out` through 1/6/16/17/48: per image and with the batch stacked
-/// into one call, batch 1/3/8, every mode, the pool width rotating
-/// 1/2/7. The quad tail of every image and the slack behind the last
-/// hold 0xFF or random bytes — the run padding reads them, and its zero
-/// weights must cancel them — and a sentinel strip behind the output
-/// catches a store past it.
+/// `c_out` through every narrow width 1..=8 (quad-pair packs) and
+/// 16/17/48: per image and with the batch stacked into one call, batch
+/// 1/3/8, every mode, the pool width rotating 1/2/7. Narrow convs whose
+/// runs have an odd quad count — read with a zero-weight pad quad, up to
+/// 7 bytes past the run — are counted and must occur. Where a 2×2 pool
+/// fits the output, the window-major conv (`compile_windowed`) must hold
+/// the same sums, its rows reordered. The quad tail of every image and
+/// the slack behind the last hold 0xFF or random bytes — the run padding
+/// reads them, and its zero weights must cancel them — and a sentinel
+/// strip behind the output catches a store past it.
 #[test]
 fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
     const GUARD_ACC: usize = 16;
@@ -863,8 +905,10 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
     let pools: Vec<Pool> = [1usize, 2, 7].into_iter().map(Pool::new).collect();
     let (c_ins, c_outs) = (
         [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 48],
-        [1usize, 6, 16, 17, 48],
+        [1usize, 2, 3, 4, 5, 6, 7, 8, 16, 17, 48],
     );
+    let halving = PoolGeometry::halving();
+    let (mut narrow_odd, mut windowed_cases) = (0usize, 0usize);
     let mut shapes = 0usize;
     for kernel in [1usize, 3, 5] {
         for stride in [1usize, 2] {
@@ -884,7 +928,10 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
                     // kernel size over the run; the widest pairings stay
                     // rare so the sweep runs in seconds in debug.
                     for c_in in [c_ins[shapes % 10], c_ins[(3 * shapes + 5) % 8]] {
-                        let c_out = c_outs[(shapes + c_in) % 5];
+                        let c_out = c_outs[(shapes + c_in) % c_outs.len()];
+                        if c_out <= 8 && (kernel * c_in).div_ceil(4) % 2 == 1 {
+                            narrow_odd += 1;
+                        }
                         let n = [1usize, 3, 8][(shapes + c_in) % 3];
                         let dims = ConvPlanDims {
                             c_in,
@@ -914,6 +961,12 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
                             ImplicitConv::compile(&dims, 1).unwrap(),
                             ImplicitConv::compile(&dims, n).unwrap(),
                         );
+                        let windowed = (oh >= 2 && ow >= 2).then(|| {
+                            windowed_cases += 1;
+                            let order = window_major_order(oh, ow, &halving);
+                            let conv = ImplicitConv::compile_windowed(&dims, n, halving).unwrap();
+                            (conv, reorder_pixels(&want, c_out, s, &order))
+                        });
                         let what = format!("{dims:?} batch {n}");
                         for_each_mode(|mode| {
                             let pool = &pools[(shapes + c_in + mode as usize) % pools.len()];
@@ -935,6 +988,17 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
                                 });
                             }
                             assert_eq!(got[..len], want[..], "{mode:?} {what} per image");
+                            if let Some((conv, want_w)) = &windowed {
+                                got.fill(SENTINEL_ACC);
+                                with_pool(pool, || {
+                                    gemm_i8_conv(&stack, conv, n, &packed, &mut got, mode)
+                                });
+                                assert!(
+                                    got[len..].iter().all(|&v| v == SENTINEL_ACC),
+                                    "{mode:?} {what}: windowed call stored past its output"
+                                );
+                                assert_eq!(got[..len], want_w[..], "{mode:?} {what} windowed");
+                            }
                         });
                     }
                 }
@@ -943,11 +1007,21 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
     }
     // 144 combinations less the 45 whose output side has no input side.
     assert_eq!(shapes, 99, "geometry filter dropped an implicit-conv shape");
+    assert!(
+        narrow_odd >= 10,
+        "only {narrow_odd} narrow convs with odd run quads"
+    );
+    assert!(
+        windowed_cases >= 10,
+        "only {windowed_cases} window-major convs"
+    );
 }
 
 /// The implicit conv checks its extents once, up front: an image buffer
 /// one byte short of `images·stride + PATCH_SLACK`, or an output one sum
-/// short, is rejected before anything is read or written.
+/// short, is rejected before anything is read or written. The conv is
+/// narrow (`c_out = 6`) with 9-byte runs read as two quad pairs, so its
+/// last run ends 7 bytes past the image: the whole slack but one byte.
 #[test]
 fn implicit_conv_rejects_a_short_image_or_output() {
     let dims = ConvPlanDims {
@@ -975,6 +1049,26 @@ fn implicit_conv_rejects_a_short_image_or_output() {
         run(need - 1, 2 * 16 * 6).is_err(),
         "a short image is rejected"
     );
+    // What the last run reads behind the image meets zero weights.
+    let sums = |slack: u8| {
+        let mut img = vec![128u8; need];
+        img[..need - PATCH_SLACK]
+            .iter_mut()
+            .step_by(5)
+            .for_each(|b| *b = 200);
+        img[need - PATCH_SLACK..].fill(slack);
+        let mut out = vec![0i32; 2 * 16 * 6];
+        for_each_mode(|mode| {
+            let mut got = vec![0i32; 2 * 16 * 6];
+            gemm_i8_conv(&img, &conv, 2, &packed, &mut got, mode);
+            if mode == KernelMode::Scalar {
+                out.copy_from_slice(&got);
+            }
+            assert_eq!(got, out, "{mode:?} slack {slack:#x}");
+        });
+        out
+    };
+    assert_eq!(sums(128), sums(0xFF), "the slack reached a sum");
     assert!(
         run(need, 2 * 16 * 6 - 1).is_err(),
         "a short output is rejected"
@@ -1027,9 +1121,11 @@ fn nhwc_entry_quantize_matches_quantize_slice_in_every_mode() {
     }
 }
 
-/// The requantizing write-back (± ReLU, ± 2×2 max-pool, odd maps that
-/// drop a row and column, channel counts around the vector widths) equals
-/// the composition it replaces — dequantize-transpose to f32 NCHW, f32
+/// The requantizing write-back (± ReLU, no pool, a 2×2 max-pool — from
+/// a row-major and from a window-major accumulator — or an overlapping
+/// 3×3 / stride-2 one, odd maps that drop a row and column, every narrow
+/// channel count 1..=8 and counts around the vector widths) equals the
+/// composition it replaces — dequantize-transpose to f32 NCHW, f32
 /// max-pool, `quantize_slice_u8` — byte for byte and scale for scale, in
 /// every mode, with non-finite values in flight, and writes nothing
 /// behind the destination image.
@@ -1037,15 +1133,19 @@ fn nhwc_entry_quantize_matches_quantize_slice_in_every_mode() {
 fn requantize_epilogue_matches_the_composed_ops_in_every_mode() {
     let mut rng = StdRng::seed_from_u64(0x4E0);
     let halving = PoolGeometry::halving();
-    for c_out in [1usize, 6, 10, 16, 17, 48] {
+    let overlapping = PoolGeometry {
+        window: 3,
+        stride: 2,
+    };
+    for c_out in [1usize, 2, 3, 4, 5, 6, 7, 8, 10, 12, 16, 17, 48] {
         for (oh, ow) in [(1usize, 1usize), (2, 2), (4, 4), (5, 7), (16, 16)] {
             for relu in [false, true] {
-                for pool in [None, Some(halving)] {
+                for pool in [None, Some(halving), Some(overlapping)] {
                     let (ph, pw) = match pool {
                         None => (oh, ow),
                         Some(g) => match (g.output_size(oh), g.output_size(ow)) {
                             (Some(ph), Some(pw)) => (ph, pw),
-                            _ => continue, // 1×1 has nothing to pool
+                            _ => continue, // the window does not fit
                         },
                     };
                     for nonfinite in [false, true] {
@@ -1103,23 +1203,39 @@ fn requantize_epilogue_matches_the_composed_ops_in_every_mode() {
                                 dst,
                             )
                             .unwrap();
-                            let what = format!(
-                                "c_out {c_out} {oh}x{ow} relu {relu} pool {} pad {pad} nonfinite {nonfinite}",
-                                pool.is_some()
-                            );
-                            for_each_mode(|mode| {
-                                // NaN staging: stale floats must never
-                                // reach the max or a byte.
-                                let mut stage = vec![f32::NAN; rq.stage_len()];
-                                let mut got = vec![SENTINEL; dst.stride() + GUARD];
-                                let scale = rq.run(&acc, a_scale, &mut stage, &mut got, mode);
-                                assert_eq!(
-                                    scale.to_bits(),
-                                    want_scale.to_bits(),
-                                    "{mode:?} {what}: scale {scale} vs {want_scale}"
+                            let mut layouts = vec![("row-major", rq, acc.clone())];
+                            if pool == Some(halving) {
+                                let order = window_major_order(oh, ow, &halving);
+                                let windowed = Requantize::compile_windowed(
+                                    w_scales.as_slice(),
+                                    bias.as_slice(),
+                                    (oh, ow),
+                                    relu,
+                                    halving,
+                                    dst,
+                                )
+                                .unwrap();
+                                let acc_w = reorder_pixels(&acc, c_out, s, &order);
+                                layouts.push(("window-major", windowed, acc_w));
+                            }
+                            for (layout, rq, acc) in &layouts {
+                                let what = format!(
+                                    "c_out {c_out} {oh}x{ow} relu {relu} pool {pool:?} {layout} pad {pad} nonfinite {nonfinite}"
                                 );
-                                assert_eq!(got, want, "{mode:?} {what}: image bytes");
-                            });
+                                for_each_mode(|mode| {
+                                    // NaN staging: stale floats must never
+                                    // reach the max or a byte.
+                                    let mut stage = vec![f32::NAN; rq.stage_len()];
+                                    let mut got = vec![SENTINEL; dst.stride() + GUARD];
+                                    let scale = rq.run(acc, a_scale, &mut stage, &mut got, mode);
+                                    assert_eq!(
+                                        scale.to_bits(),
+                                        want_scale.to_bits(),
+                                        "{mode:?} {what}: scale {scale} vs {want_scale}"
+                                    );
+                                    assert_eq!(got, want, "{mode:?} {what}: image bytes");
+                                });
+                            }
                         }
                     }
                 }
@@ -1173,4 +1289,45 @@ fn requantize_rejects_a_destination_that_is_not_its_output() {
     )
     .is_err());
     assert!(compile((1, 1), halving, NhwcImage::flat(6)).is_err());
+}
+
+/// The window-major layouts exist only for non-overlapping pools that
+/// fit the map: an overlapping pool (its windows share pixels) is a
+/// compile-time error for both the conv and its write-back.
+#[test]
+fn window_major_layouts_reject_an_overlapping_pool() {
+    let (ws, b) = ([0.01f32; 6], [0.0f32; 6]);
+    let dims = ConvPlanDims {
+        c_in: 3,
+        h: 5,
+        w: 5,
+        c_out: 6,
+        oh: 5,
+        ow: 5,
+        geom: Conv2dGeometry::same3x3(),
+    };
+    let pooled = |side| NhwcImage {
+        c: 6,
+        h: side,
+        w: side,
+        pad: 1,
+    };
+    let overlapping = PoolGeometry {
+        window: 3,
+        stride: 2,
+    };
+    let halving = PoolGeometry::halving();
+    assert!(Requantize::compile(&ws, &b, (5, 5), true, Some(overlapping), pooled(2)).is_ok());
+    assert!(Requantize::compile_windowed(&ws, &b, (5, 5), true, overlapping, pooled(2)).is_err());
+    assert!(ImplicitConv::compile_windowed(&dims, 1, overlapping).is_err());
+    assert!(Requantize::compile_windowed(&ws, &b, (5, 5), true, halving, pooled(2)).is_ok());
+    assert!(ImplicitConv::compile_windowed(&dims, 1, halving).is_ok());
+    let tiny = ConvPlanDims {
+        h: 1,
+        w: 1,
+        oh: 1,
+        ow: 1,
+        ..dims
+    };
+    assert!(ImplicitConv::compile_windowed(&tiny, 1, halving).is_err());
 }
