@@ -105,8 +105,7 @@ impl NetPhase {
                 self.stats.reactor.pipeline_closed, self.load.planned.pipeline_abuse
             ));
         }
-        let expected_rejects =
-            self.load.planned.pipeline_abuse * u64::from(CHAOS_PIPELINE_STRIKES);
+        let expected_rejects = self.load.planned.pipeline_abuse * u64::from(CHAOS_PIPELINE_STRIKES);
         if self.stats.reactor.pipeline_rejects != expected_rejects {
             out.push(format!(
                 "{label}: reactor pipeline rejects {} != planned {expected_rejects}",
@@ -333,7 +332,11 @@ impl NetSmoke {
                 self.fault_seed,
                 chaos_sigs.0.len(),
                 chaos_sigs.1.len(),
-                chaos_sigs.0.iter().zip(&chaos_sigs.1).position(|(x, y)| x != y)
+                chaos_sigs
+                    .0
+                    .iter()
+                    .zip(&chaos_sigs.1)
+                    .position(|(x, y)| x != y)
             ));
         }
         let drain_sigs = (
@@ -347,7 +350,11 @@ impl NetSmoke {
                 self.fault_seed,
                 drain_sigs.0.len(),
                 drain_sigs.1.len(),
-                drain_sigs.0.iter().zip(&drain_sigs.1).position(|(x, y)| x != y)
+                drain_sigs
+                    .0
+                    .iter()
+                    .zip(&drain_sigs.1)
+                    .position(|(x, y)| x != y)
             ));
         }
         v
@@ -372,13 +379,21 @@ impl NetSmoke {
         for i in 0..self.chaos.len() {
             out.push_str("    ");
             out.push_str(&phase_json(&self.chaos[i], "    "));
-            out.push_str(if i + 1 < self.chaos.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < self.chaos.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ],\n  \"drain\": [\n");
         for i in 0..self.drain.len() {
             out.push_str("    ");
             out.push_str(&drain_json(&self.drain[i], "    "));
-            out.push_str(if i + 1 < self.drain.len() { ",\n" } else { "\n" });
+            out.push_str(if i + 1 < self.drain.len() {
+                ",\n"
+            } else {
+                "\n"
+            });
         }
         out.push_str("  ]\n}\n");
         out
@@ -594,8 +609,14 @@ mod tests {
             fault_seed: 11,
             fairness: run_phase(NetServerConfig::smoke(2), &NetLoadConfig::fairness(200, 3)),
             chaos: [
-                run_phase(NetServerConfig::chaos_smoke(2), &NetLoadConfig::chaos(150, 3, 11)),
-                run_phase(NetServerConfig::chaos_smoke(2), &NetLoadConfig::chaos(150, 3, 11)),
+                run_phase(
+                    NetServerConfig::chaos_smoke(2),
+                    &NetLoadConfig::chaos(150, 3, 11),
+                ),
+                run_phase(
+                    NetServerConfig::chaos_smoke(2),
+                    &NetLoadConfig::chaos(150, 3, 11),
+                ),
             ],
             drain: [run_drain_phase(11), run_drain_phase(11)],
             jain_floor: 0.9,
