@@ -134,6 +134,19 @@ impl NetPhase {
         if self.stats.supervision.quarantined {
             out.push(format!("{label}: a worker was quarantined"));
         }
+        // Outside a drain every reject is queue-full, breaker or shed; any
+        // other code (drain, model, protocol) reached a valid request.
+        for t in self
+            .load
+            .per_tenant
+            .iter()
+            .filter(|t| t.other_rejected != 0)
+        {
+            out.push(format!(
+                "{label}: tenant {} saw {} rejects with an unexpected code",
+                t.tenant, t.other_rejected
+            ));
+        }
         // Server-side completions must cover every client completion plus
         // every abandoned (byzantine-fault) request plus the settle-wave
         // probes — nothing vanishes.
@@ -475,7 +488,7 @@ fn tenant_json(t: &TenantLoad, indent: &str) -> String {
     format!(
         "{indent}{{ \"tenant\": {}, \"weight\": {}, \"assigned\": {}, \"completed\": {}, \
          \"retries\": {}, \"dropped_queue_full\": {}, \"breaker_rejected\": {}, \"shed\": {}, \
-         \"abandoned\": {}, \"latency_us\": {} }}",
+         \"other_rejected\": {}, \"abandoned\": {}, \"latency_us\": {} }}",
         t.tenant,
         t.weight,
         t.assigned,
@@ -484,6 +497,7 @@ fn tenant_json(t: &TenantLoad, indent: &str) -> String {
         t.dropped_queue_full,
         t.breaker_rejected,
         t.shed,
+        t.other_rejected,
         t.abandoned,
         latency_json(&t.latency),
     )
@@ -724,9 +738,27 @@ mod tests {
             tenant_json(&row, "    "),
             "    { \"tenant\": 3, \"weight\": 2, \"assigned\": 9, \"completed\": 4, \
              \"retries\": 1, \"dropped_queue_full\": 0, \"breaker_rejected\": 0, \"shed\": 2, \
-             \"abandoned\": 1, \"latency_us\": { \"count\": 4, \"p50\": 7, \"p95\": 40, \
-             \"p99\": 40, \"mean\": 15, \"max\": 40 } }"
+             \"other_rejected\": 0, \"abandoned\": 1, \"latency_us\": { \"count\": 4, \"p50\": 7, \
+             \"p95\": 40, \"p99\": 40, \"mean\": 15, \"max\": 40 } }"
         );
+    }
+
+    /// A reject whose code no counter of the ledger expects (drain,
+    /// model, protocol) reaching a valid request fails the phase, and the
+    /// tenant row shows the count.
+    #[test]
+    fn an_unexpected_reject_code_is_a_violation() {
+        let mut smoke = tiny_smoke();
+        assert!(smoke.violations().is_empty());
+        let row = &mut smoke.fairness.load.per_tenant[1];
+        row.other_rejected = 2;
+        let tenant = row.tenant;
+        assert!(smoke
+            .violations()
+            .iter()
+            .any(|v| v
+                == &format!("fairness: tenant {tenant} saw 2 rejects with an unexpected code")));
+        assert!(smoke.to_json().contains("\"other_rejected\": 2"));
     }
 
     /// Also: rendering only reads the stats — the written file, a
