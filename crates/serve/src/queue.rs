@@ -4,7 +4,7 @@
 //! both servers run on. It exists only because `benchmark/src/serve.rs`
 //! constructs one to time a push/pop round (`serve.queue_push_pop_us`,
 //! which therefore measures the code the server executes); ROADMAP item
-//! 9's ruler re-cut deletes it.
+//! 12's ruler re-cut deletes it.
 
 use std::time::Duration;
 

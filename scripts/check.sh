@@ -48,7 +48,7 @@ cargo test --release -q -p seal-bench --test determinism
 # (~1.5 s for all seven) and fail on any byte that differs from the
 # committed results/ copy, so a figure can never go stale silently.
 # fig3, fig4, ablation_importance and ablation_boundary are not here:
-# they are the training-path artifacts ROADMAP item 1 regenerates.
+# they are the training-path artifacts ROADMAP item 6 regenerates.
 echo "==> figure files byte-identical to results/"
 FIGS="fig1 fig5 fig6 fig7 fig8 ablation_engines table1 extension_platforms"
 fig_tmp="$(mktemp -d)"
