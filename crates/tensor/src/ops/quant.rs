@@ -1350,20 +1350,30 @@ impl NhwcImage {
     }
 
     /// Sets everything of one image in `out` but its interior — the
-    /// border and the quad tail — to the quantized zero `128`. A writer
-    /// that stores all `h` interior rows of `w·c` bytes itself then never
-    /// touches a byte twice.
+    /// border and the quad tail — to the quantized zero `128`. Call it
+    /// *before* writing all `h` interior rows of `w·c` bytes: the gap
+    /// between two rows (right border, next left border) is set with one
+    /// fixed-width store where it fits, and that store runs on into the
+    /// next row's interior — never past it — which the writer then
+    /// overwrites.
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — callers assert `out.len() ≥ stride()`; every range below ends at or before it
     fn fill_border(&self, out: &mut [u8]) {
+        const WIDE: usize = 64;
         let line = self.w * self.c;
         let Some(last) = self.h.checked_sub(1) else {
             out[..self.stride()].fill(128);
             return;
         };
         out[..self.interior_row(0)].fill(128);
+        let gap = 2 * self.pad * self.c;
         for y in 0..last {
-            out[self.interior_row(y) + line..self.interior_row(y + 1)].fill(128);
+            let start = self.interior_row(y) + line;
+            if gap <= WIDE && WIDE <= gap + line {
+                out[start..start + WIDE].fill(128);
+            } else {
+                out[start..start + gap].fill(128);
+            }
         }
         out[self.interior_row(last) + line..self.stride()].fill(128);
     }
@@ -1401,6 +1411,7 @@ pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: Kernel
         || {
             let scale = channel_scale(max_abs(&x[..c * h * w]));
             let inv = 1.0 / scale;
+            img.fill_border(out);
             for y in 0..h {
                 let row = &mut out[img.interior_row(y)..][..w * c];
                 let plane = |ci: usize| &x[(ci * h + y) * w..][..w];
@@ -1430,7 +1441,6 @@ pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: Kernel
                     }
                 }
             }
-            img.fill_border(out);
             scale
         },
     )
@@ -1893,6 +1903,9 @@ impl Requantize {
         col_max: &mut [f32],
     ) -> u32 {
         let p = vals.len();
+        if window == 2 {
+            return self.pool_halving::<RELU>(&acc[..4 * p], a_scale, vals);
+        }
         for kx in 0..window {
             let cm = if kx == 0 { &mut *vals } else { &mut *col_max };
             cm.fill(f32::NEG_INFINITY);
@@ -1910,6 +1923,41 @@ impl Requantize {
         let mut m = 0u32;
         for &v in vals.iter() {
             m = fold_abs_max::<RELU>(m, v);
+        }
+        m
+    }
+
+    /// [`pool_windowed`](Self::pool_windowed) for the 2×2 window in one
+    /// pass: each pooled value reads its four window-major blocks and
+    /// makes the same four compare-selects in the same order (column
+    /// `kx = 0` from `−inf` over `ky`, column 1 likewise, then column 1
+    /// against column 0).
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — the caller cut `acc` to the four blocks of `vals.len()` sums
+    fn pool_halving<const RELU: bool>(&self, acc: &[i32], a_scale: f32, vals: &mut [f32]) -> u32 {
+        let p = vals.len();
+        let (ws, bias) = (&self.w_scales_img[..p], &self.bias_img[..p]);
+        let (b00, rest) = acc.split_at(p);
+        let (b01, rest) = rest.split_at(p);
+        let (b10, b11) = rest.split_at(p);
+        let (b11, b00, b01, b10) = (&b11[..p], &b00[..p], &b01[..p], &b10[..p]);
+        let mut m = 0u32;
+        for i in 0..p {
+            let sc = a_scale * ws[i];
+            let deq = |a: i32| {
+                let v = a as f32 * sc + bias[i];
+                if RELU {
+                    v.max(0.0)
+                } else {
+                    v
+                }
+            };
+            let over = |v: f32, best: f32| if v > best { v } else { best };
+            let col0 = over(deq(b10[i]), over(deq(b00[i]), f32::NEG_INFINITY));
+            let col1 = over(deq(b11[i]), over(deq(b01[i]), f32::NEG_INFINITY));
+            let best = over(col1, col0);
+            vals[i] = best;
+            m = fold_abs_max::<RELU>(m, best);
         }
         m
     }
@@ -1984,6 +2032,7 @@ impl Requantize {
         };
         let scale = channel_scale(f32::from_bits(m));
         let inv = 1.0 / scale;
+        self.dst.fill_border(out);
         // A flat destination takes the single pixel as its whole row.
         for (y, v) in vals.chunks_exact(line).enumerate() {
             let dst = &mut out[self.dst.interior_row(y)..][..line];
@@ -1995,7 +2044,6 @@ impl Requantize {
                 quantize_into(v, inv, dst);
             }
         }
-        self.dst.fill_border(out);
         scale
     }
 }
