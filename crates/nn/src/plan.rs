@@ -1206,9 +1206,9 @@ fn conv_images(dims: &ConvPlanDims, max_batch: usize) -> usize {
 /// padded NHWC image, through a fused max-pool if one follows — exactly
 /// when that consumer, past the pool and any `Identity` (flatten,
 /// dropout), is another quantized step of the same list; the fused
-/// `MaxPool` step is dropped; a conv whose fused pool does not overlap
-/// is recompiled to write its pixels window-major, so its write-back
-/// pools with flat loops. Everything else stays f32 NCHW: the network
+/// `MaxPool` step is dropped; a conv whose fused pool is the 2×2 one is
+/// recompiled to write its pixels window-major, so its write-back pools
+/// in one flat pass. Everything else stays f32 NCHW: the network
 /// input, the logits, both ends of a residual branch (the add is f32),
 /// average pooling, an unfolded batch-norm or unfused ReLU — and a
 /// flatten of more than one pixel into a `QLinear`, whose rows are in
@@ -1255,15 +1255,14 @@ fn assign_edges(steps: &mut Vec<Step>, max_batch: usize) -> Result<(), NnError> 
             _ => None,
         };
         if let Some(dst) = dst {
-            // A conv followed by a non-overlapping pool writes its pixels
-            // window-major, so the pooled write-back is flat loops.
+            // A conv followed by the 2×2 pool writes its pixels
+            // window-major, so the pooled write-back is one flat pass.
             let windowed =
-                pool.filter(|g| g.window == g.stride && matches!(steps[i], Step::QConv { .. }));
-            let rq = match windowed {
-                Some(g) => {
-                    Requantize::compile_windowed(packed.scales(), bias, out_hw, relu, g, dst)?
-                }
-                None => Requantize::compile(packed.scales(), bias, out_hw, relu, pool, dst)?,
+                pool == Some(PoolGeometry::halving()) && matches!(steps[i], Step::QConv { .. });
+            let rq = if windowed {
+                Requantize::compile_windowed(packed.scales(), bias, out_hw, relu, dst)?
+            } else {
+                Requantize::compile(packed.scales(), bias, out_hw, relu, pool, dst)?
             };
             if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[j] {
                 edges.u8_in = true;
@@ -1271,8 +1270,8 @@ fn assign_edges(steps: &mut Vec<Step>, max_batch: usize) -> Result<(), NnError> 
             if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[i] {
                 edges.u8_out = Some(Box::new(rq)); // one-time compile step
             }
-            if let (Some(g), Step::QConv { dims, conv, .. }) = (windowed, &mut steps[i]) {
-                *conv = ImplicitConv::compile_windowed(dims, conv_images(dims, max_batch), g)?;
+            if let (true, Step::QConv { dims, conv, .. }) = (windowed, &mut steps[i]) {
+                *conv = ImplicitConv::compile_windowed(dims, conv_images(dims, max_batch))?;
             }
             if pool.is_some() {
                 steps.remove(i + 1);

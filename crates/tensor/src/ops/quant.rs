@@ -1392,10 +1392,10 @@ pub const PATCH_SLACK: usize = 8;
 /// interior bytes are exactly those of [`quantize_slice_u8`], transposed.
 ///
 /// The interior is written row by row and only the border around it is
-/// filled. One and three channels (every zoo model's input is RGB) take
-/// one flat loop per row that reads each plane's row contiguously and
-/// stores the interleaved pixels; other widths quantize 16-pixel strips
-/// of one channel and scatter them.
+/// filled. Three channels (every zoo model's input is RGB) take one flat
+/// loop per row that reads each plane's row contiguously and stores the
+/// interleaved pixels; other widths quantize 16-pixel strips of one
+/// channel and scatter them.
 // seal-lint: allow(panic-freedom) — both extents are asserted at entry; every interior offset is below `img.stride()`
 pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: KernelMode) -> f32 {
     const STRIP: usize = 16;
@@ -1416,7 +1416,6 @@ pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: Kernel
                 let row = &mut out[img.interior_row(y)..][..w * c];
                 let plane = |ci: usize| &x[(ci * h + y) * w..][..w];
                 match c {
-                    1 => quantize_into(plane(0), inv, row),
                     3 => {
                         let rgb = plane(0).iter().zip(plane(1)).zip(plane(2));
                         for (d, ((&r, &g), &b)) in row.chunks_exact_mut(3).zip(rgb) {
@@ -1520,26 +1519,22 @@ impl ImplicitConv {
     }
 
     /// [`compile`](Self::compile) with each image's output pixels in the
-    /// [`window_major`] order of the non-overlapping pool `pool`, the
-    /// accumulator layout [`Requantize::compile_windowed`] pools with
-    /// flat loops. The sums of every pixel are unchanged; only the GEMM
-    /// row that holds them moves.
+    /// [`window_major`] order of the 2×2 / stride-2 max-pool that
+    /// follows, the accumulator layout [`Requantize::compile_windowed`]
+    /// pools in one flat pass. The sums of every pixel are unchanged;
+    /// only the GEMM row that holds them moves.
     ///
     /// # Errors
     ///
-    /// As [`compile`](Self::compile), and when `pool` overlaps
-    /// (`window ≠ stride`) or does not fit the output map.
+    /// As [`compile`](Self::compile), and when the output map is too
+    /// small for the pool.
     pub fn compile_windowed(
         dims: &ConvPlanDims,
         images: usize,
-        pool: PoolGeometry,
     ) -> Result<ImplicitConv, TensorError> {
-        let order =
-            window_major(dims.oh, dims.ow, pool).ok_or_else(|| TensorError::InvalidGeometry {
-                reason: format!(
-                    "implicit conv: {pool:?} is not a non-overlapping pool of {dims:?}"
-                ),
-            })?;
+        let order = window_major(dims.oh, dims.ow).ok_or_else(|| TensorError::InvalidGeometry {
+            reason: format!("implicit conv: no 2x2 pool fits the output of {dims:?}"),
+        })?;
         Self::compile_in(dims, images, Some(&order))
     }
 
@@ -1596,26 +1591,24 @@ impl ImplicitConv {
 }
 
 /// Output pixels of an `oh × ow` map in **window-major** order for the
-/// non-overlapping pool `g` (`window = stride = s`, pooled map `ph ×
-/// pw`): position `(ky·s + kx)·ph·pw + py·pw + px` holds pixel `(py·s +
-/// ky, px·s + kx)` — window offset `(ky, kx)` of every pooled pixel in
-/// turn, each block in the pooled image's own order — then the pixels no
-/// window covers, row-major. `None` when `g` overlaps or does not fit.
-fn window_major(oh: usize, ow: usize, g: PoolGeometry) -> Option<Vec<usize>> {
-    let s = g.stride;
-    if g.window != s || s == 0 {
-        return None;
-    }
+/// 2×2 / stride-2 max-pool (pooled map `ph × pw`): position `(2·ky + kx)·
+/// ph·pw + py·pw + px` holds pixel `(2·py + ky, 2·px + kx)` — window
+/// offset `(ky, kx)` of every pooled pixel in turn, each block in the
+/// pooled image's own order — then the pixels no window covers (an odd
+/// map's last row and column), row-major. `None` when the pool does not
+/// fit.
+fn window_major(oh: usize, ow: usize) -> Option<Vec<usize>> {
+    let g = PoolGeometry::halving();
     let (ph, pw) = g.output_size(oh).zip(g.output_size(ow))?;
     let mut order = Vec::with_capacity(oh * ow); // plan-compile-time table
-    for ky in 0..s {
-        for kx in 0..s {
+    for ky in 0..2 {
+        for kx in 0..2 {
             for py in 0..ph {
-                order.extend((0..pw).map(|px| (py * s + ky) * ow + px * s + kx));
+                order.extend((0..pw).map(|px| (2 * py + ky) * ow + 2 * px + kx));
             }
         }
     }
-    order.extend((0..oh * ow).filter(|&p| p / ow >= ph * s || p % ow >= pw * s));
+    order.extend((0..oh * ow).filter(|&p| p / ow >= 2 * ph || p % ow >= 2 * pw));
     Some(order)
 }
 
@@ -1687,10 +1680,10 @@ pub fn gemm_i8_conv(
 /// max|·| of every value it keeps; the second quantizes the kept values
 /// into the interior and writes only the border and quad tail around it.
 /// Without a pool the first pass is one flat loop over the image (the
-/// per-channel constants are tiled over it at compile time); with a
-/// non-overlapping pool and a window-major accumulator
-/// ([`compile_windowed`](Self::compile_windowed)) it is flat loops over
-/// the window blocks; an overlapping pool scans row by row. With ReLU
+/// per-channel constants are tiled over it at compile time); with the
+/// 2×2 pool and a window-major accumulator
+/// ([`compile_windowed`](Self::compile_windowed)) it is one flat pass
+/// over the four window blocks; other pools scan row by row. With ReLU
 /// both passes use the cheaper lane forms `fold_abs_max::<true>` and
 /// `quantize_byte_relu`, exact for values `max(0, ·)` produced.
 #[derive(Clone, Debug)]
@@ -1712,7 +1705,7 @@ pub struct Requantize {
     /// is below `ow·c_out` (`compile` checks the pooled extent).
     pool_src: Vec<u32>,
     /// The accumulator holds the pixels in the [`window_major`] order of
-    /// `pool` ([`compile_windowed`](Self::compile_windowed)).
+    /// the 2×2 pool ([`compile_windowed`](Self::compile_windowed)).
     windowed: bool,
 }
 
@@ -1764,33 +1757,25 @@ impl Requantize {
         })
     }
 
-    /// [`compile`](Self::compile) for an accumulator whose pixels are in
-    /// the [`window_major`] order of the non-overlapping `pool` — what a
-    /// conv from [`ImplicitConv::compile_windowed`] with the same pool
-    /// writes. Window offset `(ky, kx)` of every pooled pixel is then one
-    /// contiguous block laid out like the pooled image, so the whole
-    /// pool is flat elementwise loops over those blocks, in the scan
-    /// order of the row-major path (vertical from `−inf`, then
-    /// horizontal).
+    /// [`compile`](Self::compile) through the 2×2 / stride-2 max-pool,
+    /// for an accumulator whose pixels are in the [`window_major`] order
+    /// — what a conv from [`ImplicitConv::compile_windowed`] writes. Each
+    /// window offset `(ky, kx)` of every pooled pixel is then one
+    /// contiguous block laid out like the pooled image, so the pool is
+    /// one flat pass over the four blocks, in the scan order of the
+    /// row-major path (vertical from `−inf`, then horizontal).
     ///
     /// # Errors
     ///
-    /// As [`compile`](Self::compile), and when `pool` overlaps
-    /// (`window ≠ stride`).
+    /// As [`compile`](Self::compile) with the halving pool.
     pub fn compile_windowed(
         w_scales: &[f32],
         bias: &[f32],
-        (oh, ow): (usize, usize),
+        hw: (usize, usize),
         relu: bool,
-        pool: PoolGeometry,
         dst: NhwcImage,
     ) -> Result<Requantize, TensorError> {
-        if window_major(oh, ow, pool).is_none() {
-            return Err(TensorError::InvalidGeometry {
-                reason: format!("requantize: {pool:?} is not a non-overlapping pool of {oh}x{ow}"),
-            });
-        }
-        let rq = Self::compile(w_scales, bias, (oh, ow), relu, Some(pool), dst)?;
+        let rq = Self::compile(w_scales, bias, hw, relu, Some(PoolGeometry::halving()), dst)?;
         Ok(Requantize {
             pool_src: Vec::new(),
             windowed: true,
@@ -1804,13 +1789,13 @@ impl Requantize {
     }
 
     /// f32 staging floats [`run`](Self::run) needs: the (pooled) output
-    /// image, plus, when pooling, one window column of the pooled image
-    /// (window-major) or one GEMM output row of column maxima.
+    /// image, plus one GEMM output row of column maxima when a row-major
+    /// accumulator is pooled.
     pub fn stage_len(&self) -> usize {
         let pooled = self.dst.h * self.dst.w * self.dst.c;
         let pooling = match self.pool {
             None => 0,
-            Some(_) if self.windowed => pooled,
+            Some(_) if self.windowed => 0,
             Some(_) => self.ow * self.dst.c,
         };
         pooled + pooling
@@ -1873,8 +1858,7 @@ impl Requantize {
     }
 
     /// `out[i] = v` where the dequantized `v` of `acc[i]` beats it — one
-    /// step of `max_pool2d_into`'s `v > best` scan, over one accumulator
-    /// row or a whole window-major block.
+    /// row of `max_pool2d_into`'s vertical `v > best` scan.
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — all four slices are cut to `out.len()` up front
     fn dequantize_max<const RELU: bool>(&self, acc: &[i32], a_scale: f32, out: &mut [f32]) {
@@ -1889,53 +1873,16 @@ impl Requantize {
         }
     }
 
-    /// The windowed pool: `vals` receives the pooled image from the
-    /// window-major accumulator, `col_max` (as long) holds one window
-    /// column at a time; returns the integer max|·| of `vals`.
+    /// The windowed 2×2 pool in one pass: each pooled value in `vals`
+    /// reads its four window-major blocks of `acc` and makes
+    /// `max_pool2d_into`'s four compare-selects in the same order
+    /// (column `kx = 0` from `−inf` over `ky`, column 1 likewise, then
+    /// column 1 against column 0); returns the integer max|·| of `vals`.
     #[inline(always)]
-    // seal-lint: allow(panic-freedom) — `compile_windowed` validated that the `window²` blocks of `vals.len()` sums lie inside the accumulator `run` asserted
-    fn pool_windowed<const RELU: bool>(
-        &self,
-        acc: &[i32],
-        a_scale: f32,
-        window: usize,
-        vals: &mut [f32],
-        col_max: &mut [f32],
-    ) -> u32 {
+    // seal-lint: allow(panic-freedom) — `run` asserted the accumulator holds the four blocks of `vals.len()` sums (the whole `oh·ow·c` image)
+    fn pool_windowed<const RELU: bool>(&self, acc: &[i32], a_scale: f32, vals: &mut [f32]) -> u32 {
         let p = vals.len();
-        if window == 2 {
-            return self.pool_halving::<RELU>(&acc[..4 * p], a_scale, vals);
-        }
-        for kx in 0..window {
-            let cm = if kx == 0 { &mut *vals } else { &mut *col_max };
-            cm.fill(f32::NEG_INFINITY);
-            for ky in 0..window {
-                let block = &acc[(ky * window + kx) * p..][..p];
-                self.dequantize_max::<RELU>(block, a_scale, cm);
-            }
-            if kx > 0 {
-                for (o, &v) in vals.iter_mut().zip(col_max.iter()) {
-                    let best = *o;
-                    *o = if v > best { v } else { best };
-                }
-            }
-        }
-        let mut m = 0u32;
-        for &v in vals.iter() {
-            m = fold_abs_max::<RELU>(m, v);
-        }
-        m
-    }
-
-    /// [`pool_windowed`](Self::pool_windowed) for the 2×2 window in one
-    /// pass: each pooled value reads its four window-major blocks and
-    /// makes the same four compare-selects in the same order (column
-    /// `kx = 0` from `−inf` over `ky`, column 1 likewise, then column 1
-    /// against column 0).
-    #[inline(always)]
-    // seal-lint: allow(panic-freedom) — the caller cut `acc` to the four blocks of `vals.len()` sums
-    fn pool_halving<const RELU: bool>(&self, acc: &[i32], a_scale: f32, vals: &mut [f32]) -> u32 {
-        let p = vals.len();
+        let acc = &acc[..4 * p];
         let (ws, bias) = (&self.w_scales_img[..p], &self.bias_img[..p]);
         let (b00, rest) = acc.split_at(p);
         let (b01, rest) = rest.split_at(p);
@@ -2017,9 +1964,7 @@ impl Requantize {
         let (vals, rest) = stage[..self.stage_len()].split_at_mut(self.dst.h * line);
         let m = match self.pool {
             None => self.dequantize::<RELU>(acc, a_scale, vals),
-            Some(g) if self.windowed => {
-                self.pool_windowed::<RELU>(acc, a_scale, g.window, vals, rest)
-            }
+            Some(_) if self.windowed => self.pool_windowed::<RELU>(acc, a_scale, vals),
             Some(g) => {
                 let row = self.ow * self.dst.c;
                 let mut m = 0u32;

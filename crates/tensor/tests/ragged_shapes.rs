@@ -844,14 +844,14 @@ fn poisoned_stack(rng: &mut StdRng, images: &[Vec<u8>], img: &NhwcImage, random:
     stack
 }
 
-/// The window-major pixel order of the non-overlapping pool `g` over an
-/// `oh × ow` map — the layout `ImplicitConv::compile_windowed` writes and
+/// The window-major pixel order of the 2×2 / stride-2 pool over an `oh
+/// × ow` map — the layout `ImplicitConv::compile_windowed` writes and
 /// `Requantize::compile_windowed` reads — spelled out from its
 /// definition: window offset `(ky, kx)` of every pooled pixel in turn,
 /// then the pixels no window covers, row-major.
-fn window_major_order(oh: usize, ow: usize, g: &PoolGeometry) -> Vec<usize> {
-    let s = g.stride;
-    let (ph, pw) = (g.output_size(oh).unwrap(), g.output_size(ow).unwrap());
+fn window_major_order(oh: usize, ow: usize) -> Vec<usize> {
+    let s = 2;
+    let (ph, pw) = (oh / 2, ow / 2);
     let mut order = Vec::new();
     for ky in 0..s {
         for kx in 0..s {
@@ -907,7 +907,6 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
         [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 48],
         [1usize, 2, 3, 4, 5, 6, 7, 8, 16, 17, 48],
     );
-    let halving = PoolGeometry::halving();
     let (mut narrow_odd, mut windowed_cases) = (0usize, 0usize);
     let mut shapes = 0usize;
     for kernel in [1usize, 3, 5] {
@@ -963,8 +962,8 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
                         );
                         let windowed = (oh >= 2 && ow >= 2).then(|| {
                             windowed_cases += 1;
-                            let order = window_major_order(oh, ow, &halving);
-                            let conv = ImplicitConv::compile_windowed(&dims, n, halving).unwrap();
+                            let order = window_major_order(oh, ow);
+                            let conv = ImplicitConv::compile_windowed(&dims, n).unwrap();
                             (conv, reorder_pixels(&want, c_out, s, &order))
                         });
                         let what = format!("{dims:?} batch {n}");
@@ -1205,13 +1204,12 @@ fn requantize_epilogue_matches_the_composed_ops_in_every_mode() {
                             .unwrap();
                             let mut layouts = vec![("row-major", rq, acc.clone())];
                             if pool == Some(halving) {
-                                let order = window_major_order(oh, ow, &halving);
+                                let order = window_major_order(oh, ow);
                                 let windowed = Requantize::compile_windowed(
                                     w_scales.as_slice(),
                                     bias.as_slice(),
                                     (oh, ow),
                                     relu,
-                                    halving,
                                     dst,
                                 )
                                 .unwrap();
@@ -1291,11 +1289,11 @@ fn requantize_rejects_a_destination_that_is_not_its_output() {
     assert!(compile((1, 1), halving, NhwcImage::flat(6)).is_err());
 }
 
-/// The window-major layouts exist only for non-overlapping pools that
-/// fit the map: an overlapping pool (its windows share pixels) is a
-/// compile-time error for both the conv and its write-back.
+/// The window-major layouts exist only where the 2×2 pool fits: a map
+/// narrower than the window is a compile-time error for the conv, and
+/// the write-back still insists on the pooled extent.
 #[test]
-fn window_major_layouts_reject_an_overlapping_pool() {
+fn window_major_layouts_need_a_map_the_pool_fits() {
     let (ws, b) = ([0.01f32; 6], [0.0f32; 6]);
     let dims = ConvPlanDims {
         c_in: 3,
@@ -1312,22 +1310,14 @@ fn window_major_layouts_reject_an_overlapping_pool() {
         w: side,
         pad: 1,
     };
-    let overlapping = PoolGeometry {
-        window: 3,
-        stride: 2,
-    };
-    let halving = PoolGeometry::halving();
-    assert!(Requantize::compile(&ws, &b, (5, 5), true, Some(overlapping), pooled(2)).is_ok());
-    assert!(Requantize::compile_windowed(&ws, &b, (5, 5), true, overlapping, pooled(2)).is_err());
-    assert!(ImplicitConv::compile_windowed(&dims, 1, overlapping).is_err());
-    assert!(Requantize::compile_windowed(&ws, &b, (5, 5), true, halving, pooled(2)).is_ok());
-    assert!(ImplicitConv::compile_windowed(&dims, 1, halving).is_ok());
-    let tiny = ConvPlanDims {
-        h: 1,
+    assert!(Requantize::compile_windowed(&ws, &b, (5, 5), true, pooled(2)).is_ok());
+    assert!(Requantize::compile_windowed(&ws, &b, (5, 5), true, pooled(3)).is_err());
+    assert!(Requantize::compile_windowed(&ws, &b, (1, 5), true, pooled(2)).is_err());
+    assert!(ImplicitConv::compile_windowed(&dims, 1).is_ok());
+    let narrow = ConvPlanDims {
         w: 1,
-        oh: 1,
         ow: 1,
         ..dims
     };
-    assert!(ImplicitConv::compile_windowed(&tiny, 1, halving).is_err());
+    assert!(ImplicitConv::compile_windowed(&narrow, 1).is_err());
 }
