@@ -1359,7 +1359,7 @@ impl NhwcImage {
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — callers assert `out.len() ≥ stride()`; every range below ends at or before it
     fn fill_border(&self, out: &mut [u8]) {
-        const WIDE: usize = 64;
+        const WIDE: usize = 32;
         let line = self.w * self.c;
         let Some(last) = self.h.checked_sub(1) else {
             out[..self.stride()].fill(128);
