@@ -1697,13 +1697,6 @@ pub struct Requantize {
     /// elementwise loop however narrow `c_out` is.
     w_scales_img: Vec<f32>,
     bias_img: Vec<f32>,
-    /// With a pool, per element `(px, c)` of one pooled row (`pw·c_out`):
-    /// where its window's first column sits in the column-max row,
-    /// `px·stride·c_out + c`. Column `kx` of the window is `kx·c_out`
-    /// further on, so the horizontal scan is one flat loop per `kx`
-    /// however narrow `c_out` is. Every entry plus `(window − 1)·c_out`
-    /// is below `ow·c_out` (`compile` checks the pooled extent).
-    pool_src: Vec<u32>,
     /// The accumulator holds the pixels in the [`window_major`] order of
     /// the 2×2 pool ([`compile_windowed`](Self::compile_windowed)).
     windowed: bool,
@@ -1739,12 +1732,6 @@ impl Requantize {
             });
         }
         let tile = |v: &[f32]| v.iter().copied().cycle().take(oh * ow * c_out).collect(); // plan-compile-time constants
-        let pool_src = match pool {
-            None => Vec::new(),
-            Some(g) => (0..dst.w * c_out)
-                .map(|e| ((e / c_out) * g.stride * c_out + e % c_out) as u32)
-                .collect(), // plan-compile-time constants
-        };
         Ok(Requantize {
             ow,
             relu,
@@ -1752,7 +1739,6 @@ impl Requantize {
             dst,
             w_scales_img: tile(w_scales),
             bias_img: tile(bias),
-            pool_src,
             windowed: false,
         })
     }
@@ -1777,7 +1763,6 @@ impl Requantize {
     ) -> Result<Requantize, TensorError> {
         let rq = Self::compile(w_scales, bias, hw, relu, Some(PoolGeometry::halving()), dst)?;
         Ok(Requantize {
-            pool_src: Vec::new(),
             windowed: true,
             ..rq
         })
@@ -1913,28 +1898,24 @@ impl Requantize {
     /// `acc` of its windows: `max_pool2d_into`'s scan — vertical into
     /// `col_max` (from `−inf`, `v > best`, each row dequantized on the
     /// fly), then horizontal per pooled pixel (first column taken, then
-    /// `v > best`); returns the integer max|·| of the row it wrote.
+    /// `v > best`).
     #[inline(always)]
-    // seal-lint: allow(panic-freedom) — `acc` holds the window's rows; `pool_src` entries stay inside `col_max` (see the field)
+    // seal-lint: allow(panic-freedom) — `acc` holds the window's rows; `compile` checked that every window of the pooled row lies inside `col_max`
     fn pool_row<const RELU: bool>(
         &self,
         acc: &[i32],
         a_scale: f32,
         col_max: &mut [f32],
-        window: usize,
+        g: PoolGeometry,
         pooled: &mut [f32],
-    ) -> u32 {
-        let row = col_max.len();
+    ) {
+        let (row, c, window) = (col_max.len(), self.dst.c, g.window);
         col_max.fill(f32::NEG_INFINITY);
         for a in acc.chunks_exact(row).take(window) {
             self.dequantize_max::<RELU>(a, a_scale, col_max);
         }
-        let c = self.dst.c;
-        for (o, &s) in pooled
-            .chunks_exact_mut(c)
-            .zip(self.pool_src.iter().step_by(c))
-        {
-            let s = s as usize;
+        for (px, o) in pooled.chunks_exact_mut(c).enumerate() {
+            let s = px * g.stride * c;
             o.copy_from_slice(&col_max[s..][..c]);
             for kx in 1..window {
                 for (o, &v) in o.iter_mut().zip(&col_max[s + kx * c..][..c]) {
@@ -1944,11 +1925,6 @@ impl Requantize {
                 }
             }
         }
-        let mut m = 0u32;
-        for &v in pooled.iter() {
-            m = fold_abs_max::<RELU>(m, v);
-        }
-        m
     }
 
     #[inline(always)]
@@ -1967,10 +1943,13 @@ impl Requantize {
             Some(_) if self.windowed => self.pool_windowed::<RELU>(acc, a_scale, vals),
             Some(g) => {
                 let row = self.ow * self.dst.c;
-                let mut m = 0u32;
                 for (py, o) in vals.chunks_exact_mut(line).enumerate() {
                     let rows = &acc[py * g.stride * row..];
-                    m = m.max(self.pool_row::<RELU>(rows, a_scale, rest, g.window, o));
+                    self.pool_row::<RELU>(rows, a_scale, rest, g, o);
+                }
+                let mut m = 0u32;
+                for &v in vals.iter() {
+                    m = fold_abs_max::<RELU>(m, v);
                 }
                 m
             }
