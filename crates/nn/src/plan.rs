@@ -342,7 +342,7 @@ impl CompiledModel {
             // scales see the batch-norm-scaled weights (linear layers are
             // never folded and quantize during the walk).
             quantize_convs(&mut steps, max_batch)?;
-            assign_edges(&mut steps, max_batch)?;
+            assign_edges(&mut steps)?;
         }
         let num_classes = match feat {
             Feat::Flat(f) => f,
@@ -1161,9 +1161,12 @@ fn absorbs(conv: &Step, next: &Step) -> bool {
 /// set of weights (same scale, same quantized values) and integer sums
 /// are order-free, so the accumulators are exactly those of the
 /// unpermuted pack. The row table covers `max_batch` stacked images when
-/// the shape folds.
+/// the shape folds, in the pixel order of the write-back [`u8_edge`]
+/// finds for the step: window-major through a fused 2×2 pool.
 fn quantize_convs(steps: &mut [Step], max_batch: usize) -> Result<(), NnError> {
-    for step in steps.iter_mut() {
+    for i in 0..steps.len() {
+        let pool = u8_edge(steps, i).and_then(|(pool, ..)| pool);
+        let step = &mut steps[i];
         match step {
             Step::Conv {
                 dims,
@@ -1172,8 +1175,9 @@ fn quantize_convs(steps: &mut [Step], max_batch: usize) -> Result<(), NnError> {
                 relu,
                 ..
             } => {
+                let images = if dims.folds_batch_i8() { max_batch } else { 1 };
                 *step = Step::QConv {
-                    conv: ImplicitConv::compile(dims, conv_images(dims, max_batch))?,
+                    conv: ImplicitConv::compile(dims, images, pool)?,
                     packed: PackedBI8::pack_conv_runs(weights, dims)?,
                     dims: *dims,
                     bias: std::mem::take(bias),
@@ -1191,87 +1195,79 @@ fn quantize_convs(steps: &mut [Step], max_batch: usize) -> Result<(), NnError> {
     Ok(())
 }
 
-/// Images one int8 conv GEMM covers: the whole batch when the shape
-/// folds it, else one.
-fn conv_images(dims: &ConvPlanDims, max_batch: usize) -> usize {
-    if dims.folds_batch_i8() {
-        max_batch
-    } else {
-        1
+/// The u8 edge out of the quantized step `steps[i]`, if it writes one:
+/// the max-pool its write-back fuses, the consumer's index and the
+/// consumer's padded input image. The consumer — past the pool and any
+/// `Identity` (flatten, dropout) — must be another quantized step: a
+/// `QConv`, a `Conv` (in an int8 plan [`quantize_convs`] quantizes every
+/// one) or a `QLinear` over a single pixel. [`quantize_convs`] asks it
+/// for the producer's pixel order and [`assign_edges`] for its
+/// write-back, so both see the same edge.
+fn u8_edge(steps: &[Step], i: usize) -> Option<(Option<PoolGeometry>, usize, NhwcImage)> {
+    let out_hw = match steps.get(i)? {
+        Step::Conv { dims, .. } | Step::QConv { dims, .. } => (dims.oh, dims.ow),
+        Step::QLinear { .. } => (1, 1),
+        _ => return None,
+    };
+    let mut j = i + 1;
+    let (pool, hw) = match steps.get(j) {
+        Some(Step::MaxPool { geom, oh, ow, .. }) => {
+            j += 1;
+            (Some(*geom), (*oh, *ow))
+        }
+        _ => (None, out_hw),
+    };
+    while matches!(steps.get(j), Some(Step::Identity)) {
+        j += 1;
     }
+    let dst = match steps.get(j)? {
+        Step::Conv { dims, .. } | Step::QConv { dims, .. } => NhwcImage::for_conv(dims),
+        Step::QLinear { in_f, .. } if hw == (1, 1) => NhwcImage::flat(*in_f),
+        _ => return None,
+    };
+    Some((pool, j, dst))
 }
 
 /// Decides the format of every activation edge that touches a quantized
 /// step. A `QConv`/`QLinear` writes **u8** — straight into its consumer's
 /// padded NHWC image, through a fused max-pool if one follows — exactly
-/// when that consumer, past the pool and any `Identity` (flatten,
-/// dropout), is another quantized step of the same list; the fused
-/// `MaxPool` step is dropped; a conv whose fused pool is the 2×2 one is
-/// recompiled to write its pixels window-major, so its write-back pools
-/// in one flat pass. Everything else stays f32 NCHW: the network
-/// input, the logits, both ends of a residual branch (the add is f32),
-/// average pooling, an unfolded batch-norm or unfused ReLU — and a
-/// flatten of more than one pixel into a `QLinear`, whose rows are in
-/// NCHW order.
-// seal-lint: allow(panic-freedom) — compile time; `i` and `j` are bounds-tested against `steps.len()` before each index
-fn assign_edges(steps: &mut Vec<Step>, max_batch: usize) -> Result<(), NnError> {
+/// when [`u8_edge`] finds it a quantized consumer; the fused `MaxPool`
+/// step is dropped. Everything else stays f32 NCHW: the network input,
+/// the logits, both ends of a residual branch (the add is f32), average
+/// pooling, an unfolded batch-norm or unfused ReLU — and a flatten of
+/// more than one pixel into a `QLinear`, whose rows are in NCHW order.
+// seal-lint: allow(panic-freedom) — compile time; `u8_edge` returns `j < steps.len()`, and `i < j`
+fn assign_edges(steps: &mut Vec<Step>) -> Result<(), NnError> {
     let mut i = 0;
     while i < steps.len() {
         if let Step::Residual { main, shortcut, .. } = &mut steps[i] {
-            assign_edges(main, max_batch)?;
-            assign_edges(shortcut, max_batch)?;
+            assign_edges(main)?;
+            assign_edges(shortcut)?;
         }
-        // The producer's output image and constants, if it is quantized.
-        let (out_hw, packed, bias, relu) = match &steps[i] {
-            Step::QConv {
-                dims,
-                packed,
-                bias,
-                relu,
-                ..
-            } => ((dims.oh, dims.ow), packed, bias, *relu),
-            Step::QLinear {
-                packed, bias, relu, ..
-            } => ((1, 1), packed, bias, *relu),
-            _ => {
-                i += 1;
-                continue;
-            }
-        };
-        let mut j = i + 1;
-        let (pool, hw) = match steps.get(j) {
-            Some(Step::MaxPool { geom, oh, ow, .. }) => {
-                j += 1;
-                (Some(*geom), (*oh, *ow))
-            }
-            _ => (None, out_hw),
-        };
-        while matches!(steps.get(j), Some(Step::Identity)) {
-            j += 1;
-        }
-        let dst = match steps.get(j) {
-            Some(Step::QConv { dims, .. }) => Some(NhwcImage::for_conv(dims)),
-            Some(Step::QLinear { in_f, .. }) if hw == (1, 1) => Some(NhwcImage::flat(*in_f)),
-            _ => None,
-        };
-        if let Some(dst) = dst {
-            // A conv followed by the 2×2 pool writes its pixels
-            // window-major, so the pooled write-back is one flat pass.
-            let windowed =
-                pool == Some(PoolGeometry::halving()) && matches!(steps[i], Step::QConv { .. });
-            let rq = if windowed {
-                Requantize::compile_windowed(packed.scales(), bias, out_hw, relu, dst)?
-            } else {
-                Requantize::compile(packed.scales(), bias, out_hw, relu, pool, dst)?
+        if let Some((pool, j, dst)) = u8_edge(steps, i) {
+            // The producer's output image and constants.
+            let (out_hw, packed, bias, relu) = match &steps[i] {
+                Step::QConv {
+                    dims,
+                    packed,
+                    bias,
+                    relu,
+                    ..
+                } => ((dims.oh, dims.ow), packed, bias, *relu),
+                Step::QLinear {
+                    packed, bias, relu, ..
+                } => ((1, 1), packed, bias, *relu),
+                _ => {
+                    i += 1;
+                    continue;
+                }
             };
+            let rq = Requantize::compile(packed.scales(), bias, out_hw, relu, pool, dst)?;
             if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[j] {
                 edges.u8_in = true;
             }
             if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[i] {
                 edges.u8_out = Some(Box::new(rq)); // one-time compile step
-            }
-            if let (true, Step::QConv { dims, conv, .. }) = (windowed, &mut steps[i]) {
-                *conv = ImplicitConv::compile_windowed(dims, conv_images(dims, max_batch))?;
             }
             if pool.is_some() {
                 steps.remove(i + 1);

@@ -289,13 +289,13 @@ fn abs_bits(v: f32) -> u32 {
     }
 }
 
-/// `m.max(abs_bits(v))` for a `v` that, when `RELU`, came out of
+/// `m.max(abs_bits(v))` for a `v` that, when `relu`, came out of
 /// `max(0, ·)`: such a value is never NaN and its sign bit is set only
 /// for `−0.0`, so a signed max of its raw bits (with `m ≥ 0`) gives the
 /// same `m` in one lane op instead of four.
 #[inline(always)]
-fn fold_abs_max<const RELU: bool>(m: u32, v: f32) -> u32 {
-    if RELU {
+fn fold_abs_max(m: u32, v: f32, relu: bool) -> u32 {
+    if relu {
         (m as i32).max(v.to_bits() as i32) as u32
     } else {
         m.max(abs_bits(v))
@@ -309,8 +309,10 @@ fn fold_abs_max<const RELU: bool>(m: u32, v: f32) -> u32 {
 /// and sends `−0.0` to `0.5`, which truncates to the same `q = 0` as
 /// `−0.5`. So the lower clamp never binds, and the NaN select folds into
 /// `max(·, 0)` (the compare-select keeps `0` when `r` is NaN).
+/// It is not a second rounding rule but [`quantize_value`]'s, with the
+/// branches that cannot bind on this domain dropped;
 /// `relu_forms_match_the_general_forms` checks it against
-/// [`quantize_byte`].
+/// [`quantize_byte`] on every class of value `max(0, ·)` makes.
 #[inline(always)]
 fn quantize_byte_relu(x: f32, inv_scale: f32) -> u8 {
     let r = x * inv_scale + 0.5;
@@ -322,6 +324,18 @@ fn quantize_byte_relu(x: f32, inv_scale: f32) -> u8 {
     // `to_int_unchecked`.
     let q = unsafe { r.to_int_unchecked::<i32>() };
     (q + 128) as u8
+}
+
+/// One exact-i32 sum → f32: `acc · scale + bias`, then `max(0, ·)` when
+/// `relu` — [`dequantize_transpose_bias_relu`]'s per-element expression.
+#[inline(always)]
+fn dequantize_value(acc: i32, scale: f32, bias: f32, relu: bool) -> f32 {
+    let v = acc as f32 * scale + bias;
+    if relu {
+        v.max(0.0)
+    } else {
+        v
+    }
 }
 
 /// Elementwise `out[i] = quantize_byte(x[i])` over the common length.
@@ -1350,16 +1364,11 @@ impl NhwcImage {
     }
 
     /// Sets everything of one image in `out` but its interior — the
-    /// border and the quad tail — to the quantized zero `128`. Call it
-    /// *before* writing all `h` interior rows of `w·c` bytes: the gap
-    /// between two rows (right border, next left border) is set with one
-    /// fixed-width store where it fits, and that store runs on into the
-    /// next row's interior — never past it — which the writer then
-    /// overwrites.
+    /// border and the quad tail — to the quantized zero `128`, leaving
+    /// the `h` interior rows of `w·c` bytes to the writer.
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — callers assert `out.len() ≥ stride()`; every range below ends at or before it
     fn fill_border(&self, out: &mut [u8]) {
-        const WIDE: usize = 32;
         let line = self.w * self.c;
         let Some(last) = self.h.checked_sub(1) else {
             out[..self.stride()].fill(128);
@@ -1367,11 +1376,9 @@ impl NhwcImage {
         };
         out[..self.interior_row(0)].fill(128);
         let gap = 2 * self.pad * self.c;
-        for y in 0..last {
-            let start = self.interior_row(y) + line;
-            if gap <= WIDE && WIDE <= gap + line {
-                out[start..start + WIDE].fill(128);
-            } else {
+        if gap > 0 {
+            for y in 0..last {
+                let start = self.interior_row(y) + line;
                 out[start..start + gap].fill(128);
             }
         }
@@ -1506,45 +1513,33 @@ pub struct ImplicitConv {
 impl ImplicitConv {
     /// The row table and run geometry of the convolution `dims` for up to
     /// `images` images stacked at [`NhwcImage::stride`] (`1` unless the
-    /// batch folds into one GEMM). Allocates — call at plan-compile time.
+    /// batch folds into one GEMM), for a write-back that fuses `pool`
+    /// (`None` when none, or when the output is dequantized to f32). GEMM
+    /// row `r` of an image holds output pixel `r` — or, through the 2×2 /
+    /// stride-2 pool, pixel `order[r]` of its [`window_major`] order, the
+    /// layout [`Requantize::compile`] pools in one flat pass for the same
+    /// pool. Allocates — call at plan-compile time.
     ///
     /// # Errors
     ///
     /// [`TensorError::InvalidGeometry`] if `images` is 0, `dims` is not a
     /// convolution whose output fits its padded input (its reads would
-    /// leave the image + slack), or the stacked images span more than
-    /// `u32` offsets address.
-    pub fn compile(dims: &ConvPlanDims, images: usize) -> Result<ImplicitConv, TensorError> {
-        Self::compile_in(dims, images, None)
-    }
-
-    /// [`compile`](Self::compile) with each image's output pixels in the
-    /// [`window_major`] order of the 2×2 / stride-2 max-pool that
-    /// follows, the accumulator layout [`Requantize::compile_windowed`]
-    /// pools in one flat pass. The sums of every pixel are unchanged;
-    /// only the GEMM row that holds them moves.
-    ///
-    /// # Errors
-    ///
-    /// As [`compile`](Self::compile), and when the output map is too
-    /// small for the pool.
-    pub fn compile_windowed(
+    /// leave the image + slack), the stacked images span more than `u32`
+    /// offsets address, or the 2×2 pool does not fit the output.
+    pub fn compile(
         dims: &ConvPlanDims,
         images: usize,
+        pool: Option<PoolGeometry>,
     ) -> Result<ImplicitConv, TensorError> {
-        let order = window_major(dims.oh, dims.ow).ok_or_else(|| TensorError::InvalidGeometry {
-            reason: format!("implicit conv: no 2x2 pool fits the output of {dims:?}"),
-        })?;
-        Self::compile_in(dims, images, Some(&order))
-    }
-
-    /// The shared body: GEMM row `r` of an image is output pixel
-    /// `order[r]` (row-major `r` without an order).
-    fn compile_in(
-        dims: &ConvPlanDims,
-        images: usize,
-        order: Option<&[usize]>,
-    ) -> Result<ImplicitConv, TensorError> {
+        let order = if window_major_pool(pool) {
+            let order =
+                window_major(dims.oh, dims.ow).ok_or_else(|| TensorError::InvalidGeometry {
+                    reason: format!("implicit conv: no 2x2 pool fits the output of {dims:?}"),
+                })?;
+            Some(order)
+        } else {
+            None
+        };
         let img = NhwcImage::for_conv(dims);
         let (k, stride) = (dims.geom.kernel, dims.geom.stride);
         let (rq, row_bytes) = (run_quads(dims), img.row_bytes());
@@ -1571,7 +1566,7 @@ impl ImplicitConv {
                 ),
             });
         }
-        let pixel = |t: usize| order.map_or(t, |o| o.get(t).copied().unwrap_or(t));
+        let pixel = |t: usize| order.as_ref().map_or(t, |o| o.get(t).copied().unwrap_or(t));
         let row = |r: usize| ((r / s) * img.stride() + field(pixel(r % s))) as u32;
         let rows = (0..images * s).map(row).collect(); // compile-time table
         Ok(ImplicitConv {
@@ -1588,6 +1583,14 @@ impl ImplicitConv {
     pub fn quads(&self) -> usize {
         self.runs.count * self.runs.quads
     }
+}
+
+/// Whether a write-back that fuses `pool` reads each image's pixels in
+/// [`window_major`] order: exactly through the 2×2 / stride-2 pool.
+/// [`ImplicitConv::compile`] and [`Requantize::compile`] both decide by
+/// it, so the accumulator's writer and reader agree on its layout.
+fn window_major_pool(pool: Option<PoolGeometry>) -> bool {
+    pool == Some(PoolGeometry::halving())
 }
 
 /// Output pixels of an `oh × ow` map in **window-major** order for the
@@ -1680,12 +1683,11 @@ pub fn gemm_i8_conv(
 /// max|·| of every value it keeps; the second quantizes the kept values
 /// into the interior and writes only the border and quad tail around it.
 /// Without a pool the first pass is one flat loop over the image (the
-/// per-channel constants are tiled over it at compile time); with the
-/// 2×2 pool and a window-major accumulator
-/// ([`compile_windowed`](Self::compile_windowed)) it is one flat pass
-/// over the four window blocks; other pools scan row by row. With ReLU
-/// both passes use the cheaper lane forms `fold_abs_max::<true>` and
-/// `quantize_byte_relu`, exact for values `max(0, ·)` produced.
+/// per-channel constants are tiled over it at compile time); through
+/// the 2×2 / stride-2 pool the accumulator is window-major (what
+/// [`ImplicitConv::compile`] writes for the same pool), so the pool is
+/// one flat pass over the four window blocks; other pools scan a
+/// row-major accumulator row by row.
 #[derive(Clone, Debug)]
 pub struct Requantize {
     ow: usize,
@@ -1698,14 +1700,17 @@ pub struct Requantize {
     w_scales_img: Vec<f32>,
     bias_img: Vec<f32>,
     /// The accumulator holds the pixels in the [`window_major`] order of
-    /// the 2×2 pool ([`compile_windowed`](Self::compile_windowed)).
+    /// the 2×2 pool.
     windowed: bool,
 }
 
 impl Requantize {
     /// Write-back of a GEMM output image of `oh × ow` positions by
-    /// `w_scales.len()` channels into `dst`, through `pool` if given.
-    /// Plan-compile-time: allocates the tiled constant rows.
+    /// `w_scales.len()` channels into `dst`, through `pool` if given —
+    /// from the accumulator layout [`ImplicitConv::compile`] writes for
+    /// the same `pool`: window-major through the 2×2 / stride-2 pool,
+    /// row-major otherwise. Plan-compile-time: allocates the tiled
+    /// constant rows.
     ///
     /// # Errors
     ///
@@ -1739,32 +1744,7 @@ impl Requantize {
             dst,
             w_scales_img: tile(w_scales),
             bias_img: tile(bias),
-            windowed: false,
-        })
-    }
-
-    /// [`compile`](Self::compile) through the 2×2 / stride-2 max-pool,
-    /// for an accumulator whose pixels are in the [`window_major`] order
-    /// — what a conv from [`ImplicitConv::compile_windowed`] writes. Each
-    /// window offset `(ky, kx)` of every pooled pixel is then one
-    /// contiguous block laid out like the pooled image, so the pool is
-    /// one flat pass over the four blocks, in the scan order of the
-    /// row-major path (vertical from `−inf`, then horizontal).
-    ///
-    /// # Errors
-    ///
-    /// As [`compile`](Self::compile) with the halving pool.
-    pub fn compile_windowed(
-        w_scales: &[f32],
-        bias: &[f32],
-        hw: (usize, usize),
-        relu: bool,
-        dst: NhwcImage,
-    ) -> Result<Requantize, TensorError> {
-        let rq = Self::compile(w_scales, bias, hw, relu, Some(PoolGeometry::halving()), dst)?;
-        Ok(Requantize {
-            windowed: true,
-            ..rq
+            windowed: window_major_pool(pool),
         })
     }
 
@@ -1815,29 +1795,29 @@ impl Requantize {
             mode,
             #[inline(always)]
             || {
+                // Two literal instantiations, so each inlined body sees
+                // a constant `relu` and its loops stay branch-free.
                 if self.relu {
-                    self.run_body::<true>(acc, a_scale, stage, out)
+                    self.run_body(acc, a_scale, stage, out, true)
                 } else {
-                    self.run_body::<false>(acc, a_scale, stage, out)
+                    self.run_body(acc, a_scale, stage, out, false)
                 }
             },
         )
     }
 
-    /// The whole accumulator → f32 (`dequantize_transpose_bias_relu`'s
-    /// per-element expression) in one flat loop; returns the integer
+    /// The whole accumulator → f32 in one flat loop; returns the integer
     /// max|·| of the values it stored.
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — all four slices are cut to `out.len()` up front
-    fn dequantize<const RELU: bool>(&self, acc: &[i32], a_scale: f32, out: &mut [f32]) -> u32 {
+    fn dequantize(&self, acc: &[i32], a_scale: f32, out: &mut [f32], relu: bool) -> u32 {
         let n = out.len();
         let (acc, ws, bias) = (&acc[..n], &self.w_scales_img[..n], &self.bias_img[..n]);
         let mut m = 0u32;
         for i in 0..n {
-            let v = acc[i] as f32 * (a_scale * ws[i]) + bias[i];
-            let v = if RELU { v.max(0.0) } else { v };
+            let v = dequantize_value(acc[i], a_scale * ws[i], bias[i], relu);
             out[i] = v;
-            m = fold_abs_max::<RELU>(m, v);
+            m = fold_abs_max(m, v, relu);
         }
         m
     }
@@ -1846,12 +1826,11 @@ impl Requantize {
     /// row of `max_pool2d_into`'s vertical `v > best` scan.
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — all four slices are cut to `out.len()` up front
-    fn dequantize_max<const RELU: bool>(&self, acc: &[i32], a_scale: f32, out: &mut [f32]) {
+    fn dequantize_max(&self, acc: &[i32], a_scale: f32, out: &mut [f32], relu: bool) {
         let n = out.len();
         let (acc, ws, bias) = (&acc[..n], &self.w_scales_img[..n], &self.bias_img[..n]);
         for i in 0..n {
-            let v = acc[i] as f32 * (a_scale * ws[i]) + bias[i];
-            let v = if RELU { v.max(0.0) } else { v };
+            let v = dequantize_value(acc[i], a_scale * ws[i], bias[i], relu);
             if v > out[i] {
                 out[i] = v;
             }
@@ -1865,7 +1844,7 @@ impl Requantize {
     /// column 1 against column 0); returns the integer max|·| of `vals`.
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — `run` asserted the accumulator holds the four blocks of `vals.len()` sums (the whole `oh·ow·c` image)
-    fn pool_windowed<const RELU: bool>(&self, acc: &[i32], a_scale: f32, vals: &mut [f32]) -> u32 {
+    fn pool_windowed(&self, acc: &[i32], a_scale: f32, vals: &mut [f32], relu: bool) -> u32 {
         let p = vals.len();
         let acc = &acc[..4 * p];
         let (ws, bias) = (&self.w_scales_img[..p], &self.bias_img[..p]);
@@ -1875,21 +1854,13 @@ impl Requantize {
         let (b11, b00, b01, b10) = (&b11[..p], &b00[..p], &b01[..p], &b10[..p]);
         let mut m = 0u32;
         for i in 0..p {
-            let sc = a_scale * ws[i];
-            let deq = |a: i32| {
-                let v = a as f32 * sc + bias[i];
-                if RELU {
-                    v.max(0.0)
-                } else {
-                    v
-                }
-            };
+            let deq = |a: i32| dequantize_value(a, a_scale * ws[i], bias[i], relu);
             let over = |v: f32, best: f32| if v > best { v } else { best };
             let col0 = over(deq(b10[i]), over(deq(b00[i]), f32::NEG_INFINITY));
             let col1 = over(deq(b11[i]), over(deq(b01[i]), f32::NEG_INFINITY));
             let best = over(col1, col0);
             vals[i] = best;
-            m = fold_abs_max::<RELU>(m, best);
+            m = fold_abs_max(m, best, relu);
         }
         m
     }
@@ -1901,18 +1872,19 @@ impl Requantize {
     /// `v > best`).
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — `acc` holds the window's rows; `compile` checked that every window of the pooled row lies inside `col_max`
-    fn pool_row<const RELU: bool>(
+    fn pool_row(
         &self,
         acc: &[i32],
         a_scale: f32,
         col_max: &mut [f32],
         g: PoolGeometry,
         pooled: &mut [f32],
+        relu: bool,
     ) {
         let (row, c, window) = (col_max.len(), self.dst.c, g.window);
         col_max.fill(f32::NEG_INFINITY);
         for a in acc.chunks_exact(row).take(window) {
-            self.dequantize_max::<RELU>(a, a_scale, col_max);
+            self.dequantize_max(a, a_scale, col_max, relu);
         }
         for (px, o) in pooled.chunks_exact_mut(c).enumerate() {
             let s = px * g.stride * c;
@@ -1929,29 +1901,26 @@ impl Requantize {
 
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — see `run`
-    fn run_body<const RELU: bool>(
+    fn run_body(
         &self,
         acc: &[i32],
         a_scale: f32,
         stage: &mut [f32],
         out: &mut [u8],
+        relu: bool,
     ) -> f32 {
         let line = self.dst.w * self.dst.c;
         let (vals, rest) = stage[..self.stage_len()].split_at_mut(self.dst.h * line);
         let m = match self.pool {
-            None => self.dequantize::<RELU>(acc, a_scale, vals),
-            Some(_) if self.windowed => self.pool_windowed::<RELU>(acc, a_scale, vals),
+            None => self.dequantize(acc, a_scale, vals, relu),
+            Some(_) if self.windowed => self.pool_windowed(acc, a_scale, vals, relu),
             Some(g) => {
                 let row = self.ow * self.dst.c;
                 for (py, o) in vals.chunks_exact_mut(line).enumerate() {
                     let rows = &acc[py * g.stride * row..];
-                    self.pool_row::<RELU>(rows, a_scale, rest, g, o);
+                    self.pool_row(rows, a_scale, rest, g, o, relu);
                 }
-                let mut m = 0u32;
-                for &v in vals.iter() {
-                    m = fold_abs_max::<RELU>(m, v);
-                }
-                m
+                max_abs(vals).to_bits()
             }
         };
         let scale = channel_scale(f32::from_bits(m));
@@ -1960,7 +1929,7 @@ impl Requantize {
         // A flat destination takes the single pixel as its whole row.
         for (y, v) in vals.chunks_exact(line).enumerate() {
             let dst = &mut out[self.dst.interior_row(y)..][..line];
-            if RELU {
+            if relu {
                 for (d, &v) in dst.iter_mut().zip(v) {
                     *d = quantize_byte_relu(v, inv);
                 }
@@ -2319,10 +2288,7 @@ mod tests {
         }
         let mut m = [0u32; 2];
         for &x in &xs {
-            m = [
-                fold_abs_max::<true>(m[0], x),
-                fold_abs_max::<false>(m[1], x),
-            ];
+            m = [fold_abs_max(m[0], x, true), fold_abs_max(m[1], x, false)];
             assert_eq!(m[0], m[1], "max|·| after {x:e}");
         }
     }

@@ -845,8 +845,8 @@ fn poisoned_stack(rng: &mut StdRng, images: &[Vec<u8>], img: &NhwcImage, random:
 }
 
 /// The window-major pixel order of the 2×2 / stride-2 pool over an `oh
-/// × ow` map — the layout `ImplicitConv::compile_windowed` writes and
-/// `Requantize::compile_windowed` reads — spelled out from its
+/// × ow` map — the layout `ImplicitConv::compile` writes and
+/// `Requantize::compile` reads for that pool — spelled out from its
 /// definition: window offset `(ky, kx)` of every pooled pixel in turn,
 /// then the pixels no window covers, row-major.
 fn window_major_order(oh: usize, ow: usize) -> Vec<usize> {
@@ -892,8 +892,8 @@ fn reorder_pixels<T: Copy>(acc: &[T], c: usize, s: usize, order: &[usize]) -> Ve
 /// 1/3/8, every mode, the pool width rotating 1/2/7. Narrow convs whose
 /// runs have an odd quad count — read with a zero-weight pad quad, up to
 /// 7 bytes past the run — are counted and must occur. Where a 2×2 pool
-/// fits the output, the window-major conv (`compile_windowed`) must hold
-/// the same sums, its rows reordered. The quad tail of every image and
+/// fits the output, the conv compiled for that pool (window-major) must
+/// hold the same sums, its rows reordered. The quad tail of every image and
 /// the slack behind the last hold 0xFF or random bytes — the run padding
 /// reads them, and its zero weights must cancel them — and a sentinel
 /// strip behind the output catches a store past it.
@@ -957,13 +957,14 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
                         let stack = poisoned_stack(&mut rng, &images, &img, random);
                         let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
                         let (per_image, stacked) = (
-                            ImplicitConv::compile(&dims, 1).unwrap(),
-                            ImplicitConv::compile(&dims, n).unwrap(),
+                            ImplicitConv::compile(&dims, 1, None).unwrap(),
+                            ImplicitConv::compile(&dims, n, None).unwrap(),
                         );
                         let windowed = (oh >= 2 && ow >= 2).then(|| {
                             windowed_cases += 1;
                             let order = window_major_order(oh, ow);
-                            let conv = ImplicitConv::compile_windowed(&dims, n).unwrap();
+                            let halving = Some(PoolGeometry::halving());
+                            let conv = ImplicitConv::compile(&dims, n, halving).unwrap();
                             (conv, reorder_pixels(&want, c_out, s, &order))
                         });
                         let what = format!("{dims:?} batch {n}");
@@ -1032,7 +1033,7 @@ fn implicit_conv_rejects_a_short_image_or_output() {
         ow: 4,
         geom: Conv2dGeometry::same3x3(),
     };
-    let conv = ImplicitConv::compile(&dims, 2).unwrap();
+    let conv = ImplicitConv::compile(&dims, 2, None).unwrap();
     let weights = vec![0.25f32; 6 * 27];
     let packed = PackedBI8::pack_conv_runs(&weights, &dims).unwrap();
     let need = 2 * NhwcImage::for_conv(&dims).stride() + PATCH_SLACK;
@@ -1120,9 +1121,9 @@ fn nhwc_entry_quantize_matches_quantize_slice_in_every_mode() {
     }
 }
 
-/// The requantizing write-back (± ReLU, no pool, a 2×2 max-pool — from
-/// a row-major and from a window-major accumulator — or an overlapping
-/// 3×3 / stride-2 one, odd maps that drop a row and column, every narrow
+/// The requantizing write-back (± ReLU, no pool, a 2×2 max-pool from a
+/// window-major accumulator or an overlapping 3×3 / stride-2 one from a
+/// row-major accumulator, odd maps that drop a row and column, every narrow
 /// channel count 1..=8 and counts around the vector widths) equals the
 /// composition it replaces — dequantize-transpose to f32 NCHW, f32
 /// max-pool, `quantize_slice_u8` — byte for byte and scale for scale, in
@@ -1202,38 +1203,29 @@ fn requantize_epilogue_matches_the_composed_ops_in_every_mode() {
                                 dst,
                             )
                             .unwrap();
-                            let mut layouts = vec![("row-major", rq, acc.clone())];
-                            if pool == Some(halving) {
-                                let order = window_major_order(oh, ow);
-                                let windowed = Requantize::compile_windowed(
-                                    w_scales.as_slice(),
-                                    bias.as_slice(),
-                                    (oh, ow),
-                                    relu,
-                                    dst,
-                                )
-                                .unwrap();
-                                let acc_w = reorder_pixels(&acc, c_out, s, &order);
-                                layouts.push(("window-major", windowed, acc_w));
-                            }
-                            for (layout, rq, acc) in &layouts {
-                                let what = format!(
-                                    "c_out {c_out} {oh}x{ow} relu {relu} pool {pool:?} {layout} pad {pad} nonfinite {nonfinite}"
+                            // Through the 2×2 pool the write-back reads
+                            // the conv's window-major pixel order.
+                            let acc = if pool == Some(halving) {
+                                reorder_pixels(&acc, c_out, s, &window_major_order(oh, ow))
+                            } else {
+                                acc.clone()
+                            };
+                            let what = format!(
+                                "c_out {c_out} {oh}x{ow} relu {relu} pool {pool:?} pad {pad} nonfinite {nonfinite}"
+                            );
+                            for_each_mode(|mode| {
+                                // NaN staging: stale floats must never
+                                // reach the max or a byte.
+                                let mut stage = vec![f32::NAN; rq.stage_len()];
+                                let mut got = vec![SENTINEL; dst.stride() + GUARD];
+                                let scale = rq.run(&acc, a_scale, &mut stage, &mut got, mode);
+                                assert_eq!(
+                                    scale.to_bits(),
+                                    want_scale.to_bits(),
+                                    "{mode:?} {what}: scale {scale} vs {want_scale}"
                                 );
-                                for_each_mode(|mode| {
-                                    // NaN staging: stale floats must never
-                                    // reach the max or a byte.
-                                    let mut stage = vec![f32::NAN; rq.stage_len()];
-                                    let mut got = vec![SENTINEL; dst.stride() + GUARD];
-                                    let scale = rq.run(acc, a_scale, &mut stage, &mut got, mode);
-                                    assert_eq!(
-                                        scale.to_bits(),
-                                        want_scale.to_bits(),
-                                        "{mode:?} {what}: scale {scale} vs {want_scale}"
-                                    );
-                                    assert_eq!(got, want, "{mode:?} {what}: image bytes");
-                                });
-                            }
+                                assert_eq!(got, want, "{mode:?} {what}: image bytes");
+                            });
                         }
                     }
                 }
@@ -1289,7 +1281,7 @@ fn requantize_rejects_a_destination_that_is_not_its_output() {
     assert!(compile((1, 1), halving, NhwcImage::flat(6)).is_err());
 }
 
-/// The window-major layouts exist only where the 2×2 pool fits: a map
+/// The window-major layout exists only where the 2×2 pool fits: a map
 /// narrower than the window is a compile-time error for the conv, and
 /// the write-back still insists on the pooled extent.
 #[test]
@@ -1310,14 +1302,17 @@ fn window_major_layouts_need_a_map_the_pool_fits() {
         w: side,
         pad: 1,
     };
-    assert!(Requantize::compile_windowed(&ws, &b, (5, 5), true, pooled(2)).is_ok());
-    assert!(Requantize::compile_windowed(&ws, &b, (5, 5), true, pooled(3)).is_err());
-    assert!(Requantize::compile_windowed(&ws, &b, (1, 5), true, pooled(2)).is_err());
-    assert!(ImplicitConv::compile_windowed(&dims, 1).is_ok());
+    let halving = Some(PoolGeometry::halving());
+    let requantize = |hw, dst| Requantize::compile(&ws, &b, hw, true, halving, dst);
+    assert!(requantize((5, 5), pooled(2)).is_ok());
+    assert!(requantize((5, 5), pooled(3)).is_err());
+    assert!(requantize((1, 5), pooled(2)).is_err());
+    assert!(ImplicitConv::compile(&dims, 1, halving).is_ok());
     let narrow = ConvPlanDims {
         w: 1,
         ow: 1,
         ..dims
     };
-    assert!(ImplicitConv::compile_windowed(&narrow, 1).is_err());
+    assert!(ImplicitConv::compile(&narrow, 1, halving).is_err());
+    assert!(ImplicitConv::compile(&narrow, 1, None).is_ok());
 }
