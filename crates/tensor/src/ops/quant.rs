@@ -155,8 +155,10 @@ pub(crate) fn channel_scale(maxabs: f32) -> f32 {
 /// forms agree on every f32
 /// (`quantize_value_is_the_saturating_cast_rule`). This is the **single**
 /// rounding definition every quantization path shares — weights at pack
-/// time, activations on entry and in the requantizing epilogue — which is
-/// what keeps scalar/AVX2/AVX-512 runs bit-identical.
+/// time, activations on entry and in the requantizing epilogue (on ReLU
+/// outputs through `quantize_byte_relu`, this rule with the branches
+/// that cannot bind there dropped) — which is what keeps
+/// scalar/AVX2/AVX-512 runs bit-identical.
 #[inline(always)]
 pub(crate) fn quantize_value(x: f32, inv_scale: f32) -> i8 {
     let t = x * inv_scale;
