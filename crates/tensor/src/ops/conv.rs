@@ -134,12 +134,16 @@ fn check_conv_shapes(
             ),
         });
     }
-    let oh = geom.output_size(h).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: format!("kernel {} does not fit height {h}", geom.kernel),
-    })?;
-    let ow = geom.output_size(w).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: format!("kernel {} does not fit width {w}", geom.kernel),
-    })?;
+    let oh = geom
+        .output_size(h)
+        .ok_or_else(|| TensorError::InvalidGeometry {
+            reason: format!("kernel {} does not fit height {h}", geom.kernel),
+        })?;
+    let ow = geom
+        .output_size(w)
+        .ok_or_else(|| TensorError::InvalidGeometry {
+            reason: format!("kernel {} does not fit width {w}", geom.kernel),
+        })?;
     Ok((n, c_in, h, w, c_out, oh, ow, geom.kernel))
 }
 
@@ -326,7 +330,10 @@ impl ConvPlanDims {
 
     /// Height and width of the zero-padded image.
     fn padded_hw(&self) -> (usize, usize) {
-        (self.h + 2 * self.geom.padding, self.w + 2 * self.geom.padding)
+        (
+            self.h + 2 * self.geom.padding,
+            self.w + 2 * self.geom.padding,
+        )
     }
 
     /// What kernel offset `kpos` meets along one axis of `n` input and
@@ -879,8 +886,12 @@ impl BatchNormParams<'_> {
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — callers check `ch <` the four lengths (plan compile; `conv2d_infer_fused` entry)
     pub fn apply(&self, ch: usize, plane: &mut [f32], relu: bool) {
-        let (gamma, beta, mean, inv_std) =
-            (self.gamma[ch], self.beta[ch], self.mean[ch], self.inv_std[ch]);
+        let (gamma, beta, mean, inv_std) = (
+            self.gamma[ch],
+            self.beta[ch],
+            self.mean[ch],
+            self.inv_std[ch],
+        );
         for o in plane.iter_mut() {
             let y = gamma * ((*o - mean) * inv_std) + beta;
             *o = if relu { y.max(0.0) } else { y };
@@ -1016,14 +1027,15 @@ pub fn conv2d_infer_fused(
     } = *dims;
     if geom.output_size(h) != Some(oh) || geom.output_size(w) != Some(ow) {
         return Err(TensorError::InvalidGeometry {
-            reason: format!(
-                "planned conv dims {oh}x{ow} disagree with geometry on {h}x{w} input"
-            ),
+            reason: format!("planned conv dims {oh}x{ow} disagree with geometry on {h}x{w} input"),
         });
     }
     if gather.dims != *dims {
         return Err(TensorError::InvalidGeometry {
-            reason: format!("im2col geometry compiled for {:?}, not {dims:?}", gather.dims),
+            reason: format!(
+                "im2col geometry compiled for {:?}, not {dims:?}",
+                gather.dims
+            ),
         });
     }
     // Positions per channel plane after the epilogue's max-pool.
@@ -1126,7 +1138,11 @@ pub fn conv2d_infer_fused(
     } else {
         s.div_ceil(NR) * kdim * NR
     };
-    let slab_len = if epilogue.max_pool.is_some() { c_out * s } else { 0 };
+    let slab_len = if epilogue.max_pool.is_some() {
+        c_out * s
+    } else {
+        0
+    };
     let run_image = |img: &[f32], dst: &mut [f32], row_parallel: bool| {
         PACKED_COLS.with(|pc| {
             let mut scratch = pc.borrow_mut();
@@ -1405,11 +1421,7 @@ mod tests {
 
     fn simple_input() -> Tensor {
         // 1x1x3x3 ascending values.
-        Tensor::from_vec(
-            (1..=9).map(|v| v as f32).collect(),
-            Shape::nchw(1, 1, 3, 3),
-        )
-        .unwrap()
+        Tensor::from_vec((1..=9).map(|v| v as f32).collect(), Shape::nchw(1, 1, 3, 3)).unwrap()
     }
 
     #[test]
@@ -1556,8 +1568,7 @@ mod tests {
         let w = Tensor::ones(Shape::nchw(1, 1, 3, 3));
         let geom = Conv2dGeometry::same3x3();
         let out = conv2d(&input, &w, None, &geom).unwrap();
-        let grads =
-            conv2d_backward(&input, &w, &Tensor::ones(out.shape().clone()), &geom).unwrap();
+        let grads = conv2d_backward(&input, &w, &Tensor::ones(out.shape().clone()), &geom).unwrap();
         assert_eq!(grads.grad_bias.as_slice(), &[9.0]);
     }
 
@@ -1570,10 +1581,10 @@ mod tests {
         use crate::rng::SeedableRng;
         let mut rng = StdRng::seed_from_u64(9);
         let cases = [
-            (1, 3, 8, 8, 5, 3, 1, 1),   // single image
-            (3, 2, 7, 9, 4, 3, 2, 0),   // batch, odd spatial tail
-            (2, 1, 6, 6, 40, 1, 1, 0),  // c_out > MC row split
-            (1, 16, 6, 6, 8, 3, 1, 1),  // kdim > KC: multiple k-panels
+            (1, 3, 8, 8, 5, 3, 1, 1),  // single image
+            (3, 2, 7, 9, 4, 3, 2, 0),  // batch, odd spatial tail
+            (2, 1, 6, 6, 40, 1, 1, 0), // c_out > MC row split
+            (1, 16, 6, 6, 8, 3, 1, 1), // kdim > KC: multiple k-panels
         ];
         for &(n, c_in, h, w, c_out, k, stride, padding) in &cases {
             let geom = Conv2dGeometry {
@@ -1585,10 +1596,7 @@ mod tests {
             let weights = crate::uniform(&mut rng, Shape::nchw(c_out, c_in, k, k), -0.5, 0.5);
             let bias = crate::uniform(&mut rng, Shape::vector(c_out), -0.1, 0.1);
             let reference = conv2d(&input, &weights, Some(&bias), &geom).unwrap();
-            let (oh, ow) = (
-                geom.output_size(h).unwrap(),
-                geom.output_size(w).unwrap(),
-            );
+            let (oh, ow) = (geom.output_size(h).unwrap(), geom.output_size(w).unwrap());
             let dims = ConvPlanDims {
                 c_in,
                 h,
@@ -1654,13 +1662,31 @@ mod tests {
         const GUARD: usize = 32;
         let mut rng = StdRng::seed_from_u64(0x1C0);
         let mut checked = 0;
-        for (k, stride, padding) in [(3, 1, 1), (3, 2, 1), (1, 1, 0), (1, 2, 0), (5, 1, 2), (3, 1, 0)] {
+        for (k, stride, padding) in [
+            (3, 1, 1),
+            (3, 2, 1),
+            (1, 1, 0),
+            (1, 2, 0),
+            (5, 1, 2),
+            (3, 1, 0),
+        ] {
             let geom = Conv2dGeometry {
                 kernel: k,
                 stride,
                 padding,
             };
-            for (h, w) in [(1, 1), (2, 2), (4, 4), (3, 5), (6, 7), (8, 8), (5, 16), (2, 17), (3, 20), (4, 32)] {
+            for (h, w) in [
+                (1, 1),
+                (2, 2),
+                (4, 4),
+                (3, 5),
+                (6, 7),
+                (8, 8),
+                (5, 16),
+                (2, 17),
+                (3, 20),
+                (4, 32),
+            ] {
                 let (Some(oh), Some(ow)) = (geom.output_size(h), geom.output_size(w)) else {
                     continue;
                 };
@@ -1684,7 +1710,19 @@ mod tests {
                     let mut matrix = vec![0.0f32; kdim * cols];
                     let mut one = vec![0.0f32; kdim * s];
                     for img in 0..imgs {
-                        fill_im2col(&mut one, x.as_slice(), img, c_in, h, w, oh, ow, k, stride, padding);
+                        fill_im2col(
+                            &mut one,
+                            x.as_slice(),
+                            img,
+                            c_in,
+                            h,
+                            w,
+                            oh,
+                            ow,
+                            k,
+                            stride,
+                            padding,
+                        );
                         for q in 0..kdim {
                             matrix[q * cols + img * s..][..s].copy_from_slice(&one[q * s..][..s]);
                         }
@@ -1712,8 +1750,14 @@ mod tests {
                             got[want.len()..].iter().all(|v| v.is_nan()),
                             "{mode:?} {dims:?} x{imgs}: wrote behind the panels"
                         );
-                        let same = got.iter().zip(&want).all(|(g, w)| g.to_bits() == w.to_bits());
-                        assert!(same, "{mode:?} {dims:?} x{imgs}: panels differ from the reference pack");
+                        let same = got
+                            .iter()
+                            .zip(&want)
+                            .all(|(g, w)| g.to_bits() == w.to_bits());
+                        assert!(
+                            same,
+                            "{mode:?} {dims:?} x{imgs}: panels differ from the reference pack"
+                        );
                         checked += 1;
                     }
                     reset_kernel_mode();
@@ -1739,8 +1783,18 @@ mod tests {
         let bias = [1.5f32, -2.0];
         for n in [1usize, 3] {
             let mut out = vec![0.0f32; n * 2 * 9];
-            conv2d_infer_packed(&[], n, &dims, &gather, &[], &bias, &mut out, false, kernel_mode())
-                .unwrap();
+            conv2d_infer_packed(
+                &[],
+                n,
+                &dims,
+                &gather,
+                &[],
+                &bias,
+                &mut out,
+                false,
+                kernel_mode(),
+            )
+            .unwrap();
             for (p, plane) in out.chunks_exact(9).enumerate() {
                 assert!(plane.iter().all(|&v| v == bias[p % 2]));
             }
@@ -1764,14 +1818,38 @@ mod tests {
         let gather = Im2colGather::compile(&dims);
         let mut out = vec![0.0f32; 4]; // wrong
         assert!(matches!(
-            conv2d_infer_packed(&x, 1, &dims, &gather, &wt, &bias, &mut out, false, kernel_mode()),
+            conv2d_infer_packed(
+                &x,
+                1,
+                &dims,
+                &gather,
+                &wt,
+                &bias,
+                &mut out,
+                false,
+                kernel_mode()
+            ),
             Err(TensorError::LengthMismatch { .. })
         ));
         // Fill geometry compiled for another shape.
-        let other = Im2colGather::compile(&ConvPlanDims { h: 4, oh: 4, ..dims });
+        let other = Im2colGather::compile(&ConvPlanDims {
+            h: 4,
+            oh: 4,
+            ..dims
+        });
         let mut out = vec![0.0f32; 9];
         assert!(matches!(
-            conv2d_infer_packed(&x, 1, &dims, &other, &wt, &bias, &mut out, false, kernel_mode()),
+            conv2d_infer_packed(
+                &x,
+                1,
+                &dims,
+                &other,
+                &wt,
+                &bias,
+                &mut out,
+                false,
+                kernel_mode()
+            ),
             Err(TensorError::InvalidGeometry { .. })
         ));
         // An epilogue whose pool does not fit, or whose batch-norm is short.
@@ -1783,7 +1861,17 @@ mod tests {
             ..ConvEpilogue::default()
         };
         assert!(matches!(
-            conv2d_infer_fused(&x, 1, &dims, &gather, &wt, &bias, &pooled, &mut out, kernel_mode()),
+            conv2d_infer_fused(
+                &x,
+                1,
+                &dims,
+                &gather,
+                &wt,
+                &bias,
+                &pooled,
+                &mut out,
+                kernel_mode()
+            ),
             Err(TensorError::InvalidGeometry { .. })
         ));
         let short = ConvEpilogue {
@@ -1796,7 +1884,17 @@ mod tests {
             ..ConvEpilogue::default()
         };
         assert!(matches!(
-            conv2d_infer_fused(&x, 1, &dims, &gather, &wt, &bias, &short, &mut out, kernel_mode()),
+            conv2d_infer_fused(
+                &x,
+                1,
+                &dims,
+                &gather,
+                &wt,
+                &bias,
+                &short,
+                &mut out,
+                kernel_mode()
+            ),
             Err(TensorError::LengthMismatch { .. })
         ));
     }
