@@ -38,10 +38,11 @@ use crate::layers::{
 use crate::shape_check::check_model;
 use crate::{Layer, NnError, Sequential};
 use seal_tensor::ops::{
-    avg_pool2d_into, conv2d_infer_fused, dequantize_bias_relu, dequantize_transpose_bias_relu,
-    gemm_i8, gemm_i8_conv, gemm_prepacked, kernel_mode, max_pool2d_into, quantize_nhwc_u8,
-    quantize_rows_u8, BatchNormParams, Conv2dGeometry, ConvEpilogue, ConvPlanDims, Im2colGather,
-    ImplicitConv, KernelMode, NhwcImage, PackedB, PackedBI8, PoolGeometry, Requantize, PATCH_SLACK,
+    avg_pool2d_into, conv2d_infer_fused, dequantize_bias_relu, dequantize_planar_bias_relu,
+    dequantize_transpose_bias_relu, gemm_i8, gemm_i8_conv, gemm_prepacked, kernel_mode,
+    max_pool2d_into, quantize_nhwc_u8, quantize_rows_u8, BatchNormParams, Conv2dGeometry,
+    ConvEpilogue, ConvPlanDims, Im2colGather, ImplicitConv, KernelMode, NhwcImage, PackedB,
+    PackedBI8, PoolGeometry, Requantize, PATCH_SLACK,
 };
 use seal_tensor::{Shape, Tensor, ELEMWISE_CHUNK};
 
@@ -637,16 +638,24 @@ fn run_plain<'a>(
                             let out = &mut dst[i * rq.dst().stride()..];
                             scales[i] = rq.run(acc, scales[i], stage, out, mode);
                         }
-                        None => dequantize_transpose_bias_relu(
-                            acc,
-                            scales[i],
-                            packed.scales(),
-                            Some(bias),
-                            &mut nxt[i * out_vol..(i + 1) * out_vol],
-                            s,
-                            dims.c_out,
-                            *relu,
-                        ),
+                        // The f32 reader of the conv's accumulator layout.
+                        None => {
+                            let nchw = if conv.planar() {
+                                dequantize_planar_bias_relu
+                            } else {
+                                dequantize_transpose_bias_relu
+                            };
+                            nchw(
+                                acc,
+                                scales[i],
+                                packed.scales(),
+                                Some(bias),
+                                &mut nxt[i * out_vol..(i + 1) * out_vol],
+                                s,
+                                dims.c_out,
+                                *relu,
+                            )
+                        }
                     }
                 }
             }
@@ -1156,13 +1165,17 @@ fn absorbs(conv: &Step, next: &Step) -> bool {
 /// quantization scales see the final (batch-norm-scaled) weights.
 ///
 /// Weights are packed in the image's `(ky, kx, c_in)` byte order, each
-/// `ky` run padded to whole quads with zero weights
-/// ([`PackedBI8::pack_conv_runs`]). Each output channel keeps the same
-/// set of weights (same scale, same quantized values) and integer sums
-/// are order-free, so the accumulators are exactly those of the
-/// unpermuted pack. The row table covers `max_batch` stacked images when
-/// the shape folds, in the pixel order of the write-back [`u8_edge`]
-/// finds for the step: window-major through a fused 2×2 pool.
+/// `ky` run padded to whole quads with zero weights and the dead taps
+/// (kernel rows and columns that only ever meet the zero border) left
+/// out ([`PackedBI8::pack_conv_runs`]). Each output channel keeps the
+/// same scale and quantized values, a dropped weight only ever
+/// multiplies the zero point, and integer sums are order-free, so the
+/// accumulators are exactly those of the unpermuted full pack. The row
+/// table covers `max_batch` stacked images when the shape folds; its
+/// accumulator layout follows the shape and the write-back [`u8_edge`]
+/// finds for the step — channel-planar for a pixel-lane conv, else
+/// window-major through a fused 2×2 pool — and that write-back is built
+/// from the compiled conv ([`ImplicitConv::requantize`]).
 fn quantize_convs(steps: &mut [Step], max_batch: usize) -> Result<(), NnError> {
     for i in 0..steps.len() {
         let pool = u8_edge(steps, i).and_then(|(pool, ..)| pool);
@@ -1245,24 +1258,24 @@ fn assign_edges(steps: &mut Vec<Step>) -> Result<(), NnError> {
             assign_edges(shortcut)?;
         }
         if let Some((pool, j, dst)) = u8_edge(steps, i) {
-            // The producer's output image and constants.
-            let (out_hw, packed, bias, relu) = match &steps[i] {
+            // The write-back of the producer's accumulator: a conv's
+            // knows its layout and pool, a linear layer's rows are 1×1.
+            let rq = match &steps[i] {
                 Step::QConv {
-                    dims,
+                    conv,
                     packed,
                     bias,
                     relu,
                     ..
-                } => ((dims.oh, dims.ow), packed, bias, *relu),
+                } => conv.requantize(packed.scales(), bias, *relu, dst)?,
                 Step::QLinear {
                     packed, bias, relu, ..
-                } => ((1, 1), packed, bias, *relu),
+                } => Requantize::compile(packed.scales(), bias, (1, 1), *relu, pool, dst)?,
                 _ => {
                     i += 1;
                     continue;
                 }
             };
-            let rq = Requantize::compile(packed.scales(), bias, out_hw, relu, pool, dst)?;
             if let Step::QConv { edges, .. } | Step::QLinear { edges, .. } = &mut steps[j] {
                 edges.u8_in = true;
             }

@@ -39,6 +39,9 @@ pub struct CpuFeatures {
     pub avx512vl: bool,
     /// AVX-512 VNNI: `vpdpbusd` u8×i8→i32 dot-product accumulate.
     pub avx512vnni: bool,
+    /// AVX-512 VBMI: `vpermb` / `vpermt2b` byte permutes (the int8
+    /// pixel-lane tile's gather).
+    pub avx512vbmi: bool,
 }
 
 impl CpuFeatures {
@@ -79,6 +82,7 @@ fn detect() -> CpuFeatures {
         avx512bw: std::arch::is_x86_feature_detected!("avx512bw"),
         avx512vl: std::arch::is_x86_feature_detected!("avx512vl"),
         avx512vnni: std::arch::is_x86_feature_detected!("avx512vnni"),
+        avx512vbmi: std::arch::is_x86_feature_detected!("avx512vbmi"),
     }
 }
 

@@ -304,9 +304,11 @@ pub struct ConvPlanDims {
 }
 
 /// The int8 plans fold a batch below this many output positions per
-/// image. Its own constant, so the width of the `f32` strip cannot
-/// regroup an int8 GEMM.
-const I8_FOLD_BELOW: usize = 8;
+/// image: maps of 4×4 and smaller, where a 3×3 kernel's border taps are
+/// a third or more of the products and the VNNI tile skips them pixel by
+/// pixel across the stacked images. Its own constant, so the width of the
+/// `f32` strip cannot regroup an int8 GEMM.
+const I8_FOLD_BELOW: usize = 32;
 
 impl ConvPlanDims {
     /// True when one image has fewer output positions than one `f32`
@@ -318,8 +320,8 @@ impl ConvPlanDims {
         self.oh * self.ow < NR
     }
 
-    /// The same rule for the int8 convolution, whose GEMM stacks the
-    /// images' patch rows: true below eight output positions per image.
+    /// The rule for the int8 convolution, whose GEMM then stacks the
+    /// images' patch rows: true below 32 output positions per image.
     pub fn folds_batch_i8(&self) -> bool {
         self.oh * self.ow < I8_FOLD_BELOW
     }
@@ -354,7 +356,7 @@ impl ConvPlanDims {
     /// tap's im2col rows are the zero border at every position), border
     /// when some output position reads the border through it. A
     /// function of the shape only.
-    fn tap_reach(&self) -> Vec<(bool, bool)> {
+    pub(crate) fn tap_reach(&self) -> Vec<(bool, bool)> {
         let k = self.geom.kernel;
         // One-time compile-step allocation.
         (0..k * k)

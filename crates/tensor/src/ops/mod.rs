@@ -27,8 +27,9 @@ pub use pool::{
 };
 pub use prepack::{gemm_prepacked, matmul_prepacked, PackedB, PackedBI8};
 pub use quant::{
-    dequantize, dequantize_bias_relu, dequantize_transpose_bias_relu, gather_patches_u8, gemm_i8,
-    gemm_i8_conv, i8_kernel_name, matmul_i8, matmul_i8_reference, quantize_nhwc_u8,
-    quantize_per_channel, quantize_rows_u8, quantize_slice_u8, quantized_row_len, ImplicitConv,
-    NhwcImage, PatchGather, QuantAxis, QuantizedTensor, Requantize, MAX_QGEMM_K, PATCH_SLACK,
+    dequantize, dequantize_bias_relu, dequantize_planar_bias_relu, dequantize_transpose_bias_relu,
+    gather_patches_u8, gemm_i8, gemm_i8_conv, i8_kernel_name, matmul_i8, matmul_i8_reference,
+    quantize_nhwc_u8, quantize_per_channel, quantize_rows_u8, quantize_slice_u8, quantized_row_len,
+    ImplicitConv, NhwcImage, PatchGather, QuantAxis, QuantizedTensor, Requantize, MAX_QGEMM_K,
+    PATCH_SLACK,
 };

@@ -12,7 +12,7 @@
 
 use super::matmul::{gemm_shared_pack, kernel_mode, pack_b_full, KernelMode};
 use super::quant::{
-    channel_scale, conv_strip_width, quad_offset, quantize_value, run_quads, MAX_QGEMM_K, QK, QNR,
+    channel_scale, field_runs, pixel_boxes, quad_offset, quantize_value, MAX_QGEMM_K, QK, QNR,
 };
 use super::ConvPlanDims;
 use crate::{Shape, Tensor, TensorError};
@@ -78,18 +78,13 @@ impl PackedB {
 /// A `k×n` right-hand GEMM operand quantized symmetrically **per output
 /// channel** (one f32 scale per column) and packed ahead of time into the
 /// int8 kernel's quad-interleaved strip layout: strip `s` covers columns
-/// `s·nr ..`, and within it each 64-byte group stores, for each of the
-/// `nr` columns, `QNR / nr` consecutive quads of 4 k-values — the operand
-/// shape one AVX-512 VNNI `vpdpbusd` (or one sign-extended AVX2
-/// `vpmaddwd` quartet) consumes. A wide pack (`nr = QNR = 16`) holds one
-/// quad `q` per group, column `c` at bytes `4c ..`; a **narrow** pack
-/// (`nr = NNR = 8`, only [`pack_conv_runs`](Self::pack_conv_runs) of a
-/// conv with `c_out ≤ 8` makes one) holds the quad pair `2p, 2p + 1`,
-/// column `c`'s quad `2p + h` at bytes `4·(2c + h) ..`, so one 512-bit
-/// multiply covers 8 columns × 8 k-values instead of 16 columns × 4 of
-/// which most would be padding. `k` (to whole groups) and `n` (to a
-/// multiple of `nr`) are zero-padded at pack time; zeros contribute
-/// nothing to the integer sums, so the logical result is unchanged.
+/// `s·16 ..`, and within it 64-byte group `q` stores quad `q` (4
+/// k-values) of each of the 16 columns, column `c` at bytes `4c ..` — the
+/// operand one AVX-512 VNNI `vpdpbusd` (or one sign-extended AVX2
+/// `vpmaddwd` quartet) consumes, and whose dword `4c` the pixel-lane tile
+/// broadcasts. `k` (to whole quads) and `n` (to a multiple of 16) are
+/// zero-padded at pack time; zeros contribute nothing to the integer
+/// sums, so the logical result is unchanged.
 ///
 /// `col_sums` carries `Σ_k b(k,j)` per (padded) column — the pack-time
 /// constant the VNNI kernel subtracts (×128) to undo the offset-binary
@@ -98,16 +93,18 @@ impl PackedB {
 pub struct PackedBI8 {
     pub(crate) k: usize,
     pub(crate) n: usize,
-    /// `k.div_ceil(4)`, rounded up to whole groups — quads per column.
+    /// `k.div_ceil(4)` — quads per column.
     pub(crate) kq: usize,
-    /// Columns per strip: `QNR` (wide) or `NNR` (narrow).
-    pub(crate) nr: usize,
-    /// `n.div_ceil(nr)` — packed strips, the last possibly partial.
+    /// `n.div_ceil(16)` — packed strips, the last possibly partial.
     pub(crate) strips: usize,
-    /// Quad-interleaved payload, `strips · kq · nr · 4` bytes.
+    /// Quad-interleaved payload, `strips · kq · 64` bytes.
     pub(crate) data: Vec<i8>,
     /// Per padded column: `Σ_k b(k,j)` (0 for pad columns).
     pub(crate) col_sums: Vec<i32>,
+    /// For a batch-folded conv, per output pixel's live box
+    /// (`PixelBox`) and padded column: the sum over the box's quads
+    /// only, `strips·16` per box; empty otherwise.
+    pub(crate) box_sums: Vec<i32>,
     /// Per logical column: the symmetric quantization scale.
     scales: Vec<f32>,
 }
@@ -133,7 +130,8 @@ impl PackedBI8 {
         }
         let (k, n) = (b.shape().dim(0), b.shape().dim(1));
         let src = b.as_slice();
-        Self::pack_with(k, n, QNR, |kk, j| src[kk * n + j])
+        let get = |kk: usize, j: usize| src[kk * n + j];
+        Self::pack_with(k, n, column_scales(k, n, get), get)
     }
 
     /// Quantize and pack convolution weights `w[c_out × kdim]` as the
@@ -153,21 +151,26 @@ impl PackedBI8 {
                 actual: w.len(),
             });
         }
-        Self::pack_with(kdim, c_out, QNR, |kk, j| w[j * kdim + kk])
+        let get = |kk: usize, j: usize| w[j * kdim + kk];
+        Self::pack_with(kdim, c_out, column_scales(kdim, c_out, get), get)
     }
 
     /// Quantize and pack convolution weights `w[c_out × c_in·k·k]` (the
     /// `(c_in, ky, kx)` column order of `Conv2d`) for the implicit-GEMM
     /// convolution [`gemm_i8_conv`](super::gemm_i8_conv): columns in
-    /// `(ky, kx, c_in)` order — the image's byte order — with each `ky`
-    /// run of `k·c_in` weights padded with **zero** weights to whole
-    /// quads; its [`k`](Self::k) is that padded depth, `k ·
-    /// 4·ceil(k·c_in/4)`. Scales, quantized values and column sums are
-    /// exactly those of [`pack_conv`](Self::pack_conv) of the same weights
-    /// (each output channel keeps the same weights; pads add zeros), so
-    /// the exact i32 sums are too. With `c_out ≤ 8` the pack is narrow
-    /// and each run is padded to an even number of quads, so the kernels
-    /// read whole quad pairs (see [`ImplicitConv`](super::ImplicitConv)).
+    /// `(ky, kx, c_in)` order — the image's byte order — over the live
+    /// box of the receptive field only (the kernel rows and columns some
+    /// output position reads the image through; see
+    /// [`ImplicitConv`](super::ImplicitConv)), each kept `ky` run of
+    /// `cols·c_in` weights padded with **zero** weights to whole quads;
+    /// its [`k`](Self::k) is that packed depth, `rows ·
+    /// 4·ceil(cols·c_in/4)` — `k · 4·ceil(k·c_in/4)` when every tap is
+    /// live. Each channel's scale comes from its **whole** weight row, so
+    /// scales and the quantized values of the kept weights are exactly
+    /// those of [`pack_conv`](Self::pack_conv) of the same weights; the
+    /// dropped weights only ever multiply the border's zero point and pads
+    /// add zeros, so the exact i32 sums are too. Column sums cover the
+    /// kept weights — the ones the kernels multiply.
     ///
     /// # Errors
     ///
@@ -184,29 +187,54 @@ impl PackedBI8 {
                 actual: w.len(),
             });
         }
-        // Weight rows in packed k order; pad positions stay 0.
-        let width = run_quads(dims) * QK;
-        let kp = k * width;
+        // Scales from the whole rows, before any dead tap is dropped.
+        let scales = column_scales(kdim, c_out, |kk, j| w[j * kdim + kk]);
+        // The live box's weight rows in packed k order; pad positions
+        // stay 0.
+        let field = field_runs(dims);
+        let width = field.quads * QK;
+        let kp = field.rows * width;
         let mut runs = vec![0.0f32; c_out * kp]; // plan-compile-time staging
         for (dst, src) in runs.chunks_exact_mut(kp).zip(w.chunks_exact(kdim)) {
-            for ky in 0..k {
-                for kx in 0..k {
+            for r in 0..field.rows {
+                for x in 0..field.cols {
+                    let (ky, kx) = (field.ky0 + r, field.kx0 + x);
                     for ci in 0..c_in {
-                        dst[ky * width + kx * c_in + ci] = src[(ci * k + ky) * k + kx];
+                        dst[r * width + x * c_in + ci] = src[(ci * k + ky) * k + kx];
                     }
                 }
             }
         }
-        Self::pack_with(kp, c_out, conv_strip_width(dims), |kk, j| runs[j * kp + kk])
+        let mut packed = Self::pack_with(kp, c_out, scales, |kk, j| runs[j * kp + kk])?;
+        // The column sums over each folded pixel's live box.
+        let row = packed.strips * QNR;
+        let mut box_sums = Vec::new(); // plan-compile time
+        for b in pixel_boxes(dims) {
+            let mut sums = vec![0i32; row]; // plan-compile time
+            for s in 0..packed.strips {
+                let sdata = &packed.data[s * packed.kq * QNR * QK..][..packed.kq * QNR * QK];
+                for r in b.run0..b.run0 + b.runs {
+                    for t in b.quad0..b.quad0 + b.quads {
+                        for (c, sum) in sums[s * QNR..][..QNR].iter_mut().enumerate() {
+                            let quad = &sdata[quad_offset(r * field.quads + t, c)..][..QK];
+                            *sum += quad.iter().map(|&v| v as i32).sum::<i32>();
+                        }
+                    }
+                }
+            }
+            box_sums.extend(sums);
+        }
+        packed.box_sums = box_sums;
+        Ok(packed)
     }
 
-    /// Shared pack core over an element accessor `get(kk, col)`, `nr`
-    /// columns per strip.
-    // seal-lint: allow(panic-freedom) — pack offsets enumerate the padded layout exactly once over buffers sized right here
+    /// Shared pack core over an element accessor `get(kk, col)` and the
+    /// per-column `scales` it is quantized with.
+    // seal-lint: allow(panic-freedom) — pack offsets enumerate the padded layout exactly once over buffers sized right here; `scales` holds `n` (every caller builds it with `column_scales(_, n, _)`)
     fn pack_with(
         k: usize,
         n: usize,
-        nr: usize,
+        scales: Vec<f32>,
         get: impl Fn(usize, usize) -> f32,
     ) -> Result<PackedBI8, TensorError> {
         if k > MAX_QGEMM_K {
@@ -217,25 +245,16 @@ impl PackedBI8 {
                 ),
             });
         }
-        let depth = QNR / nr;
-        let kq = k.div_ceil(QK).next_multiple_of(depth);
-        let strips = n.div_ceil(nr);
+        let kq = k.div_ceil(QK);
+        let strips = n.div_ceil(QNR);
         // Pack-time (plan-compile-time) allocations, not the execute path.
-        let mut scales = vec![0.0f32; n]; // off the steady-state path
-        for (j, s) in scales.iter_mut().enumerate() {
-            let mut maxabs = 0.0f32;
-            for kk in 0..k {
-                maxabs = maxabs.max(get(kk, j).abs());
-            }
-            *s = channel_scale(maxabs);
-        }
-        let mut data = vec![0i8; strips * kq * nr * QK]; // off the steady-state path
-        let mut col_sums = vec![0i32; strips * nr]; // off the steady-state path
+        let mut data = vec![0i8; strips * kq * QNR * QK]; // off the steady-state path
+        let mut col_sums = vec![0i32; strips * QNR]; // off the steady-state path
         for s in 0..strips {
-            let sdata = &mut data[s * kq * nr * QK..(s + 1) * kq * nr * QK];
+            let sdata = &mut data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
             for q in 0..kq {
-                for c in 0..nr {
-                    let j = s * nr + c;
+                for c in 0..QNR {
+                    let j = s * QNR + c;
                     for t in 0..QK {
                         let kk = q * QK + t;
                         let v = if j < n && kk < k {
@@ -243,8 +262,8 @@ impl PackedBI8 {
                         } else {
                             0
                         };
-                        sdata[quad_offset(nr, q, c) + t] = v;
-                        col_sums[s * nr + c] += v as i32;
+                        sdata[quad_offset(q, c) + t] = v;
+                        col_sums[s * QNR + c] += v as i32;
                     }
                 }
             }
@@ -253,10 +272,10 @@ impl PackedBI8 {
             k,
             n,
             kq,
-            nr,
             strips,
             data,
             col_sums,
+            box_sums: Vec::new(),
             scales,
         })
     }
@@ -279,9 +298,17 @@ impl PackedBI8 {
     /// Bytes held by the packed payload + column sums + scales.
     pub fn byte_size(&self) -> usize {
         self.data.len()
-            + self.col_sums.len() * std::mem::size_of::<i32>()
+            + (self.col_sums.len() + self.box_sums.len()) * std::mem::size_of::<i32>()
             + self.scales.len() * std::mem::size_of::<f32>()
     }
+}
+
+/// The symmetric scale of each of the `n` columns of a `k×n` operand
+/// read through `get(kk, col)`: `channel_scale` of its max|·|.
+fn column_scales(k: usize, n: usize, get: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    (0..n)
+        .map(|j| channel_scale((0..k).fold(0.0f32, |m, kk| m.max(get(kk, j).abs()))))
+        .collect() // pack-time (plan-compile-time) allocation
 }
 
 /// Matrix product `lhs · rhs` where `rhs` was packed ahead of time.

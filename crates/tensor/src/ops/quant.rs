@@ -53,22 +53,23 @@ use crate::ops::{ConvPlanDims, PoolGeometry};
 use crate::{Shape, Tensor, TensorError};
 use std::cell::RefCell;
 
-/// Columns per packed int8 strip (i32 lanes of one 512-bit accumulator).
+/// Columns per packed int8 strip (i32 lanes of one 512-bit accumulator),
+/// and output pixels per segment of a pixel-lane convolution.
 pub(crate) const QNR: usize = 16;
-/// Columns per **narrow** strip: a conv with `c_out ≤ NNR` packs two
-/// quads per column into each 64-byte group, so its lanes carry 8 columns
-/// × 2 quads instead of 16 columns of which most are padding.
-pub(crate) const NNR: usize = 8;
 /// k-values interleaved per packed group (the `vpdpbusd` quad).
 pub(crate) const QK: usize = 4;
+/// Widest `c_out` the pixel-lane tile runs: one accumulator per output
+/// channel, two segments per tile.
+const PIXEL_MAX_C_OUT: usize = 8;
+/// Bytes the pixel-lane tile can gather its 16 lanes from: the two
+/// 64-byte registers one `vpermt2b` selects from.
+const PIXEL_WINDOW: usize = 128;
 
-/// Byte offset of column `c`'s quad `q` inside one strip of a pack with
-/// `nr` columns per strip: the 64-byte group `q / (QNR / nr)`, in which
-/// each column holds `QNR / nr` consecutive quads.
+/// Byte offset of column `c`'s quad `q` inside one packed strip: the
+/// 64-byte group `q`, column `c` at bytes `4c ..`.
 #[inline(always)]
-pub(crate) fn quad_offset(nr: usize, q: usize, c: usize) -> usize {
-    let depth = QNR / nr;
-    ((q / depth) * QNR + c * depth + q % depth) * QK
+pub(crate) fn quad_offset(q: usize, c: usize) -> usize {
+    (q * QNR + c) * QK
 }
 
 /// Largest reduction depth the int8 GEMM accepts. Bound by the
@@ -525,6 +526,29 @@ trait QuadRows: Sync {
     fn base(&self, i: usize) -> usize;
     /// The quad layout every row shares.
     fn runs(&self) -> Runs;
+    /// `Some(step)` when the rows come in 16-pixel segments of one output
+    /// row, row `i + 1`'s quads `step` bytes past row `i`'s, and the sums
+    /// are stored **channel-planar** per segment (see [`out_index`]): a
+    /// pixel-lane convolution. `None` for row-major sums.
+    fn pixel_step(&self) -> Option<usize>;
+    /// Each pixel's [`PixelBox`] when the rows are whole images of
+    /// `boxes.len()` pixels stacked image-major, and the VNNI tile runs
+    /// them pixel by pixel; empty for plain rows.
+    fn boxes(&self) -> &[PixelBox];
+}
+
+/// Where the sum of row `i`, column `j` of an `n`-column output block
+/// goes: `i·n + j` row-major, or — `planar` — lane `i mod 16` of column
+/// `j`'s 16 sums in segment `i / 16`, `((i / 16)·n + j)·16 + i mod 16`.
+/// A block starts on a segment boundary (`MC` is a multiple of 16), so
+/// the block's sums are the same contiguous `rows × n` range either way.
+#[inline(always)]
+fn out_index(planar: bool, n: usize, i: usize, j: usize) -> usize {
+    if planar {
+        ((i / QNR) * n + j) * QNR + i % QNR
+    } else {
+        i * n + j
+    }
 }
 
 /// Contiguous rows at stride `ka` bytes, each one run of `ka / 4` quads:
@@ -546,6 +570,14 @@ impl QuadRows for DenseRows {
             stride: 0,
         }
     }
+    #[inline(always)]
+    fn pixel_step(&self) -> Option<usize> {
+        None
+    }
+    #[inline(always)]
+    fn boxes(&self) -> &[PixelBox] {
+        &[]
+    }
 }
 
 /// Conv rows: one output pixel per row, addressed straight into padded
@@ -554,6 +586,8 @@ impl QuadRows for DenseRows {
 struct ConvRows<'a> {
     rows: &'a [u32],
     runs: Runs,
+    pixel_step: Option<usize>,
+    boxes: &'a [PixelBox],
 }
 
 impl QuadRows for ConvRows<'_> {
@@ -565,6 +599,14 @@ impl QuadRows for ConvRows<'_> {
     #[inline(always)]
     fn runs(&self) -> Runs {
         self.runs
+    }
+    #[inline(always)]
+    fn pixel_step(&self) -> Option<usize> {
+        self.pixel_step
+    }
+    #[inline(always)]
+    fn boxes(&self) -> &[PixelBox] {
+        self.boxes
     }
 }
 
@@ -590,12 +632,13 @@ pub fn gemm_i8(a: &[u8], pack: &PackedBI8, out: &mut [i32], m: usize, mode: Kern
 /// The shared entry behind [`gemm_i8`] and [`gemm_i8_conv`]: every read
 /// of `rows` lies inside `a` (the caller cuts `a` to exactly the extent
 /// its rows read, and asserts it) and `out` holds `m·n` sums; here the
-/// rows' quad count is checked against the pack's, and for a narrow pack
-/// that every run holds whole quad pairs. Picks the kernel for `mode` —
-/// and the narrow or wide body by the pack's strip width alone; the AVX2
-/// kernel's i16 operand is `a` widened once, here, before any row block
-/// runs.
-// seal-lint: allow(panic-freedom) — the two asserts cannot fire from the plan: `gemm_i8`'s dense rows are one run of `kq` quads by construction (a narrow pack's `kq` is even), and a plan's `ImplicitConv` and `pack_conv_runs` pack come from the same dims (both `run_quads`); they guard the kernels' weight reads against a mismatched pack from outside
+/// rows' quad count is checked against the pack's, and for pixel-lane
+/// rows that the sums fit the tile (`n ≤ 8`, whole segments). Picks the
+/// kernel for `mode` — for pixel-lane rows the VNNI pixel tile, which
+/// gathers with `vpermt2b`; a VNNI host without VBMI runs the AVX2 body,
+/// which stores the same planar sums. The AVX2 kernel's i16 operand is
+/// `a` widened once, here, before any row block runs.
+// seal-lint: allow(panic-freedom) — the asserts cannot fire from the plan: `gemm_i8`'s dense rows are one run of `kq` quads by construction, and a plan's `ImplicitConv` and `pack_conv_runs` pack come from the same dims (both `field_runs`); they guard the kernels' weight reads and planar stores against a mismatched pack from outside
 fn gemm_i8_rows<R: QuadRows>(
     a: &[u8],
     rows: &R,
@@ -610,11 +653,21 @@ fn gemm_i8_rows<R: QuadRows>(
         pack.kq,
         "gemm_i8: A rows do not match the pack"
     );
+    let planar = rows.pixel_step().is_some();
     assert!(
-        runs.quads.is_multiple_of(QNR / pack.nr),
-        "gemm_i8: a narrow pack needs runs of whole quad pairs"
+        !planar || (pack.n <= PIXEL_MAX_C_OUT && m.is_multiple_of(QNR)),
+        "gemm_i8: pixel-lane rows need c_out <= 8 and whole 16-pixel segments"
     );
-    match i8_kernel(mode) {
+    let boxes = rows.boxes().len();
+    assert!(
+        boxes == 0 || (m.is_multiple_of(boxes) && pack.box_sums.len() == boxes * pack.strips * QNR),
+        "gemm_i8: pixel boxes need whole images and their column sums in the pack"
+    );
+    let kernel = match i8_kernel(mode) {
+        I8Kernel::Vnni if planar && !cpu_features().avx512vbmi => I8Kernel::Avx2,
+        kernel => kernel,
+    };
+    match kernel {
         I8Kernel::Scalar => row_blocks(pack, out, m, |r0, nr, o| {
             scalar_strips(a, rows, pack, o, r0, nr)
         }),
@@ -625,32 +678,33 @@ fn gemm_i8_rows<R: QuadRows>(
                 wide.resize(a.len(), 0);
             }
             // SAFETY: `I8Kernel::Avx2` is only selected when the cached
-            // `cpu_features()` probe reports `avx2`.
+            // `cpu_features()` probe reports `avx2` (a VNNI host has it).
             unsafe { widen_avx2(a, &mut wide) };
             let wide = &wide[..a.len()];
             row_blocks(pack, out, m, |r0, nr, o| {
                 // SAFETY: as above; `wide` is `a` widened element for
-                // element, so every offset `rows` forms is inside it; a
-                // narrow pack's runs hold whole pairs (asserted above).
-                unsafe {
-                    if pack.nr == NNR {
-                        consume_avx2_narrow(wide, rows, pack, o, r0, nr)
-                    } else {
-                        consume_avx2(wide, rows, pack, o, r0, nr)
-                    }
-                }
+                // element, so every offset `rows` forms is inside it.
+                unsafe { consume_avx2(wide, rows, pack, o, r0, nr) }
             })
         }),
+        // Pixel by pixel across the stacked images: one block, since a
+        // pixel's rows are spread over the whole output.
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as below; the rows are whole images of `boxes` pixels
+        // and the pack holds each box's column sums (asserted above).
+        I8Kernel::Vnni if boxes > 0 => unsafe { consume_vnni(a, rows, pack, out, 0, m) },
         #[cfg(target_arch = "x86_64")]
         I8Kernel::Vnni => row_blocks(pack, out, m, |r0, nr, o| {
             // SAFETY: `I8Kernel::Vnni` is only selected when
             // `cpu_features()` reports avx512f/bw/vl **and** avx512vnni,
-            // so `vpdpbusd` and the masked store are available; every
-            // offset `rows` forms is inside `a` (see above); a narrow
-            // pack's runs hold whole pairs (asserted above).
+            // and kept for pixel-lane rows only with avx512vbmi, so
+            // `vpdpbusd`, `vpermt2b` and the masked loads and stores are
+            // available; every offset `rows` forms is inside `a` (see
+            // above); pixel-lane rows hold `n ≤ 8` columns in whole
+            // segments (asserted above).
             unsafe {
-                if pack.nr == NNR {
-                    consume_vnni_narrow(a, rows, pack, o, r0, nr)
+                if planar {
+                    consume_vnni_pixels(a, rows, pack, o, r0, nr)
                 } else {
                     consume_vnni(a, rows, pack, o, r0, nr)
                 }
@@ -692,11 +746,11 @@ fn row_blocks(
 }
 
 /// Portable reference kernel over every packed strip: exact i32 sums in
-/// ascending `k` order, for rows `r0 .. r0 + nr` into `out` (`nr × n`).
-/// Every packed strip — the last one zero-padded to [`QNR`] columns at
-/// pack time — is walked; only its valid columns are summed. Runs as
-/// `KernelMode::Scalar` and on non-x86 hosts — integer accumulation makes
-/// it bit-identical to the vector kernels.
+/// ascending `k` order, for rows `r0 .. r0 + nr` into `out` (`nr × n`,
+/// at [`out_index`]). Every packed strip — the last one zero-padded to
+/// [`QNR`] columns at pack time — is walked; only its valid columns are
+/// summed. Runs as `KernelMode::Scalar` and on non-x86 hosts — integer
+/// accumulation makes it bit-identical to the vector kernels.
 // seal-lint: allow(panic-freedom) — strip extents are derived from the pack dimensions; row offsets lie inside `a` (asserted at the gemm entry)
 fn scalar_strips<R: QuadRows>(
     a: &[u8],
@@ -706,22 +760,22 @@ fn scalar_strips<R: QuadRows>(
     r0: usize,
     nr: usize,
 ) {
-    let (n, kq, w) = (pack.n, pack.kq, pack.nr);
+    let (n, kq, planar) = (pack.n, pack.kq, rows.pixel_step().is_some());
     for i in 0..nr {
         let base = rows.base(r0 + i);
         for s in 0..pack.strips {
-            let sdata = &pack.data[s * kq * w * QK..(s + 1) * kq * w * QK];
-            let cols = w.min(n - s * w);
+            let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
+            let cols = QNR.min(n - s * QNR);
             for c in 0..cols {
                 let mut acc = 0i32;
                 for (q, off) in rows.runs().offsets().enumerate() {
-                    let bq = &sdata[quad_offset(w, q, c)..][..QK];
+                    let bq = &sdata[quad_offset(q, c)..][..QK];
                     let aq = &a[base + off..][..QK];
                     for t in 0..QK {
                         acc += (aq[t] as i32 - 128) * bq[t] as i32;
                     }
                 }
-                out[i * n + s * w + c] = acc;
+                out[out_index(planar, n, i, s * QNR + c)] = acc;
             }
         }
     }
@@ -746,7 +800,8 @@ unsafe fn widen_avx2(a: &[u8], wide: &mut [i16]) {
 /// 127` keeps every pair sum ≤ 2·127² well inside i32). Accumulates
 /// column-halved lanes and collapses them with plain i32 adds at the end
 /// — associative, so the result equals the scalar kernel bit for bit.
-/// Only the valid columns of the (zero-padded) last strip are written.
+/// Only the valid columns of the (zero-padded) last strip are written,
+/// at [`out_index`].
 ///
 /// # Safety
 ///
@@ -755,7 +810,7 @@ unsafe fn widen_avx2(a: &[u8], wide: &mut [i16]) {
 /// `off` a quad offset of `rows.runs()` must be at most `wide.len()`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-// seal-lint: allow(panic-freedom) — `orow` ends at `i·n + min((s+1)·QNR, n) ≤ nr·n`, the block the caller handed over
+// seal-lint: allow(panic-freedom) — every store lands at `out_index(i, j) < nr·n` for `i < nr`, `j < n`: the block the caller handed over
 unsafe fn consume_avx2<R: QuadRows>(
     wide: &[i16],
     rows: &R,
@@ -769,6 +824,7 @@ unsafe fn consume_avx2<R: QuadRows>(
         _mm256_set1_epi64x, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
     };
     let (n, kq, runs) = (pack.n, pack.kq, rows.runs());
+    let planar = rows.pixel_step().is_some();
     for s in 0..pack.strips {
         let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
         let cols = QNR.min(n - s * QNR);
@@ -803,78 +859,10 @@ unsafe fn consume_avx2<R: QuadRows>(
                 for (h, acc_h) in acc.iter().enumerate() {
                     _mm256_storeu_si256(halves.as_mut_ptr().add(h * 8) as *mut __m256i, *acc_h);
                 }
-                let orow = &mut out[i * n + s * QNR..i * n + s * QNR + cols];
-                for (c, o) in orow.iter_mut().enumerate() {
-                    *o = halves[2 * c] + halves[2 * c + 1];
+                for c in 0..cols {
+                    let j = s * QNR + c;
+                    out[out_index(planar, n, i, j)] = halves[2 * c] + halves[2 * c + 1];
                 }
-            }
-        }
-    }
-}
-
-/// [`consume_avx2`] for a narrow pack (one strip of `nr = 8` columns):
-/// each step broadcasts a quad **pair** of de-offset i16 A values to
-/// both 128-bit halves and multiplies it against four sign-extended
-/// 16-byte quarters of the 64-byte group — two columns × two quads each
-/// — so every `vpmaddwd` lane does work however few of the 8 columns are
-/// valid. Column `c`'s sum is the four i32 lanes `4c ..` added in i32,
-/// exactly the scalar kernel's.
-///
-/// # Safety
-///
-/// [`consume_avx2`]'s, with `pack.nr = NNR` and `rows.runs().quads`
-/// even.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// seal-lint: allow(panic-freedom) — `orow` ends at `i·n + cols ≤ nr·n`, the block the caller handed over
-unsafe fn consume_avx2_narrow<R: QuadRows>(
-    wide: &[i16],
-    rows: &R,
-    pack: &PackedBI8,
-    out: &mut [i32],
-    r0: usize,
-    nr: usize,
-) {
-    use std::arch::x86_64::{
-        __m128i, __m256i, _mm256_add_epi32, _mm256_broadcastsi128_si256, _mm256_cvtepi8_epi16,
-        _mm256_madd_epi16, _mm256_setzero_si256, _mm256_storeu_si256, _mm_loadu_si128,
-    };
-    let (n, runs) = (pack.n, rows.runs());
-    let cols = NNR.min(n);
-    for i in 0..nr {
-        let base = rows.base(r0 + i);
-        // SAFETY: the single strip holds `kq / 2` groups of `QNR·QK = 64`
-        // bytes, one per quad pair walked; each pair is 8 i16 (16 bytes)
-        // at `base + off` with `off` an even quad of a run whose quad
-        // count is even, so it ends at or before the run's last quad —
-        // inside `wide` by this function's contract. Loads are `loadu`.
-        unsafe {
-            let mut acc = [_mm256_setzero_si256(); QK];
-            let mut g = pack.data.as_ptr();
-            for r in 0..runs.count {
-                let ap = wide.as_ptr().add(base + r * runs.stride);
-                for t in (0..runs.quads).step_by(2) {
-                    let va = _mm256_broadcastsi128_si256(_mm_loadu_si128(
-                        ap.add(t * QK) as *const __m128i
-                    ));
-                    for (h, acc_h) in acc.iter_mut().enumerate() {
-                        let bh =
-                            _mm256_cvtepi8_epi16(_mm_loadu_si128(g.add(h * QNR) as *const __m128i));
-                        *acc_h = _mm256_add_epi32(*acc_h, _mm256_madd_epi16(va, bh));
-                    }
-                    g = g.add(QNR * QK);
-                }
-            }
-            // acc[h] holds [c q0 q0 q1 q1 | c+1 q0 q0 q1 q1] partial
-            // sums for columns c = 2h, 2h + 1.
-            let mut lanes = [0i32; 4 * NNR];
-            for (h, acc_h) in acc.iter().enumerate() {
-                _mm256_storeu_si256(lanes.as_mut_ptr().add(h * 8) as *mut __m256i, *acc_h);
-            }
-            let orow = &mut out[i * n..i * n + cols];
-            for (c, o) in orow.iter_mut().enumerate() {
-                let l = &lanes[4 * c..4 * c + 4];
-                *o = l[0] + l[1] + l[2] + l[3];
             }
         }
     }
@@ -886,23 +874,36 @@ unsafe fn consume_avx2_narrow<R: QuadRows>(
 #[cfg(target_arch = "x86_64")]
 const RMR: usize = 8;
 
+/// Strips one VNNI register tile spans: `RMR × 3` accumulators (24 of
+/// the 32 zmm registers), so each broadcast activation quad feeds every
+/// strip of a layer up to 48 columns wide.
+#[cfg(target_arch = "x86_64")]
+const TILE_STRIPS: usize = 3;
+
 /// AVX-512 VNNI kernel: one `vpdpbusd` per 4-deep k-quad accumulates
 /// `u8 × i8` products of a broadcast activation quad against 16 packed
 /// weight columns straight into i32 lanes — no i16 intermediate, no
 /// saturation. The offset-binary A encoding is corrected after the k
 /// loop by `128 · col_sums` (precomputed at pack time), restoring the
-/// exact signed sums of the scalar kernel. Rows go through [`vnni_tile`]
-/// [`RMR`] at a time, the last `nr mod RMR` as one shorter tile.
+/// exact signed sums of the scalar kernel. The strips go in groups of up
+/// to [`TILE_STRIPS`], each group's rows through [`vnni_tile`] [`RMR`] at
+/// a time (the last `nr mod RMR` as one shorter tile), so one broadcast
+/// of a row's quad feeds a `vpdpbusd` in every strip of the group. Rows
+/// with [pixel boxes](PixelBox) — stacked images of a folded conv — go
+/// pixel by pixel instead: a tile is up to [`RMR`] images' rows of one
+/// pixel, and walks only that pixel's box, corrected by the box's column
+/// sums.
 ///
 /// # Safety
 ///
 /// The host must support AVX-512 F/BW/VL and VNNI; `rows.runs()` must
 /// hold `pack.kq` quads, every `rows.base(i) + off + QK` for `i` in `r0
 /// .. r0 + nr` and `off` a quad offset of `rows.runs()` must be at most
-/// `a.len()`, and `out` must hold `nr × pack.n` sums.
+/// `a.len()`, and `out` must hold `nr × pack.n` sums; with pixel boxes,
+/// `nr` is whole images of `boxes.len()` pixels and `pack.box_sums` holds
+/// every box's sums.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-// seal-lint: allow(panic-freedom) — strip extents derive from the pack dimensions; row and output extents are this function's safety contract
 unsafe fn consume_vnni<R: QuadRows>(
     a: &[u8],
     rows: &R,
@@ -911,81 +912,191 @@ unsafe fn consume_vnni<R: QuadRows>(
     r0: usize,
     nr: usize,
 ) {
-    use std::arch::x86_64::{__m512i, _mm512_loadu_si512, _mm512_slli_epi32};
-    let (n, kq, runs) = (pack.n, pack.kq, rows.runs());
-    for s in 0..pack.strips {
-        let sdata = &pack.data[s * kq * QNR * QK..(s + 1) * kq * QNR * QK];
-        // One mask bit per valid column of this strip (`1 ≤ cols ≤ QNR`).
-        let cols = QNR.min(n - s * QNR);
-        let mut i0 = 0;
-        // SAFETY: `col_sums` is padded to `strips·QNR`, so the 16-lane
-        // load at `s·QNR` is in bounds. Every tile covers rows `r0 + i0
-        // ..` below `r0 + nr` and stores at `out[(i0 + m)·n + s·QNR ..]`,
-        // inside the `nr × n` block; `sdata` holds the `kq` 64-byte
-        // groups the tile walks; the A quads lie inside `a` by this
+    let mut s0 = 0;
+    while s0 < pack.strips {
+        let span = (pack.strips - s0).min(TILE_STRIPS);
+        // SAFETY: strips `s0 .. s0 + span` exist; the rest is this
         // function's contract.
         unsafe {
-            let csum = _mm512_loadu_si512(pack.col_sums.as_ptr().add(s * QNR) as *const __m512i);
+            match span {
+                1 => strip_group::<1, R>(a, rows, pack, out, r0, nr, s0),
+                2 => strip_group::<2, R>(a, rows, pack, out, r0, nr, s0),
+                _ => strip_group::<TILE_STRIPS, R>(a, rows, pack, out, r0, nr, s0),
+            }
+        }
+        s0 += span;
+    }
+}
+
+/// Strips `s0 .. s0 + S` of a [`consume_vnni`] call: every row of the
+/// block through [`vnni_tile`]s that span those strips. Inlined into it.
+///
+/// # Safety
+///
+/// [`consume_vnni`]'s, with strips `s0 .. s0 + S` in the pack.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+// seal-lint: allow(panic-freedom) — strip extents derive from the pack dimensions; row and output extents are the safety contract
+unsafe fn strip_group<const S: usize, R: QuadRows>(
+    a: &[u8],
+    rows: &R,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    r0: usize,
+    nr: usize,
+    s0: usize,
+) {
+    use std::arch::x86_64::{__m512i, _mm512_loadu_si512, _mm512_setzero_si512, _mm512_slli_epi32};
+    let (n, strip_bytes) = (pack.n, pack.kq * QNR * QK);
+    // One mask bit per valid column of the group's last strip
+    // (`1 ≤ cols ≤ QNR`).
+    let cols = QNR.min(n - (s0 + S - 1) * QNR);
+    // SAFETY: `col_sums` is padded to `strips·QNR` sums and `box_sums`
+    // holds that many per box, so the 16-lane loads at `s·QNR` are in
+    // bounds. Every tile covers block rows below `nr` (with boxes, images
+    // `j < nr / boxes` of pixel `p`: row `j·boxes + p`) and stores at
+    // `out[row·n + s·QNR ..]` for `s` in the group, inside the `nr × n`
+    // block; the group's weights are `S` strips of `kq` 64-byte groups,
+    // `strip_bytes` apart, from `s0·strip_bytes`, and a box walks a subset
+    // of its strip's groups; the A quads lie inside `a` by the contract,
+    // and a box's quads are a subset of its row's.
+    unsafe {
+        let sums = |table: &[i32], first: usize| {
+            let mut corr = [_mm512_setzero_si512(); S];
+            for (s, c) in corr.iter_mut().enumerate() {
+                let sum = table.as_ptr().add((first + s) * QNR) as *const __m512i;
+                *c = _mm512_slli_epi32(_mm512_loadu_si512(sum), 7);
+            }
+            corr
+        };
+        let runs = rows.runs();
+        let weights = pack.data.as_ptr().add(s0 * strip_bytes);
+        let valid = (u16::MAX >> (QNR - cols)) as std::arch::x86_64::__mmask16;
+        let boxes = rows.boxes();
+        if boxes.is_empty() {
             let tile = Tile {
                 a,
                 rows,
-                out: out.as_mut_ptr().add(s * QNR),
+                out: out.as_mut_ptr().add(s0 * QNR),
                 n,
                 runs,
-                weights: sdata.as_ptr(),
-                corr: _mm512_slli_epi32(csum, 7),
-                valid: (u16::MAX >> (QNR - cols)) as std::arch::x86_64::__mmask16,
+                a_off: 0,
+                wskip: 0,
+                row_step: 1,
+                weights,
+                strip_bytes,
+                corr: sums(&pack.col_sums, s0),
+                valid,
             };
-            while i0 + RMR <= nr {
-                vnni_tile::<RMR, R>(&tile, r0, i0);
-                i0 += RMR;
-            }
-            match nr - i0 {
-                1 => vnni_tile::<1, R>(&tile, r0, i0),
-                2 => vnni_tile::<2, R>(&tile, r0, i0),
-                3 => vnni_tile::<3, R>(&tile, r0, i0),
-                4 => vnni_tile::<4, R>(&tile, r0, i0),
-                5 => vnni_tile::<5, R>(&tile, r0, i0),
-                6 => vnni_tile::<6, R>(&tile, r0, i0),
-                7 => vnni_tile::<7, R>(&tile, r0, i0),
-                _ => {}
-            }
+            row_tiles(&tile, r0, nr, 0);
+            return;
+        }
+        for (p, bx) in boxes.iter().enumerate() {
+            let tile = Tile {
+                a,
+                rows,
+                out: out.as_mut_ptr().add(s0 * QNR),
+                n,
+                runs: Runs {
+                    count: bx.runs,
+                    quads: bx.quads,
+                    stride: runs.stride,
+                },
+                a_off: bx.run0 * runs.stride + bx.quad0 * QK,
+                wskip: runs.quads - bx.quads,
+                row_step: boxes.len(),
+                weights: weights.add((bx.run0 * runs.quads + bx.quad0) * QNR * QK),
+                strip_bytes,
+                corr: sums(&pack.box_sums, bx.pixel * pack.strips + s0),
+                valid,
+            };
+            row_tiles(&tile, r0, nr / boxes.len(), p);
         }
     }
 }
 
-/// What every register tile of one packed strip shares in a
-/// [`consume_vnni`] call: the operand and its rows, the strip's first
-/// output column in block row 0 (`n` sums per row), its weight groups,
-/// its `128 · col_sums` correction and the mask of its valid columns.
+/// `count` rows of `tile` — block rows `first + j·row_step` for `j <
+/// count` — through [`vnni_tile`]s of [`RMR`] rows, the last `count mod
+/// RMR` as one shorter tile.
+///
+/// # Safety
+///
+/// [`vnni_tile`]'s for every tile.
 #[cfg(target_arch = "x86_64")]
-struct Tile<'t, R> {
+#[inline(always)]
+unsafe fn row_tiles<const S: usize, R: QuadRows>(
+    tile: &Tile<'_, R, S>,
+    r0: usize,
+    count: usize,
+    first: usize,
+) {
+    let mut j0 = 0;
+    // SAFETY: the contract.
+    unsafe {
+        while j0 + RMR <= count {
+            vnni_tile::<RMR, S, R>(tile, r0, first + j0 * tile.row_step);
+            j0 += RMR;
+        }
+        let i0 = first + j0 * tile.row_step;
+        match count - j0 {
+            1 => vnni_tile::<1, S, R>(tile, r0, i0),
+            2 => vnni_tile::<2, S, R>(tile, r0, i0),
+            3 => vnni_tile::<3, S, R>(tile, r0, i0),
+            4 => vnni_tile::<4, S, R>(tile, r0, i0),
+            5 => vnni_tile::<5, S, R>(tile, r0, i0),
+            6 => vnni_tile::<6, S, R>(tile, r0, i0),
+            7 => vnni_tile::<7, S, R>(tile, r0, i0),
+            _ => {}
+        }
+    }
+}
+
+/// What every register tile of one strip group — of one pixel box, with
+/// boxes — shares in a [`consume_vnni`] call: the operand and its rows,
+/// the group's first output column in block row 0 (`n` sums per row),
+/// the runs walked (`a_off` bytes into each row's field, `wskip` groups
+/// skipped after each run), the step between a tile's block rows, the
+/// first strip's weight groups (the next strip `strip_bytes` further),
+/// each strip's `128 · col_sums` correction and the mask of the last
+/// strip's valid columns.
+#[cfg(target_arch = "x86_64")]
+struct Tile<'t, R, const S: usize> {
     a: &'t [u8],
     rows: &'t R,
     out: *mut i32,
     n: usize,
     runs: Runs,
+    a_off: usize,
+    wskip: usize,
+    row_step: usize,
     weights: *const i8,
-    corr: std::arch::x86_64::__m512i,
+    strip_bytes: usize,
+    corr: [std::arch::x86_64::__m512i; S],
     valid: std::arch::x86_64::__mmask16,
 }
 
-/// One `MR × 16` VNNI register tile — block rows `i0 .. i0 + MR`, A rows
-/// `r0 + i0 ..`: `MR` independent accumulators, each weight group loaded
-/// once for all of them, the corrected sums stored masked to the strip's
-/// valid columns (masked-off lanes are neither written nor
-/// fault-checked). Inlined into [`consume_vnni`], whose target features
-/// it is compiled with.
+/// One `MR × 16·S` VNNI register tile — block rows `i0 + m·row_step` for
+/// `m < MR`, A rows `r0` further, `S` strips: `MR·S` independent accumulators, each
+/// activation quad broadcast once for all `S` strips, each weight group
+/// loaded once for all `MR` rows, the corrected sums stored — the last
+/// strip's masked to its valid columns (masked-off lanes are neither
+/// written nor fault-checked). Inlined into [`consume_vnni`], whose
+/// target features it is compiled with.
 ///
 /// # Safety
 ///
 /// [`consume_vnni`]'s: AVX-512 VNNI available, every quad of the tile's
-/// rows inside `tile.a`, `tile.weights` holding `runs.count·runs.quads`
-/// 64-byte groups, and 16 lanes (the valid ones writable) at `tile.out +
-/// (i0 + m)·n` for every `m < MR`.
+/// rows inside `tile.a`, `S` strips of `runs.count·(runs.quads +
+/// wskip)` 64-byte groups at `tile.weights`, `tile.strip_bytes` apart,
+/// and `16·S` lanes (the valid ones writable) at `tile.out + (i0 +
+/// m·row_step)·n` for every `m < MR`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn vnni_tile<const MR: usize, R: QuadRows>(tile: &Tile<'_, R>, r0: usize, i0: usize) {
+unsafe fn vnni_tile<const MR: usize, const S: usize, R: QuadRows>(
+    tile: &Tile<'_, R, S>,
+    r0: usize,
+    i0: usize,
+) {
     use std::arch::x86_64::{
         __m512i, _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_mask_storeu_epi32,
         _mm512_set1_epi32, _mm512_setzero_si512, _mm512_sub_epi32,
@@ -996,45 +1107,64 @@ unsafe fn vnni_tile<const MR: usize, R: QuadRows>(tile: &Tile<'_, R>, r0: usize,
     unsafe {
         let mut rowp = [tile.a.as_ptr(); MR];
         for (m, p) in rowp.iter_mut().enumerate() {
-            *p = p.add(tile.rows.base(r0 + i0 + m));
+            *p = p.add(tile.rows.base(r0 + i0 + m * tile.row_step) + tile.a_off);
         }
-        let mut acc = [_mm512_setzero_si512(); MR];
+        let mut acc = [[_mm512_setzero_si512(); S]; MR];
         let mut g = tile.weights;
         for r in 0..runs.count {
             for t in 0..runs.quads {
                 let off = r * runs.stride + t * QK;
-                let b = _mm512_loadu_si512(g as *const __m512i);
+                let mut b = [_mm512_setzero_si512(); S];
+                for (s, b) in b.iter_mut().enumerate() {
+                    *b = _mm512_loadu_si512(g.add(s * tile.strip_bytes) as *const __m512i);
+                }
                 for m in 0..MR {
                     let aq = (rowp[m].add(off) as *const i32).read_unaligned();
-                    acc[m] = _mm512_dpbusd_epi32(acc[m], _mm512_set1_epi32(aq), b);
+                    let aq = _mm512_set1_epi32(aq);
+                    for s in 0..S {
+                        acc[m][s] = _mm512_dpbusd_epi32(acc[m][s], aq, b[s]);
+                    }
                 }
                 g = g.add(QNR * QK);
             }
+            g = g.add(tile.wskip * QNR * QK);
         }
         for (m, acc_m) in acc.iter().enumerate() {
-            let fixed = _mm512_sub_epi32(*acc_m, tile.corr);
-            _mm512_mask_storeu_epi32(tile.out.add((i0 + m) * tile.n), tile.valid, fixed);
+            let row = tile.out.add((i0 + m * tile.row_step) * tile.n);
+            for (s, acc_ms) in acc_m.iter().enumerate() {
+                let fixed = _mm512_sub_epi32(*acc_ms, tile.corr[s]);
+                let mask = if s + 1 == S { tile.valid } else { u16::MAX };
+                _mm512_mask_storeu_epi32(row.add(s * QNR), mask, fixed);
+            }
         }
     }
 }
 
-/// [`consume_vnni`] for a narrow pack (one strip of `nr = 8` columns):
-/// each `vpdpbusd` multiplies a 64-bit broadcast of a run's quad pair
-/// against a group of 8 columns × 2 quads, so the 16 lanes hold column
-/// `c`'s even-quad sum in lane `2c` and its odd-quad sum in lane `2c +
-/// 1`. After the k loop each pair is folded (`srli_epi64` + add, then
-/// `vpmovqd` keeps each 64-bit lane's low half) into 8 i32 sums, and the
-/// offset correction `128 · col_sums` follows as in the wide kernel —
-/// exact i32 arithmetic throughout, so the sums equal the scalar
-/// kernel's.
+/// AVX-512 VNNI **pixel-lane** kernel for a convolution with `c_out ≤ 8`
+/// (see [`ImplicitConv`]): the 16 lanes of a `vpdpbusd` are 16
+/// neighbouring output pixels of one output row — a *segment* — and each
+/// output channel has its own accumulator, so every lane multiplies four
+/// bytes of a real receptive field however few channels there are.
+///
+/// Per kernel row of the field, the bytes all 16 pixels read (`15·step +
+/// 4·quads ≤ 128` of them from the first pixel's run) are loaded masked
+/// into two registers; quad `t` of every lane is then one `vpermt2b` of
+/// those (lane `L` takes bytes `L·step + 4t ..`), and channel `c`'s
+/// weight quad is a dword broadcast straight from the wide pack (group
+/// `q`, column `c` at byte `4c`). After the `128 · col_sums` correction
+/// each channel's 16 sums are one store into the **channel-planar**
+/// segment ([`out_index`]). Two segments share each weight broadcast, so
+/// `2·c_out` chains hide the instruction's latency.
 ///
 /// # Safety
 ///
-/// [`consume_vnni`]'s, with `pack.nr = NNR` and `rows.runs().quads`
-/// even.
+/// [`consume_vnni`]'s, plus AVX-512 VBMI; `rows.pixel_step()` is `Some`,
+/// `pack.n ≤ 8`, `nr` is a multiple of 16 and each 16-row segment is 16
+/// pixels `step` bytes apart; the masked loads read only bytes some
+/// pixel's quads read.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni")]
-unsafe fn consume_vnni_narrow<R: QuadRows>(
+#[target_feature(enable = "avx512f,avx512bw,avx512vl,avx512vnni,avx512vbmi")]
+unsafe fn consume_vnni_pixels<R: QuadRows>(
     a: &[u8],
     rows: &R,
     pack: &PackedBI8,
@@ -1042,103 +1172,157 @@ unsafe fn consume_vnni_narrow<R: QuadRows>(
     r0: usize,
     nr: usize,
 ) {
-    use std::arch::x86_64::{__m256i, _mm256_loadu_si256, _mm256_slli_epi32};
-    // SAFETY: `col_sums` holds `NNR` sums (one narrow strip), so the
-    // 8-lane load is in bounds. Every tile covers rows `r0 + i0 ..` below
-    // `r0 + nr` and stores at most `n ≤ NNR` lanes at `out[(i0 + m)·n
-    // ..]`, inside the `nr × n` block; `pack.data` holds the `kq / 2`
-    // groups the tile walks; the A pairs lie inside `a` by this
-    // function's contract.
+    // SAFETY: the contract above; `pack.n ≤ 8` picks the tile width.
     unsafe {
-        let csum = _mm256_loadu_si256(pack.col_sums.as_ptr() as *const __m256i);
-        let tile = NarrowTile {
-            a,
-            rows,
-            out: out.as_mut_ptr(),
-            n: pack.n,
-            runs: rows.runs(),
-            weights: pack.data.as_ptr(),
-            corr: _mm256_slli_epi32(csum, 7),
-            valid: (u8::MAX >> (NNR - NNR.min(pack.n))) as std::arch::x86_64::__mmask8,
-        };
-        let mut i0 = 0;
-        while i0 + RMR <= nr {
-            vnni_tile_narrow::<RMR, R>(&tile, r0, i0);
-            i0 += RMR;
-        }
-        match nr - i0 {
-            1 => vnni_tile_narrow::<1, R>(&tile, r0, i0),
-            2 => vnni_tile_narrow::<2, R>(&tile, r0, i0),
-            3 => vnni_tile_narrow::<3, R>(&tile, r0, i0),
-            4 => vnni_tile_narrow::<4, R>(&tile, r0, i0),
-            5 => vnni_tile_narrow::<5, R>(&tile, r0, i0),
-            6 => vnni_tile_narrow::<6, R>(&tile, r0, i0),
-            7 => vnni_tile_narrow::<7, R>(&tile, r0, i0),
-            _ => {}
+        match pack.n {
+            1 => pixel_segments::<1, R>(a, rows, pack, out, r0, nr),
+            2 => pixel_segments::<2, R>(a, rows, pack, out, r0, nr),
+            3 => pixel_segments::<3, R>(a, rows, pack, out, r0, nr),
+            4 => pixel_segments::<4, R>(a, rows, pack, out, r0, nr),
+            5 => pixel_segments::<5, R>(a, rows, pack, out, r0, nr),
+            6 => pixel_segments::<6, R>(a, rows, pack, out, r0, nr),
+            7 => pixel_segments::<7, R>(a, rows, pack, out, r0, nr),
+            _ => pixel_segments::<PIXEL_MAX_C_OUT, R>(a, rows, pack, out, r0, nr),
         }
     }
 }
 
-/// What every register tile of a [`consume_vnni_narrow`] call shares: as
-/// [`Tile`], with an 8-lane correction and store mask.
+/// What every pixel tile of a [`consume_vnni_pixels`] call shares: the
+/// operand and its rows, the block's planar output, the pack's weight
+/// groups, the lane-gather index of quad 0, the two load masks and each
+/// channel's `128 · col_sums` correction.
 #[cfg(target_arch = "x86_64")]
-struct NarrowTile<'t, R> {
+struct PixelTile<'t, R, const C: usize> {
     a: &'t [u8],
     rows: &'t R,
     out: *mut i32,
-    n: usize,
     runs: Runs,
     weights: *const i8,
-    corr: std::arch::x86_64::__m256i,
-    valid: std::arch::x86_64::__mmask8,
+    gather: std::arch::x86_64::__m512i,
+    lo: std::arch::x86_64::__mmask64,
+    hi: std::arch::x86_64::__mmask64,
+    corr: [std::arch::x86_64::__m512i; C],
 }
 
-/// One `MR × 8` narrow VNNI register tile (see [`consume_vnni_narrow`]),
-/// inlined into it and compiled with its target features.
+/// The segments of a [`consume_vnni_pixels`] block, two per tile.
 ///
 /// # Safety
 ///
-/// [`consume_vnni_narrow`]'s: AVX-512 VNNI available, every quad pair of
-/// the tile's rows inside `tile.a`, `tile.weights` holding
-/// `runs.count·runs.quads / 2` 64-byte groups, and the valid lanes of
-/// `tile.out + (i0 + m)·n` writable for every `m < MR`.
+/// [`consume_vnni_pixels`]'s, with `C = pack.n`.
 #[cfg(target_arch = "x86_64")]
 #[inline(always)]
-unsafe fn vnni_tile_narrow<const MR: usize, R: QuadRows>(
-    tile: &NarrowTile<'_, R>,
+// seal-lint: allow(panic-freedom) — `pixel_step` is `Some` and `C ≤ 8` columns of col sums exist by the contract
+unsafe fn pixel_segments<const C: usize, R: QuadRows>(
+    a: &[u8],
+    rows: &R,
+    pack: &PackedBI8,
+    out: &mut [i32],
+    r0: usize,
+    nr: usize,
+) {
+    use std::arch::x86_64::{_mm512_loadu_si512, _mm512_set1_epi32, _mm512_setzero_si512};
+    let (step, runs) = (rows.pixel_step().unwrap_or(0), rows.runs());
+    let span = (QNR - 1) * step + runs.quads * QK;
+    let mask = |bytes: usize| match bytes {
+        0 => 0,
+        1..=63 => (1u64 << bytes) - 1,
+        _ => u64::MAX,
+    };
+    let mut gather = [0u8; 64];
+    for (j, g) in gather.iter_mut().enumerate() {
+        *g = ((j / QK) * step + j % QK) as u8;
+    }
+    // SAFETY: `gather` is 64 bytes; the rest is the contract.
+    unsafe {
+        let mut corr = [_mm512_setzero_si512(); C];
+        for (c, corr) in corr.iter_mut().enumerate() {
+            *corr = _mm512_set1_epi32(pack.col_sums[c] << 7);
+        }
+        let tile = PixelTile {
+            a,
+            rows,
+            out: out.as_mut_ptr(),
+            runs,
+            weights: pack.data.as_ptr(),
+            gather: _mm512_loadu_si512(gather.as_ptr().cast()),
+            lo: mask(span.min(64)),
+            hi: mask(span.saturating_sub(64)),
+            corr,
+        };
+        let mut seg = 0;
+        while seg + 2 * QNR <= nr {
+            pixel_tile::<C, 2, R>(&tile, r0, seg);
+            seg += 2 * QNR;
+        }
+        if seg < nr {
+            pixel_tile::<C, 1, R>(&tile, r0, seg);
+        }
+    }
+}
+
+/// `G` segments (block rows `i0 .. i0 + 16·G`) of `C` channels: `G·C`
+/// accumulators, one `vpermt2b` per segment and quad, each weight quad
+/// broadcast once for all `G` segments. Inlined into
+/// [`consume_vnni_pixels`], whose target features it is compiled with.
+///
+/// # Safety
+///
+/// [`consume_vnni_pixels`]'s, for segments `i0 / 16 ..` of the block.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn pixel_tile<const C: usize, const G: usize, R: QuadRows>(
+    tile: &PixelTile<'_, R, C>,
     r0: usize,
     i0: usize,
 ) {
     use std::arch::x86_64::{
-        __m512i, _mm256_mask_storeu_epi32, _mm256_sub_epi32, _mm512_add_epi32,
-        _mm512_cvtepi64_epi32, _mm512_dpbusd_epi32, _mm512_loadu_si512, _mm512_set1_epi64,
-        _mm512_setzero_si512, _mm512_srli_epi64,
+        _mm512_add_epi8, _mm512_dpbusd_epi32, _mm512_maskz_loadu_epi8, _mm512_permutex2var_epi8,
+        _mm512_set1_epi32, _mm512_set1_epi8, _mm512_setzero_si512, _mm512_storeu_si512,
+        _mm512_sub_epi32,
     };
     let runs = tile.runs;
-    // SAFETY: this function's contract bounds every read of `tile.a` and
-    // `tile.weights` and every store through `tile.out`.
+    // SAFETY: this function's contract bounds every read of `tile.a`
+    // (the masks cover only bytes the segment's pixels read; masked-off
+    // bytes are neither read nor fault-checked) and of `tile.weights`,
+    // and every store through `tile.out`.
     unsafe {
-        let mut rowp = [tile.a.as_ptr(); MR];
-        for (m, p) in rowp.iter_mut().enumerate() {
-            *p = p.add(tile.rows.base(r0 + i0 + m));
+        let mut segp = [tile.a.as_ptr(); G];
+        for (g, p) in segp.iter_mut().enumerate() {
+            *p = p.add(tile.rows.base(r0 + i0 + g * QNR));
         }
-        let mut acc = [_mm512_setzero_si512(); MR];
-        let mut g = tile.weights;
+        let next_quad = _mm512_set1_epi8(QK as i8);
+        let mut acc = [[_mm512_setzero_si512(); C]; G];
+        let mut w = tile.weights;
         for r in 0..runs.count {
-            for t in (0..runs.quads).step_by(2) {
-                let off = r * runs.stride + t * QK;
-                let b = _mm512_loadu_si512(g as *const __m512i);
-                for m in 0..MR {
-                    let pair = (rowp[m].add(off) as *const i64).read_unaligned();
-                    acc[m] = _mm512_dpbusd_epi32(acc[m], _mm512_set1_epi64(pair), b);
+            let mut lo = [_mm512_setzero_si512(); G];
+            let mut hi = [_mm512_setzero_si512(); G];
+            for g in 0..G {
+                let p = segp[g].add(r * runs.stride);
+                lo[g] = _mm512_maskz_loadu_epi8(tile.lo, p.cast());
+                hi[g] = _mm512_maskz_loadu_epi8(tile.hi, p.wrapping_add(64).cast());
+            }
+            let mut idx = tile.gather;
+            for _ in 0..runs.quads {
+                let mut x = [_mm512_setzero_si512(); G];
+                for g in 0..G {
+                    x[g] = _mm512_permutex2var_epi8(lo[g], idx, hi[g]);
                 }
-                g = g.add(QNR * QK);
+                for c in 0..C {
+                    let wq = _mm512_set1_epi32((w.add(c * QK) as *const i32).read_unaligned());
+                    for g in 0..G {
+                        acc[g][c] = _mm512_dpbusd_epi32(acc[g][c], x[g], wq);
+                    }
+                }
+                idx = _mm512_add_epi8(idx, next_quad);
+                w = w.add(QNR * QK);
             }
         }
-        for (m, acc_m) in acc.iter().enumerate() {
-            let folded = _mm512_add_epi32(*acc_m, _mm512_srli_epi64(*acc_m, 32));
-            let fixed = _mm256_sub_epi32(_mm512_cvtepi64_epi32(folded), tile.corr);
-            _mm256_mask_storeu_epi32(tile.out.add((i0 + m) * tile.n), tile.valid, fixed);
+        for (g, acc_g) in acc.iter().enumerate() {
+            let seg = i0 / QNR + g;
+            for (c, acc_gc) in acc_g.iter().enumerate() {
+                let fixed = _mm512_sub_epi32(*acc_gc, tile.corr[c]);
+                _mm512_storeu_si512(tile.out.add((seg * C + c) * QNR).cast(), fixed);
+            }
         }
     }
 }
@@ -1217,6 +1401,53 @@ pub fn dequantize_transpose_bias_relu(
         for (j, o) in orow.iter_mut().enumerate() {
             let v = acc[j * c_out + c] as f32 * sc + b;
             *o = if relu { v.max(0.0) } else { v };
+        }
+    }
+}
+
+/// [`dequantize_transpose_bias_relu`] for the **channel-planar**
+/// accumulator of a pixel-lane convolution ([`ImplicitConv::planar`]):
+/// output pixel `p`'s channel `c` is `acc[((p / 16)·c_out + c)·16 + p mod
+/// 16]`. Each channel's 16 sums of a segment are 16 consecutive pixels of
+/// its NCHW plane, so both sides are read and written in runs of 16; the
+/// per-element expression is the same, and so is every bit.
+///
+/// # Panics
+///
+/// If `s` is not a multiple of 16, or a buffer is short.
+#[allow(clippy::too_many_arguments)]
+// seal-lint: allow(panic-freedom) — extents are asserted up front
+pub fn dequantize_planar_bias_relu(
+    acc: &[i32],
+    a_scale: f32,
+    w_scales: &[f32],
+    bias: Option<&[f32]>,
+    out: &mut [f32],
+    s: usize,
+    c_out: usize,
+    relu: bool,
+) {
+    assert!(
+        s.is_multiple_of(QNR),
+        "dequantize_planar: pixels not in whole segments"
+    );
+    assert!(
+        acc.len() >= s * c_out && out.len() >= s * c_out,
+        "dequantize_planar: short buffers"
+    );
+    assert!(
+        w_scales.len() >= c_out,
+        "dequantize_planar: missing channel scales"
+    );
+    for c in 0..c_out {
+        let sc = a_scale * w_scales[c];
+        let b = bias.map_or(0.0, |b| b[c]);
+        let plane = &mut out[c * s..(c + 1) * s];
+        for (seg, o) in plane.chunks_exact_mut(QNR).enumerate() {
+            let src = &acc[(seg * c_out + c) * QNR..][..QNR];
+            for (o, &a) in o.iter_mut().zip(src) {
+                *o = dequantize_value(a, sc, b, relu);
+            }
         }
     }
 }
@@ -1390,10 +1621,9 @@ impl NhwcImage {
 
 /// Readable bytes a u8 image buffer must hold behind its last image's
 /// [`NhwcImage::stride`]: [`gemm_i8_conv`] reads each receptive-field run
-/// in whole 4-byte quads — whole quad pairs for a conv with `c_out ≤ 8`
-/// — so it may read up to 7 bytes past the padded image (see
-/// [`ImplicitConv`]).
-pub const PATCH_SLACK: usize = 8;
+/// in whole 4-byte quads, so it may read up to 3 bytes past the padded
+/// image (see [`ImplicitConv`]).
+pub const PATCH_SLACK: usize = QK - 1;
 
 /// Quantize one f32 **NCHW** image symmetrically per tensor into the
 /// padded u8 NHWC image `img` (border and quad tail set to `128`),
@@ -1454,26 +1684,150 @@ pub fn quantize_nhwc_u8(x: &[f32], img: &NhwcImage, out: &mut [u8], mode: Kernel
     )
 }
 
-/// Quads one receptive-field run of the convolution `dims` occupies in
-/// the implicit-GEMM layout: the run's `k·c_in` bytes rounded up to the
-/// 4-byte quad, and for a narrow pack (`c_out ≤ 8`) up to an even quad
-/// count, so every quad pair a narrow kernel reads lies in one run.
-/// [`PackedBI8::pack_conv_runs`] lays each `ky` run of weights out at
-/// this width, zero-padded; [`ImplicitConv`] reads it.
-pub(crate) fn run_quads(dims: &ConvPlanDims) -> usize {
-    (dims.geom.kernel * dims.c_in)
-        .div_ceil(QK)
-        .next_multiple_of(QNR / conv_strip_width(dims))
+/// The part of the receptive field an int8 convolution reads and packs:
+/// kernel rows `ky0 .. ky0 + rows` and, in each, kernel columns `kx0 ..
+/// kx0 + cols` — the bounding box of its live taps
+/// (`ConvPlanDims::tap_reach`; all of them when none is live). A tap
+/// outside the box is *dead*: every output position reads the border
+/// through it, whose byte is the zero point `128`, so its products are
+/// exactly 0 and dropping its run or columns changes no sum.
+/// [`PackedBI8::pack_conv_runs`] packs the box and [`ImplicitConv`]
+/// reads it, both from this one function.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct FieldRuns {
+    pub(crate) ky0: usize,
+    pub(crate) rows: usize,
+    pub(crate) kx0: usize,
+    pub(crate) cols: usize,
+    /// Quads one run occupies: its `cols·c_in` bytes rounded up to the
+    /// 4-byte quad, zero-weight-padded in the pack.
+    pub(crate) quads: usize,
 }
 
-/// Columns per strip of [`PackedBI8::pack_conv_runs`] for the conv
-/// `dims`: narrow ([`NNR`]) when its output channels fit one narrow strip.
-pub(crate) fn conv_strip_width(dims: &ConvPlanDims) -> usize {
-    if dims.c_out <= NNR {
-        NNR
-    } else {
-        QNR
+/// [`FieldRuns`] of the convolution `dims`. Plan-compile time.
+pub(crate) fn field_runs(dims: &ConvPlanDims) -> FieldRuns {
+    let k = dims.geom.kernel;
+    let live: Vec<bool> = dims.tap_reach().iter().map(|&(live, _)| live).collect(); // plan-compile time
+    let span = |on: &dyn Fn(usize) -> bool| {
+        let first = (0..k).find(|&i| on(i))?;
+        let last = (0..k).rev().find(|&i| on(i))?;
+        Some((first, last - first + 1))
+    };
+    let ys = span(&|ky| (0..k).any(|kx| live[ky * k + kx]));
+    let xs = span(&|kx| (0..k).any(|ky| live[ky * k + kx]));
+    let ((ky0, rows), (kx0, cols)) = ys.zip(xs).unwrap_or(((0, k), (0, k)));
+    FieldRuns {
+        ky0,
+        rows,
+        kx0,
+        cols,
+        quads: (cols * dims.c_in).div_ceil(QK),
     }
+}
+
+/// The live box of one output pixel of a batch-folded int8 convolution:
+/// the quads of the field box ([`FieldRuns`]) through which this pixel
+/// reads the image — runs `run0 .. run0 + runs`, each from quad `quad0`
+/// for `quads` quads. Every other quad of the field meets only border
+/// bytes (the zero point `128`) for this pixel, or a run's zero pad
+/// weights, so its products are exactly 0: the VNNI tile skips them,
+/// correcting with the box's own column sums
+/// ([`PackedBI8::pack_conv_runs`] keeps one set per box).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct PixelBox {
+    /// The output pixel, whose column sums the pack keeps at this index.
+    pub(crate) pixel: usize,
+    pub(crate) run0: usize,
+    pub(crate) runs: usize,
+    pub(crate) quad0: usize,
+    pub(crate) quads: usize,
+}
+
+/// One [`PixelBox`] per output pixel of `dims`, in pixel order, when its
+/// batch folds into one GEMM (`ConvPlanDims::folds_batch_i8`) and it
+/// does not run the pixel-lane tile; none otherwise. Plan-compile time.
+pub(crate) fn pixel_boxes(dims: &ConvPlanDims) -> Vec<PixelBox> {
+    let field = field_runs(dims);
+    if !dims.folds_batch_i8() || pixel_lanes(dims, field.quads) {
+        return Vec::new(); // no allocation
+    }
+    let g = dims.geom;
+    // The kernel offsets `k0 .. k0 + kn` through which output coordinate
+    // `o` reads one of the `n` cells of an axis: (first − k0, count).
+    let live = |o: usize, n: usize, k0: usize, kn: usize| {
+        let inside = |k: usize| {
+            (o * g.stride + k)
+                .checked_sub(g.padding)
+                .is_some_and(|i| i < n)
+        };
+        let first = (k0..k0 + kn).find(|&k| inside(k))?;
+        let last = (k0..k0 + kn).rev().find(|&k| inside(k))?;
+        Some((first - k0, last - first + 1))
+    };
+    (0..dims.oh * dims.ow)
+        .map(|p| {
+            let rows = live(p / dims.ow, dims.h, field.ky0, field.rows);
+            let cols = live(p % dims.ow, dims.w, field.kx0, field.cols);
+            match rows.zip(cols) {
+                Some(((run0, runs), (x0, n))) => {
+                    let quad0 = x0 * dims.c_in / QK;
+                    let end = ((x0 + n) * dims.c_in).div_ceil(QK);
+                    PixelBox {
+                        pixel: p,
+                        run0,
+                        runs,
+                        quad0,
+                        quads: end - quad0,
+                    }
+                }
+                // Nothing of the image: every product is 0.
+                None => PixelBox {
+                    pixel: p,
+                    run0: 0,
+                    runs: 0,
+                    quad0: 0,
+                    quads: 0,
+                },
+            }
+        })
+        .collect() // plan-compile time
+}
+
+/// How one image's sums lie in an int8 convolution's accumulator —
+/// written by [`gemm_i8_conv`] and read by [`Requantize`] and the f32
+/// readers, both sides told by the compiled [`ImplicitConv`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Layout {
+    /// Pixel-major: pixel `p`'s channel `c` at `p·c_out + c`.
+    RowMajor,
+    /// Pixel-major in the [`window_major`] order of the 2×2 pool.
+    WindowMajor,
+    /// Channel-planar per 16-pixel segment ([`out_index`]): the
+    /// pixel-lane tile's.
+    Planar,
+}
+
+/// The pixel-major layout of a write-back that fuses `pool`: window-major
+/// exactly through the 2×2 / stride-2 pool.
+fn pixel_major(pool: Option<PoolGeometry>) -> Layout {
+    if pool == Some(PoolGeometry::halving()) {
+        Layout::WindowMajor
+    } else {
+        Layout::RowMajor
+    }
+}
+
+/// Whether the convolution `dims`, reading `quads` quads per run, runs
+/// the pixel-lane tile: at most 8 output channels, stride 1, output rows
+/// in whole 16-pixel segments, and the bytes 16 neighbouring pixels read
+/// of one run (`15·c_in + 4·quads`) inside the 128 one `vpermt2b`
+/// gathers from. A function of the shape alone.
+fn pixel_lanes(dims: &ConvPlanDims, quads: usize) -> bool {
+    dims.c_out <= PIXEL_MAX_C_OUT
+        && dims.geom.stride == 1
+        && dims.ow > 0
+        && dims.ow.is_multiple_of(QNR)
+        && (QNR - 1) * dims.c_in + QK * quads <= PIXEL_WINDOW
 }
 
 /// Compile-time A-operand addressing of an **implicit-GEMM** int8
@@ -1481,22 +1835,29 @@ pub(crate) fn conv_strip_width(dims: &ConvPlanDims) -> usize {
 /// padded u8 NHWC image, so no patch matrix is ever built.
 ///
 /// With channels innermost, the `(kx, c_in)` part of a receptive-field
-/// row is one contiguous run of `k·c_in` image bytes. GEMM row `p` (one
-/// output pixel) starts at `rows[p]` — the field's top-left byte,
-/// `oy·stride·row_bytes + ox·stride·c_in`, plus `j·`[`NhwcImage::stride`]
-/// for image `j` of a stacked batch — and its quad `q` lies `quad_off[q]
-/// = (q / rq)·row_bytes + (q mod rq)·4` further on: `k` runs (one per
-/// `ky`) of `rq = ceil(k·c_in / 4)` quads, `row_bytes` apart — `rq`
-/// rounded up to even when `c_out ≤ 8`, whose narrow pack is read in quad
-/// pairs. A run whose length is not a multiple of 4 is read in whole
-/// quads, so its last quad takes up to 3 bytes of whatever follows, and
-/// a pair-padded run one more quad: up to **7** bytes past the run — the
-/// next pixel, the next row's border, or (for the very last run) the
-/// [`PATCH_SLACK`] behind the image. Those bytes meet the **zero
-/// weights** [`PackedBI8::pack_conv_runs`] puts in the run's pad
-/// positions: they add exactly 0 to the i32 sums (and to `col_sums`),
-/// whatever they hold. Every read therefore stays below `(images − 1)·
-/// stride + stride + 7`, inside `images·stride + PATCH_SLACK`.
+/// row is one contiguous run of image bytes. Only the live box of the
+/// field is read ([`FieldRuns`]: `rows` runs of `cols·c_in` bytes — all
+/// `k` of `k·c_in` unless some taps only ever meet the border). GEMM row
+/// `p` (one output pixel) starts at `rows[p]` — the box's top-left byte,
+/// `oy·stride·row_bytes + ox·stride·c_in` plus `ky0·row_bytes +
+/// kx0·c_in`, plus `j·`[`NhwcImage::stride`] for image `j` of a stacked
+/// batch — and its quad `q` lies `quad_off[q] = (q / rq)·row_bytes + (q
+/// mod rq)·4` further on: one run per kept `ky`, `rq = ceil(cols·c_in /
+/// 4)` quads, `row_bytes` apart. A run whose length is not a multiple of
+/// 4 is read in whole quads, so its last quad takes up to **3** bytes of
+/// whatever follows — the next pixel, the next row's border, or (for the
+/// very last run) the [`PATCH_SLACK`] behind the image. Those bytes meet
+/// the **zero weights** [`PackedBI8::pack_conv_runs`] puts in the run's
+/// pad positions: they add exactly 0 to the i32 sums (and to
+/// `col_sums`), whatever they hold. Every read therefore stays below
+/// `(images − 1)·stride + stride + 3`, inside `images·stride +
+/// PATCH_SLACK`.
+///
+/// The accumulator's layout is fixed here, from the shape and the fused
+/// pool, and both [`gemm_i8_conv`] and the readers take it from this
+/// value: channel-planar when the conv runs the **pixel-lane** tile
+/// ([`planar`](Self::planar)), else pixel-major — in the window-major
+/// order of a fused 2×2 / stride-2 pool, row-major otherwise.
 #[derive(Clone, Debug)]
 pub struct ImplicitConv {
     /// Output positions per image.
@@ -1508,8 +1869,17 @@ pub struct ImplicitConv {
     /// One past the last byte one image's rows read.
     extent: usize,
     rows: Vec<u32>,
-    /// `k` runs of `rq` quads, `row_bytes` apart.
+    /// One run of `rq` quads per kept kernel row, `row_bytes` apart.
     runs: Runs,
+    /// Output map, channels and the pool the write-back fuses.
+    hw: (usize, usize),
+    c_out: usize,
+    pool: Option<PoolGeometry>,
+    layout: Layout,
+    /// Bytes between neighbouring output pixels' fields (`c_in`).
+    step: usize,
+    /// Each output pixel's live box when the batch folds (else empty).
+    boxes: Vec<PixelBox>,
 }
 
 impl ImplicitConv {
@@ -1518,22 +1888,28 @@ impl ImplicitConv {
     /// batch folds into one GEMM), for a write-back that fuses `pool`
     /// (`None` when none, or when the output is dequantized to f32). GEMM
     /// row `r` of an image holds output pixel `r` — or, through the 2×2 /
-    /// stride-2 pool, pixel `order[r]` of its [`window_major`] order, the
-    /// layout [`Requantize::compile`] pools in one flat pass for the same
-    /// pool. Allocates — call at plan-compile time.
+    /// stride-2 pool of a conv that is not pixel-lane, pixel `order[r]` of
+    /// its [`window_major`] order. Allocates — call at plan-compile time.
     ///
     /// # Errors
     ///
     /// [`TensorError::InvalidGeometry`] if `images` is 0, `dims` is not a
     /// convolution whose output fits its padded input (its reads would
     /// leave the image + slack), the stacked images span more than `u32`
-    /// offsets address, or the 2×2 pool does not fit the output.
+    /// offsets address, or the 2×2 pool of a window-major layout does not
+    /// fit the output.
     pub fn compile(
         dims: &ConvPlanDims,
         images: usize,
         pool: Option<PoolGeometry>,
     ) -> Result<ImplicitConv, TensorError> {
-        let order = if window_major_pool(pool) {
+        let field = field_runs(dims);
+        let layout = if pixel_lanes(dims, field.quads) {
+            Layout::Planar
+        } else {
+            pixel_major(pool)
+        };
+        let order = if layout == Layout::WindowMajor {
             let order =
                 window_major(dims.oh, dims.ow).ok_or_else(|| TensorError::InvalidGeometry {
                     reason: format!("implicit conv: no 2x2 pool fits the output of {dims:?}"),
@@ -1543,23 +1919,25 @@ impl ImplicitConv {
             None
         };
         let img = NhwcImage::for_conv(dims);
-        let (k, stride) = (dims.geom.kernel, dims.geom.stride);
-        let (rq, row_bytes) = (run_quads(dims), img.row_bytes());
+        let stride = dims.geom.stride;
+        let row_bytes = img.row_bytes();
         let s = dims.oh * dims.ow;
-        let field =
+        let corner = field.ky0 * row_bytes + field.kx0 * dims.c_in;
+        let origin =
             |p: usize| (p / dims.ow) * stride * row_bytes + (p % dims.ow) * stride * dims.c_in;
         let runs = Runs {
-            count: k,
-            quads: rq,
+            count: field.rows,
+            quads: field.quads,
             stride: row_bytes,
         };
-        // One past the last byte read: the last pixel's last quad, the
-        // pad quad of a pair-padded run included — at most 7 bytes past
-        // the padded image for a conv whose output fits it.
-        let extent = (0..s).map(field).max().unwrap_or(0) + runs.offsets().max().unwrap_or(0) + QK;
+        // One past the last byte read: the last pixel's last quad — at
+        // most 3 bytes past the padded image for a conv whose output fits
+        // it.
+        let extent =
+            (0..s).map(origin).max().unwrap_or(0) + corner + runs.offsets().max().unwrap_or(0) + QK;
         if images == 0
             || s == 0
-            || extent >= img.stride() + PATCH_SLACK
+            || extent > img.stride() + PATCH_SLACK
             || images * img.stride() + PATCH_SLACK > u32::MAX as usize
         {
             return Err(TensorError::InvalidGeometry {
@@ -1569,8 +1947,17 @@ impl ImplicitConv {
             });
         }
         let pixel = |t: usize| order.as_ref().map_or(t, |o| o.get(t).copied().unwrap_or(t));
-        let row = |r: usize| ((r / s) * img.stride() + field(pixel(r % s))) as u32;
+        let row = |r: usize| ((r / s) * img.stride() + corner + origin(pixel(r % s))) as u32;
         let rows = (0..images * s).map(row).collect(); // compile-time table
+                                                       // The pixel boxes in GEMM row order, like the rows.
+        let natural = pixel_boxes(dims);
+        let boxes = if natural.is_empty() {
+            natural
+        } else {
+            (0..s)
+                .filter_map(|t| natural.get(pixel(t)).copied())
+                .collect() // compile-time table
+        };
         Ok(ImplicitConv {
             s,
             images,
@@ -1578,21 +1965,57 @@ impl ImplicitConv {
             extent,
             rows,
             runs,
+            hw: (dims.oh, dims.ow),
+            c_out: dims.c_out,
+            pool,
+            layout,
+            step: dims.c_in,
+            boxes,
         })
     }
 
-    /// Quads per GEMM row: `k ·` `ceil(k·c_in / 4)`.
+    /// Quads per GEMM row: the kept runs `·` `ceil(cols·c_in / 4)`.
     pub fn quads(&self) -> usize {
         self.runs.count * self.runs.quads
     }
-}
 
-/// Whether a write-back that fuses `pool` reads each image's pixels in
-/// [`window_major`] order: exactly through the 2×2 / stride-2 pool.
-/// [`ImplicitConv::compile`] and [`Requantize::compile`] both decide by
-/// it, so the accumulator's writer and reader agree on its layout.
-fn window_major_pool(pool: Option<PoolGeometry>) -> bool {
-    pool == Some(PoolGeometry::halving())
+    /// Whether the conv runs the pixel-lane tile and its accumulator is
+    /// **channel-planar** per 16-pixel segment: output pixel `p`'s
+    /// channel `c` at `((p / 16)·c_out + c)·16 + p mod 16` of its image —
+    /// read with [`dequantize_planar_bias_relu`] instead of
+    /// [`dequantize_transpose_bias_relu`]. True exactly when `c_out ≤ 8`,
+    /// stride is 1, `ow` is a multiple of 16 and `15·c_in + 4·rq ≤ 128`
+    /// (`rq` the quads of one kept run).
+    pub fn planar(&self) -> bool {
+        self.layout == Layout::Planar
+    }
+
+    /// The fused write-back of this conv's accumulator — whatever its
+    /// layout — through the pool it was compiled for, into `dst`: a
+    /// [`Requantize`] over its output map. Plan-compile time.
+    ///
+    /// # Errors
+    ///
+    /// As [`Requantize::compile`]; also when `w_scales` does not hold one
+    /// scale per output channel of the conv.
+    pub fn requantize(
+        &self,
+        w_scales: &[f32],
+        bias: &[f32],
+        relu: bool,
+        dst: NhwcImage,
+    ) -> Result<Requantize, TensorError> {
+        if w_scales.len() != self.c_out {
+            return Err(TensorError::InvalidGeometry {
+                reason: format!(
+                    "requantize: {} channel scales for a conv of {} channels",
+                    w_scales.len(),
+                    self.c_out
+                ),
+            });
+        }
+        Requantize::with_layout(w_scales, bias, self.hw, relu, self.pool, dst, self.layout)
+    }
 }
 
 /// Output pixels of an `oh × ow` map in **window-major** order for the
@@ -1618,18 +2041,26 @@ fn window_major(oh: usize, ow: usize) -> Option<Vec<usize>> {
 }
 
 /// The int8 convolution of `images` stacked padded u8 NHWC images,
-/// read in place: `out[(j·s + p) × c_out]` receives the exact signed sums
-/// of output pixel `p` of image `j` — the accumulator a patch gather
-/// followed by [`gemm_i8`] produces — in every mode and at any thread
-/// count. `img` starts at image 0 and `pack` comes from
+/// read in place: `out[j·s·c_out ..]` receives the exact signed sums of
+/// image `j`'s output pixels — the accumulator a patch gather followed by
+/// [`gemm_i8`] produces, in the layout `conv` fixed (row-major,
+/// window-major or [planar](ImplicitConv::planar)) — in every mode and at
+/// any thread count. `img` starts at image 0 and `pack` comes from
 /// [`PackedBI8::pack_conv_runs`] for the same convolution.
+///
+/// The images must be padded ones: every border byte the zero point
+/// `128`, as [`quantize_nhwc_u8`] and [`Requantize`] write them. The conv
+/// leaves out the products of taps that read only the border — the dead
+/// taps of the whole map, and of each pixel of a folded batch — since
+/// against the zero point they are exactly 0.
 ///
 /// # Panics
 ///
 /// If `images` exceeds what `conv` was compiled for, `pack` does not
-/// match its quads, `img` holds fewer than `images ·`
-/// [`NhwcImage::stride`] `+ PATCH_SLACK` bytes, or `out` fewer than
-/// `images · s · c_out` sums — once, before anything is read or written.
+/// match its quads (or, for a planar conv, holds more than 8 columns),
+/// `img` holds fewer than `images ·` [`NhwcImage::stride`] `+
+/// PATCH_SLACK` bytes, or `out` fewer than `images · s · c_out` sums —
+/// once, before anything is read or written.
 // seal-lint: allow(panic-freedom) — the asserts are the documented extent contract; `images·s ≤ rows.len()` by the first
 pub fn gemm_i8_conv(
     img: &[u8],
@@ -1659,6 +2090,8 @@ pub fn gemm_i8_conv(
     let rows = ConvRows {
         rows: &conv.rows[..m],
         runs: conv.runs,
+        pixel_step: conv.planar().then_some(conv.step),
+        boxes: &conv.boxes,
     };
     gemm_i8_rows(&img[..extent], &rows, pack, out, m, mode);
 }
@@ -1669,27 +2102,31 @@ pub fn gemm_i8_conv(
 /// *pooled* values and quantize them straight into the consumer's padded
 /// u8 NHWC image.
 ///
-/// The patch-major GEMM output `[oh·ow × c_out]` already **is** an NHWC
-/// image, so there is no transpose. Every f32 value is the expression of
-/// [`dequantize_transpose_bias_relu`] (`acc as f32 · (a_scale ·
-/// w_scale[c]) + bias[c]`, then `max(0, ·)`), the pool is the window scan
-/// of `max_pool2d_into` (`v > best` from `−inf`, so NaN never wins), and
-/// scale and bytes come from the shared `max_abs` / `quantize_value` —
-/// so the image written here is byte for byte what dequantizing to f32
-/// NCHW, pooling there and calling [`quantize_slice_u8`] produces
-/// (max-pool only selects existing values, and the sign of a zero cannot
-/// reach a byte).
+/// Every f32 value is the expression of [`dequantize_transpose_bias_relu`]
+/// (`acc as f32 · (a_scale · w_scale[c]) + bias[c]`, then `max(0, ·)`),
+/// the pool is the window scan of `max_pool2d_into` (`v > best` from
+/// `−inf`, so NaN never wins), and scale and bytes come from the shared
+/// `max_abs` / `quantize_value` — so the image written here is byte for
+/// byte what dequantizing to f32 NCHW, pooling there and calling
+/// [`quantize_slice_u8`] produces (max-pool only selects existing values,
+/// and the sign of a zero cannot reach a byte).
 ///
 /// Each image takes two passes. The first dequantizes into the f32
 /// stage — through the pool if one follows — and folds the integer
 /// max|·| of every value it keeps; the second quantizes the kept values
 /// into the interior and writes only the border and quad tail around it.
-/// Without a pool the first pass is one flat loop over the image (the
-/// per-channel constants are tiled over it at compile time); through
-/// the 2×2 / stride-2 pool the accumulator is window-major (what
-/// [`ImplicitConv::compile`] writes for the same pool), so the pool is
-/// one flat pass over the four window blocks; other pools scan a
-/// row-major accumulator row by row.
+/// The per-channel constants are tiled over the accumulator image at
+/// compile time in its own layout, so a pass without a pool is one flat
+/// loop. A pixel-major accumulator ([`Requantize::compile`]) is the NHWC
+/// image itself: through the 2×2 / stride-2 pool it is window-major and
+/// the pool is one flat pass over the four window blocks; other pools
+/// scan it row by row. A **planar** one ([`ImplicitConv::requantize`])
+/// keeps its 16-pixel segments: the 2×2 pool takes each vertical pair of
+/// segments, then each even and odd lane, into planar 8-pixel segments;
+/// the second pass quantizes every row flat as before, and a third
+/// reorders each segment's bytes into NHWC order in place (one
+/// `vpermt2b` per 64 bytes where AVX-512 VBMI runs). Other pools scan it
+/// row by row into NHWC values.
 #[derive(Clone, Debug)]
 pub struct Requantize {
     ow: usize,
@@ -1697,22 +2134,29 @@ pub struct Requantize {
     pool: Option<PoolGeometry>,
     dst: NhwcImage,
     /// Per-channel weight scales / biases tiled across the whole GEMM
-    /// output image (`oh·ow·c_out`), so the dequantize loop is one flat
-    /// elementwise loop however narrow `c_out` is.
+    /// output image (`oh·ow·c_out`) in the accumulator's layout, so the
+    /// dequantize loop is one flat elementwise loop however narrow
+    /// `c_out` is.
     w_scales_img: Vec<f32>,
     bias_img: Vec<f32>,
-    /// The accumulator holds the pixels in the [`window_major`] order of
-    /// the 2×2 pool.
-    windowed: bool,
+    layout: Layout,
+    /// Pixels per segment of the staged values: 16 (planar, no pool), 8
+    /// (planar through the 2×2 pool) or 1 (pixel-major, the NHWC row).
+    lanes: usize,
+    /// NHWC byte `j` of a staged segment is its planar byte
+    /// `interleave[j] = (j mod c)·lanes + j / c`.
+    interleave: [u8; PIXEL_WINDOW],
 }
 
 impl Requantize {
-    /// Write-back of a GEMM output image of `oh × ow` positions by
-    /// `w_scales.len()` channels into `dst`, through `pool` if given —
-    /// from the accumulator layout [`ImplicitConv::compile`] writes for
-    /// the same `pool`: window-major through the 2×2 / stride-2 pool,
-    /// row-major otherwise. Plan-compile-time: allocates the tiled
-    /// constant rows.
+    /// Write-back of a **pixel-major** GEMM output image of `oh × ow`
+    /// positions by `w_scales.len()` channels into `dst`, through `pool`
+    /// if given — window-major through the 2×2 / stride-2 pool, row-major
+    /// otherwise: [`gemm_i8`]'s rows, and the layout of an
+    /// [`ImplicitConv`] that is not [planar](ImplicitConv::planar) and
+    /// was compiled for the same `pool` ([`ImplicitConv::requantize`]
+    /// builds the write-back of any conv). Plan-compile-time: allocates
+    /// the tiled constant rows.
     ///
     /// # Errors
     ///
@@ -1726,6 +2170,18 @@ impl Requantize {
         pool: Option<PoolGeometry>,
         dst: NhwcImage,
     ) -> Result<Requantize, TensorError> {
+        Self::with_layout(w_scales, bias, (oh, ow), relu, pool, dst, pixel_major(pool))
+    }
+
+    fn with_layout(
+        w_scales: &[f32],
+        bias: &[f32],
+        (oh, ow): (usize, usize),
+        relu: bool,
+        pool: Option<PoolGeometry>,
+        dst: NhwcImage,
+        layout: Layout,
+    ) -> Result<Requantize, TensorError> {
         let c_out = w_scales.len();
         let pooled = match pool {
             None => Some((oh, ow)),
@@ -1738,7 +2194,25 @@ impl Requantize {
                 ),
             });
         }
-        let tile = |v: &[f32]| v.iter().copied().cycle().take(oh * ow * c_out).collect(); // plan-compile-time constants
+        let planar = layout == Layout::Planar;
+        let lanes = match pool {
+            _ if !planar => 1,
+            None => QNR,
+            Some(g) if g == PoolGeometry::halving() => QNR / 2,
+            Some(_) => 1,
+        };
+        let mut interleave = [0u8; PIXEL_WINDOW];
+        if lanes > 1 {
+            for (j, b) in interleave.iter_mut().take(lanes * c_out).enumerate() {
+                *b = ((j % c_out) * lanes + j / c_out) as u8;
+            }
+        }
+        // Plan-compile-time constants, in the accumulator's layout.
+        let tile = |v: &[f32]| {
+            (0..oh * ow * c_out)
+                .map(|i| v[if planar { (i / QNR) % c_out } else { i % c_out }])
+                .collect()
+        };
         Ok(Requantize {
             ow,
             relu,
@@ -1746,7 +2220,9 @@ impl Requantize {
             dst,
             w_scales_img: tile(w_scales),
             bias_img: tile(bias),
-            windowed: window_major_pool(pool),
+            layout,
+            lanes,
+            interleave,
         })
     }
 
@@ -1756,22 +2232,24 @@ impl Requantize {
     }
 
     /// f32 staging floats [`run`](Self::run) needs: the (pooled) output
-    /// image, plus one GEMM output row of column maxima when a row-major
-    /// accumulator is pooled.
+    /// image, plus one GEMM output row of column maxima when a pool is
+    /// scanned row by row.
     pub fn stage_len(&self) -> usize {
         let pooled = self.dst.h * self.dst.w * self.dst.c;
-        let pooling = match self.pool {
-            None => 0,
-            Some(_) if self.windowed => 0,
-            Some(_) => self.ow * self.dst.c,
-        };
-        pooled + pooling
+        pooled + self.row_scan().map_or(0, |_| self.ow * self.dst.c)
     }
 
-    /// Requantize one image's accumulator `acc[oh·ow × c_out]`, quantized
-    /// against activation scale `a_scale`, into `out` (one
-    /// [`NhwcImage::stride`] of [`dst`](Self::dst)); returns the new
-    /// image's scale. Bit-identical for every `mode`.
+    /// The pool [`run`](Self::run) scans row by row — every pool but the
+    /// 2×2 / stride-2 one, which has a one-pass form in either layout.
+    fn row_scan(&self) -> Option<PoolGeometry> {
+        self.pool.filter(|&g| g != PoolGeometry::halving())
+    }
+
+    /// Requantize one image's accumulator `acc[oh·ow × c_out]` (in the
+    /// layout this write-back was compiled for), quantized against
+    /// activation scale `a_scale`, into `out` (one [`NhwcImage::stride`]
+    /// of [`dst`](Self::dst)); returns the new image's scale.
+    /// Bit-identical for every `mode`.
     // seal-lint: allow(panic-freedom) — the three extents are asserted at entry; row and pixel offsets derive from the geometry `compile` validated
     pub fn run(
         &self,
@@ -1793,6 +2271,7 @@ impl Requantize {
             out.len() >= self.dst.stride(),
             "requantize: output too short"
         );
+        let vbmi = i8_kernel(mode) == I8Kernel::Vnni && cpu_features().avx512vbmi;
         vectorized(
             mode,
             #[inline(always)]
@@ -1800,9 +2279,9 @@ impl Requantize {
                 // Two literal instantiations, so each inlined body sees
                 // a constant `relu` and its loops stay branch-free.
                 if self.relu {
-                    self.run_body(acc, a_scale, stage, out, true)
+                    self.run_body(acc, a_scale, stage, out, true, vbmi)
                 } else {
-                    self.run_body(acc, a_scale, stage, out, false)
+                    self.run_body(acc, a_scale, stage, out, false, vbmi)
                 }
             },
         )
@@ -1867,11 +2346,48 @@ impl Requantize {
         m
     }
 
-    /// One pooled row of the row-major path from the accumulator rows
+    /// The 2×2 pool of a planar accumulator in one pass: pooled row `py`
+    /// takes the segments of rows `2py` (`top`) and `2py + 1` (`bottom`),
+    /// segment by segment — the vertical scan of each lane (from `−inf`,
+    /// top then bottom), then lane `2j + 1` against lane `2j`, the order
+    /// of `max_pool2d_into` — so pooled pixel `j` of a segment's channel
+    /// is planar lane `j` of an 8-pixel segment. Returns the integer
+    /// max|·| of `vals`.
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — `compile` checked `dst` is the pooled `oh/2 × ow/2` image and `run` that the accumulator holds `oh·ow·c` sums; a row is whole segments of `16·c ≤ 128` sums
+    fn pool_pairs(&self, acc: &[i32], a_scale: f32, vals: &mut [f32], relu: bool) -> u32 {
+        let seg = QNR * self.dst.c;
+        let row = self.ow * self.dst.c;
+        let (ws, bias) = (&self.w_scales_img[..seg], &self.bias_img[..seg]);
+        let over = |v: f32, best: f32| if v > best { v } else { best };
+        let mut col = [0.0f32; PIXEL_WINDOW];
+        let col = &mut col[..seg];
+        let mut m = 0u32;
+        for (py, pooled) in vals.chunks_exact_mut(row / 2).enumerate() {
+            let top = acc[2 * py * row..][..row].chunks_exact(seg);
+            let bottom = acc[(2 * py + 1) * row..][..row].chunks_exact(seg);
+            for ((top, bottom), out) in top.zip(bottom).zip(pooled.chunks_exact_mut(seg / 2)) {
+                let (top, bottom) = (&top[..seg], &bottom[..seg]);
+                for i in 0..seg {
+                    let deq = |a: i32| dequantize_value(a, a_scale * ws[i], bias[i], relu);
+                    col[i] = over(deq(bottom[i]), over(deq(top[i]), f32::NEG_INFINITY));
+                }
+                for (o, pair) in out.iter_mut().zip(col.chunks_exact(2)) {
+                    let best = over(pair[1], pair[0]);
+                    *o = best;
+                    m = fold_abs_max(m, best, relu);
+                }
+            }
+        }
+        m
+    }
+
+    /// One pooled row of the row-scan path from the accumulator rows
     /// `acc` of its windows: `max_pool2d_into`'s scan — vertical into
     /// `col_max` (from `−inf`, `v > best`, each row dequantized on the
-    /// fly), then horizontal per pooled pixel (first column taken, then
-    /// `v > best`).
+    /// fly, in the accumulator's layout), then horizontal per pooled pixel
+    /// and channel (first column taken, then `v > best`) into the NHWC
+    /// `pooled` row.
     #[inline(always)]
     // seal-lint: allow(panic-freedom) — `acc` holds the window's rows; `compile` checked that every window of the pooled row lies inside `col_max`
     fn pool_row(
@@ -1884,18 +2400,49 @@ impl Requantize {
         relu: bool,
     ) {
         let (row, c, window) = (col_max.len(), self.dst.c, g.window);
+        let planar = self.layout == Layout::Planar;
         col_max.fill(f32::NEG_INFINITY);
         for a in acc.chunks_exact(row).take(window) {
             self.dequantize_max(a, a_scale, col_max, relu);
         }
         for (px, o) in pooled.chunks_exact_mut(c).enumerate() {
-            let s = px * g.stride * c;
-            o.copy_from_slice(&col_max[s..][..c]);
-            for kx in 1..window {
-                for (o, &v) in o.iter_mut().zip(&col_max[s + kx * c..][..c]) {
-                    if v > *o {
-                        *o = v;
+            let x = px * g.stride;
+            for (ch, o) in o.iter_mut().enumerate() {
+                let mut best = col_max[out_index(planar, c, x, ch)];
+                for kx in 1..window {
+                    let v = col_max[out_index(planar, c, x + kx, ch)];
+                    if v > best {
+                        best = v;
                     }
+                }
+                *o = best;
+            }
+        }
+    }
+
+    /// Reorders each segment of the quantized interior of `out` — the
+    /// bytes of `lanes` pixels × `c` channels, quantized in the staged
+    /// planar order — into NHWC order, in place: `vpermt2b` when `vbmi`,
+    /// else through a copy.
+    #[inline(always)]
+    // seal-lint: allow(panic-freedom) — a segment is `lanes·c ≤ 128` bytes (`compile`), and every row lies inside the image `run` asserted
+    fn interleave(&self, out: &mut [u8], vbmi: bool) {
+        let (line, seg) = (self.dst.w * self.dst.c, self.lanes * self.dst.c);
+        #[cfg(target_arch = "x86_64")]
+        if vbmi {
+            // SAFETY: `vbmi` is set only when the cached probe reports
+            // avx512f/bw/vl and avx512vbmi; `run` asserted `out` holds the
+            // image.
+            unsafe { interleave_vbmi(out, &self.dst, seg, &self.interleave) };
+            return;
+        }
+        let _ = vbmi;
+        for y in 0..self.dst.h {
+            for chunk in out[self.dst.interior_row(y)..][..line].chunks_exact_mut(seg) {
+                let mut planar = [0u8; PIXEL_WINDOW];
+                planar[..seg].copy_from_slice(chunk);
+                for (d, &j) in chunk.iter_mut().zip(&self.interleave) {
+                    *d = planar[j as usize];
                 }
             }
         }
@@ -1910,13 +2457,13 @@ impl Requantize {
         stage: &mut [f32],
         out: &mut [u8],
         relu: bool,
+        vbmi: bool,
     ) -> f32 {
         let line = self.dst.w * self.dst.c;
         let (vals, rest) = stage[..self.stage_len()].split_at_mut(self.dst.h * line);
-        let m = match self.pool {
-            None => self.dequantize(acc, a_scale, vals, relu),
-            Some(_) if self.windowed => self.pool_windowed(acc, a_scale, vals, relu),
-            Some(g) => {
+        let m = match (self.pool, self.layout) {
+            (None, _) => self.dequantize(acc, a_scale, vals, relu),
+            (Some(g), _) if self.row_scan() == Some(g) => {
                 let row = self.ow * self.dst.c;
                 for (py, o) in vals.chunks_exact_mut(line).enumerate() {
                     let rows = &acc[py * g.stride * row..];
@@ -1924,6 +2471,8 @@ impl Requantize {
                 }
                 max_abs(vals).to_bits()
             }
+            (Some(_), Layout::Planar) => self.pool_pairs(acc, a_scale, vals, relu),
+            (Some(_), _) => self.pool_windowed(acc, a_scale, vals, relu),
         };
         let scale = channel_scale(f32::from_bits(m));
         let inv = 1.0 / scale;
@@ -1939,7 +2488,95 @@ impl Requantize {
                 quantize_into(v, inv, dst);
             }
         }
+        if self.lanes > 1 {
+            self.interleave(out, vbmi);
+        }
         scale
+    }
+}
+
+/// [`Requantize`]'s interleave with AVX-512 VBMI: each `seg`-byte
+/// segment of every interior row of `img` in `out` is loaded whole (two
+/// masked 64-byte loads), reordered by one `vpermt2b` per 64 output bytes
+/// (`out[j] = segment[perm[j]]`) and stored back with [`store_prefix`] —
+/// not with masked stores, whose full 64-byte footprint would block the
+/// next segment's load until it retires.
+///
+/// # Safety
+///
+/// The host must support AVX-512 F/BW and VBMI; `out` holds the image
+/// `img`, whose interior rows are whole segments of `seg ≤ 128` bytes, a
+/// multiple of 8; every `perm[j] < seg` for `j < seg`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512bw,avx512vbmi")]
+// seal-lint: allow(panic-freedom) — every row range lies inside the image the caller asserted
+unsafe fn interleave_vbmi(out: &mut [u8], img: &NhwcImage, seg: usize, perm: &[u8; PIXEL_WINDOW]) {
+    use std::arch::x86_64::{
+        _mm512_loadu_si512, _mm512_maskz_loadu_epi8, _mm512_permutex2var_epi8,
+    };
+    let mask = |bytes: usize| match bytes {
+        0 => 0,
+        1..=63 => (1u64 << bytes) - 1,
+        _ => u64::MAX,
+    };
+    let (lo, hi) = (mask(seg.min(64)), mask(seg.saturating_sub(64)));
+    let line = img.w * img.c;
+    // SAFETY: `perm` is 128 bytes; each segment's loads and stores touch
+    // only its own `seg` bytes (the masks, the store lengths), inside
+    // `out` by the contract.
+    unsafe {
+        let idx_lo = _mm512_loadu_si512(perm.as_ptr().cast());
+        let idx_hi = _mm512_loadu_si512(perm.as_ptr().add(64).cast());
+        for y in 0..img.h {
+            for chunk in out[img.interior_row(y)..][..line].chunks_exact_mut(seg) {
+                let p = chunk.as_mut_ptr();
+                let a = _mm512_maskz_loadu_epi8(lo, p.cast());
+                let b = _mm512_maskz_loadu_epi8(hi, p.wrapping_add(64).cast());
+                store_prefix(p, _mm512_permutex2var_epi8(a, idx_lo, b), seg.min(64));
+                if seg > 64 {
+                    store_prefix(p.add(64), _mm512_permutex2var_epi8(a, idx_hi, b), seg - 64);
+                }
+            }
+        }
+    }
+}
+
+/// Stores the first `len` bytes of `v` at `p` (`len` a multiple of 8, at
+/// most 64) in plain 32-, 16- and 8-byte stores.
+///
+/// # Safety
+///
+/// AVX-512 F available; `p .. p + len` writable.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn store_prefix(p: *mut u8, v: std::arch::x86_64::__m512i, len: usize) {
+    use std::arch::x86_64::{
+        _mm256_castsi256_si128, _mm256_extracti128_si256, _mm256_storeu_si256,
+        _mm512_castsi512_si256, _mm512_extracti64x4_epi64, _mm512_storeu_si512, _mm_storel_epi64,
+        _mm_storeu_si128,
+    };
+    // SAFETY: each store writes bytes below `p + len` (the contract).
+    unsafe {
+        if len == 64 {
+            _mm512_storeu_si512(p.cast(), v);
+            return;
+        }
+        let (mut q, mut rest) = (p, len);
+        let mut half = _mm512_castsi512_si256(v);
+        if rest >= 32 {
+            _mm256_storeu_si256(q.cast(), half);
+            half = _mm512_extracti64x4_epi64::<1>(v);
+            (q, rest) = (q.add(32), rest - 32);
+        }
+        let mut quarter = _mm256_castsi256_si128(half);
+        if rest >= 16 {
+            _mm_storeu_si128(q.cast(), quarter);
+            quarter = _mm256_extracti128_si256::<1>(half);
+            (q, rest) = (q.add(16), rest - 16);
+        }
+        if rest >= 8 {
+            _mm_storel_epi64(q.cast(), quarter);
+        }
     }
 }
 

@@ -29,11 +29,12 @@
 use seal_pool::{with_pool, Pool};
 use seal_tensor::ops::{
     conv2d, conv2d_infer_fused, conv2d_infer_packed, dequantize_bias_relu,
-    dequantize_transpose_bias_relu, gather_patches_u8, gemm_i8, gemm_i8_conv, gemm_prepacked,
-    matmul, matmul_i8_reference, matmul_naive, matmul_naive_fma, max_pool2d_into, quantize_nhwc_u8,
-    quantize_rows_u8, quantize_slice_u8, quantized_row_len, reset_kernel_mode, set_kernel_mode,
-    BatchNormParams, Conv2dGeometry, ConvEpilogue, ConvPlanDims, Im2colGather, ImplicitConv,
-    KernelMode, NhwcImage, PackedB, PackedBI8, PatchGather, PoolGeometry, Requantize, PATCH_SLACK,
+    dequantize_planar_bias_relu, dequantize_transpose_bias_relu, gather_patches_u8, gemm_i8,
+    gemm_i8_conv, gemm_prepacked, matmul, matmul_i8_reference, matmul_naive, matmul_naive_fma,
+    max_pool2d_into, quantize_nhwc_u8, quantize_per_channel, quantize_rows_u8, quantize_slice_u8,
+    quantized_row_len, reset_kernel_mode, set_kernel_mode, BatchNormParams, Conv2dGeometry,
+    ConvEpilogue, ConvPlanDims, Im2colGather, ImplicitConv, KernelMode, NhwcImage, PackedB,
+    PackedBI8, PatchGather, PoolGeometry, QuantAxis, Requantize, PATCH_SLACK,
 };
 use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::Rng;
@@ -882,21 +883,57 @@ fn reorder_pixels<T: Copy>(acc: &[T], c: usize, s: usize, order: &[usize]) -> Ve
     out
 }
 
+/// The channel-planar layout of a pixel-lane conv's accumulator, spelled
+/// out from its definition: `acc`'s row-major pixel rows (`c` sums each,
+/// images of `s` pixels) with pixel `p`'s channel `ch` moved to `((p /
+/// 16)·c + ch)·16 + p mod 16` of its image.
+fn to_planar<T: Copy + Default>(acc: &[T], c: usize, s: usize) -> Vec<T> {
+    let mut out = vec![T::default(); acc.len()];
+    for (image, o) in acc.chunks_exact(s * c).zip(out.chunks_exact_mut(s * c)) {
+        for p in 0..s {
+            for ch in 0..c {
+                o[((p / 16) * c + ch) * 16 + p % 16] = image[p * c + ch];
+            }
+        }
+    }
+    out
+}
+
+/// Whether `dims` runs the pixel-lane tile — the rule written out: at
+/// most 8 output channels, stride 1, output rows in whole 16-pixel
+/// segments, and the bytes 16 neighbouring pixels read of one run, `15·
+/// c_in + 4·rq`, within 128 (`rq` the quads of a run over the live
+/// kernel columns).
+fn pixel_lane_rule(dims: &ConvPlanDims) -> bool {
+    let k = dims.geom.kernel;
+    let live: Vec<usize> = (0..k)
+        .filter(|&kx| (0..k).any(|ky| tap_is_live(dims, ky * k + kx)))
+        .collect();
+    let cols = match (live.first(), live.last()) {
+        (Some(first), Some(last)) => last - first + 1,
+        _ => k,
+    };
+    let rq = (cols * dims.c_in).div_ceil(4);
+    dims.c_out <= 8 && dims.geom.stride == 1 && dims.ow % 16 == 0 && 15 * dims.c_in + 4 * rq <= 128
+}
+
 /// The implicit-GEMM int8 conv (`gemm_i8_conv`, reading the padded NHWC
 /// image in place through zero-weight-padded runs) equals the table
 /// gather + `gemm_i8` reference exactly, over kernel 1/3/5 × stride 1/2 ×
 /// padding 0/1/2 × output widths 1/2/3/5/7/8/16/17 (the valid ones), with
 /// `c_in` rotating through every run-pad remainder (1..=8, 12, 48) and
-/// `c_out` through every narrow width 1..=8 (quad-pair packs) and
-/// 16/17/48: per image and with the batch stacked into one call, batch
-/// 1/3/8, every mode, the pool width rotating 1/2/7. Narrow convs whose
-/// runs have an odd quad count — read with a zero-weight pad quad, up to
-/// 7 bytes past the run — are counted and must occur. Where a 2×2 pool
-/// fits the output, the conv compiled for that pool (window-major) must
-/// hold the same sums, its rows reordered. The quad tail of every image and
-/// the slack behind the last hold 0xFF or random bytes — the run padding
-/// reads them, and its zero weights must cancel them — and a sentinel
-/// strip behind the output catches a store past it.
+/// `c_out` through every width 1..=8 and 16/17/48: per image and with the
+/// batch stacked into one call, batch 1/3/8, every mode, the pool width
+/// rotating 1/2/7. A conv runs the pixel-lane tile exactly where
+/// [`pixel_lane_rule`] says so, and then holds the same sums in the
+/// channel-planar layout; both kinds — and `c_out ≤ 8` convs the rule
+/// sends to the wide tile — are counted and must occur. Where a 2×2 pool
+/// fits the output, the conv compiled for that pool (window-major unless
+/// it is pixel-lane) must hold the same sums, its rows reordered. The quad
+/// tail of every image and the slack behind the last hold 0xFF or random
+/// bytes — the run padding reads them, and its zero weights must cancel
+/// them — and a sentinel strip behind the output catches a store past
+/// it.
 #[test]
 fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
     const GUARD_ACC: usize = 16;
@@ -907,7 +944,7 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
         [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 48],
         [1usize, 2, 3, 4, 5, 6, 7, 8, 16, 17, 48],
     );
-    let (mut narrow_odd, mut windowed_cases) = (0usize, 0usize);
+    let (mut planar, mut narrow_wide, mut windowed_cases) = (0usize, 0usize, 0usize);
     let mut shapes = 0usize;
     for kernel in [1usize, 3, 5] {
         for stride in [1usize, 2] {
@@ -928,9 +965,6 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
                     // rare so the sweep runs in seconds in debug.
                     for c_in in [c_ins[shapes % 10], c_ins[(3 * shapes + 5) % 8]] {
                         let c_out = c_outs[(shapes + c_in) % c_outs.len()];
-                        if c_out <= 8 && (kernel * c_in).div_ceil(4) % 2 == 1 {
-                            narrow_odd += 1;
-                        }
                         let n = [1usize, 3, 8][(shapes + c_in) % 3];
                         let dims = ConvPlanDims {
                             c_in,
@@ -952,7 +986,7 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
                             -1.0,
                             1.0,
                         );
-                        let want = reference_conv_acc(&dims, weights.as_slice(), &images);
+                        let mut want = reference_conv_acc(&dims, weights.as_slice(), &images);
                         let random = shapes.is_multiple_of(2);
                         let stack = poisoned_stack(&mut rng, &images, &img, random);
                         let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
@@ -960,14 +994,26 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
                             ImplicitConv::compile(&dims, 1, None).unwrap(),
                             ImplicitConv::compile(&dims, n, None).unwrap(),
                         );
+                        let what = format!("{dims:?} batch {n}");
+                        assert_eq!(stacked.planar(), pixel_lane_rule(&dims), "{what}");
+                        assert_eq!(per_image.planar(), stacked.planar(), "{what}");
+                        if stacked.planar() {
+                            planar += 1;
+                            want = to_planar(&want, c_out, s);
+                        } else if c_out <= 8 {
+                            narrow_wide += 1;
+                        }
                         let windowed = (oh >= 2 && ow >= 2).then(|| {
-                            windowed_cases += 1;
-                            let order = window_major_order(oh, ow);
                             let halving = Some(PoolGeometry::halving());
                             let conv = ImplicitConv::compile(&dims, n, halving).unwrap();
+                            assert_eq!(conv.planar(), stacked.planar(), "{what}");
+                            if conv.planar() {
+                                return (conv, want.clone());
+                            }
+                            windowed_cases += 1;
+                            let order = window_major_order(oh, ow);
                             (conv, reorder_pixels(&want, c_out, s, &order))
                         });
-                        let what = format!("{dims:?} batch {n}");
                         for_each_mode(|mode| {
                             let pool = &pools[(shapes + c_in + mode as usize) % pools.len()];
                             let len = n * s * c_out;
@@ -1007,9 +1053,10 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
     }
     // 144 combinations less the 45 whose output side has no input side.
     assert_eq!(shapes, 99, "geometry filter dropped an implicit-conv shape");
+    assert!(planar >= 5, "only {planar} pixel-lane convs");
     assert!(
-        narrow_odd >= 10,
-        "only {narrow_odd} narrow convs with odd run quads"
+        narrow_wide >= 10,
+        "only {narrow_wide} convs of c_out <= 8 on the wide tile"
     );
     assert!(
         windowed_cases >= 10,
@@ -1019,60 +1066,68 @@ fn implicit_conv_matches_the_table_gather_then_gemm_i8() {
 
 /// The implicit conv checks its extents once, up front: an image buffer
 /// one byte short of `images·stride + PATCH_SLACK`, or an output one sum
-/// short, is rejected before anything is read or written. The conv is
-/// narrow (`c_out = 6`) with 9-byte runs read as two quad pairs, so its
-/// last run ends 7 bytes past the image: the whole slack but one byte.
+/// short, is rejected before anything is read or written. Both convs
+/// read 9-byte runs as three quads, so their last run ends 3 bytes past
+/// the image: the whole slack. One runs the wide tile (a 4×4 map), the
+/// other the pixel-lane tile (16-pixel rows), whose masked loads must
+/// stop at the same byte.
 #[test]
 fn implicit_conv_rejects_a_short_image_or_output() {
-    let dims = ConvPlanDims {
-        c_in: 3,
-        h: 4,
-        w: 4,
-        c_out: 6,
-        oh: 4,
-        ow: 4,
-        geom: Conv2dGeometry::same3x3(),
-    };
-    let conv = ImplicitConv::compile(&dims, 2, None).unwrap();
-    let weights = vec![0.25f32; 6 * 27];
-    let packed = PackedBI8::pack_conv_runs(&weights, &dims).unwrap();
-    let need = 2 * NhwcImage::for_conv(&dims).stride() + PATCH_SLACK;
-    let run = |img_len: usize, out_len: usize| {
-        std::panic::catch_unwind(|| {
-            let img = vec![128u8; img_len];
-            let mut out = vec![0i32; out_len];
-            gemm_i8_conv(&img, &conv, 2, &packed, &mut out, KernelMode::Scalar);
-        })
-    };
-    assert!(run(need, 2 * 16 * 6).is_ok());
-    assert!(
-        run(need - 1, 2 * 16 * 6).is_err(),
-        "a short image is rejected"
-    );
-    // What the last run reads behind the image meets zero weights.
-    let sums = |slack: u8| {
-        let mut img = vec![128u8; need];
-        img[..need - PATCH_SLACK]
-            .iter_mut()
-            .step_by(5)
-            .for_each(|b| *b = 200);
-        img[need - PATCH_SLACK..].fill(slack);
-        let mut out = vec![0i32; 2 * 16 * 6];
-        for_each_mode(|mode| {
-            let mut got = vec![0i32; 2 * 16 * 6];
-            gemm_i8_conv(&img, &conv, 2, &packed, &mut got, mode);
-            if mode == KernelMode::Scalar {
-                out.copy_from_slice(&got);
-            }
-            assert_eq!(got, out, "{mode:?} slack {slack:#x}");
-        });
-        out
-    };
-    assert_eq!(sums(128), sums(0xFF), "the slack reached a sum");
-    assert!(
-        run(need, 2 * 16 * 6 - 1).is_err(),
-        "a short output is rejected"
-    );
+    for (oh, ow) in [(4usize, 4usize), (2, 16)] {
+        let dims = ConvPlanDims {
+            c_in: 3,
+            h: oh,
+            w: ow,
+            c_out: 6,
+            oh,
+            ow,
+            geom: Conv2dGeometry::same3x3(),
+        };
+        let conv = ImplicitConv::compile(&dims, 2, None).unwrap();
+        assert_eq!(conv.planar(), ow == 16);
+        let weights = vec![0.25f32; 6 * 27];
+        let packed = PackedBI8::pack_conv_runs(&weights, &dims).unwrap();
+        let need = 2 * NhwcImage::for_conv(&dims).stride() + PATCH_SLACK;
+        let sums_len = 2 * oh * ow * 6;
+        let run = |img_len: usize, out_len: usize| {
+            std::panic::catch_unwind(|| {
+                let img = vec![128u8; img_len];
+                let mut out = vec![0i32; out_len];
+                gemm_i8_conv(&img, &conv, 2, &packed, &mut out, KernelMode::Scalar);
+            })
+        };
+        assert!(run(need, sums_len).is_ok());
+        assert!(
+            run(need - 1, sums_len).is_err(),
+            "a short image is rejected"
+        );
+        // What the last run reads behind the image meets zero weights.
+        // The images are padded ones — border bytes the zero point, as
+        // every producer writes them — with every fifth pixel value 200.
+        let nchw: Vec<u8> = (0..3 * oh * ow)
+            .map(|i| if i % 5 == 0 { 200 } else { 128 })
+            .collect();
+        let one = to_padded_nhwc(&nchw, &NhwcImage::for_conv(&dims), 0, 0);
+        let sums = |slack: u8| {
+            let mut img = [one.as_slice(), &one].concat();
+            img.resize(need, slack);
+            let mut out = vec![0i32; sums_len];
+            for_each_mode(|mode| {
+                let mut got = vec![0i32; sums_len];
+                gemm_i8_conv(&img, &conv, 2, &packed, &mut got, mode);
+                if mode == KernelMode::Scalar {
+                    out.copy_from_slice(&got);
+                }
+                assert_eq!(got, out, "{mode:?} {oh}x{ow} slack {slack:#x}");
+            });
+            out
+        };
+        assert_eq!(sums(128), sums(0xFF), "the slack reached a sum");
+        assert!(
+            run(need, sums_len - 1).is_err(),
+            "a short output is rejected"
+        );
+    }
 }
 
 /// The entry conversion writes `quantize_slice_u8`'s scale and bytes,
@@ -1315,4 +1370,350 @@ fn window_major_layouts_need_a_map_the_pool_fits() {
     };
     assert!(ImplicitConv::compile(&narrow, 1, halving).is_err());
     assert!(ImplicitConv::compile(&narrow, 1, None).is_ok());
+}
+
+/// The pixel-lane tile and every reader of its channel-planar
+/// accumulator, against the composition they replace: every `c_in` ×
+/// `c_out` in 1..=8 on 16- and 32-pixel rows (kernel 3), and the shapes
+/// just past each edge of [`pixel_lane_rule`] — stride 2, rows of 8 and
+/// 24 pixels, `15·c_in + 4·rq` at 128 and over it, `c_out` 9 — which the
+/// wide tile runs. For each, with no pool, the 2×2 pool and the
+/// overlapping 3×3 / stride-2 one on an odd map: `gemm_i8_conv` in every
+/// mode (poisoned quad tails and slack, a sentinel behind the sums)
+/// equals the table gather + `gemm_i8` reference in the conv's layout;
+/// the conv's own write-back (`ImplicitConv::requantize`) writes the
+/// bytes and scale of dequantize-transpose → f32 max-pool →
+/// `quantize_slice_u8`; and without a pool the f32 reader of its layout
+/// (`dequantize_planar_bias_relu` for a planar one) writes the f32 NCHW
+/// values of `dequantize_transpose_bias_relu`, bit for bit.
+#[test]
+fn pixel_lane_conv_and_its_readers_match_the_composed_reference() {
+    const GUARD_ACC: usize = 16;
+    const SENTINEL_ACC: i32 = 0x5EA1_5EA1;
+    let mut rng = StdRng::seed_from_u64(0x91E1);
+    let pools: Vec<Pool> = [1usize, 2, 7].into_iter().map(Pool::new).collect();
+    let halving = PoolGeometry::halving();
+    let overlapping = PoolGeometry {
+        window: 3,
+        stride: 2,
+    };
+    let same = |kernel: usize| Conv2dGeometry {
+        kernel,
+        stride: 1,
+        padding: kernel / 2,
+    };
+    let mut shapes = Vec::new();
+    for c_in in 1..=8usize {
+        for c_out in 1..=8usize {
+            shapes.push((c_in, c_out, 16 << ((c_in + c_out) % 2), same(3)));
+        }
+    }
+    let stride2 = Conv2dGeometry {
+        kernel: 3,
+        stride: 2,
+        padding: 1,
+    };
+    shapes.extend([
+        (3, 6, 16, stride2),
+        (3, 6, 8, same(3)),
+        (6, 6, 24, same(3)),
+        (8, 4, 16, same(1)), // 15·8 + 4·2 = 128: the widest window
+        (7, 4, 16, same(3)), // 105 + 24 = 129
+        (4, 8, 32, same(5)), // 60 + 20 = 80
+        (7, 5, 16, same(5)), // 105 + 36 = 141
+        (3, 9, 16, same(3)),
+    ]);
+    let (mut planar, mut wide) = (0usize, 0usize);
+    for (case, &(c_in, c_out, ow, geom)) in shapes.iter().enumerate() {
+        // Odd: the 2×2 pool drops a row, the 3×3 / stride-2 one fits once.
+        let oh = 3;
+        let (h, w) = (
+            input_side(oh, &geom).unwrap(),
+            input_side(ow, &geom).unwrap(),
+        );
+        let dims = ConvPlanDims {
+            c_in,
+            h,
+            w,
+            c_out,
+            oh,
+            ow,
+            geom,
+        };
+        let (n, s) = (2usize, oh * ow);
+        let img = NhwcImage::for_conv(&dims);
+        let images: Vec<Vec<u8>> = (0..n)
+            .map(|_| random_bytes(&mut rng, c_in * h * w))
+            .collect();
+        let k = geom.kernel;
+        let weights = uniform(&mut rng, Shape::vector(c_out * c_in * k * k), -1.0, 1.0);
+        let want = reference_conv_acc(&dims, weights.as_slice(), &images);
+        let stack = poisoned_stack(&mut rng, &images, &img, case % 2 == 0);
+        let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
+        let bias = uniform(&mut rng, Shape::vector(c_out), -1.0, 1.0);
+        let (ws, bias) = (packed.scales(), bias.as_slice());
+        let (a_scale, relu) = (0.004f32, case % 3 != 0);
+        // The f32 NCHW values of each image, from the row-major sums.
+        let nchw: Vec<Vec<f32>> = want
+            .chunks_exact(s * c_out)
+            .map(|acc| {
+                let mut out = vec![0.0f32; s * c_out];
+                dequantize_transpose_bias_relu(
+                    acc,
+                    a_scale,
+                    ws,
+                    Some(bias),
+                    &mut out,
+                    s,
+                    c_out,
+                    relu,
+                );
+                out
+            })
+            .collect();
+        let what = format!("{dims:?} relu {relu}");
+        if pixel_lane_rule(&dims) {
+            planar += 1;
+        } else {
+            wide += 1;
+        }
+        for pool in [None, Some(halving), Some(overlapping)] {
+            let conv = ImplicitConv::compile(&dims, n, pool).unwrap();
+            assert_eq!(conv.planar(), pixel_lane_rule(&dims), "{what}");
+            let want_acc = if conv.planar() {
+                to_planar(&want, c_out, s)
+            } else if pool == Some(halving) {
+                reorder_pixels(&want, c_out, s, &window_major_order(oh, ow))
+            } else {
+                want.clone()
+            };
+            let (ph, pw) = match pool {
+                None => (oh, ow),
+                Some(g) => (g.output_size(oh).unwrap(), g.output_size(ow).unwrap()),
+            };
+            let dst = NhwcImage {
+                c: c_out,
+                h: ph,
+                w: pw,
+                pad: 1,
+            };
+            let rq = conv.requantize(ws, bias, relu, dst).unwrap();
+            let want_images: Vec<(f32, Vec<u8>)> = nchw
+                .iter()
+                .map(|x| {
+                    let pooled = match pool {
+                        None => x.clone(),
+                        Some(g) => {
+                            let mut p = vec![0.0f32; c_out * ph * pw];
+                            max_pool2d_into(x, &mut p, 1, c_out, oh, ow, &g).unwrap();
+                            p
+                        }
+                    };
+                    let mut flat = vec![0u8; pooled.len()];
+                    let scale = quantize_slice_u8(&pooled, &mut flat);
+                    (scale, to_padded_nhwc(&flat, &dst, GUARD, SENTINEL))
+                })
+                .collect();
+            let what = format!("{what} pool {pool:?}");
+            for_each_mode(|mode| {
+                let len = n * s * c_out;
+                let mut got = vec![SENTINEL_ACC; len + GUARD_ACC];
+                let threads = &pools[(case + mode as usize) % pools.len()];
+                with_pool(threads, || {
+                    gemm_i8_conv(&stack, &conv, n, &packed, &mut got, mode)
+                });
+                assert!(
+                    got[len..].iter().all(|&v| v == SENTINEL_ACC),
+                    "{mode:?} {what}: stored past its output"
+                );
+                assert_eq!(got[..len], want_acc[..], "{mode:?} {what}: sums");
+                for (j, acc) in got[..len].chunks_exact(s * c_out).enumerate() {
+                    let mut stage = vec![f32::NAN; rq.stage_len()];
+                    let mut out = vec![SENTINEL; dst.stride() + GUARD];
+                    let scale = rq.run(acc, a_scale, &mut stage, &mut out, mode);
+                    let (want_scale, want_bytes) = &want_images[j];
+                    assert_eq!(
+                        scale.to_bits(),
+                        want_scale.to_bits(),
+                        "{mode:?} {what} image {j}: scale"
+                    );
+                    assert_eq!(&out, want_bytes, "{mode:?} {what} image {j}: bytes");
+                    if pool.is_none() {
+                        let read = if conv.planar() {
+                            dequantize_planar_bias_relu
+                        } else {
+                            dequantize_transpose_bias_relu
+                        };
+                        let mut f32_out = vec![f32::NAN; s * c_out];
+                        read(acc, a_scale, ws, Some(bias), &mut f32_out, s, c_out, relu);
+                        assert_same(&f32_out, &nchw[j], &format!("{mode:?} {what} f32"));
+                    }
+                }
+            });
+        }
+    }
+    assert_eq!((planar, wide), (50, 22), "the rule's edges moved");
+}
+
+/// One VNNI register tile spans up to three 16-column strips: `c_out`
+/// 17, 24, 32, 33, 40, 48 and 49 (one to four strips, the last partial
+/// or full) at every row remainder 1..=7 of the 8-row tile, dense rows
+/// (`gemm_i8`, one block and several on 1 and 7 threads) and conv rows
+/// (`gemm_i8_conv`, maps of `8·q + r` pixels), against the exact integer
+/// sums written out from the quantized operands, with a sentinel behind
+/// the output.
+#[test]
+fn register_tiles_span_every_strip_at_every_row_remainder() {
+    const SENTINEL_ACC: i32 = 0x5EA1_5EA1;
+    let mut rng = StdRng::seed_from_u64(0x3571);
+    let pools: Vec<Pool> = [1usize, 7].into_iter().map(Pool::new).collect();
+    for (t, c_out) in [17usize, 24, 32, 33, 40, 48, 49].into_iter().enumerate() {
+        for rem in 1..=7usize {
+            // Dense rows: a short block, and enough rows for several.
+            for m in [8 + rem, 8 * (9 + t) + rem] {
+                let k = [27usize, 54, 100][(t + rem) % 3];
+                let b = uniform(&mut rng, Shape::matrix(k, c_out), -1.0, 1.0);
+                let pack = PackedBI8::pack(&b).unwrap();
+                let qb = quantize_per_channel(&b, QuantAxis::Col).unwrap();
+                let ka = quantized_row_len(k);
+                let qa = random_bytes(&mut rng, m * ka);
+                let mut want = vec![0i32; m * c_out];
+                for i in 0..m {
+                    for j in 0..c_out {
+                        want[i * c_out + j] = (0..k)
+                            .map(|kk| {
+                                (qa[i * ka + kk] as i32 - 128) * qb.data()[kk * c_out + j] as i32
+                            })
+                            .sum();
+                    }
+                }
+                for_each_mode(|mode| {
+                    for threads in &pools {
+                        let mut got = vec![SENTINEL_ACC; m * c_out + 16];
+                        with_pool(threads, || gemm_i8(&qa, &pack, &mut got, m, mode));
+                        assert!(
+                            got[m * c_out..].iter().all(|&v| v == SENTINEL_ACC),
+                            "{mode:?} dense {m}x{k}x{c_out}: stored past the output"
+                        );
+                        assert_eq!(got[..m * c_out], want[..], "{mode:?} dense {m}x{k}x{c_out}");
+                    }
+                });
+            }
+            // Conv rows: one output row of `8 + rem` pixels.
+            let geom = Conv2dGeometry::same3x3();
+            let ow = 8 + rem;
+            let dims = ConvPlanDims {
+                c_in: 5,
+                h: 1,
+                w: ow,
+                c_out,
+                oh: 1,
+                ow,
+                geom,
+            };
+            let image = vec![random_bytes(&mut rng, 5 * ow)];
+            let weights = uniform(&mut rng, Shape::vector(c_out * 45), -1.0, 1.0);
+            let want = reference_conv_acc(&dims, weights.as_slice(), &image);
+            let img = NhwcImage::for_conv(&dims);
+            let stack = poisoned_stack(&mut rng, &image, &img, rem % 2 == 0);
+            let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
+            let conv = ImplicitConv::compile(&dims, 1, None).unwrap();
+            for_each_mode(|mode| {
+                let mut got = vec![SENTINEL_ACC; ow * c_out + 16];
+                gemm_i8_conv(&stack, &conv, 1, &packed, &mut got, mode);
+                assert!(
+                    got[ow * c_out..].iter().all(|&v| v == SENTINEL_ACC),
+                    "{mode:?} {dims:?}: stored past the output"
+                );
+                assert_eq!(got[..ow * c_out], want[..], "{mode:?} {dims:?}");
+            });
+        }
+    }
+}
+
+/// On maps smaller than the kernel's reach — 1×1, 1×2 and 2×1 outputs,
+/// kernel 3 and 5, padding 1 and 2 — the int8 conv packs and reads only
+/// the live box of the receptive field (its quads are the box's, fewer
+/// than the whole field's), and still equals the full-field table
+/// gather + `gemm_i8` reference in every mode: the dropped taps only ever
+/// met the border's zero point. Channel 0's largest weight sits on a dead
+/// tap, so its scale — and every byte of its quantized weights — differs
+/// between the whole row and the kept taps: the pack must take the whole
+/// row's, which is `pack_conv`'s, bit for bit.
+#[test]
+fn dead_taps_leave_the_int8_pack_but_not_the_scales() {
+    let mut rng = StdRng::seed_from_u64(0xDEAD);
+    let mut cases = 0usize;
+    for (oh, ow) in [(1usize, 1usize), (1, 2), (2, 1)] {
+        for kernel in [3usize, 5] {
+            for padding in [1usize, 2] {
+                let geom = Conv2dGeometry {
+                    kernel,
+                    stride: 1,
+                    padding,
+                };
+                let (Some(h), Some(w)) = (input_side(oh, &geom), input_side(ow, &geom)) else {
+                    continue;
+                };
+                for (c_in, c_out) in [(3usize, 6usize), (5, 20), (48, 48)] {
+                    let dims = ConvPlanDims {
+                        c_in,
+                        h,
+                        w,
+                        c_out,
+                        oh,
+                        ow,
+                        geom,
+                    };
+                    let kk = kernel * kernel;
+                    let Some(dead) = (0..kk).find(|&t| !tap_is_live(&dims, t)) else {
+                        continue;
+                    };
+                    cases += 1;
+                    let mut weights =
+                        uniform(&mut rng, Shape::vector(c_out * c_in * kk), -1.0, 1.0);
+                    // Channel 0, input channel 0: its largest |w| on a dead tap.
+                    weights.as_mut_slice()[dead] = -5.0;
+                    let live_max = (0..c_in * kk)
+                        .filter(|&q| tap_is_live(&dims, q % kk))
+                        .map(|q| weights.as_slice()[q].abs())
+                        .fold(0.0f32, f32::max);
+                    assert!(live_max < 5.0);
+                    let n = 3;
+                    let images: Vec<Vec<u8>> = (0..n)
+                        .map(|_| random_bytes(&mut rng, c_in * h * w))
+                        .collect();
+                    let want = reference_conv_acc(&dims, weights.as_slice(), &images);
+                    let img = NhwcImage::for_conv(&dims);
+                    let stack = poisoned_stack(&mut rng, &images, &img, cases % 2 == 0);
+                    let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
+                    let full = PackedBI8::pack_conv(weights.as_slice(), c_out, c_in * kk).unwrap();
+                    let scale_bits = |p: &PackedBI8| -> Vec<u32> {
+                        p.scales().iter().map(|s| s.to_bits()).collect()
+                    };
+                    let what = format!("{dims:?}");
+                    assert_eq!(scale_bits(&packed), scale_bits(&full), "{what}: scales");
+                    let conv = ImplicitConv::compile(&dims, n, None).unwrap();
+                    let live = |span: &dyn Fn(usize) -> bool| {
+                        let on: Vec<usize> = (0..kernel).filter(|&i| span(i)).collect();
+                        on.last().unwrap() - on.first().unwrap() + 1
+                    };
+                    let rows =
+                        live(&|ky| (0..kernel).any(|kx| tap_is_live(&dims, ky * kernel + kx)));
+                    let cols =
+                        live(&|kx| (0..kernel).any(|ky| tap_is_live(&dims, ky * kernel + kx)));
+                    let quads = rows * (cols * c_in).div_ceil(4);
+                    assert_eq!(conv.quads(), quads, "{what}: quads of the live box");
+                    assert!(quads < kernel * (kernel * c_in).div_ceil(4), "{what}");
+                    assert_eq!(packed.k(), 4 * quads, "{what}: packed depth");
+                    for_each_mode(|mode| {
+                        let mut got = vec![0i32; n * oh * ow * c_out];
+                        gemm_i8_conv(&stack, &conv, n, &packed, &mut got, mode);
+                        assert_eq!(got, want, "{mode:?} {what}");
+                    });
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 27, "dead-tap shapes dropped");
 }
