@@ -621,9 +621,9 @@ fn run_plain<'a>(
             }
             // Exact-i32 implicit GEMM straight over the padded u8 image
             // (internally parallel and deterministic), write-back in the
-            // outgoing edge's format. One GEMM per image — or, when an
-            // image is narrower than a GEMM strip, one over the whole
-            // batch's stacked images. The open-ended image slice carries
+            // outgoing edge's format. One GEMM per image — or, for a map
+            // under 32 pixels, one over the whole batch's stacked images,
+            // tiled pixel by pixel. The open-ended image slice carries
             // the read slack: whatever follows in the slot.
             let group = if dims.folds_batch_i8() { n } else { 1 };
             for g0 in (0..n).step_by(group) {

@@ -1291,7 +1291,7 @@ unsafe fn pixel_tile<const C: usize, const G: usize, R: QuadRows>(
             *p = p.add(tile.rows.base(r0 + i0 + g * QNR));
         }
         let next_quad = _mm512_set1_epi8(QK as i8);
-        let mut acc = [[_mm512_setzero_si512(); C]; G];
+        let mut acc = [[_mm512_setzero_si512(); G]; C];
         let mut w = tile.weights;
         for r in 0..runs.count {
             let mut lo = [_mm512_setzero_si512(); G];
@@ -1307,19 +1307,19 @@ unsafe fn pixel_tile<const C: usize, const G: usize, R: QuadRows>(
                 for g in 0..G {
                     x[g] = _mm512_permutex2var_epi8(lo[g], idx, hi[g]);
                 }
-                for c in 0..C {
+                for (c, acc_c) in acc.iter_mut().enumerate() {
                     let wq = _mm512_set1_epi32((w.add(c * QK) as *const i32).read_unaligned());
                     for g in 0..G {
-                        acc[g][c] = _mm512_dpbusd_epi32(acc[g][c], x[g], wq);
+                        acc_c[g] = _mm512_dpbusd_epi32(acc_c[g], x[g], wq);
                     }
                 }
                 idx = _mm512_add_epi8(idx, next_quad);
                 w = w.add(QNR * QK);
             }
         }
-        for (g, acc_g) in acc.iter().enumerate() {
-            let seg = i0 / QNR + g;
-            for (c, acc_gc) in acc_g.iter().enumerate() {
+        for (c, acc_c) in acc.iter().enumerate() {
+            for (g, acc_gc) in acc_c.iter().enumerate() {
+                let seg = i0 / QNR + g;
                 let fixed = _mm512_sub_epi32(*acc_gc, tile.corr[c]);
                 _mm512_storeu_si512(tile.out.add((seg * C + c) * QNR).cast(), fixed);
             }
@@ -1705,6 +1705,7 @@ pub(crate) struct FieldRuns {
 }
 
 /// [`FieldRuns`] of the convolution `dims`. Plan-compile time.
+// seal-lint: allow(panic-freedom) — `live` holds the `k·k` taps `tap_reach` returns, and `ky, kx < k`
 pub(crate) fn field_runs(dims: &ConvPlanDims) -> FieldRuns {
     let k = dims.geom.kernel;
     let live: Vec<bool> = dims.tap_reach().iter().map(|&(live, _)| live).collect(); // plan-compile time

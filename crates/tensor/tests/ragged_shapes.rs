@@ -914,7 +914,10 @@ fn pixel_lane_rule(dims: &ConvPlanDims) -> bool {
         _ => k,
     };
     let rq = (cols * dims.c_in).div_ceil(4);
-    dims.c_out <= 8 && dims.geom.stride == 1 && dims.ow % 16 == 0 && 15 * dims.c_in + 4 * rq <= 128
+    dims.c_out <= 8
+        && dims.geom.stride == 1
+        && dims.ow.is_multiple_of(16)
+        && 15 * dims.c_in + 4 * rq <= 128
 }
 
 /// The implicit-GEMM int8 conv (`gemm_i8_conv`, reading the padded NHWC
@@ -1448,7 +1451,7 @@ fn pixel_lane_conv_and_its_readers_match_the_composed_reference() {
         let k = geom.kernel;
         let weights = uniform(&mut rng, Shape::vector(c_out * c_in * k * k), -1.0, 1.0);
         let want = reference_conv_acc(&dims, weights.as_slice(), &images);
-        let stack = poisoned_stack(&mut rng, &images, &img, case % 2 == 0);
+        let stack = poisoned_stack(&mut rng, &images, &img, case.is_multiple_of(2));
         let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
         let bias = uniform(&mut rng, Shape::vector(c_out), -1.0, 1.0);
         let (ws, bias) = (packed.scales(), bias.as_slice());
@@ -1615,7 +1618,7 @@ fn register_tiles_span_every_strip_at_every_row_remainder() {
             let weights = uniform(&mut rng, Shape::vector(c_out * 45), -1.0, 1.0);
             let want = reference_conv_acc(&dims, weights.as_slice(), &image);
             let img = NhwcImage::for_conv(&dims);
-            let stack = poisoned_stack(&mut rng, &image, &img, rem % 2 == 0);
+            let stack = poisoned_stack(&mut rng, &image, &img, rem.is_multiple_of(2));
             let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
             let conv = ImplicitConv::compile(&dims, 1, None).unwrap();
             for_each_mode(|mode| {
@@ -1685,7 +1688,7 @@ fn dead_taps_leave_the_int8_pack_but_not_the_scales() {
                         .collect();
                     let want = reference_conv_acc(&dims, weights.as_slice(), &images);
                     let img = NhwcImage::for_conv(&dims);
-                    let stack = poisoned_stack(&mut rng, &images, &img, cases % 2 == 0);
+                    let stack = poisoned_stack(&mut rng, &images, &img, cases.is_multiple_of(2));
                     let packed = PackedBI8::pack_conv_runs(weights.as_slice(), &dims).unwrap();
                     let full = PackedBI8::pack_conv(weights.as_slice(), c_out, c_in * kk).unwrap();
                     let scale_bits = |p: &PackedBI8| -> Vec<u32> {
