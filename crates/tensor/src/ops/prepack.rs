@@ -170,7 +170,9 @@ impl PackedBI8 {
     /// those of [`pack_conv`](Self::pack_conv) of the same weights; the
     /// dropped weights only ever multiply the border's zero point and pads
     /// add zeros, so the exact i32 sums are too. Column sums cover the
-    /// kept weights — the ones the kernels multiply.
+    /// kept weights — the ones the kernels multiply — and, for a conv
+    /// whose batch folds, each output pixel's live box gets its own
+    /// (`box_sums`), for the VNNI tile that skips the pixel's border taps.
     ///
     /// # Errors
     ///

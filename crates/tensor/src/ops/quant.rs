@@ -632,12 +632,15 @@ pub fn gemm_i8(a: &[u8], pack: &PackedBI8, out: &mut [i32], m: usize, mode: Kern
 /// The shared entry behind [`gemm_i8`] and [`gemm_i8_conv`]: every read
 /// of `rows` lies inside `a` (the caller cuts `a` to exactly the extent
 /// its rows read, and asserts it) and `out` holds `m·n` sums; here the
-/// rows' quad count is checked against the pack's, and for pixel-lane
-/// rows that the sums fit the tile (`n ≤ 8`, whole segments). Picks the
-/// kernel for `mode` — for pixel-lane rows the VNNI pixel tile, which
-/// gathers with `vpermt2b`; a VNNI host without VBMI runs the AVX2 body,
-/// which stores the same planar sums. The AVX2 kernel's i16 operand is
-/// `a` widened once, here, before any row block runs.
+/// rows' quad count is checked against the pack's, for pixel-lane rows
+/// that the sums fit the tile (`n ≤ 8`, whole segments), and for rows
+/// with pixel boxes that they are whole images and the pack holds the
+/// boxes' column sums. Picks the kernel for `mode` — for pixel-lane rows
+/// the VNNI pixel tile, which gathers with `vpermt2b`; a VNNI host
+/// without VBMI runs the AVX2 body, which stores the same planar sums.
+/// The scalar and AVX2 kernels walk every quad of the field box; the
+/// dropped border products are 0 either way. The AVX2 kernel's i16
+/// operand is `a` widened once, here, before any row block runs.
 // seal-lint: allow(panic-freedom) — the asserts cannot fire from the plan: `gemm_i8`'s dense rows are one run of `kq` quads by construction, and a plan's `ImplicitConv` and `pack_conv_runs` pack come from the same dims (both `field_runs`); they guard the kernels' weight reads and planar stores against a mismatched pack from outside
 fn gemm_i8_rows<R: QuadRows>(
     a: &[u8],
