@@ -115,13 +115,9 @@ impl CallGraph {
                             .filter(|&t| {
                                 let tf = &files[nodes[t].file];
                                 tf.crate_name == file.crate_name
-                                    || tf.fns[nodes[t].fun].type_name.as_deref().is_some_and(
-                                        |ty| {
-                                            file.idents
-                                                .binary_search_by(|x| x.as_str().cmp(ty))
-                                                .is_ok()
-                                        },
-                                    )
+                                    || tf.fns[nodes[t].fun].type_name.as_deref().is_some_and(|ty| {
+                                        file.idents.binary_search_by(|x| x.as_str().cmp(ty)).is_ok()
+                                    })
                             })
                             .collect();
                         prefer_same_crate(visible, &nodes, files, &file.crate_name)
@@ -134,9 +130,7 @@ impl CallGraph {
                         &nodes,
                         files,
                     ),
-                    CallKind::Path => {
-                        resolve_path(&call.segments, file, &by_qual, &suffix2, files)
-                    }
+                    CallKind::Path => resolve_path(&call.segments, file, &by_qual, &suffix2, files),
                 };
                 for t in targets {
                     if t != ni {
@@ -372,7 +366,11 @@ pub fn panic_freedom(files: &[FileIr], graph: &CallGraph, roots: &[&str]) -> Vec
         findings.push(Finding {
             rule: Rule::PanicFreedom,
             path: file.path.clone(),
-            line: if first_line == u32::MAX { f.line } else { first_line },
+            line: if first_line == u32::MAX {
+                f.line
+            } else {
+                first_line
+            },
             fun: f.qual.clone(),
             message: format!(
                 "reachable from `{}` without a panic-freedom justification: {}",
@@ -485,7 +483,10 @@ fn audit_one(
     let in_scope = |name: &str| {
         let last = name.rsplit("::").next().unwrap_or(name);
         f.is_some_and(|f| f.idents.binary_search_by(|i| i.as_str().cmp(last)).is_ok())
-            || file.idents.binary_search_by(|i| i.as_str().cmp(last)).is_ok()
+            || file
+                .idents
+                .binary_search_by(|i| i.as_str().cmp(last))
+                .is_ok()
     };
     if !u.names.iter().any(|n| in_scope(n)) {
         findings.push(Finding {
@@ -513,9 +514,18 @@ mod tests {
 
     #[test]
     fn qual_suffix_matching_respects_segment_boundaries() {
-        assert!(qual_matches("seal_nn::plan::CompiledModel::execute_into", "CompiledModel::execute_into"));
-        assert!(qual_matches("seal_serve::server::worker_loop", "worker_loop"));
-        assert!(!qual_matches("seal_serve::server::my_worker_loop", "worker_loop"));
+        assert!(qual_matches(
+            "seal_nn::plan::CompiledModel::execute_into",
+            "CompiledModel::execute_into"
+        ));
+        assert!(qual_matches(
+            "seal_serve::server::worker_loop",
+            "worker_loop"
+        ));
+        assert!(!qual_matches(
+            "seal_serve::server::my_worker_loop",
+            "worker_loop"
+        ));
     }
 
     #[test]

@@ -275,7 +275,10 @@ pub fn crate_and_module(path: &Path) -> (String, Vec<String>) {
         .iter()
         .map(|c| sanitize(c.trim_end_matches(".rs")))
         .collect();
-    if matches!(module.last().map(String::as_str), Some("lib" | "mod" | "main")) {
+    if matches!(
+        module.last().map(String::as_str),
+        Some("lib" | "mod" | "main")
+    ) {
         module.pop();
     }
     (crate_name, module)
@@ -293,7 +296,11 @@ mod tests {
     #[test]
     fn crate_and_module_derivation() {
         let cases: [(&str, &str, &[&str]); 6] = [
-            ("crates/tensor/src/ops/matmul.rs", "seal_tensor", &["ops", "matmul"]),
+            (
+                "crates/tensor/src/ops/matmul.rs",
+                "seal_tensor",
+                &["ops", "matmul"],
+            ),
             ("crates/nn/src/lib.rs", "seal_nn", &[]),
             ("crates/serve/src/server.rs", "seal_serve", &["server"]),
             ("src/main.rs", "seal", &[]),
@@ -303,7 +310,11 @@ mod tests {
         for (p, want_crate, want_mod) in cases {
             let (c, m) = crate_and_module(&PathBuf::from(p));
             assert_eq!(c, want_crate, "{p}");
-            assert_eq!(m, want_mod.iter().map(|s| s.to_string()).collect::<Vec<_>>(), "{p}");
+            assert_eq!(
+                m,
+                want_mod.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+                "{p}"
+            );
         }
     }
 

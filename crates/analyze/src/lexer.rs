@@ -118,9 +118,12 @@ impl Lexer {
             self.bump();
         }
         // `////…` dividers are plain comments; `///` and `//!` are docs.
-        let doc = (text.starts_with("///") && !text.starts_with("////"))
-            || text.starts_with("//!");
-        self.push(if doc { TokKind::Doc } else { TokKind::Comment }, text, line);
+        let doc = (text.starts_with("///") && !text.starts_with("////")) || text.starts_with("//!");
+        self.push(
+            if doc { TokKind::Doc } else { TokKind::Comment },
+            text,
+            line,
+        );
     }
 
     fn block_comment(&mut self, line: u32) {
@@ -147,7 +150,11 @@ impl Lexer {
         }
         let doc = (text.starts_with("/**") && !text.starts_with("/***") && text != "/**/")
             || text.starts_with("/*!");
-        self.push(if doc { TokKind::Doc } else { TokKind::Comment }, text, line);
+        self.push(
+            if doc { TokKind::Doc } else { TokKind::Comment },
+            text,
+            line,
+        );
     }
 
     /// Does the current `r`/`b`/`c` start a string/char literal prefix
@@ -167,7 +174,8 @@ impl Lexer {
         if j > i {
             return self.peek(j) == Some('"');
         }
-        matches!(self.peek(i), Some('"')) || (self.peek(0) == Some('b') && self.peek(i) == Some('\''))
+        matches!(self.peek(i), Some('"'))
+            || (self.peek(0) == Some('b') && self.peek(i) == Some('\''))
     }
 
     fn prefixed_literal(&mut self, line: u32) {
@@ -331,10 +339,7 @@ impl Lexer {
                 && !text.starts_with("0x")
                 && !text.starts_with("0b")
                 && !text.starts_with("0o")
-                && text
-                    .chars()
-                    .last()
-                    .is_some_and(|e| matches!(e, 'e' | 'E'))
+                && text.chars().last().is_some_and(|e| matches!(e, 'e' | 'E'))
                 && self.peek(1).is_some_and(|d| d.is_ascii_digit())
             {
                 // Signed exponent: `1e-5` / `2.5E+3` is one float literal,
@@ -392,16 +397,24 @@ mod tests {
     #[test]
     fn raw_strings_and_raw_idents() {
         let toks = kinds(r###"let a = r#"raw " body"#; let r#type = 1;"###);
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Str && t.contains("raw")));
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "r#type"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Str && t.contains("raw")));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Ident && t == "r#type"));
     }
 
     #[test]
     fn lifetimes_vs_char_literals() {
         let toks = kinds("fn f<'a>(x: &'a u8) { let c = 'x'; let n = '\\n'; }");
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Lifetime && t == "'a"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Lifetime && t == "'a"));
         assert!(toks.iter().any(|(k, t)| *k == TokKind::Char && t == "'x'"));
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Char && t == "'\\n'"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Char && t == "'\\n'"));
     }
 
     #[test]
@@ -415,7 +428,10 @@ mod tests {
     #[test]
     fn line_numbers_advance() {
         let toks = lex("a\nb\n\nc");
-        assert_eq!(toks.iter().map(|t| t.line).collect::<Vec<_>>(), vec![1, 2, 4]);
+        assert_eq!(
+            toks.iter().map(|t| t.line).collect::<Vec<_>>(),
+            vec![1, 2, 4]
+        );
     }
 
     #[test]
@@ -446,8 +462,12 @@ mod tests {
         // subtraction.
         let toks = kinds("let eps = 1e-5; let b = 2.5E+3; let c = 1.0e-7f64;");
         assert!(toks.iter().any(|(k, t)| *k == TokKind::Num && t == "1e-5"));
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Num && t == "2.5E+3"));
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Num && t == "1.0e-7f64"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Num && t == "2.5E+3"));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Num && t == "1.0e-7f64"));
         // Hex literals never absorb a following sign.
         let toks = kinds("0xE-1");
         assert_eq!(toks[0], (TokKind::Num, "0xE".into()));
@@ -502,7 +522,9 @@ mod tests {
     #[test]
     fn byte_literals() {
         let toks = kinds(r#"let m = b"SEAL"; let b = b'x';"#);
-        assert!(toks.iter().any(|(k, t)| *k == TokKind::Str && t.contains("SEAL")));
+        assert!(toks
+            .iter()
+            .any(|(k, t)| *k == TokKind::Str && t.contains("SEAL")));
         assert!(toks.iter().any(|(k, t)| *k == TokKind::Char && t == "b'x'"));
     }
 }

@@ -635,7 +635,11 @@ impl Parser<'_> {
 
     /// Classifies `name(` at the cursor as a panic site or a call.
     fn record_call(&mut self, f: &mut FnIr, name: &str, line: u32, impl_ty: Option<&str>) {
-        let prev = if self.i > 0 { self.txt_at(self.i - 1) } else { "" };
+        let prev = if self.i > 0 {
+            self.txt_at(self.i - 1)
+        } else {
+            ""
+        };
         if prev == "." && matches!(name, "unwrap" | "expect") {
             let kind = if name == "unwrap" {
                 PanicKind::Unwrap
@@ -742,9 +746,7 @@ impl Parser<'_> {
     fn unsafe_ir(&self, kind: UnsafeKind) -> UnsafeIr {
         let line = self.line();
         let fi = self.code[self.i];
-        let safety = self
-            .safety_before(fi)
-            .or_else(|| self.safety_inside(kind));
+        let safety = self.safety_before(fi).or_else(|| self.safety_inside(kind));
         let names = safety.as_deref().map(safety_names).unwrap_or_default();
         UnsafeIr {
             line,
@@ -849,8 +851,13 @@ pub fn safety_names(text: &str) -> Vec<String> {
             .trim_start_matches("mut ")
             .trim_end_matches("()");
         let ident_like = !raw.is_empty()
-            && raw.chars().next().is_some_and(|c| c.is_alphabetic() || c == '_')
-            && raw.chars().all(|c| c.is_alphanumeric() || c == '_' || c == ':');
+            && raw
+                .chars()
+                .next()
+                .is_some_and(|c| c.is_alphabetic() || c == '_')
+            && raw
+                .chars()
+                .all(|c| c.is_alphanumeric() || c == '_' || c == ':');
         if ident_like && !names.iter().any(|n| n == raw) {
             names.push(raw.to_string());
         }
@@ -943,7 +950,10 @@ mod tests {
         let ir = parse(src);
         let f = the_fn(&ir, "f");
         assert_eq!(f.unsafes.len(), 2);
-        assert!(f.unsafes[0].safety.as_deref().is_some_and(|s| s.contains("len")));
+        assert!(f.unsafes[0]
+            .safety
+            .as_deref()
+            .is_some_and(|s| s.contains("len")));
         assert_eq!(f.unsafes[0].names, vec!["len"]);
         assert!(f.unsafes[1].safety.is_none());
     }
@@ -993,12 +1003,16 @@ mod tests {
                 "EnginePipeline".into()
             ])
         );
-        assert!(ir.imports.iter().any(|u| u.alias == "*" && u.segments == vec!["seal_core"]));
+        assert!(ir
+            .imports
+            .iter()
+            .any(|u| u.alias == "*" && u.segments == vec!["seal_core"]));
     }
 
     #[test]
     fn test_fns_are_marked() {
-        let src = "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { x.unwrap(); }\n}\npub fn real() {}\n";
+        let src =
+            "#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { x.unwrap(); }\n}\npub fn real() {}\n";
         let ir = parse(src);
         assert!(the_fn(&ir, "t").is_test);
         assert!(!the_fn(&ir, "real").is_test);

@@ -84,9 +84,11 @@ pub fn taint_pass(files: &[FileIr], graph: &CallGraph, spec: &TaintSpec) -> Vec<
         .iter()
         .map(|nd| files[nd.file].fns[nd.fun].qual.as_str())
         .collect();
-    let matches_any =
-        |q: &str, pats: &[String]| pats.iter().any(|p| qual_matches(q, p));
-    let is_source: Vec<bool> = quals.iter().map(|q| matches_any(q, &spec.sources)).collect();
+    let matches_any = |q: &str, pats: &[String]| pats.iter().any(|p| qual_matches(q, p));
+    let is_source: Vec<bool> = quals
+        .iter()
+        .map(|q| matches_any(q, &spec.sources))
+        .collect();
     let is_sink: Vec<bool> = quals.iter().map(|q| matches_any(q, &spec.sinks)).collect();
     let is_sanitizer: Vec<bool> = quals
         .iter()

@@ -7,12 +7,12 @@
 //! query labelling, Jacobian-based augmentation, and the three substitute
 //! kinds (white-box / black-box / SEAL at each ratio).
 
-use seal_tensor::rng::rngs::StdRng;
-use seal_tensor::rng::SeedableRng;
 use seal_core::{EncryptionPlan, SePolicy};
 use seal_data::{Dataset, SyntheticCifar};
 use seal_nn::models::{resnet, vgg16, ResNetConfig, VggConfig};
 use seal_nn::{accuracy, fit, FitConfig, Sequential, Sgd};
+use seal_tensor::rng::rngs::StdRng;
+use seal_tensor::rng::SeedableRng;
 
 use crate::fgsm::{craft_batch, FgsmConfig};
 use crate::jacobian::{augment, query_labels};
@@ -123,7 +123,11 @@ impl ExperimentConfig {
                 vgg16(rng, &cfg)?
             }
             ModelArch::ResNet18 | ModelArch::ResNet34 => {
-                let depth = if self.arch == ModelArch::ResNet18 { 18 } else { 34 };
+                let depth = if self.arch == ModelArch::ResNet18 {
+                    18
+                } else {
+                    34
+                };
                 let mut cfg = ResNetConfig::reduced(depth);
                 cfg.base_width = self.base_width;
                 cfg.input_hw = self.image_hw;
@@ -188,13 +192,7 @@ pub fn prepare(config: &ExperimentConfig) -> Result<AttackContext, AttackError> 
     // Jacobian augmentation uses a provisional substitute to pick
     // directions; labels always come from the victim.
     let mut probe = config.build_model(&mut rng)?;
-    let adversary_data = augment(
-        &mut probe,
-        &mut victim,
-        &seeds,
-        0.1,
-        config.augment_rounds,
-    )?;
+    let adversary_data = augment(&mut probe, &mut victim, &seeds, 0.1, config.augment_rounds)?;
 
     Ok(AttackContext {
         victim,
@@ -238,12 +236,9 @@ impl AttackContext {
     ///
     /// Propagates model and plan errors.
     pub fn seal_substitute(&mut self, ratio: f64) -> Result<Sequential, AttackError> {
-        let plan = EncryptionPlan::from_model(
-            &self.victim,
-            SePolicy::paper_default().with_ratio(ratio),
-        )?;
-        let mut rng =
-            StdRng::seed_from_u64(self.config.seed ^ 0x5EA1 ^ (ratio * 1000.0) as u64);
+        let plan =
+            EncryptionPlan::from_model(&self.victim, SePolicy::paper_default().with_ratio(ratio))?;
+        let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0x5EA1 ^ (ratio * 1000.0) as u64);
         let mut sub = self.config.build_model(&mut rng)?;
         apply_seal_knowledge(&self.victim, &mut sub, &plan, &mut rng)?;
         self.train_substitute(&mut sub, &mut rng)?;
@@ -411,11 +406,9 @@ mod tests {
     fn seal_substitute_keeps_known_rows_after_training() {
         let cfg = test_config(ModelArch::Vgg16, 11);
         let mut ctx = prepare(&cfg).unwrap();
-        let plan = EncryptionPlan::from_model(
-            &ctx.victim,
-            SePolicy::paper_default().with_ratio(0.5),
-        )
-        .unwrap();
+        let plan =
+            EncryptionPlan::from_model(&ctx.victim, SePolicy::paper_default().with_ratio(0.5))
+                .unwrap();
         let mut sub = ctx.seal_substitute(0.5).unwrap();
 
         let vmats = ctx.victim.kernel_matrices();

@@ -82,8 +82,8 @@ pub fn craft_targeted(
             .zip(grad_in.as_slice())
             .zip(clean.as_slice())
         {
-            *v = (*v - config.step * g.signum())
-                .clamp(orig - config.epsilon, orig + config.epsilon);
+            *v =
+                (*v - config.step * g.signum()).clamp(orig - config.epsilon, orig + config.epsilon);
         }
     }
     let fooled = substitute.predict(&x)? == vec![target];
@@ -129,8 +129,8 @@ pub fn craft_untargeted(
             .zip(clean.as_slice())
         {
             // Ascend the true-label loss.
-            *v = (*v + config.step * g.signum())
-                .clamp(orig - config.epsilon, orig + config.epsilon);
+            *v =
+                (*v + config.step * g.signum()).clamp(orig - config.epsilon, orig + config.epsilon);
         }
     }
     let pred = substitute.predict(&x)?[0];
@@ -168,17 +168,19 @@ pub fn craft_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seal_tensor::rng::rngs::StdRng;
-    use seal_tensor::rng::SeedableRng;
     use seal_data::SyntheticCifar;
     use seal_nn::layers::{Flatten, Linear};
     use seal_nn::{fit, FitConfig, Sgd};
+    use seal_tensor::rng::rngs::StdRng;
+    use seal_tensor::rng::SeedableRng;
 
     fn trained_model(hw: usize, data: &Dataset) -> Sequential {
         let mut rng = StdRng::seed_from_u64(5);
         let mut m = Sequential::new("m")
             .with(Box::new(Flatten::new("f")))
-            .with(Box::new(Linear::new(&mut rng, "fc", 3 * hw * hw, 10).unwrap()));
+            .with(Box::new(
+                Linear::new(&mut rng, "fc", 3 * hw * hw, 10).unwrap(),
+            ));
         let mut opt = Sgd::new(0.05).with_momentum(0.9);
         fit(
             &mut m,
@@ -275,7 +277,10 @@ mod tests {
                 fooled += 1;
             }
         }
-        assert!(fooled >= 12, "untargeted I-FGSM fools the source model: {fooled}/15");
+        assert!(
+            fooled >= 12,
+            "untargeted I-FGSM fools the source model: {fooled}/15"
+        );
     }
 
     #[test]

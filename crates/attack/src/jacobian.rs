@@ -108,16 +108,18 @@ pub fn augment(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seal_tensor::rng::rngs::StdRng;
-    use seal_tensor::rng::SeedableRng;
     use seal_data::SyntheticCifar;
     use seal_nn::layers::{Flatten, Linear};
+    use seal_tensor::rng::rngs::StdRng;
+    use seal_tensor::rng::SeedableRng;
 
     fn tiny_model(seed: u64, hw: usize) -> Sequential {
         let mut rng = StdRng::seed_from_u64(seed);
         Sequential::new("m")
             .with(Box::new(Flatten::new("f")))
-            .with(Box::new(Linear::new(&mut rng, "fc", 3 * hw * hw, 10).unwrap()))
+            .with(Box::new(
+                Linear::new(&mut rng, "fc", 3 * hw * hw, 10).unwrap(),
+            ))
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //!   noise and fine-tuned — "the adversary keeps the known weight
 //!   parameters unchanged and fine-tunes unknown weight parameters".
 
-use seal_tensor::rng::Rng;
 use seal_core::EncryptionPlan;
 use seal_nn::{LayerKind, Param, Sequential};
+use seal_tensor::rng::Rng;
 use seal_tensor::Tensor;
 
 use crate::AttackError;
@@ -36,7 +36,10 @@ pub enum SubstituteKind {
 ///
 /// Returns [`AttackError::ModelMismatch`] if the models disagree
 /// structurally.
-pub fn copy_all_weights(victim: &Sequential, substitute: &mut Sequential) -> Result<(), AttackError> {
+pub fn copy_all_weights(
+    victim: &Sequential,
+    substitute: &mut Sequential,
+) -> Result<(), AttackError> {
     let src = victim.params();
     let mut dst = substitute.params_mut();
     if src.len() != dst.len() {
@@ -155,7 +158,10 @@ pub fn apply_seal_knowledge(
     {
         if vm.name != *sname || vm.name != lplan.name {
             return Err(AttackError::ModelMismatch {
-                reason: format!("layer order mismatch: {} / {sname} / {}", vm.name, lplan.name),
+                reason: format!(
+                    "layer order mismatch: {} / {sname} / {}",
+                    vm.name, lplan.name
+                ),
             });
         }
         if !vvalue.shape().same_dims(sparam.value.shape()) {
@@ -188,7 +194,11 @@ pub fn apply_seal_knowledge(
     // Normalisation metadata (γ/β + running stats) is public per the note
     // in the doc comment.
     {
-        let vsrc: Vec<Tensor> = victim.norm_params().iter().map(|p| p.value.clone()).collect();
+        let vsrc: Vec<Tensor> = victim
+            .norm_params()
+            .iter()
+            .map(|p| p.value.clone())
+            .collect();
         let mut dst = substitute.norm_params_mut();
         if vsrc.len() != dst.len() {
             return Err(AttackError::ModelMismatch {
@@ -250,10 +260,10 @@ fn victim_clone_kernel_values(victim: &Sequential) -> Vec<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seal_tensor::rng::rngs::StdRng;
-    use seal_tensor::rng::SeedableRng;
     use seal_core::SePolicy;
     use seal_nn::models::{vgg16, VggConfig};
+    use seal_tensor::rng::rngs::StdRng;
+    use seal_tensor::rng::SeedableRng;
 
     fn pair() -> (Sequential, Sequential) {
         let mut r1 = StdRng::seed_from_u64(1);

@@ -21,7 +21,10 @@ use seal_tensor::rng::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mode = RunMode::from_args();
-    banner("Ablation — boundary-layer full encryption (VGG-16, 50%)", mode);
+    banner(
+        "Ablation — boundary-layer full encryption (VGG-16, 50%)",
+        mode,
+    );
 
     // Performance side: traffic + IPC on the full-size topology.
     let topo = vgg16_topology();

@@ -14,7 +14,10 @@ use seal_nn::models::vgg16_topology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mode = RunMode::from_args();
-    banner("Ablation — engines per memory controller (VGG-16, Direct)", mode);
+    banner(
+        "Ablation — engines per memory controller (VGG-16, Direct)",
+        mode,
+    );
 
     let topo = vgg16_topology();
     let plan = EncryptionPlan::from_topology(&topo, SePolicy::paper_default())?;

@@ -73,10 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &mut rng,
         )?;
         let acc = ctx.test_accuracy(&mut sub)?;
-        row(&[
-            cell(name, 16),
-            cell(format!("{:.1}%", acc * 100.0), 20),
-        ]);
+        row(&[cell(name, 16), cell(format!("{:.1}%", acc * 100.0), 20)]);
     }
     println!();
     println!("lower substitute accuracy = better protection. L1 should be ≤ Random ≤ InverseL1,");

@@ -15,7 +15,10 @@ use seal_nn::models::vgg16_topology;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mode = RunMode::from_args();
-    banner("Extension — SEAL across platform generations (VGG-16)", mode);
+    banner(
+        "Extension — SEAL across platform generations (VGG-16)",
+        mode,
+    );
 
     let topo = vgg16_topology();
     let plan = EncryptionPlan::from_topology(&topo, SePolicy::paper_default())?;
@@ -37,7 +40,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         GpuConfig::gtx480(),
         GpuConfig::hbm_accelerator(),
     ] {
-        let engine_total = cfg.engine.throughput_gbps * (cfg.num_channels * cfg.engines_per_mc) as f64;
+        let engine_total =
+            cfg.engine.throughput_gbps * (cfg.num_channels * cfg.engines_per_mc) as f64;
         let base = simulate_network(&cfg, &topo, &plan, Scheme::Baseline)?.overall_ipc();
         let direct = simulate_network(&cfg, &topo, &plan, Scheme::Direct)?.overall_ipc();
         let seal = simulate_network(&cfg, &topo, &plan, Scheme::SealDirect)?.overall_ipc();

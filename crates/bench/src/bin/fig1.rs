@@ -62,15 +62,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("(b) Counter-cache hit rate");
     header(&["cache (KB)", "hit rate"], &[12, 10]);
     for (kb, hr) in &hit_rates {
-        row(&[
-            cell(kb, 12),
-            cell(format!("{:.1}%", hr * 100.0), 10),
-        ]);
+        row(&[cell(kb, 12), cell(format!("{:.1}%", hr * 100.0), 10)]);
     }
 
     println!();
-    println!(
-        "paper: Direct/Counter lose 45-54% of IPC on matmul; hit rate rises with cache size."
-    );
+    println!("paper: Direct/Counter lose 45-54% of IPC on matmul; hit rate rises with cache size.");
     Ok(())
 }

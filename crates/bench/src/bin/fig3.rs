@@ -11,7 +11,10 @@ use seal_bench::{banner, cell, header, row, RunMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mode = RunMode::from_args();
-    banner("Figure 3 — substitute-model accuracy vs encryption ratio", mode);
+    banner(
+        "Figure 3 — substitute-model accuracy vs encryption ratio",
+        mode,
+    );
 
     let archs = [ModelArch::Vgg16, ModelArch::ResNet18, ModelArch::ResNet34];
     let ratios: Vec<f64> = if mode.is_full() {
@@ -42,9 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &["config", "VGG-16", "ResNet-18", "ResNet-34", "average"],
         &[12, 9, 10, 10, 9],
     );
-    let avg = |f: &dyn Fn(usize) -> f32| -> f32 {
-        (0..3).map(f).sum::<f32>() / 3.0
-    };
+    let avg = |f: &dyn Fn(usize) -> f32| -> f32 { (0..3).map(f).sum::<f32>() / 3.0 };
     let print_row = |label: &str, f: &dyn Fn(usize) -> f32| {
         row(&[
             cell(label, 12),
@@ -63,12 +64,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print_row("black-box", &|i| per_arch[i].black_box_accuracy);
 
     println!();
-    println!(
-        "paper: white-box ≈94%, black-box ≈75%; SEAL matches black-box for ratios ≥ 40%."
-    );
-    println!(
-        "note: absolute accuracies differ (synthetic data, width-reduced models); the"
-    );
+    println!("paper: white-box ≈94%, black-box ≈75%; SEAL matches black-box for ratios ≥ 40%.");
+    println!("note: absolute accuracies differ (synthetic data, width-reduced models); the");
     println!("ordering white > low-ratio SEAL > high-ratio SEAL ≈ black-box is the result.");
     Ok(())
 }

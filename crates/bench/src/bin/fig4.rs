@@ -11,7 +11,10 @@ use seal_bench::{banner, cell, header, row, RunMode};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mode = RunMode::from_args();
-    banner("Figure 4 — adversarial-example transferability vs ratio", mode);
+    banner(
+        "Figure 4 — adversarial-example transferability vs ratio",
+        mode,
+    );
 
     let archs = [ModelArch::Vgg16, ModelArch::ResNet18, ModelArch::ResNet34];
     let (ratios, examples): (Vec<f64>, usize) = if mode.is_full() {
@@ -60,7 +63,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     print_row("white-box", &|i| per_arch[i].white_box);
     for (ri, r) in ratios.iter().enumerate() {
-        print_row(&format!("SEAL {:.0}%", r * 100.0), &|i| per_arch[i].seal[ri].1);
+        print_row(&format!("SEAL {:.0}%", r * 100.0), &|i| {
+            per_arch[i].seal[ri].1
+        });
     }
     print_row("black-box", &|i| per_arch[i].black_box);
 

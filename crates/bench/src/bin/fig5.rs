@@ -20,14 +20,11 @@ fn conv_layers(mode: RunMode) -> Vec<NetworkTopology> {
         .iter()
         .map(|&(ch, hw)| {
             let hw = (hw / scale).max(8);
-            NetworkTopology::build(
-                format!("CONV-{ch}"),
-                Shape::nchw(1, ch, hw, hw),
-            )
-            .expect("static geometry")
-            .conv("conv", ch, 3, 1, 1)
-            .expect("static geometry")
-            .finish()
+            NetworkTopology::build(format!("CONV-{ch}"), Shape::nchw(1, ch, hw, hw))
+                .expect("static geometry")
+                .conv("conv", ch, 3, 1, 1)
+                .expect("static geometry")
+                .finish()
         })
         .collect()
 }

@@ -75,8 +75,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let splits = network_traffic(&topo, &plan, scheme)?;
             let sim = Simulator::new(cfg.clone(), scheme.mode())?;
             let pool_idx = 1usize;
-            let rep = sim.run(&layer_workload(&topo.layers()[pool_idx], &splits[pool_idx], 1)?)?;
-            ipcs.push(NetworkSimResult { per_layer: vec![rep] }.overall_ipc());
+            let rep = sim.run(&layer_workload(
+                &topo.layers()[pool_idx],
+                &splits[pool_idx],
+                1,
+            )?)?;
+            ipcs.push(
+                NetworkSimResult {
+                    per_layer: vec![rep],
+                }
+                .overall_ipc(),
+            );
         }
         let base = ipcs[0];
         let mut cells = vec![cell(pool_only.name(), 10)];

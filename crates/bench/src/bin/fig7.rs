@@ -22,7 +22,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = SePolicy::paper_default();
 
     header(
-        &["network", "Baseline", "Direct", "Counter", "SEAL-D", "SEAL-C"],
+        &[
+            "network", "Baseline", "Direct", "Counter", "SEAL-D", "SEAL-C",
+        ],
         &[10, 9, 9, 9, 9, 9],
     );
     let mut speedup_d = Vec::new();

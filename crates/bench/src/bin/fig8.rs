@@ -21,7 +21,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = SePolicy::paper_default();
 
     header(
-        &["network", "Baseline", "Direct", "Counter", "SEAL-D", "SEAL-C", "base ms"],
+        &[
+            "network", "Baseline", "Direct", "Counter", "SEAL-D", "SEAL-C", "base ms",
+        ],
         &[10, 9, 9, 9, 9, 9, 9],
     );
     let mut cut_d = Vec::new();

@@ -16,7 +16,13 @@ fn main() {
     banner("Table I — AES encryption engine implementations", mode);
 
     header(
-        &["implementation", "area mm2", "power mW", "latency cyc", "GB/s"],
+        &[
+            "implementation",
+            "area mm2",
+            "power mW",
+            "latency cyc",
+            "GB/s",
+        ],
         &[24, 10, 10, 12, 8],
     );
     for e in &TABLE_I_ENGINES {

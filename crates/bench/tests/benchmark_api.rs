@@ -22,9 +22,7 @@ use seal_crypto::{
     CounterCache, CounterCacheConfig, CounterCacheStats, CounterGeometry, CryptoError,
     EnginePipeline, EngineSpec, ReadOnlyRegion, RunOutcome, MAX_READ_ONLY_REGIONS,
 };
-use seal_gpusim::{
-    EncryptionMode, GpuConfig, McReport, SimError, SimReport, Simulator, Workload,
-};
+use seal_gpusim::{EncryptionMode, GpuConfig, McReport, SimError, SimReport, Simulator, Workload};
 use seal_net::reactor::ReactorStats;
 use seal_nn::{CompiledModel, NetworkTopology, Sequential};
 use seal_serve::{
@@ -82,8 +80,12 @@ fn the_simulator_and_crypto_items_the_benchmark_uses_still_exist() {
     let _: fn(&Workload) -> &str = Workload::name;
     let _: fn(&Workload) -> u64 = Workload::traffic_bytes;
     #[allow(clippy::type_complexity)]
-    let _: fn(&NetworkTopology, &EncryptionPlan, Scheme, usize) -> Result<Vec<Workload>, CoreError> =
-        network_workloads;
+    let _: fn(
+        &NetworkTopology,
+        &EncryptionPlan,
+        Scheme,
+        usize,
+    ) -> Result<Vec<Workload>, CoreError> = network_workloads;
     let _: usize = DEFAULT_BATCH;
     // Its checksum and totals read every report field by name; the
     // exhaustive patterns break when one is renamed, removed or added.

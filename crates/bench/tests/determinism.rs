@@ -59,12 +59,7 @@ fn conv2d_is_bitwise_identical_for_any_thread_count_and_zero_ulp_vs_reference() 
     let w = uniform(&mut rng, Shape::nchw(40, 8, 3, 3), -0.5, 0.5);
     let bias = uniform(&mut rng, Shape::vector(40), -0.1, 0.1);
     let reference = bits(&conv2d_reference(&x, &w, Some(&bias), &geom).unwrap());
-    let go = uniform(
-        &mut rng,
-        Shape::nchw(3, 40, 10, 10),
-        -1.0,
-        1.0,
-    );
+    let go = uniform(&mut rng, Shape::nchw(3, 40, 10, 10), -1.0, 1.0);
     let grads_1t = {
         let pool = Pool::new(1);
         with_pool(&pool, || conv2d_backward(&x, &w, &go, &geom).unwrap())
@@ -110,7 +105,9 @@ fn train_once() -> Vec<u32> {
         .with(Box::new(Conv2d::new(&mut rng, "c1", 3, 8, geom).unwrap()))
         .with(Box::new(ReLU::new("r1")))
         .with(Box::new(Flatten::new("f")))
-        .with(Box::new(Linear::new(&mut rng, "fc", 8 * 8 * 8, 10).unwrap()));
+        .with(Box::new(
+            Linear::new(&mut rng, "fc", 8 * 8 * 8, 10).unwrap(),
+        ));
     let images = uniform(&mut rng, Shape::nchw(8, 3, 8, 8), -1.0, 1.0);
     let labels: Vec<usize> = (0..8).map(|i| i % 10).collect();
     let mut opt = Sgd::new(0.05).with_momentum(0.9);

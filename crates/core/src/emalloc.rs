@@ -96,9 +96,11 @@ impl SecureHeap {
     }
 
     fn region(&self, id: RegionId) -> Result<&HeapRegion, CoreError> {
-        self.regions.get(id.0).ok_or_else(|| CoreError::InvalidPolicy {
-            reason: format!("unknown region {id:?}"),
-        })
+        self.regions
+            .get(id.0)
+            .ok_or_else(|| CoreError::InvalidPolicy {
+                reason: format!("unknown region {id:?}"),
+            })
     }
 
     /// Whether the region was allocated with `emalloc`.

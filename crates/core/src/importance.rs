@@ -6,7 +6,6 @@
 //! small sums "tend to produce feature maps with weak activations" (after
 //! Li et al.'s pruning observation) and are left unencrypted.
 
-
 use crate::CoreError;
 
 /// How row importance is scored. ℓ1 is the paper's choice; the others exist
@@ -23,7 +22,6 @@ pub enum ImportanceMetric {
     /// rows — the worst case for security).
     InverseL1,
 }
-
 
 /// Returns row indices ordered from **most** to least important under the
 /// metric.
@@ -71,10 +69,7 @@ pub fn select_encrypted_rows(
         });
     }
     let count = (row_l1.len() as f64 * ratio).round() as usize;
-    let mut selected: Vec<usize> = rank_rows(row_l1, metric)
-        .into_iter()
-        .take(count)
-        .collect();
+    let mut selected: Vec<usize> = rank_rows(row_l1, metric).into_iter().take(count).collect();
     selected.sort_unstable();
     Ok(selected)
 }

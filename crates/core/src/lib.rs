@@ -74,6 +74,6 @@ pub use plan::{EncryptionPlan, LayerPlan, SePolicy};
 pub use scheme::Scheme;
 pub use security::{recommended_ratio, security_level, SecurityLevel};
 pub use verify::{
-    analyze_plan, derive_assignment, verify_assignment, verify_heap_layout,
-    verify_region_layout, ChannelAssignment, PlanFinding, SecurityViolation,
+    analyze_plan, derive_assignment, verify_assignment, verify_heap_layout, verify_region_layout,
+    ChannelAssignment, PlanFinding, SecurityViolation,
 };

@@ -105,10 +105,7 @@ impl EncryptionPlan {
     ///
     /// Returns [`CoreError::InvalidPolicy`] for an out-of-range ratio or an
     /// empty matrix list.
-    pub fn from_matrices(
-        matrices: &[KernelMatrix],
-        policy: SePolicy,
-    ) -> Result<Self, CoreError> {
+    pub fn from_matrices(matrices: &[KernelMatrix], policy: SePolicy) -> Result<Self, CoreError> {
         if matrices.is_empty() {
             return Err(CoreError::InvalidPolicy {
                 reason: "network has no CONV/FC layers to plan".into(),
@@ -127,8 +124,7 @@ impl EncryptionPlan {
                 && (conv_positions.iter().position(|&p| p == i) == Some(0)
                     || conv_positions.iter().position(|&p| p == i) == Some(1)
                     || conv_positions.last() == Some(&i));
-            let fully_encrypted =
-                policy.boundary_full_encryption && (boundary_conv || !is_conv);
+            let fully_encrypted = policy.boundary_full_encryption && (boundary_conv || !is_conv);
             let encrypted_rows = if fully_encrypted {
                 (0..m.rows).collect()
             } else {
@@ -242,14 +238,18 @@ mod tests {
         assert!(convs[1].fully_encrypted, "second CONV");
         assert!(convs[12].fully_encrypted, "last CONV");
         assert!(!convs[5].fully_encrypted, "middle CONV uses SE");
-        assert!(plan.layers().iter().filter(|l| !l.is_conv).all(|l| l.fully_encrypted));
+        assert!(plan
+            .layers()
+            .iter()
+            .filter(|l| !l.is_conv)
+            .all(|l| l.fully_encrypted));
     }
 
     #[test]
     fn se_layers_encrypt_the_requested_fraction() {
         let topo = vgg16_topology();
-        let plan = EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(0.5))
-            .unwrap();
+        let plan =
+            EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(0.5)).unwrap();
         let mid = plan
             .layers()
             .iter()
@@ -262,8 +262,8 @@ mod tests {
     #[test]
     fn ratio_zero_encrypts_only_boundaries() {
         let topo = resnet18_topology();
-        let plan = EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(0.0))
-            .unwrap();
+        let plan =
+            EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(0.0)).unwrap();
         let se_layers: Vec<&LayerPlan> = plan
             .layers()
             .iter()
@@ -335,8 +335,6 @@ mod tests {
     #[test]
     fn invalid_ratio_rejected() {
         let topo = vgg16_topology();
-        assert!(
-            EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(1.5)).is_err()
-        );
+        assert!(EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(1.5)).is_err());
     }
 }

@@ -88,6 +88,9 @@ mod tests {
     #[test]
     fn labels_match_paper() {
         let labels: Vec<&str> = Scheme::ALL.iter().map(|s| s.label()).collect();
-        assert_eq!(labels, ["Baseline", "Direct", "Counter", "SEAL-D", "SEAL-C"]);
+        assert_eq!(
+            labels,
+            ["Baseline", "Direct", "Counter", "SEAL-D", "SEAL-C"]
+        );
     }
 }

@@ -10,7 +10,6 @@
 //! SEAL therefore ships with a 50% default ratio: "the maximum performance
 //! benefit when achieving the same security level as the black-box models".
 
-
 /// Ratio above which IP-stealing resistance matches the black-box model
 /// (Fig. 3).
 pub const IP_SAFE_RATIO: f64 = 0.4;

@@ -99,9 +99,7 @@ fn assignment_for(l: &LayerPlan) -> ChannelAssignment {
 ///
 /// Returns every violation found (empty `Ok(())` when the assignment is
 /// sound).
-pub fn verify_assignment(
-    assignments: &[ChannelAssignment],
-) -> Result<(), Vec<SecurityViolation>> {
+pub fn verify_assignment(assignments: &[ChannelAssignment]) -> Result<(), Vec<SecurityViolation>> {
     let mut violations = Vec::new();
     for a in assignments {
         for row in 0..a.rows {
@@ -212,7 +210,10 @@ impl std::fmt::Display for PlanFinding {
                 write!(f, "layer {layer}: encrypted_rows is not strictly ascending")
             }
             PlanFinding::RowOutOfRange { layer, row, rows } => {
-                write!(f, "layer {layer}: encrypted row {row} out of range ({rows} rows)")
+                write!(
+                    f,
+                    "layer {layer}: encrypted row {row} out of range ({rows} rows)"
+                )
             }
             PlanFinding::OverlappingRegions { first, second } => write!(
                 f,
@@ -363,8 +364,7 @@ mod tests {
     #[test]
     fn corrupted_assignment_is_caught() {
         let topo = vgg16_topology();
-        let plan =
-            crate::EncryptionPlan::from_topology(&topo, SePolicy::paper_default()).unwrap();
+        let plan = crate::EncryptionPlan::from_topology(&topo, SePolicy::paper_default()).unwrap();
         let mut a = derive_assignment(&plan);
         // Find an SE layer and break the coupling: encrypt a row whose
         // channel stays plaintext.
@@ -377,10 +377,7 @@ mod tests {
             .unwrap();
         se.encrypted_rows.insert(plain_row);
         let err = verify_assignment(&a).unwrap_err();
-        assert!(matches!(
-            err[0],
-            SecurityViolation::ExposedWeightRow { .. }
-        ));
+        assert!(matches!(err[0], SecurityViolation::ExposedWeightRow { .. }));
         assert!(err[0].to_string().contains("plaintext input channel"));
     }
 
@@ -433,7 +430,11 @@ mod tests {
                 let policy = SePolicy::default().with_ratio(ratio);
                 let plan = crate::EncryptionPlan::from_topology(&topo, policy).unwrap();
                 let verdict = analyze_plan(&plan);
-                assert!(verdict.is_ok(), "{} @ ratio {ratio}: {verdict:?}", topo.name());
+                assert!(
+                    verdict.is_ok(),
+                    "{} @ ratio {ratio}: {verdict:?}",
+                    topo.name()
+                );
             }
         }
         let mut no_boundary = SePolicy::paper_default();
@@ -444,7 +445,11 @@ mod tests {
         // synthesized topology norms.
         let model = vgg16(&mut StdRng::seed_from_u64(0x5EA1), &VggConfig::reduced()).unwrap();
         let plan = crate::EncryptionPlan::from_model(&model, SePolicy::paper_default()).unwrap();
-        assert!(analyze_plan(&plan).is_ok(), "vgg16 from model: {:?}", analyze_plan(&plan));
+        assert!(
+            analyze_plan(&plan).is_ok(),
+            "vgg16 from model: {:?}",
+            analyze_plan(&plan)
+        );
     }
 
     #[test]
@@ -472,9 +477,14 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| matches!(f, PlanFinding::UnsortedRows { layer } if layer == "conv_mid")));
-        assert!(findings.iter().any(
-            |f| matches!(f, PlanFinding::RowOutOfRange { row: 11, rows: 8, .. })
-        ));
+        assert!(findings.iter().any(|f| matches!(
+            f,
+            PlanFinding::RowOutOfRange {
+                row: 11,
+                rows: 8,
+                ..
+            }
+        )));
         assert!(findings
             .iter()
             .any(|f| matches!(f, PlanFinding::RatioDrift { .. })));
@@ -503,9 +513,9 @@ mod tests {
         assert!(findings
             .iter()
             .any(|f| matches!(f, PlanFinding::RatioOutOfBounds { .. })));
-        assert!(findings
-            .iter()
-            .any(|f| matches!(f, PlanFinding::UnexpectedFullEncryption { layer } if layer == "fc")));
+        assert!(findings.iter().any(
+            |f| matches!(f, PlanFinding::UnexpectedFullEncryption { layer } if layer == "fc")
+        ));
     }
 
     #[test]

@@ -142,11 +142,51 @@ pub fn layer_workload(
             // output-channel tile while resident, and a spilling weight
             // panel is re-fetched right after its first read.
             let panel_bytes = k * GEMM_TILE * F32;
-            push_split(&mut regions, "ifmap", &mut base, split.ifmap_enc * batch_u, split.ifmap_plain * batch_u, false, 1.0);
-            push_split(&mut regions, "im2col_w", &mut base, col_enc * batch_u, col_plain * batch_u, true, 1.0);
-            push_split_reuse(&mut regions, "im2col_r", &mut base, col_enc * batch_u, col_plain * batch_u, panel_bytes, read_passes);
-            push_split_reuse(&mut regions, "weights", &mut base, split.weight_enc, split.weight_plain, panel_bytes, weight_passes);
-            push_split(&mut regions, "ofmap", &mut base, split.ofmap_enc * batch_u, split.ofmap_plain * batch_u, true, 1.0);
+            push_split(
+                &mut regions,
+                "ifmap",
+                &mut base,
+                split.ifmap_enc * batch_u,
+                split.ifmap_plain * batch_u,
+                false,
+                1.0,
+            );
+            push_split(
+                &mut regions,
+                "im2col_w",
+                &mut base,
+                col_enc * batch_u,
+                col_plain * batch_u,
+                true,
+                1.0,
+            );
+            push_split_reuse(
+                &mut regions,
+                "im2col_r",
+                &mut base,
+                col_enc * batch_u,
+                col_plain * batch_u,
+                panel_bytes,
+                read_passes,
+            );
+            push_split_reuse(
+                &mut regions,
+                "weights",
+                &mut base,
+                split.weight_enc,
+                split.weight_plain,
+                panel_bytes,
+                weight_passes,
+            );
+            push_split(
+                &mut regions,
+                "ofmap",
+                &mut base,
+                split.ofmap_enc * batch_u,
+                split.ofmap_plain * batch_u,
+                true,
+                1.0,
+            );
 
             Ok(Workload::builder(layer.name.clone())
                 .instructions(layer.flops() * batch_u)
@@ -156,8 +196,24 @@ pub fn layer_workload(
                 .build()?)
         }
         LayerRole::Pool { .. } => {
-            push_split(&mut regions, "ifmap", &mut base, split.ifmap_enc * batch_u, split.ifmap_plain * batch_u, false, 1.0);
-            push_split(&mut regions, "ofmap", &mut base, split.ofmap_enc * batch_u, split.ofmap_plain * batch_u, true, 1.0);
+            push_split(
+                &mut regions,
+                "ifmap",
+                &mut base,
+                split.ifmap_enc * batch_u,
+                split.ifmap_plain * batch_u,
+                false,
+                1.0,
+            );
+            push_split(
+                &mut regions,
+                "ofmap",
+                &mut base,
+                split.ofmap_enc * batch_u,
+                split.ofmap_plain * batch_u,
+                true,
+                1.0,
+            );
             Ok(Workload::builder(layer.name.clone())
                 // Pooling is pure data movement: a handful of compare/index
                 // instructions per element.
@@ -168,9 +224,33 @@ pub fn layer_workload(
                 .build()?)
         }
         LayerRole::Fc { .. } => {
-            push_split(&mut regions, "weights", &mut base, split.weight_enc, split.weight_plain, false, 1.0);
-            push_split(&mut regions, "ifmap", &mut base, split.ifmap_enc * batch_u, split.ifmap_plain * batch_u, false, 1.0);
-            push_split(&mut regions, "ofmap", &mut base, split.ofmap_enc * batch_u, split.ofmap_plain * batch_u, true, 1.0);
+            push_split(
+                &mut regions,
+                "weights",
+                &mut base,
+                split.weight_enc,
+                split.weight_plain,
+                false,
+                1.0,
+            );
+            push_split(
+                &mut regions,
+                "ifmap",
+                &mut base,
+                split.ifmap_enc * batch_u,
+                split.ifmap_plain * batch_u,
+                false,
+                1.0,
+            );
+            push_split(
+                &mut regions,
+                "ofmap",
+                &mut base,
+                split.ofmap_enc * batch_u,
+                split.ofmap_plain * batch_u,
+                true,
+                1.0,
+            );
             Ok(Workload::builder(layer.name.clone())
                 .instructions(layer.flops() * batch_u)
                 .frontend_efficiency(0.85)
@@ -219,9 +299,13 @@ pub fn matmul_workload(n: u64, encrypted: bool) -> Result<Workload, CoreError> {
     // M-tile. 64-element column slices are exact multiples of the 128-byte
     // line, so the walk fetches no partial lines.
     let (tile_m, tile_n) = (40u64, 64u64);
-    let a = Region::read("a", 0, mat_bytes)
-        .encrypted(encrypted)
-        .tiled(n, row_bytes, tile_n, tile_n * F32, n as f64 / tile_n as f64);
+    let a = Region::read("a", 0, mat_bytes).encrypted(encrypted).tiled(
+        n,
+        row_bytes,
+        tile_n,
+        tile_n * F32,
+        n as f64 / tile_n as f64,
+    );
     let b = Region::read("b", REGION_STRIDE, mat_bytes)
         .encrypted(encrypted)
         .tiled(n, row_bytes, tile_m, tile_n * F32, n as f64 / tile_m as f64);
@@ -394,10 +478,7 @@ mod tests {
         let direct = simulate_network(&cfg, &topo, &plan, Scheme::Direct).unwrap();
         let seal = simulate_network(&cfg, &topo, &plan, Scheme::SealDirect).unwrap();
         let speedup = seal.overall_ipc() / direct.overall_ipc();
-        assert!(
-            speedup > 1.1,
-            "SEAL-D must beat Direct; got ×{speedup:.2}"
-        );
+        assert!(speedup > 1.1, "SEAL-D must beat Direct; got ×{speedup:.2}");
         let baseline = simulate_network(&cfg, &topo, &plan, Scheme::Baseline).unwrap();
         assert!(seal.overall_ipc() <= baseline.overall_ipc() * 1.001);
     }
@@ -444,8 +525,7 @@ mod tests {
     fn workload_traffic_matches_split_totals() {
         let topo = vgg16_topology();
         let plan = EncryptionPlan::from_topology(&topo, SePolicy::paper_default()).unwrap();
-        let splits =
-            crate::traffic::network_traffic(&topo, &plan, Scheme::SealDirect).unwrap();
+        let splits = crate::traffic::network_traffic(&topo, &plan, Scheme::SealDirect).unwrap();
         let layer = &topo.layers()[0];
         let wl = layer_workload(layer, &splits[0], 1).unwrap();
         // Workload traffic ≥ raw layer bytes (im2col amplification).

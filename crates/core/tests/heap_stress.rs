@@ -40,7 +40,11 @@ fn ciphertext_tampering_does_not_roundtrip() {
     let mut bus = heap.bus_view(id).unwrap();
     bus[5] ^= 0x80;
     let recovered = heap.decrypt_bus_view(id, &bus).unwrap();
-    assert_ne!(recovered, vec![0x11u8; 64], "bit-flip must corrupt plaintext");
+    assert_ne!(
+        recovered,
+        vec![0x11u8; 64],
+        "bit-flip must corrupt plaintext"
+    );
 }
 
 #[test]
@@ -48,9 +52,8 @@ fn plans_for_every_builtin_network_are_constructible_at_every_decile() {
     for topo in [vgg16_topology(), resnet34_topology()] {
         for d in 0..=10 {
             let ratio = d as f64 / 10.0;
-            let plan =
-                EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(ratio))
-                    .unwrap();
+            let plan = EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(ratio))
+                .unwrap();
             // Encrypted-row counts respect the ratio in every SE layer.
             for l in plan.layers().iter().filter(|l| !l.fully_encrypted) {
                 let expected = (l.rows as f64 * ratio).round() as usize;
@@ -65,11 +68,9 @@ fn mean_encrypted_fraction_is_monotone_in_ratio() {
     let topo = vgg16_topology();
     let mut last = -1.0f64;
     for d in 0..=10 {
-        let plan = EncryptionPlan::from_topology(
-            &topo,
-            SePolicy::default().with_ratio(d as f64 / 10.0),
-        )
-        .unwrap();
+        let plan =
+            EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(d as f64 / 10.0))
+                .unwrap();
         let f = plan.mean_encrypted_fraction();
         assert!(f >= last, "fraction {f} decreased at decile {d}");
         last = f;

@@ -304,7 +304,8 @@ fn mix_columns(s: &mut [u8; 16]) {
 fn inv_mix_columns(s: &mut [u8; 16]) {
     for c in 0..4 {
         let col = [s[4 * c], s[4 * c + 1], s[4 * c + 2], s[4 * c + 3]];
-        s[4 * c] = gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
+        s[4 * c] =
+            gmul(col[0], 0x0e) ^ gmul(col[1], 0x0b) ^ gmul(col[2], 0x0d) ^ gmul(col[3], 0x09);
         s[4 * c + 1] =
             gmul(col[0], 0x09) ^ gmul(col[1], 0x0e) ^ gmul(col[2], 0x0b) ^ gmul(col[3], 0x0d);
         s[4 * c + 2] =

@@ -808,7 +808,10 @@ impl CounterCache {
             .min(u64::MAX - self.tick);
         for slot in &self.ro {
             let region = slot.region;
-            if region.end().is_none_or(|end| self.line_id(end - 1) >= first) {
+            if region
+                .end()
+                .is_none_or(|end| self.line_id(end - 1) >= first)
+            {
                 let lines_below = self.line_id(region.base).saturating_sub(first);
                 n = n.min(lines_below.saturating_sub(1));
             }
@@ -1101,8 +1104,7 @@ mod tests {
         let wide = CounterCacheConfig::split_kilobytes(96, 3);
         assert_eq!(wide.coverage_bytes, 149 * 64);
         // Wider coverage hits more on a dense scan: same 4 MiB walked.
-        let mut classic =
-            CounterCache::new(CounterCacheConfig::split_kilobytes(24, 7)).unwrap();
+        let mut classic = CounterCache::new(CounterCacheConfig::split_kilobytes(24, 7)).unwrap();
         let mut stretched = CounterCache::new(wide).unwrap();
         for pass in 0..2u64 {
             let _ = pass;
@@ -1120,7 +1122,10 @@ mod tests {
             .with_read_only_region(0x10_0000, 1 << 20)
             .unwrap();
         let mut cc = CounterCache::new(cfg).unwrap();
-        assert!(!cc.access(0x10_0000), "first touch fetches the shared major");
+        assert!(
+            !cc.access(0x10_0000),
+            "first touch fetches the shared major"
+        );
         for p in 1..256u64 {
             assert!(cc.access(0x10_0000 + p * 4096), "page {p} pinned");
         }
@@ -1164,12 +1169,21 @@ mod tests {
         for i in 0..MAX_READ_ONLY_REGIONS as u64 {
             full = full.with_read_only_region(i << 30, 4096).unwrap();
         }
-        assert!(full.with_read_only_region(1 << 50, 4096).is_err(), "slots full");
+        assert!(
+            full.with_read_only_region(1 << 50, 4096).is_err(),
+            "slots full"
+        );
         // Overlapping literals are caught by the constructor too.
         let sneaky = CounterCacheConfig {
             read_only: [
-                Some(ReadOnlyRegion { base: 0, bytes: 8192 }),
-                Some(ReadOnlyRegion { base: 4096, bytes: 8192 }),
+                Some(ReadOnlyRegion {
+                    base: 0,
+                    bytes: 8192,
+                }),
+                Some(ReadOnlyRegion {
+                    base: 4096,
+                    bytes: 8192,
+                }),
                 None,
                 None,
             ],
@@ -1213,17 +1227,21 @@ mod tests {
         let mut batched = CounterCache::new(cfg).unwrap();
         let mut looped = CounterCache::new(cfg).unwrap();
         let runs: &[(u64, u64)] = &[
-            (0, 200),            // inside the pinned region
-            (1 << 30, 57),       // streaming, prefetch engaged
-            (0, 200),            // pinned revisit
+            (0, 200),                    // inside the pinned region
+            (1 << 30, 57),               // streaming, prefetch engaged
+            (0, 200),                    // pinned revisit
             ((1 << 30) + 57 * 4096, 31), // stream continuation
-            (1 << 35, 3),        // short cold burst
-            (1 << 30, 57),       // revisit the evicted stream
-            (1 << 20, 4),        // run that *leaves* the pinned region
+            (1 << 35, 3),                // short cold burst
+            (1 << 30, 57),               // revisit the evicted stream
+            (1 << 20, 4),                // run that *leaves* the pinned region
         ];
         for &(base, pages) in runs {
             let out = batched.access_run(base, pages);
-            assert_eq!(out, per_page(&mut looped, base, pages), "run ({base:#x}, {pages})");
+            assert_eq!(
+                out,
+                per_page(&mut looped, base, pages),
+                "run ({base:#x}, {pages})"
+            );
             assert_eq!(batched.stats(), looped.stats());
         }
         // And the final probe behavior agrees too.
@@ -1292,9 +1310,18 @@ mod tests {
             ..CounterCacheConfig::with_kilobytes(24).with_prefetch(true)
         };
         vec![
-            ("tuned 96 KB, 192 sets, pinned", pin(CounterGeometry::tuned().cache_config(96))),
-            ("tuned 24 KB, 48 sets", CounterGeometry::tuned().cache_config(24)),
-            ("16 KB, 32 sets", CounterCacheConfig::with_kilobytes(16).with_prefetch(true)),
+            (
+                "tuned 96 KB, 192 sets, pinned",
+                pin(CounterGeometry::tuned().cache_config(96)),
+            ),
+            (
+                "tuned 24 KB, 48 sets",
+                CounterGeometry::tuned().cache_config(24),
+            ),
+            (
+                "16 KB, 32 sets",
+                CounterCacheConfig::with_kilobytes(16).with_prefetch(true),
+            ),
             (
                 "split 3-bit 16 KB, pinned",
                 pin(CounterCacheConfig::split_kilobytes(16, 3).with_prefetch(true)),
@@ -1343,7 +1370,9 @@ mod tests {
                             cursor += pages * cov;
                         }
                         // A revisit below the high-water mark.
-                        8 | 9 => run = Some((cursor - cursor.min((r >> 40) % (8 * lines * cov)), pages)),
+                        8 | 9 => {
+                            run = Some((cursor - cursor.min((r >> 40) % (8 * lines * cov)), pages))
+                        }
                         // The prefetched stream head (or a recent line) corrupted.
                         10 => {
                             let addr = cursor - cursor.min(((r >> 40) % 3) * cov);
@@ -1377,7 +1406,10 @@ mod tests {
                     if let Some((base, pages)) = run {
                         let got = fast.access_run(base, pages);
                         let want = per_page(&mut slow, base, pages);
-                        assert_eq!(got, want, "{name}, seed {seed}, step {step}: ({base:#x}, {pages})");
+                        assert_eq!(
+                            got, want,
+                            "{name}, seed {seed}, step {step}: ({base:#x}, {pages})"
+                        );
                     }
                     deferred += u64::from(fast.pending.is_some());
                     assert!(
@@ -1389,9 +1421,17 @@ mod tests {
             // The comparison must be between two different computations.
             let streamed = take_streamed();
             let expect_streaming = cfg.prefetch && cfg.sets() >= 2;
-            assert_eq!(streamed > 0, expect_streaming, "{name}: {streamed} pages streamed");
+            assert_eq!(
+                streamed > 0,
+                expect_streaming,
+                "{name}: {streamed} pages streamed"
+            );
             // And the cache under test carried a pending run into later steps.
-            assert_eq!(deferred > 0, expect_streaming, "{name}: {deferred} steps deferred");
+            assert_eq!(
+                deferred > 0,
+                expect_streaming,
+                "{name}: {deferred} steps deferred"
+            );
         }
     }
 
@@ -1409,9 +1449,16 @@ mod tests {
             // other side, from an unaligned base.
             let base = region.base - 20 * cov + 17;
             let pages = 40 + region.bytes.div_ceil(cov);
-            assert_eq!(fast.access_run(base, pages), per_page(&mut slow, base, pages), "{name}");
+            assert_eq!(
+                fast.access_run(base, pages),
+                per_page(&mut slow, base, pages),
+                "{name}"
+            );
             assert!(state(&fast) == state(&slow), "{name}: state diverged");
-            assert!(fast.stats().ro_hits > 0, "{name}: the run crossed the window");
+            assert!(
+                fast.stats().ro_hits > 0,
+                "{name}: the run crossed the window"
+            );
             let streamed = take_streamed();
             assert!(
                 (30..pages - region.bytes / cov).contains(&streamed),
@@ -1455,7 +1502,10 @@ mod tests {
             let ways = take_ways_written();
             let bound = (cfg.sets() * cfg.ways) as u64;
             match probe {
-                0 => assert!((1..=bound).contains(&ways), "{ways} ways written, bound {bound}"),
+                0 => assert!(
+                    (1..=bound).contains(&ways),
+                    "{ways} ways written, bound {bound}"
+                ),
                 _ => assert_eq!(ways, 0, "the stretch was written out already"),
             }
         }
@@ -1472,7 +1522,10 @@ mod tests {
     ) -> (CounterCache, CounterCache) {
         let mut fast = CounterCache::new(cfg).unwrap();
         let mut slow = CounterCache::new(cfg).unwrap();
-        assert_eq!(fast.access_run(base, pages), per_page(&mut slow, base, pages));
+        assert_eq!(
+            fast.access_run(base, pages),
+            per_page(&mut slow, base, pages)
+        );
         assert_eq!(fast.pending.map(|run| run.n), Some(pages - 1));
         (fast, slow)
     }
@@ -1482,7 +1535,12 @@ mod tests {
         let cfg = CounterGeometry::tuned().cache_config(24);
         let cov = cfg.coverage_bytes as u64;
         let base = 1u64 << 30;
-        for runs in [&[500u64][..], &[1, 1, 1], &[7, 300, 1, 450, 48], &[384, 384, 384]] {
+        for runs in [
+            &[500u64][..],
+            &[1, 1, 1],
+            &[7, 300, 1, 450, 48],
+            &[384, 384, 384],
+        ] {
             let total: u64 = runs.iter().sum();
             let (one, slow) = pending_pair(cfg, base, total);
             let mut many = CounterCache::new(cfg).unwrap();
@@ -1494,8 +1552,19 @@ mod tests {
                 out.misses += run.misses;
                 page += pages;
             }
-            assert_eq!(out, RunOutcome { hits: total - 1, misses: 1 }, "{runs:?}");
-            assert_eq!(many.pending.map(|run| run.n), Some(total - 1), "{runs:?}: one run");
+            assert_eq!(
+                out,
+                RunOutcome {
+                    hits: total - 1,
+                    misses: 1
+                },
+                "{runs:?}"
+            );
+            assert_eq!(
+                many.pending.map(|run| run.n),
+                Some(total - 1),
+                "{runs:?}: one run"
+            );
             assert!(state(&many) == state(&slow), "{runs:?}");
             assert!(state(&one) == state(&slow), "{runs:?}");
         }
@@ -1515,15 +1584,27 @@ mod tests {
                 let addr = base + line * cov + 8;
                 let resident = fast.corrupt(addr);
                 assert_eq!(resident, slow.corrupt(addr), "{pages} pages, line {line}");
-                assert_eq!(resident, pages == 300 || line > 1, "{pages} pages, line {line}");
+                assert_eq!(
+                    resident,
+                    pages == 300 || line > 1,
+                    "{pages} pages, line {line}"
+                );
                 assert!(fast.pending.is_none(), "{pages} pages, line {line}");
                 assert!(state(&fast) == state(&slow), "{pages} pages, line {line}");
                 // The repair, then the stream moving on.
-                assert_eq!(fast.access(addr), slow.access(addr), "{pages} pages, line {line}");
+                assert_eq!(
+                    fast.access(addr),
+                    slow.access(addr),
+                    "{pages} pages, line {line}"
+                );
                 assert_eq!(fast.stats().corruptions_detected, u64::from(resident));
                 let next = base + pages * cov;
                 let out = fast.access_run(next, 100);
-                assert_eq!(out, per_page(&mut slow, next, 100), "{pages} pages, line {line}");
+                assert_eq!(
+                    out,
+                    per_page(&mut slow, next, 100),
+                    "{pages} pages, line {line}"
+                );
                 assert!(state(&fast) == state(&slow), "{pages} pages, line {line}");
             }
         }
@@ -1568,7 +1649,11 @@ mod tests {
             }
             assert!(state(&fast) == state(&slow), "gap {gap}");
             // The stream resumes below the storm's debris, page by page.
-            assert_eq!(fast.access_run(next, 100), per_page(&mut slow, next, 100), "gap {gap}");
+            assert_eq!(
+                fast.access_run(next, 100),
+                per_page(&mut slow, next, 100),
+                "gap {gap}"
+            );
             assert!(state(&fast) == state(&slow), "gap {gap}");
         }
     }
@@ -1593,7 +1678,11 @@ mod tests {
             assert_eq!(pending, short > 1, "{short} lines short");
             // A pinned sweep reads no set, so a run stays pending across it.
             let out = fast.access_run(window, region_lines);
-            assert_eq!(out, per_page(&mut slow, window, region_lines), "{short} lines short");
+            assert_eq!(
+                out,
+                per_page(&mut slow, window, region_lines),
+                "{short} lines short"
+            );
             assert_eq!(fast.pending.is_some(), pending, "{short} lines short");
             assert!(state(&fast) == state(&slow), "{short} lines short");
             // Then the stream walks up through the window and out past it.
@@ -1821,7 +1910,11 @@ mod tests {
                 s.prefetch_fills,
                 s.ro_hits,
             ];
-            assert_eq!((got, hash), (want, want_hash), "{name}: {got:?}, {hash:#018x}");
+            assert_eq!(
+                (got, hash),
+                (want, want_hash),
+                "{name}: {got:?}, {hash:#018x}"
+            );
         }
     }
 }

@@ -103,8 +103,13 @@ impl CtrCipher {
     /// when the ciphertext or tags were tampered with, or when the line's
     /// counter no longer matches the one the tags were computed under —
     /// a tampered counter never decrypts silently.
-    pub fn decrypt_verified(&self, addr: u64, ct: &TaggedCiphertext) -> Result<Vec<u8>, CryptoError> {
-        if let Some(block) = first_bad_block(&self.aes, addr, self.counter(addr), &ct.bytes, &ct.tags)
+    pub fn decrypt_verified(
+        &self,
+        addr: u64,
+        ct: &TaggedCiphertext,
+    ) -> Result<Vec<u8>, CryptoError> {
+        if let Some(block) =
+            first_bad_block(&self.aes, addr, self.counter(addr), &ct.bytes, &ct.tags)
         {
             return Err(CryptoError::TagMismatch { addr, block });
         }

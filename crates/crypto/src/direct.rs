@@ -81,7 +81,11 @@ impl DirectCipher {
     /// Returns [`CryptoError::TagMismatch`] naming the first failing block
     /// on tampered ciphertext or tags, and [`CryptoError::UnalignedBuffer`]
     /// for a malformed length.
-    pub fn decrypt_verified(&self, addr: u64, ct: &TaggedCiphertext) -> Result<Vec<u8>, CryptoError> {
+    pub fn decrypt_verified(
+        &self,
+        addr: u64,
+        ct: &TaggedCiphertext,
+    ) -> Result<Vec<u8>, CryptoError> {
         if let Some(block) = first_bad_block(&self.aes, addr, 0, &ct.bytes, &ct.tags) {
             return Err(CryptoError::TagMismatch { addr, block });
         }

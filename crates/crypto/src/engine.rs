@@ -303,7 +303,11 @@ mod tests {
         assert_eq!(TABLE_I_ENGINES[1].throughput_gbps, 6.6);
         assert_eq!(TABLE_I_ENGINES[4].latency_cycles, 152);
         // Average hardware throughput is "about 8 GB/s" per the paper.
-        let avg: f64 = TABLE_I_ENGINES.iter().map(|e| e.throughput_gbps).sum::<f64>() / 5.0;
+        let avg: f64 = TABLE_I_ENGINES
+            .iter()
+            .map(|e| e.throughput_gbps)
+            .sum::<f64>()
+            / 5.0;
         assert!((avg - 10.2).abs() < 0.3, "avg {avg}");
     }
 
@@ -390,7 +394,10 @@ mod tests {
     fn invalid_configs_rejected() {
         assert!(EnginePipeline::new(EngineSpec::seal_default(), 0.0).is_err());
         for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert!(EnginePipeline::new(EngineSpec::seal_default(), v).is_err(), "clock {v}");
+            assert!(
+                EnginePipeline::new(EngineSpec::seal_default(), v).is_err(),
+                "clock {v}"
+            );
             let mut bad = EngineSpec::seal_default();
             bad.throughput_gbps = v;
             assert!(EnginePipeline::new(bad, 1.0).is_err(), "throughput {v}");

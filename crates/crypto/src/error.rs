@@ -39,7 +39,10 @@ impl fmt::Display for CryptoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CryptoError::UnalignedBuffer { len, block } => {
-                write!(f, "buffer of {len} bytes is not a multiple of the {block}-byte block")
+                write!(
+                    f,
+                    "buffer of {len} bytes is not a multiple of the {block}-byte block"
+                )
             }
             CryptoError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             CryptoError::TagMismatch { addr, block } => {

@@ -198,7 +198,10 @@ mod tests {
         assert_eq!(tc.flip_ciphertext_bit(32 * 8), Some(0), "wraps");
         assert!(tc.flip_tag_bit(5, 3));
         assert_eq!(tc.tags[1][0], 8);
-        let mut empty = TaggedCiphertext { bytes: vec![], tags: vec![] };
+        let mut empty = TaggedCiphertext {
+            bytes: vec![],
+            tags: vec![],
+        };
         assert_eq!(empty.flip_ciphertext_bit(0), None);
         assert!(!empty.flip_tag_bit(0, 0));
     }

@@ -128,7 +128,13 @@ mod tests {
             .collect();
         for (i, a) in tenants.iter().enumerate() {
             for b in tenants.iter().skip(i + 1) {
-                assert_ne!(a.key(), b.key(), "key collision {} vs {}", a.tenant(), b.tenant());
+                assert_ne!(
+                    a.key(),
+                    b.key(),
+                    "key collision {} vs {}",
+                    a.tenant(),
+                    b.tenant()
+                );
                 assert_ne!(a.nonce(), b.nonce(), "nonce collision");
             }
         }

@@ -99,11 +99,21 @@ fn counter_cache_accounting() {
         let mut cc = CounterCache::new(CounterCacheConfig::with_kilobytes(24)).unwrap();
         for &a in &addrs {
             cc.access(a);
-            assert!(cc.access(a), "case {case}: immediate re-access of {a:#x} must hit");
+            assert!(
+                cc.access(a),
+                "case {case}: immediate re-access of {a:#x} must hit"
+            );
         }
         let stats = cc.stats();
-        assert_eq!(stats.hits + stats.misses, 2 * addrs.len() as u64, "case {case}");
-        assert!(stats.hit_rate() >= 0.5, "case {case}: at least the re-touches hit");
+        assert_eq!(
+            stats.hits + stats.misses,
+            2 * addrs.len() as u64,
+            "case {case}"
+        );
+        assert!(
+            stats.hit_rate() >= 0.5,
+            "case {case}: at least the re-touches hit"
+        );
     }
 }
 

@@ -90,10 +90,7 @@ impl Dataset {
         }
         let len: usize = self.images.shape().dims()[1..].iter().product();
         let data = self.images.as_slice()[i * len..(i + 1) * len].to_vec();
-        Ok((
-            Tensor::from_vec(data, self.sample_shape())?,
-            self.labels[i],
-        ))
+        Ok((Tensor::from_vec(data, self.sample_shape())?, self.labels[i]))
     }
 
     /// Builds a dataset from a subset of sample indices.
@@ -129,7 +126,11 @@ impl Dataset {
     ///
     /// Returns [`DataError::InvalidDataset`] if `fraction` is outside
     /// `(0, 1)`.
-    pub fn split(&self, fraction: f64, rng: &mut impl Rng) -> Result<(Dataset, Dataset), DataError> {
+    pub fn split(
+        &self,
+        fraction: f64,
+        rng: &mut impl Rng,
+    ) -> Result<(Dataset, Dataset), DataError> {
         if !(0.0..=1.0).contains(&fraction) {
             return Err(DataError::InvalidDataset {
                 reason: format!("split fraction {fraction} outside [0, 1]"),

@@ -176,10 +176,7 @@ impl SyntheticCifar {
         use seal_tensor::rng::seq::SliceRandom;
         order.shuffle(rng);
         Dataset::new(
-            seal_tensor::Tensor::from_vec(
-                data,
-                seal_tensor::Shape::nchw(n, 3, hw, hw),
-            )?,
+            seal_tensor::Tensor::from_vec(data, seal_tensor::Shape::nchw(n, 3, hw, hw))?,
             labels,
             self.num_classes,
         )?
@@ -246,9 +243,7 @@ mod tests {
     #[test]
     fn labels_cover_all_classes_eventually() {
         let gen = SyntheticCifar::new(4, 10);
-        let data = gen
-            .generate(&mut StdRng::seed_from_u64(0), 400)
-            .unwrap();
+        let data = gen.generate(&mut StdRng::seed_from_u64(0), 400).unwrap();
         let mut seen = [false; 10];
         for &l in data.labels() {
             seen[l] = true;

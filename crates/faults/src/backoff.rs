@@ -22,7 +22,11 @@ impl Backoff {
     /// `max` (values are swapped if given in the wrong order, so the
     /// schedule is always well-formed).
     pub fn new(base: Duration, max: Duration) -> Self {
-        let (lo, hi) = if base <= max { (base, max) } else { (max, base) };
+        let (lo, hi) = if base <= max {
+            (base, max)
+        } else {
+            (max, base)
+        };
         Backoff {
             base: lo,
             max: hi,

@@ -323,7 +323,9 @@ impl FaultConfig {
             + u64::from(self.deadline_bust_per_mille);
         if per_mille > 1000 {
             return Err(FaultError::InvalidConfig {
-                reason: format!("per-request fault rates sum to {per_mille}\u{2030} > 1000\u{2030}"),
+                reason: format!(
+                    "per-request fault rates sum to {per_mille}\u{2030} > 1000\u{2030}"
+                ),
             });
         }
         let net_per_mille = u64::from(self.malformed_per_mille)
@@ -584,7 +586,10 @@ mod tests {
     fn quiescent_plan_injects_nothing() {
         let p = FaultPlan::new(5, FaultConfig::quiescent()).unwrap();
         assert!((0..1000).all(|i| p.request_fault(i).is_none()));
-        assert_eq!(p.planned_request_faults(1000), RequestFaultCounts::default());
+        assert_eq!(
+            p.planned_request_faults(1000),
+            RequestFaultCounts::default()
+        );
         assert!(!FaultConfig::quiescent().any_enabled());
         assert!(FaultConfig::chaos_smoke().any_enabled());
     }
@@ -594,8 +599,7 @@ mod tests {
         // Any split of 0..100 into segments yields the same crossing sum.
         let whole = FaultPlan::crossings(7, 0, 100);
         for split in [1u64, 13, 50, 99] {
-            let sum =
-                FaultPlan::crossings(7, 0, split) + FaultPlan::crossings(7, split, 100);
+            let sum = FaultPlan::crossings(7, 0, split) + FaultPlan::crossings(7, split, 100);
             assert_eq!(sum, whole, "split {split}");
         }
         assert_eq!(FaultPlan::crossings(0, 0, 100), 0);
@@ -671,7 +675,10 @@ mod tests {
         let counts = p.planned_net_faults(1000);
         assert_eq!(counts.total(), counts.drain_disconnects, "{counts:?}");
         // 250‰ over 1000 clients: comfortably nonzero and non-total.
-        assert!((100..=400).contains(&counts.drain_disconnects), "{counts:?}");
+        assert!(
+            (100..=400).contains(&counts.drain_disconnects),
+            "{counts:?}"
+        );
         assert_eq!(counts, p.planned_net_faults(1000), "re-plan must agree");
         assert!(FaultConfig::drain_smoke().any_enabled());
     }

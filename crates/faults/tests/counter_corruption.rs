@@ -3,9 +3,7 @@
 //! restore consistent counters, and a tampered counter must never decrypt
 //! silently.
 
-use seal_crypto::{
-    Aes128, CounterCache, CounterCacheConfig, CryptoError, CtrCipher, Key128,
-};
+use seal_crypto::{Aes128, CounterCache, CounterCacheConfig, CryptoError, CtrCipher, Key128};
 use seal_faults::{FaultConfig, FaultPlan};
 
 fn plan(seed: u64) -> FaultPlan {
@@ -22,7 +20,7 @@ fn corruption_then_refill_restores_consistency_for_any_seed() {
         let cfg = CounterCacheConfig::with_kilobytes(24);
         let mut cc = CounterCache::new(cfg).expect("valid geometry");
         let pages: u64 = 512; // 2 MB of data → heavier than the 24 KB cache
-        // Interleave accesses with seeded corruption of resident lines.
+                              // Interleave accesses with seeded corruption of resident lines.
         for step in 0..4_000u64 {
             let addr = (p.draw(1, step) % pages) * cfg.coverage_bytes as u64;
             cc.access(addr);

@@ -213,7 +213,8 @@ impl GpuConfig {
             let penalty_ok = row_miss_penalty >= 0.0 && row_miss_penalty.is_finite();
             if banks == 0 || row_bytes == 0 || !penalty_ok {
                 return Err(SimError::InvalidConfig {
-                    reason: "banked DRAM timing needs positive banks/row and non-negative penalty".into(),
+                    reason: "banked DRAM timing needs positive banks/row and non-negative penalty"
+                        .into(),
                 });
             }
         }
@@ -265,9 +266,8 @@ mod tests {
         for cfg in [GpuConfig::hbm_accelerator(), GpuConfig::edge_npu()] {
             assert!(cfg.validate().is_ok(), "{}", cfg.name);
         }
-        let gap = |c: &GpuConfig| {
-            c.total_dram_gbps / (c.engine.throughput_gbps * c.num_channels as f64)
-        };
+        let gap =
+            |c: &GpuConfig| c.total_dram_gbps / (c.engine.throughput_gbps * c.num_channels as f64);
         assert!(gap(&GpuConfig::hbm_accelerator()) > 6.0);
         assert!(gap(&GpuConfig::edge_npu()) < 2.5);
         assert!(gap(&GpuConfig::gtx480()) > 3.5);

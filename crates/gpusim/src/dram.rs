@@ -17,7 +17,6 @@
 //! GDDR5-era defaults: 2 KB rows, 16 banks per channel, ~40 ns
 //! row-cycle penalty (≈ 56 cycles at 1.4 GHz).
 
-
 /// Channel timing model selector.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DramTiming {

@@ -359,7 +359,10 @@ mod tests {
         let mut m = mc(EncryptionMode::None);
         let a = m.service(0.0, &read(0, false));
         let b = m.service(0.0, &read(128, false));
-        assert!((b - a - 6.06).abs() < 1e-9, "second line waits one service slot");
+        assert!(
+            (b - a - 6.06).abs() < 1e-9,
+            "second line waits one service slot"
+        );
     }
 
     #[test]

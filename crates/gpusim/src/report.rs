@@ -1,4 +1,3 @@
-
 use crate::EncryptionMode;
 
 /// Per-memory-controller statistics of one run.
@@ -95,8 +94,7 @@ impl SimReport {
         }
         let extra: u64 = self.per_mc.iter().map(|m| m.extra_counter_lines).sum();
         let bytes = self.traffic_bytes + extra * line_bytes;
-        bytes as f64 / (self.cycles / (clock_ghz * 1e9))
-            / 1e9
+        bytes as f64 / (self.cycles / (clock_ghz * 1e9)) / 1e9
     }
 }
 

@@ -2,9 +2,7 @@ use seal_crypto::CounterCacheConfig;
 
 use crate::mc::{CounterMode, DirectMode, Mode, PlainMode};
 use crate::workload::Requests;
-use crate::{
-    EncryptionMode, GpuConfig, McReport, MemoryController, SimError, SimReport, Workload,
-};
+use crate::{EncryptionMode, GpuConfig, McReport, MemoryController, SimError, SimReport, Workload};
 
 /// `hashed % n` for a channel count `n` fixed per run, without a division
 /// on the common path: Lemire's multiply-high remainder ("Faster Remainder
@@ -119,8 +117,8 @@ impl Simulator {
             .collect::<Result<_, _>>()?;
 
         // Front-end pacing: the compute/issue work spread over the trace.
-        let frontend_cycles =
-            workload.instructions() as f64 / (cfg.peak_issue_per_cycle * workload.frontend_efficiency());
+        let frontend_cycles = workload.instructions() as f64
+            / (cfg.peak_issue_per_cycle * workload.frontend_efficiency());
         let gap = if total == 0 {
             0.0
         } else {
@@ -283,7 +281,12 @@ mod tests {
         let wl = streaming(64 << 20, true);
         let d = run(EncryptionMode::Direct, &wl);
         let c = run(EncryptionMode::Counter, &wl);
-        assert!(c.cycles >= d.cycles * 0.95, "direct {} counter {}", d.cycles, c.cycles);
+        assert!(
+            c.cycles >= d.cycles * 0.95,
+            "direct {} counter {}",
+            d.cycles,
+            c.cycles
+        );
     }
 
     #[test]

@@ -115,7 +115,14 @@ impl Region {
 
     /// Switches to a tiled matrix walk.
     #[must_use]
-    pub fn tiled(mut self, rows: u64, row_bytes: u64, tile_rows: u64, tile_cols: u64, passes: f64) -> Self {
+    pub fn tiled(
+        mut self,
+        rows: u64,
+        row_bytes: u64,
+        tile_rows: u64,
+        tile_cols: u64,
+        passes: f64,
+    ) -> Self {
         self.pattern = AccessPattern::Tiled {
             rows,
             row_bytes,
@@ -902,7 +909,11 @@ impl Merge {
         } else {
             // Insertion step: lanes due before this one move up a seat.
             let mut seat = 0;
-            while self.order.get(seat + 1).is_some_and(|&next| next < (due, index)) {
+            while self
+                .order
+                .get(seat + 1)
+                .is_some_and(|&next| next < (due, index))
+            {
                 self.order[seat] = self.order[seat + 1];
                 seat += 1;
             }

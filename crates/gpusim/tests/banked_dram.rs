@@ -66,11 +66,11 @@ fn banked_model_punishes_bank_camping() {
         // accesses stride 32 KB = 16 DRAM rows, so every access opens a
         // fresh row on the same bank of its channel.
         let region = Region::read("r", 0, 64 << 20).tiled(
-            2048,            // rows of the logical matrix
-            32 * 1024,       // 32 KB per row
-            2048,            // all rows in one tile → column-major order
-            128,             // one line per column step
-            0.05,            // small sample
+            2048,      // rows of the logical matrix
+            32 * 1024, // 32 KB per row
+            2048,      // all rows in one tile → column-major order
+            128,       // one line per column step
+            0.05,      // small sample
         );
         b = b.region(region);
         b.build().unwrap()
@@ -102,7 +102,10 @@ fn encryption_ordering_holds_under_banked_timing() {
         .unwrap()
         .run(&wl)
         .unwrap();
-    assert!(direct.cycles > base.cycles * 2.0, "engine still the bottleneck");
+    assert!(
+        direct.cycles > base.cycles * 2.0,
+        "engine still the bottleneck"
+    );
 }
 
 #[test]

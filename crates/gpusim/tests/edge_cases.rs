@@ -36,7 +36,11 @@ fn workload_without_requests_takes_its_frontend_time() {
         .unwrap();
     assert_eq!(wl.requests(128).len(), 0);
     assert_eq!(wl.requests(128).next(), None);
-    for mode in [EncryptionMode::None, EncryptionMode::Direct, EncryptionMode::Counter] {
+    for mode in [
+        EncryptionMode::None,
+        EncryptionMode::Direct,
+        EncryptionMode::Counter,
+    ] {
         let cfg = GpuConfig::gtx480();
         let frontend = 816_000.0 / (cfg.peak_issue_per_cycle * wl.frontend_efficiency());
         let r = Simulator::new(cfg, mode).unwrap().run(&wl).unwrap();
@@ -105,7 +109,12 @@ fn eight_engines_per_mc_remove_the_encryption_penalty() {
         .unwrap()
         .run(&wl)
         .unwrap();
-    assert!(enc.cycles < base.cycles * 1.1, "{} vs {}", enc.cycles, base.cycles);
+    assert!(
+        enc.cycles < base.cycles * 1.1,
+        "{} vs {}",
+        enc.cycles,
+        base.cycles
+    );
 }
 
 #[test]

@@ -100,9 +100,18 @@ fn utilisations_are_fractions() {
         let mut rng = StdRng::seed_from_u64(0xF2AC + case);
         let wl = arb_workload(&mut rng);
         for mode in [EncryptionMode::None, EncryptionMode::Counter] {
-            let r = Simulator::new(GpuConfig::gtx480(), mode).unwrap().run(&wl).unwrap();
-            assert!((0.0..=1.0 + 1e-9).contains(&r.dram_utilisation()), "case {case}");
-            assert!((0.0..=1.0 + 1e-9).contains(&r.engine_utilisation()), "case {case}");
+            let r = Simulator::new(GpuConfig::gtx480(), mode)
+                .unwrap()
+                .run(&wl)
+                .unwrap();
+            assert!(
+                (0.0..=1.0 + 1e-9).contains(&r.dram_utilisation()),
+                "case {case}"
+            );
+            assert!(
+                (0.0..=1.0 + 1e-9).contains(&r.engine_utilisation()),
+                "case {case}"
+            );
             assert!((0.0..=1.0).contains(&r.counter_hit_rate()), "case {case}");
         }
     }
@@ -114,16 +123,25 @@ fn more_engines_never_slower() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xE61E + case);
         let wl = arb_workload(&mut rng);
-        let one = Simulator::new(GpuConfig::gtx480().with_engines_per_mc(1), EncryptionMode::Direct)
-            .unwrap()
-            .run(&wl)
-            .unwrap()
-            .cycles;
-        let two = Simulator::new(GpuConfig::gtx480().with_engines_per_mc(2), EncryptionMode::Direct)
-            .unwrap()
-            .run(&wl)
-            .unwrap()
-            .cycles;
-        assert!(two <= one + 1e-6, "case {case}: two engines {two} vs one {one}");
+        let one = Simulator::new(
+            GpuConfig::gtx480().with_engines_per_mc(1),
+            EncryptionMode::Direct,
+        )
+        .unwrap()
+        .run(&wl)
+        .unwrap()
+        .cycles;
+        let two = Simulator::new(
+            GpuConfig::gtx480().with_engines_per_mc(2),
+            EncryptionMode::Direct,
+        )
+        .unwrap()
+        .run(&wl)
+        .unwrap()
+        .cycles;
+        assert!(
+            two <= one + 1e-6,
+            "case {case}: two engines {two} vs one {one}"
+        );
     }
 }

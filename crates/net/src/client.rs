@@ -82,7 +82,9 @@ impl FrameClient {
     ///
     /// Returns [`NetError::Io`] when the write fails.
     pub fn send_raw(&mut self, bytes: &[u8]) -> Result<(), NetError> {
-        self.stream.write_all(bytes).map_err(NetError::io("send_raw"))
+        self.stream
+            .write_all(bytes)
+            .map_err(NetError::io("send_raw"))
     }
 
     /// Receives the next frame, blocking up to the connect-time read

@@ -134,9 +134,16 @@ impl Frame {
     /// of [`encode`](Self::encode) for callers that batch frames into one
     /// reused buffer.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        encode_with(out, self.kind, self.tenant, self.seq, self.payload.len(), |out| {
-            out.extend_from_slice(&self.payload);
-        });
+        encode_with(
+            out,
+            self.kind,
+            self.tenant,
+            self.seq,
+            self.payload.len(),
+            |out| {
+                out.extend_from_slice(&self.payload);
+            },
+        );
     }
 }
 
@@ -153,7 +160,10 @@ pub fn encode_with(
     len: usize,
     body: impl FnOnce(&mut Vec<u8>),
 ) {
-    debug_assert!(len <= MAX_PAYLOAD, "payload of {len} bytes cannot be decoded");
+    debug_assert!(
+        len <= MAX_PAYLOAD,
+        "payload of {len} bytes cannot be decoded"
+    );
     out.extend_from_slice(&MAGIC.to_be_bytes());
     out.push(VERSION);
     out.push(kind.to_wire());
@@ -335,7 +345,9 @@ mod tests {
     #[test]
     fn encode_with_zero_fills_a_short_body_to_the_declared_length() {
         let mut out = Vec::new();
-        encode_with(&mut out, FrameKind::Response, 3, 9, 6, |out| out.extend_from_slice(&[7, 8]));
+        encode_with(&mut out, FrameKind::Response, 3, 9, 6, |out| {
+            out.extend_from_slice(&[7, 8])
+        });
         assert_eq!(out, Frame::response(3, 9, vec![7, 8, 0, 0, 0, 0]).encode());
     }
 
@@ -409,7 +421,10 @@ mod tests {
         wire[16..20].copy_from_slice(&(MAX_PAYLOAD as u32 + 1).to_be_bytes());
         let mut dec = FrameDecoder::new();
         dec.push(&wire);
-        assert!(matches!(dec.next_frame(), Err(FrameError::Oversized { .. })));
+        assert!(matches!(
+            dec.next_frame(),
+            Err(FrameError::Oversized { .. })
+        ));
     }
 
     #[test]
@@ -465,6 +480,10 @@ mod tests {
             assert!(dec.next_frame().unwrap().is_some());
         }
         // The consumed prefix must have been reclaimed along the way.
-        assert!(dec.buf.len() < 3 * wire.len(), "buf grew: {}", dec.buf.len());
+        assert!(
+            dec.buf.len() < 3 * wire.len(),
+            "buf grew: {}",
+            dec.buf.len()
+        );
     }
 }

@@ -253,7 +253,11 @@ impl ReplyBatch {
                 run.frames += 1;
                 run.len += len;
             }
-            _ => self.runs.push(Run { conn, frames: 1, len }),
+            _ => self.runs.push(Run {
+                conn,
+                frames: 1,
+                len,
+            }),
         }
     }
 
@@ -472,16 +476,8 @@ impl<H: Handler> Reactor<H> {
         let epoll = sys::Epoll::new()?;
         let (listener, port) = sys::listen_tcp(config.port, config.backlog)?;
         let wake = Arc::new(sys::WakePipe::new()?);
-        epoll.add(
-            &listener,
-            LISTENER_TOKEN,
-            sys::Interest { writable: false },
-        )?;
-        epoll.add(
-            wake.reader(),
-            WAKE_TOKEN,
-            sys::Interest { writable: false },
-        )?;
+        epoll.add(&listener, LISTENER_TOKEN, sys::Interest { writable: false })?;
+        epoll.add(wake.reader(), WAKE_TOKEN, sys::Interest { writable: false })?;
         Ok(Reactor {
             config,
             epoll,
@@ -566,10 +562,7 @@ impl<H: Handler> Reactor<H> {
                     token => self.conn_ready(token, ev),
                 }
             }
-            if self
-                .accept_retry_at
-                .is_some_and(|at| Instant::now() >= at)
-            {
+            if self.accept_retry_at.is_some_and(|at| Instant::now() >= at) {
                 self.accept_retry_at = None;
                 self.accept_ready();
             }
@@ -616,7 +609,8 @@ impl<H: Handler> Reactor<H> {
         // iteration makes progress; the fd-exhaustion arm breaks out and
         // defers re-accept until the `accept_backoff` deadline (honoured
         // by the epoll timeout) instead of sleeping the reactor thread.
-        loop { // seal-lint: allow(retry-backoff)
+        // seal-lint: allow(retry-backoff)
+        loop {
             match sys::accept_nonblocking(&self.listener) {
                 Ok(Some(fd)) => {
                     self.accept_backoff.reset();
@@ -653,8 +647,7 @@ impl<H: Handler> Reactor<H> {
                     // the accept and retry after a capped backoff — an
                     // in-flight close usually frees an fd first.
                     self.stats.accept_deferred += 1;
-                    self.accept_retry_at =
-                        Some(Instant::now() + self.accept_backoff.next_delay());
+                    self.accept_retry_at = Some(Instant::now() + self.accept_backoff.next_delay());
                     break;
                 }
                 Err(_) => break, // unknown errno: drop this edge, not the reactor
@@ -695,11 +688,7 @@ impl<H: Handler> Reactor<H> {
 
     /// Closes `id` if it is retiring and fully settled.
     fn finish_retirement(&mut self, id: ConnId) {
-        if self
-            .conns
-            .get(&id)
-            .is_some_and(Conn::retirement_complete)
-        {
+        if self.conns.get(&id).is_some_and(Conn::retirement_complete) {
             self.stats.keepalive_closed += 1;
             self.close_conn(id, CloseReason::KeepaliveExhausted);
         }
@@ -935,8 +924,8 @@ impl<H: Handler> Reactor<H> {
         } else if conn.write_pending_since.is_none() {
             conn.write_pending_since = Some(Instant::now());
         }
-        let overflow = self.config.max_outbox_bytes > 0
-            && conn.pending_bytes() > self.config.max_outbox_bytes;
+        let overflow =
+            self.config.max_outbox_bytes > 0 && conn.pending_bytes() > self.config.max_outbox_bytes;
         let want_write = conn.pending_out() && !overflow;
         if want_write != conn.watching_write {
             conn.watching_write = want_write;
@@ -1017,12 +1006,7 @@ mod tests {
             reply.push(Frame::response(frame.tenant, frame.seq, payload).encode());
         }
 
-        fn on_protocol_error(
-            &mut self,
-            _conn: ConnId,
-            err: &FrameError,
-            reply: &mut Vec<Vec<u8>>,
-        ) {
+        fn on_protocol_error(&mut self, _conn: ConnId, err: &FrameError, reply: &mut Vec<Vec<u8>>) {
             reply.push(Frame::reject(0, 0, format!("{err}").into_bytes()).encode());
         }
 
@@ -1065,7 +1049,9 @@ mod tests {
         let (port, control, handle, _rx) = start_echo(ReactorConfig::default());
         let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
         // An immediate reply left unwritten must fail this test, not hang it.
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         for seq in 0..10u64 {
             let req = Frame::request(3, seq, vec![1, 2, 3, seq as u8]);
             stream.write_all(&req.encode()).unwrap();
@@ -1095,7 +1081,10 @@ mod tests {
         let mut rest = Vec::new();
         let _ = stream.read_to_end(&mut rest);
         let reason = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(reason, CloseReason::Protocol(FrameError::BadMagic { .. })));
+        assert!(matches!(
+            reason,
+            CloseReason::Protocol(FrameError::BadMagic { .. })
+        ));
         control.shutdown();
         let stats = handle.join().unwrap();
         assert_eq!(stats.protocol_errors, 1);
@@ -1156,7 +1145,9 @@ mod tests {
 
         let mut stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
         // A lost wake must fail this test, not hang it.
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         stream
             .write_all(&Frame::request(8, 77, vec![5]).encode())
             .unwrap();
@@ -1164,9 +1155,14 @@ mod tests {
         let (conn, frame) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(frame.seq, 77);
         let mut replies = ReplyBatch::new();
-        replies.push(conn, |out| Frame::response(8, 77, vec![42]).encode_into(out));
+        replies.push(conn, |out| {
+            Frame::response(8, 77, vec![42]).encode_into(out)
+        });
         responder.send(&mut replies);
-        assert!(replies.is_empty(), "a send leaves the batch ready for reuse");
+        assert!(
+            replies.is_empty(),
+            "a send leaves the batch ready for reuse"
+        );
         let resp = read_frame(&mut stream);
         assert_eq!(resp.payload, vec![42]);
         control.shutdown();
@@ -1212,10 +1208,16 @@ mod tests {
     fn reply_batch_merges_consecutive_frames_for_one_connection() {
         let mut replies = ReplyBatch::new();
         for (conn, seq) in [(7, 0), (7, 1), (9, 2), (7, 3)] {
-            replies.push(conn, |out| Frame::response(0, seq, vec![seq as u8; 3]).encode_into(out));
+            replies.push(conn, |out| {
+                Frame::response(0, seq, vec![seq as u8; 3]).encode_into(out)
+            });
         }
         let frame = crate::frame::HEADER_LEN + 3;
-        let run = |conn, frames| Run { conn, frames, len: frames as usize * frame };
+        let run = |conn, frames| Run {
+            conn,
+            frames,
+            len: frames as usize * frame,
+        };
         assert_eq!(replies.runs, [run(7, 2), run(9, 1), run(7, 1)]);
         assert_eq!(replies.bytes.len(), 4 * frame);
     }
@@ -1272,7 +1274,11 @@ mod tests {
             mailbox.take(&mut inbound);
             taken.extend(inbound.runs.iter().map(|run| run.conn));
             taken.sort_unstable();
-            assert_eq!(taken, [0, 1, 2], "schedule {schedule:?} lost or repeated a post");
+            assert_eq!(
+                taken,
+                [0, 1, 2],
+                "schedule {schedule:?} lost or repeated a post"
+            );
         }
 
         fn extend(schedule: &mut Vec<usize>, left: &mut [u8; OPS], count: &mut u32) {
@@ -1306,12 +1312,15 @@ mod tests {
         let (port, control, handle, _rx) = start_echo(config);
         let mut keep = TcpStream::connect(("127.0.0.1", port)).unwrap();
         // Prove the first conn is established end-to-end before the probe.
-        keep.write_all(&Frame::request(0, 1, vec![]).encode()).unwrap();
+        keep.write_all(&Frame::request(0, 1, vec![]).encode())
+            .unwrap();
         let _ = read_frame(&mut keep);
         let mut probe = TcpStream::connect(("127.0.0.1", port)).unwrap();
         // The reactor accepts then immediately closes the excess conn.
         let mut buf = [0u8; 16];
-        probe.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        probe
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         let n = probe.read(&mut buf).unwrap_or(0);
         assert_eq!(n, 0, "excess connection should see EOF");
         control.shutdown();

@@ -55,11 +55,7 @@ mod c {
             len: *mut socklen_t,
             flags: c_int,
         ) -> c_int;
-        pub(crate) fn getsockname(
-            fd: c_int,
-            addr: *mut sockaddr_in,
-            len: *mut socklen_t,
-        ) -> c_int;
+        pub(crate) fn getsockname(fd: c_int, addr: *mut sockaddr_in, len: *mut socklen_t) -> c_int;
         pub(crate) fn setsockopt(
             fd: c_int,
             level: c_int,
@@ -466,10 +462,7 @@ impl Epoll {
 
     fn ctl(&self, op: c::c_int, fd: &Fd, token: u64, interest: Interest) -> io::Result<()> {
         let mut ev = c::epoll_event {
-            events: EPOLLIN
-                | EPOLLRDHUP
-                | EPOLLET
-                | if interest.writable { EPOLLOUT } else { 0 },
+            events: EPOLLIN | EPOLLRDHUP | EPOLLET | if interest.writable { EPOLLOUT } else { 0 },
             data: token,
         };
         // SAFETY: `ev` is a live, initialised `epoll_event` the kernel
@@ -531,7 +524,12 @@ impl Epoll {
             // `epoll_event` records and `max_events` is exactly its
             // length, so the kernel writes only within it.
             let n = unsafe {
-                c::epoll_wait(self.fd.raw(), buf.as_mut_ptr(), buf.len() as c::c_int, timeout_ms)
+                c::epoll_wait(
+                    self.fd.raw(),
+                    buf.as_mut_ptr(),
+                    buf.len() as c::c_int,
+                    timeout_ms,
+                )
             };
             if n >= 0 {
                 for ev in buf.iter().take(n as usize) {
@@ -685,7 +683,9 @@ mod tests {
     fn accept_errno_classification() {
         assert!(is_fd_exhausted(&io::Error::from_raw_os_error(EMFILE)));
         assert!(is_fd_exhausted(&io::Error::from_raw_os_error(ENFILE)));
-        assert!(!is_fd_exhausted(&io::Error::from_raw_os_error(ECONNABORTED)));
+        assert!(!is_fd_exhausted(&io::Error::from_raw_os_error(
+            ECONNABORTED
+        )));
         assert!(is_conn_aborted(&io::Error::from_raw_os_error(ECONNABORTED)));
         assert!(!is_conn_aborted(&io::Error::from_raw_os_error(EAGAIN)));
         assert!(is_would_block(&io::Error::from_raw_os_error(EAGAIN)));

@@ -196,7 +196,10 @@ fn an_append_that_crosses_the_outbox_cap_closes_once_as_slow_reader() {
     let (_, reason) = server.closes.recv_timeout(WAIT).unwrap();
     assert_eq!(reason, CloseReason::SlowReader);
     assert!(
-        server.closes.recv_timeout(Duration::from_millis(100)).is_err(),
+        server
+            .closes
+            .recv_timeout(Duration::from_millis(100))
+            .is_err(),
         "one connection, one close"
     );
     let stats = server.stop();
@@ -223,12 +226,18 @@ fn a_retiring_connection_closes_after_the_append_that_settles_its_last_frame() {
         assert_eq!(wire.read_frame().expect("a reply").seq, seq);
     }
     assert!(
-        server.closes.recv_timeout(Duration::from_millis(100)).is_err(),
+        server
+            .closes
+            .recv_timeout(Duration::from_millis(100))
+            .is_err(),
         "still owed an answer"
     );
     server.answer(&requests[2..], 1);
     assert_eq!(wire.read_frame().expect("the last reply").seq, 2);
-    assert!(wire.read_frame().is_none(), "EOF once everything is settled");
+    assert!(
+        wire.read_frame().is_none(),
+        "EOF once everything is settled"
+    );
     let (_, reason) = server.closes.recv_timeout(WAIT).unwrap();
     assert_eq!(reason, CloseReason::KeepaliveExhausted);
     let stats = server.stop();
@@ -302,7 +311,10 @@ fn a_batch_is_split_per_connection_and_a_dead_connection_drops_by_frames() {
     }
     let stats = server.stop();
     assert_eq!(stats.frames_out, 4);
-    assert_eq!(stats.dropped_responses, 2, "dropped frames, not dropped runs");
+    assert_eq!(
+        stats.dropped_responses, 2,
+        "dropped frames, not dropped runs"
+    );
     assert_eq!(stats.wakeups, 1);
     assert_eq!(stats.socket_writes, 2, "one write per live connection");
 }

@@ -123,13 +123,16 @@ fn typed_errors_are_stable_across_chunkings() {
         let mut rng = Rng(seed.wrapping_mul(0xD134_2543_DE82_EF95) | 1);
         let (got, err) = decode_chunked(&stream, |_| 1 + rng.below(97) as usize);
         assert_eq!(got.as_slice(), &frames[..3], "seed {seed}: prefix diverged");
-        assert_eq!(err, Some(reference_err.clone()), "seed {seed}: error diverged");
+        assert_eq!(
+            err,
+            Some(reference_err.clone()),
+            "seed {seed}: error diverged"
+        );
     }
 
     // A bad kind byte deeper in the stream is equally stable.
     let mut stream = wire(&frames);
-    let kind_off: usize =
-        frames[..5].iter().map(|f| f.encode().len()).sum::<usize>() + 3;
+    let kind_off: usize = frames[..5].iter().map(|f| f.encode().len()).sum::<usize>() + 3;
     stream[kind_off] = 0xEE;
     let (reference, reference_err) = decode_chunked(&stream, |r| r);
     assert_eq!(reference.as_slice(), &frames[..5]);
@@ -138,7 +141,11 @@ fn typed_errors_are_stable_across_chunkings() {
         let mut rng = Rng(seed ^ 0xABCD_EF01_2345_6789);
         let (got, err) = decode_chunked(&stream, |_| 1 + rng.below(13) as usize);
         assert_eq!(got.as_slice(), &frames[..5], "seed {seed}: prefix diverged");
-        assert_eq!(err, Some(reference_err.clone()), "seed {seed}: error diverged");
+        assert_eq!(
+            err,
+            Some(reference_err.clone()),
+            "seed {seed}: error diverged"
+        );
     }
 
     // Truncation is not an error at the decoder layer: a clean prefix

@@ -81,7 +81,9 @@ struct Wire {
 impl Wire {
     fn connect(port: u16) -> Wire {
         let stream = TcpStream::connect(("127.0.0.1", port)).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
         Wire {
             stream,
             dec: FrameDecoder::new(),
@@ -130,7 +132,10 @@ fn pipeline_cap_rejects_then_closes_repeat_offender() {
         assert_eq!(reject.seq, seq);
         assert_eq!(reject.payload, b"pipeline");
     }
-    assert!(wire.read_frame().is_none(), "expected EOF after abuse close");
+    assert!(
+        wire.read_frame().is_none(),
+        "expected EOF after abuse close"
+    );
     let reason = rx.recv_timeout(Duration::from_secs(5)).unwrap();
     assert_eq!(reason, CloseReason::PipelineAbuse);
     control.shutdown();
@@ -239,8 +244,10 @@ fn drain_sends_goaway_freezes_accepts_and_keeps_serving() {
     // Accepts are frozen: the kernel may complete the handshake from the
     // backlog, but the reactor never services the socket.
     let mut late = TcpStream::connect(("127.0.0.1", port)).unwrap();
-    late.set_read_timeout(Some(Duration::from_millis(300))).unwrap();
-    late.write_all(&Frame::request(1, 9, vec![]).encode()).unwrap();
+    late.set_read_timeout(Some(Duration::from_millis(300)))
+        .unwrap();
+    late.write_all(&Frame::request(1, 9, vec![]).encode())
+        .unwrap();
     let mut buf = [0u8; 16];
     assert!(
         matches!(late.read(&mut buf), Err(_) | Ok(0)),
@@ -267,7 +274,9 @@ fn capped_rcvbuf_client_still_roundtrips_when_reading() {
     let (port, control, handle, _rx) = start(ReactorConfig::default(), |tx| Echo { closes: tx });
     let mut client =
         FrameClient::connect_with_rcvbuf(port, Duration::from_secs(5), 8 * 1024).unwrap();
-    client.send(&Frame::request(2, 11, vec![9; 100_000])).unwrap();
+    client
+        .send(&Frame::request(2, 11, vec![9; 100_000]))
+        .unwrap();
     let resp = client.recv().unwrap();
     assert_eq!(resp.kind, FrameKind::Response);
     assert_eq!(resp.payload.len(), 100_000);

@@ -353,8 +353,7 @@ mod tests {
                 }
             }
             let mean: f32 = vals.iter().sum::<f32>() / vals.len() as f32;
-            let var: f32 =
-                vals.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / vals.len() as f32;
+            let var: f32 = vals.iter().map(|v| (v - mean).powi(2)).sum::<f32>() / vals.len() as f32;
             assert!(mean.abs() < 1e-4, "mean {mean}");
             assert!((var - 1.0).abs() < 1e-2, "var {var}");
         }
@@ -428,7 +427,9 @@ mod tests {
     #[test]
     fn channel_mismatch_rejected() {
         let mut bn = BatchNorm2d::new("bn", 3).unwrap();
-        assert!(bn.forward(&Tensor::zeros(Shape::nchw(1, 2, 2, 2)), true).is_err());
+        assert!(bn
+            .forward(&Tensor::zeros(Shape::nchw(1, 2, 2, 2)), true)
+            .is_err());
         assert!(BatchNorm2d::new("z", 0).is_err());
     }
 }

@@ -1,5 +1,5 @@
-use seal_tensor::rng::Rng;
 use seal_tensor::ops::{conv2d, conv2d_backward, Conv2dGeometry};
+use seal_tensor::rng::Rng;
 use seal_tensor::{he_normal, Shape, Tensor};
 
 use crate::{Layer, LayerKind, NnError, Param};
@@ -86,11 +86,7 @@ impl Conv2d {
     /// Panics if `i >= in_channels()`.
     pub fn kernel_row_l1(&self, i: usize) -> f32 {
         assert!(i < self.in_channels(), "kernel row {i} out of range");
-        let (co, ci, k) = (
-            self.out_channels(),
-            self.in_channels(),
-            self.geom.kernel,
-        );
+        let (co, ci, k) = (self.out_channels(), self.in_channels(), self.geom.kernel);
         let w = self.weights.value.as_slice();
         let mut acc = 0.0f32;
         for o in 0..co {
@@ -104,7 +100,9 @@ impl Conv2d {
 
     /// ℓ1-norms of all kernel rows, in row order.
     pub fn kernel_row_l1_all(&self) -> Vec<f32> {
-        (0..self.in_channels()).map(|i| self.kernel_row_l1(i)).collect()
+        (0..self.in_channels())
+            .map(|i| self.kernel_row_l1(i))
+            .collect()
     }
 }
 
@@ -128,7 +126,12 @@ impl Layer for Conv2d {
     }
 
     fn forward_infer(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        Ok(conv2d(input, &self.weights.value, Some(&self.bias.value), &self.geom)?)
+        Ok(conv2d(
+            input,
+            &self.weights.value,
+            Some(&self.bias.value),
+            &self.geom,
+        )?)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Result<Tensor, NnError> {

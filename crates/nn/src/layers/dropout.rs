@@ -135,9 +135,15 @@ mod tests {
         let x = Tensor::ones(Shape::vector(10_000));
         let y = d.forward(&x, true).unwrap();
         let mean = y.sum() / y.len() as f32;
-        assert!((mean - 1.0).abs() < 0.05, "inverted dropout preserves E[x]: {mean}");
+        assert!(
+            (mean - 1.0).abs() < 0.05,
+            "inverted dropout preserves E[x]: {mean}"
+        );
         // Survivors are scaled by 2.
-        assert!(y.as_slice().iter().all(|v| *v == 0.0 || (*v - 2.0).abs() < 1e-6));
+        assert!(y
+            .as_slice()
+            .iter()
+            .all(|v| *v == 0.0 || (*v - 2.0).abs() < 1e-6));
     }
 
     #[test]

@@ -157,8 +157,8 @@ mod tests {
     #[test]
     fn max_pool_roundtrip() {
         let mut p = MaxPool2d::new("p", PoolGeometry::halving());
-        let x = Tensor::from_vec((0..16).map(|v| v as f32).collect(), Shape::nchw(1, 1, 4, 4))
-            .unwrap();
+        let x =
+            Tensor::from_vec((0..16).map(|v| v as f32).collect(), Shape::nchw(1, 1, 4, 4)).unwrap();
         let y = p.forward(&x, true).unwrap();
         assert_eq!(y.shape().dims(), &[1, 1, 2, 2]);
         let gi = p.backward(&Tensor::ones(y.shape().clone())).unwrap();
@@ -176,7 +176,13 @@ mod tests {
 
     #[test]
     fn output_shape_agrees_with_forward() {
-        let mut p = MaxPool2d::new("p", PoolGeometry { window: 3, stride: 2 });
+        let mut p = MaxPool2d::new(
+            "p",
+            PoolGeometry {
+                window: 3,
+                stride: 2,
+            },
+        );
         let x = Tensor::zeros(Shape::nchw(2, 3, 9, 9));
         let y = p.forward(&x, false).unwrap();
         assert_eq!(y.shape(), &p.output_shape(x.shape()).unwrap());

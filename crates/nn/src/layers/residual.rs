@@ -64,10 +64,7 @@ impl ResidualBlock {
         Ok(x)
     }
 
-    fn backprop_branch(
-        layers: &mut [Box<dyn Layer>],
-        grad: &Tensor,
-    ) -> Result<Tensor, NnError> {
+    fn backprop_branch(layers: &mut [Box<dyn Layer>], grad: &Tensor) -> Result<Tensor, NnError> {
         let mut g = grad.clone();
         for layer in layers.iter_mut().rev() {
             g = layer.backward(&g)?;
@@ -231,9 +228,9 @@ impl Layer for ResidualBlock {
 mod tests {
     use super::*;
     use crate::layers::{BatchNorm2d, Conv2d, ReLU};
+    use seal_tensor::ops::Conv2dGeometry;
     use seal_tensor::rng::rngs::StdRng;
     use seal_tensor::rng::SeedableRng;
-    use seal_tensor::ops::Conv2dGeometry;
 
     fn identity_block(rng: &mut StdRng, ch: usize) -> ResidualBlock {
         let main: Vec<Box<dyn Layer>> = vec![

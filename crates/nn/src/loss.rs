@@ -89,12 +89,12 @@ impl SoftmaxCrossEntropy {
     ///
     /// Returns [`NnError::BackwardBeforeForward`] if `forward` has not run.
     pub fn backward(&mut self) -> Result<Tensor, NnError> {
-        let (probs, labels) =
-            self.cached
-                .take()
-                .ok_or_else(|| NnError::BackwardBeforeForward {
-                    layer: "softmax_cross_entropy".into(),
-                })?;
+        let (probs, labels) = self
+            .cached
+            .take()
+            .ok_or_else(|| NnError::BackwardBeforeForward {
+                layer: "softmax_cross_entropy".into(),
+            })?;
         let (batch, classes) = (probs.shape().dim(0), probs.shape().dim(1));
         let mut grad = probs;
         {
@@ -188,9 +188,13 @@ mod tests {
         for idx in 0..6 {
             let orig = logits.as_slice()[idx];
             logits.as_mut_slice()[idx] = orig + eps;
-            let up = SoftmaxCrossEntropy::new().forward(&logits, &labels).unwrap();
+            let up = SoftmaxCrossEntropy::new()
+                .forward(&logits, &labels)
+                .unwrap();
             logits.as_mut_slice()[idx] = orig - eps;
-            let dn = SoftmaxCrossEntropy::new().forward(&logits, &labels).unwrap();
+            let dn = SoftmaxCrossEntropy::new()
+                .forward(&logits, &labels)
+                .unwrap();
             logits.as_mut_slice()[idx] = orig;
             let numeric = (up - dn) / (2.0 * eps);
             assert!(

@@ -96,7 +96,10 @@ impl Sequential {
 
     /// All trainable parameters, in a stable order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        self.layers.iter_mut().flat_map(|l| l.params_mut()).collect()
+        self.layers
+            .iter_mut()
+            .flat_map(|l| l.params_mut())
+            .collect()
     }
 
     /// Shared view of all parameters.
@@ -133,7 +136,10 @@ impl Sequential {
     /// (recursing through residual blocks) — the inventory the SEAL smart
     /// encryption scheme ranks.
     pub fn kernel_matrices(&self) -> Vec<crate::layer::KernelMatrix> {
-        self.layers.iter().flat_map(|l| l.kernel_matrices()).collect()
+        self.layers
+            .iter()
+            .flat_map(|l| l.kernel_matrices())
+            .collect()
     }
 
     /// Mutable weight parameters of every kernel matrix, paired with layer

@@ -61,7 +61,12 @@ pub fn mlp(rng: &mut impl Rng, config: &MlpConfig) -> Result<Sequential, NnError
     model.push(Box::new(Flatten::new("flatten")));
     let mut prev = config.input_features;
     for (i, &width) in config.hidden.iter().enumerate() {
-        model.push(Box::new(Linear::new(rng, format!("fc{}", i + 1), prev, width)?));
+        model.push(Box::new(Linear::new(
+            rng,
+            format!("fc{}", i + 1),
+            prev,
+            width,
+        )?));
         model.push(Box::new(ReLU::new(format!("relu{}", i + 1))));
         prev = width;
     }

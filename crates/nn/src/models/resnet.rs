@@ -2,8 +2,8 @@
 //! convolution, four stages of basic blocks, global average pooling and one
 //! FC classifier — the paper's "17/18" and "33/34" CONV layer counts.
 
-use seal_tensor::rng::Rng;
 use seal_tensor::ops::{Conv2dGeometry, PoolGeometry};
+use seal_tensor::rng::Rng;
 use seal_tensor::Shape;
 
 use crate::layers::{AvgPool2d, BatchNorm2d, Conv2d, Flatten, Linear, ReLU, ResidualBlock};
@@ -174,7 +174,9 @@ pub fn resnet(rng: &mut impl Rng, config: &ResNetConfig) -> Result<Sequential, N
 fn resnet_topology(depth: usize, blocks: [usize; 4]) -> NetworkTopology {
     let mut b = NetworkTopology::build(format!("resnet{depth}"), Shape::nchw(1, 3, 32, 32))
         .expect("static geometry is valid");
-    b = b.conv("conv1", 64, 3, 1, 1).expect("static geometry is valid");
+    b = b
+        .conv("conv1", 64, 3, 1, 1)
+        .expect("static geometry is valid");
     let widths = [64usize, 128, 256, 512];
     let mut in_ch = 64;
     for (stage, (&width, &nblocks)) in widths.iter().zip(blocks.iter()).enumerate() {

@@ -1,8 +1,8 @@
 //! VGG-16 (Simonyan & Zisserman) in its CIFAR-10 form: 13 CONV + 3 FC
 //! layers — the paper's "13/16" convolutional layer count.
 
-use seal_tensor::rng::Rng;
 use seal_tensor::ops::{Conv2dGeometry, PoolGeometry};
+use seal_tensor::rng::Rng;
 use seal_tensor::Shape;
 
 use crate::layers::{BatchNorm2d, Conv2d, Dropout, Flatten, Linear, MaxPool2d, ReLU};
@@ -132,12 +132,22 @@ pub fn vgg16(rng: &mut impl Rng, config: &VggConfig) -> Result<Sequential, NnErr
     if config.dropout > 0.0 {
         model.push(Box::new(Dropout::new("drop1", config.dropout, rng.gen())?));
     }
-    model.push(Box::new(Linear::new(rng, "fc2", config.fc_width, config.fc_width)?));
+    model.push(Box::new(Linear::new(
+        rng,
+        "fc2",
+        config.fc_width,
+        config.fc_width,
+    )?));
     model.push(Box::new(ReLU::new("relu_fc2")));
     if config.dropout > 0.0 {
         model.push(Box::new(Dropout::new("drop2", config.dropout, rng.gen())?));
     }
-    model.push(Box::new(Linear::new(rng, "fc3", config.fc_width, config.num_classes)?));
+    model.push(Box::new(Linear::new(
+        rng,
+        "fc3",
+        config.fc_width,
+        config.num_classes,
+    )?));
     Ok(model)
 }
 
@@ -206,12 +216,7 @@ mod tests {
         let weight_layers = m
             .layers()
             .iter()
-            .filter(|l| {
-                matches!(
-                    l.kind(),
-                    crate::LayerKind::Conv | crate::LayerKind::Fc
-                )
-            })
+            .filter(|l| matches!(l.kind(), crate::LayerKind::Conv | crate::LayerKind::Fc))
             .count();
         assert_eq!(weight_layers, 16);
     }

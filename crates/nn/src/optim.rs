@@ -245,7 +245,11 @@ mod tests {
             p.mask = Some(mask);
             frozen_val = p.value.as_slice()[0];
         }
-        Sgd::new(0.5).with_momentum(0.9).with_weight_decay(0.01).step(&mut m).unwrap();
+        Sgd::new(0.5)
+            .with_momentum(0.9)
+            .with_weight_decay(0.01)
+            .step(&mut m)
+            .unwrap();
         assert_eq!(m.params()[0].value.as_slice()[0], frozen_val);
         // Unfrozen neighbour did move.
         assert!(m.params()[0].grad.as_slice()[1] != 0.0);

@@ -139,7 +139,9 @@ mod tests {
             .with(Box::new(ReLU::new("relu1")))
             .with(Box::new(MaxPool2d::new("pool1", PoolGeometry::halving())))
             .with(Box::new(Flatten::new("flatten")))
-            .with(Box::new(Linear::new(&mut rng, "fc", 8 * 8 * 8, 10).unwrap()));
+            .with(Box::new(
+                Linear::new(&mut rng, "fc", 8 * 8 * 8, 10).unwrap(),
+            ));
         let report = check_model(&model, &Shape::nchw(1, 3, 16, 16)).unwrap();
         assert_eq!(report.steps.len(), 5);
         assert_eq!(report.output().dims(), &[1, 10]);

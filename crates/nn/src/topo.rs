@@ -166,9 +166,7 @@ impl LayerTopo {
                 let per_output = 2 * kernel as u64 * kernel as u64 * in_channels as u64;
                 per_output * self.ofmap.volume() as u64
             }
-            LayerRole::Pool { window, .. } => {
-                (window * window) as u64 * self.ofmap.volume() as u64
-            }
+            LayerRole::Pool { window, .. } => (window * window) as u64 * self.ofmap.volume() as u64,
             LayerRole::Fc {
                 in_features,
                 out_features,
@@ -351,7 +349,11 @@ impl TopologyBuilder {
         stride: usize,
         padding: usize,
     ) -> Result<Self, NnError> {
-        let (c, h, w) = (self.current.dim(1), self.current.dim(2), self.current.dim(3));
+        let (c, h, w) = (
+            self.current.dim(1),
+            self.current.dim(2),
+            self.current.dim(3),
+        );
         let geom = seal_tensor::ops::Conv2dGeometry {
             kernel,
             stride,
@@ -385,8 +387,17 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] if the window does not fit.
-    pub fn pool(mut self, name: impl Into<String>, window: usize, stride: usize) -> Result<Self, NnError> {
-        let (c, h, w) = (self.current.dim(1), self.current.dim(2), self.current.dim(3));
+    pub fn pool(
+        mut self,
+        name: impl Into<String>,
+        window: usize,
+        stride: usize,
+    ) -> Result<Self, NnError> {
+        let (c, h, w) = (
+            self.current.dim(1),
+            self.current.dim(2),
+            self.current.dim(3),
+        );
         let geom = seal_tensor::ops::PoolGeometry { window, stride };
         let oh = geom.output_size(h).ok_or_else(|| NnError::InvalidConfig {
             reason: format!("pool window {window} does not fit height {h}"),

@@ -207,11 +207,8 @@ mod tests {
 
     #[test]
     fn gather_batch_collects_rows() {
-        let images = Tensor::from_vec(
-            (0..12).map(|v| v as f32).collect(),
-            Shape::nchw(3, 1, 2, 2),
-        )
-        .unwrap();
+        let images =
+            Tensor::from_vec((0..12).map(|v| v as f32).collect(), Shape::nchw(3, 1, 2, 2)).unwrap();
         let (batch, labels) = gather_batch(&images, &[9, 8, 7], &[2, 0]).unwrap();
         assert_eq!(batch.shape().dims(), &[2, 1, 2, 2]);
         assert_eq!(batch.as_slice()[0], 8.0);

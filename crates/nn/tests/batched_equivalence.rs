@@ -36,8 +36,7 @@ fn assert_batched_equals_singles(model: &Sequential, batched: &Tensor, singles: 
         let got = &out_batched.as_slice()[i * classes..(i + 1) * classes];
         let want = out_single.as_slice();
         assert_eq!(
-            got,
-            want,
+            got, want,
             "sample {i}: batched logits must equal the independent forward bitwise"
         );
     }

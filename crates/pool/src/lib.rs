@@ -661,7 +661,8 @@ where
     parallel_for(ranges.len(), |i| {
         let r = &ranges[i];
         // SAFETY: ranges validated disjoint and in bounds above.
-        let part = unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.end - r.start) };
+        let part =
+            unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.end - r.start) };
         f(i, part);
     });
 }
@@ -704,7 +705,10 @@ where
 /// # Errors
 ///
 /// Propagates the OS error if the thread cannot be created.
-pub fn spawn_worker<F, T>(name: impl Into<String>, f: F) -> std::io::Result<std::thread::JoinHandle<T>>
+pub fn spawn_worker<F, T>(
+    name: impl Into<String>,
+    f: F,
+) -> std::io::Result<std::thread::JoinHandle<T>>
 where
     F: FnOnce() -> T + Send + 'static,
     T: Send + 'static,

@@ -57,7 +57,9 @@ impl ArrivalSchedule {
         // clock; truncation happens once per offset, not per gap.
         let mut clock = 0.0f64;
         for i in 0..n {
-            let u = unit_f64(splitmix64(seed ^ GAP_DOMAIN ^ (i as u64).wrapping_mul(0xD6E8)));
+            let u = unit_f64(splitmix64(
+                seed ^ GAP_DOMAIN ^ (i as u64).wrapping_mul(0xD6E8),
+            ));
             // Inverse CDF: x = x_min * (1 - u)^(-1/alpha); u < 1 always.
             let gap = x_min * (1.0 - u).powf(-1.0 / alpha);
             // Cap any single gap at 1s so one extreme tail draw cannot

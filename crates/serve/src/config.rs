@@ -227,7 +227,10 @@ mod tests {
         let c = ServerConfig::net_smoke();
         assert!(c.validate().is_ok());
         assert_eq!(c.model, "mlp");
-        assert!(c.request_deadline > Duration::ZERO, "net queues need a deadline");
+        assert!(
+            c.request_deadline > Duration::ZERO,
+            "net queues need a deadline"
+        );
     }
 
     #[test]
@@ -247,13 +250,22 @@ mod tests {
                 Box::new(|c: &mut ServerConfig| c.workers = 0) as Box<dyn Fn(&mut ServerConfig)>,
                 "workers",
             ),
-            (Box::new(|c: &mut ServerConfig| c.max_batch = 0), "max_batch"),
+            (
+                Box::new(|c: &mut ServerConfig| c.max_batch = 0),
+                "max_batch",
+            ),
             (
                 Box::new(|c: &mut ServerConfig| c.queue_capacity = 0),
                 "queue_capacity",
             ),
-            (Box::new(|c: &mut ServerConfig| c.se_ratio = 1.5), "se_ratio"),
-            (Box::new(|c: &mut ServerConfig| c.clock_ghz = 0.0), "clock_ghz"),
+            (
+                Box::new(|c: &mut ServerConfig| c.se_ratio = 1.5),
+                "se_ratio",
+            ),
+            (
+                Box::new(|c: &mut ServerConfig| c.clock_ghz = 0.0),
+                "clock_ghz",
+            ),
             (
                 Box::new(|c: &mut ServerConfig| c.counter_cache_kb = 0),
                 "counter_cache_kb",

@@ -42,12 +42,11 @@
 //! pending stream out, lands above it, and sends that lane's later walks
 //! back to the per-page loop (same results, chaos runs only).
 
-use seal_crypto::{
-    Aes128, CounterCache, CryptoError, CtrCipher, EnginePipeline, EngineSpec,
-    Key128, TenantCrypto,
-};
 use seal_core::traffic::network_traffic_dt;
 use seal_core::{EncryptionPlan, Scheme, SePolicy};
+use seal_crypto::{
+    Aes128, CounterCache, CryptoError, CtrCipher, EnginePipeline, EngineSpec, Key128, TenantCrypto,
+};
 use seal_faults::{FaultConfig, FaultPlan};
 use seal_nn::{DType, NetworkTopology};
 
@@ -596,7 +595,10 @@ impl SchemeLane {
     ///
     /// [`access_run`]: CounterCache::access_run
     fn walk_counters(&mut self, batch: u64) -> u64 {
-        let mut misses = self.cache.access_run(self.weight_base, self.weight_pages).misses;
+        let mut misses = self
+            .cache
+            .access_run(self.weight_base, self.weight_pages)
+            .misses;
         let fmap_pages = (batch * self.fmap_enc).div_ceil(self.page_bytes);
         // The streaming cursor must never wander into the weight counter
         // window — that would let feature-map traffic alias (and, without
@@ -671,8 +673,7 @@ mod tests {
             full.makespan_cycles
         );
         assert!(
-            base.throughput_rps > seal.throughput_rps
-                && seal.throughput_rps > full.throughput_rps,
+            base.throughput_rps > seal.throughput_rps && seal.throughput_rps > full.throughput_rps,
             "throughput must order Baseline > SEAL-C > Counter"
         );
         assert_eq!(base.enc_bytes, 0);
@@ -768,7 +769,10 @@ mod tests {
             counts(sb),
             "fault event accounting is batch-composition invariant"
         );
-        assert!(sa.tampers_injected > 0, "37 samples at period 5 must tamper");
+        assert!(
+            sa.tampers_injected > 0,
+            "37 samples at period 5 must tamper"
+        );
         assert_eq!(sa.tampers_detected, sa.tampers_injected);
         assert_eq!(sa.silent_corruptions, 0, "every tamper caught by its MAC");
         assert!(sa.stalls_injected > 0 && sa.storms_injected > 0);
@@ -901,7 +905,6 @@ mod tests {
     }
 }
 
-
 #[cfg(test)]
 mod locality_tests {
     //! Satellite coverage for the counter-locality overhaul: a Fig.
@@ -935,7 +938,10 @@ mod locality_tests {
             for _ in 0..200 {
                 m.cost_batch(1);
             }
-            rates.push((kb, by_scheme(&m.summaries(), Scheme::Counter).counter_hit_rate));
+            rates.push((
+                kb,
+                by_scheme(&m.summaries(), Scheme::Counter).counter_hit_rate,
+            ));
         }
         for pair in rates.windows(2) {
             assert!(
@@ -969,7 +975,11 @@ mod locality_tests {
                 r.scheme,
                 r.counter_hit_rate
             );
-            assert!(r.ro_hits > 0, "weight window never pinned for {:?}", r.scheme);
+            assert!(
+                r.ro_hits > 0,
+                "weight window never pinned for {:?}",
+                r.scheme
+            );
             assert!(
                 r.prefetch_hits > 0,
                 "fmap stream never hit a prefetched line for {:?}",
@@ -999,7 +1009,10 @@ mod locality_tests {
             m.cost_batch(2);
         }
         let stats = m.fault_stats().expect("chaos armed");
-        assert!(stats.storms_injected > 0, "plan must actually inject storms");
+        assert!(
+            stats.storms_injected > 0,
+            "plan must actually inject storms"
+        );
         let full = by_scheme(&m.summaries(), Scheme::Counter);
         assert!(
             full.counter_hit_rate >= 0.5,

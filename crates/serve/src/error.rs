@@ -132,7 +132,10 @@ impl fmt::Display for ServeError {
             }
             ServeError::ShuttingDown => write!(f, "server is shutting down"),
             ServeError::DrainedAtShutdown { request_id } => {
-                write!(f, "request {request_id} drained at shutdown with no worker left")
+                write!(
+                    f,
+                    "request {request_id} drained at shutdown with no worker left"
+                )
             }
             ServeError::DeadlineExceeded {
                 request_id,
@@ -145,7 +148,10 @@ impl fmt::Display for ServeError {
                 deadline.as_micros()
             ),
             ServeError::WorkerPanicked { request_id } => {
-                write!(f, "worker panicked while serving request {request_id} (respawned)")
+                write!(
+                    f,
+                    "worker panicked while serving request {request_id} (respawned)"
+                )
             }
             ServeError::WorkerLost { request_id } => {
                 write!(f, "worker died before answering request {request_id}")
@@ -258,9 +264,7 @@ mod tests {
         assert!(e.source().is_some(), "io::Error context must survive");
         let e = ServeError::Crypto(seal_crypto::CryptoError::TagMismatch { addr: 64, block: 1 });
         assert!(e.source().unwrap().to_string().contains("tampered"));
-        let e = ServeError::Fault(seal_faults::FaultError::InvalidConfig {
-            reason: "x".into(),
-        });
+        let e = ServeError::Fault(seal_faults::FaultError::InvalidConfig { reason: "x".into() });
         assert!(e.source().is_some());
     }
 }

@@ -426,7 +426,9 @@ mod tests {
         q.try_push(0, 1).unwrap();
         let linger = Duration::from_secs(5);
         let started = Instant::now();
-        let batch = q.pop_batch_with(4, linger, |x| *x == 9, Vec::new()).unwrap();
+        let batch = q
+            .pop_batch_with(4, linger, |x| *x == 9, Vec::new())
+            .unwrap();
         assert_eq!(batch.items, vec![9]);
         assert!(started.elapsed() < linger, "the head barrier left at once");
     }
@@ -440,7 +442,9 @@ mod tests {
         q.try_push(1, 21).unwrap();
         // Lane 1's batch is whole and single-tenant; lane 0 resumes after.
         for want in [(0, vec![-1]), (1, vec![20, 21]), (0, vec![10])] {
-            let b = q.pop_batch_with(8, Duration::ZERO, |x| *x < 0, Vec::new()).unwrap();
+            let b = q
+                .pop_batch_with(8, Duration::ZERO, |x| *x < 0, Vec::new())
+                .unwrap();
             assert_eq!((b.tenant_index, b.items), want);
         }
     }
@@ -501,8 +505,10 @@ mod tests {
         let q2 = Arc::new(FairQueue::<u32>::new(&weights(1), 8, 1));
         let consumer = {
             let q2 = Arc::clone(&q2);
-            seal_pool::spawn_worker("test-consumer", move || q2.pop_batch(1, Duration::from_secs(5)))
-                .unwrap()
+            seal_pool::spawn_worker("test-consumer", move || {
+                q2.pop_batch(1, Duration::from_secs(5))
+            })
+            .unwrap()
         };
         std::thread::sleep(Duration::from_millis(10));
         q2.close();

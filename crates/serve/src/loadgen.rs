@@ -263,8 +263,16 @@ pub fn run_open_pareto(
         });
     }
     let schedule = ArrivalSchedule::pareto(seed, requests, mean_gap_us, alpha);
-    let offsets = schedule.offsets_us().iter().map(|&us| Duration::from_micros(us));
-    run_arrivals(server, LoadMode::OpenPareto { mean_gap_us, alpha }, offsets, seed)
+    let offsets = schedule
+        .offsets_us()
+        .iter()
+        .map(|&us| Duration::from_micros(us));
+    run_arrivals(
+        server,
+        LoadMode::OpenPareto { mean_gap_us, alpha },
+        offsets,
+        seed,
+    )
 }
 
 /// The open loop itself: one submission at each arrival offset from the

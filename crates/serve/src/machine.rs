@@ -276,10 +276,7 @@ pub(crate) fn worker_loop(m: &Machine) {
     let (max_batch, linger) = (m.config.max_batch, m.config.batch_deadline);
     // Each batch's rider list goes back to the queue to be refilled.
     let mut riders = Vec::new();
-    while let Some(mut batch) = m
-        .queue
-        .pop_batch_with(max_batch, linger, poisoned, riders)
-    {
+    while let Some(mut batch) = m.queue.pop_batch_with(max_batch, linger, poisoned, riders) {
         worker.handle(&mut batch);
         riders = batch.items;
     }
@@ -397,7 +394,9 @@ impl<'m> Worker<'m> {
                 }
             }
             let classified = plan.classify_into(input, classes);
-            classified.map_err(|e| locked(&m.errors).push(e.into())).ok()
+            classified
+                .map_err(|e| locked(&m.errors).push(e.into()))
+                .ok()
         });
         if classified.is_none() {
             // The batch dies, the worker lives on: every rider learns its

@@ -97,10 +97,7 @@ fn parse_args() -> Result<Option<Args>, String> {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut value = |flag: &str| {
-            it.next()
-                .ok_or_else(|| format!("{flag} requires a value"))
-        };
+        let mut value = |flag: &str| it.next().ok_or_else(|| format!("{flag} requires a value"));
         match a.as_str() {
             "--help" | "-h" => return Ok(None),
             "--smoke" => args.smoke = true,
@@ -111,9 +108,7 @@ fn parse_args() -> Result<Option<Args>, String> {
             "--net-requests" => {
                 args.net_requests = parse_num(&value("--net-requests")?, "--net-requests")?
             }
-            "--fault-seed" => {
-                args.fault_seed = parse_num(&value("--fault-seed")?, "--fault-seed")?
-            }
+            "--fault-seed" => args.fault_seed = parse_num(&value("--fault-seed")?, "--fault-seed")?,
             "--model" => args.config.model = value("--model")?,
             "--mode" => args.mode = value("--mode")?,
             "--requests" => args.requests = parse_num(&value("--requests")?, "--requests")?,
@@ -145,13 +140,16 @@ fn parse_args() -> Result<Option<Args>, String> {
         args.config.model = "vgg16".into();
         args.mode = "closed".into();
         args.requests = 100;
-        args.out.get_or_insert(PathBuf::from("results/serve_smoke.json"));
+        args.out
+            .get_or_insert(PathBuf::from("results/serve_smoke.json"));
     }
     if args.chaos {
-        args.out.get_or_insert(PathBuf::from("results/chaos_smoke.json"));
+        args.out
+            .get_or_insert(PathBuf::from("results/chaos_smoke.json"));
     }
     if args.net_smoke {
-        args.out.get_or_insert(PathBuf::from("results/serve_net.json"));
+        args.out
+            .get_or_insert(PathBuf::from("results/serve_net.json"));
     }
     if args.mode != "closed" && args.mode != "open" {
         return Err(format!("--mode must be closed or open, got {}", args.mode));
@@ -191,8 +189,7 @@ fn run_chaos(args: Args) -> Result<ExitCode, String> {
     }));
     let mut runs = Vec::with_capacity(2);
     for attempt in 1..=2 {
-        let server =
-            Server::start(ServerConfig::chaos_smoke(seed)).map_err(|e| e.to_string())?;
+        let server = Server::start(ServerConfig::chaos_smoke(seed)).map_err(|e| e.to_string())?;
         let load = loadgen::run_chaos(&server, args.requests, args.concurrency)
             .map_err(|e| e.to_string())?;
         let stats = server.shutdown().map_err(|e| e.to_string())?;
@@ -422,8 +419,9 @@ fn run(args: Args) -> Result<ExitCode, String> {
             ..report.config.clone()
         };
         let server = Server::start(q_config).map_err(|e| e.to_string())?;
-        let q_load = loadgen::run_closed(&server, args.requests, args.concurrency, report.config.seed)
-            .map_err(|e| e.to_string())?;
+        let q_load =
+            loadgen::run_closed(&server, args.requests, args.concurrency, report.config.seed)
+                .map_err(|e| e.to_string())?;
         let q_stats = server.shutdown().map_err(|e| e.to_string())?;
         let lanes: Vec<QuantLaneDelta> = COSTED_SCHEMES
             .iter()
@@ -469,9 +467,9 @@ fn run(args: Args) -> Result<ExitCode, String> {
         report.quant_comparison = Some(comparison);
     }
 
-    let out = args
-        .out
-        .unwrap_or_else(|| PathBuf::from(format!("results/serve_{}.json", report.load.mode.name())));
+    let out = args.out.unwrap_or_else(|| {
+        PathBuf::from(format!("results/serve_{}.json", report.load.mode.name()))
+    });
     report
         .write(&out)
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;

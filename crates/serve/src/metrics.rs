@@ -241,7 +241,10 @@ mod tests {
             let v = state >> (state % 58); // every octave from 2^6 up
             let bucket = bucket_of(v);
             let low = lower_bound(bucket);
-            assert!(low <= v && v - low <= low / SUB_BUCKETS as u64, "{v} in [{low}, …)");
+            assert!(
+                low <= v && v - low <= low / SUB_BUCKETS as u64,
+                "{v} in [{low}, …)"
+            );
             assert_eq!(bucket_of(low), bucket, "a lower bound is in its own bucket");
         }
         assert_eq!(bucket_of(u64::MAX), BUCKETS - 1);
@@ -273,7 +276,11 @@ mod tests {
             let rank = ((p / 100.0) * exact.len() as f64).ceil() as usize;
             let want = exact[rank.clamp(1, exact.len()) - 1];
             let got = h.percentile(p);
-            assert_eq!(bucket_of(got), bucket_of(want), "p{p}: {got} vs exact {want}");
+            assert_eq!(
+                bucket_of(got),
+                bucket_of(want),
+                "p{p}: {got} vs exact {want}"
+            );
             assert!(got <= want && want - got <= want / SUB_BUCKETS as u64);
         }
     }
@@ -282,7 +289,11 @@ mod tests {
     fn a_million_records_leave_size_and_heap_where_they_were() {
         use std::sync::atomic::{AtomicU64, Ordering};
         static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-        assert_eq!(std::mem::size_of::<LatencyHistogram>(), 5 * 8, "a boxed slice and three words");
+        assert_eq!(
+            std::mem::size_of::<LatencyHistogram>(),
+            5 * 8,
+            "a boxed slice and three words"
+        );
         let mut h = LatencyHistogram::new();
         let other = LatencyHistogram::new();
         crate::alloc_count::count_this_thread(&ALLOCATIONS);

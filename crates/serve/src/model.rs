@@ -217,7 +217,8 @@ mod tests {
                     .collect();
                 let want = m.concat_batch(&samples.iter().collect::<Vec<_>>()).unwrap();
                 assert_eq!(batch.shape(), want.shape(), "{name} at batch {n}");
-                let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let bits =
+                    |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(&batch), bits(&want), "{name} at batch {n}");
             }
         }

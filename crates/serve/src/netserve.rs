@@ -112,10 +112,17 @@ pub(crate) fn encode_reply(
     match outcome {
         // Admission capped `pad` at `MAX_RESPONSE_PAD`; `encode_with`
         // zero-fills it behind the twelve bytes written here.
-        Ok(class) => encode_with(out, FrameKind::Response, tenant, seq, 12 + pad as usize, |out| {
-            out.extend_from_slice(&(class as u32).to_le_bytes());
-            out.extend_from_slice(&user.to_le_bytes());
-        }),
+        Ok(class) => encode_with(
+            out,
+            FrameKind::Response,
+            tenant,
+            seq,
+            12 + pad as usize,
+            |out| {
+                out.extend_from_slice(&(class as u32).to_le_bytes());
+                out.extend_from_slice(&user.to_le_bytes());
+            },
+        ),
         Err(error) => Frame::reject(tenant, seq, reject_for(error)).encode_into(out),
     }
 }
@@ -240,9 +247,8 @@ impl Admission {
             }));
         };
         let body = frame.payload.as_slice();
-        let le_u64 = |b: &[u8]| {
-            u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
-        };
+        let le_u64 =
+            |b: &[u8]| u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]);
         let (user, pad) = match body.len() {
             8 => (le_u64(body), 0),
             16 => {
@@ -364,7 +370,10 @@ impl NetServer {
         let control = reactor.control();
 
         let reactor_join = seal_pool::spawn_worker("seal-net-reactor", move || reactor.run())
-            .map_err(|e| ServeError::WorkerSpawn { worker: 0, source: e })?;
+            .map_err(|e| ServeError::WorkerSpawn {
+                worker: 0,
+                source: e,
+            })?;
         shared.spawn_workers("seal-net-worker")?;
 
         Ok(NetServer {
@@ -497,7 +506,10 @@ mod tests {
             stream
                 .set_read_timeout(Some(Duration::from_secs(10)))
                 .unwrap();
-            Wire { stream, dec: FrameDecoder::new() }
+            Wire {
+                stream,
+                dec: FrameDecoder::new(),
+            }
         }
 
         /// Next frame, or `None` on orderly EOF / reset.
@@ -549,7 +561,10 @@ mod tests {
             .unwrap();
         let reply = client.recv().unwrap();
         assert_eq!(reply.kind, FrameKind::Reject);
-        assert_eq!(parse_reject(&reply.payload).unwrap().0, REJECT_UNKNOWN_TENANT);
+        assert_eq!(
+            parse_reject(&reply.payload).unwrap().0,
+            REJECT_UNKNOWN_TENANT
+        );
 
         client.send(&Frame::request(0, 2, vec![1, 2, 3])).unwrap();
         let reply = client.recv().unwrap();
@@ -630,7 +645,9 @@ mod tests {
         let mut wire = Wire::connect(server.port());
         // One write: the reactor sees all 8 frames in a single read
         // batch, before any worker response can settle in-flight.
-        let burst: Vec<u8> = (1..=8u64).flat_map(|seq| request_bytes(0, seq, seq)).collect();
+        let burst: Vec<u8> = (1..=8u64)
+            .flat_map(|seq| request_bytes(0, seq, seq))
+            .collect();
         wire.stream.write_all(&burst).unwrap();
         let mut responses = 0u32;
         let mut pipeline_rejects = 0u32;
@@ -657,7 +674,9 @@ mod tests {
         let server = NetServer::start(NetServerConfig::smoke(1)).unwrap();
         let mut wire = Wire::connect(server.port());
         const BURST: u64 = 48;
-        let burst: Vec<u8> = (0..BURST).flat_map(|seq| request_bytes(0, seq, seq)).collect();
+        let burst: Vec<u8> = (0..BURST)
+            .flat_map(|seq| request_bytes(0, seq, seq))
+            .collect();
         wire.stream.write_all(&burst).unwrap();
         // One reply back means the whole burst was admitted (a single
         // read batch) — drain with a zero window so the backlog must be
@@ -751,7 +770,10 @@ mod tests {
             }
         }
         let warm = WORKER_ALLOCATIONS.load(Ordering::SeqCst);
-        assert!(warm > 0, "the counter sees the worker (plans were compiled)");
+        assert!(
+            warm > 0,
+            "the counter sees the worker (plans were compiled)"
+        );
         for round in 0..20 {
             for tenant in 0..TENANTS {
                 burst(tenant, [max_batch, 5, 1][round % 3]);

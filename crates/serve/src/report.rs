@@ -22,9 +22,7 @@ use crate::{ServeError, ServerConfig, COSTED_SCHEMES};
 /// lanes that encrypt nothing or priced no batch are not judged.
 pub(crate) fn cold_counter_lane(row: &SchemeSummary) -> Option<String> {
     const FLOOR: f64 = 0.5;
-    (row.enc_bytes > 0
-        && row.counter_hits + row.counter_misses > 0
-        && row.counter_hit_rate < FLOOR)
+    (row.enc_bytes > 0 && row.counter_hits + row.counter_misses > 0 && row.counter_hit_rate < FLOOR)
         .then(|| {
             format!(
                 "{} lane counter hit rate {:.4} below the {FLOOR} floor",
@@ -199,10 +197,7 @@ impl ServeReport {
         );
         if let Some(q) = &self.quant_comparison {
             out.push_str("  \"quant\": {\n");
-            out.push_str(&format!(
-                "    \"f32_throughput_rps\": {:.3},\n",
-                q.f32_rps
-            ));
+            out.push_str(&format!("    \"f32_throughput_rps\": {:.3},\n", q.f32_rps));
             out.push_str(&format!(
                 "    \"int8_throughput_rps\": {:.3},\n",
                 q.int8_rps
@@ -286,10 +281,19 @@ impl ServeReport {
                 "    \"silent_corruptions\": {},\n",
                 f.silent_corruptions
             ));
-            out.push_str(&format!("    \"stalls_injected\": {},\n", f.stalls_injected));
-            out.push_str(&format!("    \"storms_injected\": {},\n", f.storms_injected));
+            out.push_str(&format!(
+                "    \"stalls_injected\": {},\n",
+                f.stalls_injected
+            ));
+            out.push_str(&format!(
+                "    \"storms_injected\": {},\n",
+                f.storms_injected
+            ));
             out.push_str(&format!("    \"recoveries\": {},\n", f.recoveries));
-            out.push_str(&format!("    \"recovery_cycles\": {},\n", f.recovery_cycles));
+            out.push_str(&format!(
+                "    \"recovery_cycles\": {},\n",
+                f.recovery_cycles
+            ));
             out.push_str(&format!("    \"stall_cycles\": {}\n", f.stall_cycles));
             out.push_str("  },\n");
         }
@@ -510,13 +514,22 @@ impl ChaosRun {
     fn violations(&self, label: &str) -> Vec<String> {
         let mut v = Vec::new();
         if !self.load.fully_accounted() {
-            v.push(format!("{label}: outcomes do not account for every request: {:?}", self.load));
+            v.push(format!(
+                "{label}: outcomes do not account for every request: {:?}",
+                self.load
+            ));
         }
         if self.load.timeouts > 0 {
-            v.push(format!("{label}: {} requests hung past the bounded wait", self.load.timeouts));
+            v.push(format!(
+                "{label}: {} requests hung past the bounded wait",
+                self.load.timeouts
+            ));
         }
         if self.load.lost > 0 {
-            v.push(format!("{label}: {} requests vanished without a typed answer", self.load.lost));
+            v.push(format!(
+                "{label}: {} requests vanished without a typed answer",
+                self.load.lost
+            ));
         }
         if self.load.shed != self.load.injected.deadline_busts as usize {
             v.push(format!(
@@ -588,7 +601,10 @@ impl ChaosSmoke {
             );
             for ((name, x), (_, y)) in a.iter().zip(&b) {
                 if x != y {
-                    v.push(format!("seed {}: {name} differs across runs: {x} vs {y}", self.seed));
+                    v.push(format!(
+                        "seed {}: {name} differs across runs: {x} vs {y}",
+                        self.seed
+                    ));
                 }
             }
         }
@@ -864,7 +880,9 @@ mod tests {
                 int8_lane: q_rows.iter().find(|r| r.scheme == s).unwrap().clone(),
             })
             .collect();
-        assert!(lanes.iter().all(|l| l.f32_lane.samples == l.int8_lane.samples));
+        assert!(lanes
+            .iter()
+            .all(|l| l.f32_lane.samples == l.int8_lane.samples));
         let mut report = smoke_report();
         report.quant_comparison = Some(QuantComparison {
             f32_rps: 100.0,
@@ -949,16 +967,32 @@ mod tests {
         });
         let gated = |r: &ServeReport| -> Vec<String> {
             let v = r.smoke_violations();
-            v.into_iter().filter(|v| v.contains("hit rate") || v.contains("slowdown")).collect()
+            v.into_iter()
+                .filter(|v| v.contains("hit rate") || v.contains("slowdown"))
+                .collect()
         };
         assert_eq!(gated(&report), Vec::<String>::new(), "the lanes start warm");
-        let seal = report.stats.schemes.iter_mut().find(|r| r.scheme == Scheme::SealCounter);
+        let seal = report
+            .stats
+            .schemes
+            .iter_mut()
+            .find(|r| r.scheme == Scheme::SealCounter);
         seal.unwrap().counter_hit_rate = 0.3;
-        assert_eq!(gated(&report), ["SEAL-C lane counter hit rate 0.3000 below the 0.5 floor"]);
-        let seal = report.stats.schemes.iter_mut().find(|r| r.scheme == Scheme::SealCounter);
+        assert_eq!(
+            gated(&report),
+            ["SEAL-C lane counter hit rate 0.3000 below the 0.5 floor"]
+        );
+        let seal = report
+            .stats
+            .schemes
+            .iter_mut()
+            .find(|r| r.scheme == Scheme::SealCounter);
         seal.unwrap().counter_hit_rate = 0.9;
         counter_lane(&mut report).slowdown_vs_baseline = 4.3;
-        assert_eq!(gated(&report), ["Counter slowdown 4.300 regressed above the 4.238 baseline"]);
+        assert_eq!(
+            gated(&report),
+            ["Counter slowdown 4.300 regressed above the 4.238 baseline"]
+        );
         // Outside a smoke run the mlp's Counter lane runs ~70x Baseline
         // (it encrypts every byte) and that is not a violation.
         report.quant_comparison = None;
@@ -974,6 +1008,8 @@ mod tests {
             row.throughput_rps = 1.0;
         }
         let violations = report.smoke_violations();
-        assert!(violations.iter().any(|v| v.contains("not strictly ordered")));
+        assert!(violations
+            .iter()
+            .any(|v| v.contains("not strictly ordered")));
     }
 }

@@ -49,7 +49,12 @@ pub struct TenantSpec {
 impl TenantSpec {
     /// A uniform-weight spec set for tenants `0..count`.
     pub fn uniform(count: u32) -> Vec<TenantSpec> {
-        (0..count).map(|t| TenantSpec { tenant: t, weight: 1 }).collect()
+        (0..count)
+            .map(|t| TenantSpec {
+                tenant: t,
+                weight: 1,
+            })
+            .collect()
     }
 
     /// A skewed spec set for tenants `0..count`: tenant `t` gets weight
@@ -204,7 +209,10 @@ impl TenantRegistry {
     /// The one-tenant registry the in-process [`Server`](crate::Server)
     /// runs on (tenant 0, weight 1, no counter window).
     pub(crate) fn solo(config: &ServerConfig) -> Result<Self, ServeError> {
-        let spec = TenantSpec { tenant: 0, weight: 1 };
+        let spec = TenantSpec {
+            tenant: 0,
+            weight: 1,
+        };
         Ok(TenantRegistry {
             tenants: vec![TenantState::new(config, spec, None)?],
             by_id: HashMap::from([(spec.tenant, 0)]),
@@ -300,7 +308,10 @@ mod tests {
         assert_eq!(reg.len(), 4);
         for i in 0..4 {
             for j in (i + 1)..4 {
-                let (a, b) = (reg.by_index(i).crypto().unwrap(), reg.by_index(j).crypto().unwrap());
+                let (a, b) = (
+                    reg.by_index(i).crypto().unwrap(),
+                    reg.by_index(j).crypto().unwrap(),
+                );
                 assert_ne!(a.key(), b.key());
                 assert_ne!(a.nonce(), b.nonce());
                 assert!(!a.owns_address(b.counter_base()));
@@ -319,15 +330,24 @@ mod tests {
         assert!(TenantRegistry::build(
             &cfg,
             1,
-            &[TenantSpec { tenant: 0, weight: 0 }]
+            &[TenantSpec {
+                tenant: 0,
+                weight: 0
+            }]
         )
         .is_err());
         assert!(TenantRegistry::build(
             &cfg,
             1,
             &[
-                TenantSpec { tenant: 3, weight: 1 },
-                TenantSpec { tenant: 3, weight: 2 }
+                TenantSpec {
+                    tenant: 3,
+                    weight: 1
+                },
+                TenantSpec {
+                    tenant: 3,
+                    weight: 2
+                }
             ]
         )
         .is_err());

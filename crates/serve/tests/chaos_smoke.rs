@@ -34,7 +34,10 @@ fn chaos_smoke_is_live_deterministic_and_never_silent() {
     assert!(faults.tampers_injected > 0);
     assert!(faults.stalls_injected > 0);
     assert!(faults.storms_injected > 0);
-    assert!(faults.recoveries > 0, "recovery was priced through the engine");
+    assert!(
+        faults.recoveries > 0,
+        "recovery was priced through the engine"
+    );
     assert!(faults.recovery_cycles > 0);
     assert!(faults.stall_cycles > 0);
 }
@@ -44,7 +47,11 @@ fn different_seeds_produce_different_schedules() {
     let a = chaos_run(1, 160);
     let b = chaos_run(2, 160);
     assert!(a.load.fully_accounted() && b.load.fully_accounted());
-    assert_eq!(a.load.timeouts + b.load.timeouts, 0, "liveness holds per seed");
+    assert_eq!(
+        a.load.timeouts + b.load.timeouts,
+        0,
+        "liveness holds per seed"
+    );
     assert_ne!(
         a.deterministic_counts(),
         b.deterministic_counts(),

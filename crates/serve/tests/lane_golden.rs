@@ -14,7 +14,10 @@ use seal_tensor::Shape;
 type Golden = (u64, [u64; 4]);
 
 /// `ServerConfig::smoke()` at f32 on full-size VGG-16.
-const SMOKE_F32: Golden = (0x4649_b953_01ab_e260, [3_891_296_300, 3_613_098, 2, 636_500]);
+const SMOKE_F32: Golden = (
+    0x4649_b953_01ab_e260,
+    [3_891_296_300, 3_613_098, 2, 636_500],
+);
 
 /// The mixed batch stream every golden prices, repeated 25 times.
 const STREAM: [usize; 8] = [8, 8, 1, 4, 8, 2, 8, 3];
@@ -139,7 +142,10 @@ fn lane_summaries_match_the_pre_closed_form_walk() {
         (
             "chaos_smoke(7), vgg16",
             single(&vgg, &chaos),
-            (0x143c_6b9b_0d8e_39ea, [6_756_170_150, 3_613_098, 5_602, 642_100]),
+            (
+                0x143c_6b9b_0d8e_39ea,
+                [6_756_170_150, 3_613_098, 5_602, 642_100],
+            ),
         ),
         (
             "chaos_smoke(7), mlp",
@@ -165,6 +171,10 @@ fn tenant_window_lanes_match_the_pre_closed_form_walk() {
         // rotates, no outcome moves, so every tenant prices exactly like
         // tenant-less smoke.
         let got = price(model);
-        assert_eq!(got, SMOKE_F32, "tenant {tenant}: ({:#018x}, {:?})", got.0, got.1);
+        assert_eq!(
+            got, SMOKE_F32,
+            "tenant {tenant}: ({:#018x}, {:?})",
+            got.0, got.1
+        );
     }
 }

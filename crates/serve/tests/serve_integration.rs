@@ -102,7 +102,10 @@ fn tiny_queue_exerts_backpressure_on_an_open_loop() {
             Err(e) => panic!("unexpected error: {e}"),
         }
     }
-    assert!(rejected > 0, "a queue of 1 must reject some of 200 rapid submissions");
+    assert!(
+        rejected > 0,
+        "a queue of 1 must reject some of 200 rapid submissions"
+    );
     assert!(!accepted.is_empty());
     for h in accepted {
         h.wait().unwrap();

@@ -36,7 +36,10 @@ impl Default for PoolGeometry {
     }
 }
 
-fn check_pool(input: &Tensor, geom: &PoolGeometry) -> Result<(usize, usize, usize, usize, usize, usize), TensorError> {
+fn check_pool(
+    input: &Tensor,
+    geom: &PoolGeometry,
+) -> Result<(usize, usize, usize, usize, usize, usize), TensorError> {
     if input.shape().rank() != 4 {
         return Err(TensorError::RankMismatch {
             expected: 4,
@@ -50,12 +53,16 @@ fn check_pool(input: &Tensor, geom: &PoolGeometry) -> Result<(usize, usize, usiz
         input.shape().dim(2),
         input.shape().dim(3),
     );
-    let oh = geom.output_size(h).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: format!("pool window {} does not fit height {h}", geom.window),
-    })?;
-    let ow = geom.output_size(w).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: format!("pool window {} does not fit width {w}", geom.window),
-    })?;
+    let oh = geom
+        .output_size(h)
+        .ok_or_else(|| TensorError::InvalidGeometry {
+            reason: format!("pool window {} does not fit height {h}", geom.window),
+        })?;
+    let ow = geom
+        .output_size(w)
+        .ok_or_else(|| TensorError::InvalidGeometry {
+            reason: format!("pool window {} does not fit width {w}", geom.window),
+        })?;
     Ok((n, c, h, w, oh, ow))
 }
 
@@ -294,12 +301,16 @@ fn check_pool_into(
     w: usize,
     geom: &PoolGeometry,
 ) -> Result<(usize, usize), TensorError> {
-    let oh = geom.output_size(h).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: format!("pool window {} does not fit height {h}", geom.window),
-    })?;
-    let ow = geom.output_size(w).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: format!("pool window {} does not fit width {w}", geom.window),
-    })?;
+    let oh = geom
+        .output_size(h)
+        .ok_or_else(|| TensorError::InvalidGeometry {
+            reason: format!("pool window {} does not fit height {h}", geom.window),
+        })?;
+    let ow = geom
+        .output_size(w)
+        .ok_or_else(|| TensorError::InvalidGeometry {
+            reason: format!("pool window {} does not fit width {w}", geom.window),
+        })?;
     for (expected, actual) in [(n * c * h * w, x.len()), (n * c * oh * ow, out.len())] {
         if expected != actual {
             return Err(TensorError::LengthMismatch { expected, actual });
@@ -366,12 +377,16 @@ pub fn avg_pool2d_backward(
         input_shape.dim(2),
         input_shape.dim(3),
     );
-    let oh = geom.output_size(h).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: "window does not fit".into(),
-    })?;
-    let ow = geom.output_size(w).ok_or_else(|| TensorError::InvalidGeometry {
-        reason: "window does not fit".into(),
-    })?;
+    let oh = geom
+        .output_size(h)
+        .ok_or_else(|| TensorError::InvalidGeometry {
+            reason: "window does not fit".into(),
+        })?;
+    let ow = geom
+        .output_size(w)
+        .ok_or_else(|| TensorError::InvalidGeometry {
+            reason: "window does not fit".into(),
+        })?;
     let expected = Shape::nchw(n, c, oh, ow);
     if !grad_output.shape().same_dims(&expected) {
         return Err(TensorError::ShapeMismatch {
@@ -408,11 +423,7 @@ mod tests {
     use super::*;
 
     fn input_4x4() -> Tensor {
-        Tensor::from_vec(
-            (0..16).map(|v| v as f32).collect(),
-            Shape::nchw(1, 1, 4, 4),
-        )
-        .unwrap()
+        Tensor::from_vec((0..16).map(|v| v as f32).collect(), Shape::nchw(1, 1, 4, 4)).unwrap()
     }
 
     #[test]

@@ -69,7 +69,11 @@ impl SeedableRng for StdRng {
         let mixed = splitmix64(seed);
         StdRng {
             // xorshift state must never be zero (zero is a fixed point).
-            state: if mixed == 0 { 0x6A09_E667_F3BC_C909 } else { mixed },
+            state: if mixed == 0 {
+                0x6A09_E667_F3BC_C909
+            } else {
+                mixed
+            },
         }
     }
 }

@@ -12,7 +12,9 @@ use seal_tensor::{Shape, Tensor};
 const CASES: u64 = 48;
 
 fn arb_tensor(rng: &mut StdRng, shape: Shape) -> Tensor {
-    let v: Vec<f32> = (0..shape.volume()).map(|_| rng.gen_range(-4.0f32..4.0)).collect();
+    let v: Vec<f32> = (0..shape.volume())
+        .map(|_| rng.gen_range(-4.0f32..4.0))
+        .collect();
     Tensor::from_vec(v, shape).expect("length matches")
 }
 
@@ -25,7 +27,10 @@ fn matmul_distributes_over_addition() {
         let b = seal_tensor::uniform(&mut rng, Shape::matrix(5, 3), -2.0, 2.0);
         let c = seal_tensor::uniform(&mut rng, Shape::matrix(5, 3), -2.0, 2.0);
         let left = matmul(&a, &b.add(&c).unwrap()).unwrap();
-        let right = matmul(&a, &b).unwrap().add(&matmul(&a, &c).unwrap()).unwrap();
+        let right = matmul(&a, &b)
+            .unwrap()
+            .add(&matmul(&a, &c).unwrap())
+            .unwrap();
         for (l, r) in left.as_slice().iter().zip(right.as_slice()) {
             assert!((l - r).abs() < 1e-3, "seed {seed}: {l} vs {r}");
         }
@@ -44,7 +49,11 @@ fn transpose_reverses_matmul() {
         for (l, r) in ab_t.as_slice().iter().zip(bt_at.as_slice()) {
             assert!((l - r).abs() < 1e-3, "seed {seed}");
         }
-        assert_eq!(a.transpose().unwrap().transpose().unwrap(), a, "seed {seed}");
+        assert_eq!(
+            a.transpose().unwrap().transpose().unwrap(),
+            a,
+            "seed {seed}"
+        );
     }
 }
 

@@ -38,14 +38,31 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             SecurityLevel::IpSafeOnly => "IP-safe, adv. leak",
             SecurityLevel::Degraded => "degraded",
         };
-        let marker = if (pct - 0.5).abs() < 1e-9 { "  ← paper's choice" } else { "" };
-        println!("{:>6.0}% {:>14.2} {:>26}{marker}", pct * 100.0, ipc / base, level);
+        let marker = if (pct - 0.5).abs() < 1e-9 {
+            "  ← paper's choice"
+        } else {
+            ""
+        };
+        println!(
+            "{:>6.0}% {:>14.2} {:>26}{marker}",
+            pct * 100.0,
+            ipc / base,
+            level
+        );
     }
-    println!("{:>7} {:>14} {:>26}", "Direct", format!("{:.2}", direct / base), "black-box equivalent");
+    println!(
+        "{:>7} {:>14} {:>26}",
+        "Direct",
+        format!("{:.2}", direct / base),
+        "black-box equivalent"
+    );
 
     // Inverse question: engines needed for Direct to match SEAL@50%.
     let seal50 = simulate_network(&cfg, &topo, &plan0, Scheme::SealDirect)?.overall_ipc();
-    println!("\nhow much silicon buys the same IPC as SEAL@50% ({:.2} of baseline)?", seal50 / base);
+    println!(
+        "\nhow much silicon buys the same IPC as SEAL@50% ({:.2} of baseline)?",
+        seal50 / base
+    );
     for engines in 1..=4usize {
         let cfg_n = cfg.clone().with_engines_per_mc(engines);
         let ipc = simulate_network(&cfg_n, &topo, &plan0, Scheme::Direct)?.overall_ipc();
@@ -55,7 +72,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ipc / base
         );
         if ipc >= seal50 {
-            println!("  → Direct needs {engines} engines/MC ({area:.1} mm²) to match SEAL's free lunch.");
+            println!(
+                "  → Direct needs {engines} engines/MC ({area:.1} mm²) to match SEAL's free lunch."
+            );
             break;
         }
     }

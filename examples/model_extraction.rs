@@ -39,7 +39,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let acc = ctx.test_accuracy(&mut white)?;
     let adv = craft_batch(&mut white, &ctx.test_data, examples, &fgsm)?;
     let t = transferability(&mut ctx.victim, &adv, SuccessCriterion::Untargeted)?;
-    println!("{:<22} {:>9.1}% {:>17.2}", "white-box (no enc)", acc * 100.0, t);
+    println!(
+        "{:<22} {:>9.1}% {:>17.2}",
+        "white-box (no enc)",
+        acc * 100.0,
+        t
+    );
 
     // SEAL at a leaky ratio and at the recommended ratio.
     for ratio in [0.2f64, 0.5] {
@@ -60,7 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let acc = ctx.test_accuracy(&mut black)?;
     let adv = craft_batch(&mut black, &ctx.test_data, examples, &fgsm)?;
     let t = transferability(&mut ctx.victim, &adv, SuccessCriterion::Untargeted)?;
-    println!("{:<22} {:>9.1}% {:>17.2}", "black-box (full enc)", acc * 100.0, t);
+    println!(
+        "{:<22} {:>9.1}% {:>17.2}",
+        "black-box (full enc)",
+        acc * 100.0,
+        t
+    );
 
     println!("\nthe 50% SEAL ratio buys black-box-equivalent protection while leaving");
     println!("half of every SE layer's traffic outside the AES engine.");

@@ -5,9 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use seal::core::{
-    network_traffic, simulate_network, EncryptionPlan, Scheme, SePolicy,
-};
+use seal::core::{network_traffic, simulate_network, EncryptionPlan, Scheme, SePolicy};
 use seal::gpusim::GpuConfig;
 use seal::nn::models::vgg16_topology;
 
@@ -51,9 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!(
-        "\nSEAL keeps the model as safe as full encryption (see the fig3/fig4 harnesses)"
-    );
+    println!("\nSEAL keeps the model as safe as full encryption (see the fig3/fig4 harnesses)");
     println!("while recovering most of the encryption-induced slowdown.");
     Ok(())
 }

@@ -10,12 +10,10 @@
 //! cargo run --release --example secure_inference
 //! ```
 
-use seal_tensor::rng::SeedableRng;
-use seal::core::{
-    derive_assignment, verify_assignment, EncryptionPlan, SePolicy, SecureHeap,
-};
+use seal::core::{derive_assignment, verify_assignment, EncryptionPlan, SePolicy, SecureHeap};
 use seal::crypto::Key128;
 use seal::nn::models::{vgg16, VggConfig};
+use seal_tensor::rng::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = seal_tensor::rng::rngs::StdRng::seed_from_u64(7);
@@ -25,7 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Verify the algebraic soundness of the plan before deploying it.
     let assignment = derive_assignment(&plan);
     verify_assignment(&assignment).map_err(|v| format!("unsound plan: {}", v[0]))?;
-    println!("channel-coupling invariant verified for {} layers ✓", assignment.len());
+    println!(
+        "channel-coupling invariant verified for {} layers ✓",
+        assignment.len()
+    );
 
     // Lay the first SE layer's weights out into heap regions row by row.
     let se_layer = plan
@@ -50,10 +51,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One region per row: emalloc for encrypted rows, malloc otherwise.
     // (A real runtime would group rows; one-per-row keeps the demo clear.)
-    let row_payload = |row: usize| -> Vec<u8> {
-        format!("row {row:04} l1={:8.4}", m.row_l1[row]).into_bytes()
-    };
-    println!("\n{:<6} {:<10} {:<26} leaks?", "row", "alloc", "bus view (first 16 B)");
+    let row_payload =
+        |row: usize| -> Vec<u8> { format!("row {row:04} l1={:8.4}", m.row_l1[row]).into_bytes() };
+    println!(
+        "\n{:<6} {:<10} {:<26} leaks?",
+        "row", "alloc", "bus view (first 16 B)"
+    );
     for row in [0usize, 1, 2, 3] {
         let encrypted = se_layer.is_row_encrypted(row);
         let payload = row_payload(row);
@@ -88,9 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    println!(
-        "\nimportant rows never cross the bus in plaintext; unimportant rows bypass"
-    );
+    println!("\nimportant rows never cross the bus in plaintext; unimportant rows bypass");
     println!("the AES engine — that bypass is the whole performance win.");
     Ok(())
 }

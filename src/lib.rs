@@ -51,8 +51,8 @@
 
 pub use seal_attack as attack;
 pub use seal_crypto as crypto;
-pub use seal_faults as faults;
 pub use seal_data as data;
+pub use seal_faults as faults;
 pub use seal_gpusim as gpusim;
 pub use seal_net as net;
 pub use seal_nn as nn;

@@ -103,10 +103,26 @@ fn latency_increases_match_fig8_ordering() {
                 .unwrap()
                 .latency_ms(cfg.core_clock_ghz)
         };
-        let (base, direct, seal) = (lat(Scheme::Baseline), lat(Scheme::Direct), lat(Scheme::SealDirect));
-        assert!(direct > base * 1.2, "{}: direct adds ≥20% latency", topo.name());
-        assert!(seal < direct * 0.95, "{}: SEAL cuts latency vs direct", topo.name());
-        assert!(seal >= base, "{}: SEAL is not faster than no encryption", topo.name());
+        let (base, direct, seal) = (
+            lat(Scheme::Baseline),
+            lat(Scheme::Direct),
+            lat(Scheme::SealDirect),
+        );
+        assert!(
+            direct > base * 1.2,
+            "{}: direct adds ≥20% latency",
+            topo.name()
+        );
+        assert!(
+            seal < direct * 0.95,
+            "{}: SEAL cuts latency vs direct",
+            topo.name()
+        );
+        assert!(
+            seal >= base,
+            "{}: SEAL is not faster than no encryption",
+            topo.name()
+        );
     }
 }
 
@@ -114,9 +130,8 @@ fn latency_increases_match_fig8_ordering() {
 fn every_plan_passes_the_coupling_invariant() {
     for topo in networks() {
         for ratio in [0.0, 0.25, 0.5, 0.75, 1.0] {
-            let plan =
-                EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(ratio))
-                    .unwrap();
+            let plan = EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(ratio))
+                .unwrap();
             let assignment = derive_assignment(&plan);
             assert!(
                 verify_assignment(&assignment).is_ok(),

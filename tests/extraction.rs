@@ -26,7 +26,10 @@ fn white_box_dominates_and_victim_learns() {
     );
     let mut white = ctx.white_box_substitute().unwrap();
     let wacc = ctx.test_accuracy(&mut white).unwrap();
-    assert!((wacc - ctx.victim_accuracy).abs() < 1e-6, "white-box IS the victim");
+    assert!(
+        (wacc - ctx.victim_accuracy).abs() < 1e-6,
+        "white-box IS the victim"
+    );
 
     let mut black = ctx.black_box_substitute(0).unwrap();
     let bacc = ctx.test_accuracy(&mut black).unwrap();
@@ -46,13 +49,11 @@ fn white_box_examples_transfer_better_than_black_box() {
 
     let mut white = ctx.white_box_substitute().unwrap();
     let adv_w = craft_batch(&mut white, &ctx.test_data, n, &fgsm).unwrap();
-    let t_white =
-        transferability(&mut ctx.victim, &adv_w, SuccessCriterion::Untargeted).unwrap();
+    let t_white = transferability(&mut ctx.victim, &adv_w, SuccessCriterion::Untargeted).unwrap();
 
     let mut black = ctx.black_box_substitute(0).unwrap();
     let adv_b = craft_batch(&mut black, &ctx.test_data, n, &fgsm).unwrap();
-    let t_black =
-        transferability(&mut ctx.victim, &adv_b, SuccessCriterion::Untargeted).unwrap();
+    let t_black = transferability(&mut ctx.victim, &adv_b, SuccessCriterion::Untargeted).unwrap();
 
     // White-box examples are crafted on the victim itself; they must
     // transfer near-perfectly and far better than black-box ones.

@@ -3,7 +3,6 @@
 //! the whole pipeline — plan, coupling invariant, traffic, simulation —
 //! on an FC-only model.
 
-use seal_tensor::rng::SeedableRng;
 use seal::core::{
     derive_assignment, network_traffic, simulate_network, verify_assignment, EncryptionPlan,
     Scheme, SePolicy,
@@ -11,6 +10,7 @@ use seal::core::{
 use seal::gpusim::GpuConfig;
 use seal::nn::models::{mlp, mlp_topology, MlpConfig};
 use seal::tensor::Shape;
+use seal_tensor::rng::SeedableRng;
 
 #[test]
 fn se_plans_apply_to_fc_only_networks() {

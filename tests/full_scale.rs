@@ -1,10 +1,10 @@
 //! Full-size model smoke tests: the paper-scale architectures must be
 //! constructible and runnable, not just their reduced variants.
 
-use seal_tensor::rng::SeedableRng;
 use seal::core::{EncryptionPlan, SePolicy};
 use seal::nn::models::{resnet, vgg16, ResNetConfig, VggConfig};
 use seal::tensor::{Shape, Tensor};
+use seal_tensor::rng::SeedableRng;
 
 #[test]
 fn full_vgg16_forward_and_plan() {

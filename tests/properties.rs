@@ -7,8 +7,8 @@
 //! seeded cases; a failure message always includes the case seed.
 
 use seal::core::{
-    derive_assignment, network_traffic, select_encrypted_rows, verify_assignment,
-    EncryptionPlan, ImportanceMetric, Scheme, SePolicy,
+    derive_assignment, network_traffic, select_encrypted_rows, verify_assignment, EncryptionPlan,
+    ImportanceMetric, Scheme, SePolicy,
 };
 use seal::crypto::{Aes128, CtrCipher, DirectCipher, Key128};
 use seal::gpusim::{EncryptionMode, GpuConfig, Region, Simulator, Workload};
@@ -53,8 +53,8 @@ fn any_plan_is_algebraically_sound() {
         let mut rng = StdRng::seed_from_u64(case);
         let topo = arb_topology(&mut rng);
         let ratio: f64 = rng.gen_range(0.0..=1.0);
-        let plan = EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(ratio))
-            .unwrap();
+        let plan =
+            EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(ratio)).unwrap();
         assert!(
             verify_assignment(&derive_assignment(&plan)).is_ok(),
             "case {case} ratio {ratio}"
@@ -72,8 +72,8 @@ fn traffic_is_conserved_and_monotone() {
         let lo: f64 = rng.gen_range(0.0..0.5);
         let hi = lo + rng.gen_range(0.0..0.5);
         let enc_at = |r: f64| -> (u64, u64) {
-            let plan = EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(r))
-                .unwrap();
+            let plan =
+                EncryptionPlan::from_topology(&topo, SePolicy::default().with_ratio(r)).unwrap();
             let splits = network_traffic(&topo, &plan, Scheme::SealDirect).unwrap();
             (
                 splits.iter().map(|l| l.encrypted_bytes()).sum(),
@@ -112,7 +112,10 @@ fn row_selection_is_well_formed() {
         let rows = select_encrypted_rows(&norms, ratio, metric).unwrap();
         let expected = (norms.len() as f64 * ratio).round() as usize;
         assert_eq!(rows.len(), expected, "case {case}");
-        assert!(rows.windows(2).all(|w| w[0] < w[1]), "case {case}: sorted unique");
+        assert!(
+            rows.windows(2).all(|w| w[0] < w[1]),
+            "case {case}: sorted unique"
+        );
         assert!(rows.iter().all(|&r| r < norms.len()), "case {case}");
     }
 }
@@ -127,7 +130,11 @@ fn ciphers_roundtrip() {
         let addr: u64 = rng.gen();
         let seed: u64 = rng.gen();
         let ctr = CtrCipher::new(Aes128::new(&Key128::from_seed(seed)), seed ^ 0xFF);
-        assert_eq!(ctr.decrypt(addr, &ctr.encrypt(addr, &data)), data, "case {case}");
+        assert_eq!(
+            ctr.decrypt(addr, &ctr.encrypt(addr, &data)),
+            data,
+            "case {case}"
+        );
 
         let direct = DirectCipher::new(Aes128::new(&Key128::from_seed(seed)));
         let padded_len = data.len().div_ceil(16) * 16;
@@ -148,7 +155,11 @@ fn encryption_never_speeds_things_up() {
         let enc_kb = rng.gen_range(0u64..32).min(kb);
         let wl = Workload::builder("p")
             .region(Region::read("enc", 0, enc_kb.max(1) * 64 * 1024).encrypted(true))
-            .region(Region::read("plain", 1 << 33, (kb - enc_kb).max(1) * 64 * 1024))
+            .region(Region::read(
+                "plain",
+                1 << 33,
+                (kb - enc_kb).max(1) * 64 * 1024,
+            ))
             .instructions(1_000_000)
             .build()
             .unwrap();
@@ -171,15 +182,24 @@ fn simulator_is_deterministic() {
     for case in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xDE7 + case);
         let kb = rng.gen_range(1u64..16);
-        let mode =
-            [EncryptionMode::None, EncryptionMode::Direct, EncryptionMode::Counter][case as usize % 3];
+        let mode = [
+            EncryptionMode::None,
+            EncryptionMode::Direct,
+            EncryptionMode::Counter,
+        ][case as usize % 3];
         let wl = Workload::builder("d")
             .region(Region::read("r", 0, kb * 64 * 1024).encrypted(true))
             .instructions(500_000)
             .build()
             .unwrap();
-        let a = Simulator::new(GpuConfig::gtx480(), mode).unwrap().run(&wl).unwrap();
-        let b = Simulator::new(GpuConfig::gtx480(), mode).unwrap().run(&wl).unwrap();
+        let a = Simulator::new(GpuConfig::gtx480(), mode)
+            .unwrap()
+            .run(&wl)
+            .unwrap();
+        let b = Simulator::new(GpuConfig::gtx480(), mode)
+            .unwrap()
+            .run(&wl)
+            .unwrap();
         assert_eq!(a, b, "case {case}");
     }
 }

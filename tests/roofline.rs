@@ -18,12 +18,12 @@ fn lower_bound(cfg: &GpuConfig, wl: &Workload, encrypted: bool) -> f64 {
     let dram = bytes / (cfg.total_dram_gbps * 1e9 * wl.dram_efficiency()) * clock;
     // Engine bandwidth bound over encrypted lines only.
     let engine = if encrypted {
-        let enc_lines = wl
-            .requests(cfg.line_bytes)
-            .filter(|r| r.encrypted)
-            .count() as f64;
+        let enc_lines = wl.requests(cfg.line_bytes).filter(|r| r.encrypted).count() as f64;
         (enc_lines * cfg.line_bytes as f64)
-            / (cfg.engine.throughput_gbps * 1e9 * cfg.num_channels as f64 * cfg.engines_per_mc as f64)
+            / (cfg.engine.throughput_gbps
+                * 1e9
+                * cfg.num_channels as f64
+                * cfg.engines_per_mc as f64)
             * clock
     } else {
         0.0

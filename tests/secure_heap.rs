@@ -2,10 +2,10 @@
 //! crypto substrate: what a bus snooper captures, and that the accelerator
 //! can always recover its own data.
 
-use seal_tensor::rng::SeedableRng;
 use seal::core::{EncryptionPlan, SePolicy, SecureHeap};
 use seal::crypto::Key128;
 use seal::nn::models::{vgg16, VggConfig};
+use seal_tensor::rng::SeedableRng;
 
 #[test]
 fn model_weights_in_emalloc_regions_never_leak() {
