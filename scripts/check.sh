@@ -11,6 +11,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> cargo fmt --check"
+cargo fmt --all --check
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 
