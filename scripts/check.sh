@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full gate: hermetic build, the whole workspace's tests (seal-analyze's
+# The full gate: rustfmt, hermetic build, the whole workspace's tests (seal-analyze's
 # call-graph passes among them), the ruler's tests, the lint fixtures,
 # figure diffs, the serving smokes and clippy.
 #
