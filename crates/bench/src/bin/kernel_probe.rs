@@ -12,7 +12,7 @@
 
 use seal_nn::layers::{Conv2d, Flatten, Linear, ReLU};
 use seal_nn::models::{mlp, resnet, vgg16, MlpConfig, ResNetConfig, VggConfig};
-use seal_nn::{fit, CompiledModel, FitConfig, PlanOptions, Sequential, Sgd};
+use seal_nn::{fit, CompiledModel, FitConfig, Sequential, Sgd};
 use seal_tensor::ops::{
     conv2d, conv2d_backward, conv2d_infer_packed, kernel_mode, matmul, matmul_i8, Conv2dGeometry,
     ConvPlanDims, Im2colGather,
@@ -134,10 +134,10 @@ fn probe_ragged() -> (u64, u64, u64) {
     (fnv1a(&f32_out), fnv1a(&i8_out), fnv1a(&conv_out))
 }
 
-/// Logits of reduced vgg16 / resnet18 / mlp compiled with `options`, at
+/// Logits of reduced vgg16 / resnet18 / mlp compiled as f32 or int8 plans, at
 /// each of `batches` (`max_batch` 8, so the larger ones fold the batch of
 /// the narrow convolutions into one GEMM).
-fn probe_plans(seed: u64, options: PlanOptions, batches: [usize; 3]) -> u64 {
+fn probe_plans(seed: u64, quantized: bool, batches: [usize; 3]) -> u64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let vgg = VggConfig::reduced();
     let res = ResNetConfig::reduced(18);
@@ -162,7 +162,7 @@ fn probe_plans(seed: u64, options: PlanOptions, batches: [usize; 3]) -> u64 {
     for (model, c, hw) in &models {
         let input = Shape::nchw(1, *c, *hw, *hw);
         let mut plan =
-            CompiledModel::compile(model, &input, 8, options).expect("zoo models are plannable");
+            CompiledModel::compile(model, &input, 8, quantized).expect("zoo models are plannable");
         for n in batches {
             let x = uniform(&mut rng, Shape::nchw(n, *c, *hw, *hw), -1.0, 1.0);
             logits.extend_from_slice(plan.execute_into(&x).expect("shape matches the plan"));
@@ -189,16 +189,13 @@ fn main() {
     println!("ragged_gemm     {gemm:#018x}");
     println!("ragged_gemm_i8  {gemm_i8:#018x}");
     println!("ragged_planned  {conv:#018x}");
-    // The whole f32 data path of the default plan: strip layout, padded
+    // The whole f32 data path of the served plan: strip layout, padded
     // im2col fill, GEMM tile, fused BN/ReLU/max-pool epilogue.
     println!(
         "plan_f32        {:#018x}",
-        probe_plans(17, PlanOptions::default(), [1, 3, 8])
+        probe_plans(17, false, [1, 3, 8])
     );
     // The whole u8 NHWC data path (entry quantize, run-copy gather, int8
     // GEMM, requantize + max-pool, f32 exits at residual adds and logits).
-    println!(
-        "plan_i8         {:#018x}",
-        probe_plans(16, PlanOptions::quantized(), [1, 5, 8])
-    );
+    println!("plan_i8         {:#018x}", probe_plans(16, true, [1, 5, 8]));
 }

@@ -54,11 +54,31 @@ fn matmul_is_bitwise_identical_for_any_thread_count_and_zero_ulp_vs_naive() {
 fn conv2d_is_bitwise_identical_for_any_thread_count_and_zero_ulp_vs_reference() {
     let geom = Conv2dGeometry::same3x3();
     let mut rng = StdRng::seed_from_u64(21);
-    // c_out = 40 > CO_TILE exercises multi-tile output-channel ranges.
+    // The three ways the planned kernel behind `conv2d` splits its work:
+    // one image in `MC` = 32-row blocks of output channels (`c_out` = 40
+    // is two), a batch as one task per image, and a batch of maps under
+    // 16 pixels folded into one GEMM over every image's columns.
+    for (n, hw, path) in [
+        (1, 10, "one image, row blocks"),
+        (3, 10, "one task per image"),
+        (5, 3, "folded batch"),
+    ] {
+        let x = uniform(&mut rng, Shape::nchw(n, 8, hw, hw), -1.0, 1.0);
+        let w = uniform(&mut rng, Shape::nchw(40, 8, 3, 3), -0.5, 0.5);
+        let bias = uniform(&mut rng, Shape::vector(40), -0.1, 0.1);
+        let reference = bits(&conv2d_reference(&x, &w, Some(&bias), &geom).unwrap());
+        for threads in THREAD_COUNTS {
+            let pool = Pool::new(threads);
+            let out = with_pool(&pool, || conv2d(&x, &w, Some(&bias), &geom).unwrap());
+            assert_eq!(
+                bits(&out),
+                reference,
+                "conv2d forward ({path}) diverged from direct reference at {threads} threads"
+            );
+        }
+    }
     let x = uniform(&mut rng, Shape::nchw(3, 8, 10, 10), -1.0, 1.0);
     let w = uniform(&mut rng, Shape::nchw(40, 8, 3, 3), -0.5, 0.5);
-    let bias = uniform(&mut rng, Shape::vector(40), -0.1, 0.1);
-    let reference = bits(&conv2d_reference(&x, &w, Some(&bias), &geom).unwrap());
     let go = uniform(&mut rng, Shape::nchw(3, 40, 10, 10), -1.0, 1.0);
     let grads_1t = {
         let pool = Pool::new(1);
@@ -66,17 +86,7 @@ fn conv2d_is_bitwise_identical_for_any_thread_count_and_zero_ulp_vs_reference() 
     };
     for threads in THREAD_COUNTS {
         let pool = Pool::new(threads);
-        let (out, grads) = with_pool(&pool, || {
-            (
-                conv2d(&x, &w, Some(&bias), &geom).unwrap(),
-                conv2d_backward(&x, &w, &go, &geom).unwrap(),
-            )
-        });
-        assert_eq!(
-            bits(&out),
-            reference,
-            "conv2d forward diverged from direct reference at {threads} threads"
-        );
+        let grads = with_pool(&pool, || conv2d_backward(&x, &w, &go, &geom).unwrap());
         assert_eq!(
             bits(&grads.grad_input),
             bits(&grads_1t.grad_input),

@@ -1,3 +1,4 @@
+use seal_tensor::ops::BatchNormParams;
 use seal_tensor::{Shape, Tensor};
 
 use crate::{Layer, LayerKind, NnError, Param};
@@ -78,14 +79,24 @@ impl BatchNorm2d {
         &self.running_mean
     }
 
-    /// Running per-channel variance used at inference time.
-    pub fn running_var(&self) -> &[f32] {
-        &self.running_var
+    /// The inference normaliser `1/√(σ² + ε)` of each channel, from the
+    /// running variance: what [`Layer::forward_infer`] multiplies by and
+    /// the compiled plans snapshot.
+    pub fn inv_std(&self) -> Vec<f32> {
+        self.running_var
+            .iter()
+            .map(|v| 1.0 / (v + self.eps).sqrt())
+            .collect()
     }
 
-    /// The numerical-stability epsilon added to the variance.
-    pub fn eps(&self) -> f32 {
-        self.eps
+    /// The inference constants over `inv_std` (from [`inv_std`](Self::inv_std)).
+    fn params<'a>(&'a self, inv_std: &'a [f32]) -> BatchNormParams<'a> {
+        BatchNormParams {
+            gamma: self.gamma.value.as_slice(),
+            beta: self.beta.value.as_slice(),
+            mean: &self.running_mean,
+            inv_std,
+        }
     }
 
     fn check_input(&self, input: &Tensor) -> Result<(usize, usize, usize), NnError> {
@@ -198,27 +209,14 @@ impl Layer for BatchNorm2d {
     fn forward_infer(&self, input: &Tensor) -> Result<Tensor, NnError> {
         let (_, h, w) = self.check_input(input)?;
         let c = self.channels;
-        let spatial = h * w;
-        let x = input.as_slice();
-        let inv_std: Vec<f32> = self
-            .running_var
-            .iter()
-            .map(|v| 1.0 / (v + self.eps).sqrt())
-            .collect();
-        let gamma = self.gamma.value.as_slice();
-        let beta = self.beta.value.as_slice();
-        let mut out = Tensor::zeros(input.shape().clone());
-        if spatial > 0 {
-            let running_mean = &self.running_mean;
-            seal_pool::par_chunks_mut(out.as_mut_slice(), spatial, |p, o| {
-                let ch = p % c;
-                let base = p * spatial;
-                for (i, o) in o.iter_mut().enumerate() {
-                    // Same association as `forward` so eval-mode outputs
-                    // match bitwise.
-                    let v = (x[base + i] - running_mean[ch]) * inv_std[ch];
-                    *o = gamma[ch] * v + beta[ch];
-                }
+        let inv_std = self.inv_std();
+        let bn = self.params(&inv_std);
+        let mut out = input.clone();
+        // The plans' per-plane batch-norm, whose association is `forward`'s,
+        // so eval-mode outputs match bitwise.
+        if h * w > 0 {
+            seal_pool::par_chunks_mut(out.as_mut_slice(), h * w, |p, plane| {
+                bn.apply(p % c, plane, false)
             });
         }
         Ok(out)

@@ -1,5 +1,5 @@
 use seal_tensor::ops::{
-    avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, PoolGeometry,
+    avg_pool2d, avg_pool2d_backward, max_pool2d, max_pool2d_backward, max_pool2d_into, PoolGeometry,
 };
 use seal_tensor::{Shape, Tensor};
 
@@ -68,7 +68,10 @@ impl Layer for MaxPool2d {
     }
 
     fn forward_infer(&self, input: &Tensor) -> Result<Tensor, NnError> {
-        let (out, _argmax) = max_pool2d(input, &self.geom)?;
+        let shape = input.shape();
+        let mut out = Tensor::zeros(pool_output_shape(shape, &self.geom)?);
+        let (n, c, h, w) = (shape.dim(0), shape.dim(1), shape.dim(2), shape.dim(3));
+        max_pool2d_into(input.as_slice(), out.as_mut_slice(), n, c, h, w, &self.geom)?;
         Ok(out)
     }
 

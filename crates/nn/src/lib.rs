@@ -2,7 +2,7 @@
 //!
 //! A from-scratch neural-network framework sufficient to reproduce the
 //! security experiments of the SEAL paper (DAC 2021): CNN layers with
-//! forward *and* backward passes, softmax cross-entropy, SGD/Adam, a
+//! forward *and* backward passes, softmax cross-entropy, SGD with momentum, a
 //! sequential model container, and builders for the paper's three networks
 //! (VGG-16, ResNet-18, ResNet-34 in their CIFAR-10 form).
 //!
@@ -65,8 +65,8 @@ pub use error::NnError;
 pub use layer::{KernelMatrix, Layer, LayerKind, Param};
 pub use loss::SoftmaxCrossEntropy;
 pub use model::Sequential;
-pub use optim::{Adam, Optimizer, Sgd};
-pub use plan::{CompiledModel, PlanOptions};
+pub use optim::{Optimizer, Sgd};
+pub use plan::CompiledModel;
 pub use serialize::{load_weights, save_weights};
 pub use shape_check::{check_model, ShapeMismatch, ShapeReport, ShapeStep};
 pub use topo::{DType, LayerRole, LayerTopo, NetworkTopology};

@@ -44,11 +44,6 @@ impl Sequential {
         &self.layers
     }
 
-    /// Mutable access to the layers.
-    pub fn layers_mut(&mut self) -> &mut [Box<dyn Layer>] {
-        &mut self.layers
-    }
-
     /// Runs the full forward pass.
     ///
     /// # Errors

@@ -105,87 +105,6 @@ impl Optimizer for Sgd {
     }
 }
 
-/// Adam optimizer (Kingma & Ba).
-#[derive(Debug)]
-pub struct Adam {
-    lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
-}
-
-impl Adam {
-    /// Creates Adam with standard betas `(0.9, 0.999)`.
-    pub fn new(lr: f32) -> Self {
-        Adam {
-            lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            t: 0,
-            m: Vec::new(),
-            v: Vec::new(),
-        }
-    }
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, model: &mut Sequential) -> Result<(), NnError> {
-        let mut params = model.params_mut();
-        if self.m.len() != params.len() {
-            self.m = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape().clone()))
-                .collect();
-            self.v = params
-                .iter()
-                .map(|p| Tensor::zeros(p.value.shape().clone()))
-                .collect();
-            self.t = 0;
-        }
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            p.mask_grad();
-            let g = p.grad.as_slice();
-            let mm = m.as_mut_slice();
-            let vv = v.as_mut_slice();
-            let val = p.value.as_mut_slice();
-            for i in 0..g.len() {
-                mm[i] = self.beta1 * mm[i] + (1.0 - self.beta1) * g[i];
-                vv[i] = self.beta2 * vv[i] + (1.0 - self.beta2) * g[i] * g[i];
-                let mhat = mm[i] / bc1;
-                let vhat = vv[i] / bc2;
-                val[i] -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-            // A masked element has zero grad forever, so m and v stay zero
-            // and the value never moves — but guard against state carried
-            // over from before a mask was installed.
-            if let Some(mask) = &p.mask {
-                for i in 0..mask.len() {
-                    if mask[i] == 0.0 {
-                        mm[i] = 0.0;
-                        vv[i] = 0.0;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn learning_rate(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_learning_rate(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,48 +172,6 @@ mod tests {
         assert_eq!(m.params()[0].value.as_slice()[0], frozen_val);
         // Unfrozen neighbour did move.
         assert!(m.params()[0].grad.as_slice()[1] != 0.0);
-    }
-
-    #[test]
-    fn frozen_elements_never_move_adam() {
-        let mut m = model_with_grad(4);
-        let frozen_val;
-        {
-            let params = m.params_mut();
-            let p = params.into_iter().next().unwrap();
-            let mut mask = vec![1.0f32; p.len()];
-            mask[0] = 0.0;
-            p.mask = Some(mask);
-            frozen_val = p.value.as_slice()[0];
-        }
-        let mut opt = Adam::new(0.1);
-        for _ in 0..3 {
-            let x = Tensor::ones(Shape::matrix(1, 2));
-            let y = m.forward(&x, true).unwrap();
-            m.zero_grad();
-            m.backward(&Tensor::ones(y.shape().clone())).unwrap();
-            opt.step(&mut m).unwrap();
-        }
-        assert_eq!(m.params()[0].value.as_slice()[0], frozen_val);
-    }
-
-    #[test]
-    fn adam_reduces_simple_quadratic() {
-        // Minimise ||W·1 + b||² for a single linear layer by training
-        // towards zero output.
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut m = Sequential::new("m").with(Box::new(Linear::new(&mut rng, "fc", 2, 2).unwrap()));
-        let mut opt = Adam::new(0.05);
-        let x = Tensor::ones(Shape::matrix(1, 2));
-        let initial = m.forward(&x, true).unwrap().l2_norm();
-        for _ in 0..100 {
-            let y = m.forward(&x, true).unwrap();
-            m.zero_grad();
-            m.backward(&y.scale(2.0)).unwrap();
-            opt.step(&mut m).unwrap();
-        }
-        let fin = m.forward(&x, true).unwrap().l2_norm();
-        assert!(fin < initial * 0.1, "{fin} vs {initial}");
     }
 
     #[test]

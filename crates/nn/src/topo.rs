@@ -73,7 +73,7 @@ pub enum DType {
     #[default]
     F32,
     /// Symmetric per-output-channel int8, as produced by the quantized
-    /// compiled plans (`PlanOptions::quantized()`).
+    /// compiled plans (`CompiledModel::compile` with `quantized`).
     Int8,
 }
 

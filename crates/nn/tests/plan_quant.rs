@@ -6,14 +6,14 @@
 //! `vpmaddwd`, AVX-512 VNNI `vpdpbusd`) — a strictly stronger guarantee
 //! than the f32 plans, whose FMA mode is allowed to differ.
 //!
-//! Accuracy: against the f32 fused plan the quantized plan must stay
+//! Accuracy: against the served f32 plan the quantized plan must stay
 //! within quantization tolerance on logits and within one percentage
 //! point of top-1 agreement on a 128-sample fixture batch of both zoo
 //! networks.
 
 use seal_nn::layers::{AvgPool2d, Conv2d, Flatten, Linear, MaxPool2d, ReLU, ResidualBlock};
 use seal_nn::models::{mlp, resnet, vgg16, MlpConfig, ResNetConfig, VggConfig};
-use seal_nn::{CompiledModel, Layer, PlanOptions, Sequential};
+use seal_nn::{CompiledModel, Layer, Sequential};
 use seal_pool::{with_pool, Pool};
 use seal_tensor::ops::{
     avg_pool2d_into, dequantize_bias_relu, dequantize_transpose_bias_relu, gather_patches_u8,
@@ -67,7 +67,7 @@ fn for_each_pool_and_mode(mut f: impl FnMut(usize, KernelMode)) {
 /// bit.
 fn quant_reference(model: &Sequential, c: usize, hw: usize, x: &Tensor) -> Vec<f32> {
     let input = Shape::nchw(1, c, hw, hw);
-    let mut plan = CompiledModel::compile(model, &input, 8, PlanOptions::quantized()).unwrap();
+    let mut plan = CompiledModel::compile(model, &input, 8, true).unwrap();
     let pool = Pool::new(1);
     set_kernel_mode(KernelMode::Scalar);
     let out = with_pool(&pool, || plan.execute_into(x).unwrap().to_vec());
@@ -77,7 +77,7 @@ fn quant_reference(model: &Sequential, c: usize, hw: usize, x: &Tensor) -> Vec<f
 
 fn check_quant_bitwise(model: &Sequential, c: usize, hw: usize, seed: u64, what: &str) {
     let input = Shape::nchw(1, c, hw, hw);
-    let mut plan = CompiledModel::compile(model, &input, 8, PlanOptions::quantized()).unwrap();
+    let mut plan = CompiledModel::compile(model, &input, 8, true).unwrap();
     for n in [1usize, 5, 8] {
         let x = sample(seed + n as u64, n, c, hw);
         let reference = quant_reference(model, c, hw, &x);
@@ -112,7 +112,7 @@ fn resnet18_quantized_plan_bitwise_across_threads_and_kernels() {
 }
 
 /// The accuracy gate: over 128 fixture samples the quantized plan's
-/// logits must stay within quantization tolerance of the f32 fused plan,
+/// logits must stay within quantization tolerance of the served f32 plan,
 /// and its top-1 prediction must agree wherever the f32 decision is
 /// *stable* — the fixture models are randomly initialised, so some logit
 /// rows are exact ties at quantization resolution, and flipping such a
@@ -123,13 +123,9 @@ fn check_quant_accuracy(model: &Sequential, c: usize, hw: usize, seed: u64, what
     let input = Shape::nchw(1, c, hw, hw);
     let batch = 8usize;
     let batches = 16usize; // 128 samples total
-    let classes = {
-        let probe = CompiledModel::compile(model, &input, 1, PlanOptions::fused()).unwrap();
-        probe.num_classes()
-    };
-    let mut f32_plan = CompiledModel::compile(model, &input, batch, PlanOptions::fused()).unwrap();
-    let mut q_plan =
-        CompiledModel::compile(model, &input, batch, PlanOptions::quantized()).unwrap();
+    let mut f32_plan = CompiledModel::compile(model, &input, batch, false).unwrap();
+    let classes = f32_plan.num_classes();
+    let mut q_plan = CompiledModel::compile(model, &input, batch, true).unwrap();
     let pool = Pool::new(2);
     let mut agree = 0usize;
     let mut total = 0usize;
@@ -199,7 +195,7 @@ fn quantized_plan_rejects_bad_batches() {
     let cfg = VggConfig::reduced();
     let model = vgg16(&mut rng, &cfg).unwrap();
     let input = Shape::nchw(1, cfg.input_channels, cfg.input_hw, cfg.input_hw);
-    let mut plan = CompiledModel::compile(&model, &input, 2, PlanOptions::quantized()).unwrap();
+    let mut plan = CompiledModel::compile(&model, &input, 2, true).unwrap();
     let too_big = Tensor::zeros(Shape::nchw(
         3,
         cfg.input_channels,
@@ -227,7 +223,7 @@ fn fnv1a(h: &mut u64, values: &[f32]) {
 /// every thread count.
 fn check_pinned_hash(model: &Sequential, c: usize, hw: usize, seed: u64, pinned: u64, what: &str) {
     let input = Shape::nchw(1, c, hw, hw);
-    let mut plan = CompiledModel::compile(model, &input, 8, PlanOptions::quantized()).unwrap();
+    let mut plan = CompiledModel::compile(model, &input, 8, true).unwrap();
     for_each_pool_and_mode(|threads, mode| {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for n in [1usize, 5, 8] {
@@ -407,7 +403,7 @@ fn check_against_composed(model: &Sequential, c: usize, hw: usize, x: &Tensor, w
         ));
     }
     let input = Shape::nchw(1, c, hw, hw);
-    let mut plan = CompiledModel::compile(model, &input, 8, PlanOptions::quantized()).unwrap();
+    let mut plan = CompiledModel::compile(model, &input, 8, true).unwrap();
     for_each_pool_and_mode(|threads, mode| {
         let logits = plan.execute_into(x).unwrap();
         assert_eq!(logits.len(), reference.len(), "{what}: logits length");

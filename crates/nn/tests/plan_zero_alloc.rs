@@ -15,7 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use seal_nn::models::{mlp, resnet, vgg16, MlpConfig, ResNetConfig, VggConfig};
-use seal_nn::{CompiledModel, PlanOptions, Sequential};
+use seal_nn::{CompiledModel, Sequential};
 use seal_pool::{with_pool, Pool};
 use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::SeedableRng;
@@ -60,14 +60,14 @@ const SERVED_BATCHES: [usize; 2] = [1, MAX_BATCH];
 fn assert_steady_state_is_allocation_free(
     model: &Sequential,
     (c, hw): (usize, usize),
-    options: PlanOptions,
+    quantized: bool,
     rng: &mut StdRng,
 ) {
     let input = Shape::nchw(1, c, hw, hw);
     let batches =
         SERVED_BATCHES.map(|n| seal_tensor::uniform(rng, Shape::nchw(n, c, hw, hw), -1.0, 1.0));
     let pool = Pool::new(1);
-    let mut plan = CompiledModel::compile(model, &input, MAX_BATCH, options).unwrap();
+    let mut plan = CompiledModel::compile(model, &input, MAX_BATCH, quantized).unwrap();
     with_pool(&pool, || {
         // Warm-up: grows the per-thread im2col/packing scratch.
         let mut warm = Vec::new();
@@ -86,7 +86,7 @@ fn assert_steady_state_is_allocation_free(
             assert_eq!(
                 after - before,
                 0,
-                "steady-state execute_into of {} at batch {} allocated {} times (options {options:?})",
+                "steady-state execute_into of {} at batch {} allocated {} times (quantized {quantized})",
                 model.name(),
                 batch.shape().dim(0),
                 after - before
@@ -106,19 +106,15 @@ fn steady_state_execute_performs_zero_allocations() {
     let mut rng = StdRng::seed_from_u64(41);
     let cfg = VggConfig::reduced();
     let model = vgg16(&mut rng, &cfg).unwrap();
-    for options in [
-        PlanOptions::default(),
-        PlanOptions::fused(),
-        PlanOptions::quantized(),
-    ] {
+    for quantized in [false, true] {
         assert_steady_state_is_allocation_free(
             &model,
             (cfg.input_channels, cfg.input_hw),
-            options,
+            quantized,
             &mut rng,
         );
     }
-    // The other two zoo models. f32 at the default options: the padded
+    // The other two zoo models. f32: the padded
     // image and the pooled convolution's slab scratch (stride-2 and 1×1
     // projection convolutions, residual branches, a plan with no
     // convolution at all) grow on the warm-up call and never again. int8
@@ -127,16 +123,16 @@ fn steady_state_execute_performs_zero_allocations() {
     // rows behind an f32 entry (mlp).
     let cfg = ResNetConfig::reduced(18);
     let model = resnet(&mut rng, &cfg).unwrap();
-    for options in [PlanOptions::default(), PlanOptions::quantized()] {
+    for quantized in [false, true] {
         assert_steady_state_is_allocation_free(
             &model,
             (cfg.input_channels, cfg.input_hw),
-            options,
+            quantized,
             &mut rng,
         );
     }
     let model = mlp(&mut rng, &MlpConfig::reduced()).unwrap();
-    for options in [PlanOptions::default(), PlanOptions::quantized()] {
-        assert_steady_state_is_allocation_free(&model, (3, 8), options, &mut rng);
+    for quantized in [false, true] {
+        assert_steady_state_is_allocation_free(&model, (3, 8), quantized, &mut rng);
     }
 }

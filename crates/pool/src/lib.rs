@@ -632,41 +632,6 @@ where
     });
 }
 
-/// Runs `f(range_index, &mut data[range])` for every range in parallel.
-/// Ranges must be ascending, pairwise disjoint and in bounds — the shape
-/// used for uneven tilings (e.g. conv2d batch × output-channel tiles whose
-/// last tile per batch is short).
-///
-/// # Panics
-///
-/// Panics if the ranges overlap, descend or leave `data`.
-// seal-lint: allow(panic-freedom) — the ascending/disjoint-range assert is the documented `# Panics` contract guarding aliasing safety
-pub fn par_ranges_mut<T, F>(data: &mut [T], ranges: &[std::ops::Range<usize>], f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    let mut prev_end = 0usize;
-    for r in ranges {
-        assert!(
-            r.start >= prev_end && r.end >= r.start && r.end <= data.len(),
-            "par_ranges_mut ranges must be ascending, disjoint and in bounds"
-        );
-        prev_end = r.end;
-    }
-    if ranges.is_empty() {
-        return;
-    }
-    let base = SendPtr(data.as_mut_ptr());
-    parallel_for(ranges.len(), |i| {
-        let r = &ranges[i];
-        // SAFETY: ranges validated disjoint and in bounds above.
-        let part =
-            unsafe { std::slice::from_raw_parts_mut(base.get().add(r.start), r.end - r.start) };
-        f(i, part);
-    });
-}
-
 /// Maps `f` over `items` with **one scoped OS thread per item**, returning
 /// results in input order and re-throwing the first worker panic.
 ///
@@ -779,28 +744,6 @@ mod tests {
             assert_eq!(vals[5], 1);
             assert_eq!(tags, (0..10).collect::<Vec<u8>>());
         });
-    }
-
-    #[test]
-    fn par_ranges_mut_handles_uneven_tiles() {
-        let pool = Pool::new(3);
-        with_pool(&pool, || {
-            let mut data = vec![0u8; 10];
-            let ranges = [0..3, 3..4, 4..10];
-            par_ranges_mut(&mut data, &ranges, |i, part| {
-                for v in part.iter_mut() {
-                    *v = i as u8 + 1;
-                }
-            });
-            assert_eq!(data, [1, 1, 1, 2, 3, 3, 3, 3, 3, 3]);
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "ascending")]
-    fn par_ranges_mut_rejects_overlap() {
-        let mut data = vec![0u8; 4];
-        par_ranges_mut(&mut data, &[0..2, 1..3], |_, _| {});
     }
 
     #[test]

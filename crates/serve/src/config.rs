@@ -81,7 +81,7 @@ pub struct ServerConfig {
     /// slow request.
     pub chaos_slow_delay: Duration,
     /// Serve through the **int8 quantized** compiled plan
-    /// ([`PlanOptions::quantized`](seal_nn::PlanOptions::quantized)) and
+    /// ([`ServedModel::compile_plan`](crate::ServedModel::compile_plan)) and
     /// price every lane at int8 traffic (1 byte/element plus the
     /// per-channel scale sideband) instead of f32. Quantized predictions
     /// are *not* bitwise identical to the f32 path — they carry the

@@ -10,7 +10,7 @@ use seal_nn::models::{
     mlp, mlp_topology, resnet, resnet18_topology, vgg16, vgg16_topology, MlpConfig, ResNetConfig,
     VggConfig,
 };
-use seal_nn::{CompiledModel, NetworkTopology, PlanOptions, Sequential};
+use seal_nn::{CompiledModel, NetworkTopology, Sequential};
 use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::SeedableRng;
 use seal_tensor::{Shape, Tensor};
@@ -96,12 +96,11 @@ impl ServedModel {
     /// Compiles an inference plan for this model: weights pre-packed,
     /// activation arena sized for batches up to `max_batch`.
     ///
-    /// With `quantized == false` the plan is compiled with
-    /// [`PlanOptions::default`] (no fusion), so planned predictions are
-    /// **bitwise identical** to the model's own `predict` — the speedup
-    /// comes from pre-packing, the allocation-free arena, and skipping the
-    /// per-call weight transpose. With `quantized == true` the plan runs
-    /// the int8 path ([`PlanOptions::quantized`]): weights are packed as
+    /// With `quantized == false` the f32 plan's predictions are **bitwise
+    /// identical** to the model's own `predict` — the speedup comes from
+    /// pre-packing, the allocation-free arena, fused epilogues and
+    /// skipping the per-call weight transpose. With `quantized == true`
+    /// the plan runs the int8 path: weights are packed as
     /// per-channel-scaled int8 panels and each CONV/FC runs the
     /// deterministic int8 GEMM, so predictions carry bounded quantization
     /// error instead (bitwise identical across thread counts and kernel
@@ -116,16 +115,11 @@ impl ServedModel {
         max_batch: usize,
         quantized: bool,
     ) -> Result<CompiledModel, ServeError> {
-        let options = if quantized {
-            PlanOptions::quantized()
-        } else {
-            PlanOptions::default()
-        };
         Ok(CompiledModel::compile(
             &self.model,
             &self.input,
             max_batch,
-            options,
+            quantized,
         )?)
     }
 

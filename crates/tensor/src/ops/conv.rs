@@ -1,32 +1,30 @@
-//! 2-D convolution: im2col + blocked-GEMM forward, two-pass deterministic
-//! backward, plus the direct 7-loop reference kernel.
+//! 2-D convolution: one f32 forward — the planned kernel
+//! ([`conv2d_infer_fused`]: zero-padded image, im2col filled straight into
+//! packed GEMM panels or read in place, register-tiled GEMM, fused
+//! batch-norm / ReLU / max-pool epilogue), which both [`conv2d`] and the
+//! compiled plans run — a two-pass deterministic backward, and the direct
+//! 7-loop reference kernel.
 //!
 //! Parallelism (on the `seal-pool` runtime) follows the determinism
 //! contract of the whole tensor crate: task boundaries are derived from
-//! the problem shape only — batch × output-channel tiles in the forward
-//! pass, per-batch regions for `grad_input`, per-output-channel regions
-//! for `grad_weights`/`grad_bias` — and every output element accumulates
-//! in the same sequential order as the serial loops, so results are
-//! bitwise identical for any `SEAL_THREADS`.
+//! the problem shape only — `MC`-row blocks of a lone image's GEMM, one
+//! task per image of a batch (one GEMM for a batch whose maps
+//! [fold](ConvPlanDims::folds_batch)) in the forward pass, per-batch
+//! regions for `grad_input`, per-output-channel regions for
+//! `grad_weights`/`grad_bias` — and every output element accumulates in
+//! the same sequential order as the serial loops, so results are bitwise
+//! identical for any `SEAL_THREADS`.
 
 use super::matmul::{
-    consume_strips, gemm, gemm_shared_pack, gemm_strips, kernel_mode, KernelMode, Panels,
-    StripRows, StripSource, KC, NR,
+    consume_strips, gemm_shared_pack, gemm_strips, kernel_mode, KernelMode, Panels, StripRows,
+    StripSource, KC, NR,
 };
 use super::pool::{max_pool_plane, PoolGeometry};
 use super::quant::vectorized;
 use crate::{Shape, Tensor, TensorError};
 use std::cell::RefCell;
 
-/// Output channels per forward-pass task (one task builds one batch
-/// image's im2col panel and produces up to this many output maps).
-const CO_TILE: usize = 32;
-
 thread_local! {
-    /// Per-thread im2col scratch, reused across calls (grown, never
-    /// shrunk) so steady-state convolutions allocate nothing.
-    // empty at birth, grow-only after
-    static COLS: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
     /// Per-thread scratch of the planned path: the zero-padded image(s),
     /// then the packed im2col panels, then the GEMM output of a pooled
     /// (or folded-batch) convolution awaiting its epilogue.
@@ -88,9 +86,12 @@ pub struct Conv2dGradients {
 /// Validated conv dimensions: `(n, c_in, h, w, c_out, oh, ow, k)`.
 type ConvDims = (usize, usize, usize, usize, usize, usize, usize, usize);
 
+/// Checks a convolution's operands against each other and `geom` (a
+/// given `bias` must hold `c_out` values).
 fn check_conv_shapes(
     input: &Tensor,
     weights: &Tensor,
+    bias: Option<&Tensor>,
     geom: &Conv2dGeometry,
 ) -> Result<ConvDims, TensorError> {
     if input.shape().rank() != 4 {
@@ -144,16 +145,22 @@ fn check_conv_shapes(
         .ok_or_else(|| TensorError::InvalidGeometry {
             reason: format!("kernel {} does not fit width {w}", geom.kernel),
         })?;
-    Ok((n, c_in, h, w, c_out, oh, ow, geom.kernel))
+    match bias {
+        Some(b) if b.len() != c_out => Err(TensorError::LengthMismatch {
+            expected: c_out,
+            actual: b.len(),
+        }),
+        _ => Ok((n, c_in, h, w, c_out, oh, ow, geom.kernel)),
+    }
 }
 
-/// Fills `cols` (shape `[c_in·k·k] × [oh·ow]`, row-major) with the im2col
-/// expansion of batch image `b_idx`: row `q = (ci·k + ky)·k + kx`, column
-/// `oy·ow + ox`, zero where the receptive field falls in the padding. Row
-/// order `q` matches the `ci → ky → kx` accumulation order of the direct
-/// kernel, so the GEMM reduction visits products in the same sequence.
+/// The test oracle of the planned fill: fills `cols` (shape `[c_in·k·k] ×
+/// [oh·ow]`, row-major) with the im2col expansion of batch image `b_idx`,
+/// cell by cell — row `q = (ci·k + ky)·k + kx`, column `oy·ow + ox`, zero
+/// where the receptive field falls in the padding. Row order `q` is the
+/// `ci → ky → kx` accumulation order of the direct kernel.
+#[cfg(test)]
 #[allow(clippy::too_many_arguments)]
-// seal-lint: allow(panic-freedom) — gather offsets are bounded by the conv geometry validated in `Conv2dGeometry::checked_dims`
 fn fill_im2col(
     cols: &mut [f32],
     x: &[f32],
@@ -196,90 +203,75 @@ fn fill_im2col(
     }
 }
 
-/// 2-D convolution forward pass (im2col + cache-blocked GEMM, parallel
-/// over batch × output-channel tiles).
+/// 2-D convolution forward pass: the planned kernel
+/// [`conv2d_infer_packed`] over a full-depth [`Im2colGather::compile`]
+/// (every `(ci, ky, kx)` row, none dropped), so training, the attack
+/// experiments and the compiled plans run one f32 forward.
 ///
 /// * `input` — `NCHW` activations.
 /// * `weights` — `[c_out, c_in, k, k]` kernel matrix. The slice
 ///   `weights[:, i, :, :]` is *kernel row i* in the paper's terminology and
 ///   is the unit the SE scheme encrypts or bypasses.
-/// * `bias` — optional `[c_out]` bias.
+/// * `bias` — optional `[c_out]` bias; `None` is a zero bias.
 ///
-/// Each task owns a disjoint `[b, co_tile]` slab of the output, builds the
-/// image's im2col panel in per-thread scratch reused across calls, and
-/// reduces products in ascending `(ci, ky, kx)` order starting from the
-/// bias — the same per-element order as [`conv2d_reference`], with
-/// explicit `0.0` products where the window overlaps the padding.
+/// Every output element accumulates bias-first, then the products in
+/// ascending `(ci, ky, kx)` order — the per-element order of
+/// [`conv2d_reference`], with explicit `0.0` products where the window
+/// overlaps the padding — inside one task, so the result is bitwise
+/// identical for any thread count in one [`KernelMode`]. A batch whose
+/// sources would pass 2³¹ floats runs as several calls of whole images.
 ///
 /// # Errors
 ///
-/// Shape/geometry mismatches produce the corresponding [`TensorError`].
-// seal-lint: allow(panic-freedom) — patch offsets follow the validated conv geometry; shape errors are rejected before the loops
+/// Shape/geometry mismatches produce the corresponding [`TensorError`];
+/// one image whose (padded) source alone holds more than 2³¹ floats —
+/// 8 GiB, beyond any model here — is [`TensorError::InvalidGeometry`].
 pub fn conv2d(
     input: &Tensor,
     weights: &Tensor,
     bias: Option<&Tensor>,
     geom: &Conv2dGeometry,
 ) -> Result<Tensor, TensorError> {
-    let (n, c_in, h, w, c_out, oh, ow, k) = check_conv_shapes(input, weights, geom)?;
-    if let Some(b) = bias {
-        if b.len() != c_out {
-            return Err(TensorError::LengthMismatch {
-                expected: c_out,
-                actual: b.len(),
-            });
+    let (n, c_in, h, w, c_out, oh, ow, _) = check_conv_shapes(input, weights, bias, geom)?;
+    let zeros;
+    let bias = match bias {
+        Some(b) => b.as_slice(),
+        None => {
+            zeros = vec![0.0; c_out];
+            &zeros[..]
         }
-    }
+    };
     let mut out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
-    let x = input.as_slice();
-    let wt = weights.as_slice();
-    let bias = bias.map(Tensor::as_slice);
-    let (stride, pad) = (geom.stride, geom.padding);
-    let s = oh * ow;
-    let kdim = c_in * k * k;
-    if s == 0 || c_out == 0 || n == 0 {
-        return Ok(out);
-    }
-
-    // Fixed task tiling: one task per (batch image, CO_TILE output
-    // channels). Boundaries depend only on the shape, never the thread
-    // count.
-    let tiles = c_out.div_ceil(CO_TILE);
-    let mut ranges = Vec::with_capacity(n * tiles);
-    for b_idx in 0..n {
-        for t in 0..tiles {
-            let co0 = t * CO_TILE;
-            let co1 = (co0 + CO_TILE).min(c_out);
-            ranges.push((b_idx * c_out + co0) * s..(b_idx * c_out + co1) * s);
-        }
-    }
-    // Resolved once on the caller so every task uses the same kernel.
+    let dims = ConvPlanDims {
+        c_in,
+        h,
+        w,
+        c_out,
+        oh,
+        ow,
+        geom: *geom,
+    };
+    let gather = Im2colGather::compile(&dims);
+    // Images per call: as many as the planned fill's 32-bit offsets reach.
+    let per_call = (i32::MAX as usize)
+        .checked_div(gather.source_len())
+        .map_or(n, |imgs| imgs.max(1));
+    let (in_vol, out_vol) = (c_in * h * w, c_out * oh * ow);
     let mode = kernel_mode();
-    seal_pool::par_ranges_mut(out.as_mut_slice(), &ranges, |task, out_slab| {
-        let b_idx = task / tiles;
-        let co0 = (task % tiles) * CO_TILE;
-        let co_count = out_slab.len() / s;
-        COLS.with(|cols| {
-            let mut cols = cols.borrow_mut();
-            cols.clear();
-            cols.resize(kdim * s, 0.0);
-            fill_im2col(&mut cols, x, b_idx, c_in, h, w, oh, ow, k, stride, pad);
-            if let Some(bv) = bias {
-                for (row, &b) in out_slab.chunks_exact_mut(s).zip(&bv[co0..co0 + co_count]) {
-                    row.fill(b);
-                }
-            }
-            gemm(
-                &wt[co0 * kdim..(co0 + co_count) * kdim],
-                &cols,
-                out_slab,
-                co_count,
-                kdim,
-                s,
-                mode,
-            );
-        });
-    });
+    for b0 in (0..n).step_by(per_call) {
+        let b1 = n.min(b0 + per_call);
+        conv2d_infer_packed(
+            &input.as_slice()[b0 * in_vol..b1 * in_vol],
+            b1 - b0,
+            &dims,
+            &gather,
+            weights.as_slice(),
+            bias,
+            &mut out.as_mut_slice()[b0 * out_vol..b1 * out_vol],
+            false,
+            mode,
+        )?;
+    }
     Ok(out)
 }
 
@@ -992,13 +984,13 @@ pub fn conv2d_infer_packed(
 /// channel-major, batch-normed a channel row at a time and placed plane
 /// by plane into NCHW. Either way every output element accumulates
 /// bias-first then ascending `(ci, ky, kx)` products inside one task —
-/// the exact order of [`conv2d`], with an explicit `0.0` factor wherever
-/// the window overlaps the padding, or without a dead tap's products
-/// where [`Im2colGather::compile_live`] proved them no-ops — and the
-/// epilogue is elementwise or a selection, so the result is bitwise
-/// identical to the unplanned kernels run one after another (and
-/// therefore to `forward_infer`) for any thread count in the same
-/// [`KernelMode`].
+/// with an explicit `0.0` factor wherever the window overlaps the
+/// padding, or without a dead tap's products where
+/// [`Im2colGather::compile_live`] proved them no-ops — and the epilogue
+/// is elementwise or a selection, so the result is bitwise identical to
+/// [`conv2d`] (this kernel at full depth) and the standalone ops run one
+/// after another (and therefore to `forward_infer`) for any thread count
+/// in the same [`KernelMode`].
 ///
 /// # Errors
 ///
@@ -1240,15 +1232,7 @@ pub fn conv2d_reference(
     bias: Option<&Tensor>,
     geom: &Conv2dGeometry,
 ) -> Result<Tensor, TensorError> {
-    let (n, c_in, h, w, c_out, oh, ow, k) = check_conv_shapes(input, weights, geom)?;
-    if let Some(b) = bias {
-        if b.len() != c_out {
-            return Err(TensorError::LengthMismatch {
-                expected: c_out,
-                actual: b.len(),
-            });
-        }
-    }
+    let (n, c_in, h, w, c_out, oh, ow, k) = check_conv_shapes(input, weights, bias, geom)?;
     let mut out = Tensor::zeros(Shape::nchw(n, c_out, oh, ow));
     let x = input.as_slice();
     let wt = weights.as_slice();
@@ -1310,7 +1294,7 @@ pub fn conv2d_backward(
     grad_output: &Tensor,
     geom: &Conv2dGeometry,
 ) -> Result<Conv2dGradients, TensorError> {
-    let (n, c_in, h, w, c_out, oh, ow, k) = check_conv_shapes(input, weights, geom)?;
+    let (n, c_in, h, w, c_out, oh, ow, k) = check_conv_shapes(input, weights, None, geom)?;
     let expected = Shape::nchw(n, c_out, oh, ow);
     if !grad_output.shape().same_dims(&expected) {
         return Err(TensorError::ShapeMismatch {
@@ -1481,9 +1465,9 @@ mod tests {
         assert!(conv2d(&input, &w, None, &Conv2dGeometry::same3x3()).is_err());
     }
 
-    /// The im2col + GEMM kernel must agree with the direct 7-loop
+    /// `conv2d` (the planned kernel) must agree with the direct 7-loop
     /// reference bitwise on finite inputs, across strides/paddings/
-    /// channel counts (including a c_out > CO_TILE split).
+    /// channel counts (including `c_out` past one `MC` row block).
     #[test]
     fn im2col_matches_direct_reference_bitwise() {
         use crate::rng::rngs::StdRng;
@@ -1492,7 +1476,7 @@ mod tests {
         let cases = [
             (2, 3, 8, 8, 5, 3, 1, 1),
             (1, 2, 7, 9, 4, 3, 2, 0),
-            (2, 1, 6, 6, 40, 1, 1, 0), // c_out > CO_TILE: multi-tile split
+            (2, 1, 6, 6, 40, 1, 1, 0), // c_out > MC: two row blocks
             (1, 4, 5, 5, 3, 5, 1, 2),
         ];
         for &(n, c_in, h, w, c_out, k, stride, padding) in &cases {
@@ -1574,9 +1558,56 @@ mod tests {
         assert_eq!(grads.grad_bias.as_slice(), &[9.0]);
     }
 
-    /// The planned packed-im2col path must agree bitwise with the
-    /// generic kernel (fusion off) across single-image, batched, tailed
-    /// (`s % NR != 0`) and multi-k-panel cases.
+    /// Each image's [`fill_im2col`] matrix, then every output its bias
+    /// plus `w·cell` over every row in ascending order, one serial
+    /// accumulator — fused (`mul_add`) in `Fma` mode: the planned
+    /// convolution's oracle, sharing neither its fill nor its GEMM.
+    fn im2col_oracle(
+        x: &Tensor,
+        wt: &Tensor,
+        bias: &Tensor,
+        dims: &ConvPlanDims,
+        mode: KernelMode,
+    ) -> Vec<f32> {
+        let (k, s) = (dims.geom.kernel, dims.oh * dims.ow);
+        let kdim = dims.kdim();
+        let (wt, bias) = (wt.as_slice(), bias.as_slice());
+        let mut cols = vec![0.0f32; kdim * s];
+        let mut out = Vec::new();
+        for img in 0..x.shape().dim(0) {
+            fill_im2col(
+                &mut cols,
+                x.as_slice(),
+                img,
+                dims.c_in,
+                dims.h,
+                dims.w,
+                dims.oh,
+                dims.ow,
+                k,
+                dims.geom.stride,
+                dims.geom.padding,
+            );
+            for co in 0..dims.c_out {
+                for p in 0..s {
+                    let mut acc = bias[co];
+                    for q in 0..kdim {
+                        let (a, b) = (wt[co * kdim + q], cols[q * s + p]);
+                        acc = match mode {
+                            KernelMode::Fma => a.mul_add(b, acc),
+                            _ => acc + a * b,
+                        };
+                    }
+                    out.push(acc);
+                }
+            }
+        }
+        out
+    }
+
+    /// The planned packed-im2col path — and `conv2d`, which runs it —
+    /// agree bitwise with the serial im2col oracle across single-image,
+    /// batched, tailed (`s % NR != 0`) and multi-k-panel cases.
     #[test]
     fn planned_packed_matches_conv2d_bitwise() {
         use crate::rng::rngs::StdRng;
@@ -1597,7 +1628,6 @@ mod tests {
             let input = crate::uniform(&mut rng, Shape::nchw(n, c_in, h, w), -1.0, 1.0);
             let weights = crate::uniform(&mut rng, Shape::nchw(c_out, c_in, k, k), -0.5, 0.5);
             let bias = crate::uniform(&mut rng, Shape::vector(c_out), -0.1, 0.1);
-            let reference = conv2d(&input, &weights, Some(&bias), &geom).unwrap();
             let (oh, ow) = (geom.output_size(h).unwrap(), geom.output_size(w).unwrap());
             let dims = ConvPlanDims {
                 c_in,
@@ -1609,6 +1639,17 @@ mod tests {
                 geom,
             };
             let gather = Im2colGather::compile(&dims);
+            let reference = im2col_oracle(&input, &weights, &bias, &dims, kernel_mode());
+            let direct = conv2d(&input, &weights, Some(&bias), &geom).unwrap();
+            let same = |got: &[f32]| {
+                got.iter()
+                    .zip(&reference)
+                    .all(|(a, b)| a.to_bits() == b.to_bits())
+            };
+            assert!(
+                same(direct.as_slice()),
+                "conv2d != im2col oracle for case {n}x{c_in}x{h}x{w} k{k}"
+            );
             let mut out = vec![0.0f32; n * c_out * oh * ow];
             conv2d_infer_packed(
                 input.as_slice(),
@@ -1622,11 +1663,10 @@ mod tests {
                 kernel_mode(),
             )
             .unwrap();
-            let same = out
-                .iter()
-                .zip(reference.as_slice())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "planned != conv2d for case {n}x{c_in}x{h}x{w} k{k}");
+            assert!(
+                same(&out),
+                "planned != im2col oracle for case {n}x{c_in}x{h}x{w} k{k}"
+            );
 
             // Fused ReLU clamps exactly.
             let mut fused = vec![0.0f32; out.len()];

@@ -53,6 +53,12 @@ fn check_pool(
         input.shape().dim(2),
         input.shape().dim(3),
     );
+    let (oh, ow) = pool_out_hw(h, w, geom)?;
+    Ok((n, c, h, w, oh, ow))
+}
+
+/// The pooled map's height and width, or the side the window misses.
+fn pool_out_hw(h: usize, w: usize, geom: &PoolGeometry) -> Result<(usize, usize), TensorError> {
     let oh = geom
         .output_size(h)
         .ok_or_else(|| TensorError::InvalidGeometry {
@@ -63,7 +69,7 @@ fn check_pool(
         .ok_or_else(|| TensorError::InvalidGeometry {
             reason: format!("pool window {} does not fit width {w}", geom.window),
         })?;
-    Ok((n, c, h, w, oh, ow))
+    Ok((oh, ow))
 }
 
 /// Max pooling forward pass. Returns the pooled tensor and the flat index of
@@ -171,9 +177,10 @@ pub fn max_pool2d_backward(
     Ok(grad_input)
 }
 
-/// Allocation-free max pooling into a caller-owned buffer — the
-/// compiled-plan variant of [`max_pool2d`]: identical window scan (so
-/// values are bitwise identical), no argmax recording, no allocation.
+/// Allocation-free max pooling into a caller-owned buffer — the inference
+/// forward of the compiled plans and of `MaxPool2d`: the window scan of
+/// [`max_pool2d`] (so values are bitwise identical), no argmax recording,
+/// no allocation.
 /// `x` is `n·c·h·w` NCHW activations, `out` receives `n·c·oh·ow`.
 ///
 /// # Errors
@@ -251,8 +258,10 @@ pub(crate) fn max_pool_plane(x: &[f32], o: &mut [f32], h: usize, w: usize, geom:
     }
 }
 
-/// Allocation-free average pooling into a caller-owned buffer — the
-/// compiled-plan variant of [`avg_pool2d`], bitwise identical values.
+/// Allocation-free average pooling into a caller-owned buffer — the one
+/// average-pool forward: the compiled plans call it directly, and
+/// [`avg_pool2d`] over a tensor it allocates. Each output is the window's
+/// sum in `(ky, kx)` order from `0.0`, times `1/window²`.
 ///
 /// # Errors
 ///
@@ -301,16 +310,7 @@ fn check_pool_into(
     w: usize,
     geom: &PoolGeometry,
 ) -> Result<(usize, usize), TensorError> {
-    let oh = geom
-        .output_size(h)
-        .ok_or_else(|| TensorError::InvalidGeometry {
-            reason: format!("pool window {} does not fit height {h}", geom.window),
-        })?;
-    let ow = geom
-        .output_size(w)
-        .ok_or_else(|| TensorError::InvalidGeometry {
-            reason: format!("pool window {} does not fit width {w}", geom.window),
-        })?;
+    let (oh, ow) = pool_out_hw(h, w, geom)?;
     for (expected, actual) in [(n * c * h * w, x.len()), (n * c * oh * ow, out.len())] {
         if expected != actual {
             return Err(TensorError::LengthMismatch { expected, actual });
@@ -319,36 +319,15 @@ fn check_pool_into(
     Ok((oh, ow))
 }
 
-/// Average pooling forward pass.
+/// Average pooling forward pass: [`avg_pool2d_into`] into a fresh tensor.
 ///
 /// # Errors
 ///
 /// Returns [`TensorError`] for non-rank-4 inputs or windows that do not fit.
-// seal-lint: allow(panic-freedom) — window offsets are clipped to the input extent by the pooling geometry
 pub fn avg_pool2d(input: &Tensor, geom: &PoolGeometry) -> Result<Tensor, TensorError> {
     let (n, c, h, w, oh, ow) = check_pool(input, geom)?;
-    let x = input.as_slice();
     let mut out = Tensor::zeros(Shape::nchw(n, c, oh, ow));
-    let norm = 1.0 / (geom.window * geom.window) as f32;
-    let plane_out = oh * ow;
-
-    if plane_out > 0 {
-        seal_pool::par_chunks_mut(out.as_mut_slice(), plane_out, |p, o| {
-            let base = p * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let mut acc = 0.0f32;
-                    for ky in 0..geom.window {
-                        let iy = oy * geom.stride + ky;
-                        for kx in 0..geom.window {
-                            acc += x[base + iy * w + ox * geom.stride + kx];
-                        }
-                    }
-                    o[oy * ow + ox] = acc * norm;
-                }
-            }
-        });
-    }
+    avg_pool2d_into(input.as_slice(), out.as_mut_slice(), n, c, h, w, geom)?;
     Ok(out)
 }
 
@@ -481,8 +460,9 @@ mod tests {
         assert!((out.as_slice()[0] - 7.5).abs() < 1e-6);
     }
 
-    /// The `_into` variants must produce bitwise-identical values to the
-    /// allocating kernels (they share the scan order by construction).
+    /// `max_pool2d_into` must produce bitwise the values of the training
+    /// kernel's own scan; the average pool (`avg_pool2d` runs
+    /// `avg_pool2d_into`) those of the window sums written out here.
     #[test]
     fn into_variants_match_allocating_kernels_bitwise() {
         use crate::rng::rngs::StdRng;
@@ -505,11 +485,27 @@ mod tests {
             .iter()
             .zip(&mx2)
             .all(|(a, b)| a.to_bits() == b.to_bits()));
-        assert!(av
-            .as_slice()
-            .iter()
-            .zip(&av2)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
+        let (oh, ow) = (geom.output_size(h).unwrap(), geom.output_size(w).unwrap());
+        let mut want = Vec::new();
+        for plane in input.as_slice().chunks_exact(h * w) {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut acc = 0.0f32;
+                    for ky in 0..3 {
+                        for kx in 0..3 {
+                            acc += plane[(oy * 2 + ky) * w + ox * 2 + kx];
+                        }
+                    }
+                    want.push(acc * (1.0 / 9.0));
+                }
+            }
+        }
+        for got in [av.as_slice(), &av2] {
+            assert!(got
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
         // Length mismatches are rejected.
         let mut short = vec![0.0f32; 3];
         assert!(max_pool2d_into(input.as_slice(), &mut short, n, c, h, w, &geom).is_err());

@@ -12,7 +12,9 @@
 //! fill, register tile, fused batch-norm / ReLU / max-pool epilogue — is
 //! walked over the geometry the model zoo never reaches (kernel 1/3/5,
 //! stride 1/2, padding 0/1/2, maps that divide a strip, fill whole
-//! strips, or neither) against `conv2d` and the standalone ops — and,
+//! strips, or neither) against a serial im2col loop written out here
+//! (which `conv2d`, itself the planned kernel, must equal too) and the
+//! standalone ops — and,
 //! compiled the way a plan compiles it, over maps narrower than the
 //! kernel's reach, where whole taps read only the zero border and are
 //! dropped. Two guard tests pin the models where dropping them would
@@ -132,6 +134,66 @@ fn plant_nonfinite(a: &mut Tensor, b: &mut Tensor) {
 const F32_GUARD: usize = 16;
 const F32_SENTINEL: f32 = -12345.678;
 
+/// The planned f32 convolution's oracle, independent of the library's
+/// fill and GEMM: each image's im2col matrix built cell by cell (`0.0`
+/// where the window overlaps the padding), then every output its bias
+/// plus `w·cell` over all `c_in·k·k` rows in ascending `(ci, ky, kx)`
+/// order, one serial accumulator — fused (`mul_add`) in `Fma` mode, as
+/// the kernels round there. Full depth: a dead tap's products are added.
+fn im2col_oracle(
+    x: &Tensor,
+    wt: &Tensor,
+    bias: &Tensor,
+    dims: &ConvPlanDims,
+    mode: KernelMode,
+) -> Vec<f32> {
+    let ConvPlanDims {
+        c_in,
+        h,
+        w,
+        c_out,
+        oh,
+        ow,
+        geom,
+    } = *dims;
+    let (k, s) = (geom.kernel, oh * ow);
+    let kdim = c_in * k * k;
+    let (x, wt, bias) = (x.as_slice(), wt.as_slice(), bias.as_slice());
+    let cell = |o: usize, kpos: usize, n: usize| {
+        (o * geom.stride + kpos)
+            .checked_sub(geom.padding)
+            .filter(|&i| i < n)
+    };
+    let mut out = Vec::with_capacity(x.len() / (c_in * h * w).max(1) * c_out * s);
+    for img in x.chunks_exact(c_in * h * w) {
+        let mut cols = vec![0.0f32; kdim * s];
+        for q in 0..kdim {
+            let (ci, ky, kx) = (q / (k * k), q / k % k, q % k);
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    if let (Some(iy), Some(ix)) = (cell(oy, ky, h), cell(ox, kx, w)) {
+                        cols[q * s + oy * ow + ox] = img[(ci * h + iy) * w + ix];
+                    }
+                }
+            }
+        }
+        for co in 0..c_out {
+            for p in 0..s {
+                let mut acc = bias[co];
+                for q in 0..kdim {
+                    let (a, b) = (wt[co * kdim + q], cols[q * s + p]);
+                    acc = match mode {
+                        KernelMode::Fma => a.mul_add(b, acc),
+                        _ => acc + a * b,
+                    };
+                }
+                out.push(acc);
+            }
+        }
+    }
+    out
+}
+
 #[test]
 fn f32_gemm_partial_strips_match_naive_in_every_mode() {
     let mut rng = StdRng::seed_from_u64(0xF32);
@@ -210,7 +272,13 @@ fn planned_conv_matches_conv2d_on_narrow_images_at_any_batch_and_thread_count() 
                     *x.as_mut_slice().last_mut().unwrap() = f32::INFINITY;
                 }
                 for_each_mode(|mode| {
-                    let reference = conv2d(&x, &w, Some(&bias), &geom).unwrap();
+                    let reference = im2col_oracle(&x, &w, &bias, &dims, mode);
+                    let what = format!(
+                        "{mode:?} c_in {c_in} hw {hw} c_out {c_out} batch {n} \
+                         nonfinite={nonfinite}"
+                    );
+                    let direct = conv2d(&x, &w, Some(&bias), &geom).unwrap();
+                    assert_same(direct.as_slice(), &reference, &format!("conv2d {what}"));
                     for threads in [1usize, 2, 7] {
                         let pool = Pool::new(threads);
                         let mut out = vec![0.0f32; n * c_out * hw * hw];
@@ -230,11 +298,8 @@ fn planned_conv_matches_conv2d_on_narrow_images_at_any_batch_and_thread_count() 
                         });
                         assert_same(
                             &out,
-                            reference.as_slice(),
-                            &format!(
-                                "{mode:?} planned conv c_in {c_in} hw {hw} c_out {c_out} \
-                                 batch {n} threads {threads} nonfinite={nonfinite}"
-                            ),
+                            &reference,
+                            &format!("planned conv {what} threads {threads}"),
                         );
                     }
                 });
@@ -264,10 +329,11 @@ fn tap_is_live(dims: &ConvPlanDims, t: usize) -> bool {
 }
 
 /// One case of the geometry walks below: random operands for `dims` at
-/// batch `n` (a NaN weight row and an ∞ pixel when `nonfinite`), `conv2d`
-/// as the reference of each rounding class, the planned convolution in
-/// every mode — each call on the pool `turn` selects for that mode — and
-/// a sentinel behind the output. With `live`, the convolution is compiled
+/// batch `n` (a NaN weight row and an ∞ pixel when `nonfinite`),
+/// [`im2col_oracle`] as the reference of each rounding class (which
+/// `conv2d` must equal), the planned convolution in every mode — each call
+/// on the pool `turn` selects for that mode — and a sentinel behind the
+/// output. With `live`, the convolution is compiled
 /// the way a plan compiles it, dead taps dropped
 /// ([`Im2colGather::compile_live`]), and the NaN goes into a live tap, so
 /// that the drop stays legal; returns the rows the GEMM ran.
@@ -316,10 +382,18 @@ fn check_planned_conv(
         Im2colGather::compile(dims)
     };
     let len = n * c_out * oh * ow;
-    let mut references: [Option<Tensor>; 2] = [None, None];
+    let mut references: [Option<Vec<f32>>; 2] = [None, None];
     for_each_mode(|mode| {
-        let reference = references[(mode == KernelMode::Fma) as usize]
-            .get_or_insert_with(|| conv2d(&x, &wt, Some(&bias), &geom).unwrap());
+        let reference = references[(mode == KernelMode::Fma) as usize].get_or_insert_with(|| {
+            let reference = im2col_oracle(&x, &wt, &bias, dims, mode);
+            let direct = conv2d(&x, &wt, Some(&bias), &geom).unwrap();
+            assert_same(
+                direct.as_slice(),
+                &reference,
+                &format!("{mode:?} conv2d {dims:?} batch {n}"),
+            );
+            reference
+        });
         let pool = &pools[(turn + mode as usize) % pools.len()];
         let mut out = vec![F32_SENTINEL; len + F32_GUARD];
         with_pool(pool, || {
@@ -344,12 +418,12 @@ fn check_planned_conv(
             out[len..].iter().all(|&v| v == F32_SENTINEL),
             "{what}: stored past the output"
         );
-        assert_same(&out[..len], reference.as_slice(), &what);
+        assert_same(&out[..len], reference, &what);
     });
     gather.depth()
 }
 
-/// Planned conv ≡ `conv2d`, bit for bit, over the geometry the zoo never
+/// Planned conv ≡ `conv2d` ≡ the im2col oracle, bit for bit, over the geometry the zoo never
 /// reaches: kernel 1/3/5, stride 1/2, padding 0/1/2, non-square maps
 /// whose width divides a 16-lane strip (1, 2, 8, 16), fills whole strips
 /// or neither (3, 5, 7, 10, 17, 20) — so strips start mid-row, straddle
@@ -417,7 +491,7 @@ fn planned_conv_matches_conv2d_across_kernels_strides_paddings_and_strip_alignme
 /// 1×1, 2×2 and the non-square 1×2 / 2×1 inputs under kernel 3/5,
 /// padding 1/2, stride 1/2 — where whole taps read only the zero border
 /// and [`Im2colGather::compile_live`] drops them (and, where no kept tap
-/// reads the border either, the zero-pad): still `conv2d` bit for bit, in
+/// reads the border either, the zero-pad): still the full-depth oracle bit for bit, in
 /// every mode, at batches that fold and that do not, with a NaN weight in
 /// a live tap and an ∞ pixel on every other case. Every case runs exactly
 /// the live rows.
@@ -474,9 +548,9 @@ fn planned_conv_without_dead_taps_matches_conv2d_on_maps_narrower_than_the_kerne
 }
 
 /// Runs `wt` (`[c_out × kdim]`) over the batch `x` through the plan's
-/// compile path and through `conv2d`, in every mode, asserts the two
-/// equal raw bit for bit, and returns `(rows the GEMM ran, planned
-/// output, conv2d output)` of the last mode.
+/// compile path and through [`im2col_oracle`], in every mode, asserts the
+/// two equal raw bit for bit, and returns `(rows the GEMM ran, planned
+/// output, oracle output)` of the last mode.
 fn live_and_reference(
     dims: &ConvPlanDims,
     x: &Tensor,
@@ -487,9 +561,9 @@ fn live_and_reference(
     let mut planned = wt.as_slice().to_vec();
     let gather = Im2colGather::compile_live(dims, &mut planned, bias.as_slice());
     let mut out = vec![0.0f32; n * dims.c_out * dims.oh * dims.ow];
-    let mut reference = Tensor::zeros(Shape::vector(0));
+    let mut reference = Vec::new();
     for_each_mode(|mode| {
-        reference = conv2d(x, wt, Some(bias), &dims.geom).unwrap();
+        reference = im2col_oracle(x, wt, bias, dims, mode);
         conv2d_infer_packed(
             x.as_slice(),
             n,
@@ -503,9 +577,9 @@ fn live_and_reference(
         )
         .unwrap();
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&out), bits(reference.as_slice()), "{mode:?} {dims:?}");
+        assert_eq!(bits(&out), bits(&reference), "{mode:?} {dims:?}");
     });
-    (gather.depth(), out, reference.as_slice().to_vec())
+    (gather.depth(), out, reference)
 }
 
 /// A 3×3 / pad-1 convolution on 1×1 maps: eight of its nine taps are dead.

@@ -61,8 +61,9 @@ pub use seal_serve as serve;
 pub use seal_tensor as tensor;
 
 /// Compiled inference plans for the serving hot path: weight
-/// pre-packing, ping-pong activation arenas and opt-in op fusion
-/// (bitwise-identical to `forward_infer` with fusion off).
+/// pre-packing, ping-pong activation arenas and fused epilogues — the f32
+/// plan bitwise-identical to `forward_infer`, the int8 plan within
+/// quantization tolerance of it.
 pub mod plan {
     pub use seal_nn::plan::*;
 }
