@@ -28,19 +28,6 @@ impl NetError {
     pub fn io(op: &'static str) -> impl Fn(std::io::Error) -> NetError {
         move |source| NetError::Io { op, source }
     }
-
-    /// `true` when the error is a read timeout (the client's bounded-wait
-    /// signal, not a protocol failure).
-    pub fn is_timeout(&self) -> bool {
-        matches!(
-            self,
-            NetError::Io { source, .. }
-                if matches!(
-                    source.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                )
-        )
-    }
 }
 
 impl fmt::Display for NetError {

@@ -3,9 +3,9 @@
 //!
 //! Open-loop tail-latency studies need arrivals that are (a) heavy-tailed
 //! — bursts expose queueing behaviour a fixed interval hides — and (b)
-//! bitwise reproducible per seed, so the in-process generator and the TCP
-//! generator replay the *same* offered load and their results are
-//! comparable. The schedule is therefore a pure function of
+//! bitwise reproducible per seed, so every run of the TCP generator
+//! replays the *same* offered load and runs are comparable. The schedule
+//! is therefore a pure function of
 //! `(seed, n, mean, alpha)`: Pareto inter-arrival gaps via the inverse
 //! CDF over a splitmix64 stream, accumulated into absolute microsecond
 //! offsets. No wall clock, no thread state.

@@ -26,7 +26,6 @@ use seal_tensor::rng::rngs::StdRng;
 use seal_tensor::rng::SeedableRng;
 use seal_tensor::{Shape, Tensor};
 
-use crate::arrivals::ArrivalSchedule;
 use crate::metrics::LatencyHistogram;
 use crate::{locked, ServeError, Server};
 
@@ -53,14 +52,6 @@ pub enum LoadMode {
         /// Arrival rate in requests per second.
         rate_rps: f64,
     },
-    /// Open loop with Pareto (heavy-tailed) inter-arrival gaps — the
-    /// same [`ArrivalSchedule`] the TCP load generator replays.
-    OpenPareto {
-        /// Mean inter-arrival gap in microseconds.
-        mean_gap_us: f64,
-        /// Pareto shape parameter (tail heaviness).
-        alpha: f64,
-    },
 }
 
 impl LoadMode {
@@ -69,7 +60,6 @@ impl LoadMode {
         match self {
             LoadMode::Closed { .. } => "closed",
             LoadMode::Open { .. } => "open",
-            LoadMode::OpenPareto { .. } => "open-pareto",
         }
     }
 }
@@ -236,62 +226,15 @@ pub fn run_open(
         });
     }
     let interval = Duration::from_secs_f64(1.0 / rate_rps);
-    let offsets = (0..requests).map(|k| interval * k as u32);
-    run_arrivals(server, LoadMode::Open { rate_rps }, offsets, seed)
-}
-
-/// Runs an open-loop test with Pareto inter-arrivals: the schedule is the
-/// deterministic [`ArrivalSchedule`] shared with the TCP load generator,
-/// so in-process and network runs replay the identical offered load for a
-/// given seed. Rejected arrivals are dropped and counted, exactly as in
-/// [`run_open`].
-///
-/// # Errors
-///
-/// Returns [`ServeError::InvalidConfig`] for a non-positive mean gap and
-/// propagates non-backpressure submission failures.
-pub fn run_open_pareto(
-    server: &Server,
-    requests: usize,
-    mean_gap_us: f64,
-    alpha: f64,
-    seed: u64,
-) -> Result<LoadReport, ServeError> {
-    if mean_gap_us <= 0.0 {
-        return Err(ServeError::InvalidConfig {
-            reason: format!("open-loop mean gap {mean_gap_us}us must be positive"),
-        });
-    }
-    let schedule = ArrivalSchedule::pareto(seed, requests, mean_gap_us, alpha);
-    let offsets = schedule
-        .offsets_us()
-        .iter()
-        .map(|&us| Duration::from_micros(us));
-    run_arrivals(
-        server,
-        LoadMode::OpenPareto { mean_gap_us, alpha },
-        offsets,
-        seed,
-    )
-}
-
-/// The open loop itself: one submission at each arrival offset from the
-/// start, never waiting for completions; then every accepted request is
-/// waited for.
-fn run_arrivals(
-    server: &Server,
-    mode: LoadMode,
-    offsets: impl ExactSizeIterator<Item = Duration>,
-    seed: u64,
-) -> Result<LoadReport, ServeError> {
-    let requested = offsets.len();
     let mut rng = StdRng::seed_from_u64(seed);
     let started = Instant::now();
-    let mut handles = Vec::with_capacity(requested);
+    let mut handles = Vec::with_capacity(requests);
     let mut rejected = 0usize;
 
-    for offset in offsets {
-        let fire = started + offset;
+    // One submission at each arrival offset from the start, never waiting
+    // for completions; then every accepted request is waited for.
+    for k in 0..requests {
+        let fire = started + interval * k as u32;
         let now = Instant::now();
         if now < fire {
             std::thread::sleep(fire - now);
@@ -313,8 +256,8 @@ fn run_arrivals(
     }
     let wall = started.elapsed().as_secs_f64();
     Ok(LoadReport {
-        mode,
-        requested,
+        mode: LoadMode::Open { rate_rps },
+        requested: requests,
         completed,
         rejected,
         wall_seconds: wall,
@@ -517,20 +460,10 @@ mod tests {
     }
 
     #[test]
-    fn open_pareto_replays_the_shared_schedule() {
-        let server = mlp_server();
-        let report = run_open_pareto(&server, 30, 50.0, 1.5, 17).unwrap();
-        assert_eq!(report.completed + report.rejected, 30);
-        assert_eq!(report.mode.name(), "open-pareto");
-        server.shutdown().unwrap();
-    }
-
-    #[test]
     fn bad_parameters_are_rejected() {
         let server = mlp_server();
         assert!(run_closed(&server, 1, 0, 0).is_err());
         assert!(run_open(&server, 1, 0.0, 0).is_err());
-        assert!(run_open_pareto(&server, 1, 0.0, 1.5, 0).is_err());
         assert!(
             run_chaos(&server, 1, 2).is_err(),
             "chaos without an armed schedule is a config error"

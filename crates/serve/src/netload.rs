@@ -1,8 +1,8 @@
 //! The TCP load generator: an open-loop, heavy-tailed, multi-tenant
 //! driver for the [`NetServer`](crate::netserve::NetServer).
 //!
-//! The generator replays the same deterministic [`ArrivalSchedule`] the
-//! in-process loadgen uses (bitwise identical per seed), assigns each
+//! The generator replays the deterministic [`ArrivalSchedule`] (bitwise
+//! identical per seed), assigns each
 //! arrival a simulated user id (`user = arrival index`, so 10^5 arrivals
 //! mean 10^5 distinct users) and a tenant (hash-proportional to the
 //! weighted-fair shares), and drives the server over real loopback TCP
