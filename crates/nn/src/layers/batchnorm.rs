@@ -82,21 +82,11 @@ impl BatchNorm2d {
     /// The inference normaliser `1/√(σ² + ε)` of each channel, from the
     /// running variance: what [`Layer::forward_infer`] multiplies by and
     /// the compiled plans snapshot.
-    pub fn inv_std(&self) -> Vec<f32> {
+    pub(crate) fn inv_std(&self) -> Vec<f32> {
         self.running_var
             .iter()
             .map(|v| 1.0 / (v + self.eps).sqrt())
             .collect()
-    }
-
-    /// The inference constants over `inv_std` (from [`inv_std`](Self::inv_std)).
-    fn params<'a>(&'a self, inv_std: &'a [f32]) -> BatchNormParams<'a> {
-        BatchNormParams {
-            gamma: self.gamma.value.as_slice(),
-            beta: self.beta.value.as_slice(),
-            mean: &self.running_mean,
-            inv_std,
-        }
     }
 
     fn check_input(&self, input: &Tensor) -> Result<(usize, usize, usize), NnError> {
@@ -210,7 +200,12 @@ impl Layer for BatchNorm2d {
         let (_, h, w) = self.check_input(input)?;
         let c = self.channels;
         let inv_std = self.inv_std();
-        let bn = self.params(&inv_std);
+        let bn = BatchNormParams {
+            gamma: self.gamma.value.as_slice(),
+            beta: self.beta.value.as_slice(),
+            mean: &self.running_mean,
+            inv_std: &inv_std,
+        };
         let mut out = input.clone();
         // The plans' per-plane batch-norm, whose association is `forward`'s,
         // so eval-mode outputs match bitwise.

@@ -225,10 +225,17 @@ fn shape_checks(lhs: &Tensor, rhs: &Tensor) -> Result<(usize, usize, usize), Ten
 /// ```
 pub fn matmul(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor, TensorError> {
     let (m, k, n) = shape_checks(lhs, rhs)?;
-    let a = lhs.as_slice();
-    let b = rhs.as_slice();
     let mut out = vec![0.0f32; m * n]; // off the steady-state path
-    gemm(a, b, &mut out, m, k, n, kernel_mode());
+    if m > 0 && n > 0 {
+        // B is packed once into per-thread scratch; every row-block task
+        // then consumes the shared pack.
+        PACK.with(|pack| {
+            let mut pack = pack.borrow_mut();
+            pack_b_full(rhs.as_slice(), &mut pack, k, n);
+            let mode = kernel_mode();
+            gemm_shared_pack(lhs.as_slice(), &pack, &mut out, m, k, n, mode, false);
+        });
+    }
     Tensor::from_vec(out, Shape::matrix(m, n))
 }
 
@@ -287,32 +294,6 @@ pub fn matmul_naive_fma(lhs: &Tensor, rhs: &Tensor) -> Result<Tensor, TensorErro
         }
     }
     Tensor::from_vec(out, Shape::matrix(m, n))
-}
-
-/// `out[m×n] += a[m×k] · b[k×n]` with deterministic row-block
-/// parallelism. `out` may be pre-initialised (e.g. with a bias); each
-/// element's products are added in ascending `k` order on top of it.
-///
-/// Packs all of B once into per-thread scratch, then consumes the shared
-/// pack from every row-block task.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn gemm(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    mode: KernelMode,
-) {
-    if m == 0 || n == 0 {
-        return;
-    }
-    PACK.with(|pack| {
-        let mut pack = pack.borrow_mut();
-        pack_b_full(b, &mut pack, k, n);
-        gemm_shared_pack(a, &pack, out, m, k, n, mode, false);
-    });
 }
 
 /// Where a register tile reads the rows of one `NR`-wide strip of B: row
